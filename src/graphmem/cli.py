@@ -76,7 +76,6 @@ _CONFIG_TYPES = {
     "mode": str,
     "neighbor_mode": str,
     "raw_embedding": bool,
-    "workers": int,
     "tasks": "list",
     "vocab": "list",
     "data_dir": str,
@@ -141,8 +140,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
     if getattr(args, "seed", None) is not None:
         resolved["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        resolved["workers"] = args.workers
     if getattr(args, "mode", None) is not None:
         resolved["mode"] = args.mode
     if getattr(args, "data_dir", None) is not None:
@@ -345,7 +342,7 @@ def _eval_pool(args: argparse.Namespace, resolved: dict, meta: dict):
             ex.task_id = task_id
             ex.graph = featurize(ex.graph, vocab)
             pool.append(ex)
-    return config, pool, checksums
+    return pool, checksums
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -353,10 +350,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     out_dir = _out_dir(args)
     params, meta = _load_model(args.checkpoint)
-    config, pool, checksums = _eval_pool(args, resolved, meta)
+    pool, checksums = _eval_pool(args, resolved, meta)
     queries = build_queries(meta["mode"], len(meta["tasks"]))
     prepared = prepare_examples(pool, params.config, queries)
-    scores = predict_scores(params, prepared, meta["hops"], config.workers)
+    scores = predict_scores(params, prepared, meta["hops"])
     report = compute_metrics(scores, [ex.label for ex in prepared], [ex.task_id for ex in prepared])
     metrics_path = out_dir / "metrics.json"
     metrics_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -406,7 +403,7 @@ def cmd_dump_attention(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     out_dir = _out_dir(args)
     params, meta = _load_model(args.checkpoint)
-    config, pool, checksums = _eval_pool(args, resolved, meta)
+    pool, checksums = _eval_pool(args, resolved, meta)
     queries = build_queries(meta["mode"], len(meta["tasks"]))
     prepared = prepare_examples(pool, params.config, queries)
     dump_path = out_dir / "attention.jsonl"
@@ -457,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="flat key=value configuration file")
     shared.add_argument("--seed", type=int, help="run seed (overrides the config file)")
     shared.add_argument("--out-dir", default="graphmem_out", help="directory for artifacts")
-    shared.add_argument("--workers", type=int, help="parallel example passes within a batch")
     shared.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override any config key (repeatable)")
 

@@ -70,8 +70,9 @@ def run_gradient_check(
         prepared = prepare_graph(graph, config)
         params = ModelParams.initialize(config, seed=int(rng.integers(0, 2**31)))
         # zero-initialized score vectors would hide attention gradients; perturb them
-        for name in ("attn.score",):
-            params[name].data[...] = rng.normal(0.0, 0.5, size=params[name].data.shape)
+        for name in ("attn.score", "nbr.score"):
+            if name in params.tensors:
+                params[name].data[...] = rng.normal(0.0, 0.5, size=params[name].data.shape)
         query = np.zeros(2)
         query[int(rng.integers(0, 2))] = 1.0
         label = int(rng.integers(0, 2))

@@ -164,21 +164,43 @@ class ModelParams:
 
 
 @dataclass(eq=False)
+class RelationEdges:
+    """The directed edges of one relation, each bond in both directions,
+    grouped by destination node and ordered by source within a group.
+
+    ``uniform_mix`` and ``uniform_links`` are the neighbor mixing built
+    from the constant weights 1/deg(dst): the (m, m) matrix that averages
+    neighbor cells and the (m, k_b) mean link features of each node.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    links: Tensor
+    uniform_mix: Tensor
+    uniform_links: Tensor
+
+
+@dataclass(eq=False)
 class PreparedGraph:
-    """Per-graph constants the hops reuse: features, mean-aggregation
-    matrices and pre-averaged link features per relation, neighbor index
-    lists for the learned weighting."""
+    """Per-graph constants the hops reuse: node features and, per model
+    relation, the edge list with its link features and uniform mixing."""
 
     graph: MolecularGraph
     features: Tensor
-    rel_mean: list[Tensor]
-    rel_link: list[Tensor]
-    nbr_index: list[list[np.ndarray]]
-    nbr_link: list[list[np.ndarray]]
+    relations: list[RelationEdges]
 
     @property
     def n_nodes(self) -> int:
         return self.graph.n_nodes
+
+
+def _mixing(weights: Tensor, src: np.ndarray, dst: np.ndarray, links: Tensor,
+            n_nodes: int) -> tuple[Tensor, Tensor]:
+    """Scatter per-edge weights into the (m, m) matrix that mixes source
+    cells into destination rows, and mix the link rows the same way."""
+    mix = nm.scatter(weights, dst, src, (n_nodes, n_nodes))
+    per_edge = nm.scatter(weights, dst, np.arange(src.size), (n_nodes, src.size))
+    return mix, nm.matmul(per_edge, links)
 
 
 def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
@@ -196,51 +218,32 @@ def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
             f"graph uses {graph.n_relations} relations but the model has {config.n_relations}"
         )
     k_b = config.link_feat_dim
-    link_of: dict[tuple[int, int], np.ndarray] = {}
     for e in graph.edges:
         if e.link_features is None or e.link_features.shape != (k_b,):
             raise nm.DimensionError(
                 f"edge ({e.i},{e.j}) link features {None if e.link_features is None else e.link_features.shape}"
                 f" do not match width {k_b}"
             )
-        link_of[(e.i, e.j)] = e.link_features
-        link_of[(e.j, e.i)] = e.link_features
 
-    rel_mean: list[Tensor] = []
-    rel_link: list[Tensor] = []
-    nbr_index: list[list[np.ndarray]] = []
-    nbr_link: list[list[np.ndarray]] = []
-    for r in range(config.n_relations):
-        mean_mat = np.zeros((m, m))
-        link_mat = np.zeros((m, k_b))
-        idx_r: list[np.ndarray] = []
-        lnk_r: list[np.ndarray] = []
-        per_node = graph.neighbors[r] if r < graph.n_relations else [[] for _ in range(m)]
-        for i in range(m):
-            nbrs = per_node[i]
-            idx_r.append(np.asarray(nbrs, dtype=np.intp))
-            if nbrs:
-                w = 1.0 / len(nbrs)
-                links = np.stack([link_of[(i, j)] for j in nbrs], axis=0)
-                lnk_r.append(links)
-                for j in nbrs:
-                    mean_mat[i, j] = w
-                link_mat[i] = links.sum(axis=0) * w
-            else:
-                lnk_r.append(np.zeros((0, k_b)))
-        rel_mean.append(nm.constant(mean_mat))
-        rel_link.append(nm.constant(link_mat))
-        nbr_index.append(idx_r)
-        nbr_link.append(lnk_r)
+    ends = np.array([(e.i, e.j, e.relation) for e in graph.edges], dtype=np.intp).reshape(-1, 3)
+    bond_links = np.array([e.link_features for e in graph.edges]).reshape(-1, k_b)
+    src = np.concatenate([ends[:, 1], ends[:, 0]])
+    dst = np.concatenate([ends[:, 0], ends[:, 1]])
+    relation = np.concatenate([ends[:, 2], ends[:, 2]])
+    links = np.concatenate([bond_links, bond_links])
+    order = np.lexsort((src, dst, relation))
+    src, dst, relation, links = src[order], dst[order], relation[order], links[order]
+    bounds = np.searchsorted(relation, np.arange(1, config.n_relations + 2))
 
-    return PreparedGraph(
-        graph=graph,
-        features=nm.constant(graph.node_features),
-        rel_mean=rel_mean,
-        rel_link=rel_link,
-        nbr_index=nbr_index,
-        nbr_link=nbr_link,
-    )
+    relations: list[RelationEdges] = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part = slice(lo, hi)
+        edge_links = nm.constant(links[part])
+        degree = np.bincount(dst[part], minlength=m)
+        mix, mean_links = _mixing(nm.constant(1.0 / degree[dst[part]]), src[part], dst[part], edge_links, m)
+        relations.append(RelationEdges(src[part], dst[part], edge_links, mix, mean_links))
+
+    return PreparedGraph(graph=graph, features=nm.constant(graph.node_features), relations=relations)
 
 
 @dataclass(eq=False)
@@ -324,37 +327,24 @@ def _neighbor_contexts(
 ) -> dict[int, Tensor]:
     """Per-relation neighbor context rows [cell state, link features].
 
-    Uniform mode averages neighbors with constant matrices; learned mode
-    scores each neighbor with its own small attention head. Nodes without
-    neighbors under a relation contribute zero rows.
+    Each node mixes its neighbors with weights that sum to one: 1/deg in
+    uniform mode, and in learned mode a softmax, over each node's in-edges,
+    of edge scores from a small attention head on [neighbor cell, own cell].
+    Nodes without neighbors under a relation get zero rows.
     """
-    cfg = params.config
+    learned = params.config.neighbor_mode == "learned"
     contexts: dict[int, Tensor] = {}
-    if cfg.neighbor_mode == "uniform":
-        for r in range(cfg.n_relations):
-            ctx_cells = nm.matmul(prepared.rel_mean[r], memory)
-            contexts[r] = nm.concat([ctx_cells, prepared.rel_link[r]], axis=1)
-        return contexts
-
-    zero_row = nm.constant(np.zeros(cfg.memory_size + cfg.link_feat_dim))
-    for r in range(cfg.n_relations):
-        rows: list[Tensor] = []
-        for i in range(prepared.n_nodes):
-            idx = prepared.nbr_index[r][i]
-            if idx.size == 0:
-                rows.append(zero_row)
-                continue
-            cells = nm.take_rows(memory, idx)
-            own = nm.take_rows(memory, np.asarray([i], dtype=np.intp))
+    for r, rel in enumerate(prepared.relations):
+        mix, links = rel.uniform_mix, rel.uniform_links
+        if learned and rel.src.size:
             blend = nm.tanh(nm.linear_sum(
-                [(cells, params["nbr.cell"]), (own, params["nbr.self"])],
+                [(nm.take_rows(memory, rel.src), params["nbr.cell"]),
+                 (nm.take_rows(memory, rel.dst), params["nbr.self"])],
                 bias=params["nbr.bias"],
             ))
-            weights = nm.softmax(nm.matmul(blend, params["nbr.score"]))
-            ctx_cells = nm.matmul(weights, cells)
-            ctx_links = nm.matmul(weights, nm.constant(prepared.nbr_link[r][i]))
-            rows.append(nm.concat([ctx_cells, ctx_links]))
-        contexts[r] = nm.stack_rows(rows)
+            weights = nm.segment_softmax(nm.matmul(blend, params["nbr.score"]), rel.dst, prepared.n_nodes)
+            mix, links = _mixing(weights, rel.src, rel.dst, rel.links, prepared.n_nodes)
+        contexts[r] = nm.concat([nm.matmul(mix, memory), links], axis=1)
     return contexts
 
 

@@ -5,8 +5,8 @@ lists), a self-contained MOL/SDF V2000 subset parser, ring-edge detection
 by bridge finding, one-hot atom/bond featurization, and a deterministic
 synthetic motif-dataset generator used for desk-scale experiments.
 
-Everything here is a pure function of its inputs; graphs are safe to share
-across workers once built.
+Everything here is a pure function of its inputs; a built graph is never
+mutated, so one graph object can back many examples and tasks.
 """
 
 from __future__ import annotations

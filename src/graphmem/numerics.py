@@ -344,18 +344,24 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tuple(parts), backward)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix, one per row."""
-    out = Tensor(np.stack([r.data for r in rows], axis=0))
-    if not _tracked(*rows):
+def scatter(values: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
+    """Zero matrix of ``shape`` with ``values[k]`` added at ``(rows[k], cols[k])``.
+
+    Backward gathers the output gradient at the same positions.
+    """
+    r = np.asarray(rows, dtype=np.intp)
+    c = np.asarray(cols, dtype=np.intp)
+    if values.ndim != 1 or r.shape != values.shape or c.shape != values.shape:
+        raise _shape_error("scatter", values.shape, r.shape, c.shape)
+    flat = np.ravel_multi_index((r, c), shape)
+    out = Tensor(np.bincount(flat, weights=values.data, minlength=shape[0] * shape[1]).reshape(shape))
+    if not _tracked(values):
         return out
 
     def backward(g: np.ndarray) -> None:
-        for k, row in enumerate(rows):
-            if _tracked(row):
-                _accumulate(row, g[k])
+        _accumulate(values, g[r, c])
 
-    return _record(out, tuple(rows), backward)
+    return _record(out, (values,), backward)
 
 
 def take_rows(x: Tensor, indices) -> Tensor:
@@ -468,6 +474,30 @@ def softmax(scores: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         _accumulate(scores, p * (g - float(g @ p)))
+
+    return _record(out, (scores,), backward)
+
+
+def segment_softmax(scores: Tensor, segments, n_segments: int) -> Tensor:
+    """Softmax of a 1-D score vector within each segment: entry ``k`` is
+    normalized over the entries whose ``segments`` id equals ``segments[k]``.
+
+    Ids lie in ``0..n_segments-1``; every non-empty segment sums to one.
+    Scores are max-subtracted per segment for stability.
+    """
+    seg = np.asarray(segments, dtype=np.intp)
+    if scores.ndim != 1 or seg.shape != scores.shape:
+        raise _shape_error("segment_softmax", scores.shape, seg.shape)
+    peak = np.full(n_segments, -np.inf)
+    np.maximum.at(peak, seg, scores.data)
+    e = np.exp(scores.data - peak[seg])
+    p = e / np.bincount(seg, weights=e, minlength=n_segments)[seg]
+    out = Tensor(p)
+    if not _tracked(scores):
+        return out
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(scores, p * (g - np.bincount(seg, weights=g * p, minlength=n_segments)[seg]))
 
     return _record(out, (scores,), backward)
 

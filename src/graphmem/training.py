@@ -10,7 +10,6 @@ example at a time (graphs are small and variable-sized; no padding).
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -52,7 +51,6 @@ class ExperimentConfig:
     mode: str = "single"
     neighbor_mode: str = "uniform"
     raw_embedding: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.hops < 1:
@@ -67,8 +65,6 @@ class ExperimentConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 # -- loss and optimizer -------------------------------------------------------
@@ -324,17 +320,10 @@ def prepare_examples(
     return out
 
 
-def predict_scores(params: ModelParams, examples: Sequence[PreparedExample], hops: int,
-                   workers: int = 1) -> np.ndarray:
+def predict_scores(params: ModelParams, examples: Sequence[PreparedExample], hops: int) -> np.ndarray:
     """Inference probabilities for a prepared example list (dropout off)."""
-
-    def one(ex: PreparedExample) -> float:
-        return forward(ex.prepared, ex.query, params, hops).probability.item()
-
-    if workers > 1 and len(examples) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.fromiter(pool.map(one, examples), dtype=np.float64, count=len(examples))
-    return np.fromiter((one(ex) for ex in examples), dtype=np.float64, count=len(examples))
+    scores = [forward(ex.prepared, ex.query, params, hops).probability.item() for ex in examples]
+    return np.asarray(scores, dtype=np.float64)
 
 
 # -- the training loop ---------------------------------------------------------
@@ -419,61 +408,48 @@ def train(
                       dropout_rate=config.dropout, rng=example_rng, training=True)
         return cross_entropy(out.probability, ex.label)
 
-    pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            order = np.random.default_rng((config.seed, 7919, epoch)).permutation(len(train_pool))
-            loss_sum = 0.0
-            for start in range(0, len(order), config.batch_size):
-                batch = order[start : start + config.batch_size]
-                params.zero_grads()
-                jobs = [
-                    (train_pool[idx], np.random.default_rng((config.seed, epoch, int(idx))))
-                    for idx in batch
-                ]
-                if pool is not None and len(jobs) > 1:
-                    losses = list(pool.map(lambda job: run_example(*job), jobs))
-                else:
-                    losses = [run_example(ex, rng) for ex, rng in jobs]
-                # accumulation in list order keeps runs bit-identical at any worker count
-                for loss in losses:
-                    value = loss.item()
-                    if not np.isfinite(value):
-                        raise NumericError(f"non-finite training loss {value!r}")
-                    loss_sum += value
-                    loss.backward(seed=1.0 / len(batch))
-                adam_step(params.arrays(), params.grads(), adam, config)
+    for epoch in range(1, config.max_epochs + 1):
+        order = np.random.default_rng((config.seed, 7919, epoch)).permutation(len(train_pool))
+        loss_sum = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            params.zero_grads()
+            for idx in batch:
+                loss = run_example(train_pool[idx], np.random.default_rng((config.seed, epoch, int(idx))))
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise NumericError(f"non-finite training loss {value!r}")
+                loss_sum += value
+                loss.backward(seed=1.0 / len(batch))
+            adam_step(params.arrays(), params.grads(), adam, config)
 
-            val_scores = predict_scores(params, val_pool, config.hops, config.workers)
-            val_report = compute_metrics(val_scores, [ex.label for ex in val_pool],
-                                         [ex.task_id for ex in val_pool])
-            record = EpochRecord(
-                epoch=epoch,
-                train_loss=loss_sum / len(train_pool),
-                val_micro_f1=val_report.micro_f1,
-                val_macro_f1=val_report.macro_f1,
-                val_average_auc=val_report.average_auc,
-            )
-            result.history.append(record)
-            if log_fn is not None:
-                log_fn(record)
+        val_scores = predict_scores(params, val_pool, config.hops)
+        val_report = compute_metrics(val_scores, [ex.label for ex in val_pool],
+                                     [ex.task_id for ex in val_pool])
+        record = EpochRecord(
+            epoch=epoch,
+            train_loss=loss_sum / len(train_pool),
+            val_micro_f1=val_report.micro_f1,
+            val_macro_f1=val_report.macro_f1,
+            val_average_auc=val_report.average_auc,
+        )
+        result.history.append(record)
+        if log_fn is not None:
+            log_fn(record)
 
-            metric = _early_stop_metric(val_report)
-            if metric > result.best_val_metric:
-                result.best_val_metric = metric
-                result.best_epoch = epoch
-                best_arrays = params.copy_arrays()
-                stall = 0
-            else:
-                stall += 1
-                if stall >= config.patience:
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        metric = _early_stop_metric(val_report)
+        if metric > result.best_val_metric:
+            result.best_val_metric = metric
+            result.best_epoch = epoch
+            best_arrays = params.copy_arrays()
+            stall = 0
+        else:
+            stall += 1
+            if stall >= config.patience:
+                break
 
     params.load_arrays(best_arrays)
-    test_scores = predict_scores(params, test_pool, config.hops, config.workers)
+    test_scores = predict_scores(params, test_pool, config.hops)
     result.metrics = compute_metrics(test_scores, [ex.label for ex in test_pool],
                                      [ex.task_id for ex in test_pool])
     return result

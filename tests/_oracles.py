@@ -7,6 +7,7 @@ enumeration only, no shared code paths with the code under test.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -143,3 +144,51 @@ def bfs_distances(neighbor_union: list[list[int]], source: int) -> list[int]:
                     nxt_frontier.append(nxt)
         frontier = nxt_frontier
     return dist
+
+
+def learned_memory_step_oracle(graph, params: dict, memory: np.ndarray,
+                               controller: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One memory hop with learned neighbor weighting, straight from the
+    definitions: each node scores its neighbors under each relation with
+    the shared ``nbr.*`` head, softmaxes the scores over that neighbor set
+    and mixes [neighbor cell, link features] with the weights. Returns the
+    new memory and the per-relation context rows."""
+    m, k_m = memory.shape
+    n_relations = len(graph.neighbors)
+    link_of = {}
+    for e in graph.edges:
+        link_of[(e.i, e.j)] = e.link_features
+        link_of[(e.j, e.i)] = e.link_features
+    k_b = len(graph.edges[0].link_features) if graph.edges else 0
+    contexts = []
+    for r in range(n_relations):
+        ctx = np.zeros((m, k_m + k_b))
+        for i in range(m):
+            nbrs = graph.neighbors[r][i]
+            if not nbrs:
+                continue
+            scores = []
+            for j in nbrs:
+                blend = np.tanh(params["nbr.cell"] @ memory[j] + params["nbr.self"] @ memory[i]
+                                + params["nbr.bias"])
+                scores.append(float(params["nbr.score"] @ blend))
+            peak = max(scores)
+            exps = [math.exp(s - peak) for s in scores]
+            denom = sum(exps)
+            for j, e in zip(nbrs, exps):
+                w = e / denom
+                ctx[i, :k_m] += w * memory[j]
+                ctx[i, k_m:] += w * link_of[(i, j)]
+        contexts.append(ctx)
+    updated = np.zeros_like(memory)
+    for i in range(m):
+        pre_p = params["mem.self"] @ memory[i] + params["mem.ctrl"] @ controller + params["mem.bias"]
+        pre_g = (params["mem_gate.self"] @ memory[i] + params["mem_gate.ctrl"] @ controller
+                 + params["mem_gate.bias"])
+        for r in range(n_relations):
+            pre_p = pre_p + params[f"mem.rel{r}"] @ contexts[r][i]
+            pre_g = pre_g + params[f"mem_gate.rel{r}"] @ contexts[r][i]
+        proposal = np.maximum(pre_p, 0.0)
+        gate = 1.0 / (1.0 + np.exp(-pre_g))
+        updated[i] = gate * proposal + (1.0 - gate) * memory[i]
+    return updated, contexts

@@ -67,6 +67,16 @@ def test_gradient_certification():
     )
 
 
+def test_gradient_certification_learned_neighbors():
+    result = run_gradient_check(seed=7, graphs=2, max_nodes=8, n_relations=3, hops=3,
+                                hidden=8, eps=1e-5, threshold=1e-4, neighbor_mode="learned")
+    report(
+        "gradient certification, learned neighbors",
+        result.passed,
+        f"max rel err {result.max_relative_error:.3e} <= 1e-4 over {len(result.per_graph)} graphs",
+    )
+
+
 def test_attention_normalization():
     rng = np.random.default_rng(81)
     cfg = small_config(n_relations=3, memory=8, controller=8)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graphmem.model import (
+    NEIGHBOR_MODES,
     HopState,
     ModelConfig,
     ModelParams,
@@ -27,7 +28,7 @@ from graphmem.molgraph import (
 )
 from graphmem.numerics import DimensionError, Tensor
 
-from _oracles import bfs_distances, mean_passing_oracle
+from _oracles import bfs_distances, learned_memory_step_oracle, mean_passing_oracle
 
 K_X = node_feature_dim(SYNTHETIC_ALPHABET)
 
@@ -232,16 +233,17 @@ def mean_passing_params(cfg: ModelConfig) -> ModelParams:
 
 class TestMemoryStep:
     def test_isolated_node_becomes_relu_of_bias(self):
-        cfg = small_config(memory=3, controller=2)
-        bias = np.array([0.5, -0.7, 0.0])
-        params = mean_passing_params(cfg)
-        params["mem.bias"].data[...] = bias
-        graph = featurize(MolecularGraph.from_bonds(["A"], [], 1), SYNTHETIC_ALPHABET)
-        prepared = prepare_graph(graph, cfg)
-        state = HopState(t=0, controller=Tensor(np.zeros(2)), memory=Tensor(np.array([[9.0, 9.0, 9.0]])))
-        memory, contexts = memory_step(state, Tensor(np.zeros(2)), params, prepared)
-        np.testing.assert_array_equal(memory.data, [[0.5, 0.0, 0.0]])
-        np.testing.assert_array_equal(contexts[0].data, np.zeros((1, 3 + cfg.link_feat_dim)))
+        for mode in NEIGHBOR_MODES:
+            cfg = small_config(memory=3, controller=2, neighbor_mode=mode)
+            bias = np.array([0.5, -0.7, 0.0])
+            params = mean_passing_params(cfg)
+            params["mem.bias"].data[...] = bias
+            graph = featurize(MolecularGraph.from_bonds(["A"], [], 1), SYNTHETIC_ALPHABET)
+            prepared = prepare_graph(graph, cfg)
+            state = HopState(t=0, controller=Tensor(np.zeros(2)), memory=Tensor(np.array([[9.0, 9.0, 9.0]])))
+            memory, contexts = memory_step(state, Tensor(np.zeros(2)), params, prepared)
+            np.testing.assert_array_equal(memory.data, [[0.5, 0.0, 0.0]], err_msg=mode)
+            np.testing.assert_array_equal(contexts[0].data, np.zeros((1, 3 + cfg.link_feat_dim)), err_msg=mode)
 
     def test_constrained_step_is_uniform_neighbor_mean(self):
         rng = np.random.default_rng(17)
@@ -255,6 +257,27 @@ class TestMemoryStep:
         memory, _ = memory_step(state, Tensor(np.zeros(3)), params, prepared)
         expected = mean_passing_oracle(graph.neighbors[0], cells, hops=1)
         np.testing.assert_allclose(memory.data, expected, atol=1e-12)
+
+    def test_learned_step_matches_loop_oracle(self):
+        # relation 1: a star around node 1 (node 0 has one neighbor); relation 2:
+        # a path 2-3-4; node 5 has no neighbor under either relation
+        bonds = [(0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 3, 2), (3, 4, 2)]
+        graph = featurize(MolecularGraph.from_bonds(["A", "B", "D", "E", "A", "B"], bonds, 2),
+                          SYNTHETIC_ALPHABET)
+        cfg = small_config(n_relations=2, memory=5, controller=3, neighbor_mode="learned")
+        params = make_params(cfg, seed=31)
+        rng = np.random.default_rng(32)
+        for name in ("nbr.score", "nbr.bias", "mem.bias", "mem_gate.bias"):
+            params[name].data[...] = rng.normal(size=params[name].data.shape)
+        cells = rng.normal(size=(graph.n_nodes, 5))
+        ctrl = rng.normal(size=3)
+        state = HopState(t=0, controller=Tensor(np.zeros(3)), memory=Tensor(cells))
+        memory, contexts = memory_step(state, Tensor(ctrl), params, prepare_graph(graph, cfg))
+        expected, expected_contexts = learned_memory_step_oracle(graph, params.arrays(), cells, ctrl)
+        np.testing.assert_allclose(memory.data, expected, rtol=0, atol=1e-12)
+        for r in range(2):
+            np.testing.assert_allclose(contexts[r].data, expected_contexts[r], rtol=0, atol=1e-12)
+        assert not np.any(expected_contexts[0][5]) and not np.any(expected_contexts[1][5])
 
     def test_closed_gate_keeps_memory_for_the_hop(self):
         cfg = small_config(memory=4, controller=3, n_relations=2)
@@ -353,25 +376,28 @@ class TestInvariants:
                 assert abs(state.attention.data.sum() - 1.0) <= 1e-9
 
     def test_permutation_equivariance(self):
-        rng = np.random.default_rng(200)
-        cfg = small_config(n_relations=2, memory=6, controller=6)
-        for trial in range(20):
-            params = make_params(cfg, seed=1000 + trial)
-            params["attn.score"].data[...] = rng.normal(size=cfg.controller_size)
-            graph = sample_graph(rng, n_relations=2)
-            perm = rng.permutation(graph.n_nodes)
-            permuted = permute_graph(graph, perm)
-            base = forward(graph, np.ones(1), params, hops=3)
-            other = forward(permuted, np.ones(1), params, hops=3)
-            assert abs(base.probability.item() - other.probability.item()) <= 1e-9
-            for s_base, s_other in zip(base.states, other.states):
-                np.testing.assert_allclose(
-                    s_other.memory.data[perm], s_base.memory.data, atol=1e-9
-                )
-                if s_base.attention is not None:
+        for mode in NEIGHBOR_MODES:
+            rng = np.random.default_rng(200)
+            cfg = small_config(n_relations=2, memory=6, controller=6, neighbor_mode=mode)
+            for trial in range(20):
+                params = make_params(cfg, seed=1000 + trial)
+                params["attn.score"].data[...] = rng.normal(size=cfg.controller_size)
+                if mode == "learned":
+                    params["nbr.score"].data[...] = rng.normal(size=cfg.controller_size)
+                graph = sample_graph(rng, n_relations=2)
+                perm = rng.permutation(graph.n_nodes)
+                permuted = permute_graph(graph, perm)
+                base = forward(graph, np.ones(1), params, hops=3)
+                other = forward(permuted, np.ones(1), params, hops=3)
+                assert abs(base.probability.item() - other.probability.item()) <= 1e-9, mode
+                for s_base, s_other in zip(base.states, other.states):
                     np.testing.assert_allclose(
-                        s_other.attention.data[perm], s_base.attention.data, atol=1e-9
+                        s_other.memory.data[perm], s_base.memory.data, atol=1e-9, err_msg=mode
                     )
+                    if s_base.attention is not None:
+                        np.testing.assert_allclose(
+                            s_other.attention.data[perm], s_base.attention.data, atol=1e-9, err_msg=mode
+                        )
 
     def test_read_vector_in_cell_coordinate_hull(self):
         rng = np.random.default_rng(300)

@@ -19,9 +19,10 @@ from graphmem.numerics import (
     matmul,
     parameter,
     relu,
+    scatter,
+    segment_softmax,
     sigmoid,
     softmax,
-    stack_rows,
     take_rows,
 )
 
@@ -126,7 +127,8 @@ class TestTapeGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_composite_matches_finite_differences(self, seed):
         # exercises linear_sum, matmul, softmax, lerp, clip, log, gather,
-        # stack, concat, and the reductions in one recorded expression
+        # segment softmax, scatter, concat, and the reductions in one
+        # recorded expression
         rng = np.random.default_rng(seed)
         arrays = {
             "w": rng.normal(size=(4, 3)),
@@ -149,8 +151,13 @@ class TestTapeGradients:
             gate = sigmoid(matmul(gmat, read))  # (5,)
             mixed = lerp(gate, relu(rows), nm.tanh(rows))  # (5,)
             picked = take_rows(table, [0, 2, 2])  # (3, 4)
-            stacked = stack_rows([read, read * 2.0, relu(read)])  # (3, 4)
-            joined = concat([picked, stacked], axis=0)  # (6, 4)
+            # segment 0 has two members, segment 1 none, segment 2 one (weight 1)
+            segments = [0, 0, 2]
+            weights = segment_softmax(matmul(picked, v), segments, 3)  # (3,)
+            assert weights.data[2] == 1.0
+            mix = scatter(weights, segments, [1, 3, 4], (3, 5))  # row 1 stays zero
+            assert not mix.data[1].any()
+            joined = concat([picked, matmul(mix, table)], axis=0)  # (6, 4)
             log_term = nm.total(nm.log(nm.clip(attn, 1e-9, 1.0)) * attn)
             loss = nm.mean(joined * joined) + nm.total(mixed) * 0.1 + log_term
             return loss, leaves

@@ -263,17 +263,6 @@ class TestTrainingLoop:
         assert a.metrics.to_dict() == b.metrics.to_dict()
         assert [r.train_loss for r in a.history] == [r.train_loss for r in b.history]
 
-    def test_workers_do_not_change_results(self):
-        examples = synthetic_examples(count=24, seed=9)
-        split = split_dataset(examples, seed=2)
-        base = dict(hops=2, memory_size=8, controller_size=8, dropout=0.1,
-                    learning_rate=3e-3, batch_size=6, max_epochs=3, patience=10,
-                    seed=5, mode="single")
-        serial = train({"t": split}, ExperimentConfig(**base, workers=1))
-        threaded = train({"t": split}, ExperimentConfig(**base, workers=4))
-        assert serial.metrics.to_dict() == threaded.metrics.to_dict()
-        assert [r.train_loss for r in serial.history] == [r.train_loss for r in threaded.history]
-
     def test_learned_neighbor_mode_trains(self):
         examples = synthetic_examples(count=20, seed=14)
         split = split_dataset(examples, seed=2)

@@ -27,6 +27,7 @@ from .model import (
     forward,
     init_state,
     memory_step,
+    pack,
     prepare_graph,
 )
 from .molgraph import (
@@ -96,6 +97,7 @@ __all__ = [
     "logistic_baseline_predict",
     "logistic_baseline_train",
     "memory_step",
+    "pack",
     "parse_molfile",
     "parse_sdf",
     "parse_synthetic_spec",

@@ -18,7 +18,8 @@ FORMAT_VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """Checkpoint file is missing, truncated, or of an unsupported version."""
+    """Checkpoint file is missing, truncated, malformed, or of an
+    unsupported version."""
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
@@ -58,12 +59,18 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if version != FORMAT_VERSION:
             raise CheckpointError(f"checkpoint format version {version} != supported {FORMAT_VERSION}")
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
-        meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+        try:
+            meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"checkpoint metadata is not UTF-8 JSON: {exc}") from None
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError("checkpoint parameter name is not UTF-8") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4, "dimension"))[0] for _ in range(ndim))
             n_values = 1

@@ -319,12 +319,25 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_model(path: str) -> tuple[ModelParams, dict]:
+    """The checkpoint's parameters, checked name by name and shape by shape
+    against the set its model configuration implies."""
     arrays, meta = load_checkpoint(path)
     try:
         model_config = ModelConfig.from_dict(meta["model"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint metadata is unusable: {exc}") from None
-    params = ModelParams.from_arrays(model_config, arrays)
+    params = ModelParams.initialize(model_config, seed=0)
+    for name, expected in params.tensors.items():
+        if name not in arrays:
+            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
+        if arrays[name].shape != expected.shape:
+            raise CheckpointError(
+                f"checkpoint parameter {name!r} has shape {arrays[name].shape}, the model needs {expected.shape}"
+            )
+    for name in arrays:
+        if name not in params.tensors:
+            raise CheckpointError(f"checkpoint holds parameter {name!r}, which the model does not have")
+    params.load_arrays(arrays)
     return params, meta
 
 
@@ -391,7 +404,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     out_dir = _out_dir(args)
     seed = resolved.get("seed", 0)
-    report = run_gradient_check(seed=seed, graphs=args.graphs)
+    neighbor_mode = experiment_config(resolved).neighbor_mode
+    report = run_gradient_check(seed=seed, graphs=args.graphs, neighbor_mode=neighbor_mode)
     print(report.summary())
     _write_manifest(out_dir, "gradcheck", {**resolved, "graphs": args.graphs}, {},
                     {"max_relative_error": f"{report.max_relative_error:.6e}"}, started)

@@ -18,11 +18,16 @@ which lets one parameter set serve many tasks.
 
 Parameters are shared across hops and across cells, which keeps the whole
 computation equivariant under node relabeling.
+
+Every stage runs on a pack, the disjoint union of one or more graphs (see
+:class:`PreparedGraph`): one memory row per cell of every graph and one
+controller row per graph, so one tape node serves the whole pack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -98,6 +103,11 @@ class ModelParams:
                 raise nm.DimensionError(f"parameter {name}: shape {source.shape} != expected {t.data.shape}")
             t.data[...] = source
 
+    def frozen(self) -> "ModelParams":
+        """The same parameters as constants sharing these arrays: a forward
+        on them records no tape, and later updates show through."""
+        return ModelParams(self.config, {name: nm.constant(t.data) for name, t in self.tensors.items()})
+
     def zero_grads(self) -> None:
         for t in self.tensors.values():
             t.grad = None
@@ -165,46 +175,51 @@ class ModelParams:
 
 @dataclass(eq=False)
 class RelationEdges:
-    """The directed edges of one relation, each bond in both directions,
-    grouped by destination node and ordered by source within a group.
+    """The directed edges of one relation in a pack, each bond in both
+    directions, numbered by pack row and grouped by destination.
 
-    ``uniform_mix`` and ``uniform_links`` are the neighbor mixing built
-    from the constant weights 1/deg(dst): the (m, m) matrix that averages
-    neighbor cells and the (m, k_b) mean link features of each node.
+    ``links`` holds each edge's link features. ``uniform`` holds the
+    constant per-edge weights 1/deg(dst) and ``uniform_links`` the (N, k_b)
+    mean link features of each node under them; a node without edges under
+    the relation gets a zero row.
     """
 
     src: np.ndarray
     dst: np.ndarray
     links: Tensor
-    uniform_mix: Tensor
+    uniform: Tensor
     uniform_links: Tensor
 
 
 @dataclass(eq=False)
 class PreparedGraph:
-    """Per-graph constants the hops reuse: node features and, per model
-    relation, the edge list with its link features and uniform mixing."""
+    """A pack: the disjoint union of one or more graphs, with the constants
+    every hop reuses.
 
-    graph: MolecularGraph
+    The node rows of all graphs are stacked in order: graph ``b`` owns rows
+    ``bounds[b]:bounds[b+1]`` of ``features`` and of the memory, and
+    ``segments`` holds each row's graph. The per-relation edge lists use
+    these row numbers, so no edge joins two graphs. A single graph is a
+    pack of one; :func:`pack` joins packs.
+    """
+
     features: Tensor
+    bounds: np.ndarray
+    segments: np.ndarray
     relations: list[RelationEdges]
 
     @property
     def n_nodes(self) -> int:
-        return self.graph.n_nodes
+        return self.features.shape[0]
 
-
-def _mixing(weights: Tensor, src: np.ndarray, dst: np.ndarray, links: Tensor,
-            n_nodes: int) -> tuple[Tensor, Tensor]:
-    """Scatter per-edge weights into the (m, m) matrix that mixes source
-    cells into destination rows, and mix the link rows the same way."""
-    mix = nm.scatter(weights, dst, src, (n_nodes, n_nodes))
-    per_edge = nm.scatter(weights, dst, np.arange(src.size), (n_nodes, src.size))
-    return mix, nm.matmul(per_edge, links)
+    @property
+    def n_graphs(self) -> int:
+        return self.bounds.size - 1
 
 
 def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
-    """Precompute the constant tensors one graph contributes to every hop."""
+    """Precompute the constant tensors one graph contributes to every hop,
+    as a pack of one."""
     if graph.node_features is None:
         raise ValueError("graph is not featurized; call molgraph.featurize first")
     m = graph.n_nodes
@@ -239,17 +254,53 @@ def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = slice(lo, hi)
         edge_links = nm.constant(links[part])
-        degree = np.bincount(dst[part], minlength=m)
-        mix, mean_links = _mixing(nm.constant(1.0 / degree[dst[part]]), src[part], dst[part], edge_links, m)
-        relations.append(RelationEdges(src[part], dst[part], edge_links, mix, mean_links))
+        uniform = nm.constant(1.0 / np.bincount(dst[part], minlength=m)[dst[part]])
+        mean_links = nm.gather_sum(edge_links, uniform, np.arange(hi - lo), dst[part], m)
+        relations.append(RelationEdges(src[part], dst[part], edge_links, uniform, mean_links))
 
-    return PreparedGraph(graph=graph, features=nm.constant(graph.node_features), relations=relations)
+    return PreparedGraph(features=nm.constant(graph.node_features), bounds=np.array([0, m]),
+                         segments=np.zeros(m, dtype=np.intp), relations=relations)
+
+
+def pack(graphs: Sequence[PreparedGraph]) -> PreparedGraph:
+    """The disjoint union of prepared graphs (or packs), in order: node rows
+    stacked, edges offset by their graph's first row, segment ids offset
+    by the graphs before."""
+    if not graphs:
+        raise ValueError("pack of no graphs")
+    if len(graphs) == 1:
+        return graphs[0]
+    if len({len(g.relations) for g in graphs}) != 1:
+        raise nm.DimensionError("packed graphs were prepared for different relation counts")
+    rows = np.cumsum([0] + [g.n_nodes for g in graphs])
+    firsts = np.cumsum([0] + [g.n_graphs for g in graphs])
+
+    def stack(arrays) -> Tensor:
+        return nm.constant(np.concatenate(list(arrays)))
+
+    relations = []
+    for parts in zip(*(g.relations for g in graphs)):
+        relations.append(RelationEdges(
+            src=np.concatenate([p.src + row for p, row in zip(parts, rows)]),
+            dst=np.concatenate([p.dst + row for p, row in zip(parts, rows)]),
+            links=stack(p.links.data for p in parts),
+            uniform=stack(p.uniform.data for p in parts),
+            uniform_links=stack(p.uniform_links.data for p in parts),
+        ))
+    return PreparedGraph(
+        features=stack(g.features.data for g in graphs),
+        bounds=np.concatenate([[0]] + [g.bounds[1:] + row for g, row in zip(graphs, rows)]),
+        segments=np.concatenate([g.segments + first for g, first in zip(graphs, firsts)]),
+        relations=relations,
+    )
 
 
 @dataclass(eq=False)
 class HopState:
-    """Everything one hop produced. ``t=0`` is the freshly initialized state;
-    read/attention/scores/contexts appear from the first real hop on."""
+    """Everything one hop produced, for every graph of a pack: controller
+    (B, k_h), memory (N, k_m), read (B, k_m), attention and scores (N,).
+    ``t=0`` is the freshly initialized state; read/attention/scores/contexts
+    appear from the first real hop on."""
 
     t: int
     controller: Tensor
@@ -260,63 +311,83 @@ class HopState:
     contexts: dict[int, Tensor] | None = None
 
 
+def _dropout(x: Tensor, bounds: np.ndarray, rate: float, rng, training: bool) -> Tensor:
+    """Dropout with each graph's rows masked from that graph's own generator;
+    one generator serves a pack of one."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    return nm.dropout(x, rate, rngs, training, bounds)
+
+
 def init_state(
     prepared: PreparedGraph,
     query: np.ndarray,
     params: ModelParams,
     *,
     dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     training: bool = False,
 ) -> HopState:
-    """Read the query into the controller and load atom features into the
-    memory, one node per cell. Dropout, when training, hits this first step."""
+    """Read the query into one controller row per graph and load atom
+    features into the memory, one node per cell. ``query`` is one (q,)
+    vector for every graph or one (B, q) row per graph. Dropout, when
+    training, hits this first step; ``rng`` is one generator per graph."""
     cfg = params.config
+    n_graphs = prepared.n_graphs
     q = np.asarray(query, dtype=np.float64)
-    if q.shape != (cfg.query_dim,):
-        raise nm.DimensionError(f"query has shape {q.shape}, model expects ({cfg.query_dim},)")
-    controller = nm.relu(nm.linear_sum([(nm.constant(q), params["query_in.weight"])],
-                                       bias=params["query_in.bias"]))
+    if q.shape not in ((cfg.query_dim,), (n_graphs, cfg.query_dim)):
+        raise nm.DimensionError(
+            f"query has shape {q.shape}, model expects ({cfg.query_dim},) or ({n_graphs}, {cfg.query_dim})"
+        )
+    q = np.broadcast_to(q, (n_graphs, cfg.query_dim))
+    controller = nm.linear_sum([(nm.constant(q), params["query_in.weight"])],
+                               bias=params["query_in.bias"], activation="relu")
     if cfg.raw_embedding:
         memory = nm.relu(prepared.features)
     else:
-        memory = nm.relu(nm.linear_sum([(prepared.features, params["embed.weight"])],
-                                       bias=params["embed.bias"]))
-    controller = nm.dropout(controller, dropout_rate, rng, training)
-    memory = nm.dropout(memory, dropout_rate, rng, training)
+        memory = nm.linear_sum([(prepared.features, params["embed.weight"])],
+                               bias=params["embed.bias"], activation="relu")
+    controller = _dropout(controller, np.arange(n_graphs + 1), dropout_rate, rng, training)
+    memory = _dropout(memory, prepared.bounds, dropout_rate, rng, training)
     return HopState(t=0, controller=controller, memory=memory)
 
 
-def attentive_read(state: HopState, params: ModelParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Soft attention over the memory of the previous hop.
+def attentive_read(state: HopState, params: ModelParams,
+                   prepared: PreparedGraph | None = None) -> tuple[Tensor, Tensor, Tensor]:
+    """Soft attention over the memory of the previous hop, per graph.
 
     Every cell is scored by a shared vector against a tanh blend of the
-    cell and the controller state; softmax over cells gives the weights and
-    the read vector is the weighted sum of cells. Returns (read, weights,
+    cell and its graph's controller row; a softmax over each graph's cells
+    gives the weights and the read row is the weighted sum of those cells.
+    Without ``prepared`` the memory is one graph. Returns (read, weights,
     pre-softmax scores).
     """
-    if state.memory.shape[0] == 0:
+    n = state.memory.shape[0]
+    if prepared is None:
+        segments, n_graphs, empty = np.zeros(n, dtype=np.intp), 1, n == 0
+    else:
+        segments, n_graphs = prepared.segments, prepared.n_graphs
+        empty = bool(np.any(np.diff(prepared.bounds) == 0))
+    if empty:
         raise ValueError("attentive read over an empty memory (no nodes)")
-    blend = nm.tanh(nm.linear_sum(
-        [(state.memory, params["attn.cell"]), (state.controller, params["attn.ctrl"])],
-        bias=params["attn.bias"],
-    ))
-    scores = nm.matmul(blend, params["attn.score"])
-    weights = nm.softmax(scores)
-    read = nm.matmul(weights, state.memory)
+    scores = nm.linear_sum(
+        [(state.memory, params["attn.cell"]), (state.controller, params["attn.ctrl"], segments)],
+        bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
+    )
+    weights = nm.segment_softmax(scores, segments, n_graphs)
+    read = nm.gather_sum(state.memory, weights, np.arange(n), segments, n_graphs)
     return read, weights, scores
 
 
 def controller_step(state: HopState, read: Tensor, params: ModelParams) -> Tensor:
-    """Gated recurrent update of the controller from the read vector."""
-    proposal = nm.relu(nm.linear_sum(
+    """Gated recurrent update of every controller row from its read row."""
+    proposal = nm.linear_sum(
         [(state.controller, params["ctrl.self"]), (read, params["ctrl.read"])],
-        bias=params["ctrl.bias"],
-    ))
-    gate = nm.sigmoid(nm.linear_sum(
+        bias=params["ctrl.bias"], activation="relu",
+    )
+    gate = nm.linear_sum(
         [(state.controller, params["ctrl_gate.self"]), (read, params["ctrl_gate.read"])],
-        bias=params["ctrl_gate.bias"],
-    ))
+        bias=params["ctrl_gate.bias"], activation="sigmoid",
+    )
     return nm.lerp(gate, proposal, state.controller)
 
 
@@ -333,18 +404,18 @@ def _neighbor_contexts(
     Nodes without neighbors under a relation get zero rows.
     """
     learned = params.config.neighbor_mode == "learned"
+    n = prepared.n_nodes
     contexts: dict[int, Tensor] = {}
     for r, rel in enumerate(prepared.relations):
-        mix, links = rel.uniform_mix, rel.uniform_links
+        weights, links = rel.uniform, rel.uniform_links
         if learned and rel.src.size:
-            blend = nm.tanh(nm.linear_sum(
-                [(nm.take_rows(memory, rel.src), params["nbr.cell"]),
-                 (nm.take_rows(memory, rel.dst), params["nbr.self"])],
-                bias=params["nbr.bias"],
-            ))
-            weights = nm.segment_softmax(nm.matmul(blend, params["nbr.score"]), rel.dst, prepared.n_nodes)
-            mix, links = _mixing(weights, rel.src, rel.dst, rel.links, prepared.n_nodes)
-        contexts[r] = nm.concat([nm.matmul(mix, memory), links], axis=1)
+            scores = nm.linear_sum(
+                [(memory, params["nbr.cell"], rel.src), (memory, params["nbr.self"], rel.dst)],
+                bias=params["nbr.bias"], activation="tanh", project=params["nbr.score"],
+            )
+            weights = nm.segment_softmax(scores, rel.dst, n)
+            links = nm.gather_sum(rel.links, weights, np.arange(rel.src.size), rel.dst, n)
+        contexts[r] = nm.gather_sum(memory, weights, rel.src, rel.dst, n, tail=links)
     return contexts
 
 
@@ -354,22 +425,25 @@ def memory_step(
     params: ModelParams,
     prepared: PreparedGraph,
 ) -> tuple[Tensor, dict[int, Tensor]]:
-    """Gated update of every cell from its past value, the controller write,
-    and the relation-typed neighbor contexts. Also returns the contexts."""
+    """Gated update of every cell from its past value, its graph's controller
+    row, and the relation-typed neighbor contexts. Also returns the contexts."""
     cfg = params.config
     contexts = _neighbor_contexts(prepared, state.memory, params)
-    proposal_terms = [(state.memory, params["mem.self"]), (controller, params["mem.ctrl"])]
-    gate_terms = [(state.memory, params["mem_gate.self"]), (controller, params["mem_gate.ctrl"])]
+    segments = prepared.segments
+    proposal_terms = [(state.memory, params["mem.self"]), (controller, params["mem.ctrl"], segments)]
+    gate_terms = [(state.memory, params["mem_gate.self"]), (controller, params["mem_gate.ctrl"], segments)]
     for r in range(cfg.n_relations):
         proposal_terms.append((contexts[r], params[f"mem.rel{r}"]))
         gate_terms.append((contexts[r], params[f"mem_gate.rel{r}"]))
-    proposal = nm.relu(nm.linear_sum(proposal_terms, bias=params["mem.bias"]))
-    gate = nm.sigmoid(nm.linear_sum(gate_terms, bias=params["mem_gate.bias"]))
+    proposal = nm.linear_sum(proposal_terms, bias=params["mem.bias"], activation="relu")
+    gate = nm.linear_sum(gate_terms, bias=params["mem_gate.bias"], activation="sigmoid")
     return nm.lerp(gate, proposal, state.memory), contexts
 
 
 @dataclass(eq=False)
 class ForwardResult:
+    """``probability`` is (B, 1), one row per graph of the pack."""
+
     probability: Tensor
     states: list[HopState]
 
@@ -385,14 +459,17 @@ def forward(
     hops: int,
     *,
     dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     training: bool = False,
 ) -> ForwardResult:
-    """Run init, ``hops`` reasoning steps, and the output head.
+    """Run init, ``hops`` reasoning steps, and the output head on a graph
+    or a pack.
 
-    Deterministic for fixed inputs and generator state. When training,
+    Deterministic for fixed inputs and generator states. When training,
     dropout is applied at the first step (after initialization) and at the
-    last step (after the final hop's updates), never inside the attention.
+    last step (after the final hop's updates), never inside the attention;
+    each graph draws its masks from its own generator in ``rng``, so a
+    graph gets the same masks alone or in a pack.
     """
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
@@ -400,14 +477,15 @@ def forward(
     state = init_state(prepared, query, params, dropout_rate=dropout_rate, rng=rng, training=training)
     states = [state]
     for t in range(1, hops + 1):
-        read, weights, scores = attentive_read(state, params)
+        read, weights, scores = attentive_read(state, params, prepared)
         controller = controller_step(state, read, params)
         memory, contexts = memory_step(state, controller, params, prepared)
         if t == hops:
-            controller = nm.dropout(controller, dropout_rate, rng, training)
-            memory = nm.dropout(memory, dropout_rate, rng, training)
+            controller = _dropout(controller, np.arange(prepared.n_graphs + 1), dropout_rate, rng, training)
+            memory = _dropout(memory, prepared.bounds, dropout_rate, rng, training)
         state = HopState(t=t, controller=controller, memory=memory, read=read,
                          attention=weights, scores=scores, contexts=contexts)
         states.append(state)
-    logit = nm.add(nm.matmul(params["out.weight"], state.controller), params["out.bias"])
-    return ForwardResult(probability=nm.sigmoid(logit), states=states)
+    probability = nm.linear_sum([(state.controller, params["out.weight"])],
+                                bias=params["out.bias"], activation="sigmoid")
+    return ForwardResult(probability=probability, states=states)

@@ -63,8 +63,8 @@ class Tensor:
 
         ``seed`` defaults to ones (d self/d self); pass a scalar to scale
         the whole pass, e.g. 1/batch when averaging example losses.
-        ``free=True`` drops intermediate links as they are consumed so the
-        tape is collected promptly.
+        ``free=True`` drops intermediate links as they are consumed, so each
+        intermediate is collected as soon as the pass is done with it.
         """
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -86,7 +86,8 @@ class Tensor:
             self.grad = np.ones_like(self.data)
         else:
             self.grad = np.broadcast_to(np.asarray(seed, dtype=np.float64), self.data.shape).copy()
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             fn = node._backward
             if fn is not None and node.grad is not None:
                 fn(node.grad)
@@ -144,7 +145,10 @@ def parameter(data) -> Tensor:
 
 
 def _tracked(*tensors: Tensor) -> bool:
-    return any(t.requires_grad or t._backward is not None for t in tensors)
+    for t in tensors:
+        if t.requires_grad or t._backward is not None:
+            return True
+    return False
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -229,41 +233,42 @@ def power(a: Tensor, exponent: float) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-    if not _tracked(x):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * (x.data > 0.0))
-
-    return _record(out, (x,), backward)
+def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(d))  # never overflows, so both tails stay finite
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def tanh(x: Tensor) -> Tensor:
-    out = Tensor(np.tanh(x.data))
+# name -> (forward, derivative written in terms of the output)
+_ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]] = {
+    "relu": (lambda a: np.maximum(a, 0.0), lambda y: y > 0.0),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "sigmoid": (_stable_sigmoid, lambda y: y * (1.0 - y)),
+}
+
+
+def _activation(x: Tensor, name: str) -> Tensor:
+    forward_fn, derivative = _ACTIVATIONS[name]
+    out = Tensor(forward_fn(x.data))
     if not _tracked(x):
         return out
     y = out.data
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * (1.0 - y * y))
+        _accumulate(x, g * derivative(y))
 
     return _record(out, (x,), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    return _activation(x, "relu")
+
+
+def tanh(x: Tensor) -> Tensor:
+    return _activation(x, "tanh")
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    # stable in both tails
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor(y)
-    if not _tracked(x):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * y * (1.0 - y))
-
-    return _record(out, (x,), backward)
+    return _activation(x, "sigmoid")
 
 
 def log(x: Tensor) -> Tensor:
@@ -325,58 +330,46 @@ def mean(x: Tensor) -> Tensor:
     return total(x) / x.data.size
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ValueError("concat of no tensors")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    if not _tracked(*parts):
-        return out
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if _tracked(part):
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                _accumulate(part, g[tuple(index)])
-
-    return _record(out, tuple(parts), backward)
+def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
+    """(n_out, k) sums of the rows of ``rows`` grouped by ``index``; ids
+    that no row carries give zero rows."""
+    k = rows.shape[1]
+    flat = (index[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=n_out * k).reshape(n_out, k)
 
 
-def scatter(values: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
-    """Zero matrix of ``shape`` with ``values[k]`` added at ``(rows[k], cols[k])``.
+def gather_sum(x: Tensor, weights: Tensor, src, dst, n_out: int, tail: Tensor | None = None) -> Tensor:
+    """Weighted gather-sum over an edge list: ``out[d]`` is the sum of
+    ``weights[e] * x[src[e]]`` over the edges ``e`` with ``dst[e] == d``.
 
-    Backward gathers the output gradient at the same positions.
+    ``x`` is (n, k), ``weights``, ``src`` and ``dst`` have one entry per
+    edge; the output is (n_out, k). With ``tail``, an (n_out, j) tensor,
+    the output is (n_out, k + j) with the tail's columns after the sums.
+    Backward gathers the rows of ``x`` again instead of keeping the
+    (edges, k) copy from the forward pass.
     """
-    r = np.asarray(rows, dtype=np.intp)
-    c = np.asarray(cols, dtype=np.intp)
-    if values.ndim != 1 or r.shape != values.shape or c.shape != values.shape:
-        raise _shape_error("scatter", values.shape, r.shape, c.shape)
-    flat = np.ravel_multi_index((r, c), shape)
-    out = Tensor(np.bincount(flat, weights=values.data, minlength=shape[0] * shape[1]).reshape(shape))
-    if not _tracked(values):
+    s = np.asarray(src, dtype=np.intp)
+    d = np.asarray(dst, dtype=np.intp)
+    if (x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape
+            or (tail is not None and tail.shape[0] != n_out)):
+        raise _shape_error("gather_sum", x.shape, weights.shape, s.shape, d.shape)
+    summed = _sum_rows(weights.data[:, None] * x.data[s], d, n_out)
+    out = Tensor(summed if tail is None else np.concatenate([summed, tail.data], axis=1))
+    parents = (x, weights) if tail is None else (x, weights, tail)
+    if not _tracked(*parents):
         return out
+    k = x.data.shape[1]
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(values, g[r, c])
+        if tail is not None and _tracked(tail):
+            _accumulate(tail, g[:, k:])
+        at_dst = g[d, :k]
+        if _tracked(x):
+            _accumulate(x, _sum_rows(weights.data[:, None] * at_dst, s, x.data.shape[0]))
+        if _tracked(weights):
+            _accumulate(weights, np.einsum("ek,ek->e", at_dst, x.data[s]))
 
-    return _record(out, (values,), backward)
-
-
-def take_rows(x: Tensor, indices) -> Tensor:
-    """Gather rows of a matrix; backward scatter-adds into the source."""
-    idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(x.data[idx])
-    if not _tracked(x):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        scat = np.zeros_like(x.data)
-        np.add.at(scat, idx, g)
-        _accumulate(x, scat)
-
-    return _record(out, (x,), backward)
+    return _record(out, parents, backward)
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -420,39 +413,73 @@ def affine(weight: Tensor, x: Tensor, bias) -> Tensor:
     return add(matmul(weight, x), _as_tensor(bias))
 
 
-def linear_sum(terms: Sequence[tuple[Tensor, Tensor]], bias: Tensor | None = None) -> Tensor:
-    """Fused sum of right-transposed products: sum_k x_k @ W_k.T (+ bias).
+def linear_sum(
+    terms: Sequence[tuple[Tensor, Tensor] | tuple[Tensor, Tensor, np.ndarray]],
+    bias: Tensor | None = None,
+    activation: str | None = None,
+    project: Tensor | None = None,
+) -> Tensor:
+    """Fused, optionally activated, sum of right-transposed products:
+    ``activation(sum_k x_k @ W_k.T + bias)``, optionally ``@ project``.
 
-    Each ``x_k`` is (n,in_k) or (in_k,); each ``W_k`` is (out,in_k). 2-D and
-    1-D terms may mix, in which case 1-D results broadcast across rows.
-    One tape node instead of 2k+1 keeps per-example graphs small.
+    A term is ``(x, W)`` or ``(x, W, rows)``. ``x`` is (n, in) or (in,) and
+    ``W`` is (out, in); 1-D results broadcast across rows. With ``rows``,
+    an integer index, the term contributes ``(x @ W.T)[rows]``: the product
+    is taken once per row of a 2-D ``x`` and then gathered, so that per-graph
+    rows reach per-node outputs (or per-node rows reach per-edge outputs)
+    without gathered copies of ``x``. ``activation`` is None, "relu",
+    "tanh" or "sigmoid"; it is applied inside this one tape node, whose
+    backward works from the output, so no pre-activation is kept. With
+    ``project``, an (out,) vector, the node returns one value per row and
+    recomputes the activated rows during backward instead of keeping them.
     """
-    acc: np.ndarray | None = None
-    for x, w in terms:
-        if w.ndim != 2 or x.data.shape[-1] != w.data.shape[1]:
+    parts: list[tuple[Tensor, Tensor, np.ndarray | None]] = []
+    for term in terms:
+        x, w = term[0], term[1]
+        rows = np.asarray(term[2], dtype=np.intp) if len(term) == 3 else None
+        if w.ndim != 2 or x.data.shape[-1] != w.data.shape[1] or (rows is not None and x.ndim != 2):
             raise _shape_error("linear_sum", x.shape, w.shape)
-        piece = x.data @ w.data.T
-        acc = piece if acc is None else acc + piece
-    if acc is None:
+        parts.append((x, w, rows))
+    if not parts:
         raise ValueError("linear_sum of no terms")
-    if bias is not None:
-        acc = acc + bias.data
-    out = Tensor(acc)
-    flat_parents = tuple(t for pair in terms for t in pair) + ((bias,) if bias is not None else ())
+    if project is not None and project.shape != (parts[0][1].data.shape[0],):
+        raise _shape_error("linear_sum", parts[0][1].shape, project.shape)
+
+    def evaluate() -> np.ndarray:
+        acc = None
+        for x, w, rows in parts:
+            piece = x.data @ w.data.T
+            if rows is not None:
+                piece = piece[rows]
+            acc = piece if acc is None else acc + piece
+        if bias is not None:
+            acc = acc + bias.data
+        return acc if activation is None else _ACTIVATIONS[activation][0](acc)
+
+    y = evaluate()
+    out = Tensor(y if project is None else y @ project.data)
+    flat_parents = (tuple(t for x, w, _ in parts for t in (x, w)) + ((bias,) if bias is not None else ())
+                    + ((project,) if project is not None else ()))
     if not _tracked(*flat_parents):
         return out
 
     def backward(g: np.ndarray) -> None:
-        for x, w in terms:
-            term_shape = (w.data.shape[0],) if x.ndim == 1 else (x.data.shape[0], w.data.shape[0])
-            gx = _unbroadcast(g, term_shape)
+        y = out.data if project is None else evaluate()
+        if project is not None:
+            if _tracked(project):
+                _accumulate(project, np.tensordot(g, y, g.ndim))
+            g = np.multiply.outer(g, project.data)
+        if activation is not None:
+            g = g * _ACTIVATIONS[activation][1](y)
+        for x, w, rows in parts:
+            if rows is not None:
+                gx = _sum_rows(g, rows, x.data.shape[0])
+            else:
+                gx = _unbroadcast(g, (w.data.shape[0],) if x.ndim == 1 else (x.data.shape[0], w.data.shape[0]))
             if _tracked(x):
                 _accumulate(x, gx @ w.data)
             if _tracked(w):
-                if x.ndim == 1:
-                    _accumulate(w, np.outer(gx, x.data))
-                else:
-                    _accumulate(w, gx.T @ x.data)
+                _accumulate(w, np.outer(gx, x.data) if x.ndim == 1 else gx.T @ x.data)
         if bias is not None and _tracked(bias):
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
 
@@ -502,10 +529,20 @@ def segment_softmax(scores: Tensor, segments, n_segments: int) -> Tensor:
     return _record(out, (scores,), backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
+def dropout(
+    x: Tensor,
+    rate: float,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None,
+    training: bool,
+    bounds: np.ndarray | None = None,
+) -> Tensor:
     """Inverted dropout: zero with probability ``rate`` and rescale survivors.
 
     Identity at inference or rate 0; requires a generator when active.
+    With ``bounds``, row offsets ``0 = b_0 < ... < b_n`` ending at the row
+    count, ``rng`` is a sequence of ``n`` generators and rows
+    ``b_k..b_{k+1}`` draw their mask from generator ``k`` alone, so a block
+    gets the mask it would get without the other blocks.
     """
     if rate < 0.0 or rate >= 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -513,7 +550,14 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs a random generator")
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    if bounds is None:
+        draw = rng.random(x.data.shape)
+    else:
+        if len(rng) != len(bounds) - 1:
+            raise ValueError(f"dropout over {len(bounds) - 1} row blocks needs as many generators, got {len(rng)}")
+        draw = np.concatenate([gen.random((hi - lo,) + x.data.shape[1:])
+                               for gen, lo, hi in zip(rng, bounds[:-1], bounds[1:])])
+    mask = (draw >= rate) / (1.0 - rate)
     return mul(x, constant(mask))
 
 

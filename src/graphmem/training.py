@@ -3,24 +3,34 @@ multi-task loops with early stopping, and from-scratch evaluation metrics.
 
 Single-task runs feed the controller a constant query; multi-task runs use
 a one-hot task indicator, so one parameter set serves every task and the
-query alone routes the prediction. Batches are gradient-accumulated one
-example at a time (graphs are small and variable-sized; no padding).
+query alone routes the prediction.
+
+Graphs are small and variable-sized, so they are never padded: each batch
+runs as consecutive packs, disjoint unions of at most ``PACK_CELLS`` memory
+cells (see :func:`graphmem.model.pack`). A pack is one forward, one loss
+and one backward, and gradients accumulate over the packs of a batch
+before one optimizer step. Inference scores the same packs without
+recording a tape.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import numerics as nm
-from .model import ModelConfig, ModelParams, PreparedGraph, forward, prepare_graph
+from .model import NEIGHBOR_MODES, ModelConfig, ModelParams, PreparedGraph, forward, pack, prepare_graph
 from .molgraph import DatasetError, LabeledExample
 from .numerics import Tensor
 
 MODES = ("single", "multi")
+
+# Memory cells per pack. Larger packs record fewer tape nodes per example,
+# but a pack's tape grows with its cells, and peak memory binds first.
+PACK_CELLS = 64
 
 
 class ConfigError(ValueError):
@@ -65,19 +75,24 @@ class ExperimentConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.neighbor_mode not in NEIGHBOR_MODES:
+            raise ConfigError(f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {self.neighbor_mode!r}")
 
 
 # -- loss and optimizer -------------------------------------------------------
 
 
-def cross_entropy(prob: Tensor, label: int) -> Tensor:
-    """Binary cross-entropy of a predicted probability against a 0/1 label.
+def cross_entropy(prob: Tensor, label) -> Tensor:
+    """Elementwise binary cross-entropy of predicted probabilities against
+    0/1 labels: one label, or one per probability in order.
 
     The probability is clamped to [1e-12, 1 - 1e-12] first, so the loss is
     finite for any input. Batch losses are means of these.
     """
     p = nm.clip(prob, 1e-12, 1.0 - 1e-12)
-    return -nm.log(p) if label == 1 else -nm.log(1.0 - p)
+    y = np.broadcast_to(np.asarray(label, dtype=np.float64).reshape(-1), (p.data.size,)).reshape(p.shape)
+    # y*p + (1-y)*(1-p) is exactly p or 1-p for 0/1 labels
+    return -nm.log(nm.lerp(nm.constant(y), p, 1.0 - p))
 
 
 @dataclass
@@ -181,7 +196,8 @@ def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
 def compute_metrics(scores, labels, task_ids) -> MetricsReport:
     """Micro/macro F1 at threshold 0.5 (positive = probability >= 0.5) and
     per-task rank AUC. Zero-division conventions: a vanished denominator
-    makes precision, recall, and F1 zero."""
+    makes precision, recall, and F1 zero. A non-finite score raises
+    :class:`NumericError` rather than produce metrics that look valid."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     task_ids = np.asarray(task_ids, dtype=np.int64)
@@ -189,6 +205,9 @@ def compute_metrics(scores, labels, task_ids) -> MetricsReport:
         raise ValueError("no examples to score")
     if not (scores.shape == labels.shape == task_ids.shape):
         raise ValueError(f"mismatched shapes {scores.shape}, {labels.shape}, {task_ids.shape}")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NumericError(f"{bad.size} of {scores.size} scores are not finite (first at index {bad[0]})")
 
     predictions = scores >= 0.5
     per_task_f1: dict[int, float] = {}
@@ -320,10 +339,34 @@ def prepare_examples(
     return out
 
 
+def _packs(examples: Sequence[PreparedExample]) -> Iterator[slice]:
+    """Consecutive runs of ``examples`` with at most PACK_CELLS cells in all;
+    a larger graph gets a run of its own."""
+    start = cells = 0
+    for k, ex in enumerate(examples):
+        if k > start and cells + ex.prepared.n_nodes > PACK_CELLS:
+            yield slice(start, k)
+            start, cells = k, 0
+        cells += ex.prepared.n_nodes
+    if start < len(examples):
+        yield slice(start, len(examples))
+
+
+def _run_pack(examples: Sequence[PreparedExample], params: ModelParams, hops: int, **dropout) -> Tensor:
+    """The (B, 1) probabilities of one pack of examples."""
+    prepared = pack([ex.prepared for ex in examples])
+    query = np.stack([ex.query for ex in examples])
+    return forward(prepared, query, params, hops, **dropout).probability
+
+
 def predict_scores(params: ModelParams, examples: Sequence[PreparedExample], hops: int) -> np.ndarray:
-    """Inference probabilities for a prepared example list (dropout off)."""
-    scores = [forward(ex.prepared, ex.query, params, hops).probability.item() for ex in examples]
-    return np.asarray(scores, dtype=np.float64)
+    """Inference probabilities for a prepared example list (dropout off).
+
+    Runs on :meth:`ModelParams.frozen`, so no tape is recorded and no
+    parameter gains a gradient."""
+    frozen = params.frozen()
+    scores = [_run_pack(examples[part], frozen, hops).data.ravel() for part in _packs(examples)]
+    return np.concatenate(scores) if scores else np.zeros(0)
 
 
 # -- the training loop ---------------------------------------------------------
@@ -371,9 +414,10 @@ def train(
 
     Examples from every task are pooled and reshuffled each epoch (so each
     task contributes exactly its dataset, without replacement), gradients
-    are accumulated per batch, and early stopping tracks validation average
-    AUC with the configured patience. The returned parameters are the best
-    validation checkpoint; metrics are computed on the test split with it.
+    are accumulated over the packs of each batch, and early stopping tracks
+    validation average AUC with the configured patience. The returned
+    parameters are the best validation checkpoint; metrics are computed on
+    the test split with it.
     """
     if not tasks:
         raise DatasetError("no tasks to train on")
@@ -403,23 +447,23 @@ def train(
     best_arrays = params.copy_arrays()
     stall = 0
 
-    def run_example(ex: PreparedExample, example_rng: np.random.Generator) -> Tensor:
-        out = forward(ex.prepared, ex.query, params, config.hops,
-                      dropout_rate=config.dropout, rng=example_rng, training=True)
-        return cross_entropy(out.probability, ex.label)
-
     for epoch in range(1, config.max_epochs + 1):
         order = np.random.default_rng((config.seed, 7919, epoch)).permutation(len(train_pool))
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
+            examples = [train_pool[idx] for idx in batch]
             params.zero_grads()
-            for idx in batch:
-                loss = run_example(train_pool[idx], np.random.default_rng((config.seed, epoch, int(idx))))
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericError(f"non-finite training loss {value!r}")
-                loss_sum += value
+            for part in _packs(examples):
+                # each example draws its dropout masks from its own generator
+                rngs = [np.random.default_rng((config.seed, epoch, int(idx))) for idx in batch[part]]
+                probability = _run_pack(examples[part], params, config.hops,
+                                        dropout_rate=config.dropout, rng=rngs, training=True)
+                loss = cross_entropy(probability, [ex.label for ex in examples[part]])
+                for value in loss.data.ravel().tolist():
+                    if not np.isfinite(value):
+                        raise NumericError(f"non-finite training loss {value!r}")
+                    loss_sum += value
                 loss.backward(seed=1.0 / len(batch))
             adam_step(params.arrays(), params.grads(), adam, config)
 

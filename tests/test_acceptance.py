@@ -62,8 +62,9 @@ def test_gradient_certification():
     report(
         "gradient certification",
         result.passed and elapsed <= 60.0,
-        f"max rel err {result.max_relative_error:.3e} <= 1e-4 over {len(result.per_graph)} graphs, "
-        f"{elapsed:.1f}s <= 60s",
+        f"max rel err {result.max_relative_error:.3e} <= 1e-4 over {len(result.per_graph)} graphs "
+        f"alone and in one pack with a single atom and an isolated node "
+        f"(pack {result.pack_error:.3e}), {elapsed:.1f}s <= 60s",
     )
 
 
@@ -73,7 +74,8 @@ def test_gradient_certification_learned_neighbors():
     report(
         "gradient certification, learned neighbors",
         result.passed,
-        f"max rel err {result.max_relative_error:.3e} <= 1e-4 over {len(result.per_graph)} graphs",
+        f"max rel err {result.max_relative_error:.3e} <= 1e-4 over {len(result.per_graph)} graphs "
+        f"alone and in one pack (pack {result.pack_error:.3e})",
     )
 
 
@@ -118,9 +120,9 @@ def test_message_passing_reduction():
         prepared = prepare_graph(graph, cfg)
         cells = rng.uniform(0.0, 1.0, size=(graph.n_nodes, 4))
         for hops in (1, 2, 3):
-            state = HopState(t=0, controller=Tensor(np.zeros(3)), memory=Tensor(cells))
+            state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
             for _hop in range(hops):
-                memory, _ = memory_step(state, Tensor(np.zeros(3)), params, prepared)
+                memory, _ = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
                 state = HopState(t=state.t + 1, controller=state.controller, memory=memory)
             expected = mean_passing_oracle(graph.neighbors[0], cells, hops=hops)
             worst = max(worst, float(np.abs(state.memory.data - expected).max()))

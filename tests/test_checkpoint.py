@@ -55,6 +55,19 @@ def test_truncation_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_unreadable_metadata_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, {"w": np.array([1.0])}, {"k": 1})
+    blob = path.read_bytes()
+    meta_start = 12  # magic, version, metadata length
+    meta_len = len(b'{"k": 1}')
+    for bad_meta in (b"\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8", b'{"k": 1 '):
+        assert len(bad_meta) == meta_len
+        path.write_bytes(blob[:meta_start] + bad_meta + blob[meta_start + meta_len:])
+        with pytest.raises(CheckpointError, match="metadata"):
+            load_checkpoint(path)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="cannot open"):
         load_checkpoint(tmp_path / "absent.bin")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from graphmem.checkpoint import load_checkpoint, save_checkpoint
 from graphmem.cli import main
 
 from test_molgraph import molblock
@@ -152,6 +153,40 @@ class TestEvalAndDump:
         bad.write_bytes(b"not a checkpoint at all")
         assert run("eval", "--checkpoint", bad, "--out-dir", workspace / "e") == 5
 
+    def rewritten_checkpoint(self, trained, edit):
+        """A copy of the trained checkpoint with ``edit`` applied to its arrays."""
+        arrays, meta = load_checkpoint(trained / "checkpoint.bin")
+        arrays = dict(arrays)
+        edit(arrays)
+        path = trained / "edited.bin"
+        save_checkpoint(path, arrays, meta)
+        return path
+
+    def test_eval_nan_checkpoint_is_exit_4(self, workspace, trained, capsys):
+        def poison(arrays):
+            arrays["out.bias"] = np.full_like(arrays["out.bias"], np.nan)
+
+        path = self.rewritten_checkpoint(trained, poison)
+        code = run("eval", "--checkpoint", path, "--set", f"data_dir={workspace}",
+                   "--out-dir", workspace / "e")
+        assert code == 4
+        assert "not finite" in capsys.readouterr().err
+        assert not (workspace / "e" / "metrics.json").exists()
+
+    def test_eval_checkpoint_parameter_mismatch_is_exit_5(self, workspace, trained, capsys):
+        def drop_bias(arrays):
+            del arrays["out.bias"]
+
+        def misshape(arrays):
+            arrays["mem.self"] = arrays["mem.self"][:, :-1]
+
+        for edit, name in ((drop_bias, "out.bias"), (misshape, "mem.self")):
+            path = self.rewritten_checkpoint(trained, edit)
+            code = run("eval", "--checkpoint", path, "--set", f"data_dir={workspace}",
+                       "--out-dir", workspace / "e")
+            assert code == 5, name
+            assert name in capsys.readouterr().err
+
     def test_dump_attention_records(self, workspace, trained):
         out = workspace / "dump"
         assert run("dump-attention", "--checkpoint", trained / "checkpoint.bin",
@@ -231,3 +266,22 @@ class TestGradcheckCommand:
         assert "PASS" in out and "max relative error" in out
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "gradcheck"
+
+    def test_neighbor_mode_reaches_the_check(self, tmp_path, monkeypatch):
+        import graphmem.cli as cli_module
+        from graphmem.gradcheck import GradcheckReport
+
+        received = []
+
+        def fake_check(**kwargs):
+            received.append(kwargs)
+            return GradcheckReport(max_relative_error=0.0, worst_parameter="", threshold=1e-4)
+
+        monkeypatch.setattr(cli_module, "run_gradient_check", fake_check)
+        for mode in ("learned", "uniform"):
+            assert run("gradcheck", "--set", f"neighbor_mode={mode}", "--graphs", "1",
+                       "--out-dir", tmp_path / mode) == 0
+            manifest = json.loads((tmp_path / mode / "manifest.json").read_text())
+            assert received[-1]["neighbor_mode"] == manifest["config"]["neighbor_mode"] == mode
+        assert run("gradcheck", "--graphs", "1", "--out-dir", tmp_path / "default") == 0
+        assert received[-1]["neighbor_mode"] == "uniform"

@@ -16,6 +16,7 @@ from graphmem.model import (
     forward,
     init_state,
     memory_step,
+    pack,
     prepare_graph,
 )
 from graphmem.molgraph import (
@@ -68,7 +69,7 @@ class TestInitState:
         params = make_params(cfg, query_in__weight=np.eye(3), query_in__bias=np.zeros(3))
         prepared = prepare_graph(line_graph(3), cfg)
         state = init_state(prepared, np.array([0.0, 0.0, 1.0]), params)
-        np.testing.assert_array_equal(state.controller.data, [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(state.controller.data, [[0.0, 0.0, 1.0]])
         assert state.t == 0
 
     def test_zero_features_zero_bias_gives_zero_cells(self):
@@ -121,18 +122,18 @@ class TestAttentiveRead:
         cfg = small_config(memory=3, controller=3)
         params = make_params(cfg, seed=1)
         memory = np.tile([0.3, -0.2, 0.5], (4, 1))
-        state = HopState(t=0, controller=Tensor(np.array([0.1, 0.2, 0.3])), memory=Tensor(memory))
+        state = HopState(t=0, controller=Tensor(np.array([[0.1, 0.2, 0.3]])), memory=Tensor(memory))
         read, weights, _ = attentive_read(state, params)
         np.testing.assert_allclose(weights.data, np.full(4, 0.25), atol=1e-15)
-        np.testing.assert_allclose(read.data, memory[0], atol=1e-15)
+        np.testing.assert_allclose(read.data, memory[:1], atol=1e-15)
 
     def test_single_cell_is_certain(self):
         cfg = small_config(memory=2, controller=2)
         params = make_params(cfg, seed=2)
-        state = HopState(t=0, controller=Tensor(np.zeros(2)), memory=Tensor(np.array([[1.0, 2.0]])))
+        state = HopState(t=0, controller=Tensor(np.zeros((1, 2))), memory=Tensor(np.array([[1.0, 2.0]])))
         read, weights, _ = attentive_read(state, params)
         np.testing.assert_array_equal(weights.data, [1.0])
-        np.testing.assert_array_equal(read.data, [1.0, 2.0])
+        np.testing.assert_array_equal(read.data, [[1.0, 2.0]])
 
     def test_two_cells_match_hand_evaluation(self):
         cfg = small_config(memory=2, controller=2)
@@ -144,7 +145,7 @@ class TestAttentiveRead:
                              attn__score=score)
         cells = np.array([[0.1, -0.2], [0.3, 0.4]])
         h = np.array([0.5, -0.1])
-        state = HopState(t=0, controller=Tensor(h), memory=Tensor(cells))
+        state = HopState(t=0, controller=Tensor(h[None]), memory=Tensor(cells))
 
         # independent arithmetic, straight from the definitions
         blend = [np.tanh(w_cell @ cells[i] + w_ctrl @ h + bias) for i in range(2)]
@@ -155,13 +156,13 @@ class TestAttentiveRead:
 
         read, weights, scores = attentive_read(state, params)
         np.testing.assert_allclose(weights.data, expected_weights, atol=1e-14)
-        np.testing.assert_allclose(read.data, expected_read, atol=1e-14)
+        np.testing.assert_allclose(read.data, [expected_read], atol=1e-14)
         np.testing.assert_allclose(scores.data, raw, atol=1e-14)
 
     def test_empty_memory_rejected(self):
         cfg = small_config(memory=2, controller=2)
         params = make_params(cfg)
-        state = HopState(t=0, controller=Tensor(np.zeros(2)), memory=Tensor(np.zeros((0, 2))))
+        state = HopState(t=0, controller=Tensor(np.zeros((1, 2))), memory=Tensor(np.zeros((0, 2))))
         with pytest.raises(ValueError, match="empty memory"):
             attentive_read(state, params)
 
@@ -175,9 +176,9 @@ class TestControllerStep:
             ctrl_gate__bias=np.full(2, -1000.0),
         )
         h = np.array([0.4, -0.7])
-        state = HopState(t=0, controller=Tensor(h), memory=Tensor(np.zeros((1, 2))))
-        out = controller_step(state, Tensor(np.array([1.0, 2.0])), params)
-        np.testing.assert_array_equal(out.data, h)
+        state = HopState(t=0, controller=Tensor(h[None]), memory=Tensor(np.zeros((1, 2))))
+        out = controller_step(state, Tensor(np.array([[1.0, 2.0]])), params)
+        np.testing.assert_array_equal(out.data, [h])
 
     def test_open_gate_zero_weights_zeroes_state(self):
         cfg = small_config(memory=2, controller=2)
@@ -187,9 +188,9 @@ class TestControllerStep:
             ctrl_gate__self=np.zeros((2, 2)), ctrl_gate__read=np.zeros((2, 2)),
             ctrl_gate__bias=np.full(2, 1000.0),
         )
-        state = HopState(t=0, controller=Tensor(np.array([0.4, -0.7])), memory=Tensor(np.zeros((1, 2))))
-        out = controller_step(state, Tensor(np.array([1.0, 2.0])), params)
-        np.testing.assert_array_equal(out.data, [0.0, 0.0])
+        state = HopState(t=0, controller=Tensor(np.array([[0.4, -0.7]])), memory=Tensor(np.zeros((1, 2))))
+        out = controller_step(state, Tensor(np.array([[1.0, 2.0]])), params)
+        np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
     def test_two_dim_hand_evaluation(self):
         cfg = small_config(memory=2, controller=2)
@@ -207,9 +208,9 @@ class TestControllerStep:
         gate = 1.0 / (1.0 + np.exp(-(g_self @ h + g_read @ read + g_bias)))
         expected = gate * proposal + (1.0 - gate) * h
 
-        state = HopState(t=0, controller=Tensor(h), memory=Tensor(np.zeros((1, 2))))
-        out = controller_step(state, Tensor(read), params)
-        np.testing.assert_allclose(out.data, expected, atol=1e-15)
+        state = HopState(t=0, controller=Tensor(h[None]), memory=Tensor(np.zeros((1, 2))))
+        out = controller_step(state, Tensor(read[None]), params)
+        np.testing.assert_allclose(out.data, [expected], atol=1e-15)
 
 
 def mean_passing_params(cfg: ModelConfig) -> ModelParams:
@@ -240,8 +241,8 @@ class TestMemoryStep:
             params["mem.bias"].data[...] = bias
             graph = featurize(MolecularGraph.from_bonds(["A"], [], 1), SYNTHETIC_ALPHABET)
             prepared = prepare_graph(graph, cfg)
-            state = HopState(t=0, controller=Tensor(np.zeros(2)), memory=Tensor(np.array([[9.0, 9.0, 9.0]])))
-            memory, contexts = memory_step(state, Tensor(np.zeros(2)), params, prepared)
+            state = HopState(t=0, controller=Tensor(np.zeros((1, 2))), memory=Tensor(np.array([[9.0, 9.0, 9.0]])))
+            memory, contexts = memory_step(state, Tensor(np.zeros((1, 2))), params, prepared)
             np.testing.assert_array_equal(memory.data, [[0.5, 0.0, 0.0]], err_msg=mode)
             np.testing.assert_array_equal(contexts[0].data, np.zeros((1, 3 + cfg.link_feat_dim)), err_msg=mode)
 
@@ -253,8 +254,8 @@ class TestMemoryStep:
         graph = featurize(MolecularGraph.from_bonds(["A"] * 5, graph_bonds, 1), SYNTHETIC_ALPHABET)
         prepared = prepare_graph(graph, cfg)
         cells = rng.uniform(0.0, 1.0, size=(5, 4))
-        state = HopState(t=0, controller=Tensor(np.zeros(3)), memory=Tensor(cells))
-        memory, _ = memory_step(state, Tensor(np.zeros(3)), params, prepared)
+        state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
+        memory, _ = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
         expected = mean_passing_oracle(graph.neighbors[0], cells, hops=1)
         np.testing.assert_allclose(memory.data, expected, atol=1e-12)
 
@@ -271,8 +272,8 @@ class TestMemoryStep:
             params[name].data[...] = rng.normal(size=params[name].data.shape)
         cells = rng.normal(size=(graph.n_nodes, 5))
         ctrl = rng.normal(size=3)
-        state = HopState(t=0, controller=Tensor(np.zeros(3)), memory=Tensor(cells))
-        memory, contexts = memory_step(state, Tensor(ctrl), params, prepare_graph(graph, cfg))
+        state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
+        memory, contexts = memory_step(state, Tensor(ctrl[None]), params, prepare_graph(graph, cfg))
         expected, expected_contexts = learned_memory_step_oracle(graph, params.arrays(), cells, ctrl)
         np.testing.assert_allclose(memory.data, expected, rtol=0, atol=1e-12)
         for r in range(2):
@@ -292,8 +293,8 @@ class TestMemoryStep:
         graph = sample_graph(np.random.default_rng(3), n_relations=2, n_max=6)
         prepared = prepare_graph(graph, cfg)
         cells = np.random.default_rng(4).normal(size=(graph.n_nodes, 4))
-        state = HopState(t=0, controller=Tensor(np.zeros(3)), memory=Tensor(cells))
-        memory, _ = memory_step(state, Tensor(np.ones(3)), params, prepared)
+        state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
+        memory, _ = memory_step(state, Tensor(np.ones((1, 3))), params, prepared)
         np.testing.assert_array_equal(memory.data, cells)
 
 
@@ -338,6 +339,26 @@ class TestForward:
         b = forward(graph, np.ones(1), params, hops=3, dropout_rate=0.4,
                     rng=np.random.default_rng(77), training=True).probability.item()
         assert a == b
+        # in a mixed pack each graph draws its masks from its own generator, so its
+        # probability matches its pack of one
+        for mode in NEIGHBOR_MODES:
+            cfg = small_config(n_relations=2, query=2, neighbor_mode=mode)
+            params = make_params(cfg, seed=22)
+            rng = np.random.default_rng(23)
+            for name in ("attn.score", "nbr.score"):
+                if name in params.tensors:
+                    params[name].data[...] = rng.normal(size=cfg.controller_size)
+            graphs = [sample_graph(rng, n_relations=2) for _ in range(4)]
+            graphs.insert(2, featurize(MolecularGraph.from_bonds(["A"], [], 2), SYNTHETIC_ALPHABET))
+            prepared = [prepare_graph(g, cfg) for g in graphs]
+            queries = np.eye(2)[rng.integers(0, 2, size=len(graphs))]
+            alone = [forward(p, q, params, hops=3, dropout_rate=0.4, rng=np.random.default_rng(50 + k),
+                             training=True).probability.item()
+                     for k, (p, q) in enumerate(zip(prepared, queries))]
+            packed = forward(pack(prepared), queries, params, hops=3, dropout_rate=0.4,
+                             rng=[np.random.default_rng(50 + k) for k in range(len(graphs))],
+                             training=True).probability.data.ravel()
+            np.testing.assert_allclose(packed, alone, rtol=0, atol=1e-12, err_msg=mode)
 
     def test_hops_must_be_positive(self):
         cfg = small_config()
@@ -398,6 +419,21 @@ class TestInvariants:
                         np.testing.assert_allclose(
                             s_other.attention.data[perm], s_base.attention.data, atol=1e-9, err_msg=mode
                         )
+            # reordering the graphs of a pack reorders its outputs
+            graphs = [prepare_graph(sample_graph(rng, n_relations=2), cfg) for _ in range(5)]
+            order = rng.permutation(len(graphs))
+            base = forward(pack(graphs), np.ones(1), params, hops=3)
+            other = forward(pack([graphs[k] for k in order]), np.ones(1), params, hops=3)
+            np.testing.assert_allclose(other.probability.data, base.probability.data[order],
+                                       atol=1e-9, err_msg=mode)
+            bounds = pack(graphs).bounds
+            rows = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in order])
+            for s_base, s_other in zip(base.states, other.states):
+                np.testing.assert_allclose(s_other.memory.data, s_base.memory.data[rows], atol=1e-9,
+                                           err_msg=mode)
+                if s_base.attention is not None:
+                    np.testing.assert_allclose(s_other.attention.data, s_base.attention.data[rows],
+                                               atol=1e-9, err_msg=mode)
 
     def test_read_vector_in_cell_coordinate_hull(self):
         rng = np.random.default_rng(300)
@@ -423,9 +459,9 @@ class TestInvariants:
             prepared = prepare_graph(graph, cfg)
             cells = rng.uniform(0.0, 1.0, size=(graph.n_nodes, 4))
             for hops in (1, 2, 3):
-                state = HopState(t=0, controller=Tensor(np.zeros(3)), memory=Tensor(cells))
+                state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
                 for _hop in range(hops):
-                    memory, _ = memory_step(state, Tensor(np.zeros(3)), params, prepared)
+                    memory, _ = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
                     state = HopState(t=state.t + 1, controller=state.controller, memory=memory)
                 expected = mean_passing_oracle(graph.neighbors[0], cells, hops=hops)
                 np.testing.assert_allclose(state.memory.data, expected, atol=1e-12)

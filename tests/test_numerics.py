@@ -10,20 +10,18 @@ from graphmem.numerics import (
     DimensionError,
     Tensor,
     affine,
-    concat,
     constant,
     dropout,
     finite_difference_gradient,
+    gather_sum,
     lerp,
     linear_sum,
     matmul,
     parameter,
     relu,
-    scatter,
     segment_softmax,
     sigmoid,
     softmax,
-    take_rows,
 )
 
 
@@ -126,9 +124,9 @@ class TestTapeGradients:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_composite_matches_finite_differences(self, seed):
-        # exercises linear_sum, matmul, softmax, lerp, clip, log, gather,
-        # segment softmax, scatter, concat, and the reductions in one
-        # recorded expression
+        # exercises linear_sum (plain, row-gathered, activated, projected), matmul,
+        # softmax, lerp, clip, log, segment softmax, gather-sum (with a tail),
+        # and the reductions in one recorded expression
         rng = np.random.default_rng(seed)
         arrays = {
             "w": rng.normal(size=(4, 3)),
@@ -137,12 +135,14 @@ class TestTapeGradients:
             "b": rng.normal(size=4),
             "m": rng.normal(size=(5, 3)),
             "g": rng.normal(size=(5, 4)),
+            "s": rng.normal(size=(4, 4)),
+            "t": rng.normal(size=(4, 8)),
         }
         x = rng.normal(size=3)
 
         def build():
             leaves = {name: Tensor(arrays[name], True) for name in arrays}
-            w, u, v, b, m, gmat = (leaves[k] for k in ("w", "u", "v", "b", "m", "g"))
+            w, u, v, b, m, gmat, s, t = (leaves[k] for k in ("w", "u", "v", "b", "m", "g", "s", "t"))
             hidden = nm.tanh(linear_sum([(constant(x), w)], bias=b))  # (4,)
             table = linear_sum([(m, w)], bias=b)  # (5, 4)
             attn = softmax(matmul(table, v))  # (5,)
@@ -150,16 +150,23 @@ class TestTapeGradients:
             rows = matmul(u, hidden)  # (5,)
             gate = sigmoid(matmul(gmat, read))  # (5,)
             mixed = lerp(gate, relu(rows), nm.tanh(rows))  # (5,)
-            picked = take_rows(table, [0, 2, 2])  # (3, 4)
+            # rows 0, 2, 2 of m @ w.T plus rows 4, 4, 1 of table @ s.T
+            picked = linear_sum([(m, w, [0, 2, 2]), (table, s, [4, 4, 1])], bias=b,
+                                activation="tanh")  # (3, 4)
             # segment 0 has two members, segment 1 none, segment 2 one (weight 1)
             segments = [0, 0, 2]
             weights = segment_softmax(matmul(picked, v), segments, 3)  # (3,)
             assert weights.data[2] == 1.0
-            mix = scatter(weights, segments, [1, 3, 4], (3, 5))  # row 1 stays zero
-            assert not mix.data[1].any()
-            joined = concat([picked, matmul(mix, table)], axis=0)  # (6, 4)
+            # (3, 8): the weighted sums, row 1 zero, then the columns of picked
+            gathered = gather_sum(table, weights, [1, 3, 1], segments, 3, tail=picked)
+            assert not gathered.data[1, :4].any()
+            proposal = linear_sum([(picked, s)], activation="relu")  # (3, 4)
+            opened = linear_sum([(gathered, t)], bias=b, activation="sigmoid")  # (3, 4)
+            # one score per row, the activated rows recomputed in backward
+            scored = linear_sum([(m, w, [4, 0])], bias=b, activation="tanh", project=v)  # (2,)
             log_term = nm.total(nm.log(nm.clip(attn, 1e-9, 1.0)) * attn)
-            loss = nm.mean(joined * joined) + nm.total(mixed) * 0.1 + log_term
+            loss = (nm.mean(gathered * gathered) + nm.total(mixed) * 0.1 + log_term
+                    + nm.total(proposal * opened) * 0.1 + nm.total(scored * scored))
             return loss, leaves
 
         loss, leaves = build()

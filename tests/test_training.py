@@ -17,6 +17,7 @@ from graphmem.training import (
     build_queries,
     compute_metrics,
     cross_entropy,
+    derive_model_config,
     prepare_examples,
     predict_scores,
     rank_auc,
@@ -178,6 +179,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(patience=0)
 
+    def test_rejects_bad_neighbor_mode(self):
+        with pytest.raises(ConfigError, match="neighbor_mode"):
+            ExperimentConfig(neighbor_mode="sideways")
+
 
 class TestSplitsAndQueries:
     def test_split_is_80_10_10(self):
@@ -282,6 +287,48 @@ class TestTrainingLoop:
         single = train({"t": split}, ExperimentConfig(mode="single", **base))
         multi = train({"t": split}, ExperimentConfig(mode="multi", **base))
         assert single.metrics.to_dict() == multi.metrics.to_dict()
+
+    def test_non_finite_validation_score_aborts(self):
+        from graphmem.molgraph import LabeledExample, MolecularGraph
+
+        examples = synthetic_examples(count=20, seed=15)
+        g = examples[0].graph
+        poisoned = MolecularGraph(
+            nodes=g.nodes, edges=g.edges, n_relations=g.n_relations, neighbors=g.neighbors,
+            node_features=np.full_like(g.node_features, np.nan), element_slots=g.element_slots,
+        )
+        val = examples[10:] + [LabeledExample(graph=poisoned, task_id=0, label=1, example_id="nan")]
+        split = TaskSplit(train=examples[:10], val=val, test=examples[10:])
+        config = ExperimentConfig(hops=2, memory_size=8, controller_size=8, dropout=0.0,
+                                  batch_size=8, max_epochs=3, patience=5, seed=1)
+        with pytest.raises(NumericError, match="not finite"):
+            train({"t": split}, config)
+
+    def test_predict_scores_records_no_tape(self, monkeypatch):
+        import graphmem.training as training_module
+        from graphmem.model import ModelParams
+
+        examples = synthetic_examples(count=12, seed=16)
+        config = ExperimentConfig(hops=2, memory_size=8, controller_size=8, mode="single")
+        model_config = derive_model_config(examples, config, 1)
+        params = ModelParams.initialize(model_config, seed=2)
+        pool = prepare_examples(examples, model_config, build_queries("single", 1))
+        results = []
+        real_forward = training_module.forward
+
+        def recording_forward(*args, **kwargs):
+            results.append(real_forward(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(training_module, "forward", recording_forward)
+        scores = predict_scores(params, pool, config.hops)
+        assert scores.shape == (12,) and len(results) >= 1
+        assert all(t.grad is None for t in params.tensors.values())
+        for result in results:
+            tensors = [result.probability] + [t for s in result.states
+                                              for t in (s.controller, s.memory, s.read, s.attention)
+                                              if t is not None]
+            assert all(t._parents == () and t._backward is None for t in tensors)
 
     def test_empty_split_rejected(self):
         examples = synthetic_examples(count=10, seed=1)

@@ -8,6 +8,7 @@ name, shape, and a little-endian float64 payload.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 
 MAGIC = b"GMNC"
 FORMAT_VERSION = 1
+MAX_RANK = 32  # the most dimensions every supported numpy version can reshape to
 
 
 class CheckpointError(ValueError):
@@ -41,6 +43,11 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    """``n`` bytes from the open file ``fh``. A count beyond the bytes left
+    is refused before reading, so a corrupt length or dimension field
+    cannot request more memory than the file holds."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"truncated checkpoint while reading {what}")
     blob = fh.read(n)
     if len(blob) != n:
         raise CheckpointError(f"truncated checkpoint while reading {what}")
@@ -72,6 +79,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             except UnicodeDecodeError:
                 raise CheckpointError("checkpoint parameter name is not UTF-8") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
+            if ndim > MAX_RANK:
+                raise CheckpointError(f"parameter {name} has rank {ndim} > {MAX_RANK}")
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4, "dimension"))[0] for _ in range(ndim))
             n_values = 1
             for dim in shape:

@@ -421,9 +421,10 @@ def cmd_dump_attention(args: argparse.Namespace) -> int:
     queries = build_queries(meta["mode"], len(meta["tasks"]))
     prepared = prepare_examples(pool, params.config, queries)
     dump_path = out_dir / "attention.jsonl"
+    frozen = params.frozen()  # no backward runs, so record no tape
     with open(dump_path, "w", encoding="utf-8") as fh:
         for ex in prepared:
-            result = forward(ex.prepared, ex.query, params, meta["hops"])
+            result = forward(ex.prepared, ex.query, frozen, meta["hops"])
             record = {
                 "id": ex.example_id,
                 "attention": result.attention_trace(),

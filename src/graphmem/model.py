@@ -299,8 +299,10 @@ def pack(graphs: Sequence[PreparedGraph]) -> PreparedGraph:
 class HopState:
     """Everything one hop produced, for every graph of a pack: controller
     (B, k_h), memory (N, k_m), read (B, k_m), attention and scores (N,).
-    ``t=0`` is the freshly initialized state; read/attention/scores/contexts
-    appear from the first real hop on."""
+    ``t=0`` is the freshly initialized state; read/attention/scores appear
+    from the first real hop on. The neighbor contexts are not kept: the
+    memory update's tape node gathers them again from the edge lists during
+    backward (see :func:`graphmem.numerics.gated_update`)."""
 
     t: int
     controller: Tensor
@@ -308,7 +310,6 @@ class HopState:
     read: Tensor | None = None
     attention: Tensor | None = None
     scores: Tensor | None = None
-    contexts: dict[int, Tensor] | None = None
 
 
 def _dropout(x: Tensor, bounds: np.ndarray, rate: float, rng, training: bool) -> Tensor:
@@ -380,23 +381,20 @@ def attentive_read(state: HopState, params: ModelParams,
 
 def controller_step(state: HopState, read: Tensor, params: ModelParams) -> Tensor:
     """Gated recurrent update of every controller row from its read row."""
-    proposal = nm.linear_sum(
-        [(state.controller, params["ctrl.self"]), (read, params["ctrl.read"])],
-        bias=params["ctrl.bias"], activation="relu",
+    return nm.gated_update(
+        [(state.controller, params["ctrl.self"], params["ctrl_gate.self"]),
+         (read, params["ctrl.read"], params["ctrl_gate.read"])],
+        params["ctrl.bias"], params["ctrl_gate.bias"], state.controller,
     )
-    gate = nm.linear_sum(
-        [(state.controller, params["ctrl_gate.self"]), (read, params["ctrl_gate.read"])],
-        bias=params["ctrl_gate.bias"], activation="sigmoid",
-    )
-    return nm.lerp(gate, proposal, state.controller)
 
 
 def _neighbor_contexts(
     prepared: PreparedGraph,
     memory: Tensor,
     params: ModelParams,
-) -> dict[int, Tensor]:
-    """Per-relation neighbor context rows [cell state, link features].
+) -> list[tuple[Tensor, Tensor]]:
+    """Per relation, the edge weights and the (N, k_b) link rows of the
+    neighbor contexts [weighted neighbor cells, link features].
 
     Each node mixes its neighbors with weights that sum to one: 1/deg in
     uniform mode, and in learned mode a softmax, over each node's in-edges,
@@ -405,8 +403,8 @@ def _neighbor_contexts(
     """
     learned = params.config.neighbor_mode == "learned"
     n = prepared.n_nodes
-    contexts: dict[int, Tensor] = {}
-    for r, rel in enumerate(prepared.relations):
+    mixing: list[tuple[Tensor, Tensor]] = []
+    for rel in prepared.relations:
         weights, links = rel.uniform, rel.uniform_links
         if learned and rel.src.size:
             scores = nm.linear_sum(
@@ -415,8 +413,8 @@ def _neighbor_contexts(
             )
             weights = nm.segment_softmax(scores, rel.dst, n)
             links = nm.gather_sum(rel.links, weights, np.arange(rel.src.size), rel.dst, n)
-        contexts[r] = nm.gather_sum(memory, weights, rel.src, rel.dst, n, tail=links)
-    return contexts
+        mixing.append((weights, links))
+    return mixing
 
 
 def memory_step(
@@ -426,18 +424,18 @@ def memory_step(
     prepared: PreparedGraph,
 ) -> tuple[Tensor, dict[int, Tensor]]:
     """Gated update of every cell from its past value, its graph's controller
-    row, and the relation-typed neighbor contexts. Also returns the contexts."""
-    cfg = params.config
-    contexts = _neighbor_contexts(prepared, state.memory, params)
-    segments = prepared.segments
-    proposal_terms = [(state.memory, params["mem.self"]), (controller, params["mem.ctrl"], segments)]
-    gate_terms = [(state.memory, params["mem_gate.self"]), (controller, params["mem_gate.ctrl"], segments)]
-    for r in range(cfg.n_relations):
-        proposal_terms.append((contexts[r], params[f"mem.rel{r}"]))
-        gate_terms.append((contexts[r], params[f"mem_gate.rel{r}"]))
-    proposal = nm.linear_sum(proposal_terms, bias=params["mem.bias"], activation="relu")
-    gate = nm.linear_sum(gate_terms, bias=params["mem_gate.bias"], activation="sigmoid")
-    return nm.lerp(gate, proposal, state.memory), contexts
+    row, and the relation-typed neighbor contexts. Also returns the contexts
+    the update used, as constants."""
+    terms: list[tuple] = [(state.memory, params["mem.self"], params["mem_gate.self"]),
+                          (controller, params["mem.ctrl"], params["mem_gate.ctrl"], prepared.segments)]
+    contexts: dict[int, Tensor] = {}
+    for r, (weights, links) in enumerate(_neighbor_contexts(prepared, state.memory, params)):
+        rel = prepared.relations[r]
+        context = nm.EdgeSum(state.memory, weights, rel.src, rel.dst, links)
+        terms.append((context, params[f"mem.rel{r}"], params[f"mem_gate.rel{r}"]))
+        contexts[r] = nm.constant(context.data)
+    memory = nm.gated_update(terms, params["mem.bias"], params["mem_gate.bias"], state.memory)
+    return memory, contexts
 
 
 @dataclass(eq=False)
@@ -479,12 +477,12 @@ def forward(
     for t in range(1, hops + 1):
         read, weights, scores = attentive_read(state, params, prepared)
         controller = controller_step(state, read, params)
-        memory, contexts = memory_step(state, controller, params, prepared)
+        memory, _ = memory_step(state, controller, params, prepared)
         if t == hops:
             controller = _dropout(controller, np.arange(prepared.n_graphs + 1), dropout_rate, rng, training)
             memory = _dropout(memory, prepared.bounds, dropout_rate, rng, training)
         state = HopState(t=t, controller=controller, memory=memory, read=read,
-                         attention=weights, scores=scores, contexts=contexts)
+                         attention=weights, scores=scores)
         states.append(state)
     probability = nm.linear_sum([(state.controller, params["out.weight"])],
                                 bias=params["out.bias"], activation="sigmoid")

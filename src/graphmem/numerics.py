@@ -338,38 +338,41 @@ def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.ravel(), minlength=n_out * k).reshape(n_out, k)
 
 
-def gather_sum(x: Tensor, weights: Tensor, src, dst, n_out: int, tail: Tensor | None = None) -> Tensor:
+def gather_sum(x: Tensor, weights: Tensor, src, dst, n_out: int) -> Tensor:
     """Weighted gather-sum over an edge list: ``out[d]`` is the sum of
     ``weights[e] * x[src[e]]`` over the edges ``e`` with ``dst[e] == d``.
 
     ``x`` is (n, k), ``weights``, ``src`` and ``dst`` have one entry per
-    edge; the output is (n_out, k). With ``tail``, an (n_out, j) tensor,
-    the output is (n_out, k + j) with the tail's columns after the sums.
-    Backward gathers the rows of ``x`` again instead of keeping the
-    (edges, k) copy from the forward pass.
+    edge; the output is (n_out, k). Backward gathers the rows of ``x``
+    again instead of keeping the (edges, k) copy from the forward pass.
     """
     s = np.asarray(src, dtype=np.intp)
     d = np.asarray(dst, dtype=np.intp)
-    if (x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape
-            or (tail is not None and tail.shape[0] != n_out)):
+    if x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape:
         raise _shape_error("gather_sum", x.shape, weights.shape, s.shape, d.shape)
-    summed = _sum_rows(weights.data[:, None] * x.data[s], d, n_out)
-    out = Tensor(summed if tail is None else np.concatenate([summed, tail.data], axis=1))
-    parents = (x, weights) if tail is None else (x, weights, tail)
-    if not _tracked(*parents):
+    out = Tensor(_edge_sum(x, weights, s, d, n_out))
+    if not _tracked(x, weights):
         return out
-    k = x.data.shape[1]
 
     def backward(g: np.ndarray) -> None:
-        if tail is not None and _tracked(tail):
-            _accumulate(tail, g[:, k:])
-        at_dst = g[d, :k]
-        if _tracked(x):
-            _accumulate(x, _sum_rows(weights.data[:, None] * at_dst, s, x.data.shape[0]))
-        if _tracked(weights):
-            _accumulate(weights, np.einsum("ek,ek->e", at_dst, x.data[s]))
+        _edge_sum_backward(x, weights, s, d, g)
 
-    return _record(out, parents, backward)
+    return _record(out, (x, weights), backward)
+
+
+def _edge_sum(x: Tensor, weights: Tensor, s: np.ndarray, d: np.ndarray, n_out: int) -> np.ndarray:
+    """The (n_out, k) weighted gather-sum of the rows of ``x`` over the edges ``s -> d``."""
+    return _sum_rows(weights.data[:, None] * x.data[s], d, n_out)
+
+
+def _edge_sum_backward(x: Tensor, weights: Tensor, s: np.ndarray, d: np.ndarray, g: np.ndarray) -> None:
+    """Accumulate the gradients of a weighted edge gather-sum from the
+    gradient ``g`` of its (n_out, k) output."""
+    at_dst = g[d]
+    if _tracked(x):
+        _accumulate(x, _sum_rows(weights.data[:, None] * at_dst, s, x.data.shape[0]))
+    if _tracked(weights):
+        _accumulate(weights, np.einsum("ek,ek->e", at_dst, x.data[s]))
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -482,6 +485,118 @@ def linear_sum(
                 _accumulate(w, np.outer(gx, x.data) if x.ndim == 1 else gx.T @ x.data)
         if bias is not None and _tracked(bias):
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
+
+    return _record(out, flat_parents, backward)
+
+
+class EdgeSum:
+    """A :func:`gated_update` term input: the (n_out, k + j) rows
+    ``[sum of weights[e] * x[src[e]] over the edges with dst[e] == d, links[d]]``,
+    a weighted gather-sum over an edge list with the (n_out, j) ``links``
+    rows appended.
+
+    ``data`` holds the value, computed once here. The gated update that
+    consumes it keeps only the recipe (``x``, ``weights``, the edges and
+    ``links``): its backward gathers the sums again, as :func:`gather_sum`
+    does, instead of keeping ``data``.
+    """
+
+    __slots__ = ("x", "weights", "src", "dst", "links", "data")
+
+    def __init__(self, x: Tensor, weights: Tensor, src, dst, links: Tensor):
+        s = np.asarray(src, dtype=np.intp)
+        d = np.asarray(dst, dtype=np.intp)
+        if (x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape
+                or links.ndim != 2):
+            raise _shape_error("EdgeSum", x.shape, weights.shape, s.shape, d.shape, links.shape)
+        self.x, self.weights, self.src, self.dst, self.links = x, weights, s, d, links
+        self.data = np.concatenate([_edge_sum(x, weights, s, d, links.shape[0]), links.data], axis=1)
+
+
+def gated_update(
+    terms: Sequence[tuple],
+    proposal_bias: Tensor,
+    gate_bias: Tensor,
+    old: Tensor,
+) -> Tensor:
+    """The gated skip connection as one tape node: ``g * p + (1 - g) * old``
+    with the proposal ``p = relu(sum_k X_k @ P_k.T + proposal_bias)`` and the
+    gate ``g = sigmoid(sum_k X_k @ G_k.T + gate_bias)``.
+
+    ``old`` is (n, out) and a term is ``(x, P, G)`` or ``(x, P, G, rows)``
+    with (out, in) weights ``P`` and ``G``. ``X_k`` is ``x`` itself, an
+    (n, in) tensor or an :class:`EdgeSum`; with ``rows``, an integer index
+    of length n, the term contributes ``(x @ W.T)[rows]``, as in
+    :func:`linear_sum`. Each term's input is formed once and shared by the
+    proposal and the gate. The node keeps ``p`` and ``g`` but no
+    :class:`EdgeSum` value: backward gathers those again from their edges.
+    """
+    if old.ndim != 2:
+        raise _shape_error("gated_update", old.shape)
+    n, width = old.data.shape
+    if proposal_bias.shape != (width,) or gate_bias.shape != (width,):
+        raise _shape_error("gated_update", proposal_bias.shape, gate_bias.shape, old.shape)
+    if not terms:
+        raise ValueError("gated_update of no terms")
+    parts: list[tuple[Tensor, Tensor, Tensor, np.ndarray | None, tuple | None]] = []
+    zp = zg = None
+    for term in terms:
+        x, wp, wg = term[0], term[1], term[2]
+        rows = np.asarray(term[3], dtype=np.intp) if len(term) == 4 else None
+        shape = x.data.shape
+        if (len(shape) != 2 or wp.data.shape != (width, shape[1]) or wg.data.shape != wp.data.shape
+                or (rows is None and shape[0] != n)
+                or (rows is not None and (isinstance(x, EdgeSum) or rows.shape != (n,)))):
+            raise _shape_error("gated_update", shape, wp.shape, wg.shape, old.shape)
+        a, b = x.data @ wp.data.T, x.data @ wg.data.T
+        if rows is not None:
+            a, b = a[rows], b[rows]
+        zp = a if zp is None else zp + a
+        zg = b if zg is None else zg + b
+        if isinstance(x, EdgeSum):
+            parts.append((x.x, wp, wg, None, (x.weights, x.src, x.dst, x.links)))
+        else:
+            parts.append((x, wp, wg, rows, None))
+    p = np.maximum(zp + proposal_bias.data, 0.0)
+    g = _stable_sigmoid(zg + gate_bias.data)
+    out = Tensor(g * p + (1.0 - g) * old.data)
+    flat_parents: tuple[Tensor, ...] = (proposal_bias, gate_bias, old)
+    for x, wp, wg, _, edge in parts:
+        flat_parents += (x, wp, wg) if edge is None else (x, wp, wg, edge[0], edge[3])
+    if not _tracked(*flat_parents):
+        return out
+
+    def backward(gout: np.ndarray) -> None:
+        dzp = gout * g * (p > 0.0)
+        dzg = gout * (p - old.data) * g * (1.0 - g)
+        for x, wp, wg, rows, edge in parts:
+            if edge is None:
+                xd = x.data
+            else:
+                weights, s, d, links = edge
+                xd = np.concatenate([_edge_sum(x, weights, s, d, n), links.data], axis=1)
+            gp, gg = dzp, dzg
+            if rows is not None:
+                gp, gg = _sum_rows(dzp, rows, xd.shape[0]), _sum_rows(dzg, rows, xd.shape[0])
+            if _tracked(wp):
+                _accumulate(wp, gp.T @ xd)
+            if _tracked(wg):
+                _accumulate(wg, gg.T @ xd)
+            if edge is None:
+                if _tracked(x):
+                    _accumulate(x, gp @ wp.data + gg @ wg.data)
+            elif _tracked(x, weights, links):
+                gx = gp @ wp.data + gg @ wg.data
+                k = x.data.shape[1]
+                if _tracked(links):
+                    _accumulate(links, gx[:, k:])
+                _edge_sum_backward(x, weights, s, d, gx[:, :k])
+        if _tracked(proposal_bias):
+            _accumulate(proposal_bias, dzp.sum(axis=0))
+        if _tracked(gate_bias):
+            _accumulate(gate_bias, dzg.sum(axis=0))
+        if _tracked(old):
+            _accumulate(old, gout * (1.0 - g))
 
     return _record(out, flat_parents, backward)
 

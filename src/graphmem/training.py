@@ -29,8 +29,10 @@ from .numerics import Tensor
 MODES = ("single", "multi")
 
 # Memory cells per pack. Larger packs record fewer tape nodes per example,
-# but a pack's tape grows with its cells, and peak memory binds first.
-PACK_CELLS = 64
+# but a pack's tape grows with its cells, and peak memory binds first. A
+# hop's tape keeps about 3 * memory_size floats per cell: the memory
+# update's output, proposal and gate (see numerics.gated_update).
+PACK_CELLS = 256
 
 
 class ConfigError(ValueError):

@@ -192,3 +192,37 @@ def learned_memory_step_oracle(graph, params: dict, memory: np.ndarray,
         gate = 1.0 / (1.0 + np.exp(-pre_g))
         updated[i] = gate * proposal + (1.0 - gate) * memory[i]
     return updated, contexts
+
+
+def gated_update_oracle(terms, proposal_bias, gate_bias, old) -> np.ndarray:
+    """The gated skip connection row by row from its definition: each row's
+    proposal relu(sum P @ X + b_p) and gate sigmoid(sum G @ X + b_g) blend
+    with its old value. A term is ("plain", x, P, G), ("rows", x, P, G, rows)
+    with X_i = x[rows[i]], or ("edges", x, weights, src, dst, links, P, G)
+    with X_i = [sum of weights[e] * x[src[e]] over edges into i, links[i]]."""
+    n, width = old.shape
+    out = np.zeros_like(old)
+    for i in range(n):
+        pre_p = proposal_bias.copy()
+        pre_g = gate_bias.copy()
+        for term in terms:
+            kind = term[0]
+            if kind == "plain":
+                _, x, wp, wg = term
+                xi = x[i]
+            elif kind == "rows":
+                _, x, wp, wg, rows = term
+                xi = x[rows[i]]
+            else:
+                _, x, weights, src, dst, links, wp, wg = term
+                summed = np.zeros(x.shape[1])
+                for e in range(len(src)):
+                    if dst[e] == i:
+                        summed = summed + weights[e] * x[src[e]]
+                xi = np.concatenate([summed, links[i]])
+            pre_p = pre_p + wp @ xi
+            pre_g = pre_g + wg @ xi
+        proposal = np.maximum(pre_p, 0.0)
+        gate = 1.0 / (1.0 + np.exp(-pre_g))
+        out[i] = gate * proposal + (1.0 - gate) * old[i]
+    return out

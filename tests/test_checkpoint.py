@@ -55,6 +55,51 @@ def test_truncation_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_oversized_dimensions_rejected_before_reading(tmp_path):
+    # three dimensions of 0xFFFFFFFF ask for about 6e29 bytes; the file
+    # holds 8, so the read is refused rather than attempted
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, {"w": np.zeros((1, 1, 1))}, {"k": 1})
+    blob = path.read_bytes()
+    dims = len(blob) - 8 - 12
+    path.write_bytes(blob[:dims] + b"\xff" * 12 + blob[dims + 12:])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def small_checkpoint(tmp_path) -> bytes:
+    path = tmp_path / "small.bin"
+    save_checkpoint(path, {"a.weight": np.arange(6.0).reshape(2, 3), "a.bias": np.array([0.5, -1.0])},
+                    {"model": {"memory_size": 2}, "tasks": ["t"]})
+    return path.read_bytes()
+
+
+def test_fuzz_truncation_at_every_byte_rejected(tmp_path):
+    blob = small_checkpoint(tmp_path)
+    path = tmp_path / "cut.bin"
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def test_fuzz_single_byte_flips_raise_only_checkpoint_errors(tmp_path):
+    # a flip may leave a loadable file (say, inside a payload); any failure
+    # must be a CheckpointError, never another exception
+    blob = small_checkpoint(tmp_path)
+    path = tmp_path / "flipped.bin"
+    rng = np.random.default_rng(0)
+    for position in range(len(blob)):
+        for mask in [0xFF, 0x80, 0x01] + rng.integers(1, 256, size=3).tolist():
+            flipped = bytearray(blob)
+            flipped[position] ^= mask
+            path.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+
+
 def test_unreadable_metadata_rejected(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, {"w": np.array([1.0])}, {"k": 1})

@@ -152,6 +152,12 @@ class TestEvalAndDump:
         bad = workspace / "bad.bin"
         bad.write_bytes(b"not a checkpoint at all")
         assert run("eval", "--checkpoint", bad, "--out-dir", workspace / "e") == 5
+        # dimensions of 0xFFFFFFFF: a read that large is refused, not attempted
+        save_checkpoint(bad, {"w": np.zeros((1, 1, 1))}, {})
+        blob = bad.read_bytes()
+        bad.write_bytes(blob[:-20] + b"\xff" * 12 + blob[-8:])
+        assert run("eval", "--checkpoint", bad, "--out-dir", workspace / "e") == 5
+        assert "truncated" in capsys.readouterr().err
 
     def rewritten_checkpoint(self, trained, edit):
         """A copy of the trained checkpoint with ``edit`` applied to its arrays."""
@@ -187,10 +193,22 @@ class TestEvalAndDump:
             assert code == 5, name
             assert name in capsys.readouterr().err
 
-    def test_dump_attention_records(self, workspace, trained):
+    def test_dump_attention_records(self, workspace, trained, monkeypatch):
+        import graphmem.cli as cli
+
+        original = cli.forward
+        results = []
+
+        def recording_forward(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "forward", recording_forward)
         out = workspace / "dump"
         assert run("dump-attention", "--checkpoint", trained / "checkpoint.bin",
                    "--set", f"data_dir={workspace}", "--out-dir", out) == 0
+        # no backward follows, so no tape is recorded
+        assert results and all(not r.probability._parents for r in results)
         lines = (out / "attention.jsonl").read_text().strip().splitlines()
         assert len(lines) == 40
         for line in lines[:5]:

@@ -134,6 +134,40 @@ class TestParseSdf:
         assert [g.n_nodes for g in graphs] == [6, 1]
 
 
+class TestSdfFuzz:
+    def test_mutated_records_raise_only_data_errors(self):
+        # seeded random edits of a two-record file: each mutant either parses
+        # and featurizes or raises MolfileError / DatasetError, nothing else
+        base = (BENZENE + "$$$$\n" + molblock(["C", "N", "O"], [(1, 2, 1), (2, 3, 2)], title="b")
+                + "$$$$\n")
+        alphabet = "0123456789 -+.$CNOx\n"
+        rng = np.random.default_rng(0)
+        for _ in range(3000):
+            text = base
+            for _ in range(int(rng.integers(1, 4))):
+                lines = text.split("\n")
+                op = int(rng.integers(5))
+                at = int(rng.integers(len(text)))
+                char = alphabet[int(rng.integers(len(alphabet)))]
+                if op == 0:
+                    text = text[:at] + char + text[at + 1:]
+                elif op == 1:
+                    text = text[:at] + char + text[at:]
+                elif op == 2:
+                    text = text[:at] + text[at + 1:]
+                elif op == 3:
+                    k = int(rng.integers(len(lines)))
+                    text = "\n".join(lines[:k] + lines[k + 1:])
+                else:
+                    k = int(rng.integers(len(lines)))
+                    text = "\n".join(lines[:k + 1] + lines[k:])
+            try:
+                for graph in parse_sdf(text):
+                    featurize(graph)
+            except (MolfileError, DatasetError):
+                pass
+
+
 class TestRingDetection:
     def test_path_has_no_rings(self):
         g = parse_molfile(molblock(["C", "C", "C"], [(1, 2, 1), (2, 3, 1)]))

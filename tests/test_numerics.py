@@ -1,9 +1,11 @@
 """Tensor ops, the tape, and the finite-difference oracle."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
+from _oracles import gated_update_oracle
 
 from graphmem import numerics as nm
 from graphmem.numerics import (
@@ -125,8 +127,9 @@ class TestTapeGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_composite_matches_finite_differences(self, seed):
         # exercises linear_sum (plain, row-gathered, activated, projected), matmul,
-        # softmax, lerp, clip, log, segment softmax, gather-sum (with a tail),
-        # and the reductions in one recorded expression
+        # softmax, lerp, clip, log, segment softmax, gather-sum, the gated update
+        # (plain, row-gathered and edge-summed terms) and the reductions in one
+        # recorded expression
         rng = np.random.default_rng(seed)
         arrays = {
             "w": rng.normal(size=(4, 3)),
@@ -137,12 +140,15 @@ class TestTapeGradients:
             "g": rng.normal(size=(5, 4)),
             "s": rng.normal(size=(4, 4)),
             "t": rng.normal(size=(4, 8)),
+            "q": rng.normal(size=(4, 4)),
+            "h": rng.normal(size=(4, 8)),
+            "c": rng.normal(size=4),
         }
         x = rng.normal(size=3)
 
         def build():
             leaves = {name: Tensor(arrays[name], True) for name in arrays}
-            w, u, v, b, m, gmat, s, t = (leaves[k] for k in ("w", "u", "v", "b", "m", "g", "s", "t"))
+            w, u, v, b, m, gmat, s, t, q, h, c = (leaves[k] for k in "wuvbmgstqhc")
             hidden = nm.tanh(linear_sum([(constant(x), w)], bias=b))  # (4,)
             table = linear_sum([(m, w)], bias=b)  # (5, 4)
             attn = softmax(matmul(table, v))  # (5,)
@@ -157,16 +163,23 @@ class TestTapeGradients:
             segments = [0, 0, 2]
             weights = segment_softmax(matmul(picked, v), segments, 3)  # (3,)
             assert weights.data[2] == 1.0
-            # (3, 8): the weighted sums, row 1 zero, then the columns of picked
-            gathered = gather_sum(table, weights, [1, 3, 1], segments, 3, tail=picked)
-            assert not gathered.data[1, :4].any()
+            gathered = gather_sum(table, weights, [1, 3, 1], segments, 3)  # (3, 4), row 1 zero
+            assert not gathered.data[1].any()
             proposal = linear_sum([(picked, s)], activation="relu")  # (3, 4)
-            opened = linear_sum([(gathered, t)], bias=b, activation="sigmoid")  # (3, 4)
+            opened = linear_sum([(gathered, s)], bias=b, activation="sigmoid")  # (3, 4)
+            # (3, 8): the same weighted sums, then the columns of picked as links;
+            # weights and links are tracked, and row 1 has no in-edges
+            context = nm.EdgeSum(table, weights, [1, 3, 1], segments, picked)
+            assert not context.data[1, :4].any()
+            # a plain term, rows 4, 0, 4 of table @ W.T and the edge-summed context
+            updated = nm.gated_update([(opened, s, q), (table, q, s, [4, 0, 4]), (context, t, h)],
+                                      b, c, proposal)  # (3, 4)
             # one score per row, the activated rows recomputed in backward
             scored = linear_sum([(m, w, [4, 0])], bias=b, activation="tanh", project=v)  # (2,)
             log_term = nm.total(nm.log(nm.clip(attn, 1e-9, 1.0)) * attn)
             loss = (nm.mean(gathered * gathered) + nm.total(mixed) * 0.1 + log_term
-                    + nm.total(proposal * opened) * 0.1 + nm.total(scored * scored))
+                    + nm.total(proposal * opened) * 0.1 + nm.total(scored * scored)
+                    + nm.total(updated * updated))
             return loss, leaves
 
         loss, leaves = build()
@@ -202,6 +215,69 @@ class TestTapeGradients:
         w = parameter([3.0])
         (w**2).backward(seed=0.5)
         np.testing.assert_allclose(w.grad, [3.0])
+
+
+class TestGatedUpdate:
+    @staticmethod
+    def inputs(seed):
+        rng = np.random.default_rng(seed)
+        # 4 output rows of width 3; edges 0->1, 2->1, 3->0, 1->3 with a
+        # repeated destination, and row 2 has no in-edges
+        return {
+            "old": rng.normal(size=(4, 3)),
+            "x": rng.normal(size=(4, 5)),
+            "groups": rng.normal(size=(2, 2)),
+            "rows": np.array([0, 1, 1, 0]),
+            "cells": rng.normal(size=(4, 2)),
+            "weights": rng.uniform(0.1, 1.0, size=4),
+            "src": np.array([0, 2, 3, 1]),
+            "dst": np.array([1, 1, 0, 3]),
+            "links": rng.normal(size=(4, 2)),
+            "weight": [rng.normal(size=shape) for shape in [(3, 5), (3, 5), (3, 2), (3, 2), (3, 4), (3, 4)]],
+            "bias": [rng.normal(size=3), rng.normal(size=3)],
+        }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_loop_oracle(self, seed):
+        a = self.inputs(seed)
+        w = a["weight"]
+        expected = gated_update_oracle(
+            [("plain", a["x"], w[0], w[1]), ("rows", a["groups"], w[2], w[3], a["rows"]),
+             ("edges", a["cells"], a["weights"], a["src"], a["dst"], a["links"], w[4], w[5])],
+            a["bias"][0], a["bias"][1], a["old"])
+        params = [parameter(x) for x in w]
+        context = nm.EdgeSum(parameter(a["cells"]), parameter(a["weights"]), a["src"], a["dst"],
+                             parameter(a["links"]))
+        out = nm.gated_update(
+            [(parameter(a["x"]), params[0], params[1]), (parameter(a["groups"]), params[2], params[3], a["rows"]),
+             (context, params[4], params[5])],
+            parameter(a["bias"][0]), parameter(a["bias"][1]), parameter(a["old"]))
+        assert not context.data[2, :2].any()  # no in-edges: zero sums
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    def test_keeps_no_edge_sum_value(self):
+        a = self.inputs(0)
+        w = [parameter(x) for x in a["weight"]]
+        context = nm.EdgeSum(parameter(a["cells"]), constant(a["weights"]), a["src"], a["dst"],
+                             constant(a["links"]))
+        kept = weakref.ref(context.data)
+        out = nm.gated_update([(context, w[4], w[5])], parameter(a["bias"][0]), parameter(a["bias"][1]),
+                              parameter(a["old"]))
+        del context
+        assert kept() is None
+        nm.total(out).backward()
+        assert w[4].grad is not None and w[4].grad.any()
+
+    def test_shape_errors(self):
+        a = self.inputs(0)
+        w = [parameter(x) for x in a["weight"]]
+        bias = [parameter(b) for b in a["bias"]]
+        with pytest.raises(DimensionError):  # weights do not match the input width
+            nm.gated_update([(constant(a["x"]), w[2], w[3])], bias[0], bias[1], constant(a["old"]))
+        with pytest.raises(DimensionError):  # rows do not cover the output rows
+            nm.gated_update([(constant(a["groups"]), w[2], w[3], [0, 1])], bias[0], bias[1], constant(a["old"]))
+        with pytest.raises(DimensionError):  # a term with fewer rows than the output
+            nm.gated_update([(constant(a["groups"]), w[2], w[3])], bias[0], bias[1], constant(a["old"]))
 
 
 class TestFiniteDifferenceOracle:

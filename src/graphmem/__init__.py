@@ -12,6 +12,7 @@ from .fingerprint import (
     LogisticConfig,
     LogisticModel,
     circular_fingerprint,
+    circular_fingerprints,
     logistic_baseline_predict,
     logistic_baseline_train,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "adam_step",
     "attentive_read",
     "circular_fingerprint",
+    "circular_fingerprints",
     "compute_metrics",
     "contains_motif",
     "controller_step",

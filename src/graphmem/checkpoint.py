@@ -87,4 +87,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
                 n_values *= dim
             payload = _read_exact(fh, 8 * n_values, f"payload of {name}")
             arrays[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+        trailing = os.fstat(fh.fileno()).st_size - fh.tell()
+        if trailing:
+            raise CheckpointError(f"{trailing} unexpected bytes after the last parameter")
         return arrays, meta

@@ -19,12 +19,13 @@ import sys
 import time
 import zlib
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, circular_fingerprint, fingerprint_csv
+from .fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, check_options, circular_fingerprints, fingerprint_csv
 from .gradcheck import run_gradient_check
 from .model import ModelConfig, ModelParams, forward
 from .molgraph import (
@@ -32,6 +33,7 @@ from .molgraph import (
     SYNTHETIC_ALPHABET,
     DatasetError,
     LabeledExample,
+    MolecularGraph,
     MolfileError,
     SyntheticSpecError,
     featurize,
@@ -59,6 +61,12 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_CHECKPOINT = 5
+
+# graphmem fingerprint featurizes and hashes runs of consecutive molecules
+# with at most this many atoms in all. Hashing gains little past about a
+# thousand atoms a run, while the run's featurized graphs, about 1 KB per
+# atom, are alive together.
+FINGERPRINT_CHUNK_ATOMS = 1024
 
 _CONFIG_TYPES = {
     "hops": int,
@@ -375,22 +383,41 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _atom_chunks(graphs: list[MolecularGraph]) -> Iterator[slice]:
+    """Consecutive runs of ``graphs`` with at most FINGERPRINT_CHUNK_ATOMS
+    atoms in all; a larger molecule gets a run of its own."""
+    start = atoms = 0
+    for k, graph in enumerate(graphs):
+        if k > start and atoms + graph.n_nodes > FINGERPRINT_CHUNK_ATOMS:
+            yield slice(start, k)
+            start, atoms = k, 0
+        atoms += graph.n_nodes
+    if start < len(graphs):
+        yield slice(start, len(graphs))
+
+
 def cmd_fingerprint(args: argparse.Namespace) -> int:
     started = time.time()
     resolved = resolve_config(args)
+    nbits = args.nbits if args.nbits is not None else resolved.get("nbits", DEFAULT_NBITS)
+    radius = args.radius if args.radius is not None else resolved.get("radius", DEFAULT_RADIUS)
+    try:
+        check_options(radius, nbits)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out_dir = _out_dir(args)
     sdf_path = Path(args.input)
     if not sdf_path.is_file():
         raise DatasetError(f"no such SDF file: {sdf_path}")
     graphs = parse_sdf(sdf_path.read_text(encoding="utf-8"))
     vocab = resolved.get("vocab", list(DEFAULT_VOCAB))
-    nbits = args.nbits if args.nbits is not None else resolved.get("nbits", DEFAULT_NBITS)
-    radius = args.radius if args.radius is not None else resolved.get("radius", DEFAULT_RADIUS)
     rows = []
-    for index, graph in enumerate(graphs):
-        feat = featurize(graph, vocab)
-        example_id = graph.title if graph.title else str(index)
-        rows.append((example_id, circular_fingerprint(feat, radius=radius, nbits=nbits)))
+    for chunk in _atom_chunks(graphs):
+        featurized = [featurize(graph, vocab) for graph in graphs[chunk]]
+        fingerprints = circular_fingerprints(featurized, radius=radius, nbits=nbits)
+        for index, graph, fp in zip(range(chunk.start, chunk.stop), featurized, fingerprints):
+            rows.append((graph.title if graph.title else str(index), fp))
+        del featurized  # free this chunk's graphs before the next chunk is featurized
     csv_path = out_dir / "fingerprints.csv"
     csv_path.write_text(fingerprint_csv(rows), encoding="utf-8")
     _write_manifest(out_dir, "fingerprint", {**resolved, "nbits": nbits, "radius": radius},

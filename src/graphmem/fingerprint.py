@@ -11,7 +11,8 @@ serialization, so fingerprints are bit-identical across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -19,23 +20,42 @@ from .molgraph import HCOUNT_SLOTS, MolecularGraph
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+_WORD = np.dtype("<u8")  # hashed integers are 8-byte little-endian words
 
 DEFAULT_RADIUS = 2
 DEFAULT_NBITS = 1024
 
 
-def fnv1a64(data: bytes) -> int:
-    value = FNV64_OFFSET
-    for byte in data:
-        value ^= byte
-        value = (value * FNV64_PRIME) & _MASK64
-    return value
+def fnv1a64_rows(data: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """FNV-1a 64 of the first ``lengths[k]`` bytes of each row of the
+    (n, width) uint8 array ``data``, all rows in one pass.
+
+    Rows are visited longest first, so each byte step updates a prefix of
+    the running hashes in place. A uint64 array multiply wraps modulo 2**64,
+    which is the FNV arithmetic (uint64 scalars would warn on overflow).
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    columns = np.ascontiguousarray(data[order].T)
+    # live[c]: how many rows are longer than c bytes, a prefix of ``order``
+    live = len(order) - np.cumsum(np.bincount(lengths, minlength=data.shape[1] + 1))
+    hashes = np.full(len(order), FNV64_OFFSET, dtype=np.uint64)
+    prime = np.uint64(FNV64_PRIME)
+    for column, count in zip(columns, live.tolist()):
+        head = hashes[:count]
+        head ^= column[:count]
+        head *= prime
+    out = np.empty_like(hashes)
+    out[order] = hashes
+    return out
 
 
-def _hash_ints(values: Iterable[int]) -> int:
-    """FNV-1a over each integer as 8 little-endian bytes, in order."""
-    return fnv1a64(b"".join(v.to_bytes(8, "little") for v in values))
+def check_options(radius: int, nbits: int) -> None:
+    """Raise ValueError unless ``nbits`` is a power of two >= 2 and ``radius`` >= 0."""
+    if nbits < 2 or nbits & (nbits - 1):
+        raise ValueError(f"nbits must be a power of two >= 2, got {nbits}")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,47 +68,87 @@ class Fingerprint:
         return int(self.bits.sum())
 
     def to_hex(self) -> str:
-        """nbits/4 hex characters, bit 0 is the most significant bit."""
-        value = 0
-        for bit in self.bits:
-            value = (value << 1) | int(bit)
-        return format(value, f"0{self.nbits // 4}x")
+        """nbits/4 hex characters (one below 4 bits), bit 0 is the most
+        significant bit."""
+        text = np.packbits(self.bits).tobytes().hex()
+        # below 8 bits the packed byte is zero-padded on the right
+        return text if self.nbits >= 8 else f"{int(text, 16) >> (8 - self.nbits):x}"
 
     @classmethod
     def from_hex(cls, text: str, radius: int = DEFAULT_RADIUS) -> "Fingerprint":
+        if not text:
+            raise ValueError("empty fingerprint hex string")
         nbits = 4 * len(text)
-        value = int(text, 16)
-        bits = np.fromiter(((value >> (nbits - 1 - k)) & 1 for k in range(nbits)), dtype=np.uint8, count=nbits)
+        packed = bytes.fromhex(text if len(text) % 2 == 0 else "0" + text)
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[-nbits:]
         return cls(bits=bits, radius=radius, nbits=nbits)
+
+
+def _identifiers(graphs: Sequence[MolecularGraph], radius: int) -> list[np.ndarray]:
+    """Per-round identifiers, rounds 0..radius, of the atoms of ``graphs``
+    stacked in order.
+
+    Round 0 hashes each atom's (element slot, degree, clamped H count) as
+    three 8-byte little-endian words; round r hashes the words [r, own
+    identifier, then (bond type, neighbor identifier) for each bond, sorted].
+    """
+    if any(g.element_slots is None for g in graphs):
+        raise ValueError("graph is not featurized; element slots are part of the atom invariant")
+    sizes = np.array([g.n_nodes for g in graphs], dtype=np.int64)
+    n = int(sizes.sum())
+    invariants = np.empty((n, 3), dtype=_WORD)
+    invariants[:, 0] = np.fromiter(chain.from_iterable(g.element_slots for g in graphs), np.int64, n)
+    invariants[:, 1] = np.fromiter((node.degree for g in graphs for node in g.nodes), np.int64, n)
+    h_count = np.fromiter((node.h_neighbors for g in graphs for node in g.nodes), np.int64, n)
+    invariants[:, 2] = np.minimum(h_count, HCOUNT_SLOTS - 1)
+    edges = [e for g in graphs for e in g.edges]
+    offset = np.repeat(np.cumsum(sizes) - sizes, [len(g.edges) for g in graphs])
+    ends = (np.fromiter((e.i for e in edges), np.int64, len(edges)) + offset,
+            np.fromiter((e.j for e in edges), np.int64, len(edges)) + offset)
+    # every bond seen from both of its atoms
+    atom = np.concatenate(ends)
+    neighbor = np.concatenate(ends[::-1])
+    bond_type = np.tile(np.fromiter((e.relation for e in edges), _WORD, len(edges)), 2)
+    degree = np.bincount(atom, minlength=n)
+    first = np.cumsum(degree) - degree  # where each atom's bonds start once sorted by atom
+    lengths = 2 + 2 * degree
+    width = int(lengths.max(initial=2))
+
+    current = fnv1a64_rows(invariants.view(np.uint8), np.full(n, 24))
+    rounds = [current]
+    for r in range(1, radius + 1):
+        neighbor_id = current[neighbor]
+        order = np.lexsort((neighbor_id, bond_type, atom))
+        rows = atom[order]
+        slots = 2 + 2 * (np.arange(len(order)) - first[rows])
+        words = np.zeros((n, width), dtype=_WORD)
+        words[:, 0] = r
+        words[:, 1] = current
+        words[rows, slots] = bond_type[order]
+        words[rows, slots + 1] = neighbor_id[order]
+        current = fnv1a64_rows(words.view(np.uint8), 8 * lengths)
+        rounds.append(current)
+    return rounds
 
 
 def atom_identifiers(graph: MolecularGraph, radius: int) -> list[list[int]]:
     """Per-round atom environment identifiers, rounds 0..radius."""
-    if graph.element_slots is None:
-        raise ValueError("graph is not featurized; element slots are part of the atom invariant")
-    m = graph.n_nodes
-    bonded: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (bond type, neighbor)
-    for e in graph.edges:
-        bonded[e.i].append((e.relation, e.j))
-        bonded[e.j].append((e.relation, e.i))
+    return [ids.tolist() for ids in _identifiers([graph], radius)]
 
-    current = [
-        _hash_ints((graph.element_slots[i], node.degree, min(node.h_neighbors, HCOUNT_SLOTS - 1)))
-        for i, node in enumerate(graph.nodes)
-    ]
-    rounds = [current]
-    for r in range(1, radius + 1):
-        nxt = []
-        for i in range(m):
-            pairs = sorted((bond_type, current[j]) for bond_type, j in bonded[i])
-            flat = [r, current[i]]
-            for bond_type, neighbor_id in pairs:
-                flat.append(bond_type)
-                flat.append(neighbor_id)
-            nxt.append(_hash_ints(flat))
-        rounds.append(nxt)
-        current = nxt
-    return rounds
+
+def circular_fingerprints(
+    graphs: Sequence[MolecularGraph],
+    radius: int = DEFAULT_RADIUS,
+    nbits: int = DEFAULT_NBITS,
+) -> list[Fingerprint]:
+    """One fingerprint per featurized graph: every identifier of every
+    round, of all graphs' atoms at once, folded into nbits bits."""
+    check_options(radius, nbits)
+    owner = np.repeat(np.arange(len(graphs)), [g.n_nodes for g in graphs])
+    identifiers = np.concatenate(_identifiers(graphs, radius))
+    bits = np.zeros((len(graphs), nbits), dtype=np.uint8)
+    bits[np.tile(owner, radius + 1), identifiers % np.uint64(nbits)] = 1
+    return [Fingerprint(bits=row, radius=radius, nbits=nbits) for row in bits]
 
 
 def circular_fingerprint(
@@ -96,16 +156,8 @@ def circular_fingerprint(
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
 ) -> Fingerprint:
-    """Fold every identifier from every round into an nbits bit vector."""
-    if nbits < 2 or nbits & (nbits - 1):
-        raise ValueError(f"nbits must be a power of two >= 2, got {nbits}")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    bits = np.zeros(nbits, dtype=np.uint8)
-    for round_ids in atom_identifiers(graph, radius):
-        for identifier in round_ids:
-            bits[identifier % nbits] = 1
-    return Fingerprint(bits=bits, radius=radius, nbits=nbits)
+    """The fingerprint of one featurized graph."""
+    return circular_fingerprints([graph], radius, nbits)[0]
 
 
 def fingerprint_csv(rows: Sequence[tuple[str, Fingerprint]]) -> str:

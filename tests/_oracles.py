@@ -226,3 +226,67 @@ def gated_update_oracle(terms, proposal_bias, gate_bias, old) -> np.ndarray:
         gate = 1.0 / (1.0 + np.exp(-pre_g))
         out[i] = gate * proposal + (1.0 - gate) * old[i]
     return out
+
+
+# -- circular fingerprints: the per-byte, per-atom loops -------------------------
+
+FNV64_OFFSET = 0xCBF29CE484222325
+FNV64_PRIME = 0x100000001B3
+HCOUNT_CLAMP = 4  # the last explicit-H slot
+
+
+def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64, one Python xor and multiply per byte."""
+    value = FNV64_OFFSET
+    for byte in data:
+        value ^= byte
+        value = (value * FNV64_PRIME) & ((1 << 64) - 1)
+    return value
+
+
+def hash_ints(values) -> int:
+    """FNV-1a over each integer as 8 little-endian bytes, in order."""
+    return fnv1a64(b"".join(v.to_bytes(8, "little") for v in values))
+
+
+def atom_identifiers_oracle(graph, radius: int) -> list[list[int]]:
+    """Per-round atom identifiers atom by atom: round 0 hashes (element
+    slot, degree, clamped H count), round r hashes [r, own identifier,
+    then the sorted (bond type, neighbor identifier) pairs]."""
+    bonded = [[] for _ in range(graph.n_nodes)]
+    for e in graph.edges:
+        bonded[e.i].append((e.relation, e.j))
+        bonded[e.j].append((e.relation, e.i))
+    current = [
+        hash_ints((graph.element_slots[i], node.degree, min(node.h_neighbors, HCOUNT_CLAMP)))
+        for i, node in enumerate(graph.nodes)
+    ]
+    rounds = [current]
+    for r in range(1, radius + 1):
+        nxt = []
+        for i in range(graph.n_nodes):
+            flat = [r, current[i]]
+            for bond_type, neighbor_id in sorted((bond_type, current[j]) for bond_type, j in bonded[i]):
+                flat.extend((bond_type, neighbor_id))
+            nxt.append(hash_ints(flat))
+        rounds.append(nxt)
+        current = nxt
+    return rounds
+
+
+def fold_oracle(rounds: list[list[int]], nbits: int) -> np.ndarray:
+    """Set bit ``identifier % nbits`` for every identifier of every round."""
+    bits = np.zeros(nbits, dtype=np.uint8)
+    for round_ids in rounds:
+        for identifier in round_ids:
+            bits[identifier % nbits] = 1
+    return bits
+
+
+def hex_oracle(bits) -> str:
+    """The bits as one binary number, bit 0 most significant, in nbits/4
+    hex digits (at least one)."""
+    value = 0
+    for bit in bits:
+        value = (value << 1) | int(bit)
+    return format(value, f"0{len(bits) // 4}x")

@@ -55,6 +55,14 @@ def test_truncation_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, {"w": np.arange(6.0)}, {"k": 1})
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(CheckpointError, match="7 unexpected bytes after the last parameter"):
+        load_checkpoint(path)
+
+
 def test_oversized_dimensions_rejected_before_reading(tmp_path):
     # three dimensions of 0xFFFFFFFF ask for about 6e29 bytes; the file
     # holds 8, so the read is refused rather than attempted

@@ -7,7 +7,9 @@ import pytest
 
 from graphmem.checkpoint import load_checkpoint, save_checkpoint
 from graphmem.cli import main
+from graphmem.molgraph import DEFAULT_VOCAB, featurize, parse_sdf, random_graph, write_molfile
 
+from _oracles import atom_identifiers_oracle, fold_oracle, hex_oracle
 from test_molgraph import molblock
 
 SPEC_TEXT = (
@@ -193,6 +195,14 @@ class TestEvalAndDump:
             assert code == 5, name
             assert name in capsys.readouterr().err
 
+    def test_eval_checkpoint_with_trailing_bytes_is_exit_5(self, workspace, trained, capsys):
+        path = trained / "padded.bin"
+        path.write_bytes((trained / "checkpoint.bin").read_bytes() + b"garbage")
+        code = run("eval", "--checkpoint", path, "--set", f"data_dir={workspace}",
+                   "--out-dir", workspace / "e")
+        assert code == 5
+        assert "7 unexpected bytes" in capsys.readouterr().err
+
     def test_dump_attention_records(self, workspace, trained, monkeypatch):
         import graphmem.cli as cli
 
@@ -236,6 +246,56 @@ class TestFingerprintCommand:
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert run("fingerprint", "--input", tmp_path / "nope.sdf", "--out-dir", tmp_path) == 3
+
+    @pytest.mark.parametrize("options", [("--nbits", "100"), ("--nbits", "1"), ("--radius", "-1"),
+                                         ("--set", "nbits=100"), ("--set", "radius=-2")])
+    def test_bad_options_are_config_errors(self, tmp_path, capsys, options):
+        sdf = tmp_path / "one.sdf"
+        sdf.write_text(molblock(["C"], [], title="m0") + "$$$$\n", encoding="utf-8")
+        empty = tmp_path / "empty.sdf"
+        empty.write_text("", encoding="utf-8")
+        # checked before the input is read: a missing file is not reached
+        for path in (sdf, empty, tmp_path / "nope.sdf"):
+            out = tmp_path / "fp"
+            assert run("fingerprint", "--input", path, *options, "--out-dir", out) == 2
+            assert "configuration error" in capsys.readouterr().err
+            assert not (out / "fingerprints.csv").exists()
+
+    def test_rows_across_chunk_boundaries_equal_the_oracle(self, tmp_path, monkeypatch):
+        import graphmem.cli as cli
+
+        # 40 molecules of 0-14 atoms, some untitled (their id is the record
+        # index), hashed in runs of at most 25 atoms; the 30-atom molecule
+        # exceeds that and runs alone
+        rng = np.random.default_rng(3)
+        graphs = [random_graph(rng, 1, 14, 4, alphabet=("C", "N", "O", "H")) for _ in range(38)]
+        graphs.insert(17, random_graph(rng, 30, 30, 2, alphabet=("C", "S")))
+        graphs.insert(5, parse_sdf(molblock([], [], title="none"))[0])
+        records = [write_molfile(g, title=f"m{k}" if k % 3 else "") + "$$$$\n" for k, g in enumerate(graphs)]
+        sdf = tmp_path / "lib.sdf"
+        sdf.write_text("".join(records), encoding="utf-8")
+        assert sum(g.n_nodes for g in graphs) > 10 * 25
+
+        monkeypatch.setattr(cli, "FINGERPRINT_CHUNK_ATOMS", 25)
+        hashed = []
+        original = cli.circular_fingerprints
+
+        def recording(chunk, **kwargs):
+            hashed.append(sum(g.n_nodes for g in chunk))
+            return original(chunk, **kwargs)
+
+        monkeypatch.setattr(cli, "circular_fingerprints", recording)
+        rounds = [atom_identifiers_oracle(featurize(g, DEFAULT_VOCAB), 2) for g in graphs]
+        for nbits, width in ((2, 1), (4, 1), (16, 4)):
+            hashed.clear()
+            out = tmp_path / f"fp{nbits}"
+            assert run("fingerprint", "--input", sdf, "--nbits", nbits, "--out-dir", out) == 0
+            assert len(hashed) > 10 and max(hashed) == 30 and sorted(hashed)[-2] <= 25
+            lines = (out / "fingerprints.csv").read_text().splitlines()
+            expected = [f"{f'm{k}' if k % 3 else k},{hex_oracle(fold_oracle(r, nbits))}"
+                        for k, r in enumerate(rounds)]
+            assert lines == ["id,fingerprint"] + expected
+            assert all(len(line.split(",")[1]) == width for line in lines[1:])
 
 
 class TestSynthCommand:

@@ -8,13 +8,15 @@ from graphmem.fingerprint import (
     LogisticConfig,
     atom_identifiers,
     circular_fingerprint,
+    circular_fingerprints,
     fingerprint_csv,
-    fnv1a64,
+    fnv1a64_rows,
     logistic_baseline_predict,
     logistic_baseline_train,
 )
 from graphmem.molgraph import DEFAULT_VOCAB, MolecularGraph, featurize, parse_molfile, random_graph
 
+from _oracles import atom_identifiers_oracle, fnv1a64, fold_oracle, hex_oracle
 from test_molgraph import BENZENE, molblock
 
 METHANE = molblock(["C"], [], title="methane")  # heavy-atom record: lone carbon
@@ -27,10 +29,15 @@ def fp_of(text, radius=2, nbits=1024, vocab=DEFAULT_VOCAB):
 
 class TestHashing:
     def test_fnv1a_reference_vectors(self):
-        # published FNV-1a 64 test vectors
-        assert fnv1a64(b"") == 0xCBF29CE484222325
-        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-        assert fnv1a64(b"foobar") == 0x85944171F73967E8
+        # published FNV-1a 64 test vectors, through the loop oracle and the
+        # batched hash (rows of different lengths in one call)
+        vectors = {b"": 0xCBF29CE484222325, b"a": 0xAF63DC4C8601EC8C, b"foobar": 0x85944171F73967E8}
+        data = np.zeros((len(vectors), 6), dtype=np.uint8)
+        for row, text in enumerate(vectors):
+            data[row, : len(text)] = list(text)
+            assert fnv1a64(text) == vectors[text]
+        hashes = fnv1a64_rows(data, np.array([len(text) for text in vectors]))
+        assert hashes.tolist() == list(vectors.values())
 
     def test_frozen_methane_and_ethane_bits(self):
         # frozen from an independent implementation of the same procedure
@@ -42,6 +49,9 @@ class TestHashing:
         assert methane.to_hex() == "0400001000000000"
         assert ethane.to_hex() == "0800040000000000"
         assert not np.array_equal(methane.bits, ethane.bits)
+        benzene = fp_of(BENZENE, radius=2, nbits=64)
+        assert np.flatnonzero(benzene.bits).tolist() == [7, 19, 33]
+        assert benzene.to_hex() == "0100100040000000"
 
 
 class TestFingerprint:
@@ -98,6 +108,8 @@ class TestFingerprint:
             circular_fingerprint(graph, nbits=100)
         with pytest.raises(ValueError):
             circular_fingerprint(graph, nbits=1)
+        with pytest.raises(ValueError, match="radius"):
+            circular_fingerprints([graph], radius=-1)
 
     def test_unfeaturized_graph_rejected(self):
         with pytest.raises(ValueError, match="featurized"):
@@ -111,6 +123,68 @@ class TestFingerprint:
         name, hexstring = row.split(",")
         assert name == "m0"
         assert len(hexstring) == 16
+
+
+def varied_graphs(rng, count):
+    """Featurized random graphs over 1-4 relations with explicit H atoms and
+    an unknown element; every fifth gets two isolated atoms. A hub with 6 H
+    and 1 N (degree 7, H count past its clamp), a single atom and a graph
+    without atoms close the list."""
+    alphabet = ("C", "N", "O", "H", "X")
+    graphs = []
+    for k in range(count):
+        relations = 1 + k % 4
+        graph = random_graph(rng, 1, 18, relations, alphabet=alphabet)
+        if k % 5 == 0:
+            graph = MolecularGraph.from_bonds([node.symbol for node in graph.nodes] + ["C", "H"],
+                                              [(e.i, e.j, e.relation) for e in graph.edges], relations)
+        graphs.append(graph)
+    graphs.append(MolecularGraph.from_bonds(["C"] + ["H"] * 6 + ["N"], [(0, j, 1) for j in range(1, 8)], 4))
+    graphs.append(MolecularGraph.from_bonds(["O"], [], 2))
+    graphs.append(MolecularGraph.from_bonds([], [], 1))
+    return [featurize(graph, DEFAULT_VOCAB) for graph in graphs]
+
+
+class TestBatchMatchesLoop:
+    """The batched hash against the per-byte, per-atom loop it replaced."""
+
+    def test_identifiers_and_bits_equal_the_oracle(self):
+        graphs = varied_graphs(np.random.default_rng(2024), 200)
+        assert max(node.degree for g in graphs for node in g.nodes) > 4
+        oracle_rounds = [atom_identifiers_oracle(g, 3) for g in graphs]
+        for graph, rounds in zip(graphs, oracle_rounds):
+            assert atom_identifiers(graph, 3) == rounds
+        for radius in range(4):
+            for nbits in (2, 4, 8, 64, 1024):
+                batch = circular_fingerprints(graphs, radius=radius, nbits=nbits)
+                assert len(batch) == len(graphs)
+                for fp, rounds in zip(batch, oracle_rounds):
+                    assert (fp.radius, fp.nbits) == (radius, nbits)
+                    np.testing.assert_array_equal(fp.bits, fold_oracle(rounds[: radius + 1], nbits))
+
+    def test_position_in_a_batch_does_not_matter(self):
+        rng = np.random.default_rng(7)
+        graphs = varied_graphs(rng, 20)
+        alone = [circular_fingerprint(g, radius=2, nbits=256).bits for g in graphs]
+        for _ in range(5):
+            order = rng.permutation(len(graphs))
+            order = np.concatenate([order, order[:3]])  # some molecules twice
+            batch = circular_fingerprints([graphs[k] for k in order], radius=2, nbits=256)
+            for k, fp in zip(order, batch):
+                np.testing.assert_array_equal(fp.bits, alone[k])
+
+    def test_empty_batch(self):
+        assert circular_fingerprints([]) == []
+
+    def test_hex_equals_the_bit_loop_at_every_width(self):
+        rng = np.random.default_rng(11)
+        for nbits in (2, 4, 8, 16, 64, 1024):
+            for _ in range(20):
+                bits = (rng.random(nbits) < 0.5).astype(np.uint8)
+                text = Fingerprint(bits=bits, radius=2, nbits=nbits).to_hex()
+                assert text == hex_oracle(bits)
+                if nbits >= 4:
+                    np.testing.assert_array_equal(Fingerprint.from_hex(text).bits, bits)
 
 
 class TestLogisticBaseline:

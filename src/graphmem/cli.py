@@ -19,7 +19,6 @@ import sys
 import time
 import zlib
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .training import (
     ExperimentConfig,
     NumericError,
     TaskSplit,
+    budget_runs,
     build_queries,
     compute_metrics,
     predict_scores,
@@ -383,19 +383,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _atom_chunks(graphs: list[MolecularGraph]) -> Iterator[slice]:
-    """Consecutive runs of ``graphs`` with at most FINGERPRINT_CHUNK_ATOMS
-    atoms in all; a larger molecule gets a run of its own."""
-    start = atoms = 0
-    for k, graph in enumerate(graphs):
-        if k > start and atoms + graph.n_nodes > FINGERPRINT_CHUNK_ATOMS:
-            yield slice(start, k)
-            start, atoms = k, 0
-        atoms += graph.n_nodes
-    if start < len(graphs):
-        yield slice(start, len(graphs))
-
-
 def cmd_fingerprint(args: argparse.Namespace) -> int:
     started = time.time()
     resolved = resolve_config(args)
@@ -412,7 +399,7 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     graphs = parse_sdf(sdf_path.read_text(encoding="utf-8"))
     vocab = resolved.get("vocab", list(DEFAULT_VOCAB))
     rows = []
-    for chunk in _atom_chunks(graphs):
+    for chunk in budget_runs([graph.n_nodes for graph in graphs], FINGERPRINT_CHUNK_ATOMS):
         featurized = [featurize(graph, vocab) for graph in graphs[chunk]]
         fingerprints = circular_fingerprints(featurized, radius=radius, nbits=nbits)
         for index, graph, fp in zip(range(chunk.start, chunk.stop), featurized, fingerprints):

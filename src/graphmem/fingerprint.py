@@ -24,6 +24,10 @@ _WORD = np.dtype("<u8")  # hashed integers are 8-byte little-endian words
 
 DEFAULT_RADIUS = 2
 DEFAULT_NBITS = 1024
+# Fingerprints are built as one (molecules, nbits) byte matrix per run, so
+# a width past this bound is rejected as a configuration error instead of
+# ending in a failed allocation.
+MAX_NBITS = 2**16
 
 
 def fnv1a64_rows(data: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -51,9 +55,10 @@ def fnv1a64_rows(data: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def check_options(radius: int, nbits: int) -> None:
-    """Raise ValueError unless ``nbits`` is a power of two >= 2 and ``radius`` >= 0."""
-    if nbits < 2 or nbits & (nbits - 1):
-        raise ValueError(f"nbits must be a power of two >= 2, got {nbits}")
+    """Raise ValueError unless ``nbits`` is a power of two in [2, MAX_NBITS]
+    and ``radius`` >= 0."""
+    if nbits < 2 or nbits & (nbits - 1) or nbits > MAX_NBITS:
+        raise ValueError(f"nbits must be a power of two from 2 to {MAX_NBITS}, got {nbits}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
 

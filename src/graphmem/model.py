@@ -343,7 +343,7 @@ def init_state(
     controller = nm.linear_sum([(nm.constant(q), params["query_in.weight"])],
                                bias=params["query_in.bias"], activation="relu")
     if cfg.raw_embedding:
-        memory = nm.relu(prepared.features)
+        memory = nm.constant(np.maximum(prepared.features.data, 0.0))
     else:
         memory = nm.linear_sum([(prepared.features, params["embed.weight"])],
                                bias=params["embed.bias"], activation="relu")
@@ -353,29 +353,23 @@ def init_state(
 
 
 def attentive_read(state: HopState, params: ModelParams,
-                   prepared: PreparedGraph | None = None) -> tuple[Tensor, Tensor, Tensor]:
+                   prepared: PreparedGraph) -> tuple[Tensor, Tensor, Tensor]:
     """Soft attention over the memory of the previous hop, per graph.
 
     Every cell is scored by a shared vector against a tanh blend of the
     cell and its graph's controller row; a softmax over each graph's cells
     gives the weights and the read row is the weighted sum of those cells.
-    Without ``prepared`` the memory is one graph. Returns (read, weights,
-    pre-softmax scores).
+    Returns (read, weights, pre-softmax scores).
     """
-    n = state.memory.shape[0]
-    if prepared is None:
-        segments, n_graphs, empty = np.zeros(n, dtype=np.intp), 1, n == 0
-    else:
-        segments, n_graphs = prepared.segments, prepared.n_graphs
-        empty = bool(np.any(np.diff(prepared.bounds) == 0))
-    if empty:
+    if np.any(np.diff(prepared.bounds) == 0):
         raise ValueError("attentive read over an empty memory (no nodes)")
+    segments, n_graphs = prepared.segments, prepared.n_graphs
     scores = nm.linear_sum(
         [(state.memory, params["attn.cell"]), (state.controller, params["attn.ctrl"], segments)],
         bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
     )
     weights = nm.segment_softmax(scores, segments, n_graphs)
-    read = nm.gather_sum(state.memory, weights, np.arange(n), segments, n_graphs)
+    read = nm.gather_sum(state.memory, weights, np.arange(state.memory.shape[0]), segments, n_graphs)
     return read, weights, scores
 
 
@@ -422,20 +416,16 @@ def memory_step(
     controller: Tensor,
     params: ModelParams,
     prepared: PreparedGraph,
-) -> tuple[Tensor, dict[int, Tensor]]:
+) -> Tensor:
     """Gated update of every cell from its past value, its graph's controller
-    row, and the relation-typed neighbor contexts. Also returns the contexts
-    the update used, as constants."""
+    row, and the relation-typed neighbor contexts."""
     terms: list[tuple] = [(state.memory, params["mem.self"], params["mem_gate.self"]),
                           (controller, params["mem.ctrl"], params["mem_gate.ctrl"], prepared.segments)]
-    contexts: dict[int, Tensor] = {}
     for r, (weights, links) in enumerate(_neighbor_contexts(prepared, state.memory, params)):
         rel = prepared.relations[r]
         context = nm.EdgeSum(state.memory, weights, rel.src, rel.dst, links)
         terms.append((context, params[f"mem.rel{r}"], params[f"mem_gate.rel{r}"]))
-        contexts[r] = nm.constant(context.data)
-    memory = nm.gated_update(terms, params["mem.bias"], params["mem_gate.bias"], state.memory)
-    return memory, contexts
+    return nm.gated_update(terms, params["mem.bias"], params["mem_gate.bias"], state.memory)
 
 
 @dataclass(eq=False)
@@ -477,7 +467,7 @@ def forward(
     for t in range(1, hops + 1):
         read, weights, scores = attentive_read(state, params, prepared)
         controller = controller_step(state, read, params)
-        memory, _ = memory_step(state, controller, params, prepared)
+        memory = memory_step(state, controller, params, prepared)
         if t == hops:
             controller = _dropout(controller, np.arange(prepared.n_graphs + 1), dropout_rate, rng, training)
             memory = _dropout(memory, prepared.bounds, dropout_rate, rng, training)

@@ -6,6 +6,12 @@ the recording in reverse topological order. Operations that only see
 constants produce constants, so per-graph fixed data (adjacency, features)
 costs nothing at backward time.
 
+The operations are the fused nodes the model runs: :func:`linear_sum`,
+:func:`gated_update` (with :class:`EdgeSum` inputs), :func:`gather_sum`,
+:func:`segment_softmax`, :func:`binary_cross_entropy` and :func:`dropout`.
+Each records one tape node however many products, activations or gathers
+it computes.
+
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
 every exported operation here.
@@ -55,16 +61,14 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self, seed=None, free: bool = True) -> None:
+    def backward(self, seed=None) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
         ``seed`` defaults to ones (d self/d self); pass a scalar to scale
-        the whole pass, e.g. 1/batch when averaging example losses.
-        ``free=True`` drops intermediate links as they are consumed, so each
-        intermediate is collected as soon as the pass is done with it.
+        the whole pass, e.g. 1/batch when averaging example losses, or an
+        array of ``self``'s shape to weight each entry. Intermediate links
+        are dropped as they are consumed, so each intermediate is collected
+        as soon as the pass is done with it, and a tape runs backward once.
         """
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -91,49 +95,13 @@ class Tensor:
             fn = node._backward
             if fn is not None and node.grad is not None:
                 fn(node.grad)
-            if free and fn is not None:
+            if fn is not None:
                 node._backward = None
                 node._parents = ()
                 node.grad = None
 
-    # -- operator sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, _as_tensor(1.0 / other))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def constant(data) -> Tensor:
@@ -164,75 +132,6 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
         tensor.grad += grad
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` over the axes numpy broadcasting introduced for ``shape``."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-# -- elementwise ----------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data)
-    if not _tracked(a, b):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        if _tracked(a):
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if _tracked(b):
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _record(out, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-    if not _tracked(a, b):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        if _tracked(a):
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if _tracked(b):
-            _accumulate(b, -_unbroadcast(g, b.data.shape))
-
-    return _record(out, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-    if not _tracked(a, b):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        if _tracked(a):
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if _tracked(b):
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _record(out, (a, b), backward)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    out = Tensor(a.data ** exponent)
-    if not _tracked(a):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * exponent * a.data ** (exponent - 1))
-
-    return _record(out, (a,), backward)
-
-
 def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(d))  # never overflows, so both tails stay finite
     return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -246,88 +145,7 @@ _ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.n
 }
 
 
-def _activation(x: Tensor, name: str) -> Tensor:
-    forward_fn, derivative = _ACTIVATIONS[name]
-    out = Tensor(forward_fn(x.data))
-    if not _tracked(x):
-        return out
-    y = out.data
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * derivative(y))
-
-    return _record(out, (x,), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    return _activation(x, "relu")
-
-
-def tanh(x: Tensor) -> Tensor:
-    return _activation(x, "tanh")
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return _activation(x, "sigmoid")
-
-
-def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
-    if not _tracked(x):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g / x.data)
-
-    return _record(out, (x,), backward)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    out = Tensor(np.clip(x.data, lo, hi))
-    if not _tracked(x):
-        return out
-    inside = (x.data >= lo) & (x.data <= hi)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * inside)
-
-    return _record(out, (x,), backward)
-
-
-def lerp(gate: Tensor, new: Tensor, old: Tensor) -> Tensor:
-    """gate*new + (1-gate)*old, elementwise; the skip-connection mixer."""
-    out = Tensor(gate.data * new.data + (1.0 - gate.data) * old.data)
-    if not _tracked(gate, new, old):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        if _tracked(gate):
-            _accumulate(gate, _unbroadcast(g * (new.data - old.data), gate.data.shape))
-        if _tracked(new):
-            _accumulate(new, _unbroadcast(g * gate.data, new.data.shape))
-        if _tracked(old):
-            _accumulate(old, _unbroadcast(g * (1.0 - gate.data), old.data.shape))
-
-    return _record(out, (gate, new, old), backward)
-
-
-# -- reductions and shape ops ----------------------------------------------
-
-
-def total(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    out = Tensor(x.data.sum())
-    if not _tracked(x):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.full_like(x.data, float(g)))
-
-    return _record(out, (x,), backward)
-
-
-def mean(x: Tensor) -> Tensor:
-    return total(x) / x.data.size
+# -- gathers ----------------------------------------------------------------
 
 
 def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
@@ -378,44 +196,6 @@ def _edge_sum_backward(x: Tensor, weights: Tensor, s: np.ndarray, d: np.ndarray,
 # -- linear algebra ---------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for 1-D and 2-D operands, numpy semantics."""
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise _shape_error("matmul", a.shape, b.shape)
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise _shape_error("matmul", a.shape, b.shape)
-    out = Tensor(a.data @ b.data)
-    if not _tracked(a, b):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        if _tracked(a):
-            if a.ndim == 1 and b.ndim == 1:
-                _accumulate(a, g * b.data)
-            elif b.ndim == 1:
-                _accumulate(a, np.outer(g, b.data))
-            elif a.ndim == 1:
-                _accumulate(a, b.data @ g)
-            else:
-                _accumulate(a, g @ b.data.T)
-        if _tracked(b):
-            if a.ndim == 1 and b.ndim == 1:
-                _accumulate(b, g * a.data)
-            elif a.ndim == 1:
-                _accumulate(b, np.outer(a.data, g))
-            elif b.ndim == 1:
-                _accumulate(b, a.data.T @ g)
-            else:
-                _accumulate(b, a.data.T @ g)
-
-    return _record(out, (a, b), backward)
-
-
-def affine(weight: Tensor, x: Tensor, bias) -> Tensor:
-    """weight @ x + bias."""
-    return add(matmul(weight, x), _as_tensor(bias))
-
-
 def linear_sum(
     terms: Sequence[tuple[Tensor, Tensor] | tuple[Tensor, Tensor, np.ndarray]],
     bias: Tensor | None = None,
@@ -425,26 +205,29 @@ def linear_sum(
     """Fused, optionally activated, sum of right-transposed products:
     ``activation(sum_k x_k @ W_k.T + bias)``, optionally ``@ project``.
 
-    A term is ``(x, W)`` or ``(x, W, rows)``. ``x`` is (n, in) or (in,) and
-    ``W`` is (out, in); 1-D results broadcast across rows. With ``rows``,
-    an integer index, the term contributes ``(x @ W.T)[rows]``: the product
-    is taken once per row of a 2-D ``x`` and then gathered, so that per-graph
-    rows reach per-node outputs (or per-node rows reach per-edge outputs)
-    without gathered copies of ``x``. ``activation`` is None, "relu",
-    "tanh" or "sigmoid"; it is applied inside this one tape node, whose
-    backward works from the output, so no pre-activation is kept. With
-    ``project``, an (out,) vector, the node returns one value per row and
-    recomputes the activated rows during backward instead of keeping them.
+    A term is ``(x, W)`` or ``(x, W, rows)``, with ``x`` (n, in) and ``W``
+    (out, in). With ``rows``, an integer index, the term contributes
+    ``(x @ W.T)[rows]``: the product is taken once per row of ``x`` and then
+    gathered, so that per-graph rows reach per-node outputs (or per-node
+    rows reach per-edge outputs) without gathered copies of ``x``. Every
+    term contributes the same number of rows. ``activation`` is None,
+    "relu", "tanh" or "sigmoid"; it is applied inside this one tape node,
+    whose backward works from the output, so no pre-activation is kept.
+    With ``project``, an (out,) vector, the node returns one value per row
+    and recomputes the activated rows during backward instead of keeping
+    them.
     """
     parts: list[tuple[Tensor, Tensor, np.ndarray | None]] = []
     for term in terms:
         x, w = term[0], term[1]
         rows = np.asarray(term[2], dtype=np.intp) if len(term) == 3 else None
-        if w.ndim != 2 or x.data.shape[-1] != w.data.shape[1] or (rows is not None and x.ndim != 2):
+        if x.ndim != 2 or w.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
             raise _shape_error("linear_sum", x.shape, w.shape)
         parts.append((x, w, rows))
     if not parts:
         raise ValueError("linear_sum of no terms")
+    if len({x.data.shape[0] if rows is None else rows.size for x, _, rows in parts}) != 1:
+        raise _shape_error("linear_sum", *(x.shape if rows is None else rows.shape for x, _, rows in parts))
     if project is not None and project.shape != (parts[0][1].data.shape[0],):
         raise _shape_error("linear_sum", parts[0][1].shape, project.shape)
 
@@ -475,16 +258,13 @@ def linear_sum(
         if activation is not None:
             g = g * _ACTIVATIONS[activation][1](y)
         for x, w, rows in parts:
-            if rows is not None:
-                gx = _sum_rows(g, rows, x.data.shape[0])
-            else:
-                gx = _unbroadcast(g, (w.data.shape[0],) if x.ndim == 1 else (x.data.shape[0], w.data.shape[0]))
+            gx = g if rows is None else _sum_rows(g, rows, x.data.shape[0])
             if _tracked(x):
                 _accumulate(x, gx @ w.data)
             if _tracked(w):
-                _accumulate(w, np.outer(gx, x.data) if x.ndim == 1 else gx.T @ x.data)
+                _accumulate(w, gx.T @ x.data)
         if bias is not None and _tracked(bias):
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+            _accumulate(bias, g.sum(axis=0))
 
     return _record(out, flat_parents, backward)
 
@@ -601,25 +381,6 @@ def gated_update(
     return _record(out, flat_parents, backward)
 
 
-def softmax(scores: Tensor) -> Tensor:
-    """Probability vector over a 1-D score vector, max-subtracted for stability."""
-    if scores.data.size == 0:
-        raise ValueError("softmax of an empty vector")
-    if scores.ndim != 1:
-        raise _shape_error("softmax", scores.shape)
-    shifted = scores.data - scores.data.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-    out = Tensor(p)
-    if not _tracked(scores):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(scores, p * (g - float(g @ p)))
-
-    return _record(out, (scores,), backward)
-
-
 def segment_softmax(scores: Tensor, segments, n_segments: int) -> Tensor:
     """Softmax of a 1-D score vector within each segment: entry ``k`` is
     normalized over the entries whose ``segments`` id equals ``segments[k]``.
@@ -642,6 +403,37 @@ def segment_softmax(scores: Tensor, segments, n_segments: int) -> Tensor:
         _accumulate(scores, p * (g - np.bincount(seg, weights=g * p, minlength=n_segments)[seg]))
 
     return _record(out, (scores,), backward)
+
+
+# -- loss and regularization --------------------------------------------------
+
+# probabilities are clipped to [PROB_FLOOR, 1 - PROB_FLOOR] before the log
+PROB_FLOOR = 1e-12
+
+
+def binary_cross_entropy(prob: Tensor, labels: np.ndarray) -> Tensor:
+    """Elementwise binary cross-entropy ``-log(y*p + (1-y)*(1-p))`` of
+    probabilities against labels ``y`` of the same shape, as one tape node.
+
+    ``p`` is ``prob`` clipped to [PROB_FLOOR, 1 - PROB_FLOOR], so the loss
+    is finite for any input; the gradient is zero where the clip binds.
+    For 0/1 labels the log's argument is exactly ``p`` or ``1 - p``.
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != prob.shape:
+        raise _shape_error("binary_cross_entropy", prob.shape, y.shape)
+    p = np.clip(prob.data, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    likelihood = y * p + (1.0 - y) * (1.0 - p)
+    out = Tensor(-np.log(likelihood))
+    if not _tracked(prob):
+        return out
+
+    def backward(g: np.ndarray) -> None:
+        inside = (prob.data >= PROB_FLOOR) & (prob.data <= 1.0 - PROB_FLOOR)
+        dlikelihood = -g / likelihood
+        _accumulate(prob, (dlikelihood * y - dlikelihood * (1.0 - y)) * inside)
+
+    return _record(out, (prob,), backward)
 
 
 def dropout(
@@ -673,7 +465,14 @@ def dropout(
         draw = np.concatenate([gen.random((hi - lo,) + x.data.shape[1:])
                                for gen, lo, hi in zip(rng, bounds[:-1], bounds[1:])])
     mask = (draw >= rate) / (1.0 - rate)
-    return mul(x, constant(mask))
+    out = Tensor(x.data * mask)
+    if not _tracked(x):
+        return out
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * mask)
+
+    return _record(out, (x,), backward)
 
 
 # -- initialization ---------------------------------------------------------

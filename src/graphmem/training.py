@@ -89,12 +89,11 @@ def cross_entropy(prob: Tensor, label) -> Tensor:
     0/1 labels: one label, or one per probability in order.
 
     The probability is clamped to [1e-12, 1 - 1e-12] first, so the loss is
-    finite for any input. Batch losses are means of these.
+    finite for any input (see :func:`graphmem.numerics.binary_cross_entropy`).
+    Batch losses are means of these.
     """
-    p = nm.clip(prob, 1e-12, 1.0 - 1e-12)
-    y = np.broadcast_to(np.asarray(label, dtype=np.float64).reshape(-1), (p.data.size,)).reshape(p.shape)
-    # y*p + (1-y)*(1-p) is exactly p or 1-p for 0/1 labels
-    return -nm.log(nm.lerp(nm.constant(y), p, 1.0 - p))
+    y = np.broadcast_to(np.asarray(label, dtype=np.float64).reshape(-1), (prob.data.size,))
+    return nm.binary_cross_entropy(prob, y.reshape(prob.shape))
 
 
 @dataclass
@@ -341,17 +340,17 @@ def prepare_examples(
     return out
 
 
-def _packs(examples: Sequence[PreparedExample]) -> Iterator[slice]:
-    """Consecutive runs of ``examples`` with at most PACK_CELLS cells in all;
-    a larger graph gets a run of its own."""
-    start = cells = 0
-    for k, ex in enumerate(examples):
-        if k > start and cells + ex.prepared.n_nodes > PACK_CELLS:
+def budget_runs(sizes: Sequence[int], budget: int) -> Iterator[slice]:
+    """Consecutive runs of items whose ``sizes`` add up to at most ``budget``;
+    an item larger than the budget gets a run of its own."""
+    start = total = 0
+    for k, size in enumerate(sizes):
+        if k > start and total + size > budget:
             yield slice(start, k)
-            start, cells = k, 0
-        cells += ex.prepared.n_nodes
-    if start < len(examples):
-        yield slice(start, len(examples))
+            start, total = k, 0
+        total += size
+    if start < len(sizes):
+        yield slice(start, len(sizes))
 
 
 def _run_pack(examples: Sequence[PreparedExample], params: ModelParams, hops: int, **dropout) -> Tensor:
@@ -367,7 +366,8 @@ def predict_scores(params: ModelParams, examples: Sequence[PreparedExample], hop
     Runs on :meth:`ModelParams.frozen`, so no tape is recorded and no
     parameter gains a gradient."""
     frozen = params.frozen()
-    scores = [_run_pack(examples[part], frozen, hops).data.ravel() for part in _packs(examples)]
+    runs = budget_runs([ex.prepared.n_nodes for ex in examples], PACK_CELLS)
+    scores = [_run_pack(examples[part], frozen, hops).data.ravel() for part in runs]
     return np.concatenate(scores) if scores else np.zeros(0)
 
 
@@ -456,7 +456,7 @@ def train(
             batch = order[start : start + config.batch_size]
             examples = [train_pool[idx] for idx in batch]
             params.zero_grads()
-            for part in _packs(examples):
+            for part in budget_runs([ex.prepared.n_nodes for ex in examples], PACK_CELLS):
                 # each example draws its dropout masks from its own generator
                 rngs = [np.random.default_rng((config.seed, epoch, int(idx))) for idx in batch[part]]
                 probability = _run_pack(examples[part], params, config.hops,

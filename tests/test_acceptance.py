@@ -122,7 +122,7 @@ def test_message_passing_reduction():
         for hops in (1, 2, 3):
             state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
             for _hop in range(hops):
-                memory, _ = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
+                memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
                 state = HopState(t=state.t + 1, controller=state.controller, memory=memory)
             expected = mean_passing_oracle(graph.neighbors[0], cells, hops=hops)
             worst = max(worst, float(np.abs(state.memory.data - expected).max()))

@@ -248,7 +248,8 @@ class TestFingerprintCommand:
         assert run("fingerprint", "--input", tmp_path / "nope.sdf", "--out-dir", tmp_path) == 3
 
     @pytest.mark.parametrize("options", [("--nbits", "100"), ("--nbits", "1"), ("--radius", "-1"),
-                                         ("--set", "nbits=100"), ("--set", "radius=-2")])
+                                         ("--set", "nbits=100"), ("--set", "radius=-2"),
+                                         ("--nbits", "131072"), ("--set", "nbits=4611686018427387904")])
     def test_bad_options_are_config_errors(self, tmp_path, capsys, options):
         sdf = tmp_path / "one.sdf"
         sdf.write_text(molblock(["C"], [], title="m0") + "$$$$\n", encoding="utf-8")

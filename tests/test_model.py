@@ -11,6 +11,7 @@ from graphmem.model import (
     HopState,
     ModelConfig,
     ModelParams,
+    _neighbor_contexts,
     attentive_read,
     controller_step,
     forward,
@@ -27,7 +28,7 @@ from graphmem.molgraph import (
     node_feature_dim,
     random_graph,
 )
-from graphmem.numerics import DimensionError, Tensor
+from graphmem.numerics import DimensionError, EdgeSum, Tensor
 
 from _oracles import bfs_distances, learned_memory_step_oracle, mean_passing_oracle
 
@@ -51,6 +52,12 @@ def make_params(config: ModelConfig, seed=0, **overrides) -> ModelParams:
     for name, value in overrides.items():
         params[name.replace("__", ".")].data[...] = value
     return params
+
+
+def pack_of_one(n_cells: int, cfg: ModelConfig):
+    """A prepared graph of ``n_cells`` unbonded atoms: one graph's memory."""
+    graph = MolecularGraph.from_bonds(["A"] * n_cells, [], cfg.n_relations)
+    return prepare_graph(featurize(graph, SYNTHETIC_ALPHABET), cfg)
 
 
 def line_graph(n: int, relation=1, n_relations=1) -> MolecularGraph:
@@ -123,7 +130,7 @@ class TestAttentiveRead:
         params = make_params(cfg, seed=1)
         memory = np.tile([0.3, -0.2, 0.5], (4, 1))
         state = HopState(t=0, controller=Tensor(np.array([[0.1, 0.2, 0.3]])), memory=Tensor(memory))
-        read, weights, _ = attentive_read(state, params)
+        read, weights, _ = attentive_read(state, params, pack_of_one(4, cfg))
         np.testing.assert_allclose(weights.data, np.full(4, 0.25), atol=1e-15)
         np.testing.assert_allclose(read.data, memory[:1], atol=1e-15)
 
@@ -131,7 +138,7 @@ class TestAttentiveRead:
         cfg = small_config(memory=2, controller=2)
         params = make_params(cfg, seed=2)
         state = HopState(t=0, controller=Tensor(np.zeros((1, 2))), memory=Tensor(np.array([[1.0, 2.0]])))
-        read, weights, _ = attentive_read(state, params)
+        read, weights, _ = attentive_read(state, params, pack_of_one(1, cfg))
         np.testing.assert_array_equal(weights.data, [1.0])
         np.testing.assert_array_equal(read.data, [[1.0, 2.0]])
 
@@ -154,7 +161,7 @@ class TestAttentiveRead:
         expected_weights = np.array(exp) / sum(exp)
         expected_read = expected_weights[0] * cells[0] + expected_weights[1] * cells[1]
 
-        read, weights, scores = attentive_read(state, params)
+        read, weights, scores = attentive_read(state, params, pack_of_one(2, cfg))
         np.testing.assert_allclose(weights.data, expected_weights, atol=1e-14)
         np.testing.assert_allclose(read.data, [expected_read], atol=1e-14)
         np.testing.assert_allclose(scores.data, raw, atol=1e-14)
@@ -164,7 +171,7 @@ class TestAttentiveRead:
         params = make_params(cfg)
         state = HopState(t=0, controller=Tensor(np.zeros((1, 2))), memory=Tensor(np.zeros((0, 2))))
         with pytest.raises(ValueError, match="empty memory"):
-            attentive_read(state, params)
+            attentive_read(state, params, pack_of_one(0, cfg))
 
 
 class TestControllerStep:
@@ -242,9 +249,11 @@ class TestMemoryStep:
             graph = featurize(MolecularGraph.from_bonds(["A"], [], 1), SYNTHETIC_ALPHABET)
             prepared = prepare_graph(graph, cfg)
             state = HopState(t=0, controller=Tensor(np.zeros((1, 2))), memory=Tensor(np.array([[9.0, 9.0, 9.0]])))
-            memory, contexts = memory_step(state, Tensor(np.zeros((1, 2))), params, prepared)
+            memory = memory_step(state, Tensor(np.zeros((1, 2))), params, prepared)
             np.testing.assert_array_equal(memory.data, [[0.5, 0.0, 0.0]], err_msg=mode)
-            np.testing.assert_array_equal(contexts[0].data, np.zeros((1, 3 + cfg.link_feat_dim)), err_msg=mode)
+            rel = prepared.relations[0]
+            context = EdgeSum(state.memory, rel.uniform, rel.src, rel.dst, rel.uniform_links)
+            np.testing.assert_array_equal(context.data, np.zeros((1, 3 + cfg.link_feat_dim)), err_msg=mode)
 
     def test_constrained_step_is_uniform_neighbor_mean(self):
         rng = np.random.default_rng(17)
@@ -255,7 +264,7 @@ class TestMemoryStep:
         prepared = prepare_graph(graph, cfg)
         cells = rng.uniform(0.0, 1.0, size=(5, 4))
         state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
-        memory, _ = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
+        memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
         expected = mean_passing_oracle(graph.neighbors[0], cells, hops=1)
         np.testing.assert_allclose(memory.data, expected, atol=1e-12)
 
@@ -273,11 +282,16 @@ class TestMemoryStep:
         cells = rng.normal(size=(graph.n_nodes, 5))
         ctrl = rng.normal(size=3)
         state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
-        memory, contexts = memory_step(state, Tensor(ctrl[None]), params, prepare_graph(graph, cfg))
+        prepared = prepare_graph(graph, cfg)
+        memory = memory_step(state, Tensor(ctrl[None]), params, prepared)
         expected, expected_contexts = learned_memory_step_oracle(graph, params.arrays(), cells, ctrl)
         np.testing.assert_allclose(memory.data, expected, rtol=0, atol=1e-12)
-        for r in range(2):
-            np.testing.assert_allclose(contexts[r].data, expected_contexts[r], rtol=0, atol=1e-12)
+        # the contexts the update summed: each relation's learned edge weights
+        # and mixed link rows, gathered as the memory update's EdgeSum terms
+        mixing = _neighbor_contexts(prepared, state.memory, params)
+        for r, (rel, (weights, links)) in enumerate(zip(prepared.relations, mixing)):
+            context = EdgeSum(state.memory, weights, rel.src, rel.dst, links)
+            np.testing.assert_allclose(context.data, expected_contexts[r], rtol=0, atol=1e-12)
         assert not np.any(expected_contexts[0][5]) and not np.any(expected_contexts[1][5])
 
     def test_closed_gate_keeps_memory_for_the_hop(self):
@@ -294,7 +308,7 @@ class TestMemoryStep:
         prepared = prepare_graph(graph, cfg)
         cells = np.random.default_rng(4).normal(size=(graph.n_nodes, 4))
         state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
-        memory, _ = memory_step(state, Tensor(np.ones((1, 3))), params, prepared)
+        memory = memory_step(state, Tensor(np.ones((1, 3))), params, prepared)
         np.testing.assert_array_equal(memory.data, cells)
 
 
@@ -461,7 +475,7 @@ class TestInvariants:
             for hops in (1, 2, 3):
                 state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
                 for _hop in range(hops):
-                    memory, _ = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
+                    memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
                     state = HopState(t=state.t + 1, controller=state.controller, memory=memory)
                 expected = mean_passing_oracle(graph.neighbors[0], cells, hops=hops)
                 np.testing.assert_allclose(state.memory.data, expected, atol=1e-12)

@@ -14,6 +14,7 @@ from graphmem.training import (
     NumericError,
     TaskSplit,
     adam_step,
+    budget_runs,
     build_queries,
     compute_metrics,
     cross_entropy,
@@ -58,6 +59,29 @@ class TestCrossEntropy:
         p = parameter([0.3])
         cross_entropy(p, 1).backward()
         np.testing.assert_allclose(p.grad, [-1.0 / 0.3])
+
+    def test_is_one_tape_node(self):
+        p = parameter([[0.3], [0.8]])
+        loss = cross_entropy(p, [1, 0])
+        assert loss._parents == (p,) and p._parents == ()
+        np.testing.assert_allclose(loss.data, -np.log([[0.3], [0.2]]), rtol=0, atol=1e-15)
+
+
+class TestBudgetRuns:
+    @staticmethod
+    def runs(sizes, budget):
+        return [(part.start, part.stop) for part in budget_runs(sizes, budget)]
+
+    def test_empty_input_has_no_runs(self):
+        assert self.runs([], 10) == []
+
+    def test_exact_fill_closes_a_run(self):
+        assert self.runs([4, 6, 10, 3, 7], 10) == [(0, 2), (2, 3), (3, 5)]
+
+    def test_oversized_item_runs_alone(self):
+        assert self.runs([12, 3, 4], 10) == [(0, 1), (1, 3)]  # first
+        assert self.runs([3, 4, 12, 5], 10) == [(0, 2), (2, 3), (3, 4)]  # middle
+        assert self.runs([3, 4, 12], 10) == [(0, 2), (2, 3)]  # last
 
 
 class TestAdam:

@@ -256,11 +256,20 @@ def load_roster(resolved: dict, config: ExperimentConfig) -> tuple[dict[str, lis
         vocab = list(resolved["vocab"])
     else:
         vocab = list(SYNTHETIC_ALPHABET if all_synthetic else DEFAULT_VOCAB)
-    for examples in datasets.values():
-        for ex in examples:
-            ex.graph = featurize(ex.graph, vocab)
-    # identical source graphs must stay identical objects for the prepare cache
+    _featurize_once([ex for examples in datasets.values() for ex in examples], vocab)
     return datasets, checksums, vocab
+
+
+def _featurize_once(examples: list[LabeledExample], vocab: list[str]) -> None:
+    """Featurize the examples' graphs, once per source graph object: label
+    rows naming the same record then share one featurized graph, and
+    ``prepare_examples`` prepares it once."""
+    done: dict[int, tuple[MolecularGraph, MolecularGraph]] = {}
+    for ex in examples:
+        key = id(ex.graph)
+        if key not in done:
+            done[key] = (ex.graph, featurize(ex.graph, vocab))  # holding the source keeps its id unique
+        ex.graph = done[key][1]
 
 
 def _write_manifest(out_dir: Path, command: str, resolved: dict, checksums: dict,
@@ -361,8 +370,8 @@ def _eval_pool(args: argparse.Namespace, resolved: dict, meta: dict):
         checksums[name] = checks
         for ex in examples:
             ex.task_id = task_id
-            ex.graph = featurize(ex.graph, vocab)
-            pool.append(ex)
+        pool.extend(examples)
+    _featurize_once(pool, vocab)
     return pool, checksums
 
 

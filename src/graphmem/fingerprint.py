@@ -11,7 +11,6 @@ serialization, so fingerprints are bit-identical across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -101,20 +100,22 @@ def _identifiers(graphs: Sequence[MolecularGraph], radius: int) -> list[np.ndarr
         raise ValueError("graph is not featurized; element slots are part of the atom invariant")
     sizes = np.array([g.n_nodes for g in graphs], dtype=np.int64)
     n = int(sizes.sum())
+
+    def stacked(arrays: list[np.ndarray], *shape: int) -> np.ndarray:
+        return np.concatenate([np.zeros((0, *shape), dtype=np.int64), *arrays])
+
     invariants = np.empty((n, 3), dtype=_WORD)
-    invariants[:, 0] = np.fromiter(chain.from_iterable(g.element_slots for g in graphs), np.int64, n)
-    invariants[:, 1] = np.fromiter((node.degree for g in graphs for node in g.nodes), np.int64, n)
-    h_count = np.fromiter((node.h_neighbors for g in graphs for node in g.nodes), np.int64, n)
-    invariants[:, 2] = np.minimum(h_count, HCOUNT_SLOTS - 1)
-    edges = [e for g in graphs for e in g.edges]
-    offset = np.repeat(np.cumsum(sizes) - sizes, [len(g.edges) for g in graphs])
-    ends = (np.fromiter((e.i for e in edges), np.int64, len(edges)) + offset,
-            np.fromiter((e.j for e in edges), np.int64, len(edges)) + offset)
+    invariants[:, 0] = stacked([g.element_slots for g in graphs])
+    degree = stacked([g.degree for g in graphs])
+    invariants[:, 1] = degree
+    invariants[:, 2] = np.minimum(stacked([g.h_count for g in graphs]), HCOUNT_SLOTS - 1)
+    bonds = stacked([g.bonds for g in graphs], 3)
+    offset = np.repeat(np.cumsum(sizes) - sizes, [len(g.bonds) for g in graphs])
+    ends = (bonds[:, 0] + offset, bonds[:, 1] + offset)
     # every bond seen from both of its atoms
     atom = np.concatenate(ends)
     neighbor = np.concatenate(ends[::-1])
-    bond_type = np.tile(np.fromiter((e.relation for e in edges), _WORD, len(edges)), 2)
-    degree = np.bincount(atom, minlength=n)
+    bond_type = np.tile(bonds[:, 2].astype(_WORD), 2)
     first = np.cumsum(degree) - degree  # where each atom's bonds start once sorted by atom
     lengths = 2 + 2 * degree
     width = int(lengths.max(initial=2))

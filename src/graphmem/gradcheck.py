@@ -124,8 +124,7 @@ def run_gradient_check(
     edge_cases = [
         MolecularGraph.from_bonds([vocab[0]], [], n_relations),
         # the last node has no bond under any relation
-        MolecularGraph.from_bonds([node.symbol for node in first.nodes] + [vocab[1]],
-                                  [(e.i, e.j, e.relation) for e in first.edges], n_relations),
+        MolecularGraph.from_bonds([*first.symbols, vocab[1]], first.bonds, n_relations),
     ]
     members = drawn + edge_cases
     params = _random_params(config, rng)

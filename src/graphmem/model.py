@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .molgraph import MolecularGraph
+from .molgraph import MolecularGraph, link_feature_dim, link_features
 from .numerics import Tensor
 
 NEIGHBOR_MODES = ("uniform", "learned")
@@ -233,15 +233,13 @@ def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
             f"graph uses {graph.n_relations} relations but the model has {config.n_relations}"
         )
     k_b = config.link_feat_dim
-    for e in graph.edges:
-        if e.link_features is None or e.link_features.shape != (k_b,):
-            raise nm.DimensionError(
-                f"edge ({e.i},{e.j}) link features {None if e.link_features is None else e.link_features.shape}"
-                f" do not match width {k_b}"
-            )
+    if len(graph.bonds) and link_feature_dim(graph.n_relations) != k_b:
+        raise nm.DimensionError(
+            f"link features have width {link_feature_dim(graph.n_relations)} but the model expects {k_b}"
+        )
 
-    ends = np.array([(e.i, e.j, e.relation) for e in graph.edges], dtype=np.intp).reshape(-1, 3)
-    bond_links = np.array([e.link_features for e in graph.edges]).reshape(-1, k_b)
+    ends = graph.bonds
+    bond_links = link_features(graph).reshape(-1, k_b)
     src = np.concatenate([ends[:, 1], ends[:, 0]])
     dst = np.concatenate([ends[:, 0], ends[:, 1]])
     relation = np.concatenate([ends[:, 2], ends[:, 2]])
@@ -300,13 +298,15 @@ class HopState:
     """Everything one hop produced, for every graph of a pack: controller
     (B, k_h), memory (N, k_m), read (B, k_m), attention and scores (N,).
     ``t=0`` is the freshly initialized state; read/attention/scores appear
-    from the first real hop on. The neighbor contexts are not kept: the
+    from the first real hop on. The final hop of :func:`forward` has no
+    memory (``None``): the output head reads only the controller, so that
+    hop runs no memory update. The neighbor contexts are not kept: the
     memory update's tape node gathers them again from the edge lists during
     backward (see :func:`graphmem.numerics.gated_update`)."""
 
     t: int
     controller: Tensor
-    memory: Tensor
+    memory: Tensor | None
     read: Tensor | None = None
     attention: Tensor | None = None
     scores: Tensor | None = None
@@ -454,10 +454,10 @@ def forward(
     or a pack.
 
     Deterministic for fixed inputs and generator states. When training,
-    dropout is applied at the first step (after initialization) and at the
-    last step (after the final hop's updates), never inside the attention;
-    each graph draws its masks from its own generator in ``rng``, so a
-    graph gets the same masks alone or in a pack.
+    dropout is applied at the first step (after initialization) and to the
+    final controller, never inside the attention; each graph draws its
+    masks from its own generator in ``rng``, so a graph gets the same masks
+    alone or in a pack.
     """
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
@@ -467,10 +467,11 @@ def forward(
     for t in range(1, hops + 1):
         read, weights, scores = attentive_read(state, params, prepared)
         controller = controller_step(state, read, params)
-        memory = memory_step(state, controller, params, prepared)
-        if t == hops:
+        if t < hops:
+            memory = memory_step(state, controller, params, prepared)
+        else:  # the output head reads only the controller
+            memory = None
             controller = _dropout(controller, np.arange(prepared.n_graphs + 1), dropout_rate, rng, training)
-            memory = _dropout(memory, prepared.bounds, dropout_rate, rng, training)
         state = HopState(t=t, controller=controller, memory=memory, read=read,
                          attention=weights, scores=scores)
         states.append(state)

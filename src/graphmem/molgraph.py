@@ -1,9 +1,15 @@
 """Multi-relational molecular graphs.
 
-Covers the data model (typed nodes and edges with per-relation neighbor
-lists), a self-contained MOL/SDF V2000 subset parser, ring-edge detection
-by bridge finding, one-hot atom/bond featurization, and a deterministic
-synthetic motif-dataset generator used for desk-scale experiments.
+Covers the data model, a self-contained MOL/SDF V2000 subset parser,
+ring-edge detection by bridge finding, one-hot atom/bond featurization,
+and a deterministic synthetic motif-dataset generator used for
+desk-scale experiments.
+
+A graph is columnar: its element symbols, one (E, 3) integer ``bonds``
+array and the per-atom degree and explicit-H counts derived from it.
+:func:`featurize` adds the node-feature matrix, the element slots and the
+per-bond ring flags. Nothing is kept per atom or per bond object; the
+``nodes`` and ``edges`` views are built on access.
 
 Everything here is a pure function of its inputs; a built graph is never
 mutated, so one graph object can back many examples and tasks.
@@ -11,8 +17,10 @@ mutated, so one graph object can back many examples and tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,51 +50,89 @@ class SyntheticSpecError(ValueError):
     """A synthetic dataset spec is malformed or infeasible."""
 
 
-@dataclass(frozen=True)
-class AtomNode:
-    """One graph node: element symbol plus derived local counts."""
+class AtomNode(NamedTuple):
+    """Read-only view of one atom: element symbol plus derived local counts."""
 
     symbol: str
     degree: int
     h_neighbors: int  # explicit H-atom neighbors only; no valence model
 
 
-@dataclass(frozen=True, eq=False)
-class Edge:
-    """One undirected typed edge, stored once with i < j."""
+class Edge(NamedTuple):
+    """Read-only view of one bond: i < j and the 1-based relation id."""
 
     i: int
     j: int
-    relation: int  # 1-based relation id
-    link_features: np.ndarray | None = None
+    relation: int
+
+
+def _first_failure(checks: Sequence[np.ndarray]) -> tuple[int, int] | None:
+    """The first row any of the boolean ``checks`` flags, and the first
+    check that flags it; None when no row is flagged."""
+    failing = np.logical_or.reduce(checks)
+    if not failing.any():
+        return None
+    row = int(failing.argmax())
+    return row, next(k for k, check in enumerate(checks) if check[row])
+
+
+def _repeats(*columns: np.ndarray) -> np.ndarray:
+    """Whether each row's values in ``columns`` already occur at an earlier row."""
+    order = np.lexsort(columns[::-1])  # stable, so equal rows keep their order
+    ordered = np.stack(columns)[:, order]
+    repeat = np.zeros(order.size, dtype=bool)
+    repeat[order[1:]] = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
+    return repeat
+
+
+def _explicit_h(symbols: Sequence[str], ends: np.ndarray, n: int) -> np.ndarray:
+    """Per atom, how many of the bonds ``ends`` (rows i, j) join it to an H atom."""
+    is_h = np.array([symbol == "H" for symbol in symbols], dtype=bool)
+    i, j = ends[:, 0], ends[:, 1]
+    return np.bincount(np.concatenate([i[is_h[j]], j[is_h[i]]]), minlength=n)
 
 
 @dataclass(eq=False)
 class MolecularGraph:
-    """Nodes, typed edges, and per-relation adjacency for one molecule.
+    """One molecule as arrays.
 
-    ``neighbors[r-1][i]`` lists the neighbors of node ``i`` under relation
-    ``r``, sorted ascending. ``node_features`` and per-edge
-    ``link_features`` are attached by :func:`featurize`.
+    ``bonds`` holds one row (i, j, relation) per bond with i < j and a
+    1-based relation; ``degree`` and ``h_count`` (explicit H neighbors) are
+    derived from it. :func:`featurize` fills ``node_features``,
+    ``element_slots`` and ``ring`` (one in-ring flag per bond).
     """
 
-    nodes: list[AtomNode]
-    edges: list[Edge]
+    symbols: tuple[str, ...]
+    bonds: np.ndarray
     n_relations: int
-    neighbors: list[list[list[int]]] = field(repr=False)
+    degree: np.ndarray
+    h_count: np.ndarray
     node_features: np.ndarray | None = None
-    element_slots: list[int] | None = None
+    element_slots: np.ndarray | None = None
+    ring: np.ndarray | None = None
     title: str = ""
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.symbols)
 
-    def neighbor_union(self, i: int) -> list[int]:
-        out: list[int] = []
-        for per_relation in self.neighbors:
-            out.extend(per_relation[i])
-        return sorted(out)
+    @property
+    def nodes(self) -> list[AtomNode]:
+        """One read-only view per atom, built on each access."""
+        return list(map(AtomNode, self.symbols, self.degree.tolist(), self.h_count.tolist()))
+
+    @property
+    def edges(self) -> list[Edge]:
+        """One read-only view per bond, in bond order, built on each access."""
+        return list(map(Edge._make, self.bonds.tolist()))
+
+    @classmethod
+    def _derive(cls, symbols: Sequence[str], bonds: np.ndarray, n_relations: int,
+                title: str = "") -> "MolecularGraph":
+        """A graph from valid (i < j, relation) bond rows; derives the counts."""
+        n = len(symbols)
+        degree = np.bincount(bonds[:, :2].ravel(), minlength=n)
+        return cls(tuple(symbols), bonds, n_relations, degree, _explicit_h(symbols, bonds, n), title=title)
 
     @classmethod
     def from_bonds(
@@ -96,43 +142,29 @@ class MolecularGraph:
         n_relations: int,
         title: str = "",
     ) -> "MolecularGraph":
-        """Build a graph from 0-based (i, j, relation) bonds.
+        """Build a graph from 0-based (i, j, relation) bonds, in order.
 
-        Degrees and explicit-H counts are derived here so they cannot
-        drift from the adjacency. Bonds are stored bidirectionally.
+        Raises ValueError for the first bond that names a missing node,
+        joins a node to itself, has a relation outside 1..n_relations or
+        repeats a pair. Degrees and explicit-H counts are derived here so
+        they cannot drift from the bonds.
         """
         m = len(symbols)
-        neighbors: list[list[list[int]]] = [[[] for _ in range(m)] for _ in range(n_relations)]
-        edges: list[Edge] = []
-        seen_pairs: set[tuple[int, int]] = set()
-        for i, j, relation in bonds:
-            if not (0 <= i < m and 0 <= j < m):
-                raise ValueError(f"bond ({i}, {j}) references a missing node")
-            if i == j:
-                raise ValueError(f"self-bond on node {i}")
-            if not (1 <= relation <= n_relations):
-                raise ValueError(f"relation {relation} outside 1..{n_relations}")
-            pair = (min(i, j), max(i, j))
-            if pair in seen_pairs:
-                raise ValueError(f"duplicate bond between nodes {pair[0]} and {pair[1]}")
-            seen_pairs.add(pair)
-            edges.append(Edge(pair[0], pair[1], relation))
-            neighbors[relation - 1][i].append(j)
-            neighbors[relation - 1][j].append(i)
-        for per_relation in neighbors:
-            for lst in per_relation:
-                lst.sort()
-        degree = [0] * m
-        h_neighbors = [0] * m
-        for e in edges:
-            degree[e.i] += 1
-            degree[e.j] += 1
-            if symbols[e.j] == "H":
-                h_neighbors[e.i] += 1
-            if symbols[e.i] == "H":
-                h_neighbors[e.j] += 1
-        nodes = [AtomNode(sym, degree[i], h_neighbors[i]) for i, sym in enumerate(symbols)]
-        return cls(nodes=nodes, edges=edges, n_relations=n_relations, neighbors=neighbors, title=title)
+        rows = np.array(list(bonds), dtype=np.intp).reshape(-1, 3)
+        i, j, relation = rows.T
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        failure = _first_failure([(lo < 0) | (hi >= m), i == j,
+                                  (relation < 1) | (relation > n_relations), _repeats(lo, hi)])
+        if failure is not None:
+            row, check = failure
+            messages = (
+                f"bond ({i[row]}, {j[row]}) references a missing node",
+                f"self-bond on node {i[row]}",
+                f"relation {relation[row]} outside 1..{n_relations}",
+                f"duplicate bond between nodes {lo[row]} and {hi[row]}",
+            )
+            raise ValueError(messages[check])
+        return cls._derive(symbols, np.stack([lo, hi, relation], axis=1), n_relations, title)
 
 
 # -- MOL / SDF parsing -------------------------------------------------------
@@ -146,15 +178,9 @@ def _counts_field(line: str, start: int, stop: int, line_no: int) -> int:
         raise MolfileError(f"malformed counts line {line!r}", line_no) from None
 
 
-def parse_molfile(text: str, line_offset: int = 0) -> MolecularGraph:
-    """Parse one MOL V2000 connection table (or one SDF record) into a graph.
-
-    Only the connection table is used: coordinates, charges and stereo
-    flags are read past and discarded. Bond type codes become relation ids
-    1..4. ``line_offset`` shifts reported line numbers when the record sits
-    inside a larger SDF file.
-    """
-    lines = text.splitlines()
+def _record_counts(lines: list[str], line_offset: int) -> tuple[int, int]:
+    """The (atoms, bonds) a record's counts line promises, checked against
+    the record's length."""
     if len(lines) < 4:
         raise MolfileError("record shorter than header + counts line", line_offset + len(lines))
     counts_no = line_offset + 4
@@ -168,73 +194,157 @@ def parse_molfile(text: str, line_offset: int = 0) -> MolecularGraph:
             f"counts line promises {n_atoms} atoms and {n_bonds} bonds but the record is shorter",
             counts_no,
         )
+    return n_atoms, n_bonds
 
-    symbols: list[str] = []
-    for k in range(n_atoms):
-        line_no = counts_no + 1 + k
-        line = lines[4 + k]
-        symbol = line[31:34].strip()
-        if not symbol:
-            parts = line.split()
-            if len(parts) < 4:
-                raise MolfileError(f"malformed atom line {line!r}", line_no)
-            symbol = parts[3]
-        symbols.append(symbol)
 
-    bonds: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for k in range(n_bonds):
-        line_no = counts_no + 1 + n_atoms + k
-        line = lines[4 + n_atoms + k]
+def _bond_fields(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The three 3-character integer fields of each bond line, as an (n, 3)
+    array, and whether each line is malformed (a field ``int`` rejects).
+
+    Fields of blanks then digits are read from the bytes of all lines at
+    once; any other field (a sign, an inner blank, a short line, a
+    non-ASCII digit) sends its line through ``int``, so every line reads as
+    ``int`` reads it.
+    """
+    heads = "".join(map(itemgetter(slice(0, 9)), lines))
+    if len(heads) != 9 * len(lines):  # a short line: pad every line with a byte no field accepts
+        heads = "".join([line[0:9].ljust(9, "\0") for line in lines])
+    values = np.zeros((len(lines), 3), dtype=np.intp)
+    if heads.isascii():
+        codes = np.frombuffer(heads.encode("ascii"), dtype=np.uint8).reshape(-1, 3, 3)
+        digits = codes.astype(np.intp) - ord("0")
+        is_digit = (digits >= 0) & (digits <= 9)
+        blank = codes == ord(" ")
+        plain = (is_digit[..., 2] & (is_digit[..., 0] | blank[..., 0])
+                 & (is_digit[..., 1] | blank[..., 1] & blank[..., 0]))
+        values[...] = (np.where(is_digit, digits, 0) * (100, 10, 1)).sum(axis=2)
+        others = np.flatnonzero(~plain.all(axis=1)).tolist()
+    else:
+        others = range(len(lines))
+    malformed = np.zeros(len(lines), dtype=bool)
+    for k in others:
+        line = lines[k]
         try:
-            a = int(line[0:3])
-            b = int(line[3:6])
-            bond_type = int(line[6:9])
+            values[k] = int(line[0:3]), int(line[3:6]), int(line[6:9])
         except ValueError:
-            raise MolfileError(f"malformed bond line {line!r}", line_no) from None
-        if not (1 <= a <= n_atoms and 1 <= b <= n_atoms):
-            raise MolfileError(f"atom index out of range in bond {a}-{b}", line_no)
-        if a == b:
-            raise MolfileError(f"self-bond on atom {a}", line_no)
-        if bond_type not in (1, 2, 3, 4):
-            raise MolfileError(f"bond type {bond_type} outside {{1,2,3,4}}", line_no)
-        pair = (min(a, b), max(a, b))
-        if pair in seen:
-            raise MolfileError(f"duplicate bond between atoms {pair[0]} and {pair[1]}", line_no)
-        seen.add(pair)
-        bonds.append((a - 1, b - 1, bond_type))
+            malformed[k] = True
+    return values, malformed
 
-    title = lines[0].strip() if lines else ""
-    return MolecularGraph.from_bonds(symbols, bonds, N_BOND_TYPES, title=title)
+
+def _parse_records(records: list[tuple[int, list[str]]]) -> list[MolecularGraph]:
+    """Parse (line offset, lines) records into graphs.
+
+    The atom and bond blocks of all records are converted together, by
+    column slices, and validated by array comparisons. The error raised is
+    the one a record-by-record, line-by-line reading meets first: the
+    earliest offending line, and on that line the first failed check.
+    """
+    counts: list[tuple[int, int]] = []
+    pending: MolfileError | None = None
+    for offset, lines in records:
+        try:
+            counts.append(_record_counts(lines, offset))
+        except MolfileError as exc:
+            pending = exc  # raised unless an earlier record fails first
+            break
+    records = records[: len(counts)]
+    n_atoms, n_bonds = np.array(counts, dtype=np.intp).reshape(-1, 2).T
+    atom_bounds = np.concatenate([[0], np.cumsum(n_atoms)])
+    bond_bounds = np.concatenate([[0], np.cumsum(n_bonds)])
+    # file line number of each record's first atom line
+    first_line = np.array([offset + 5 for offset, _ in records], dtype=np.intp)
+    atom_lines = list(chain.from_iterable(lines[4:4 + a] for (_, lines), (a, _) in zip(records, counts)))
+    bond_lines = list(chain.from_iterable(lines[4 + a:4 + a + b]
+                                          for (_, lines), (a, b) in zip(records, counts)))
+    errors: list[tuple[int, str]] = []  # (line, message) of the first failure of each block kind
+
+    symbols = list(map(str.strip, map(itemgetter(slice(31, 34)), atom_lines)))
+    if not all(symbols):
+        for k in (k for k, symbol in enumerate(symbols) if not symbol):
+            parts = atom_lines[k].split()
+            if len(parts) < 4:
+                record = int(np.searchsorted(atom_bounds, k, side="right")) - 1
+                errors.append((int(first_line[record] + k - atom_bounds[record]),
+                               f"malformed atom line {atom_lines[k]!r}"))
+                break
+            symbols[k] = parts[3]
+
+    fields, malformed = _bond_fields(bond_lines)
+    owner = np.repeat(np.arange(len(records)), n_bonds)
+    limit = n_atoms[owner]
+    a, b, bond_type = fields.T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    failure = _first_failure([malformed, (lo < 1) | (hi > limit), a == b,
+                              (bond_type < 1) | (bond_type > N_BOND_TYPES), _repeats(owner, lo, hi)])
+    if failure is not None:
+        row, check = failure
+        record = owner[row]
+        messages = (
+            f"malformed bond line {bond_lines[row]!r}",
+            f"atom index out of range in bond {a[row]}-{b[row]}",
+            f"self-bond on atom {a[row]}",
+            f"bond type {bond_type[row]} outside {{1,2,3,4}}",
+            f"duplicate bond between atoms {lo[row]} and {hi[row]}",
+        )
+        errors.append((int(first_line[record] + n_atoms[record] + row - bond_bounds[record]),
+                       messages[check]))
+    if errors:
+        line, message = min(errors)
+        raise MolfileError(message, line)
+    if pending is not None:
+        raise pending
+
+    bonds = np.stack([lo - 1, hi - 1, bond_type], axis=1)
+    ends = bonds[:, :2] + atom_bounds[owner][:, None]  # atoms numbered across records
+    total = len(symbols)
+    degree = np.bincount(ends.ravel(), minlength=total)
+    h_count = _explicit_h(symbols, ends, total)
+    atom_bounds, bond_bounds = atom_bounds.tolist(), bond_bounds.tolist()
+    return [
+        MolecularGraph(tuple(symbols[a0:a1]), bonds[b0:b1], N_BOND_TYPES, degree[a0:a1], h_count[a0:a1],
+                       title=lines[0].strip())
+        for (_, lines), a0, a1, b0, b1 in zip(records, atom_bounds, atom_bounds[1:],
+                                              bond_bounds, bond_bounds[1:])
+    ]
+
+
+def parse_molfile(text: str, line_offset: int = 0) -> MolecularGraph:
+    """Parse one MOL V2000 connection table (or one SDF record) into a graph.
+
+    Only the connection table is used: coordinates, charges and stereo
+    flags are read past and discarded. Bond type codes become relation ids
+    1..4. ``line_offset`` shifts reported line numbers when the record sits
+    inside a larger SDF file.
+    """
+    return _parse_records([(line_offset, text.splitlines())])[0]
 
 
 def parse_sdf(text: str) -> list[MolecularGraph]:
-    """Split an SDF file on ``$$$$`` separators and parse each record."""
-    graphs: list[MolecularGraph] = []
-    record: list[str] = []
-    offset = 0
+    """Split an SDF file on ``$$$$`` separators and parse every record
+    that has a non-blank line."""
     lines = text.splitlines()
-    for idx, line in enumerate(lines):
-        if line.strip() == SDF_RECORD_SEPARATOR:
-            if any(l.strip() for l in record):
-                graphs.append(parse_molfile("\n".join(record), line_offset=offset))
-            record = []
-            offset = idx + 1
-        else:
-            record.append(line)
-    if any(l.strip() for l in record):
-        graphs.append(parse_molfile("\n".join(record), line_offset=offset))
-    return graphs
+    candidates = compress(range(len(lines)), map(str.__contains__, lines, repeat(SDF_RECORD_SEPARATOR)))
+    separators = [k for k in candidates if lines[k].strip() == SDF_RECORD_SEPARATOR]
+    records: list[tuple[int, list[str]]] = []
+    start = 0
+    for stop in separators + [len(lines)]:
+        record = lines[start:stop]
+        if any(line.strip() for line in record):
+            if not record[-1]:
+                record.pop()  # a record ends at its last line break, as in parse_molfile
+            records.append((start, record))
+        start = stop + 1
+    return _parse_records(records)
 
 
 def write_molfile(graph: MolecularGraph, title: str = "") -> str:
     """Render a graph back to a V2000 connection table (zeroed coordinates)."""
     lines = [title, "  graphmem", ""]
-    lines.append(f"{graph.n_nodes:3d}{len(graph.edges):3d}  0  0  0  0  0  0  0  0999 V2000")
-    for node in graph.nodes:
-        lines.append(f"{0.0:10.4f}{0.0:10.4f}{0.0:10.4f} {node.symbol:<3s} 0  0  0  0  0  0  0  0  0  0  0  0")
-    for e in graph.edges:
-        lines.append(f"{e.i + 1:3d}{e.j + 1:3d}{e.relation:3d}  0")
+    lines.append(f"{graph.n_nodes:3d}{len(graph.bonds):3d}  0  0  0  0  0  0  0  0999 V2000")
+    for symbol in graph.symbols:
+        lines.append(f"{0.0:10.4f}{0.0:10.4f}{0.0:10.4f} {symbol:<3s} 0  0  0  0  0  0  0  0  0  0  0  0")
+    for i, j, relation in graph.bonds.tolist():
+        lines.append(f"{i + 1:3d}{j + 1:3d}{relation:3d}  0")
     lines.append("M  END")
     return "\n".join(lines) + "\n"
 
@@ -251,49 +361,49 @@ def write_sdf(graphs: Sequence[MolecularGraph], titles: Sequence[str] | None = N
 
 
 def detect_ring_edges(graph: MolecularGraph) -> np.ndarray:
-    """Flag, per edge, whether it lies on some cycle.
+    """Flag, per bond, whether it lies on some cycle.
 
-    An edge is in a ring iff it is not a bridge; bridges are found with an
+    A bond is in a ring iff it is not a bridge; bridges are found with an
     iterative depth-first search over the union of all relations, tracking
-    discovery times and low-links.
+    discovery times and low-links, on adjacency lists read off ``bonds``.
     """
     m = graph.n_nodes
-    n_edges = len(graph.edges)
+    in_ring = np.ones(len(graph.bonds), dtype=bool)
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for eid, e in enumerate(graph.edges):
-        adjacency[e.i].append((e.j, eid))
-        adjacency[e.j].append((e.i, eid))
+    for k, (i, j, _) in enumerate(graph.bonds.tolist()):
+        adjacency[i].append((j, k))
+        adjacency[j].append((i, k))
 
-    in_ring = np.ones(n_edges, dtype=bool)
     disc = [-1] * m
     low = [0] * m
+    bridges: list[int] = []
     clock = 0
     for root in range(m):
         if disc[root] != -1:
             continue
-        # stack entries: (node, incoming edge id, iterator position)
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
         disc[root] = low[root] = clock
         clock += 1
+        # stack entries: (node, incoming bond, iterator over its adjacency)
+        stack = [(root, -1, iter(adjacency[root]))]
         while stack:
-            node, in_edge, pos = stack.pop()
-            if pos < len(adjacency[node]):
-                stack.append((node, in_edge, pos + 1))
-                nxt, eid = adjacency[node][pos]
-                if eid == in_edge:
-                    continue
+            node, in_bond, pending = stack[-1]
+            for nxt, bond in pending:
                 if disc[nxt] == -1:
                     disc[nxt] = low[nxt] = clock
                     clock += 1
-                    stack.append((nxt, eid, 0))
-                else:
-                    low[node] = min(low[node], disc[nxt])
+                    stack.append((nxt, bond, iter(adjacency[nxt])))
+                    break
+                if disc[nxt] < low[node] and bond != in_bond:
+                    low[node] = disc[nxt]
             else:
-                if in_edge != -1:
-                    parent = graph.edges[in_edge].i if graph.edges[in_edge].j == node else graph.edges[in_edge].j
-                    low[parent] = min(low[parent], low[node])
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
                     if low[node] > disc[parent]:
-                        in_ring[in_edge] = False  # bridge
+                        bridges.append(in_bond)
+    in_ring[bridges] = False
     return in_ring
 
 
@@ -309,44 +419,38 @@ def link_feature_dim(n_relations: int) -> int:
 
 
 def featurize(graph: MolecularGraph, vocab: Sequence[str] = DEFAULT_VOCAB) -> MolecularGraph:
-    """Attach one-hot node features and typed link features to a graph.
+    """Attach one-hot node features, element slots and ring flags to a graph.
 
     Node rows are element one-hot (vocabulary order, unknowns in a trailing
     OTHER slot), then degree one-hot over slots 0..4 (clamped), then
-    explicit-H-count one-hot likewise. Edge features are relation one-hot
-    followed by an in-ring bit. The output is deterministic for identical
-    inputs; the input graph is left untouched.
+    explicit-H-count one-hot likewise. The output is deterministic for
+    identical inputs; the input graph is left untouched.
     """
     slot_of = {symbol: k for k, symbol in enumerate(vocab)}
     other = len(vocab)
-    k_x = node_feature_dim(vocab)
-    x = np.zeros((graph.n_nodes, k_x), dtype=np.float64)
-    element_slots: list[int] = []
-    for i, node in enumerate(graph.nodes):
-        e_slot = slot_of.get(node.symbol, other)
-        element_slots.append(e_slot)
-        x[i, e_slot] = 1.0
-        x[i, other + 1 + min(node.degree, DEGREE_SLOTS - 1)] = 1.0
-        x[i, other + 1 + DEGREE_SLOTS + min(node.h_neighbors, HCOUNT_SLOTS - 1)] = 1.0
+    slots = np.array([slot_of.get(symbol, other) for symbol in graph.symbols], dtype=np.intp)
+    hot = np.stack([
+        slots,
+        other + 1 + np.minimum(graph.degree, DEGREE_SLOTS - 1),
+        other + 1 + DEGREE_SLOTS + np.minimum(graph.h_count, HCOUNT_SLOTS - 1),
+    ], axis=1)
+    x = np.zeros((graph.n_nodes, node_feature_dim(vocab)), dtype=np.float64)
+    x[np.arange(graph.n_nodes)[:, None], hot] = 1.0
+    return MolecularGraph(graph.symbols, graph.bonds, graph.n_relations, graph.degree, graph.h_count,
+                          node_features=x, element_slots=slots, ring=detect_ring_edges(graph),
+                          title=graph.title)
 
-    ring = detect_ring_edges(graph)
-    k_b = link_feature_dim(graph.n_relations)
-    edges: list[Edge] = []
-    for eid, e in enumerate(graph.edges):
-        b = np.zeros(k_b, dtype=np.float64)
-        b[e.relation - 1] = 1.0
-        b[-1] = 1.0 if ring[eid] else 0.0
-        edges.append(Edge(e.i, e.j, e.relation, b))
 
-    return MolecularGraph(
-        nodes=graph.nodes,
-        edges=edges,
-        n_relations=graph.n_relations,
-        neighbors=graph.neighbors,
-        node_features=x,
-        element_slots=element_slots,
-        title=graph.title,
-    )
+def link_features(graph: MolecularGraph) -> np.ndarray:
+    """The (E, n_relations + 1) link rows of a featurized graph's bonds:
+    relation one-hot, then the in-ring bit."""
+    if graph.ring is None:
+        raise ValueError("graph is not featurized; call molgraph.featurize first")
+    n_bonds = len(graph.bonds)
+    links = np.zeros((n_bonds, link_feature_dim(graph.n_relations)), dtype=np.float64)
+    links[np.arange(n_bonds), graph.bonds[:, 2] - 1] = 1.0
+    links[:, -1] = graph.ring
+    return links
 
 
 # -- labeled examples and label files ------------------------------------------
@@ -468,30 +572,26 @@ def _validate_spec(spec: SyntheticSpec) -> None:
 
 
 def contains_motif(graph: MolecularGraph, shape: str, relation: int) -> bool:
-    """Whether the graph contains the motif as a subgraph of one relation type."""
+    """Whether the graph contains the motif as a subgraph of one relation type.
+
+    Counts shared neighbors with one product of the relation's (n, n)
+    adjacency matrix: a triangle is a bonded pair with a shared neighbor,
+    a square two atoms with two, a three-star an atom with three bonds.
+    """
     if relation > graph.n_relations:
         return False
-    nbr = graph.neighbors[relation - 1]
-    if shape == "triangle":
-        for e in graph.edges:
-            if e.relation != relation:
-                continue
-            if set(nbr[e.i]) & set(nbr[e.j]):
-                return True
-        return False
+    if shape not in MOTIF_SIZES:
+        raise SyntheticSpecError(f"unknown motif shape {shape!r}")
+    i, j = graph.bonds[graph.bonds[:, 2] == relation, :2].T
     if shape == "star3":
-        return any(len(lst) >= 3 for lst in nbr)
-    if shape == "square":
-        m = graph.n_nodes
-        for i in range(m):
-            for k in range(i + 1, m):
-                common = set(nbr[i]) & set(nbr[k])
-                common.discard(i)
-                common.discard(k)
-                if len(common) >= 2:
-                    return True
-        return False
-    raise SyntheticSpecError(f"unknown motif shape {shape!r}")
+        return bool((np.bincount(np.concatenate([i, j]), minlength=1) >= 3).any())
+    adjacency = np.zeros((graph.n_nodes, graph.n_nodes))
+    adjacency[i, j] = adjacency[j, i] = 1.0
+    shared = adjacency @ adjacency  # shared[a, b]: neighbors a and b have in common
+    if shape == "triangle":
+        return bool((shared * adjacency).any())
+    np.fill_diagonal(shared, 0.0)  # an atom shares all its neighbors with itself
+    return bool((shared >= 2.0).any())
 
 
 def _motif_edges(shape: str) -> list[tuple[int, int]]:
@@ -522,14 +622,18 @@ def _random_bonds(rng: np.random.Generator, n: int, n_relations: int) -> dict[tu
     return bonds
 
 
+def _bond_rows(bonds: dict[tuple[int, int], int]) -> np.ndarray:
+    """The (E, 3) rows of a generated bond dict, sorted by atom pair."""
+    return np.array(sorted((i, j, r) for (i, j), r in bonds.items()), dtype=np.intp).reshape(-1, 3)
+
+
 def random_graph(rng: np.random.Generator, n_min: int, n_max: int, n_relations: int,
                  alphabet: Sequence[str] = SYNTHETIC_ALPHABET) -> MolecularGraph:
     """One random connected multi-relational graph with random element labels."""
     n = int(rng.integers(n_min, n_max + 1))
     bonds = _random_bonds(rng, n, n_relations)
     symbols = [alphabet[int(rng.integers(0, len(alphabet)))] for _ in range(n)]
-    bond_list = sorted((i, j, r) for (i, j), r in bonds.items())
-    return MolecularGraph.from_bonds(symbols, bond_list, n_relations)
+    return MolecularGraph._derive(symbols, _bond_rows(bonds), n_relations)
 
 
 def _plant_motif(rng: np.random.Generator, bonds: dict[tuple[int, int], int], n: int,
@@ -557,8 +661,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> list[LabeledExample]:
         bonds = _random_bonds(rng, n, spec.relations)
         _plant_motif(rng, bonds, n, shape, relation)
         symbols = [SYNTHETIC_ALPHABET[int(rng.integers(0, len(SYNTHETIC_ALPHABET)))] for _ in range(n)]
-        bond_list = sorted((i, j, r) for (i, j), r in bonds.items())
-        examples.append((MolecularGraph.from_bonds(symbols, bond_list, spec.relations), 1))
+        examples.append((MolecularGraph._derive(symbols, _bond_rows(bonds), spec.relations), 1))
     for _ in range(spec.count - n_pos):
         for _attempt in range(10_000):
             graph = random_graph(rng, spec.nodes_min, spec.nodes_max, spec.relations)

@@ -133,8 +133,8 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
 
 
 def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(d))  # never overflows, so both tails stay finite
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # neither exponent is positive, so neither overflows and both tails stay finite
+    return np.exp(np.minimum(d, 0.0)) / (1.0 + np.exp(-np.abs(d)))
 
 
 # name -> (forward, derivative written in terms of the output)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .model import NEIGHBOR_MODES, ModelConfig, ModelParams, PreparedGraph, forward, pack, prepare_graph
-from .molgraph import DatasetError, LabeledExample
+from .molgraph import DatasetError, LabeledExample, link_feature_dim
 from .numerics import Tensor
 
 MODES = ("single", "multi")
@@ -300,8 +300,8 @@ def derive_model_config(examples: Iterable[LabeledExample], config: ExperimentCo
             raise DatasetError(f"example {ex.example_id!r} has no atoms")
         node_dims.add(g.node_features.shape[1])
         n_relations = max(n_relations, g.n_relations)
-        for e in g.edges:
-            link_dims.add(e.link_features.shape[0])
+        if len(g.bonds):
+            link_dims.add(link_feature_dim(g.n_relations))
     if len(node_dims) != 1:
         raise DatasetError(f"inconsistent node feature widths {sorted(node_dims)}")
     if not link_dims:

@@ -33,7 +33,25 @@ def edge_in_ring_oracle(n_nodes: int, edges: list[tuple[int, int]], edge_index: 
 
 
 def _relation_pairs(graph, relation: int) -> set[frozenset[int]]:
-    return {frozenset((e.i, e.j)) for e in graph.edges if e.relation == relation}
+    return {frozenset((i, j)) for i, j, r in graph.bonds.tolist() if r == relation}
+
+
+def neighbor_lists(graph) -> list[list[list[int]]]:
+    """``[r - 1][i]``: the neighbors of node ``i`` under relation ``r``, ascending."""
+    out = [[[] for _ in range(graph.n_nodes)] for _ in range(graph.n_relations)]
+    for i, j, r in graph.bonds.tolist():
+        out[r - 1][i].append(j)
+        out[r - 1][j].append(i)
+    for per_relation in out:
+        for nbrs in per_relation:
+            nbrs.sort()
+    return out
+
+
+def neighbor_union(graph) -> list[list[int]]:
+    """Per node, its neighbors under any relation, ascending."""
+    return [sorted(sum((per_relation[i] for per_relation in neighbor_lists(graph)), []))
+            for i in range(graph.n_nodes)]
 
 
 def find_motif_oracle(graph, shape: str, relation: int) -> bool:
@@ -154,17 +172,20 @@ def learned_memory_step_oracle(graph, params: dict, memory: np.ndarray,
     and mixes [neighbor cell, link features] with the weights. Returns the
     new memory and the per-relation context rows."""
     m, k_m = memory.shape
-    n_relations = len(graph.neighbors)
+    n_relations = graph.n_relations
+    neighbors = neighbor_lists(graph)
+    k_b = n_relations + 1
     link_of = {}
-    for e in graph.edges:
-        link_of[(e.i, e.j)] = e.link_features
-        link_of[(e.j, e.i)] = e.link_features
-    k_b = len(graph.edges[0].link_features) if graph.edges else 0
+    for (i, j, relation), ring in zip(graph.bonds.tolist(), graph.ring.tolist()):
+        link = np.zeros(k_b)
+        link[relation - 1] = 1.0
+        link[-1] = float(ring)
+        link_of[(i, j)] = link_of[(j, i)] = link
     contexts = []
     for r in range(n_relations):
         ctx = np.zeros((m, k_m + k_b))
         for i in range(m):
-            nbrs = graph.neighbors[r][i]
+            nbrs = neighbors[r][i]
             if not nbrs:
                 continue
             scores = []
@@ -254,12 +275,15 @@ def atom_identifiers_oracle(graph, radius: int) -> list[list[int]]:
     slot, degree, clamped H count), round r hashes [r, own identifier,
     then the sorted (bond type, neighbor identifier) pairs]."""
     bonded = [[] for _ in range(graph.n_nodes)]
-    for e in graph.edges:
-        bonded[e.i].append((e.relation, e.j))
-        bonded[e.j].append((e.relation, e.i))
+    for i, j, relation in graph.bonds.tolist():
+        bonded[i].append((relation, j))
+        bonded[j].append((relation, i))
+    degree = [len(pairs) for pairs in bonded]
+    hydrogens = [sum(graph.symbols[j] == "H" for _, j in pairs) for pairs in bonded]
+    slots = graph.element_slots.tolist()
     current = [
-        hash_ints((graph.element_slots[i], node.degree, min(node.h_neighbors, HCOUNT_CLAMP)))
-        for i, node in enumerate(graph.nodes)
+        hash_ints((slots[i], degree[i], min(hydrogens[i], HCOUNT_CLAMP)))
+        for i in range(graph.n_nodes)
     ]
     rounds = [current]
     for r in range(1, radius + 1):
@@ -290,3 +314,121 @@ def hex_oracle(bits) -> str:
     for bit in bits:
         value = (value << 1) | int(bit)
     return format(value, f"0{len(bits) // 4}x")
+
+
+# -- sigmoid: the two-branch formula -------------------------------------------
+
+
+def stable_sigmoid_oracle(d: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-d) for d >= 0 and e^d / (1 + e^d) below, with e^-|d|."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# -- MOL/SDF records: the line-by-line reading -----------------------------------
+
+BOND_CODES = (1, 2, 3, 4)
+
+
+def _counts_field_oracle(line: str, start: int, stop: int, line_no: int) -> int:
+    from graphmem.molgraph import MolfileError
+
+    try:
+        return int(line[start:stop].strip())
+    except ValueError:
+        raise MolfileError(f"malformed counts line {line!r}", line_no) from None
+
+
+def parse_molfile_oracle(text: str, line_offset: int = 0) -> dict:
+    """One V2000 record read line by line, each line checked in order:
+    the title, symbols, (i < j, bond type) bonds with 0-based atoms, and
+    per-atom degrees and explicit-H counts counted bond by bond. Raises
+    graphmem's MolfileError with the message and line of the first
+    offending line."""
+    from graphmem.molgraph import MolfileError
+
+    lines = text.splitlines()
+    if len(lines) < 4:
+        raise MolfileError("record shorter than header + counts line", line_offset + len(lines))
+    counts_no = line_offset + 4
+    counts = lines[3]
+    n_atoms = _counts_field_oracle(counts, 0, 3, counts_no)
+    n_bonds = _counts_field_oracle(counts, 3, 6, counts_no)
+    if n_atoms < 0 or n_bonds < 0:
+        raise MolfileError(f"malformed counts line {counts!r}", counts_no)
+    if len(lines) < 4 + n_atoms + n_bonds:
+        raise MolfileError(
+            f"counts line promises {n_atoms} atoms and {n_bonds} bonds but the record is shorter",
+            counts_no,
+        )
+    symbols = []
+    for k in range(n_atoms):
+        line = lines[4 + k]
+        symbol = line[31:34].strip()
+        if not symbol:
+            parts = line.split()
+            if len(parts) < 4:
+                raise MolfileError(f"malformed atom line {line!r}", counts_no + 1 + k)
+            symbol = parts[3]
+        symbols.append(symbol)
+    bonds = []
+    for k in range(n_bonds):
+        line_no = counts_no + 1 + n_atoms + k
+        line = lines[4 + n_atoms + k]
+        try:
+            a, b, bond_type = int(line[0:3]), int(line[3:6]), int(line[6:9])
+        except ValueError:
+            raise MolfileError(f"malformed bond line {line!r}", line_no) from None
+        if not (1 <= a <= n_atoms and 1 <= b <= n_atoms):
+            raise MolfileError(f"atom index out of range in bond {a}-{b}", line_no)
+        if a == b:
+            raise MolfileError(f"self-bond on atom {a}", line_no)
+        if bond_type not in BOND_CODES:
+            raise MolfileError(f"bond type {bond_type} outside {{1,2,3,4}}", line_no)
+        if any((lo, hi) == (min(a, b) - 1, max(a, b) - 1) for lo, hi, _ in bonds):
+            raise MolfileError(f"duplicate bond between atoms {min(a, b)} and {max(a, b)}", line_no)
+        bonds.append((min(a, b) - 1, max(a, b) - 1, bond_type))
+    degree = [0] * n_atoms
+    h_count = [0] * n_atoms
+    for i, j, _ in bonds:
+        degree[i] += 1
+        degree[j] += 1
+        h_count[i] += symbols[j] == "H"
+        h_count[j] += symbols[i] == "H"
+    return {"title": lines[0].strip(), "symbols": symbols, "bonds": bonds, "degree": degree,
+            "h_count": h_count}
+
+
+def parse_sdf_oracle(text: str) -> list[dict]:
+    """Split on ``$$$$`` lines, rejoin each record that has a non-blank
+    line and read it with :func:`parse_molfile_oracle`."""
+    records = []
+    record = []
+    offset = 0
+    for idx, line in enumerate(text.splitlines()):
+        if line.strip() == "$$$$":
+            if any(l.strip() for l in record):
+                records.append(parse_molfile_oracle("\n".join(record), line_offset=offset))
+            record = []
+            offset = idx + 1
+        else:
+            record.append(line)
+    if any(l.strip() for l in record):
+        records.append(parse_molfile_oracle("\n".join(record), line_offset=offset))
+    return records
+
+
+def featurize_oracle(record: dict, vocab) -> tuple[np.ndarray, list[bool]]:
+    """Node feature rows atom by atom (element one-hot with a trailing
+    OTHER slot, then degree and explicit-H one-hots over slots 0..4,
+    clamped) and each bond's in-ring flag from the remove-edge oracle."""
+    vocab = list(vocab)
+    width = len(vocab) + 1 + 5 + 5
+    rows = np.zeros((len(record["symbols"]), width))
+    for i, symbol in enumerate(record["symbols"]):
+        rows[i, vocab.index(symbol) if symbol in vocab else len(vocab)] = 1.0
+        rows[i, len(vocab) + 1 + min(record["degree"][i], 4)] = 1.0
+        rows[i, len(vocab) + 6 + min(record["h_count"][i], 4)] = 1.0
+    pairs = [(i, j) for i, j, _ in record["bonds"]]
+    ring = [edge_in_ring_oracle(len(record["symbols"]), pairs, k) for k in range(len(pairs))]
+    return rows, ring

@@ -34,7 +34,14 @@ from graphmem.training import (
     train,
 )
 
-from _oracles import edge_in_ring_oracle, f1_counts_oracle, mean_passing_oracle, micro_f1_oracle, pairwise_auc
+from _oracles import (
+    edge_in_ring_oracle,
+    f1_counts_oracle,
+    mean_passing_oracle,
+    micro_f1_oracle,
+    neighbor_lists,
+    pairwise_auc,
+)
 from test_model import make_params, mean_passing_params, permute_graph, small_config
 
 
@@ -124,7 +131,7 @@ def test_message_passing_reduction():
             for _hop in range(hops):
                 memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
                 state = HopState(t=state.t + 1, controller=state.controller, memory=memory)
-            expected = mean_passing_oracle(graph.neighbors[0], cells, hops=hops)
+            expected = mean_passing_oracle(neighbor_lists(graph)[0], cells, hops=hops)
             worst = max(worst, float(np.abs(state.memory.data - expected).max()))
     report("message-passing reduction", worst <= 1e-12,
            f"worst |cell - oracle| = {worst:.2e} for T in {{1,2,3}}, M <= 6")

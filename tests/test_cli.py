@@ -7,7 +7,17 @@ import pytest
 
 from graphmem.checkpoint import load_checkpoint, save_checkpoint
 from graphmem.cli import main
-from graphmem.molgraph import DEFAULT_VOCAB, featurize, parse_sdf, random_graph, write_molfile
+from graphmem.model import ModelConfig, ModelParams
+from graphmem.molgraph import (
+    DEFAULT_VOCAB,
+    N_BOND_TYPES,
+    featurize,
+    link_feature_dim,
+    node_feature_dim,
+    parse_sdf,
+    random_graph,
+    write_molfile,
+)
 
 from _oracles import atom_identifiers_oracle, fold_oracle, hex_oracle
 from test_molgraph import molblock
@@ -228,6 +238,51 @@ class TestEvalAndDump:
             for weights in record["attention"]:
                 assert abs(sum(weights) - 1.0) <= 1e-9
             assert 0.0 <= record["probability"] <= 1.0
+
+
+class TestRepeatedRecords:
+    def test_featurized_and_prepared_once(self, tmp_path, monkeypatch):
+        import graphmem.cli as cli
+        import graphmem.training as training
+
+        task_dir = tmp_path / "assay"
+        task_dir.mkdir()
+        (task_dir / "molecules.sdf").write_text(
+            molblock(["C", "O"], [(1, 2, 1)], title="a") + "$$$$\n" + molblock(["N"], [], title="b") + "$$$$\n",
+            encoding="utf-8")
+        # record a by title, by index and by title again
+        (task_dir / "labels.csv").write_text("id,task,label\na,assay,1\n0,assay,0\nb,assay,0\na,assay,1\n",
+                                             encoding="utf-8")
+        config = ModelConfig(node_feat_dim=node_feature_dim(DEFAULT_VOCAB),
+                             link_feat_dim=link_feature_dim(N_BOND_TYPES), n_relations=N_BOND_TYPES,
+                             query_dim=1, memory_size=4, controller_size=4)
+        save_checkpoint(tmp_path / "checkpoint.bin", ModelParams.initialize(config, 0).arrays(),
+                        {"model": config.to_dict(), "tasks": ["assay"], "mode": "single", "hops": 2,
+                         "vocab": list(DEFAULT_VOCAB), "seed": 0})
+        featurized, prepared = [], []
+        real_featurize, real_prepare = cli.featurize, training.prepare_graph
+
+        def counting_featurize(graph, vocab):
+            featurized.append(real_featurize(graph, vocab))
+            return featurized[-1]
+
+        def counting_prepare(graph, model_config):
+            prepared.append(graph)
+            return real_prepare(graph, model_config)
+
+        monkeypatch.setattr(cli, "featurize", counting_featurize)
+        monkeypatch.setattr(training, "prepare_graph", counting_prepare)
+        assert run("eval", "--checkpoint", tmp_path / "checkpoint.bin", "--set", f"data_dir={tmp_path}",
+                   "--out-dir", tmp_path / "eval") == 0
+        assert [g.title for g in featurized] == ["a", "b"]
+        assert len(prepared) == 2 and all(p is f for p, f in zip(prepared, featurized))
+
+        featurized.clear()
+        datasets, _, _ = cli.load_roster({"data_dir": str(tmp_path), "vocab": list(DEFAULT_VOCAB)},
+                                         cli.experiment_config({"tasks": ["assay"]}))
+        graphs = [ex.graph for ex in datasets["assay"]]
+        assert len(featurized) == 2
+        assert graphs[0] is graphs[1] is graphs[3] is featurized[0] and graphs[2] is featurized[1]
 
 
 class TestFingerprintCommand:

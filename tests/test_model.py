@@ -1,6 +1,7 @@
 """Architecture behavior: initialization, attention, gated updates, and the
 whole-forward invariants (equivariance, locality, reduction to mean passing)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,13 @@ from graphmem.molgraph import (
 )
 from graphmem.numerics import DimensionError, EdgeSum, Tensor
 
-from _oracles import bfs_distances, learned_memory_step_oracle, mean_passing_oracle
+from _oracles import (
+    bfs_distances,
+    learned_memory_step_oracle,
+    mean_passing_oracle,
+    neighbor_lists,
+    neighbor_union,
+)
 
 K_X = node_feature_dim(SYNTHETIC_ALPHABET)
 
@@ -83,11 +90,7 @@ class TestInitState:
         cfg = small_config()
         params = make_params(cfg, embed__bias=np.zeros(cfg.memory_size))
         graph = line_graph(3)
-        zeroed = MolecularGraph(
-            nodes=graph.nodes, edges=graph.edges, n_relations=graph.n_relations,
-            neighbors=graph.neighbors, node_features=np.zeros_like(graph.node_features),
-            element_slots=graph.element_slots,
-        )
+        zeroed = dataclasses.replace(graph, node_features=np.zeros_like(graph.node_features))
         state = init_state(prepare_graph(zeroed, cfg), np.ones(1), params)
         np.testing.assert_array_equal(state.memory.data, np.zeros((3, cfg.memory_size)))
 
@@ -99,11 +102,7 @@ class TestInitState:
         base = init_state(prepare_graph(graph, cfg), np.ones(1), params).memory.data
         perturbed_features = graph.node_features.copy()
         perturbed_features[1] += 0.7
-        poked = MolecularGraph(
-            nodes=graph.nodes, edges=graph.edges, n_relations=graph.n_relations,
-            neighbors=graph.neighbors, node_features=perturbed_features,
-            element_slots=graph.element_slots,
-        )
+        poked = dataclasses.replace(graph, node_features=perturbed_features)
         after = init_state(prepare_graph(poked, cfg), np.ones(1), params).memory.data
         for i in range(graph.n_nodes):
             if i == 1:
@@ -265,7 +264,7 @@ class TestMemoryStep:
         cells = rng.uniform(0.0, 1.0, size=(5, 4))
         state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
         memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
-        expected = mean_passing_oracle(graph.neighbors[0], cells, hops=1)
+        expected = mean_passing_oracle(neighbor_lists(graph)[0], cells, hops=1)
         np.testing.assert_allclose(memory.data, expected, atol=1e-12)
 
     def test_learned_step_matches_loop_oracle(self):
@@ -313,6 +312,23 @@ class TestMemoryStep:
 
 
 class TestForward:
+    def test_final_hop_updates_no_memory(self, monkeypatch):
+        import graphmem.model as model_module
+
+        calls = []
+        real_memory_step = model_module.memory_step
+
+        def counting_memory_step(*args):
+            calls.append(args[0].t)
+            return real_memory_step(*args)
+
+        monkeypatch.setattr(model_module, "memory_step", counting_memory_step)
+        cfg = small_config(n_relations=2)
+        result = forward(sample_graph(np.random.default_rng(3)), np.ones(1), make_params(cfg), hops=3,
+                         dropout_rate=0.5, rng=np.random.default_rng(0), training=True)
+        assert calls == [0, 1]  # updates after hops 1 and 2 only
+        assert [s.memory is None for s in result.states] == [False, False, False, True]
+
     def test_single_cell_attention_is_always_one(self):
         cfg = small_config(memory=3, controller=3)
         params = make_params(cfg, seed=11)
@@ -426,9 +442,10 @@ class TestInvariants:
                 other = forward(permuted, np.ones(1), params, hops=3)
                 assert abs(base.probability.item() - other.probability.item()) <= 1e-9, mode
                 for s_base, s_other in zip(base.states, other.states):
-                    np.testing.assert_allclose(
-                        s_other.memory.data[perm], s_base.memory.data, atol=1e-9, err_msg=mode
-                    )
+                    if s_base.memory is not None:  # hops 0..2; the final hop updates no memory
+                        np.testing.assert_allclose(
+                            s_other.memory.data[perm], s_base.memory.data, atol=1e-9, err_msg=mode
+                        )
                     if s_base.attention is not None:
                         np.testing.assert_allclose(
                             s_other.attention.data[perm], s_base.attention.data, atol=1e-9, err_msg=mode
@@ -443,8 +460,9 @@ class TestInvariants:
             bounds = pack(graphs).bounds
             rows = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in order])
             for s_base, s_other in zip(base.states, other.states):
-                np.testing.assert_allclose(s_other.memory.data, s_base.memory.data[rows], atol=1e-9,
-                                           err_msg=mode)
+                if s_base.memory is not None:
+                    np.testing.assert_allclose(s_other.memory.data, s_base.memory.data[rows], atol=1e-9,
+                                               err_msg=mode)
                 if s_base.attention is not None:
                     np.testing.assert_allclose(s_other.attention.data, s_base.attention.data[rows],
                                                atol=1e-9, err_msg=mode)
@@ -477,7 +495,7 @@ class TestInvariants:
                 for _hop in range(hops):
                     memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
                     state = HopState(t=state.t + 1, controller=state.controller, memory=memory)
-                expected = mean_passing_oracle(graph.neighbors[0], cells, hops=hops)
+                expected = mean_passing_oracle(neighbor_lists(graph)[0], cells, hops=hops)
                 np.testing.assert_allclose(state.memory.data, expected, atol=1e-12)
 
     def test_receptive_field_grows_one_hop_per_step(self):
@@ -490,14 +508,11 @@ class TestInvariants:
         graph = line_graph(5)
         poked_features = graph.node_features.copy()
         poked_features[4] += 0.9
-        poked = MolecularGraph(
-            nodes=graph.nodes, edges=graph.edges, n_relations=graph.n_relations,
-            neighbors=graph.neighbors, node_features=poked_features,
-            element_slots=graph.element_slots,
-        )
-        distance = bfs_distances([graph.neighbor_union(i) for i in range(5)], source=4)
-        base = forward(graph, np.ones(1), params, hops=3)
-        after = forward(poked, np.ones(1), params, hops=3)
+        poked = dataclasses.replace(graph, node_features=poked_features)
+        distance = bfs_distances(neighbor_union(graph), source=4)
+        # hops 4, so that hops 0..3 each keep their memory
+        base = forward(graph, np.ones(1), params, hops=4)
+        after = forward(poked, np.ones(1), params, hops=4)
         for t in range(0, 4):
             base_memory = base.states[t].memory.data
             after_memory = after.states[t].memory.data

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from graphmem.fingerprint import circular_fingerprint
 from graphmem.molgraph import (
+    DEFAULT_VOCAB,
     MolecularGraph,
     MolfileError,
     DatasetError,
@@ -13,6 +15,7 @@ from graphmem.molgraph import (
     detect_ring_edges,
     featurize,
     generate_synthetic,
+    link_features,
     parse_molfile,
     parse_sdf,
     parse_synthetic_spec,
@@ -22,7 +25,16 @@ from graphmem.molgraph import (
     write_sdf,
 )
 
-from _oracles import edge_in_ring_oracle, find_motif_oracle
+from _oracles import (
+    atom_identifiers_oracle,
+    edge_in_ring_oracle,
+    featurize_oracle,
+    find_motif_oracle,
+    fold_oracle,
+    neighbor_lists,
+    neighbor_union,
+    parse_sdf_oracle,
+)
 
 
 def molblock(symbols, bonds, title="mol"):
@@ -56,8 +68,8 @@ class TestParseMolfile:
     def test_two_atoms_bidirectional(self):
         g = parse_molfile(molblock(["C", "C"], [(1, 2, 1)]))
         assert g.n_nodes == 2
-        assert g.neighbors[0][0] == [1]
-        assert g.neighbors[0][1] == [0]
+        assert g.bonds.tolist() == [[0, 1, 1]]
+        assert neighbor_lists(g)[0] == [[1], [0]]
 
     def test_benzene_by_independent_adjacency_count(self):
         g = parse_molfile(BENZENE)
@@ -134,38 +146,110 @@ class TestParseSdf:
         assert [g.n_nodes for g in graphs] == [6, 1]
 
 
+def mutated_files(count=3000, seed=0):
+    """Seeded random edits of a two-record SDF file: characters replaced,
+    inserted or deleted, lines deleted or repeated."""
+    base = (BENZENE + "$$$$\n" + molblock(["C", "N", "O"], [(1, 2, 1), (2, 3, 2)], title="b")
+            + "$$$$\n")
+    alphabet = "0123456789 -+.$CNOx\n"
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        text = base
+        for _ in range(int(rng.integers(1, 4))):
+            lines = text.split("\n")
+            op = int(rng.integers(5))
+            at = int(rng.integers(len(text)))
+            char = alphabet[int(rng.integers(len(alphabet)))]
+            if op == 0:
+                text = text[:at] + char + text[at + 1:]
+            elif op == 1:
+                text = text[:at] + char + text[at:]
+            elif op == 2:
+                text = text[:at] + text[at + 1:]
+            elif op == 3:
+                k = int(rng.integers(len(lines)))
+                text = "\n".join(lines[:k] + lines[k + 1:])
+            else:
+                k = int(rng.integers(len(lines)))
+                text = "\n".join(lines[:k + 1] + lines[k:])
+        yield text
+
+
+def outcome(read, text):
+    """What ``read(text)`` returns, or the class, message and line it raises."""
+    try:
+        return read(text)
+    except MolfileError as exc:
+        return (type(exc), str(exc), exc.line)
+
+
+def assert_matches_oracle(graphs, records, vocab=DEFAULT_VOCAB):
+    """Parsed graphs equal the line-by-line oracle's records, before and
+    after featurization."""
+    assert len(graphs) == len(records)
+    for g, record in zip(graphs, records):
+        assert g.title == record["title"]
+        assert list(g.symbols) == record["symbols"]
+        assert g.bonds.tolist() == [list(bond) for bond in record["bonds"]]
+        assert [tuple(e) for e in g.edges] == record["bonds"]
+        assert g.degree.tolist() == record["degree"]
+        assert g.h_count.tolist() == record["h_count"]
+        features, ring = featurize_oracle(record, vocab)
+        featurized = featurize(g, vocab)
+        np.testing.assert_array_equal(featurized.node_features, features)
+        assert featurized.ring.tolist() == ring
+
+
 class TestSdfFuzz:
     def test_mutated_records_raise_only_data_errors(self):
-        # seeded random edits of a two-record file: each mutant either parses
-        # and featurizes or raises MolfileError / DatasetError, nothing else
-        base = (BENZENE + "$$$$\n" + molblock(["C", "N", "O"], [(1, 2, 1), (2, 3, 2)], title="b")
-                + "$$$$\n")
-        alphabet = "0123456789 -+.$CNOx\n"
-        rng = np.random.default_rng(0)
-        for _ in range(3000):
-            text = base
-            for _ in range(int(rng.integers(1, 4))):
-                lines = text.split("\n")
-                op = int(rng.integers(5))
-                at = int(rng.integers(len(text)))
-                char = alphabet[int(rng.integers(len(alphabet)))]
-                if op == 0:
-                    text = text[:at] + char + text[at + 1:]
-                elif op == 1:
-                    text = text[:at] + char + text[at:]
-                elif op == 2:
-                    text = text[:at] + text[at + 1:]
-                elif op == 3:
-                    k = int(rng.integers(len(lines)))
-                    text = "\n".join(lines[:k] + lines[k + 1:])
-                else:
-                    k = int(rng.integers(len(lines)))
-                    text = "\n".join(lines[:k + 1] + lines[k:])
-            try:
-                for graph in parse_sdf(text):
-                    featurize(graph)
-            except (MolfileError, DatasetError):
-                pass
+        # each mutant either parses and featurizes as the line-by-line oracle
+        # does, or raises the oracle's MolfileError: same message, same line
+        failures = 0
+        for text in mutated_files():
+            got, expected = outcome(parse_sdf, text), outcome(parse_sdf_oracle, text)
+            if isinstance(expected, tuple):
+                failures += 1
+                assert got == expected, text
+            else:
+                assert_matches_oracle(got, expected)
+        assert 1000 < failures < 2000  # both outcomes are well represented
+
+
+class TestParseMatchesOracle:
+    def test_generated_libraries(self):
+        rng = np.random.default_rng(5)
+        graphs = [random_graph(rng, 1, 40, 4, alphabet=("C", "H", "N", "Zz", "Cl")) for _ in range(150)]
+        graphs.append(MolecularGraph.from_bonds([], [], 4))
+        graphs.append(MolecularGraph.from_bonds(["H", "C", "H"], [(0, 1, 1), (1, 2, 1)], 4))
+        titles = [f"m{k}" if k % 3 else "" for k in range(len(graphs))]
+        text = write_sdf(graphs, titles)
+        assert_matches_oracle(parse_sdf(text), parse_sdf_oracle(text))
+
+    def test_bond_fields_read_as_int_reads_them(self):
+        # signs, inner and trailing blanks, leading zeros, underscores, a
+        # tab and non-ASCII digits, each on one bond line
+        lines = ["+1  2  1", "  1 +3001  0", "1    4  1", "002  5 02", "1_0  1  1",
+                 "  3\t 6  4", "  \u0664  7  1", "  5  8  2"]
+        head = molblock(["C"] * 10, []).splitlines()
+        head[3] = f" 10{len(lines):3d}" + head[3][6:]
+        text = "\n".join(head[:-1] + lines + head[-1:]) + "\n"
+        g = parse_molfile(text)
+        assert g.bonds.tolist() == [[0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 4, 2], [0, 9, 1],
+                                    [2, 5, 4], [3, 6, 1], [4, 7, 2]]
+        assert [tuple(bond) for bond in g.bonds.tolist()] == parse_sdf_oracle(text)[0]["bonds"]
+
+    def test_error_in_an_earlier_record_wins(self):
+        # a bad bond in record one comes before a bad counts line in record two
+        text = (molblock(["C", "C"], [(1, 2, 7)], title="a") + "$$$$\n"
+                + molblock(["C"], []).replace("  1  0", " x1  0", 1))
+        assert outcome(parse_sdf, text) == outcome(parse_sdf_oracle, text)
+        assert outcome(parse_sdf, text)[2] == 7
+
+    def test_record_ends_at_its_last_line_break(self):
+        # the blank line before the separator closes the record; it is not a counts line
+        text = "title\n\n\n\n$$$$\n"
+        assert outcome(parse_sdf, text) == outcome(parse_sdf_oracle, text)
+        assert outcome(parse_sdf, text)[1:] == ("line 3: record shorter than header + counts line", 3)
 
 
 class TestRingDetection:
@@ -209,12 +293,12 @@ class TestFeaturize:
         g = featurize(parse_molfile(molblock(["C", "C"], [(1, 2, 1)])), vocab=("C", "N", "O"))
         for row in g.node_features:
             assert row[4:9].tolist() == [0, 1, 0, 0, 0]  # degree 1
-        assert g.edges[0].link_features.tolist() == [1, 0, 0, 0, 0]
+        assert link_features(g).tolist() == [[1, 0, 0, 0, 0]]
 
     def test_benzene_edges_aromatic_and_in_ring(self):
         g = featurize(parse_molfile(BENZENE))
-        for e in g.edges:
-            assert e.link_features.tolist() == [0, 0, 0, 1, 1]
+        assert g.ring.tolist() == [True] * 6
+        assert link_features(g).tolist() == [[0, 0, 0, 1, 1]] * 6
 
     def test_degree_clamp(self):
         star7 = molblock(["C"] * 8, [(1, k, 1) for k in range(2, 9)])
@@ -227,7 +311,7 @@ class TestFeaturize:
     def test_unknown_element_goes_to_other_slot(self):
         g = featurize(parse_molfile(molblock(["Zz"], [])), vocab=("C", "N"))
         assert g.node_features[0][:3].tolist() == [0, 0, 1]
-        assert g.element_slots == [2]
+        assert g.element_slots.tolist() == [2]
 
     def test_parse_featurize_deterministic_bytes(self):
         a = featurize(parse_molfile(BENZENE))
@@ -238,10 +322,11 @@ class TestFeaturize:
         rng = np.random.default_rng(7)
         for _ in range(50):
             g = random_graph(rng, 2, 10, 3)
-            total = sum(len(g.neighbor_union(i)) for i in range(g.n_nodes))
+            neighbors = neighbor_lists(g)
+            total = sum(len(nbrs) for nbrs in neighbor_union(g))
             assert total == 2 * len(g.edges)
             for i in range(g.n_nodes):
-                per_relation = [set(g.neighbors[r][i]) for r in range(g.n_relations)]
+                per_relation = [set(neighbors[r][i]) for r in range(g.n_relations)]
                 union = set().union(*per_relation) if per_relation else set()
                 assert sum(len(s) for s in per_relation) == len(union)  # disjoint across relations
                 assert len(union) == g.nodes[i].degree
@@ -336,3 +421,50 @@ class TestGenerateSynthetic:
             for shape in ("triangle", "square", "star3"):
                 for relation in (1, 2, 3):
                     assert contains_motif(g, shape, relation) == find_motif_oracle(g, shape, relation)
+
+
+class TestBenchmarkContract:
+    """The molecule API the benchmark harness (perfbench/workloads.py) and
+    gradcheck read: it must keep working as the graph's storage changes."""
+
+    def test_from_bonds_and_views(self):
+        g = MolecularGraph.from_bonds(["C", "N", "O", "H"], [(1, 0, 1), (1, 2, 1), (2, 0, 1), (3, 1, 2)], 3,
+                                      title="mol7")
+        assert g.title == "mol7" and g.n_nodes == 4 and g.n_relations == 3
+        assert [(node.symbol, node.degree, node.h_neighbors) for node in g.nodes] == [
+            ("C", 2, 0), ("N", 3, 1), ("O", 2, 0), ("H", 1, 0)]
+        # bond order kept, each bond stored with i < j
+        assert [(e.i, e.j, e.relation) for e in g.edges] == [(0, 1, 1), (1, 2, 1), (0, 2, 1), (1, 3, 2)]
+        with pytest.raises(AttributeError):
+            g.nodes[0].symbol = "S"
+        with pytest.raises(AttributeError):
+            g.edges[0].relation = 2
+        assert contains_motif(g, "triangle", 1) and not contains_motif(g, "triangle", 2)
+        assert not contains_motif(g, "star3", 1)
+        # the harness rebuilds graphs from the views
+        again = MolecularGraph.from_bonds([node.symbol for node in g.nodes],
+                                          [(e.i, e.j, e.relation) for e in g.edges], g.n_relations)
+        assert again.edges == g.edges and again.nodes == g.nodes
+
+    def test_from_bonds_rejects_bad_bonds(self):
+        for bonds, message in (([(0, 5, 1)], r"bond \(0, 5\) references a missing node"),
+                               ([(1, 1, 1)], "self-bond on node 1"),
+                               ([(0, 1, 3)], r"relation 3 outside 1\.\.2"),
+                               ([(0, 1, 1), (1, 0, 2)], "duplicate bond between nodes 0 and 1")):
+            with pytest.raises(ValueError, match=message):
+                MolecularGraph.from_bonds(["C", "C", "C"], bonds, 2)
+
+    def test_sdf_round_trip_and_fingerprint(self):
+        spec = SyntheticSpec(nodes_min=20, nodes_max=40, relations=4, motif="triangle:2", balance=0.5, count=6)
+        graphs = [ex.graph for ex in generate_synthetic(spec, seed=4)]
+        library = [MolecularGraph.from_bonds([{"A": "C", "B": "N", "D": "O", "E": "S"}[node.symbol]
+                                              for node in g.nodes],
+                                             [(e.i, e.j, e.relation) for e in g.edges], 4, title=f"mol{k}")
+                   for k, g in enumerate(graphs)]
+        parsed = parse_sdf(write_sdf(library))
+        assert [g.title for g in parsed] == [f"mol{k}" for k in range(6)]
+        for g, back in zip(library, parsed):
+            assert back.nodes == g.nodes and back.edges == g.edges
+        featurized = featurize(parsed[0])
+        fp = circular_fingerprint(featurized)
+        np.testing.assert_array_equal(fp.bits, fold_oracle(atom_identifiers_oracle(featurized, 2), 1024))

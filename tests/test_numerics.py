@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from _oracles import gated_update_oracle
+from _oracles import gated_update_oracle, stable_sigmoid_oracle
 
 from graphmem import numerics as nm
 from graphmem.numerics import (
@@ -63,6 +63,14 @@ class TestActivations:
             np.testing.assert_array_equal(out.data, [[expected]])
             out.backward()
             np.testing.assert_array_equal(gate.grad, [[0.0]])
+
+    def test_sigmoid_equals_the_two_branch_formula_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        draws = [rng.normal(0.0, scale, 100_000) for scale in (1.0, 10.0, 100.0, 1000.0)]
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 1e308, -1e308, 1e-320, -1e-320])
+        d = np.concatenate(draws + [edges])
+        assert np.array_equal(nm._stable_sigmoid(d), stable_sigmoid_oracle(d))
+        assert np.array_equal(np.signbit(nm._stable_sigmoid(d)), np.signbit(stable_sigmoid_oracle(d)))
 
     def test_affine_identity(self):
         out = linear_sum([(constant([[3.0, 4.0]]), constant(np.eye(2)))], bias=constant(np.zeros(2)))

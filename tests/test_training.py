@@ -1,5 +1,6 @@
 """Loss, optimizer, metrics, and the training loop contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -313,14 +314,11 @@ class TestTrainingLoop:
         assert single.metrics.to_dict() == multi.metrics.to_dict()
 
     def test_non_finite_validation_score_aborts(self):
-        from graphmem.molgraph import LabeledExample, MolecularGraph
+        from graphmem.molgraph import LabeledExample
 
         examples = synthetic_examples(count=20, seed=15)
         g = examples[0].graph
-        poisoned = MolecularGraph(
-            nodes=g.nodes, edges=g.edges, n_relations=g.n_relations, neighbors=g.neighbors,
-            node_features=np.full_like(g.node_features, np.nan), element_slots=g.element_slots,
-        )
+        poisoned = dataclasses.replace(g, node_features=np.full_like(g.node_features, np.nan))
         val = examples[10:] + [LabeledExample(graph=poisoned, task_id=0, label=1, example_id="nan")]
         split = TaskSplit(train=examples[:10], val=val, test=examples[10:])
         config = ExperimentConfig(hops=2, memory_size=8, controller_size=8, dropout=0.0,

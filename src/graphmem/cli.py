@@ -26,7 +26,7 @@ from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, check_options, circular_fingerprints, fingerprint_csv
 from .gradcheck import run_gradient_check
-from .model import ModelConfig, ModelParams, forward
+from .model import ModelConfig, ModelParams, forward, pack
 from .molgraph import (
     DEFAULT_VOCAB,
     SYNTHETIC_ALPHABET,
@@ -43,6 +43,7 @@ from .molgraph import (
     write_sdf,
 )
 from .training import (
+    PACK_CELLS,
     ConfigError,
     ExperimentConfig,
     NumericError,
@@ -102,6 +103,12 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _repeated_symbols(vocab) -> list[str]:
+    """The symbols a vocabulary lists more than once. featurize gives such a
+    symbol its last slot, and its earlier slots stay always zero."""
+    return sorted({symbol for k, symbol in enumerate(vocab) if symbol in vocab[:k]})
+
+
 def read_config_file(path: str | Path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -145,6 +152,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 resolved[key] = kind(value)
         except (TypeError, ValueError):
             raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {getattr(kind, '__name__', kind)}") from None
+    repeated = _repeated_symbols(resolved.get("vocab", []))
+    if repeated:
+        raise ConfigError(f"config key 'vocab' lists {', '.join(repeated)} more than once")
 
     if getattr(args, "seed", None) is not None:
         resolved["seed"] = args.seed
@@ -341,8 +351,11 @@ def _load_model(path: str) -> tuple[ModelParams, dict]:
     arrays, meta = load_checkpoint(path)
     try:
         model_config = ModelConfig.from_dict(meta["model"])
+        repeated = _repeated_symbols(meta["vocab"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint metadata is unusable: {exc}") from None
+    if repeated:
+        raise CheckpointError(f"checkpoint vocabulary lists {', '.join(repeated)} more than once")
     params = ModelParams.initialize(model_config, seed=0)
     for name, expected in params.tensors.items():
         if name not in arrays:
@@ -446,14 +459,19 @@ def cmd_dump_attention(args: argparse.Namespace) -> int:
     dump_path = out_dir / "attention.jsonl"
     frozen = params.frozen()  # no backward runs, so record no tape
     with open(dump_path, "w", encoding="utf-8") as fh:
-        for ex in prepared:
-            result = forward(ex.prepared, ex.query, frozen, meta["hops"])
-            record = {
-                "id": ex.example_id,
-                "attention": result.attention_trace(),
-                "probability": result.probability.item(),
-            }
-            fh.write(json.dumps(record) + "\n")
+        for part in budget_runs([ex.prepared.n_nodes for ex in prepared], PACK_CELLS):
+            examples = prepared[part]
+            packed = pack([ex.prepared for ex in examples])
+            result = forward(packed, np.stack([ex.query for ex in examples]), frozen, meta["hops"])
+            trace = result.attention_trace()
+            for ex, lo, hi, probability in zip(examples, packed.bounds[:-1], packed.bounds[1:],
+                                               result.probability.data[:, 0].tolist()):
+                record = {
+                    "id": ex.example_id,
+                    "attention": [weights[lo:hi] for weights in trace],
+                    "probability": probability,
+                }
+                fh.write(json.dumps(record) + "\n")
     _write_manifest(out_dir, "dump-attention", resolved, checksums, {"attention": str(dump_path)}, started)
     print(f"attention for {len(prepared)} examples written to {dump_path}")
     return EXIT_OK

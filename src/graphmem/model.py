@@ -174,39 +174,36 @@ class ModelParams:
 
 
 @dataclass(eq=False)
-class RelationEdges:
-    """The directed edges of one relation in a pack, each bond in both
-    directions, numbered by pack row and grouped by destination.
-
-    ``links`` holds each edge's link features. ``uniform`` holds the
-    constant per-edge weights 1/deg(dst) and ``uniform_links`` the (N, k_b)
-    mean link features of each node under them; a node without edges under
-    the relation gets a zero row.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-    links: Tensor
-    uniform: Tensor
-    uniform_links: Tensor
-
-
-@dataclass(eq=False)
 class PreparedGraph:
     """A pack: the disjoint union of one or more graphs, with the constants
     every hop reuses.
 
     The node rows of all graphs are stacked in order: graph ``b`` owns rows
     ``bounds[b]:bounds[b+1]`` of ``features`` and of the memory, and
-    ``segments`` holds each row's graph. The per-relation edge lists use
-    these row numbers, so no edge joins two graphs. A single graph is a
-    pack of one; :func:`pack` joins packs.
+    ``segments`` holds each row's graph. A single graph is a pack of one;
+    :func:`pack` joins packs.
+
+    The edges of every relation form one directed edge list in these row
+    numbers, each bond in both directions, so no edge joins two graphs:
+    edge ``e`` runs from ``src[e]`` to ``dst[e]`` under the 0-based
+    ``relation[e]`` and carries the link features ``links[e]``. Each
+    graph's edges are sorted by destination, then relation, then source.
+    ``uniform`` holds the weights 1/deg_r(dst) that average each node's
+    neighbours under one relation, and ``mean_links`` the (N, R * k_b)
+    link features averaged likewise, relation ``r`` in columns
+    ``r*k_b:(r+1)*k_b``; a node without edges under a relation gets zeros.
     """
 
     features: Tensor
     bounds: np.ndarray
     segments: np.ndarray
-    relations: list[RelationEdges]
+    n_relations: int
+    src: np.ndarray
+    dst: np.ndarray
+    relation: np.ndarray
+    links: Tensor
+    uniform: Tensor
+    mean_links: Tensor
 
     @property
     def n_nodes(self) -> int:
@@ -215,6 +212,11 @@ class PreparedGraph:
     @property
     def n_graphs(self) -> int:
         return self.bounds.size - 1
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Each edge's (destination, relation) pair as ``dst * R + relation``."""
+        return self.dst * self.n_relations + self.relation
 
 
 def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
@@ -238,26 +240,24 @@ def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
             f"link features have width {link_feature_dim(graph.n_relations)} but the model expects {k_b}"
         )
 
+    n_relations = config.n_relations
     ends = graph.bonds
     bond_links = link_features(graph).reshape(-1, k_b)
     src = np.concatenate([ends[:, 1], ends[:, 0]])
     dst = np.concatenate([ends[:, 0], ends[:, 1]])
-    relation = np.concatenate([ends[:, 2], ends[:, 2]])
-    links = np.concatenate([bond_links, bond_links])
-    order = np.lexsort((src, dst, relation))
-    src, dst, relation, links = src[order], dst[order], relation[order], links[order]
-    bounds = np.searchsorted(relation, np.arange(1, config.n_relations + 2))
-
-    relations: list[RelationEdges] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        part = slice(lo, hi)
-        edge_links = nm.constant(links[part])
-        uniform = nm.constant(1.0 / np.bincount(dst[part], minlength=m)[dst[part]])
-        mean_links = nm.gather_sum(edge_links, uniform, np.arange(hi - lo), dst[part], m)
-        relations.append(RelationEdges(src[part], dst[part], edge_links, uniform, mean_links))
-
-    return PreparedGraph(features=nm.constant(graph.node_features), bounds=np.array([0, m]),
-                         segments=np.zeros(m, dtype=np.intp), relations=relations)
+    relation = np.concatenate([ends[:, 2], ends[:, 2]]) - 1
+    order = np.lexsort((src, relation, dst))
+    src, dst, relation = src[order], dst[order], relation[order]
+    links = nm.constant(np.concatenate([bond_links, bond_links])[order])
+    keys = dst * n_relations + relation
+    uniform = nm.constant(1.0 / np.bincount(keys, minlength=m * n_relations)[keys])
+    mean_links = nm.gather_sum(links, uniform, np.arange(keys.size), keys, m * n_relations)
+    return PreparedGraph(
+        features=nm.constant(graph.node_features), bounds=np.array([0, m]),
+        segments=np.zeros(m, dtype=np.intp), n_relations=n_relations, src=src, dst=dst,
+        relation=relation, links=links, uniform=uniform,
+        mean_links=nm.constant(mean_links.data.reshape(m, n_relations * k_b)),
+    )
 
 
 def pack(graphs: Sequence[PreparedGraph]) -> PreparedGraph:
@@ -268,28 +268,25 @@ def pack(graphs: Sequence[PreparedGraph]) -> PreparedGraph:
         raise ValueError("pack of no graphs")
     if len(graphs) == 1:
         return graphs[0]
-    if len({len(g.relations) for g in graphs}) != 1:
+    if len({g.n_relations for g in graphs}) != 1:
         raise nm.DimensionError("packed graphs were prepared for different relation counts")
     rows = np.cumsum([0] + [g.n_nodes for g in graphs])
     firsts = np.cumsum([0] + [g.n_graphs for g in graphs])
 
-    def stack(arrays) -> Tensor:
-        return nm.constant(np.concatenate(list(arrays)))
+    def stack(tensors) -> Tensor:
+        return nm.constant(np.concatenate([t.data for t in tensors]))
 
-    relations = []
-    for parts in zip(*(g.relations for g in graphs)):
-        relations.append(RelationEdges(
-            src=np.concatenate([p.src + row for p, row in zip(parts, rows)]),
-            dst=np.concatenate([p.dst + row for p, row in zip(parts, rows)]),
-            links=stack(p.links.data for p in parts),
-            uniform=stack(p.uniform.data for p in parts),
-            uniform_links=stack(p.uniform_links.data for p in parts),
-        ))
     return PreparedGraph(
-        features=stack(g.features.data for g in graphs),
+        features=stack(g.features for g in graphs),
         bounds=np.concatenate([[0]] + [g.bounds[1:] + row for g, row in zip(graphs, rows)]),
         segments=np.concatenate([g.segments + first for g, first in zip(graphs, firsts)]),
-        relations=relations,
+        n_relations=graphs[0].n_relations,
+        src=np.concatenate([g.src + row for g, row in zip(graphs, rows)]),
+        dst=np.concatenate([g.dst + row for g, row in zip(graphs, rows)]),
+        relation=np.concatenate([g.relation for g in graphs]),
+        links=stack(g.links for g in graphs),
+        uniform=stack(g.uniform for g in graphs),
+        mean_links=stack(g.mean_links for g in graphs),
     )
 
 
@@ -301,7 +298,7 @@ class HopState:
     from the first real hop on. The final hop of :func:`forward` has no
     memory (``None``): the output head reads only the controller, so that
     hop runs no memory update. The neighbor contexts are not kept: the
-    memory update's tape node gathers them again from the edge lists during
+    memory update's tape node gathers them again from the edge list during
     backward (see :func:`graphmem.numerics.gated_update`)."""
 
     t: int
@@ -373,42 +370,75 @@ def attentive_read(state: HopState, params: ModelParams,
     return read, weights, scores
 
 
+def _stack(top: Sequence[Tensor], bottom: Sequence[Tensor], columns: slice = slice(None)) -> Tensor:
+    """The block matrix [top_0 | top_1 | ... ; bottom_0 | bottom_1 | ...] of
+    the ``columns`` of tensors of one shape (of 1-D tensors, all of them
+    end to end), as one tape node: proposal weights side by side over gate
+    weights."""
+    parts = [*top, *bottom]
+    shape = parts[0].data.shape
+    rows, cols = (1,) + shape if len(shape) == 1 else shape
+    firsts = (np.arange(len(parts)) * rows * cols).reshape(2, 1, len(top), 1)
+    index = firsts + (np.arange(rows) * cols)[:, None, None] + np.arange(cols)[columns]
+    return nm.assemble(parts, index.reshape(-1) if len(shape) == 1 else index.reshape(2 * rows, -1))
+
+
+def _controller_gates(params: ModelParams) -> dict[str, Tensor]:
+    """The controller update's weights and biases, each stacked [proposal; gate]."""
+    return {f"ctrl.gated.{part}": _stack([params[f"ctrl.{part}"]], [params[f"ctrl_gate.{part}"]])
+            for part in ("self", "read", "bias")}
+
+
+def _memory_gates(params: ModelParams, prepared: PreparedGraph) -> dict[str, Tensor]:
+    """The memory update's weights and biases, each stacked [proposal; gate].
+
+    The relations' weights lie side by side: the columns that read the
+    neighbour cells in ``mem.gated.nbr`` and those that read the link
+    features in ``mem.gated.link``. In uniform mode the averaged link
+    features are the same on every hop, and so is their term: it joins
+    ``mem.gated.bias`` as one (N, 2 k_m) row per cell of ``prepared``.
+    """
+    cfg = params.config
+    k_m = cfg.memory_size
+    proposal = [params[f"mem.rel{r}"] for r in range(cfg.n_relations)]
+    gate = [params[f"mem_gate.rel{r}"] for r in range(cfg.n_relations)]
+    gates = {
+        "mem.gated.self": _stack([params["mem.self"]], [params["mem_gate.self"]]),
+        "mem.gated.ctrl": _stack([params["mem.ctrl"]], [params["mem_gate.ctrl"]]),
+        "mem.gated.nbr": _stack(proposal, gate, slice(None, k_m)),
+        "mem.gated.link": _stack(proposal, gate, slice(k_m, None)),
+    }
+    bias = _stack([params["mem.bias"]], [params["mem_gate.bias"]])
+    if cfg.neighbor_mode == "uniform":
+        bias = nm.linear_sum([(prepared.mean_links, gates["mem.gated.link"])], bias=bias)
+    gates["mem.gated.bias"] = bias
+    return gates
+
+
 def controller_step(state: HopState, read: Tensor, params: ModelParams) -> Tensor:
     """Gated recurrent update of every controller row from its read row."""
+    gates = params.tensors if "ctrl.gated.self" in params.tensors else _controller_gates(params)
     return nm.gated_update(
-        [(state.controller, params["ctrl.self"], params["ctrl_gate.self"]),
-         (read, params["ctrl.read"], params["ctrl_gate.read"])],
-        params["ctrl.bias"], params["ctrl_gate.bias"], state.controller,
+        [(state.controller, gates["ctrl.gated.self"]), (read, gates["ctrl.gated.read"])],
+        gates["ctrl.gated.bias"], state.controller,
     )
 
 
-def _neighbor_contexts(
-    prepared: PreparedGraph,
-    memory: Tensor,
-    params: ModelParams,
-) -> list[tuple[Tensor, Tensor]]:
-    """Per relation, the edge weights and the (N, k_b) link rows of the
-    neighbor contexts [weighted neighbor cells, link features].
+def _neighbor_weights(prepared: PreparedGraph, memory: Tensor, params: ModelParams) -> Tensor:
+    """The weight of every edge in its destination's neighbour context.
 
-    Each node mixes its neighbors with weights that sum to one: 1/deg in
-    uniform mode, and in learned mode a softmax, over each node's in-edges,
-    of edge scores from a small attention head on [neighbor cell, own cell].
-    Nodes without neighbors under a relation get zero rows.
+    Each node mixes its neighbours under each relation with weights that
+    sum to one: 1/deg in uniform mode, and in learned mode a softmax, over
+    the node's in-edges under the relation, of edge scores from a small
+    attention head on [neighbour cell, own cell].
     """
-    learned = params.config.neighbor_mode == "learned"
-    n = prepared.n_nodes
-    mixing: list[tuple[Tensor, Tensor]] = []
-    for rel in prepared.relations:
-        weights, links = rel.uniform, rel.uniform_links
-        if learned and rel.src.size:
-            scores = nm.linear_sum(
-                [(memory, params["nbr.cell"], rel.src), (memory, params["nbr.self"], rel.dst)],
-                bias=params["nbr.bias"], activation="tanh", project=params["nbr.score"],
-            )
-            weights = nm.segment_softmax(scores, rel.dst, n)
-            links = nm.gather_sum(rel.links, weights, np.arange(rel.src.size), rel.dst, n)
-        mixing.append((weights, links))
-    return mixing
+    if params.config.neighbor_mode == "uniform" or not prepared.src.size:
+        return prepared.uniform
+    scores = nm.linear_sum(
+        [(memory, params["nbr.cell"], prepared.src), (memory, params["nbr.self"], prepared.dst)],
+        bias=params["nbr.bias"], activation="tanh", project=params["nbr.score"],
+    )
+    return nm.segment_softmax(scores, prepared.keys, prepared.n_nodes * prepared.n_relations)
 
 
 def memory_step(
@@ -418,14 +448,26 @@ def memory_step(
     prepared: PreparedGraph,
 ) -> Tensor:
     """Gated update of every cell from its past value, its graph's controller
-    row, and the relation-typed neighbor contexts."""
-    terms: list[tuple] = [(state.memory, params["mem.self"], params["mem_gate.self"]),
-                          (controller, params["mem.ctrl"], params["mem_gate.ctrl"], prepared.segments)]
-    for r, (weights, links) in enumerate(_neighbor_contexts(prepared, state.memory, params)):
-        rel = prepared.relations[r]
-        context = nm.EdgeSum(state.memory, weights, rel.src, rel.dst, links)
-        terms.append((context, params[f"mem.rel{r}"], params[f"mem_gate.rel{r}"]))
-    return nm.gated_update(terms, params["mem.bias"], params["mem_gate.bias"], state.memory)
+    row, and the relation-typed neighbour contexts [weighted neighbour
+    cells, weighted link features], zero under a relation where the cell
+    has no neighbours.
+
+    The neighbour cells of every relation are summed first, in one pass
+    keyed by (destination, relation), into (N, R * k_m) rows, and then
+    projected once by all relations' weights side by side.
+    """
+    gates = params.tensors if "mem.gated.self" in params.tensors else _memory_gates(params, prepared)
+    n, n_relations, keys = prepared.n_nodes, prepared.n_relations, prepared.keys
+    weights = _neighbor_weights(prepared, state.memory, params)
+    terms: list[tuple] = [
+        (state.memory, gates["mem.gated.self"]),
+        (controller, gates["mem.gated.ctrl"], prepared.segments),
+        (nm.EdgeSum(state.memory, weights, prepared.src, keys, n, n_relations), gates["mem.gated.nbr"]),
+    ]
+    if params.config.neighbor_mode == "learned":
+        links = nm.EdgeSum(prepared.links, weights, np.arange(keys.size), keys, n, n_relations)
+        terms.append((links, gates["mem.gated.link"]))
+    return nm.gated_update(terms, gates["mem.gated.bias"], state.memory)
 
 
 @dataclass(eq=False)
@@ -462,6 +504,9 @@ def forward(
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
     prepared = graph if isinstance(graph, PreparedGraph) else prepare_graph(graph, params.config)
+    # stack the gated updates' weights once for every hop
+    params = ModelParams(params.config, {**params.tensors, **_controller_gates(params),
+                                         **_memory_gates(params, prepared)})
     state = init_state(prepared, query, params, dropout_rate=dropout_rate, rng=rng, training=training)
     states = [state]
     for t in range(1, hops + 1):

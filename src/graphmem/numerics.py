@@ -8,7 +8,8 @@ costs nothing at backward time.
 
 The operations are the fused nodes the model runs: :func:`linear_sum`,
 :func:`gated_update` (with :class:`EdgeSum` inputs), :func:`gather_sum`,
-:func:`segment_softmax`, :func:`binary_cross_entropy` and :func:`dropout`.
+:func:`segment_softmax`, :func:`assemble`, :func:`binary_cross_entropy` and
+:func:`dropout`.
 Each records one tape node however many products, activations or gathers
 it computes.
 
@@ -270,111 +271,130 @@ def linear_sum(
 
 
 class EdgeSum:
-    """A :func:`gated_update` term input: the (n_out, k + j) rows
-    ``[sum of weights[e] * x[src[e]] over the edges with dst[e] == d, links[d]]``,
-    a weighted gather-sum over an edge list with the (n_out, j) ``links``
-    rows appended.
+    """A :func:`gated_update` term input: a weighted gather-sum over an edge
+    list whose edges carry keys, with one column block per key group.
+
+    The sum of ``weights[e] * x[src[e]]`` over the edges with ``keys[e] ==
+    d * groups + r`` fills columns ``r*k:(r+1)*k`` of row ``d`` of the
+    (n_out, groups * k) value, so one pass sums every group; a row and
+    group without edges stays zero.
 
     ``data`` holds the value, computed once here. The gated update that
     consumes it keeps only the recipe (``x``, ``weights``, the edges and
-    ``links``): its backward gathers the sums again, as :func:`gather_sum`
+    keys): its backward gathers the sums again, as :func:`gather_sum`
     does, instead of keeping ``data``.
     """
 
-    __slots__ = ("x", "weights", "src", "dst", "links", "data")
+    __slots__ = ("x", "weights", "src", "keys", "data")
 
-    def __init__(self, x: Tensor, weights: Tensor, src, dst, links: Tensor):
+    def __init__(self, x: Tensor, weights: Tensor, src, keys, n_out: int, groups: int):
         s = np.asarray(src, dtype=np.intp)
-        d = np.asarray(dst, dtype=np.intp)
-        if (x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape
-                or links.ndim != 2):
-            raise _shape_error("EdgeSum", x.shape, weights.shape, s.shape, d.shape, links.shape)
-        self.x, self.weights, self.src, self.dst, self.links = x, weights, s, d, links
-        self.data = np.concatenate([_edge_sum(x, weights, s, d, links.shape[0]), links.data], axis=1)
+        d = np.asarray(keys, dtype=np.intp)
+        if x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape:
+            raise _shape_error("EdgeSum", x.shape, weights.shape, s.shape, d.shape)
+        self.x, self.weights, self.src, self.keys = x, weights, s, d
+        self.data = _edge_sum(x, weights, s, d, n_out * groups).reshape(n_out, groups * x.data.shape[1])
+
+
+def assemble(parts: Sequence[Tensor], index) -> Tensor:
+    """The entries of ``parts``, flattened and concatenated in order, taken
+    at the integer ``index``: an array of ``index``'s shape, as one tape
+    node. It stacks, slices and interleaves; backward adds each entry's
+    gradient back to the entry it came from."""
+    idx = np.asarray(index, dtype=np.intp)
+    flat = np.concatenate([p.data.ravel() for p in parts])
+    out = Tensor(flat[idx])
+    if not _tracked(*parts):
+        return out
+
+    def backward(g: np.ndarray) -> None:
+        summed = np.bincount(idx.ravel(), weights=g.ravel(), minlength=flat.size)
+        lo = 0
+        for p in parts:
+            hi = lo + p.data.size
+            if _tracked(p):
+                _accumulate(p, summed[lo:hi].reshape(p.data.shape))
+            lo = hi
+
+    return _record(out, tuple(parts), backward)
 
 
 def gated_update(
     terms: Sequence[tuple],
-    proposal_bias: Tensor,
-    gate_bias: Tensor,
+    bias: Tensor,
     old: Tensor,
 ) -> Tensor:
     """The gated skip connection as one tape node: ``g * p + (1 - g) * old``
-    with the proposal ``p = relu(sum_k X_k @ P_k.T + proposal_bias)`` and the
-    gate ``g = sigmoid(sum_k X_k @ G_k.T + gate_bias)``.
+    with the proposal ``p = relu(Z[:, :out])`` and the gate
+    ``g = sigmoid(Z[:, out:])`` of the stacked pre-activations
+    ``Z = sum_k X_k @ W_k.T + bias``.
 
-    ``old`` is (n, out) and a term is ``(x, P, G)`` or ``(x, P, G, rows)``
-    with (out, in) weights ``P`` and ``G``. ``X_k`` is ``x`` itself, an
-    (n, in) tensor or an :class:`EdgeSum`; with ``rows``, an integer index
-    of length n, the term contributes ``(x @ W.T)[rows]``, as in
-    :func:`linear_sum`. Each term's input is formed once and shared by the
-    proposal and the gate. The node keeps ``p`` and ``g`` but no
-    :class:`EdgeSum` value: backward gathers those again from their edges.
+    ``old`` is (n, out) and a term is ``(x, W)`` or ``(x, W, rows)`` with a
+    (2 * out, in) weight ``W``: the proposal's rows over the gate's, so
+    one product serves both. ``X_k`` is ``x`` itself, an (n, in) tensor or
+    an :class:`EdgeSum`; with ``rows``, an integer index of length n, the
+    term contributes ``(x @ W.T)[rows]``, as in :func:`linear_sum`.
+    ``bias`` is one (2 * out,) row for every output row or an (n, 2 * out)
+    row each. The node keeps ``p`` and ``g`` but no :class:`EdgeSum` value:
+    backward gathers those again from their edges.
     """
     if old.ndim != 2:
         raise _shape_error("gated_update", old.shape)
     n, width = old.data.shape
-    if proposal_bias.shape != (width,) or gate_bias.shape != (width,):
-        raise _shape_error("gated_update", proposal_bias.shape, gate_bias.shape, old.shape)
+    if bias.shape not in ((2 * width,), (n, 2 * width)):
+        raise _shape_error("gated_update", bias.shape, old.shape)
     if not terms:
         raise ValueError("gated_update of no terms")
-    parts: list[tuple[Tensor, Tensor, Tensor, np.ndarray | None, tuple | None]] = []
-    zp = zg = None
+    parts: list[tuple[Tensor, Tensor, np.ndarray | None, tuple | None]] = []
+    z = None
     for term in terms:
-        x, wp, wg = term[0], term[1], term[2]
-        rows = np.asarray(term[3], dtype=np.intp) if len(term) == 4 else None
+        x, w = term[0], term[1]
+        rows = np.asarray(term[2], dtype=np.intp) if len(term) == 3 else None
         shape = x.data.shape
-        if (len(shape) != 2 or wp.data.shape != (width, shape[1]) or wg.data.shape != wp.data.shape
+        if (len(shape) != 2 or w.data.shape != (2 * width, shape[1])
                 or (rows is None and shape[0] != n)
                 or (rows is not None and (isinstance(x, EdgeSum) or rows.shape != (n,)))):
-            raise _shape_error("gated_update", shape, wp.shape, wg.shape, old.shape)
-        a, b = x.data @ wp.data.T, x.data @ wg.data.T
+            raise _shape_error("gated_update", shape, w.shape, old.shape)
+        a = x.data @ w.data.T
         if rows is not None:
-            a, b = a[rows], b[rows]
-        zp = a if zp is None else zp + a
-        zg = b if zg is None else zg + b
-        if isinstance(x, EdgeSum):
-            parts.append((x.x, wp, wg, None, (x.weights, x.src, x.dst, x.links)))
+            a = a[rows]
+        if z is None:
+            z = a
         else:
-            parts.append((x, wp, wg, rows, None))
-    p = np.maximum(zp + proposal_bias.data, 0.0)
-    g = _stable_sigmoid(zg + gate_bias.data)
+            z += a
+        if isinstance(x, EdgeSum):
+            parts.append((x.x, w, None, (x.weights, x.src, x.keys)))
+        else:
+            parts.append((x, w, rows, None))
+    z += bias.data
+    p = np.maximum(z[:, :width], 0.0)
+    g = _stable_sigmoid(z[:, width:])
     out = Tensor(g * p + (1.0 - g) * old.data)
-    flat_parents: tuple[Tensor, ...] = (proposal_bias, gate_bias, old)
-    for x, wp, wg, _, edge in parts:
-        flat_parents += (x, wp, wg) if edge is None else (x, wp, wg, edge[0], edge[3])
+    flat_parents: tuple[Tensor, ...] = (bias, old)
+    for x, w, _, edge in parts:
+        flat_parents += (x, w) if edge is None else (x, w, edge[0])
     if not _tracked(*flat_parents):
         return out
 
     def backward(gout: np.ndarray) -> None:
-        dzp = gout * g * (p > 0.0)
-        dzg = gout * (p - old.data) * g * (1.0 - g)
-        for x, wp, wg, rows, edge in parts:
+        dz = np.concatenate([gout * g * (p > 0.0), gout * (p - old.data) * g * (1.0 - g)], axis=1)
+        for x, w, rows, edge in parts:
             if edge is None:
                 xd = x.data
             else:
-                weights, s, d, links = edge
-                xd = np.concatenate([_edge_sum(x, weights, s, d, n), links.data], axis=1)
-            gp, gg = dzp, dzg
-            if rows is not None:
-                gp, gg = _sum_rows(dzp, rows, xd.shape[0]), _sum_rows(dzg, rows, xd.shape[0])
-            if _tracked(wp):
-                _accumulate(wp, gp.T @ xd)
-            if _tracked(wg):
-                _accumulate(wg, gg.T @ xd)
+                weights, s, keys = edge
+                k = x.data.shape[1]
+                xd = _edge_sum(x, weights, s, keys, n * (w.data.shape[1] // k)).reshape(n, -1)
+            gz = dz if rows is None else _sum_rows(dz, rows, xd.shape[0])
+            if _tracked(w):
+                _accumulate(w, gz.T @ xd)
             if edge is None:
                 if _tracked(x):
-                    _accumulate(x, gp @ wp.data + gg @ wg.data)
-            elif _tracked(x, weights, links):
-                gx = gp @ wp.data + gg @ wg.data
-                k = x.data.shape[1]
-                if _tracked(links):
-                    _accumulate(links, gx[:, k:])
-                _edge_sum_backward(x, weights, s, d, gx[:, :k])
-        if _tracked(proposal_bias):
-            _accumulate(proposal_bias, dzp.sum(axis=0))
-        if _tracked(gate_bias):
-            _accumulate(gate_bias, dzg.sum(axis=0))
+                    _accumulate(x, gz @ w.data)
+            elif _tracked(x, weights):
+                _edge_sum_backward(x, weights, s, keys, (gz @ w.data).reshape(-1, k))
+        if _tracked(bias):
+            _accumulate(bias, dz.sum(axis=0) if bias.ndim == 1 else dz)
         if _tracked(old):
             _accumulate(old, gout * (1.0 - g))
 

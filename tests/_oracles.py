@@ -174,7 +174,7 @@ def learned_memory_step_oracle(graph, params: dict, memory: np.ndarray,
     m, k_m = memory.shape
     n_relations = graph.n_relations
     neighbors = neighbor_lists(graph)
-    k_b = n_relations + 1
+    k_b = params["mem.rel0"].shape[1] - k_m
     link_of = {}
     for (i, j, relation), ring in zip(graph.bonds.tolist(), graph.ring.tolist()):
         link = np.zeros(k_b)
@@ -215,36 +215,94 @@ def learned_memory_step_oracle(graph, params: dict, memory: np.ndarray,
     return updated, contexts
 
 
-def gated_update_oracle(terms, proposal_bias, gate_bias, old) -> np.ndarray:
+def per_relation_memory_step_oracle(graphs, params: dict, memory: np.ndarray, controllers: np.ndarray,
+                                    neighbor_mode: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One memory hop over the disjoint union of ``graphs`` the way the
+    model computed it before one keyed edge list replaced the per-relation
+    lists: per relation, one directed edge list over the stacked rows
+    (each bond both ways, grouped by destination, sources ascending), edge
+    weights (1/deg, or a softmax over each node's in-edges of the
+    ``nbr.*`` head's scores), the contexts [weighted neighbour cells,
+    weighted link rows] and their proposal and gate products with that
+    relation's own weights. ``controllers`` holds one row per graph.
+    Returns the new memory and the per-relation (N, k_m + k_b) contexts."""
+    n, k_m = memory.shape
+    n_relations = sum(1 for name in params if name.startswith("mem.rel"))
+    k_b = params["mem.rel0"].shape[1] - k_m
+    firsts = np.cumsum([0] + [g.n_nodes for g in graphs])
+    rows_of = np.concatenate([np.full(g.n_nodes, b) for b, g in enumerate(graphs)]).astype(int)
+    pre_p = memory @ params["mem.self"].T + (controllers @ params["mem.ctrl"].T)[rows_of] + params["mem.bias"]
+    pre_g = (memory @ params["mem_gate.self"].T + (controllers @ params["mem_gate.ctrl"].T)[rows_of]
+             + params["mem_gate.bias"])
+    contexts = []
+    for r in range(n_relations):
+        edges = []  # (dst, src, link row)
+        for g, first in zip(graphs, firsts):
+            for (i, j, relation), ring in zip(g.bonds.tolist(), g.ring.tolist()):
+                if relation - 1 != r:
+                    continue
+                link = np.zeros(k_b)
+                link[relation - 1] = 1.0
+                link[-1] = float(ring)
+                edges += [(first + i, first + j, link), (first + j, first + i, link)]
+        edges.sort(key=lambda edge: (edge[0], edge[1]))
+        dst = np.array([e[0] for e in edges], dtype=int)
+        src = np.array([e[1] for e in edges], dtype=int)
+        links = np.array([e[2] for e in edges]).reshape(-1, k_b)
+        if neighbor_mode == "uniform" or not edges:
+            weights = 1.0 / np.bincount(dst, minlength=n)[dst]
+        else:
+            blend = np.tanh(memory[src] @ params["nbr.cell"].T + memory[dst] @ params["nbr.self"].T
+                            + params["nbr.bias"])
+            scores = blend @ params["nbr.score"]
+            peak = np.full(n, -np.inf)
+            np.maximum.at(peak, dst, scores)
+            e = np.exp(scores - peak[dst])
+            weights = e / np.bincount(dst, weights=e, minlength=n)[dst]
+        context = np.zeros((n, k_m + k_b))
+        np.add.at(context, dst, np.concatenate([weights[:, None] * memory[src], weights[:, None] * links], axis=1))
+        contexts.append(context)
+        pre_p = pre_p + context @ params[f"mem.rel{r}"].T
+        pre_g = pre_g + context @ params[f"mem_gate.rel{r}"].T
+    gate = 1.0 / (1.0 + np.exp(-pre_g))
+    return gate * np.maximum(pre_p, 0.0) + (1.0 - gate) * memory, contexts
+
+
+def gated_update_oracle(terms, bias, old) -> np.ndarray:
     """The gated skip connection row by row from its definition: each row's
-    proposal relu(sum P @ X + b_p) and gate sigmoid(sum G @ X + b_g) blend
-    with its old value. A term is ("plain", x, P, G), ("rows", x, P, G, rows)
-    with X_i = x[rows[i]], or ("edges", x, weights, src, dst, links, P, G)
-    with X_i = [sum of weights[e] * x[src[e]] over edges into i, links[i]]."""
+    pre-activations ``z = sum W @ X + bias`` stack the proposal over the
+    gate, relu(z[:w]) and sigmoid(z[w:]), which blend with its old value.
+    ``bias`` is one (2w,) row or one per output row. A term is ("plain", x,
+    W), ("rows", x, W, rows) with X_i = x[rows[i]], or ("edges", x,
+    weights, src, keys, groups, W), where X_i holds, for each group r in
+    turn, the sum of weights[e] * x[src[e]] over the edges with keys[e] ==
+    i * groups + r."""
     n, width = old.shape
+    bias_rows = np.broadcast_to(bias, (n, 2 * width))
     out = np.zeros_like(old)
     for i in range(n):
-        pre_p = proposal_bias.copy()
-        pre_g = gate_bias.copy()
+        pre = bias_rows[i].copy()
         for term in terms:
             kind = term[0]
             if kind == "plain":
-                _, x, wp, wg = term
+                _, x, w = term
                 xi = x[i]
             elif kind == "rows":
-                _, x, wp, wg, rows = term
+                _, x, w, rows = term
                 xi = x[rows[i]]
             else:
-                _, x, weights, src, dst, links, wp, wg = term
-                summed = np.zeros(x.shape[1])
-                for e in range(len(src)):
-                    if dst[e] == i:
-                        summed = summed + weights[e] * x[src[e]]
-                xi = np.concatenate([summed, links[i]])
-            pre_p = pre_p + wp @ xi
-            pre_g = pre_g + wg @ xi
-        proposal = np.maximum(pre_p, 0.0)
-        gate = 1.0 / (1.0 + np.exp(-pre_g))
+                _, x, weights, src, keys, groups, w = term
+                blocks = []
+                for r in range(groups):
+                    summed = np.zeros(x.shape[1])
+                    for e in range(len(src)):
+                        if keys[e] == i * groups + r:
+                            summed = summed + weights[e] * x[src[e]]
+                    blocks.append(summed)
+                xi = np.concatenate(blocks)
+            pre = pre + w @ xi
+        proposal = np.maximum(pre[:width], 0.0)
+        gate = 1.0 / (1.0 + np.exp(-pre[width:]))
         out[i] = gate * proposal + (1.0 - gate) * old[i]
     return out
 

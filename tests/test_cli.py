@@ -95,6 +95,15 @@ class TestTrain:
         assert run("train", "--config", workspace / "bad", "--out-dir", workspace / "x") == 2
         assert "frobnicate" in capsys.readouterr().err
 
+    def test_repeated_vocab_symbol_is_config_error(self, workspace, capsys):
+        # from --set and from a config file, before any data is read
+        (workspace / "repeats").write_text(CONFIG_TEXT + "vocab=A,B,A\n", encoding="utf-8")
+        for source in (("--config", workspace / "cfg", "--set", "vocab=C,N,C"), ("--config", workspace / "repeats")):
+            assert run("train", *source, "--out-dir", workspace / "x", "--quiet") == 2
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "vocab" in err
+        assert not (workspace / "x").exists()
+
     def test_no_tasks_is_config_error(self, tmp_path):
         (tmp_path / "cfg").write_text("mode=single\n", encoding="utf-8")
         assert run("train", "--config", tmp_path / "cfg", "--out-dir", tmp_path / "x") == 2
@@ -213,6 +222,44 @@ class TestEvalAndDump:
         assert code == 5
         assert "7 unexpected bytes" in capsys.readouterr().err
 
+    def test_eval_checkpoint_with_repeated_vocab_is_exit_5(self, workspace, trained, capsys):
+        arrays, meta = load_checkpoint(trained / "checkpoint.bin")
+        path = trained / "repeats.bin"
+        save_checkpoint(path, arrays, {**meta, "vocab": meta["vocab"] + meta["vocab"][:1]})
+        code = run("eval", "--checkpoint", path, "--set", f"data_dir={workspace}", "--out-dir", workspace / "e")
+        assert code == 5
+        assert "vocabulary lists " + meta["vocab"][0] in capsys.readouterr().err
+        assert not (workspace / "e" / "metrics.json").exists()
+
+    def test_dump_attention_packs_match_one_at_a_time(self, workspace, trained, monkeypatch):
+        import argparse
+
+        import graphmem.cli as cli
+        from graphmem.model import forward
+        from graphmem.training import build_queries, prepare_examples
+
+        calls = []
+        original = cli.forward
+        monkeypatch.setattr(cli, "forward", lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        out = workspace / "dump"
+        assert run("dump-attention", "--checkpoint", trained / "checkpoint.bin",
+                   "--set", f"data_dir={workspace}", "--out-dir", out) == 0
+        records = [json.loads(line) for line in (out / "attention.jsonl").read_text().splitlines()]
+
+        params, meta = cli._load_model(str(trained / "checkpoint.bin"))
+        resolved = {"data_dir": str(workspace)}
+        pool, _ = cli._eval_pool(argparse.Namespace(), resolved, meta)
+        examples = prepare_examples(pool, params.config, build_queries(meta["mode"], len(meta["tasks"])))
+        assert len(calls) < len(examples) == len(records) == 40  # packed: fewer forwards than examples
+        assert [r["id"] for r in records] == [ex.example_id for ex in examples]
+        for record, ex in zip(records, examples):
+            alone = forward(ex.prepared, ex.query, params.frozen(), meta["hops"])
+            assert abs(record["probability"] - alone.probability.item()) <= 1e-12
+            expected = alone.attention_trace()
+            assert [len(w) for w in record["attention"]] == [len(w) for w in expected]
+            np.testing.assert_allclose(np.concatenate(record["attention"]), np.concatenate(expected),
+                                       rtol=0, atol=1e-12)
+
     def test_dump_attention_records(self, workspace, trained, monkeypatch):
         import graphmem.cli as cli
 
@@ -304,7 +351,8 @@ class TestFingerprintCommand:
 
     @pytest.mark.parametrize("options", [("--nbits", "100"), ("--nbits", "1"), ("--radius", "-1"),
                                          ("--set", "nbits=100"), ("--set", "radius=-2"),
-                                         ("--nbits", "131072"), ("--set", "nbits=4611686018427387904")])
+                                         ("--nbits", "131072"), ("--set", "nbits=4611686018427387904"),
+                                         ("--set", "vocab=C,N,C")])
     def test_bad_options_are_config_errors(self, tmp_path, capsys, options):
         sdf = tmp_path / "one.sdf"
         sdf.write_text(molblock(["C"], [], title="m0") + "$$$$\n", encoding="utf-8")

@@ -12,7 +12,7 @@ from graphmem.model import (
     HopState,
     ModelConfig,
     ModelParams,
-    _neighbor_contexts,
+    _neighbor_weights,
     attentive_read,
     controller_step,
     forward,
@@ -29,7 +29,7 @@ from graphmem.molgraph import (
     node_feature_dim,
     random_graph,
 )
-from graphmem.numerics import DimensionError, EdgeSum, Tensor
+from graphmem.numerics import DimensionError, EdgeSum, Tensor, finite_difference_gradient, max_relative_error
 
 from _oracles import (
     bfs_distances,
@@ -37,6 +37,7 @@ from _oracles import (
     mean_passing_oracle,
     neighbor_lists,
     neighbor_union,
+    per_relation_memory_step_oracle,
 )
 
 K_X = node_feature_dim(SYNTHETIC_ALPHABET)
@@ -250,9 +251,11 @@ class TestMemoryStep:
             state = HopState(t=0, controller=Tensor(np.zeros((1, 2))), memory=Tensor(np.array([[9.0, 9.0, 9.0]])))
             memory = memory_step(state, Tensor(np.zeros((1, 2))), params, prepared)
             np.testing.assert_array_equal(memory.data, [[0.5, 0.0, 0.0]], err_msg=mode)
-            rel = prepared.relations[0]
-            context = EdgeSum(state.memory, rel.uniform, rel.src, rel.dst, rel.uniform_links)
-            np.testing.assert_array_equal(context.data, np.zeros((1, 3 + cfg.link_feat_dim)), err_msg=mode)
+            # no edge, so a zero neighbour sum and zero mean link rows
+            assert prepared.src.size == 0
+            context = EdgeSum(state.memory, prepared.uniform, prepared.src, prepared.keys, 1, 1)
+            np.testing.assert_array_equal(context.data, np.zeros((1, 3)), err_msg=mode)
+            np.testing.assert_array_equal(prepared.mean_links.data, np.zeros((1, cfg.link_feat_dim)))
 
     def test_constrained_step_is_uniform_neighbor_mean(self):
         rng = np.random.default_rng(17)
@@ -285,13 +288,110 @@ class TestMemoryStep:
         memory = memory_step(state, Tensor(ctrl[None]), params, prepared)
         expected, expected_contexts = learned_memory_step_oracle(graph, params.arrays(), cells, ctrl)
         np.testing.assert_allclose(memory.data, expected, rtol=0, atol=1e-12)
-        # the contexts the update summed: each relation's learned edge weights
-        # and mixed link rows, gathered as the memory update's EdgeSum terms
-        mixing = _neighbor_contexts(prepared, state.memory, params)
-        for r, (rel, (weights, links)) in enumerate(zip(prepared.relations, mixing)):
-            context = EdgeSum(state.memory, weights, rel.src, rel.dst, links)
-            np.testing.assert_allclose(context.data, expected_contexts[r], rtol=0, atol=1e-12)
+        # the contexts the update summed: the learned edge weights of every
+        # relation, summing neighbour cells and link rows into one column
+        # block per relation, as the memory update's keyed EdgeSum terms
+        weights = _neighbor_weights(prepared, state.memory, params)
+        keys, n = prepared.keys, graph.n_nodes
+        cells = EdgeSum(state.memory, weights, prepared.src, keys, n, 2).data
+        links = EdgeSum(prepared.links, weights, np.arange(keys.size), keys, n, 2).data
+        for r in range(2):
+            np.testing.assert_allclose(cells[:, 5 * r:5 * (r + 1)], expected_contexts[r][:, :5], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(links[:, 3 * r:3 * (r + 1)], expected_contexts[r][:, 5:], rtol=0, atol=1e-12)
         assert not np.any(expected_contexts[0][5]) and not np.any(expected_contexts[1][5])
+
+    @staticmethod
+    def mixed_pack_graphs():
+        """Graphs whose pack covers the edge cases of the keyed edge list, for
+        a model of three relations with links of width 3: a single atom,
+        atoms without bonds, graphs that use two relations (fewer than the
+        model), and no edge under the third relation anywhere."""
+        rng = np.random.default_rng(41)
+        return [
+            featurize(MolecularGraph.from_bonds(["A"], [], 1), SYNTHETIC_ALPHABET),
+            sample_graph(rng, n_relations=2, n_max=7),
+            featurize(MolecularGraph.from_bonds(["B", "D", "E"], [], 3), SYNTHETIC_ALPHABET),
+            sample_graph(rng, n_relations=2, n_max=7),
+            featurize(MolecularGraph.from_bonds(["A", "B", "D", "E"], [(0, 1, 2), (1, 2, 2), (0, 3, 1)], 2),
+                      SYNTHETIC_ALPHABET),
+        ]
+
+    def test_keyed_pack_matches_the_per_relation_oracles(self):
+        graphs = self.mixed_pack_graphs()
+        for mode in NEIGHBOR_MODES:
+            cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+                              memory_size=4, controller_size=3, neighbor_mode=mode)
+            params = make_params(cfg, seed=43)
+            rng = np.random.default_rng(44)
+            for name in ("nbr.score", "nbr.bias", "mem.bias", "mem_gate.bias"):
+                if name in params.tensors:
+                    params[name].data[...] = rng.normal(size=params[name].data.shape)
+            prepared = pack([prepare_graph(g, cfg) for g in graphs])
+            assert prepared.n_relations == 3 and not np.any(prepared.relation == 2), mode
+            np.testing.assert_array_equal(prepared.mean_links.data[:, 6:], 0.0)
+            cells = rng.normal(size=(prepared.n_nodes, 4))
+            controllers = rng.normal(size=(len(graphs), 3))
+            state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
+            memory = memory_step(state, Tensor(controllers), params, prepared).data
+            expected, _ = per_relation_memory_step_oracle(graphs, params.arrays(), cells, controllers, mode)
+            np.testing.assert_allclose(memory, expected, rtol=0, atol=1e-12, err_msg=mode)
+            # each graph alone, and in learned mode from the node-by-node definition
+            for b, graph in enumerate(graphs):
+                rows = slice(prepared.bounds[b], prepared.bounds[b + 1])
+                alone = memory_step(HopState(t=0, controller=Tensor(controllers[b:b + 1]), memory=Tensor(cells[rows])),
+                                    Tensor(controllers[b:b + 1]), params, prepare_graph(graph, cfg)).data
+                np.testing.assert_allclose(alone, memory[rows], rtol=0, atol=1e-12, err_msg=mode)
+                if mode == "learned":
+                    one, _ = learned_memory_step_oracle(graph, params.arrays(), cells[rows], controllers[b])
+                    np.testing.assert_allclose(memory[rows], one, rtol=0, atol=1e-12)
+
+    def test_keyed_pack_reduces_to_mean_passing(self):
+        graphs = self.mixed_pack_graphs()
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+                          memory_size=4, controller_size=3)
+        params = mean_passing_params(cfg)
+        for r in (1, 2):  # only the first relation's neighbours count
+            params[f"mem.rel{r}"].data[...] = 0.0
+            params[f"mem_gate.rel{r}"].data[...] = 0.0
+        prepared = pack([prepare_graph(g, cfg) for g in graphs])
+        cells = np.random.default_rng(45).uniform(0.0, 1.0, size=(prepared.n_nodes, 4))
+        state = HopState(t=0, controller=Tensor(np.zeros((len(graphs), 3))), memory=Tensor(cells))
+        memory = memory_step(state, Tensor(np.zeros((len(graphs), 3))), params, prepared).data
+        for b, graph in enumerate(graphs):
+            rows = slice(prepared.bounds[b], prepared.bounds[b + 1])
+            expected = mean_passing_oracle(neighbor_lists(graph)[0], cells[rows], hops=1)
+            np.testing.assert_allclose(memory[rows], expected, atol=1e-12)
+
+    def test_keyed_pack_gradients_match_finite_differences(self):
+        graphs = self.mixed_pack_graphs()
+        for mode in NEIGHBOR_MODES:
+            cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+                              memory_size=3, controller_size=2, neighbor_mode=mode)
+            params = make_params(cfg, seed=46)
+            rng = np.random.default_rng(47)
+            for name in ("nbr.score", "nbr.bias", "mem.bias", "mem_gate.bias"):
+                if name in params.tensors:
+                    params[name].data[...] = rng.normal(size=params[name].data.shape)
+            prepared = pack([prepare_graph(g, cfg) for g in graphs])
+            cells = rng.normal(size=(prepared.n_nodes, 3))
+            controllers = rng.normal(size=(len(graphs), 2))
+            weights = rng.normal(size=cells.shape)
+            frozen = params.frozen()
+
+            def value() -> float:
+                state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
+                return float((weights * memory_step(state, Tensor(controllers), frozen, prepared).data).sum())
+
+            params.zero_grads()
+            state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
+            memory_step(state, Tensor(controllers), params, prepared).backward(seed=weights)
+            names = [n for n in params.names() if n.startswith(("mem", "nbr"))]
+            exact = {n: g for n, g in params.grads().items() if n in names}
+            estimate = finite_difference_gradient(value, {n: params.arrays()[n] for n in names})
+            worst, name = max_relative_error(exact, estimate)
+            assert worst <= 1e-6, (mode, worst, name)
+            # no edge under the third relation: its neighbour weights get no gradient
+            np.testing.assert_array_equal(exact["mem.rel2"], 0.0)
 
     def test_closed_gate_keeps_memory_for_the_hop(self):
         cfg = small_config(memory=4, controller=3, n_relations=2)

@@ -57,12 +57,12 @@ class TestActivations:
         # the gated update's gate: fully open keeps the proposal relu(2) = 2,
         # fully closed keeps the old value 3, both exactly
         for gate_bias, expected in ((1000.0, 2.0), (-1000.0, 3.0)):
-            gate = parameter([[0.0]])
-            out = nm.gated_update([(constant([[2.0]]), constant([[1.0]]), gate)], constant([0.0]),
-                                  constant([gate_bias]), constant([[3.0]]))
+            weight = parameter([[1.0], [0.0]])  # the proposal's row over the gate's
+            out = nm.gated_update([(constant([[2.0]]), weight)], constant([0.0, gate_bias]),
+                                  constant([[3.0]]))
             np.testing.assert_array_equal(out.data, [[expected]])
             out.backward()
-            np.testing.assert_array_equal(gate.grad, [[0.0]])
+            np.testing.assert_array_equal(weight.grad[1], [0.0])
 
     def test_sigmoid_equals_the_two_branch_formula_bit_for_bit(self):
         rng = np.random.default_rng(0)
@@ -231,8 +231,9 @@ class TestTapeGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_composite_matches_finite_differences(self, seed):
         # exercises linear_sum (plain, row-gathered, activated, projected),
-        # segment softmax, gather-sum, the gated update (plain, row-gathered
-        # and edge-summed terms), dropout and the cross-entropy node in one
+        # segment softmax, gather-sum, assemble, the gated update (plain,
+        # row-gathered and keyed edge-summed terms; shared and per-row bias),
+        # dropout and the cross-entropy node in one
         # recorded expression with several outputs. Each output is weighted
         # by a fixed random array R_k: the exact gradient of sum_k <R_k, out_k>
         # is the sum of the backward passes seeded with R_k, one per output
@@ -245,10 +246,10 @@ class TestTapeGradients:
             "b": rng.normal(size=4),
             "m": rng.normal(size=(5, 3)),
             "s": rng.normal(size=(4, 4)),
-            "t": rng.normal(size=(4, 8)),
+            "t": rng.normal(size=(8, 8)),
             "q": rng.normal(size=(4, 4)),
-            "h": rng.normal(size=(4, 8)),
-            "c": rng.normal(size=4),
+            "h": rng.normal(size=(8, 4)),
+            "c": rng.normal(size=(3, 8)),
         }
         x = rng.normal(size=(2, 3))
 
@@ -273,14 +274,21 @@ class TestTapeGradients:
             assert not gathered.data[1].any()
             proposal = linear_sum([(picked, s)], activation="relu")  # (3, 4)
             opened = linear_sum([(gathered, s)], bias=b, activation="sigmoid")  # (3, 4)
-            # (3, 8): the same weighted sums, then the columns of picked as links;
-            # weights and links are tracked, and row 1 has no in-edges
-            context = nm.EdgeSum(table, weights, [1, 3, 1], segments, picked)
-            assert not context.data[1, :4].any()
-            # a plain term, rows 4, 0, 4 of table @ W.T and the edge-summed context
-            updated = nm.gated_update([(opened, s, q), (table, q, s, [4, 0, 4]), (context, t, h)],
-                                      b, c, proposal)  # (3, 4)
-            dropped = dropout(updated, 0.5, np.random.default_rng(seed), training=True)  # (3, 4)
+            # (3, 8): the same weighted sums keyed into two column groups, edges
+            # 0 and 2 into group 0 of rows 0 and 2, edge 1 into group 1 of row 0;
+            # the weights are tracked, and row 1 has no in-edges
+            context = nm.EdgeSum(table, weights, [1, 3, 1], [0, 1, 4], 3, 2)
+            assert not context.data[1].any() and not context.data[2, 4:].any()
+            # weights stacked [proposal; gate]: one from (s, q), one from (q, s)
+            stacked_sq = nm.assemble([s, q], np.arange(32).reshape(8, 4))
+            stacked_qs = nm.assemble([q, s], np.arange(32).reshape(8, 4))
+            # a plain term, rows 4, 0, 4 of table @ W.T, the edge-summed context
+            # and one tracked bias row per output row
+            updated = nm.gated_update([(opened, stacked_sq), (table, stacked_qs, [4, 0, 4]), (context, t)],
+                                      c, proposal)  # (3, 4)
+            # an (8,) bias that takes entries of b twice over, in another order
+            again = nm.gated_update([(updated, h)], nm.assemble([b], [0, 0, 1, 2, 3, 3, 2, 1]), updated)
+            dropped = dropout(again, 0.5, np.random.default_rng(seed), training=True)  # (3, 4)
             # one score per row, the activated rows recomputed in backward
             scored = linear_sum([(m, w, [4, 0])], bias=b, activation="tanh", project=v)  # (2,)
             prob = linear_sum([(read, u)], activation="sigmoid")  # (2, 1)
@@ -314,8 +322,10 @@ class TestGatedUpdate:
     @staticmethod
     def inputs(seed):
         rng = np.random.default_rng(seed)
-        # 4 output rows of width 3; edges 0->1, 2->1, 3->0, 1->3 with a
-        # repeated destination, and row 2 has no in-edges
+        # 4 output rows of width 3; edges 0->1, 2->1, 3->0, 1->3 keyed into
+        # two column groups: 0->1 and 2->1 into group 1 of row 1 (a repeated
+        # key), 3->0 into group 0 of row 0, 1->3 into group 1 of row 3; row 2
+        # has no in-edges
         return {
             "old": rng.normal(size=(4, 3)),
             "x": rng.normal(size=(4, 5)),
@@ -324,53 +334,70 @@ class TestGatedUpdate:
             "cells": rng.normal(size=(4, 2)),
             "weights": rng.uniform(0.1, 1.0, size=4),
             "src": np.array([0, 2, 3, 1]),
-            "dst": np.array([1, 1, 0, 3]),
-            "links": rng.normal(size=(4, 2)),
-            "weight": [rng.normal(size=shape) for shape in [(3, 5), (3, 5), (3, 2), (3, 2), (3, 4), (3, 4)]],
-            "bias": [rng.normal(size=3), rng.normal(size=3)],
+            "keys": np.array([3, 3, 0, 7]),
+            "weight": [rng.normal(size=shape) for shape in [(6, 5), (6, 2), (6, 4)]],
+            "bias": rng.normal(size=6),
+            "bias_rows": rng.normal(size=(4, 6)),
         }
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_loop_oracle(self, seed):
         a = self.inputs(seed)
         w = a["weight"]
-        expected = gated_update_oracle(
-            [("plain", a["x"], w[0], w[1]), ("rows", a["groups"], w[2], w[3], a["rows"]),
-             ("edges", a["cells"], a["weights"], a["src"], a["dst"], a["links"], w[4], w[5])],
-            a["bias"][0], a["bias"][1], a["old"])
+        terms = [("plain", a["x"], w[0]), ("rows", a["groups"], w[1], a["rows"]),
+                 ("edges", a["cells"], a["weights"], a["src"], a["keys"], 2, w[2])]
         params = [parameter(x) for x in w]
-        context = nm.EdgeSum(parameter(a["cells"]), parameter(a["weights"]), a["src"], a["dst"],
-                             parameter(a["links"]))
-        out = nm.gated_update(
-            [(parameter(a["x"]), params[0], params[1]), (parameter(a["groups"]), params[2], params[3], a["rows"]),
-             (context, params[4], params[5])],
-            parameter(a["bias"][0]), parameter(a["bias"][1]), parameter(a["old"]))
-        assert not context.data[2, :2].any()  # no in-edges: zero sums
-        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+        for bias in (a["bias"], a["bias_rows"]):
+            expected = gated_update_oracle(terms, bias, a["old"])
+            context = nm.EdgeSum(parameter(a["cells"]), parameter(a["weights"]), a["src"], a["keys"], 4, 2)
+            out = nm.gated_update(
+                [(parameter(a["x"]), params[0]), (parameter(a["groups"]), params[1], a["rows"]),
+                 (context, params[2])],
+                parameter(bias), parameter(a["old"]))
+            assert not context.data[2].any()  # no in-edges: zero sums
+            np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
     def test_keeps_no_edge_sum_value(self):
         a = self.inputs(0)
         w = [parameter(x) for x in a["weight"]]
-        context = nm.EdgeSum(parameter(a["cells"]), constant(a["weights"]), a["src"], a["dst"],
-                             constant(a["links"]))
+        context = nm.EdgeSum(parameter(a["cells"]), constant(a["weights"]), a["src"], a["keys"], 4, 2)
         kept = weakref.ref(context.data)
-        out = nm.gated_update([(context, w[4], w[5])], parameter(a["bias"][0]), parameter(a["bias"][1]),
-                              parameter(a["old"]))
+        out = nm.gated_update([(context, w[2])], parameter(a["bias"]), parameter(a["old"]))
         del context
         assert kept() is None
         out.backward()
-        assert w[4].grad is not None and w[4].grad.any()
+        assert w[2].grad is not None and w[2].grad.any()
 
     def test_shape_errors(self):
         a = self.inputs(0)
         w = [parameter(x) for x in a["weight"]]
-        bias = [parameter(b) for b in a["bias"]]
+        bias = parameter(a["bias"])
         with pytest.raises(DimensionError):  # weights do not match the input width
-            nm.gated_update([(constant(a["x"]), w[2], w[3])], bias[0], bias[1], constant(a["old"]))
+            nm.gated_update([(constant(a["x"]), w[1])], bias, constant(a["old"]))
         with pytest.raises(DimensionError):  # rows do not cover the output rows
-            nm.gated_update([(constant(a["groups"]), w[2], w[3], [0, 1])], bias[0], bias[1], constant(a["old"]))
+            nm.gated_update([(constant(a["groups"]), w[1], [0, 1])], bias, constant(a["old"]))
         with pytest.raises(DimensionError):  # a term with fewer rows than the output
-            nm.gated_update([(constant(a["groups"]), w[2], w[3])], bias[0], bias[1], constant(a["old"]))
+            nm.gated_update([(constant(a["groups"]), w[1])], bias, constant(a["old"]))
+        with pytest.raises(DimensionError):  # weights not stacked [proposal; gate]
+            nm.gated_update([(constant(a["x"]), parameter(a["weight"][0][:3]))], bias, constant(a["old"]))
+        with pytest.raises(DimensionError):  # bias rows for another row count
+            nm.gated_update([(constant(a["x"]), w[0])], parameter(a["bias_rows"][:2]), constant(a["old"]))
+
+
+class TestAssemble:
+    def test_stacks_slices_and_repeats(self):
+        top, bottom = parameter(np.arange(6.0).reshape(2, 3)), parameter([10.0, 20.0])
+        # row 0 of top; columns 1 and 2 of its row 1, then bottom[0]; bottom with
+        # its last entry twice
+        out = nm.assemble([top, bottom], [[0, 1, 2], [4, 5, 6], [6, 7, 7]])
+        np.testing.assert_array_equal(out.data, [[0.0, 1.0, 2.0], [4.0, 5.0, 10.0], [10.0, 20.0, 20.0]])
+        out.backward(seed=np.arange(9.0).reshape(3, 3))
+        np.testing.assert_array_equal(top.grad, [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0]])
+        np.testing.assert_array_equal(bottom.grad, [5.0 + 6.0, 7.0 + 8.0])
+
+    def test_constants_record_no_tape(self):
+        out = nm.assemble([constant([1.0, 2.0])], [1, 0])
+        assert out._backward is None and not out.requires_grad
 
 
 class TestFiniteDifferenceOracle:

@@ -3,6 +3,11 @@
 A flat binary container: magic + format version, a JSON metadata blob
 (model shapes, task roster, run settings), then each parameter as
 name, shape, and a little-endian float64 payload.
+
+Format version 2 stores each gated update's weights stacked, proposal over
+gate (``ctrl.gated.*`` and ``mem.gated.*``, see
+:meth:`graphmem.model.ModelParams.initialize`). Version 1 stored them as
+separate proposal and gate blocks per relation; such files are refused.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"GMNC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAX_RANK = 32  # the most dimensions every supported numpy version can reshape to
 
 

@@ -43,6 +43,7 @@ from .molgraph import (
     write_sdf,
 )
 from .training import (
+    MODES,
     PACK_CELLS,
     ConfigError,
     ExperimentConfig,
@@ -345,9 +346,29 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_run_meta(meta: dict, model_config: ModelConfig) -> None:
+    """Refuse run settings in checkpoint metadata that eval and
+    dump-attention could not use: the task roster, mode, hops and seed,
+    and a query width that does not fit the mode and roster."""
+    tasks, mode = meta.get("tasks"), meta.get("mode")
+    if not isinstance(tasks, list) or not tasks or not all(isinstance(name, str) for name in tasks):
+        raise CheckpointError(f"checkpoint metadata: tasks must be a non-empty list of names, got {tasks!r}")
+    if mode not in MODES:
+        raise CheckpointError(f"checkpoint metadata: mode must be one of {MODES}, got {mode!r}")
+    hops, seed = meta.get("hops"), meta.get("seed")
+    if type(hops) is not int or hops < 1:  # type(), not isinstance: True is no hop count
+        raise CheckpointError(f"checkpoint metadata: hops must be an integer >= 1, got {hops!r}")
+    if type(seed) is not int:
+        raise CheckpointError(f"checkpoint metadata: seed must be an integer, got {seed!r}")
+    query_dim = 1 if mode == "single" else len(tasks)
+    if model_config.query_dim != query_dim:
+        raise CheckpointError(f"checkpoint metadata: the model's query width {model_config.query_dim} "
+                              f"does not fit {mode} mode over {len(tasks)} task(s), which needs {query_dim}")
+
+
 def _load_model(path: str) -> tuple[ModelParams, dict]:
     """The checkpoint's parameters, checked name by name and shape by shape
-    against the set its model configuration implies."""
+    against the set its model configuration implies, and its run metadata."""
     arrays, meta = load_checkpoint(path)
     try:
         model_config = ModelConfig.from_dict(meta["model"])
@@ -356,6 +377,7 @@ def _load_model(path: str) -> tuple[ModelParams, dict]:
         raise CheckpointError(f"checkpoint metadata is unusable: {exc}") from None
     if repeated:
         raise CheckpointError(f"checkpoint vocabulary lists {', '.join(repeated)} more than once")
+    _check_run_meta(meta, model_config)
     params = ModelParams.initialize(model_config, seed=0)
     for name, expected in params.tensors.items():
         if name not in arrays:

@@ -52,6 +52,9 @@ class ModelConfig:
     raw_embedding: bool = False
 
     def __post_init__(self):
+        for name in ("memory_size", "controller_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {self.neighbor_mode!r}")
         if self.raw_embedding and self.memory_size != self.node_feat_dim:
@@ -126,17 +129,28 @@ class ModelParams:
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int) -> "ModelParams":
         """Seeded init: uniform +-sqrt(6/(fan_in+fan_out)) matrices, zero
-        biases, zero attention score vectors."""
+        biases, zero attention score vectors.
+
+        The gated updates' weights are stored as :func:`numerics.gated_update
+        <graphmem.numerics.gated_update>` takes them: proposal rows over gate
+        rows, relation ``r`` in column block ``r`` of ``mem.gated.nbr`` and
+        ``mem.gated.link``. Each proposal, gate and relation block is drawn
+        at its own limit."""
         rng = np.random.default_rng(seed)
         k_m, k_h = config.memory_size, config.controller_size
         k_x, k_b = config.node_feat_dim, config.link_feat_dim
-        k_ctx = k_m + k_b
+
+        def draw(rows: int, cols: int) -> np.ndarray:
+            return nm.glorot_uniform(rng, rows, cols)
 
         def mat(rows: int, cols: int) -> Tensor:
-            return nm.parameter(nm.glorot_uniform(rng, rows, cols))
+            return nm.parameter(draw(rows, cols))
 
         def zeros(*shape: int) -> Tensor:
             return nm.parameter(np.zeros(shape))
+
+        def gated(proposal: np.ndarray, gate: np.ndarray) -> Tensor:
+            return nm.parameter(np.concatenate([proposal, gate]))
 
         t: dict[str, Tensor] = {}
         t["query_in.weight"] = mat(k_h, config.query_dim)
@@ -148,21 +162,21 @@ class ModelParams:
         t["attn.ctrl"] = mat(k_h, k_h)
         t["attn.bias"] = zeros(k_h)
         t["attn.score"] = zeros(k_h)
-        t["ctrl.self"] = mat(k_h, k_h)
-        t["ctrl.read"] = mat(k_h, k_m)
-        t["ctrl.bias"] = zeros(k_h)
-        t["ctrl_gate.self"] = mat(k_h, k_h)
-        t["ctrl_gate.read"] = mat(k_h, k_m)
-        t["ctrl_gate.bias"] = zeros(k_h)
-        t["mem.self"] = mat(k_m, k_m)
-        t["mem.ctrl"] = mat(k_m, k_h)
-        t["mem.bias"] = zeros(k_m)
-        t["mem_gate.self"] = mat(k_m, k_m)
-        t["mem_gate.ctrl"] = mat(k_m, k_h)
-        t["mem_gate.bias"] = zeros(k_m)
-        for r in range(config.n_relations):
-            t[f"mem.rel{r}"] = mat(k_m, k_ctx)
-            t[f"mem_gate.rel{r}"] = mat(k_m, k_ctx)
+        # each update draws its proposal's weights, then its gate's
+        self_p, read_p, self_g, read_g = draw(k_h, k_h), draw(k_h, k_m), draw(k_h, k_h), draw(k_h, k_m)
+        t["ctrl.gated.self"] = gated(self_p, self_g)
+        t["ctrl.gated.read"] = gated(read_p, read_g)
+        t["ctrl.gated.bias"] = zeros(2 * k_h)
+        self_p, ctrl_p, self_g, ctrl_g = draw(k_m, k_m), draw(k_m, k_h), draw(k_m, k_m), draw(k_m, k_h)
+        t["mem.gated.self"] = gated(self_p, self_g)
+        t["mem.gated.ctrl"] = gated(ctrl_p, ctrl_g)
+        t["mem.gated.bias"] = zeros(2 * k_m)
+        # relation r's [cell | link] proposal block, then its gate block; as
+        # (2 k_m, R, k_m + k_b), entry [i, r] is row i of relation r's [proposal; gate]
+        blocks = np.array([draw(k_m, k_m + k_b) for _ in range(2 * config.n_relations)])
+        rows = blocks.reshape(config.n_relations, 2 * k_m, k_m + k_b).transpose(1, 0, 2)
+        t["mem.gated.nbr"] = nm.parameter(rows[:, :, :k_m].reshape(2 * k_m, -1))
+        t["mem.gated.link"] = nm.parameter(rows[:, :, k_m:].reshape(2 * k_m, -1))
         if config.neighbor_mode == "learned":
             t["nbr.cell"] = mat(k_h, k_m)
             t["nbr.self"] = mat(k_h, k_m)
@@ -370,57 +384,11 @@ def attentive_read(state: HopState, params: ModelParams,
     return read, weights, scores
 
 
-def _stack(top: Sequence[Tensor], bottom: Sequence[Tensor], columns: slice = slice(None)) -> Tensor:
-    """The block matrix [top_0 | top_1 | ... ; bottom_0 | bottom_1 | ...] of
-    the ``columns`` of tensors of one shape (of 1-D tensors, all of them
-    end to end), as one tape node: proposal weights side by side over gate
-    weights."""
-    parts = [*top, *bottom]
-    shape = parts[0].data.shape
-    rows, cols = (1,) + shape if len(shape) == 1 else shape
-    firsts = (np.arange(len(parts)) * rows * cols).reshape(2, 1, len(top), 1)
-    index = firsts + (np.arange(rows) * cols)[:, None, None] + np.arange(cols)[columns]
-    return nm.assemble(parts, index.reshape(-1) if len(shape) == 1 else index.reshape(2 * rows, -1))
-
-
-def _controller_gates(params: ModelParams) -> dict[str, Tensor]:
-    """The controller update's weights and biases, each stacked [proposal; gate]."""
-    return {f"ctrl.gated.{part}": _stack([params[f"ctrl.{part}"]], [params[f"ctrl_gate.{part}"]])
-            for part in ("self", "read", "bias")}
-
-
-def _memory_gates(params: ModelParams, prepared: PreparedGraph) -> dict[str, Tensor]:
-    """The memory update's weights and biases, each stacked [proposal; gate].
-
-    The relations' weights lie side by side: the columns that read the
-    neighbour cells in ``mem.gated.nbr`` and those that read the link
-    features in ``mem.gated.link``. In uniform mode the averaged link
-    features are the same on every hop, and so is their term: it joins
-    ``mem.gated.bias`` as one (N, 2 k_m) row per cell of ``prepared``.
-    """
-    cfg = params.config
-    k_m = cfg.memory_size
-    proposal = [params[f"mem.rel{r}"] for r in range(cfg.n_relations)]
-    gate = [params[f"mem_gate.rel{r}"] for r in range(cfg.n_relations)]
-    gates = {
-        "mem.gated.self": _stack([params["mem.self"]], [params["mem_gate.self"]]),
-        "mem.gated.ctrl": _stack([params["mem.ctrl"]], [params["mem_gate.ctrl"]]),
-        "mem.gated.nbr": _stack(proposal, gate, slice(None, k_m)),
-        "mem.gated.link": _stack(proposal, gate, slice(k_m, None)),
-    }
-    bias = _stack([params["mem.bias"]], [params["mem_gate.bias"]])
-    if cfg.neighbor_mode == "uniform":
-        bias = nm.linear_sum([(prepared.mean_links, gates["mem.gated.link"])], bias=bias)
-    gates["mem.gated.bias"] = bias
-    return gates
-
-
 def controller_step(state: HopState, read: Tensor, params: ModelParams) -> Tensor:
     """Gated recurrent update of every controller row from its read row."""
-    gates = params.tensors if "ctrl.gated.self" in params.tensors else _controller_gates(params)
     return nm.gated_update(
-        [(state.controller, gates["ctrl.gated.self"]), (read, gates["ctrl.gated.read"])],
-        gates["ctrl.gated.bias"], state.controller,
+        [(state.controller, params["ctrl.gated.self"]), (read, params["ctrl.gated.read"])],
+        params["ctrl.gated.bias"], state.controller,
     )
 
 
@@ -441,11 +409,22 @@ def _neighbor_weights(prepared: PreparedGraph, memory: Tensor, params: ModelPara
     return nm.segment_softmax(scores, prepared.keys, prepared.n_nodes * prepared.n_relations)
 
 
+def _memory_bias(params: ModelParams, prepared: PreparedGraph) -> Tensor:
+    """The memory update's bias. In uniform mode the averaged link features
+    are the same on every hop, and so is their term: it joins the bias as
+    one (N, 2 k_m) row per cell of ``prepared``."""
+    bias = params["mem.gated.bias"]
+    if params.config.neighbor_mode == "uniform":
+        bias = nm.linear_sum([(prepared.mean_links, params["mem.gated.link"])], bias=bias)
+    return bias
+
+
 def memory_step(
     state: HopState,
     controller: Tensor,
     params: ModelParams,
     prepared: PreparedGraph,
+    bias: Tensor | None = None,
 ) -> Tensor:
     """Gated update of every cell from its past value, its graph's controller
     row, and the relation-typed neighbour contexts [weighted neighbour
@@ -454,20 +433,23 @@ def memory_step(
 
     The neighbour cells of every relation are summed first, in one pass
     keyed by (destination, relation), into (N, R * k_m) rows, and then
-    projected once by all relations' weights side by side.
+    projected once by all relations' weights side by side. ``bias`` is
+    :func:`_memory_bias` of ``params`` and ``prepared``, computed here when
+    not given.
     """
-    gates = params.tensors if "mem.gated.self" in params.tensors else _memory_gates(params, prepared)
     n, n_relations, keys = prepared.n_nodes, prepared.n_relations, prepared.keys
     weights = _neighbor_weights(prepared, state.memory, params)
     terms: list[tuple] = [
-        (state.memory, gates["mem.gated.self"]),
-        (controller, gates["mem.gated.ctrl"], prepared.segments),
-        (nm.EdgeSum(state.memory, weights, prepared.src, keys, n, n_relations), gates["mem.gated.nbr"]),
+        (state.memory, params["mem.gated.self"]),
+        (controller, params["mem.gated.ctrl"], prepared.segments),
+        (nm.EdgeSum(state.memory, weights, prepared.src, keys, n, n_relations), params["mem.gated.nbr"]),
     ]
     if params.config.neighbor_mode == "learned":
         links = nm.EdgeSum(prepared.links, weights, np.arange(keys.size), keys, n, n_relations)
-        terms.append((links, gates["mem.gated.link"]))
-    return nm.gated_update(terms, gates["mem.gated.bias"], state.memory)
+        terms.append((links, params["mem.gated.link"]))
+    if bias is None:
+        bias = _memory_bias(params, prepared)
+    return nm.gated_update(terms, bias, state.memory)
 
 
 @dataclass(eq=False)
@@ -504,16 +486,14 @@ def forward(
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
     prepared = graph if isinstance(graph, PreparedGraph) else prepare_graph(graph, params.config)
-    # stack the gated updates' weights once for every hop
-    params = ModelParams(params.config, {**params.tensors, **_controller_gates(params),
-                                         **_memory_gates(params, prepared)})
+    bias = _memory_bias(params, prepared)  # the same on every hop
     state = init_state(prepared, query, params, dropout_rate=dropout_rate, rng=rng, training=training)
     states = [state]
     for t in range(1, hops + 1):
         read, weights, scores = attentive_read(state, params, prepared)
         controller = controller_step(state, read, params)
         if t < hops:
-            memory = memory_step(state, controller, params, prepared)
+            memory = memory_step(state, controller, params, prepared, bias)
         else:  # the output head reads only the controller
             memory = None
             controller = _dropout(controller, np.arange(prepared.n_graphs + 1), dropout_rate, rng, training)

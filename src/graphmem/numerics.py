@@ -8,10 +8,10 @@ costs nothing at backward time.
 
 The operations are the fused nodes the model runs: :func:`linear_sum`,
 :func:`gated_update` (with :class:`EdgeSum` inputs), :func:`gather_sum`,
-:func:`segment_softmax`, :func:`assemble`, :func:`binary_cross_entropy` and
-:func:`dropout`.
+:func:`segment_softmax`, :func:`binary_cross_entropy` and :func:`dropout`.
 Each records one tape node however many products, activations or gathers
-it computes.
+it computes. The model stores each gated update's weights stacked the way
+:func:`gated_update` takes them, so parameters enter the tape as they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
@@ -294,29 +294,6 @@ class EdgeSum:
             raise _shape_error("EdgeSum", x.shape, weights.shape, s.shape, d.shape)
         self.x, self.weights, self.src, self.keys = x, weights, s, d
         self.data = _edge_sum(x, weights, s, d, n_out * groups).reshape(n_out, groups * x.data.shape[1])
-
-
-def assemble(parts: Sequence[Tensor], index) -> Tensor:
-    """The entries of ``parts``, flattened and concatenated in order, taken
-    at the integer ``index``: an array of ``index``'s shape, as one tape
-    node. It stacks, slices and interleaves; backward adds each entry's
-    gradient back to the entry it came from."""
-    idx = np.asarray(index, dtype=np.intp)
-    flat = np.concatenate([p.data.ravel() for p in parts])
-    out = Tensor(flat[idx])
-    if not _tracked(*parts):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        summed = np.bincount(idx.ravel(), weights=g.ravel(), minlength=flat.size)
-        lo = 0
-        for p in parts:
-            hi = lo + p.data.size
-            if _tracked(p):
-                _accumulate(p, summed[lo:hi].reshape(p.data.shape))
-            lo = hi
-
-    return _record(out, tuple(parts), backward)
 
 
 def gated_update(

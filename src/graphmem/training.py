@@ -67,6 +67,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.hops < 1:
             raise ConfigError(f"hops must be >= 1, got {self.hops}")
+        for name in ("memory_size", "controller_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.patience < 1:
@@ -308,16 +311,19 @@ def derive_model_config(examples: Iterable[LabeledExample], config: ExperimentCo
         link_dims = {n_relations + 1}
     if len(link_dims) != 1:
         raise DatasetError(f"inconsistent link feature widths {sorted(link_dims)}")
-    return ModelConfig(
-        node_feat_dim=node_dims.pop(),
-        link_feat_dim=link_dims.pop(),
-        n_relations=n_relations,
-        query_dim=1 if config.mode == "single" else n_tasks,
-        memory_size=config.memory_size,
-        controller_size=config.controller_size,
-        neighbor_mode=config.neighbor_mode,
-        raw_embedding=config.raw_embedding,
-    )
+    try:
+        return ModelConfig(
+            node_feat_dim=node_dims.pop(),
+            link_feat_dim=link_dims.pop(),
+            n_relations=n_relations,
+            query_dim=1 if config.mode == "single" else n_tasks,
+            memory_size=config.memory_size,
+            controller_size=config.controller_size,
+            neighbor_mode=config.neighbor_mode,
+            raw_embedding=config.raw_embedding,
+        )
+    except ValueError as exc:  # the settings do not fit the data, e.g. a raw embedding's width
+        raise ConfigError(str(exc)) from None
 
 
 def prepare_examples(

@@ -164,13 +164,107 @@ def bfs_distances(neighbor_union: list[list[int]], source: int) -> list[int]:
     return dist
 
 
+def per_block_initialize_oracle(config, seed: int) -> dict[str, np.ndarray]:
+    """Seeded initial parameters in the per-block layout the model stored
+    before the gated updates' weights were stacked: one matrix per proposal
+    and per gate block, and per relation one [cell | link] matrix each,
+    drawn in this order, each uniform within its own +-sqrt(6/(rows+cols))."""
+    rng = np.random.default_rng(seed)
+    k_m, k_h = config.memory_size, config.controller_size
+    k_x, k_b = config.node_feat_dim, config.link_feat_dim
+
+    def mat(rows: int, cols: int) -> np.ndarray:
+        limit = math.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-limit, limit, size=(rows, cols))
+
+    t = {"query_in.weight": mat(k_h, config.query_dim), "query_in.bias": np.zeros(k_h)}
+    if not config.raw_embedding:
+        t["embed.weight"] = mat(k_m, k_x)
+        t["embed.bias"] = np.zeros(k_m)
+    t["attn.cell"] = mat(k_h, k_m)
+    t["attn.ctrl"] = mat(k_h, k_h)
+    t["attn.bias"] = np.zeros(k_h)
+    t["attn.score"] = np.zeros(k_h)
+    for update, width, inputs in (("ctrl", k_h, (("self", k_h), ("read", k_m))),
+                                  ("mem", k_m, (("self", k_m), ("ctrl", k_h)))):
+        for block in (update, f"{update}_gate"):
+            for part, cols in inputs:
+                t[f"{block}.{part}"] = mat(width, cols)
+            t[f"{block}.bias"] = np.zeros(width)
+    for r in range(config.n_relations):
+        t[f"mem.rel{r}"] = mat(k_m, k_m + k_b)
+        t[f"mem_gate.rel{r}"] = mat(k_m, k_m + k_b)
+    if config.neighbor_mode == "learned":
+        t["nbr.cell"] = mat(k_h, k_m)
+        t["nbr.self"] = mat(k_h, k_m)
+        t["nbr.bias"] = np.zeros(k_h)
+        t["nbr.score"] = np.zeros(k_h)
+    t["out.weight"] = mat(1, k_h)
+    t["out.bias"] = np.zeros(1)
+    return t
+
+
+class JoinedColumns:
+    """Two arrays of one row count read as the matrix [left | right]
+    (``np.asarray``); an assignment to it writes through to both."""
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        self.left, self.right = left, right
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.left.shape[0], self.left.shape[1] + self.right.shape[1]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.concatenate([self.left, self.right], axis=1).astype(dtype or np.float64)
+
+    def __setitem__(self, key, value) -> None:
+        joined = np.asarray(self)
+        joined[key] = value
+        self.left[...] = joined[:, :self.left.shape[1]]
+        self.right[...] = joined[:, self.left.shape[1]:]
+
+
+def param_blocks(arrays: dict) -> dict:
+    """The stacked gated-update parameters under the per-block names of
+    :func:`per_block_initialize_oracle`, as views that read and write the
+    stacked arrays: ``ctrl.self`` and ``ctrl_gate.self`` are the proposal
+    and gate rows of ``ctrl.gated.self``, and so on, and ``mem.rel{r}`` and
+    ``mem_gate.rel{r}`` join relation r's column blocks of ``mem.gated.nbr``
+    and ``mem.gated.link`` (a :class:`JoinedColumns`). Other names pass
+    through. Works on gradients as well as on values."""
+    k_h = arrays["ctrl.gated.self"].shape[1]
+    k_m = arrays["mem.gated.self"].shape[1]
+    n_relations = arrays["mem.gated.nbr"].shape[1] // k_m
+    k_b = arrays["mem.gated.link"].shape[1] // n_relations if n_relations else 0
+    blocks = {name: array for name, array in arrays.items() if ".gated." not in name}
+    for update, width, parts in (("ctrl", k_h, ("self", "read", "bias")), ("mem", k_m, ("self", "ctrl", "bias"))):
+        for part in parts:
+            stacked = arrays[f"{update}.gated.{part}"]
+            blocks[f"{update}.{part}"] = stacked[:width]
+            blocks[f"{update}_gate.{part}"] = stacked[width:]
+    for r in range(n_relations):
+        for block, rows in (("mem", slice(None, k_m)), ("mem_gate", slice(k_m, None))):
+            blocks[f"{block}.rel{r}"] = JoinedColumns(arrays["mem.gated.nbr"][rows, r * k_m:(r + 1) * k_m],
+                                                      arrays["mem.gated.link"][rows, r * k_b:(r + 1) * k_b])
+    return blocks
+
+
+def _block_arrays(arrays: dict) -> dict[str, np.ndarray]:
+    """The stacked parameters as plain per-block arrays, for reading."""
+    return {name: np.asarray(block) for name, block in param_blocks(arrays).items()}
+
+
 def learned_memory_step_oracle(graph, params: dict, memory: np.ndarray,
                                controller: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """One memory hop with learned neighbor weighting, straight from the
     definitions: each node scores its neighbors under each relation with
     the shared ``nbr.*`` head, softmaxes the scores over that neighbor set
-    and mixes [neighbor cell, link features] with the weights. Returns the
-    new memory and the per-relation context rows."""
+    and mixes [neighbor cell, link features] with the weights. ``params``
+    holds the model's stacked arrays, read block by block (see
+    :func:`param_blocks`). Returns the new memory and the per-relation
+    context rows."""
+    params = _block_arrays(params)
     m, k_m = memory.shape
     n_relations = graph.n_relations
     neighbors = neighbor_lists(graph)
@@ -224,8 +318,11 @@ def per_relation_memory_step_oracle(graphs, params: dict, memory: np.ndarray, co
     weights (1/deg, or a softmax over each node's in-edges of the
     ``nbr.*`` head's scores), the contexts [weighted neighbour cells,
     weighted link rows] and their proposal and gate products with that
-    relation's own weights. ``controllers`` holds one row per graph.
+    relation's own weights, read block by block from the model's stacked
+    arrays in ``params`` (see :func:`param_blocks`). ``controllers`` holds
+    one row per graph.
     Returns the new memory and the per-relation (N, k_m + k_b) contexts."""
+    params = _block_arrays(params)
     n, k_m = memory.shape
     n_relations = sum(1 for name in params if name.startswith("mem.rel"))
     k_b = params["mem.rel0"].shape[1] - k_m

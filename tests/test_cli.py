@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from graphmem.checkpoint import load_checkpoint, save_checkpoint
+from graphmem.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from graphmem.cli import main
 from graphmem.model import ModelConfig, ModelParams
 from graphmem.molgraph import (
@@ -103,6 +103,19 @@ class TestTrain:
             err = capsys.readouterr().err
             assert "configuration error" in err and "vocab" in err
         assert not (workspace / "x").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("memory_size=0", "memory_size must be >= 1"),
+        ("controller_size=0", "controller_size must be >= 1"),
+        ("memory_size=-3", "memory_size must be >= 1"),
+        ("raw_embedding=true", "raw embedding needs memory_size == node_feat_dim"),
+    ])
+    def test_bad_model_width_is_config_error(self, workspace, capsys, setting, message):
+        code = run("train", "--config", workspace / "cfg", "--set", setting, "--out-dir", workspace / "x", "--quiet")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert not (workspace / "x" / "checkpoint.bin").exists()
 
     def test_no_tasks_is_config_error(self, tmp_path):
         (tmp_path / "cfg").write_text("mode=single\n", encoding="utf-8")
@@ -205,9 +218,9 @@ class TestEvalAndDump:
             del arrays["out.bias"]
 
         def misshape(arrays):
-            arrays["mem.self"] = arrays["mem.self"][:, :-1]
+            arrays["mem.gated.self"] = arrays["mem.gated.self"][:, :-1]
 
-        for edit, name in ((drop_bias, "out.bias"), (misshape, "mem.self")):
+        for edit, name in ((drop_bias, "out.bias"), (misshape, "mem.gated.self")):
             path = self.rewritten_checkpoint(trained, edit)
             code = run("eval", "--checkpoint", path, "--set", f"data_dir={workspace}",
                        "--out-dir", workspace / "e")
@@ -230,6 +243,49 @@ class TestEvalAndDump:
         assert code == 5
         assert "vocabulary lists " + meta["vocab"][0] in capsys.readouterr().err
         assert not (workspace / "e" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tasks", None, "tasks must be a non-empty list"),
+        ("tasks", [], "tasks must be a non-empty list"),
+        ("tasks", ["tri", 3], "tasks must be a non-empty list"),
+        ("mode", "pairs", "mode must be one of"),
+        ("hops", "ten", "hops must be an integer >= 1"),
+        ("hops", 0, "hops must be an integer >= 1"),
+        ("hops", True, "hops must be an integer >= 1"),
+        ("seed", None, "seed must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("query_dim", 2, "query width 2 does not fit single mode over 1 task"),
+        ("memory_size", 0, "memory_size must be >= 1"),
+    ])
+    def test_eval_checkpoint_with_unusable_metadata_is_exit_5(self, workspace, trained, capsys,
+                                                               field, value, message):
+        # None removes the field; query_dim and memory_size are fields of the model
+        arrays, meta = load_checkpoint(trained / "checkpoint.bin")
+        meta = {**meta, "model": dict(meta["model"])}
+        target = meta["model"] if field in meta["model"] else meta
+        if value is None:
+            del target[field]
+        else:
+            target[field] = value
+        path = trained / "unusable.bin"
+        save_checkpoint(path, arrays, meta)
+        for command in ("eval", "dump-attention"):
+            code = run(command, "--checkpoint", path, "--set", f"data_dir={workspace}", "--seed", "3",
+                       "--out-dir", workspace / "e")
+            assert code == 5, command
+            err = capsys.readouterr().err
+            assert "checkpoint" in err and message in err, err
+        assert not (workspace / "e" / "metrics.json").exists()
+
+    def test_eval_version_1_checkpoint_is_exit_5(self, workspace, trained, capsys):
+        blob = bytearray((trained / "checkpoint.bin").read_bytes())
+        assert blob[4:8] == FORMAT_VERSION.to_bytes(4, "little") and FORMAT_VERSION == 2
+        blob[4:8] = (1).to_bytes(4, "little")
+        path = trained / "version1.bin"
+        path.write_bytes(bytes(blob))
+        code = run("eval", "--checkpoint", path, "--set", f"data_dir={workspace}", "--out-dir", workspace / "e")
+        assert code == 5
+        assert "format version 1 != supported 2" in capsys.readouterr().err
 
     def test_dump_attention_packs_match_one_at_a_time(self, workspace, trained, monkeypatch):
         import argparse

@@ -37,6 +37,8 @@ from _oracles import (
     mean_passing_oracle,
     neighbor_lists,
     neighbor_union,
+    param_blocks,
+    per_block_initialize_oracle,
     per_relation_memory_step_oracle,
 )
 
@@ -56,9 +58,12 @@ def small_config(n_relations=1, memory=4, controller=4, query=1, **kw) -> ModelC
 
 
 def make_params(config: ModelConfig, seed=0, **overrides) -> ModelParams:
+    """Seeded parameters with some blocks overridden, named per block with
+    ``__`` for the dot (see :func:`param_blocks`)."""
     params = ModelParams.initialize(config, seed)
+    blocks = param_blocks(params.arrays())
     for name, value in overrides.items():
-        params[name.replace("__", ".")].data[...] = value
+        blocks[name.replace("__", ".")][...] = value
     return params
 
 
@@ -76,6 +81,31 @@ def line_graph(n: int, relation=1, n_relations=1) -> MolecularGraph:
 
 def sample_graph(rng, n_relations=2, n_max=8) -> MolecularGraph:
     return featurize(random_graph(rng, 3, n_max, n_relations), SYNTHETIC_ALPHABET)
+
+
+class TestInitialize:
+    @pytest.mark.parametrize("raw_embedding", [False, True])
+    @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
+    @pytest.mark.parametrize("n_relations", [1, 3, 4])
+    def test_stacked_blocks_equal_the_per_block_oracle(self, n_relations, mode, raw_embedding):
+        # k_m, k_h and k_b differ, so that a swapped block or a limit taken
+        # over the stacked shape changes some value
+        k_m = K_X if raw_embedding else 6
+        cfg = small_config(n_relations=n_relations, memory=k_m, controller=3, query=2,
+                           neighbor_mode=mode, raw_embedding=raw_embedding)
+        assert len({cfg.memory_size, cfg.controller_size, cfg.link_feat_dim}) == 3
+        for seed in (0, 7):
+            arrays = ModelParams.initialize(cfg, seed).arrays()
+            blocks = param_blocks(arrays)
+            expected = per_block_initialize_oracle(cfg, seed)
+            assert set(blocks) == set(expected)
+            for name, value in expected.items():
+                np.testing.assert_array_equal(np.asarray(blocks[name]), value, err_msg=name, strict=True)
+            # the blocks tile the stacked arrays: no entry is left over
+            assert sum(a.size for a in arrays.values()) == sum(v.size for v in expected.values())
+        assert "ctrl.gated.self" in arrays and "mem.gated.nbr" in arrays
+        assert arrays["mem.gated.nbr"].shape == (2 * k_m, n_relations * k_m)
+        assert arrays["mem.gated.link"].shape == (2 * k_m, n_relations * cfg.link_feat_dim)
 
 
 class TestInitState:
@@ -245,7 +275,7 @@ class TestMemoryStep:
             cfg = small_config(memory=3, controller=2, neighbor_mode=mode)
             bias = np.array([0.5, -0.7, 0.0])
             params = mean_passing_params(cfg)
-            params["mem.bias"].data[...] = bias
+            param_blocks(params.arrays())["mem.bias"][...] = bias
             graph = featurize(MolecularGraph.from_bonds(["A"], [], 1), SYNTHETIC_ALPHABET)
             prepared = prepare_graph(graph, cfg)
             state = HopState(t=0, controller=Tensor(np.zeros((1, 2))), memory=Tensor(np.array([[9.0, 9.0, 9.0]])))
@@ -278,9 +308,10 @@ class TestMemoryStep:
                           SYNTHETIC_ALPHABET)
         cfg = small_config(n_relations=2, memory=5, controller=3, neighbor_mode="learned")
         params = make_params(cfg, seed=31)
+        blocks = param_blocks(params.arrays())
         rng = np.random.default_rng(32)
         for name in ("nbr.score", "nbr.bias", "mem.bias", "mem_gate.bias"):
-            params[name].data[...] = rng.normal(size=params[name].data.shape)
+            blocks[name][...] = rng.normal(size=blocks[name].shape)
         cells = rng.normal(size=(graph.n_nodes, 5))
         ctrl = rng.normal(size=3)
         state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
@@ -322,10 +353,11 @@ class TestMemoryStep:
             cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
                               memory_size=4, controller_size=3, neighbor_mode=mode)
             params = make_params(cfg, seed=43)
+            blocks = param_blocks(params.arrays())
             rng = np.random.default_rng(44)
             for name in ("nbr.score", "nbr.bias", "mem.bias", "mem_gate.bias"):
-                if name in params.tensors:
-                    params[name].data[...] = rng.normal(size=params[name].data.shape)
+                if name in blocks:
+                    blocks[name][...] = rng.normal(size=blocks[name].shape)
             prepared = pack([prepare_graph(g, cfg) for g in graphs])
             assert prepared.n_relations == 3 and not np.any(prepared.relation == 2), mode
             np.testing.assert_array_equal(prepared.mean_links.data[:, 6:], 0.0)
@@ -350,9 +382,10 @@ class TestMemoryStep:
         cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3)
         params = mean_passing_params(cfg)
+        blocks = param_blocks(params.arrays())
         for r in (1, 2):  # only the first relation's neighbours count
-            params[f"mem.rel{r}"].data[...] = 0.0
-            params[f"mem_gate.rel{r}"].data[...] = 0.0
+            blocks[f"mem.rel{r}"][...] = 0.0
+            blocks[f"mem_gate.rel{r}"][...] = 0.0
         prepared = pack([prepare_graph(g, cfg) for g in graphs])
         cells = np.random.default_rng(45).uniform(0.0, 1.0, size=(prepared.n_nodes, 4))
         state = HopState(t=0, controller=Tensor(np.zeros((len(graphs), 3))), memory=Tensor(cells))
@@ -368,10 +401,11 @@ class TestMemoryStep:
             cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
                               memory_size=3, controller_size=2, neighbor_mode=mode)
             params = make_params(cfg, seed=46)
+            blocks = param_blocks(params.arrays())
             rng = np.random.default_rng(47)
             for name in ("nbr.score", "nbr.bias", "mem.bias", "mem_gate.bias"):
-                if name in params.tensors:
-                    params[name].data[...] = rng.normal(size=params[name].data.shape)
+                if name in blocks:
+                    blocks[name][...] = rng.normal(size=blocks[name].shape)
             prepared = pack([prepare_graph(g, cfg) for g in graphs])
             cells = rng.normal(size=(prepared.n_nodes, 3))
             controllers = rng.normal(size=(len(graphs), 2))
@@ -391,7 +425,7 @@ class TestMemoryStep:
             worst, name = max_relative_error(exact, estimate)
             assert worst <= 1e-6, (mode, worst, name)
             # no edge under the third relation: its neighbour weights get no gradient
-            np.testing.assert_array_equal(exact["mem.rel2"], 0.0)
+            np.testing.assert_array_equal(np.asarray(param_blocks(params.grads())["mem.rel2"]), 0.0)
 
     def test_closed_gate_keeps_memory_for_the_hop(self):
         cfg = small_config(memory=4, controller=3, n_relations=2)

@@ -231,7 +231,7 @@ class TestTapeGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_composite_matches_finite_differences(self, seed):
         # exercises linear_sum (plain, row-gathered, activated, projected),
-        # segment softmax, gather-sum, assemble, the gated update (plain,
+        # segment softmax, gather-sum, the gated update (plain,
         # row-gathered and keyed edge-summed terms; shared and per-row bias),
         # dropout and the cross-entropy node in one
         # recorded expression with several outputs. Each output is weighted
@@ -250,12 +250,14 @@ class TestTapeGradients:
             "q": rng.normal(size=(4, 4)),
             "h": rng.normal(size=(8, 4)),
             "c": rng.normal(size=(3, 8)),
+            "k": rng.normal(size=(8, 4)),
+            "e": rng.normal(size=8),
         }
         x = rng.normal(size=(2, 3))
 
         def build():
             leaves = {name: Tensor(arrays[name], True) for name in arrays}
-            w, u, v, b, m, s, t, q, h, c = (leaves[k] for k in "wuvbmstqhc")
+            w, u, v, b, m, s, t, q, h, c, k, e = (leaves[name] for name in "wuvbmstqhcke")
             hidden = linear_sum([(constant(x), w)], bias=b, activation="tanh")  # (2, 4)
             table = linear_sum([(m, w)], bias=b)  # (5, 4)
             # cells 0-2 belong to graph 0 and cells 3-4 to graph 1
@@ -279,15 +281,13 @@ class TestTapeGradients:
             # the weights are tracked, and row 1 has no in-edges
             context = nm.EdgeSum(table, weights, [1, 3, 1], [0, 1, 4], 3, 2)
             assert not context.data[1].any() and not context.data[2, 4:].any()
-            # weights stacked [proposal; gate]: one from (s, q), one from (q, s)
-            stacked_sq = nm.assemble([s, q], np.arange(32).reshape(8, 4))
-            stacked_qs = nm.assemble([q, s], np.arange(32).reshape(8, 4))
-            # a plain term, rows 4, 0, 4 of table @ W.T, the edge-summed context
-            # and one tracked bias row per output row
-            updated = nm.gated_update([(opened, stacked_sq), (table, stacked_qs, [4, 0, 4]), (context, t)],
+            # weights stacked [proposal; gate]: a plain term, rows 4, 0, 4 of
+            # table @ k.T, the edge-summed context and one tracked bias row per
+            # output row
+            updated = nm.gated_update([(opened, h), (table, k, [4, 0, 4]), (context, t)],
                                       c, proposal)  # (3, 4)
-            # an (8,) bias that takes entries of b twice over, in another order
-            again = nm.gated_update([(updated, h)], nm.assemble([b], [0, 0, 1, 2, 3, 3, 2, 1]), updated)
+            # one (8,) bias row for every output row
+            again = nm.gated_update([(updated, h)], e, updated)
             dropped = dropout(again, 0.5, np.random.default_rng(seed), training=True)  # (3, 4)
             # one score per row, the activated rows recomputed in backward
             scored = linear_sum([(m, w, [4, 0])], bias=b, activation="tanh", project=v)  # (2,)
@@ -382,22 +382,6 @@ class TestGatedUpdate:
             nm.gated_update([(constant(a["x"]), parameter(a["weight"][0][:3]))], bias, constant(a["old"]))
         with pytest.raises(DimensionError):  # bias rows for another row count
             nm.gated_update([(constant(a["x"]), w[0])], parameter(a["bias_rows"][:2]), constant(a["old"]))
-
-
-class TestAssemble:
-    def test_stacks_slices_and_repeats(self):
-        top, bottom = parameter(np.arange(6.0).reshape(2, 3)), parameter([10.0, 20.0])
-        # row 0 of top; columns 1 and 2 of its row 1, then bottom[0]; bottom with
-        # its last entry twice
-        out = nm.assemble([top, bottom], [[0, 1, 2], [4, 5, 6], [6, 7, 7]])
-        np.testing.assert_array_equal(out.data, [[0.0, 1.0, 2.0], [4.0, 5.0, 10.0], [10.0, 20.0, 20.0]])
-        out.backward(seed=np.arange(9.0).reshape(3, 3))
-        np.testing.assert_array_equal(top.grad, [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0]])
-        np.testing.assert_array_equal(bottom.grad, [5.0 + 6.0, 7.0 + 8.0])
-
-    def test_constants_record_no_tape(self):
-        out = nm.assemble([constant([1.0, 2.0])], [1, 0])
-        assert out._backward is None and not out.requires_grad
 
 
 class TestFiniteDifferenceOracle:

@@ -18,7 +18,9 @@ import json
 import sys
 import time
 import zlib
+from dataclasses import fields
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, check_options, circular_fingerprints, fingerprint_csv
 from .gradcheck import run_gradient_check
-from .model import ModelConfig, ModelParams, forward, pack
+from .model import ModelConfig, ModelParams
 from .molgraph import (
     DEFAULT_VOCAB,
     SYNTHETIC_ALPHABET,
@@ -44,14 +46,14 @@ from .molgraph import (
 )
 from .training import (
     MODES,
-    PACK_CELLS,
     ConfigError,
     ExperimentConfig,
     NumericError,
-    TaskSplit,
+    PreparedExample,
     budget_runs,
     build_queries,
     compute_metrics,
+    inference_packs,
     predict_scores,
     prepare_examples,
     split_dataset,
@@ -70,29 +72,12 @@ EXIT_CHECKPOINT = 5
 # atom, are alive together.
 FINGERPRINT_CHUNK_ATOMS = 1024
 
-_CONFIG_TYPES = {
-    "hops": int,
-    "memory_size": int,
-    "controller_size": int,
-    "dropout": float,
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "patience": int,
-    "seed": int,
-    "mode": str,
-    "neighbor_mode": str,
-    "raw_embedding": bool,
-    "tasks": "list",
-    "vocab": "list",
-    "data_dir": str,
-    "nbits": int,
-    "radius": int,
-    "balance": bool,
-}
+# How each config key parses: every ExperimentConfig field by its type (a
+# tuple as a comma list), then the keys only the command line reads.
+_CONFIG_TYPES = {field.name: "list" if get_origin(kind) is tuple else kind
+                 for field in fields(ExperimentConfig)
+                 for kind in (get_type_hints(ExperimentConfig)[field.name],)}
+_CONFIG_TYPES.update(vocab="list", data_dir=str, nbits=int, radius=int, balance=bool)
 
 
 def _parse_bool(text: str) -> bool:
@@ -171,11 +156,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def experiment_config(resolved: dict) -> ExperimentConfig:
-    fields = {k: v for k, v in resolved.items() if k in ExperimentConfig.__dataclass_fields__}
-    if "tasks" in fields:
-        fields["tasks"] = tuple(fields["tasks"])
+    values = {k: tuple(v) if _CONFIG_TYPES[k] == "list" else v
+              for k, v in resolved.items() if k in ExperimentConfig.__dataclass_fields__}
     try:
-        return ExperimentConfig(**fields)
+        return ExperimentConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -410,14 +394,22 @@ def _eval_pool(args: argparse.Namespace, resolved: dict, meta: dict):
     return pool, checksums
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    started = time.time()
+def _checkpoint_inputs(args: argparse.Namespace) -> tuple[dict, Path, ModelParams, dict, dict,
+                                                          list[PreparedExample]]:
+    """What eval and dump-attention read: the resolved config, the out dir,
+    the checkpoint's parameters and metadata, the dataset checksums, and
+    the prepared examples of every task in the checkpoint's roster."""
     resolved = resolve_config(args)
     out_dir = _out_dir(args)
     params, meta = _load_model(args.checkpoint)
     pool, checksums = _eval_pool(args, resolved, meta)
     queries = build_queries(meta["mode"], len(meta["tasks"]))
-    prepared = prepare_examples(pool, params.config, queries)
+    return resolved, out_dir, params, meta, checksums, prepare_examples(pool, params.config, queries)
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    started = time.time()
+    resolved, out_dir, params, meta, checksums, prepared = _checkpoint_inputs(args)
     scores = predict_scores(params, prepared, meta["hops"])
     report = compute_metrics(scores, [ex.label for ex in prepared], [ex.task_id for ex in prepared])
     metrics_path = out_dir / "metrics.json"
@@ -472,21 +464,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_dump_attention(args: argparse.Namespace) -> int:
     started = time.time()
-    resolved = resolve_config(args)
-    out_dir = _out_dir(args)
-    params, meta = _load_model(args.checkpoint)
-    pool, checksums = _eval_pool(args, resolved, meta)
-    queries = build_queries(meta["mode"], len(meta["tasks"]))
-    prepared = prepare_examples(pool, params.config, queries)
+    resolved, out_dir, params, meta, checksums, prepared = _checkpoint_inputs(args)
     dump_path = out_dir / "attention.jsonl"
-    frozen = params.frozen()  # no backward runs, so record no tape
     with open(dump_path, "w", encoding="utf-8") as fh:
-        for part in budget_runs([ex.prepared.n_nodes for ex in prepared], PACK_CELLS):
-            examples = prepared[part]
-            packed = pack([ex.prepared for ex in examples])
-            result = forward(packed, np.stack([ex.query for ex in examples]), frozen, meta["hops"])
+        for part, packed, result in inference_packs(params, prepared, meta["hops"]):
             trace = result.attention_trace()
-            for ex, lo, hi, probability in zip(examples, packed.bounds[:-1], packed.bounds[1:],
+            for ex, lo, hi, probability in zip(prepared[part], packed.bounds[:-1], packed.bounds[1:],
                                                result.probability.data[:, 0].tolist()):
                 record = {
                     "id": ex.example_id,

@@ -200,8 +200,10 @@ class PreparedGraph:
     The edges of every relation form one directed edge list in these row
     numbers, each bond in both directions, so no edge joins two graphs:
     edge ``e`` runs from ``src[e]`` to ``dst[e]`` under the 0-based
-    ``relation[e]`` and carries the link features ``links[e]``. Each
-    graph's edges are sorted by destination, then relation, then source.
+    relation ``r`` and carries the link features ``links[e]``; its key
+    ``keys[e] = dst[e] * R + r`` names its (destination, relation) pair.
+    Each graph's edges are sorted by destination, then relation, then
+    source.
     ``uniform`` holds the weights 1/deg_r(dst) that average each node's
     neighbours under one relation, and ``mean_links`` the (N, R * k_b)
     link features averaged likewise, relation ``r`` in columns
@@ -214,7 +216,7 @@ class PreparedGraph:
     n_relations: int
     src: np.ndarray
     dst: np.ndarray
-    relation: np.ndarray
+    keys: np.ndarray
     links: Tensor
     uniform: Tensor
     mean_links: Tensor
@@ -226,11 +228,6 @@ class PreparedGraph:
     @property
     def n_graphs(self) -> int:
         return self.bounds.size - 1
-
-    @property
-    def keys(self) -> np.ndarray:
-        """Each edge's (destination, relation) pair as ``dst * R + relation``."""
-        return self.dst * self.n_relations + self.relation
 
 
 def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
@@ -261,23 +258,22 @@ def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
     dst = np.concatenate([ends[:, 0], ends[:, 1]])
     relation = np.concatenate([ends[:, 2], ends[:, 2]]) - 1
     order = np.lexsort((src, relation, dst))
-    src, dst, relation = src[order], dst[order], relation[order]
+    src, dst = src[order], dst[order]
+    keys = dst * n_relations + relation[order]
     links = nm.constant(np.concatenate([bond_links, bond_links])[order])
-    keys = dst * n_relations + relation
     uniform = nm.constant(1.0 / np.bincount(keys, minlength=m * n_relations)[keys])
-    mean_links = nm.gather_sum(links, uniform, np.arange(keys.size), keys, m * n_relations)
+    mean_links = nm.EdgeSum(links, uniform, np.arange(keys.size), keys, m, n_relations)
     return PreparedGraph(
         features=nm.constant(graph.node_features), bounds=np.array([0, m]),
         segments=np.zeros(m, dtype=np.intp), n_relations=n_relations, src=src, dst=dst,
-        relation=relation, links=links, uniform=uniform,
-        mean_links=nm.constant(mean_links.data.reshape(m, n_relations * k_b)),
+        keys=keys, links=links, uniform=uniform, mean_links=nm.constant(mean_links.data),
     )
 
 
 def pack(graphs: Sequence[PreparedGraph]) -> PreparedGraph:
     """The disjoint union of prepared graphs (or packs), in order: node rows
-    stacked, edges offset by their graph's first row, segment ids offset
-    by the graphs before."""
+    stacked, edges and their keys offset by their graph's first row,
+    segment ids offset by the graphs before."""
     if not graphs:
         raise ValueError("pack of no graphs")
     if len(graphs) == 1:
@@ -297,7 +293,7 @@ def pack(graphs: Sequence[PreparedGraph]) -> PreparedGraph:
         n_relations=graphs[0].n_relations,
         src=np.concatenate([g.src + row for g, row in zip(graphs, rows)]),
         dst=np.concatenate([g.dst + row for g, row in zip(graphs, rows)]),
-        relation=np.concatenate([g.relation for g in graphs]),
+        keys=np.concatenate([g.keys + row * g.n_relations for g, row in zip(graphs, rows)]),
         links=stack(g.links for g in graphs),
         uniform=stack(g.uniform for g in graphs),
         mean_links=stack(g.mean_links for g in graphs),
@@ -307,7 +303,8 @@ def pack(graphs: Sequence[PreparedGraph]) -> PreparedGraph:
 @dataclass(eq=False)
 class HopState:
     """Everything one hop produced, for every graph of a pack: controller
-    (B, k_h), memory (N, k_m), read (B, k_m), attention and scores (N,).
+    (B, k_h), memory (N, k_m), read, attention and scores (N,). The read
+    is an :class:`~graphmem.numerics.EdgeSum` whose ``.data`` is (B, k_m).
     ``t=0`` is the freshly initialized state; read/attention/scores appear
     from the first real hop on. The final hop of :func:`forward` has no
     memory (``None``): the output head reads only the controller, so that
@@ -318,7 +315,7 @@ class HopState:
     t: int
     controller: Tensor
     memory: Tensor | None
-    read: Tensor | None = None
+    read: nm.EdgeSum | None = None
     attention: Tensor | None = None
     scores: Tensor | None = None
 
@@ -364,12 +361,13 @@ def init_state(
 
 
 def attentive_read(state: HopState, params: ModelParams,
-                   prepared: PreparedGraph) -> tuple[Tensor, Tensor, Tensor]:
+                   prepared: PreparedGraph) -> tuple[nm.EdgeSum, Tensor, Tensor]:
     """Soft attention over the memory of the previous hop, per graph.
 
     Every cell is scored by a shared vector against a tanh blend of the
     cell and its graph's controller row; a softmax over each graph's cells
-    gives the weights and the read row is the weighted sum of those cells.
+    gives the weights and the read row is the weighted sum of those cells,
+    an :class:`~graphmem.numerics.EdgeSum` from every cell to its graph.
     Returns (read, weights, pre-softmax scores).
     """
     if np.any(np.diff(prepared.bounds) == 0):
@@ -380,12 +378,13 @@ def attentive_read(state: HopState, params: ModelParams,
         bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
     )
     weights = nm.segment_softmax(scores, segments, n_graphs)
-    read = nm.gather_sum(state.memory, weights, np.arange(state.memory.shape[0]), segments, n_graphs)
+    read = nm.EdgeSum(state.memory, weights, np.arange(prepared.n_nodes), segments, n_graphs, 1)
     return read, weights, scores
 
 
-def controller_step(state: HopState, read: Tensor, params: ModelParams) -> Tensor:
-    """Gated recurrent update of every controller row from its read row."""
+def controller_step(state: HopState, read: nm.EdgeSum | Tensor, params: ModelParams) -> Tensor:
+    """Gated recurrent update of every controller row from its read row,
+    the read term of one gated update."""
     return nm.gated_update(
         [(state.controller, params["ctrl.gated.self"]), (read, params["ctrl.gated.read"])],
         params["ctrl.gated.bias"], state.controller,

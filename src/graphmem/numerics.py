@@ -7,11 +7,13 @@ constants produce constants, so per-graph fixed data (adjacency, features)
 costs nothing at backward time.
 
 The operations are the fused nodes the model runs: :func:`linear_sum`,
-:func:`gated_update` (with :class:`EdgeSum` inputs), :func:`gather_sum`,
-:func:`segment_softmax`, :func:`binary_cross_entropy` and :func:`dropout`.
-Each records one tape node however many products, activations or gathers
-it computes. The model stores each gated update's weights stacked the way
-:func:`gated_update` takes them, so parameters enter the tape as they are.
+:func:`gated_update`, :func:`segment_softmax`, :func:`binary_cross_entropy`
+and :func:`dropout`. Each records one tape node however many products,
+activations or gathers it computes. The one weighted gather-sum, an
+:class:`EdgeSum`, is no node of its own but a :func:`gated_update` input:
+it serves the attention read and the neighbour sums. The model stores
+each gated update's weights stacked the way :func:`gated_update` takes
+them, so parameters enter the tape as they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
@@ -157,41 +159,9 @@ def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.ravel(), minlength=n_out * k).reshape(n_out, k)
 
 
-def gather_sum(x: Tensor, weights: Tensor, src, dst, n_out: int) -> Tensor:
-    """Weighted gather-sum over an edge list: ``out[d]`` is the sum of
-    ``weights[e] * x[src[e]]`` over the edges ``e`` with ``dst[e] == d``.
-
-    ``x`` is (n, k), ``weights``, ``src`` and ``dst`` have one entry per
-    edge; the output is (n_out, k). Backward gathers the rows of ``x``
-    again instead of keeping the (edges, k) copy from the forward pass.
-    """
-    s = np.asarray(src, dtype=np.intp)
-    d = np.asarray(dst, dtype=np.intp)
-    if x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape:
-        raise _shape_error("gather_sum", x.shape, weights.shape, s.shape, d.shape)
-    out = Tensor(_edge_sum(x, weights, s, d, n_out))
-    if not _tracked(x, weights):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        _edge_sum_backward(x, weights, s, d, g)
-
-    return _record(out, (x, weights), backward)
-
-
 def _edge_sum(x: Tensor, weights: Tensor, s: np.ndarray, d: np.ndarray, n_out: int) -> np.ndarray:
     """The (n_out, k) weighted gather-sum of the rows of ``x`` over the edges ``s -> d``."""
     return _sum_rows(weights.data[:, None] * x.data[s], d, n_out)
-
-
-def _edge_sum_backward(x: Tensor, weights: Tensor, s: np.ndarray, d: np.ndarray, g: np.ndarray) -> None:
-    """Accumulate the gradients of a weighted edge gather-sum from the
-    gradient ``g`` of its (n_out, k) output."""
-    at_dst = g[d]
-    if _tracked(x):
-        _accumulate(x, _sum_rows(weights.data[:, None] * at_dst, s, x.data.shape[0]))
-    if _tracked(weights):
-        _accumulate(weights, np.einsum("ek,ek->e", at_dst, x.data[s]))
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -277,12 +247,14 @@ class EdgeSum:
     The sum of ``weights[e] * x[src[e]]`` over the edges with ``keys[e] ==
     d * groups + r`` fills columns ``r*k:(r+1)*k`` of row ``d`` of the
     (n_out, groups * k) value, so one pass sums every group; a row and
-    group without edges stays zero.
+    group without edges stays zero. An edge may join two cells of a graph
+    or run from a cell to its graph's row, as in the attention read (one
+    group, keyed by the cell's graph).
 
     ``data`` holds the value, computed once here. The gated update that
     consumes it keeps only the recipe (``x``, ``weights``, the edges and
-    keys): its backward gathers the sums again, as :func:`gather_sum`
-    does, instead of keeping ``data``.
+    keys): its backward gathers the sums again instead of keeping
+    ``data``.
     """
 
     __slots__ = ("x", "weights", "src", "keys", "data")
@@ -369,7 +341,11 @@ def gated_update(
                 if _tracked(x):
                     _accumulate(x, gz @ w.data)
             elif _tracked(x, weights):
-                _edge_sum_backward(x, weights, s, keys, (gz @ w.data).reshape(-1, k))
+                at_dst = (gz @ w.data).reshape(-1, k)[keys]
+                if _tracked(x):
+                    _accumulate(x, _sum_rows(weights.data[:, None] * at_dst, s, x.data.shape[0]))
+                if _tracked(weights):
+                    _accumulate(weights, np.einsum("ek,ek->e", at_dst, x.data[s]))
         if _tracked(bias):
             _accumulate(bias, dz.sum(axis=0) if bias.ndim == 1 else dz)
         if _tracked(old):

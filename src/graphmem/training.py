@@ -15,6 +15,7 @@ recording a tape.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .model import NEIGHBOR_MODES, ModelConfig, ModelParams, PreparedGraph, forward, pack, prepare_graph
+from .model import NEIGHBOR_MODES, ForwardResult, ModelConfig, ModelParams, PreparedGraph, forward, pack, prepare_graph
 from .molgraph import DatasetError, LabeledExample, link_feature_dim
 from .numerics import Tensor
 
@@ -72,6 +73,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        # optimiser settings under which Adam cannot descend: refused here, not
+        # found later as a NaN loss or as metrics of a run that ascended
+        for name in ("learning_rate", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not (0.0 <= value < 1.0):  # false for NaN too
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:
@@ -359,21 +370,29 @@ def budget_runs(sizes: Sequence[int], budget: int) -> Iterator[slice]:
         yield slice(start, len(sizes))
 
 
-def _run_pack(examples: Sequence[PreparedExample], params: ModelParams, hops: int, **dropout) -> Tensor:
-    """The (B, 1) probabilities of one pack of examples."""
+def _run_pack(examples: Sequence[PreparedExample], params: ModelParams, hops: int,
+              **dropout) -> tuple[PreparedGraph, ForwardResult]:
+    """The pack of a run of examples and its forward result."""
     prepared = pack([ex.prepared for ex in examples])
-    query = np.stack([ex.query for ex in examples])
-    return forward(prepared, query, params, hops, **dropout).probability
+    return prepared, forward(prepared, np.stack([ex.query for ex in examples]), params, hops, **dropout)
 
 
-def predict_scores(params: ModelParams, examples: Sequence[PreparedExample], hops: int) -> np.ndarray:
-    """Inference probabilities for a prepared example list (dropout off).
+def inference_packs(params: ModelParams, examples: Sequence[PreparedExample],
+                    hops: int) -> Iterator[tuple[slice, PreparedGraph, ForwardResult]]:
+    """Each ``PACK_CELLS`` run of ``examples`` in order, as its slice, its
+    pack and its forward result (dropout off).
 
     Runs on :meth:`ModelParams.frozen`, so no tape is recorded and no
     parameter gains a gradient."""
     frozen = params.frozen()
-    runs = budget_runs([ex.prepared.n_nodes for ex in examples], PACK_CELLS)
-    scores = [_run_pack(examples[part], frozen, hops).data.ravel() for part in runs]
+    for part in budget_runs([ex.prepared.n_nodes for ex in examples], PACK_CELLS):
+        yield (part, *_run_pack(examples[part], frozen, hops))
+
+
+def predict_scores(params: ModelParams, examples: Sequence[PreparedExample], hops: int) -> np.ndarray:
+    """Inference probabilities for a prepared example list, one per example
+    in order (see :func:`inference_packs`)."""
+    scores = [result.probability.data.ravel() for _, _, result in inference_packs(params, examples, hops)]
     return np.concatenate(scores) if scores else np.zeros(0)
 
 
@@ -465,9 +484,9 @@ def train(
             for part in budget_runs([ex.prepared.n_nodes for ex in examples], PACK_CELLS):
                 # each example draws its dropout masks from its own generator
                 rngs = [np.random.default_rng((config.seed, epoch, int(idx))) for idx in batch[part]]
-                probability = _run_pack(examples[part], params, config.hops,
-                                        dropout_rate=config.dropout, rng=rngs, training=True)
-                loss = cross_entropy(probability, [ex.label for ex in examples[part]])
+                _, forwarded = _run_pack(examples[part], params, config.hops,
+                                         dropout_rate=config.dropout, rng=rngs, training=True)
+                loss = cross_entropy(forwarded.probability, [ex.label for ex in examples[part]])
                 for value in loss.data.ravel().tolist():
                     if not np.isfinite(value):
                         raise NumericError(f"non-finite training loss {value!r}")

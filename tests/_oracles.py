@@ -365,6 +365,16 @@ def per_relation_memory_step_oracle(graphs, params: dict, memory: np.ndarray, co
     return gate * np.maximum(pre_p, 0.0) + (1.0 - gate) * memory, contexts
 
 
+def gather_sum(x: np.ndarray, weights: np.ndarray, src, dst, n_out: int) -> np.ndarray:
+    """Weighted gather-sum over an edge list, one edge at a time in edge
+    order: ``out[d]`` is the sum of ``weights[e] * x[src[e]]`` over the
+    edges ``e`` with ``dst[e] == d``, and a row without edges is zero."""
+    out = np.zeros((n_out, x.shape[1]))
+    for e in range(len(src)):
+        out[dst[e]] += weights[e] * x[src[e]]
+    return out
+
+
 def gated_update_oracle(terms, bias, old) -> np.ndarray:
     """The gated skip connection row by row from its definition: each row's
     pre-activations ``z = sum W @ X + bias`` stack the proposal over the

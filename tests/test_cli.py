@@ -117,6 +117,26 @@ class TestTrain:
         assert "configuration error" in err and message in err
         assert not (workspace / "x" / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("beta1=1.0", "beta1 must be in [0, 1), got 1.0"),
+        ("beta2=1.5", "beta2 must be in [0, 1), got 1.5"),
+        ("learning_rate=nan", "learning_rate must be finite and > 0, got nan"),
+        ("learning_rate=-0.1", "learning_rate must be finite and > 0, got -0.1"),
+        ("epsilon=0", "epsilon must be finite and > 0, got 0.0"),
+    ])
+    def test_optimiser_setting_that_cannot_train_is_config_error(self, workspace, capsys, setting, message):
+        code = run("train", "--config", workspace / "cfg", "--set", setting, "--out-dir", workspace / "x", "--quiet")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err and "Traceback" not in err
+        assert not (workspace / "x").exists()  # refused before the run starts
+
+    @pytest.mark.parametrize("setting", ["beta1=0", "beta2=0"])
+    def test_zero_moment_decay_trains(self, workspace, setting):
+        out = workspace / "zero"
+        assert run("train", "--config", workspace / "cfg", "--set", setting, "--out-dir", out, "--quiet") == 0
+        assert (out / "metrics.json").is_file()
+
     def test_no_tasks_is_config_error(self, tmp_path):
         (tmp_path / "cfg").write_text("mode=single\n", encoding="utf-8")
         assert run("train", "--config", tmp_path / "cfg", "--out-dir", tmp_path / "x") == 2
@@ -133,6 +153,25 @@ class TestTrain:
                    "--out-dir", out, "--quiet") == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 42
+
+
+class TestConfigKeys:
+    def test_every_experiment_field_is_a_config_key_with_its_type(self):
+        # each field read back from its text through --set, as its own type
+        import argparse
+        import dataclasses
+
+        from graphmem.cli import experiment_config, resolve_config
+        from graphmem.training import ExperimentConfig
+
+        example = dataclasses.replace(ExperimentConfig(), tasks=("tri", "other"), raw_embedding=True,
+                                      learning_rate=0.25, mode="multi")
+        for field in dataclasses.fields(ExperimentConfig):
+            value = getattr(example, field.name)
+            text = ",".join(value) if isinstance(value, tuple) else str(value)
+            parsed = getattr(experiment_config(resolve_config(argparse.Namespace(set=[f"{field.name}={text}"]))),
+                             field.name)
+            assert parsed == value and type(parsed) is type(value), field.name
 
 
 class TestBalanceFlag:
@@ -291,12 +330,14 @@ class TestEvalAndDump:
         import argparse
 
         import graphmem.cli as cli
+        import graphmem.training as training
         from graphmem.model import forward
         from graphmem.training import build_queries, prepare_examples
 
         calls = []
-        original = cli.forward
-        monkeypatch.setattr(cli, "forward", lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        original = training.forward
+        monkeypatch.setattr(training, "forward",
+                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
         out = workspace / "dump"
         assert run("dump-attention", "--checkpoint", trained / "checkpoint.bin",
                    "--set", f"data_dir={workspace}", "--out-dir", out) == 0
@@ -317,16 +358,16 @@ class TestEvalAndDump:
                                        rtol=0, atol=1e-12)
 
     def test_dump_attention_records(self, workspace, trained, monkeypatch):
-        import graphmem.cli as cli
+        import graphmem.training as training
 
-        original = cli.forward
+        original = training.forward
         results = []
 
         def recording_forward(*args, **kwargs):
             results.append(original(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(cli, "forward", recording_forward)
+        monkeypatch.setattr(training, "forward", recording_forward)
         out = workspace / "dump"
         assert run("dump-attention", "--checkpoint", trained / "checkpoint.bin",
                    "--set", f"data_dir={workspace}", "--out-dir", out) == 0

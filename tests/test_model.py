@@ -33,6 +33,7 @@ from graphmem.numerics import DimensionError, EdgeSum, Tensor, finite_difference
 
 from _oracles import (
     bfs_distances,
+    gather_sum,
     learned_memory_step_oracle,
     mean_passing_oracle,
     neighbor_lists,
@@ -196,6 +197,25 @@ class TestAttentiveRead:
         np.testing.assert_allclose(read.data, [expected_read], atol=1e-14)
         np.testing.assert_allclose(scores.data, raw, atol=1e-14)
 
+    def test_read_equals_the_gather_sum_reference(self):
+        # the read, an EdgeSum from every cell to its graph, against the
+        # edge-by-edge weighted sum, bit for bit: on the mixed pack of
+        # TestMemoryStep and on a single atom
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+                          memory_size=4, controller_size=3)
+        params = make_params(cfg, seed=45)
+        rng = np.random.default_rng(46)
+        params["attn.score"].data[...] = rng.normal(size=3)
+        graphs = TestMemoryStep.mixed_pack_graphs()
+        for prepared in (pack([prepare_graph(g, cfg) for g in graphs]), prepare_graph(graphs[0], cfg)):
+            cells = rng.normal(size=(prepared.n_nodes, 4))
+            state = HopState(t=0, controller=Tensor(rng.normal(size=(prepared.n_graphs, 3))), memory=Tensor(cells))
+            read, weights, _ = attentive_read(state, params, prepared)
+            assert isinstance(read, EdgeSum) and read.data.shape == (prepared.n_graphs, 4)
+            expected = gather_sum(cells, weights.data, np.arange(prepared.n_nodes), prepared.segments,
+                                  prepared.n_graphs)
+            np.testing.assert_array_equal(read.data, expected)
+
     def test_empty_memory_rejected(self):
         cfg = small_config(memory=2, controller=2)
         params = make_params(cfg)
@@ -248,6 +268,42 @@ class TestControllerStep:
         state = HopState(t=0, controller=Tensor(h[None]), memory=Tensor(np.zeros((1, 2))))
         out = controller_step(state, Tensor(read[None]), params)
         np.testing.assert_allclose(out.data, [expected], atol=1e-15)
+
+    def test_edge_sum_read_matches_a_tensor_read(self):
+        # the same update whether the read is the attention's EdgeSum or a
+        # tracked tensor holding its values: the same output and parameter
+        # gradients, and the EdgeSum passes the tensor's gradient on to the
+        # cells and the attention weights by the chain rule
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+                          memory_size=4, controller_size=3)
+        prepared = pack([prepare_graph(g, cfg) for g in TestMemoryStep.mixed_pack_graphs()])
+        rng = np.random.default_rng(47)
+        cells = rng.normal(size=(prepared.n_nodes, 4))
+        controllers = rng.normal(size=(prepared.n_graphs, 3))
+        attention = rng.uniform(0.1, 1.0, size=prepared.n_nodes)
+        bias = rng.normal(size=6)
+        seed = rng.normal(size=(prepared.n_graphs, 3))
+
+        def step(as_tensor: bool):
+            params = make_params(cfg, seed=48, ctrl__bias=bias[:3], ctrl_gate__bias=bias[3:])
+            memory, weights = Tensor(cells, True), Tensor(attention, True)
+            state = HopState(t=0, controller=Tensor(controllers, True), memory=memory)
+            read = EdgeSum(memory, weights, np.arange(prepared.n_nodes), prepared.segments, prepared.n_graphs, 1)
+            if as_tensor:
+                read = Tensor(read.data, True)
+            out = controller_step(state, read, params)
+            out.backward(seed=seed)
+            return out.data, params.grads(), state.controller.grad, read, memory.grad, weights.grad
+
+        out, grads, ctrl_grad, _, memory_grad, weights_grad = step(as_tensor=False)
+        out_t, grads_t, ctrl_grad_t, read_t, _, _ = step(as_tensor=True)
+        np.testing.assert_array_equal(out, out_t)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], grads_t[name], err_msg=name)
+        np.testing.assert_array_equal(ctrl_grad, ctrl_grad_t)
+        at_graph = read_t.grad[prepared.segments]
+        np.testing.assert_array_equal(memory_grad, attention[:, None] * at_graph)
+        np.testing.assert_allclose(weights_grad, (at_graph * cells).sum(axis=1), rtol=1e-14, atol=0)
 
 
 def mean_passing_params(cfg: ModelConfig) -> ModelParams:
@@ -359,7 +415,7 @@ class TestMemoryStep:
                 if name in blocks:
                     blocks[name][...] = rng.normal(size=blocks[name].shape)
             prepared = pack([prepare_graph(g, cfg) for g in graphs])
-            assert prepared.n_relations == 3 and not np.any(prepared.relation == 2), mode
+            assert prepared.n_relations == 3 and not np.any(prepared.keys % 3 == 2), mode
             np.testing.assert_array_equal(prepared.mean_links.data[:, 6:], 0.0)
             cells = rng.normal(size=(prepared.n_nodes, 4))
             controllers = rng.normal(size=(len(graphs), 3))

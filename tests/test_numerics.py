@@ -15,7 +15,6 @@ from graphmem.numerics import (
     constant,
     dropout,
     finite_difference_gradient,
-    gather_sum,
     linear_sum,
     parameter,
     segment_softmax,
@@ -231,8 +230,8 @@ class TestTapeGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_composite_matches_finite_differences(self, seed):
         # exercises linear_sum (plain, row-gathered, activated, projected),
-        # segment softmax, gather-sum, the gated update (plain,
-        # row-gathered and keyed edge-summed terms; shared and per-row bias),
+        # segment softmax, the gated update (plain, row-gathered, edge-summed
+        # and keyed edge-summed terms; shared and per-row bias),
         # dropout and the cross-entropy node in one
         # recorded expression with several outputs. Each output is weighted
         # by a fixed random array R_k: the exact gradient of sum_k <R_k, out_k>
@@ -264,7 +263,9 @@ class TestTapeGradients:
             cells = [0, 0, 0, 1, 1]
             scores = linear_sum([(table, s), (hidden, q, cells)], activation="tanh", project=v)  # (5,)
             attn = segment_softmax(scores, cells, 2)  # (5,)
-            read = gather_sum(table, attn, np.arange(5), cells, 2)  # (2, 4)
+            # each cell's attention-weighted row summed into its graph's row
+            read = nm.EdgeSum(table, attn, np.arange(5), cells, 2, 1)  # (2, 4)
+            controlled = nm.gated_update([(hidden, k), (read, h)], e, hidden)  # (2, 4)
             # rows 0, 2, 2 of m @ w.T plus rows 4, 4, 1 of table @ s.T
             picked = linear_sum([(m, w, [0, 2, 2]), (table, s, [4, 4, 1])], bias=b,
                                 activation="tanh")  # (3, 4)
@@ -272,10 +273,10 @@ class TestTapeGradients:
             segments = [0, 0, 2]
             weights = segment_softmax(linear_sum([(picked, s)], project=v), segments, 3)  # (3,)
             assert weights.data[2] == 1.0
-            gathered = gather_sum(table, weights, [1, 3, 1], segments, 3)  # (3, 4), row 1 zero
+            gathered = nm.EdgeSum(table, weights, [1, 3, 1], segments, 3, 1)  # (3, 4), row 1 zero
             assert not gathered.data[1].any()
             proposal = linear_sum([(picked, s)], activation="relu")  # (3, 4)
-            opened = linear_sum([(gathered, s)], bias=b, activation="sigmoid")  # (3, 4)
+            opened = nm.gated_update([(gathered, h)], c, proposal)  # (3, 4)
             # (3, 8): the same weighted sums keyed into two column groups, edges
             # 0 and 2 into group 0 of rows 0 and 2, edge 1 into group 1 of row 0;
             # the weights are tracked, and row 1 has no in-edges
@@ -291,9 +292,9 @@ class TestTapeGradients:
             dropped = dropout(again, 0.5, np.random.default_rng(seed), training=True)  # (3, 4)
             # one score per row, the activated rows recomputed in backward
             scored = linear_sum([(m, w, [4, 0])], bias=b, activation="tanh", project=v)  # (2,)
-            prob = linear_sum([(read, u)], activation="sigmoid")  # (2, 1)
+            prob = linear_sum([(controlled, u)], activation="sigmoid")  # (2, 1)
             loss = binary_cross_entropy(prob, np.array([[1.0], [0.0]]))  # (2, 1)
-            return [attn, read, gathered, proposal, opened, dropped, scored, loss], leaves
+            return [attn, controlled, proposal, opened, dropped, scored, loss], leaves
 
         outputs, _ = build()
         seeds = [rng.normal(size=out.shape) for out in outputs]

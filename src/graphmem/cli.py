@@ -98,7 +98,7 @@ def _repeated_symbols(vocab) -> list[str]:
 def read_config_file(path: str | Path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -167,22 +167,31 @@ def experiment_config(resolved: dict) -> ExperimentConfig:
 # -- dataset resolution ---------------------------------------------------------
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _text(path: Path, data: bytes) -> str:
+    """``data``, the bytes of the data file ``path``, as text."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _task_seed(seed: int, name: str) -> int:
     return (seed * 0x9E3779B1 + zlib.crc32(name.encode("utf-8"))) % (2**63)
 
 
-def resolve_task(data_dir: Path, name: str, seed: int) -> tuple[list[LabeledExample], dict, bool]:
+def resolve_task(data_dir: Path, name: str, seed: int,
+                 libraries: dict[str, list[MolecularGraph]]) -> tuple[list[LabeledExample], dict, bool]:
     """Load one task by name: a directory of molecules.sdf + labels.csv, or
     a ``<name>.synth`` spec regenerated deterministically from the run seed.
-    Returns (examples, checksums, is_synthetic)."""
+    Returns (examples, checksums, is_synthetic).
+
+    ``libraries`` maps the sha256 of each molecules.sdf read so far to its
+    parsed graphs: tasks whose files hold the same bytes share one parse
+    and one set of graph objects."""
     task_dir = data_dir / name
     spec_path = data_dir / f"{name}.synth"
     if task_dir.is_dir():
@@ -191,8 +200,12 @@ def resolve_task(data_dir: Path, name: str, seed: int) -> tuple[list[LabeledExam
         for required in (sdf_path, labels_path):
             if not required.is_file():
                 raise DatasetError(f"task {name!r}: missing {required}")
-        graphs = parse_sdf(sdf_path.read_text(encoding="utf-8"))
-        rows = read_labels_csv(labels_path.read_text(encoding="utf-8"))
+        sdf_bytes, labels_bytes = sdf_path.read_bytes(), labels_path.read_bytes()
+        sdf_sha256 = _sha256(sdf_bytes)
+        graphs = libraries.get(sdf_sha256)
+        if graphs is None:
+            graphs = libraries[sdf_sha256] = parse_sdf(_text(sdf_path, sdf_bytes))
+        rows = read_labels_csv(_text(labels_path, labels_bytes))
         by_title = {}
         for g in graphs:
             by_title.setdefault(g.title, g)
@@ -209,12 +222,12 @@ def resolve_task(data_dir: Path, name: str, seed: int) -> tuple[list[LabeledExam
                 if graph is None:
                     raise DatasetError(f"task {name!r}: label id {row_id!r} matches no record title")
             examples.append(LabeledExample(graph=graph, task_id=0, label=label, example_id=row_id))
-        checks = {"molecules.sdf": _sha256(sdf_path), "labels.csv": _sha256(labels_path)}
-        return examples, checks, False
+        return examples, {"molecules.sdf": sdf_sha256, "labels.csv": _sha256(labels_bytes)}, False
     if spec_path.is_file():
-        spec = parse_synthetic_spec(spec_path.read_text(encoding="utf-8"))
+        spec_bytes = spec_path.read_bytes()
+        spec = parse_synthetic_spec(_text(spec_path, spec_bytes))
         examples = generate_synthetic(spec, _task_seed(seed, name))
-        return examples, {f"{name}.synth": _sha256(spec_path)}, True
+        return examples, {f"{name}.synth": _sha256(spec_bytes)}, True
     raise DatasetError(f"cannot resolve task {name!r}: no directory {task_dir} or spec file {spec_path}")
 
 
@@ -236,9 +249,10 @@ def load_roster(resolved: dict, config: ExperimentConfig) -> tuple[dict[str, lis
     data_dir = Path(resolved.get("data_dir", "."))
     datasets: dict[str, list[LabeledExample]] = {}
     checksums: dict = {}
+    libraries: dict[str, list[MolecularGraph]] = {}  # for this call only, see resolve_task
     all_synthetic = True
     for task_id, name in enumerate(config.tasks):
-        examples, checks, is_synth = resolve_task(data_dir, name, config.seed)
+        examples, checks, is_synth = resolve_task(data_dir, name, config.seed, libraries)
         all_synthetic = all_synthetic and is_synth
         if resolved.get("balance") and not is_synth:
             # synthetic specs control balance directly; only disk data is rebalanced
@@ -257,8 +271,8 @@ def load_roster(resolved: dict, config: ExperimentConfig) -> tuple[dict[str, lis
 
 def _featurize_once(examples: list[LabeledExample], vocab: list[str]) -> None:
     """Featurize the examples' graphs, once per source graph object: label
-    rows naming the same record then share one featurized graph, and
-    ``prepare_examples`` prepares it once."""
+    rows naming the same record, in one task or in tasks that share a
+    library, then share one featurized graph."""
     done: dict[int, tuple[MolecularGraph, MolecularGraph]] = {}
     for ex in examples:
         key = id(ex.graph)
@@ -335,15 +349,16 @@ def _check_run_meta(meta: dict, model_config: ModelConfig) -> None:
     dump-attention could not use: the task roster, mode, hops and seed,
     and a query width that does not fit the mode and roster."""
     tasks, mode = meta.get("tasks"), meta.get("mode")
-    if not isinstance(tasks, list) or not tasks or not all(isinstance(name, str) for name in tasks):
-        raise CheckpointError(f"checkpoint metadata: tasks must be a non-empty list of names, got {tasks!r}")
+    if (not isinstance(tasks, list) or not tasks or not all(isinstance(name, str) for name in tasks)
+            or len(set(tasks)) != len(tasks)):
+        raise CheckpointError(f"checkpoint metadata: tasks must be a non-empty list of distinct names, got {tasks!r}")
     if mode not in MODES:
         raise CheckpointError(f"checkpoint metadata: mode must be one of {MODES}, got {mode!r}")
     hops, seed = meta.get("hops"), meta.get("seed")
     if type(hops) is not int or hops < 1:  # type(), not isinstance: True is no hop count
         raise CheckpointError(f"checkpoint metadata: hops must be an integer >= 1, got {hops!r}")
-    if type(seed) is not int:
-        raise CheckpointError(f"checkpoint metadata: seed must be an integer, got {seed!r}")
+    if type(seed) is not int or seed < 0:
+        raise CheckpointError(f"checkpoint metadata: seed must be an integer >= 0, got {seed!r}")
     query_dim = 1 if mode == "single" else len(tasks)
     if model_config.query_dim != query_dim:
         raise CheckpointError(f"checkpoint metadata: the model's query width {model_config.query_dim} "
@@ -377,15 +392,16 @@ def _load_model(path: str) -> tuple[ModelParams, dict]:
     return params, meta
 
 
-def _eval_pool(args: argparse.Namespace, resolved: dict, meta: dict):
+def _eval_pool(resolved: dict, meta: dict):
     config = experiment_config({**resolved, "tasks": meta["tasks"], "mode": meta["mode"],
                                 "seed": resolved.get("seed", meta["seed"])})
     data_dir = Path(resolved.get("data_dir", "."))
     vocab = meta["vocab"]
     checksums: dict = {}
+    libraries: dict[str, list[MolecularGraph]] = {}  # for this call only, see resolve_task
     pool: list[LabeledExample] = []
     for task_id, name in enumerate(meta["tasks"]):
-        examples, checks, _ = resolve_task(data_dir, name, config.seed)
+        examples, checks, _ = resolve_task(data_dir, name, config.seed, libraries)
         checksums[name] = checks
         for ex in examples:
             ex.task_id = task_id
@@ -402,7 +418,7 @@ def _checkpoint_inputs(args: argparse.Namespace) -> tuple[dict, Path, ModelParam
     resolved = resolve_config(args)
     out_dir = _out_dir(args)
     params, meta = _load_model(args.checkpoint)
-    pool, checksums = _eval_pool(args, resolved, meta)
+    pool, checksums = _eval_pool(resolved, meta)
     queries = build_queries(meta["mode"], len(meta["tasks"]))
     return resolved, out_dir, params, meta, checksums, prepare_examples(pool, params.config, queries)
 
@@ -432,7 +448,8 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     sdf_path = Path(args.input)
     if not sdf_path.is_file():
         raise DatasetError(f"no such SDF file: {sdf_path}")
-    graphs = parse_sdf(sdf_path.read_text(encoding="utf-8"))
+    sdf_bytes = sdf_path.read_bytes()
+    graphs = parse_sdf(_text(sdf_path, sdf_bytes))
     vocab = resolved.get("vocab", list(DEFAULT_VOCAB))
     rows = []
     for chunk in budget_runs([graph.n_nodes for graph in graphs], FINGERPRINT_CHUNK_ATOMS):
@@ -444,7 +461,7 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     csv_path = out_dir / "fingerprints.csv"
     csv_path.write_text(fingerprint_csv(rows), encoding="utf-8")
     _write_manifest(out_dir, "fingerprint", {**resolved, "nbits": nbits, "radius": radius},
-                    {"input": {sdf_path.name: _sha256(sdf_path)}}, {"fingerprints": str(csv_path)}, started)
+                    {"input": {sdf_path.name: _sha256(sdf_bytes)}}, {"fingerprints": str(csv_path)}, started)
     print(f"{len(rows)} fingerprints written to {csv_path}")
     return EXIT_OK
 
@@ -489,8 +506,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     if not spec_path.is_file():
         raise DatasetError(f"no such spec file: {spec_path}")
-    spec = parse_synthetic_spec(spec_path.read_text(encoding="utf-8"))
-    seed = resolved.get("seed", 0)
+    spec_bytes = spec_path.read_bytes()
+    spec = parse_synthetic_spec(_text(spec_path, spec_bytes))
+    seed = experiment_config(resolved).seed
     examples = generate_synthetic(spec, seed)
     task_name = spec_path.stem
     sdf_path = out_dir / "molecules.sdf"
@@ -501,7 +519,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     lines.extend(f"{ex.example_id},{task_name},{ex.label}" for ex in examples)
     labels_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_manifest(out_dir, "synth", {**resolved, "seed": seed},
-                    {task_name: {spec_path.name: _sha256(spec_path)}},
+                    {task_name: {spec_path.name: _sha256(spec_bytes)}},
                     {"molecules": str(sdf_path), "labels": str(labels_path)}, started)
     print(f"{len(examples)} molecules written to {sdf_path}")
     return EXIT_OK

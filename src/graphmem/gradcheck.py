@@ -130,7 +130,7 @@ def run_gradient_check(
     params = _random_params(config, rng)
     queries = np.stack([one_hot_query() for _ in members])
     labels = [int(rng.integers(0, 2)) for _ in members]
-    packed = pack([prepare_graph(featurize(g, vocab), config) for g in members])
+    packed = pack([featurize(g, vocab) for g in members], config)
     pack_error, name = _certify(packed, queries, labels, params, hops, eps)
     if pack_error >= worst:
         worst, worst_name = pack_error, name

@@ -190,20 +190,18 @@ class ModelParams:
 @dataclass(eq=False)
 class PreparedGraph:
     """A pack: the disjoint union of one or more graphs, with the constants
-    every hop reuses.
+    every hop reuses, built by :func:`pack`.
 
     The node rows of all graphs are stacked in order: graph ``b`` owns rows
     ``bounds[b]:bounds[b+1]`` of ``features`` and of the memory, and
-    ``segments`` holds each row's graph. A single graph is a pack of one;
-    :func:`pack` joins packs.
+    ``segments`` holds each row's graph. A single graph is a pack of one.
 
     The edges of every relation form one directed edge list in these row
     numbers, each bond in both directions, so no edge joins two graphs:
     edge ``e`` runs from ``src[e]`` to ``dst[e]`` under the 0-based
     relation ``r`` and carries the link features ``links[e]``; its key
     ``keys[e] = dst[e] * R + r`` names its (destination, relation) pair.
-    Each graph's edges are sorted by destination, then relation, then
-    source.
+    The edges are sorted by destination, then relation, then source.
     ``uniform`` holds the weights 1/deg_r(dst) that average each node's
     neighbours under one relation, and ``mean_links`` the (N, R * k_b)
     link features averaged likewise, relation ``r`` in columns
@@ -230,12 +228,12 @@ class PreparedGraph:
         return self.bounds.size - 1
 
 
-def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
-    """Precompute the constant tensors one graph contributes to every hop,
-    as a pack of one."""
+def check_graph(graph: MolecularGraph, config: ModelConfig) -> None:
+    """Refuse a graph the model of ``config`` cannot run: one that is not
+    featurized, or whose node features, relations or link features do not
+    fit the model."""
     if graph.node_features is None:
         raise ValueError("graph is not featurized; call molgraph.featurize first")
-    m = graph.n_nodes
     k_x = graph.node_features.shape[1]
     if k_x != config.node_feat_dim:
         raise nm.DimensionError(
@@ -245,58 +243,52 @@ def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
         raise nm.DimensionError(
             f"graph uses {graph.n_relations} relations but the model has {config.n_relations}"
         )
-    k_b = config.link_feat_dim
-    if len(graph.bonds) and link_feature_dim(graph.n_relations) != k_b:
+    if len(graph.bonds) and link_feature_dim(graph.n_relations) != config.link_feat_dim:
         raise nm.DimensionError(
-            f"link features have width {link_feature_dim(graph.n_relations)} but the model expects {k_b}"
+            f"link features have width {link_feature_dim(graph.n_relations)} "
+            f"but the model expects {config.link_feat_dim}"
         )
 
+
+def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
+    """The constant tensors one graph contributes to every hop, as a pack
+    of one."""
+    return pack([graph], config)
+
+
+def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph:
+    """The pack of featurized graphs, in order (see :class:`PreparedGraph`),
+    built in one pass over all of them.
+
+    Every bond is numbered by its graph's first row. One sort orders all
+    directed edges: destinations grow with the graph, so each graph's edges
+    keep the order they have in a pack of one, and each key's edges are
+    summed in that order. A graph therefore gets the same constants, bit
+    for bit, alone or in any pack.
+    """
+    if not graphs:
+        raise ValueError("pack of no graphs")
+    for graph in graphs:
+        check_graph(graph, config)
     n_relations = config.n_relations
-    ends = graph.bonds
-    bond_links = link_features(graph).reshape(-1, k_b)
+    bounds = np.cumsum([0] + [graph.n_nodes for graph in graphs])
+    n = int(bounds[-1])
+    bonds = np.concatenate([graph.bonds for graph in graphs])
+    ends = bonds[:, :2] + np.repeat(bounds[:-1], [len(graph.bonds) for graph in graphs])[:, None]
+    bond_links = np.concatenate([link_features(graph).reshape(-1, config.link_feat_dim) for graph in graphs])
     src = np.concatenate([ends[:, 1], ends[:, 0]])
     dst = np.concatenate([ends[:, 0], ends[:, 1]])
-    relation = np.concatenate([ends[:, 2], ends[:, 2]]) - 1
+    relation = np.concatenate([bonds[:, 2], bonds[:, 2]]) - 1
     order = np.lexsort((src, relation, dst))
     src, dst = src[order], dst[order]
     keys = dst * n_relations + relation[order]
     links = nm.constant(np.concatenate([bond_links, bond_links])[order])
-    uniform = nm.constant(1.0 / np.bincount(keys, minlength=m * n_relations)[keys])
-    mean_links = nm.EdgeSum(links, uniform, np.arange(keys.size), keys, m, n_relations)
+    uniform = nm.constant(1.0 / np.bincount(keys, minlength=n * n_relations)[keys])
+    mean_links = nm.EdgeSum(links, uniform, np.arange(keys.size), keys, n, n_relations)
     return PreparedGraph(
-        features=nm.constant(graph.node_features), bounds=np.array([0, m]),
-        segments=np.zeros(m, dtype=np.intp), n_relations=n_relations, src=src, dst=dst,
-        keys=keys, links=links, uniform=uniform, mean_links=nm.constant(mean_links.data),
-    )
-
-
-def pack(graphs: Sequence[PreparedGraph]) -> PreparedGraph:
-    """The disjoint union of prepared graphs (or packs), in order: node rows
-    stacked, edges and their keys offset by their graph's first row,
-    segment ids offset by the graphs before."""
-    if not graphs:
-        raise ValueError("pack of no graphs")
-    if len(graphs) == 1:
-        return graphs[0]
-    if len({g.n_relations for g in graphs}) != 1:
-        raise nm.DimensionError("packed graphs were prepared for different relation counts")
-    rows = np.cumsum([0] + [g.n_nodes for g in graphs])
-    firsts = np.cumsum([0] + [g.n_graphs for g in graphs])
-
-    def stack(tensors) -> Tensor:
-        return nm.constant(np.concatenate([t.data for t in tensors]))
-
-    return PreparedGraph(
-        features=stack(g.features for g in graphs),
-        bounds=np.concatenate([[0]] + [g.bounds[1:] + row for g, row in zip(graphs, rows)]),
-        segments=np.concatenate([g.segments + first for g, first in zip(graphs, firsts)]),
-        n_relations=graphs[0].n_relations,
-        src=np.concatenate([g.src + row for g, row in zip(graphs, rows)]),
-        dst=np.concatenate([g.dst + row for g, row in zip(graphs, rows)]),
-        keys=np.concatenate([g.keys + row * g.n_relations for g, row in zip(graphs, rows)]),
-        links=stack(g.links for g in graphs),
-        uniform=stack(g.uniform for g in graphs),
-        mean_links=stack(g.mean_links for g in graphs),
+        features=nm.constant(np.concatenate([graph.node_features for graph in graphs])), bounds=bounds,
+        segments=np.repeat(np.arange(len(graphs)), np.diff(bounds)), n_relations=n_relations,
+        src=src, dst=dst, keys=keys, links=links, uniform=uniform, mean_links=nm.constant(mean_links.data),
     )
 
 

@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .model import NEIGHBOR_MODES, ForwardResult, ModelConfig, ModelParams, PreparedGraph, forward, pack, prepare_graph
-from .molgraph import DatasetError, LabeledExample, link_feature_dim
+from .model import NEIGHBOR_MODES, ForwardResult, ModelConfig, ModelParams, PreparedGraph, check_graph, forward, pack
+from .molgraph import DatasetError, LabeledExample, MolecularGraph, link_feature_dim
 from .numerics import Tensor
 
 MODES = ("single", "multi")
@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:  # numpy generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if len(set(self.tasks)) != len(self.tasks):
+            raise ConfigError(f"tasks must be distinct, got {','.join(self.tasks)}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
@@ -293,7 +297,10 @@ def build_queries(mode: str, n_tasks: int) -> list[np.ndarray]:
 
 @dataclass(eq=False)
 class PreparedExample:
-    prepared: PreparedGraph
+    """An example ready to run: ``prepared`` is its featurized graph, checked
+    against the model; packs are built from these graphs run by run."""
+
+    prepared: MolecularGraph
     query: np.ndarray
     label: int
     task_id: int
@@ -310,8 +317,6 @@ def derive_model_config(examples: Iterable[LabeledExample], config: ExperimentCo
         g = ex.graph
         if g.node_features is None:
             raise DatasetError("examples must be featurized before training")
-        if g.n_nodes == 0:
-            raise DatasetError(f"example {ex.example_id!r} has no atoms")
         node_dims.add(g.node_features.shape[1])
         n_relations = max(n_relations, g.n_relations)
         if len(g.bonds):
@@ -341,19 +346,17 @@ def prepare_examples(
     examples: Sequence[LabeledExample],
     model_config: ModelConfig,
     queries: Sequence[np.ndarray],
-    cache: dict[int, PreparedGraph] | None = None,
 ) -> list[PreparedExample]:
-    """Attach per-graph constants and the task query to each example.
-    ``cache`` lets identical graph objects share one preparation."""
-    cache = {} if cache is None else cache
+    """Attach the task query to each example, after checking that the model
+    can run its graph (see :func:`graphmem.model.check_graph`) and that the
+    graph has atoms to attend over, so that a bad example is refused before
+    any forward."""
     out = []
     for ex in examples:
-        key = id(ex.graph)
-        prepared = cache.get(key)
-        if prepared is None:
-            prepared = prepare_graph(ex.graph, model_config)
-            cache[key] = prepared
-        out.append(PreparedExample(prepared, queries[ex.task_id], ex.label, ex.task_id, ex.example_id))
+        check_graph(ex.graph, model_config)
+        if ex.graph.n_nodes == 0:
+            raise DatasetError(f"example {ex.example_id!r} has no atoms")
+        out.append(PreparedExample(ex.graph, queries[ex.task_id], ex.label, ex.task_id, ex.example_id))
     return out
 
 
@@ -372,8 +375,8 @@ def budget_runs(sizes: Sequence[int], budget: int) -> Iterator[slice]:
 
 def _run_pack(examples: Sequence[PreparedExample], params: ModelParams, hops: int,
               **dropout) -> tuple[PreparedGraph, ForwardResult]:
-    """The pack of a run of examples and its forward result."""
-    prepared = pack([ex.prepared for ex in examples])
+    """The pack of a run of examples' graphs and its forward result."""
+    prepared = pack([ex.prepared for ex in examples], params.config)
     return prepared, forward(prepared, np.stack([ex.query for ex in examples]), params, hops, **dropout)
 
 
@@ -462,10 +465,9 @@ def train(
             if not (0 <= ex.task_id < len(task_names)):
                 raise DatasetError(f"example {ex.example_id!r} has task id {ex.task_id} outside the roster")
 
-    cache: dict[int, PreparedGraph] = {}
-    train_pool = prepare_examples([ex for s in tasks.values() for ex in s.train], model_config, queries, cache)
-    val_pool = prepare_examples([ex for s in tasks.values() for ex in s.val], model_config, queries, cache)
-    test_pool = prepare_examples([ex for s in tasks.values() for ex in s.test], model_config, queries, cache)
+    train_pool = prepare_examples([ex for s in tasks.values() for ex in s.train], model_config, queries)
+    val_pool = prepare_examples([ex for s in tasks.values() for ex in s.val], model_config, queries)
+    test_pool = prepare_examples([ex for s in tasks.values() for ex in s.test], model_config, queries)
 
     params = ModelParams.initialize(model_config, config.seed)
     adam = AdamState.for_params(params.arrays())

@@ -597,3 +597,56 @@ def featurize_oracle(record: dict, vocab) -> tuple[np.ndarray, list[bool]]:
     pairs = [(i, j) for i, j, _ in record["bonds"]]
     ring = [edge_in_ring_oracle(len(record["symbols"]), pairs, k) for k in range(len(pairs))]
     return rows, ring
+
+
+def prepare_graph_oracle(graph, config):
+    """One graph's pack constants as they were built graph by graph, before
+    packs were built in one pass: its own edge sort and keyed sums."""
+    from graphmem import numerics as nm
+    from graphmem.model import PreparedGraph
+    from graphmem.molgraph import link_features
+
+    m, n_relations, k_b = graph.n_nodes, config.n_relations, config.link_feat_dim
+    ends = graph.bonds
+    bond_links = link_features(graph).reshape(-1, k_b)
+    src = np.concatenate([ends[:, 1], ends[:, 0]])
+    dst = np.concatenate([ends[:, 0], ends[:, 1]])
+    relation = np.concatenate([ends[:, 2], ends[:, 2]]) - 1
+    order = np.lexsort((src, relation, dst))
+    src, dst = src[order], dst[order]
+    keys = dst * n_relations + relation[order]
+    links = nm.constant(np.concatenate([bond_links, bond_links])[order])
+    uniform = nm.constant(1.0 / np.bincount(keys, minlength=m * n_relations)[keys])
+    mean_links = nm.EdgeSum(links, uniform, np.arange(keys.size), keys, m, n_relations)
+    return PreparedGraph(
+        features=nm.constant(graph.node_features), bounds=np.array([0, m]),
+        segments=np.zeros(m, dtype=np.intp), n_relations=n_relations, src=src, dst=dst,
+        keys=keys, links=links, uniform=uniform, mean_links=nm.constant(mean_links.data),
+    )
+
+
+def concatenated_pack(graphs):
+    """The disjoint union of prepared graphs (or packs), in order, by
+    concatenation: node rows stacked, edges and their keys offset by their
+    graph's first row, segment ids offset by the graphs before."""
+    from graphmem import numerics as nm
+    from graphmem.model import PreparedGraph
+
+    rows = np.cumsum([0] + [g.n_nodes for g in graphs])
+    firsts = np.cumsum([0] + [g.n_graphs for g in graphs])
+
+    def stack(tensors):
+        return nm.constant(np.concatenate([t.data for t in tensors]))
+
+    return PreparedGraph(
+        features=stack(g.features for g in graphs),
+        bounds=np.concatenate([[0]] + [g.bounds[1:] + row for g, row in zip(graphs, rows)]),
+        segments=np.concatenate([g.segments + first for g, first in zip(graphs, firsts)]),
+        n_relations=graphs[0].n_relations,
+        src=np.concatenate([g.src + row for g, row in zip(graphs, rows)]),
+        dst=np.concatenate([g.dst + row for g, row in zip(graphs, rows)]),
+        keys=np.concatenate([g.keys + row * g.n_relations for g, row in zip(graphs, rows)]),
+        links=stack(g.links for g in graphs),
+        uniform=stack(g.uniform for g in graphs),
+        mean_links=stack(g.mean_links for g in graphs),
+    )

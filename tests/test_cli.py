@@ -173,6 +173,44 @@ class TestConfigKeys:
                              field.name)
             assert parsed == value and type(parsed) is type(value), field.name
 
+    # Widths stay at most 8 and hops, max_epochs and radius at most 3: the
+    # code sets them no upper limit, and a width w costs about R * w^2
+    # floats per weight, so large values are not probed by allocating them.
+    SMALL = {"memory_size": 8, "controller_size": 8, "hops": 3, "max_epochs": 3, "radius": 3}
+    EDGES = {
+        int: [-(2 ** 63) - 1, -1, 0, 1, 2, 2 ** 63, 2 ** 64],
+        float: ["-inf", -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0 - 2 ** -53, 1.0, 1e300, "inf", "nan"],
+        bool: ["true", "false", "2", ""],
+        str: ["", "x", "single", "multi", "uniform", "learned"],
+        "list": ["", ",", "x", "tri", "tri,tri", "A,B,D,E"],
+    }
+
+    def test_every_key_at_and_past_its_limits_ends_in_an_exit_code(self, workspace, capsys):
+        from graphmem.cli import _CONFIG_TYPES
+
+        rng = np.random.default_rng(20261019)
+        (workspace / "one.sdf").write_text(molblock(["C", "O"], [(1, 2, 1)]), encoding="utf-8")
+        for key, kind in _CONFIG_TYPES.items():
+            values = list(self.EDGES[kind])
+            if kind is int:
+                values += rng.integers(-(2 ** 40), 2 ** 40, size=2).tolist()
+                values = [v for v in values if v <= self.SMALL.get(key, v)]
+            elif kind is float:
+                values += rng.uniform(-2.0, 2.0, size=2).tolist()
+            for value in values:
+                if key in ("nbits", "radius"):
+                    argv = ["fingerprint", "--input", workspace / "one.sdf"]
+                else:
+                    argv = ["train", "--config", workspace / "cfg", "--set", "max_epochs=1", "--quiet"]
+                capsys.readouterr()
+                try:
+                    code = run(*argv, "--set", f"{key}={value}", "--out-dir", workspace / "out")
+                except Exception as exc:  # a traceback, not an exit code
+                    pytest.fail(f"{key}={value}: {exc!r}")
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3, 4), (key, value, code)
+                assert code == 0 or err.strip(), (key, value)
+
 
 class TestBalanceFlag:
     def make_disk_task(self, root, labels):
@@ -293,6 +331,8 @@ class TestEvalAndDump:
         ("hops", True, "hops must be an integer >= 1"),
         ("seed", None, "seed must be an integer"),
         ("seed", 1.5, "seed must be an integer"),
+        ("seed", -1, "seed must be an integer >= 0"),
+        ("tasks", ["tri", "tri"], "tasks must be a non-empty list of distinct names"),
         ("query_dim", 2, "query width 2 does not fit single mode over 1 task"),
         ("memory_size", 0, "memory_size must be >= 1"),
     ])
@@ -327,8 +367,6 @@ class TestEvalAndDump:
         assert "format version 1 != supported 2" in capsys.readouterr().err
 
     def test_dump_attention_packs_match_one_at_a_time(self, workspace, trained, monkeypatch):
-        import argparse
-
         import graphmem.cli as cli
         import graphmem.training as training
         from graphmem.model import forward
@@ -345,7 +383,7 @@ class TestEvalAndDump:
 
         params, meta = cli._load_model(str(trained / "checkpoint.bin"))
         resolved = {"data_dir": str(workspace)}
-        pool, _ = cli._eval_pool(argparse.Namespace(), resolved, meta)
+        pool, _ = cli._eval_pool(resolved, meta)
         examples = prepare_examples(pool, params.config, build_queries(meta["mode"], len(meta["tasks"])))
         assert len(calls) < len(examples) == len(records) == 40  # packed: fewer forwards than examples
         assert [r["id"] for r in records] == [ex.example_id for ex in examples]
@@ -403,23 +441,24 @@ class TestRepeatedRecords:
         save_checkpoint(tmp_path / "checkpoint.bin", ModelParams.initialize(config, 0).arrays(),
                         {"model": config.to_dict(), "tasks": ["assay"], "mode": "single", "hops": 2,
                          "vocab": list(DEFAULT_VOCAB), "seed": 0})
-        featurized, prepared = [], []
-        real_featurize, real_prepare = cli.featurize, training.prepare_graph
+        featurized, packed = [], []
+        real_featurize, real_pack = cli.featurize, training.pack
 
         def counting_featurize(graph, vocab):
             featurized.append(real_featurize(graph, vocab))
             return featurized[-1]
 
-        def counting_prepare(graph, model_config):
-            prepared.append(graph)
-            return real_prepare(graph, model_config)
+        def recording_pack(graphs, model_config):
+            packed.extend(graphs)
+            return real_pack(graphs, model_config)
 
         monkeypatch.setattr(cli, "featurize", counting_featurize)
-        monkeypatch.setattr(training, "prepare_graph", counting_prepare)
+        monkeypatch.setattr(training, "pack", recording_pack)
         assert run("eval", "--checkpoint", tmp_path / "checkpoint.bin", "--set", f"data_dir={tmp_path}",
                    "--out-dir", tmp_path / "eval") == 0
         assert [g.title for g in featurized] == ["a", "b"]
-        assert len(prepared) == 2 and all(p is f for p, f in zip(prepared, featurized))
+        # the packs hold the featurized graphs themselves, one per label row
+        assert [id(g) for g in packed] == [id(featurized[k]) for k in (0, 0, 1, 0)]
 
         featurized.clear()
         datasets, _, _ = cli.load_roster({"data_dir": str(tmp_path), "vocab": list(DEFAULT_VOCAB)},
@@ -427,6 +466,127 @@ class TestRepeatedRecords:
         graphs = [ex.graph for ex in datasets["assay"]]
         assert len(featurized) == 2
         assert graphs[0] is graphs[1] is graphs[3] is featurized[0] and graphs[2] is featurized[1]
+
+
+class TestSharedLibrary:
+    """Tasks whose molecules.sdf files hold the same bytes share one parse
+    and one featurized graph per molecule, and sharing changes no output."""
+
+    MULTI = ("--set", "mode=multi", "--set", "tasks=a,b", "--set", "max_epochs=2")
+
+    @staticmethod
+    def two_tasks(root, spec_path, trailing=""):
+        """Tasks a and b with the labels of one synth run; b's molecules.sdf
+        gets ``trailing`` appended."""
+        assert run("synth", "--spec", spec_path, "--seed", "4", "--out-dir", root / "a") == 0
+        (root / "b").mkdir()
+        for name in ("molecules.sdf", "labels.csv"):
+            (root / "b" / name).write_bytes((root / "a" / name).read_bytes())
+        with open(root / "b" / "molecules.sdf", "a", encoding="utf-8") as fh:
+            fh.write(trailing)
+        return root
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        import graphmem.cli as cli
+
+        calls = []
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args[0]) or real(*args))
+        return calls
+
+    def run_all(self, data, out):
+        """train, then eval and dump-attention on its checkpoint."""
+        assert run("train", "--config", data / "cfg", *self.MULTI, "--out-dir", out / "train", "--quiet") == 0
+        for command in ("eval", "dump-attention"):
+            assert run(command, "--checkpoint", out / "train" / "checkpoint.bin", "--set", f"data_dir={data}",
+                       "--out-dir", out / command) == 0
+
+    def test_shared_library_parsed_and_featurized_once(self, workspace, monkeypatch):
+        data = self.two_tasks(workspace, workspace / "tri.synth")
+        parsed = self.counting(monkeypatch, "parse_sdf")
+        featurized = self.counting(monkeypatch, "featurize")
+        self.run_all(data, workspace / "out")
+        # once per command: train, eval, dump-attention
+        assert len(parsed) == 3
+        assert len(featurized) == 3 * 40
+        assert all(len({id(g) for g in featurized[k * 40:(k + 1) * 40]}) == 40 for k in range(3))
+
+    def test_sharing_changes_no_output(self, tmp_path, monkeypatch):
+        spec = tmp_path / "tri.synth"
+        spec.write_text(SPEC_TEXT, encoding="utf-8")
+        outputs = []
+        for name, trailing, parses in (("shared", "", 1), ("apart", "\n", 2)):
+            data = self.two_tasks(tmp_path / name, spec, trailing)
+            (data / "cfg").write_text(CONFIG_TEXT + f"data_dir={data}\nvocab=A,B,D,E\n", encoding="utf-8")
+            parsed = self.counting(monkeypatch, "parse_sdf")
+            self.run_all(data, data / "out")
+            assert len(parsed) == 3 * parses, name
+            outputs.append({path: (data / "out" / path).read_bytes()
+                            for path in ("train/metrics.json", "train/epochs.log", "train/checkpoint.bin",
+                                         "eval/metrics.json", "dump-attention/attention.jsonl")})
+            monkeypatch.undo()
+        assert outputs[0] == outputs[1]
+
+
+class TestUnreadableText:
+    """A data file or config file that is not UTF-8 text ends in its exit
+    code with a message naming the file."""
+
+    # per kind: the file that gets a 0xFF byte (in the title of the one
+    # SDF record, or in a first comment line), the task train reads, and
+    # the exit code
+    KINDS = {
+        "fingerprint input": ("disk/molecules.sdf", None, 3),
+        "molecules.sdf": ("disk/molecules.sdf", "disk", 3),
+        "labels.csv": ("disk/labels.csv", "disk", 3),
+        "synth spec": ("tri.synth", "tri", 3),
+        "config": ("cfg", "tri", 2),
+    }
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_non_utf8_file_is_named(self, workspace, capsys, kind):
+        name, task, code = self.KINDS[kind]
+        (workspace / "disk").mkdir()
+        (workspace / "disk" / "molecules.sdf").write_text(molblock(["C", "O"], [(1, 2, 1)], title="a") + "$$$$\n",
+                                                          encoding="utf-8")
+        (workspace / "disk" / "labels.csv").write_text("id,task,label\n0,disk,1\n", encoding="utf-8")
+        target = workspace / name
+        data = target.read_bytes()
+        target.write_bytes(b"\xff" + data[1:] if name.endswith(".sdf") else b"#\xff\n" + data)
+        if task is None:
+            argv = ["fingerprint", "--input", target]
+        else:
+            argv = ["train", "--config", workspace / "cfg", "--set", f"tasks={task}", "--quiet"]
+        capsys.readouterr()
+        assert run(*argv, "--out-dir", workspace / "out") == code
+        assert str(target) in capsys.readouterr().err
+
+
+class TestAtomlessRecord:
+    """A labelled record without atoms is refused where the examples are
+    prepared, with the same exit and message in every command."""
+
+    def test_atomless_record_is_data_error(self, tmp_path, capsys):
+        task_dir = tmp_path / "assay"
+        task_dir.mkdir()
+        records = [molblock(["C", "O", "N"], [(1, 2, 1), (2, 3, 2)], title=f"m{k}") for k in range(12)]
+        records.insert(5, molblock([], [], title="empty"))
+        (task_dir / "molecules.sdf").write_text("".join(r + "$$$$\n" for r in records), encoding="utf-8")
+        (task_dir / "labels.csv").write_text(
+            "id,task,label\n" + "".join(f"{k},assay,{k % 2}\n" for k in range(len(records))), encoding="utf-8")
+        config = ModelConfig(node_feat_dim=node_feature_dim(DEFAULT_VOCAB),
+                             link_feat_dim=link_feature_dim(N_BOND_TYPES), n_relations=N_BOND_TYPES,
+                             query_dim=1, memory_size=4, controller_size=4)
+        save_checkpoint(tmp_path / "checkpoint.bin", ModelParams.initialize(config, 0).arrays(),
+                        {"model": config.to_dict(), "tasks": ["assay"], "mode": "single", "hops": 2,
+                         "vocab": list(DEFAULT_VOCAB), "seed": 0})
+        commands = [("train", "--set", "tasks=assay", "--set", "hops=1", "--set", "max_epochs=1", "--quiet")]
+        commands += [(command, "--checkpoint", tmp_path / "checkpoint.bin") for command in ("eval", "dump-attention")]
+        for argv in commands:
+            capsys.readouterr()
+            assert run(*argv, "--set", f"data_dir={tmp_path}", "--out-dir", tmp_path / "out") == 3, argv[0]
+            assert "example '5' has no atoms" in capsys.readouterr().err, argv[0]
 
 
 class TestFingerprintCommand:

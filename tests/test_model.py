@@ -33,6 +33,7 @@ from graphmem.numerics import DimensionError, EdgeSum, Tensor, finite_difference
 
 from _oracles import (
     bfs_distances,
+    concatenated_pack,
     gather_sum,
     learned_memory_step_oracle,
     mean_passing_oracle,
@@ -41,6 +42,7 @@ from _oracles import (
     param_blocks,
     per_block_initialize_oracle,
     per_relation_memory_step_oracle,
+    prepare_graph_oracle,
 )
 
 K_X = node_feature_dim(SYNTHETIC_ALPHABET)
@@ -207,7 +209,7 @@ class TestAttentiveRead:
         rng = np.random.default_rng(46)
         params["attn.score"].data[...] = rng.normal(size=3)
         graphs = TestMemoryStep.mixed_pack_graphs()
-        for prepared in (pack([prepare_graph(g, cfg) for g in graphs]), prepare_graph(graphs[0], cfg)):
+        for prepared in (pack(graphs, cfg), prepare_graph(graphs[0], cfg)):
             cells = rng.normal(size=(prepared.n_nodes, 4))
             state = HopState(t=0, controller=Tensor(rng.normal(size=(prepared.n_graphs, 3))), memory=Tensor(cells))
             read, weights, _ = attentive_read(state, params, prepared)
@@ -276,7 +278,7 @@ class TestControllerStep:
         # cells and the attention weights by the chain rule
         cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3)
-        prepared = pack([prepare_graph(g, cfg) for g in TestMemoryStep.mixed_pack_graphs()])
+        prepared = pack(TestMemoryStep.mixed_pack_graphs(), cfg)
         rng = np.random.default_rng(47)
         cells = rng.normal(size=(prepared.n_nodes, 4))
         controllers = rng.normal(size=(prepared.n_graphs, 3))
@@ -403,6 +405,23 @@ class TestMemoryStep:
                       SYNTHETIC_ALPHABET),
         ]
 
+    def test_one_pass_pack_equals_the_concatenated_oracle(self):
+        # field by field and bit for bit: the pack of the mixed graphs, each
+        # graph alone, and the graphs in reverse order
+        graphs = self.mixed_pack_graphs()
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+                          memory_size=4, controller_size=3)
+        for members in [graphs, graphs[::-1]] + [[g] for g in graphs]:
+            packed = pack(members, cfg)
+            expected = concatenated_pack([prepare_graph_oracle(g, cfg) for g in members])
+            assert packed.n_relations == expected.n_relations == 3
+            for name in ("features", "bounds", "segments", "src", "dst", "keys", "links", "uniform", "mean_links"):
+                actual, wanted = getattr(packed, name), getattr(expected, name)
+                if isinstance(wanted, Tensor):
+                    actual, wanted = actual.data, wanted.data
+                assert actual.dtype == wanted.dtype, name
+                np.testing.assert_array_equal(actual, wanted, err_msg=name)
+
     def test_keyed_pack_matches_the_per_relation_oracles(self):
         graphs = self.mixed_pack_graphs()
         for mode in NEIGHBOR_MODES:
@@ -414,7 +433,7 @@ class TestMemoryStep:
             for name in ("nbr.score", "nbr.bias", "mem.bias", "mem_gate.bias"):
                 if name in blocks:
                     blocks[name][...] = rng.normal(size=blocks[name].shape)
-            prepared = pack([prepare_graph(g, cfg) for g in graphs])
+            prepared = pack(graphs, cfg)
             assert prepared.n_relations == 3 and not np.any(prepared.keys % 3 == 2), mode
             np.testing.assert_array_equal(prepared.mean_links.data[:, 6:], 0.0)
             cells = rng.normal(size=(prepared.n_nodes, 4))
@@ -442,7 +461,7 @@ class TestMemoryStep:
         for r in (1, 2):  # only the first relation's neighbours count
             blocks[f"mem.rel{r}"][...] = 0.0
             blocks[f"mem_gate.rel{r}"][...] = 0.0
-        prepared = pack([prepare_graph(g, cfg) for g in graphs])
+        prepared = pack(graphs, cfg)
         cells = np.random.default_rng(45).uniform(0.0, 1.0, size=(prepared.n_nodes, 4))
         state = HopState(t=0, controller=Tensor(np.zeros((len(graphs), 3))), memory=Tensor(cells))
         memory = memory_step(state, Tensor(np.zeros((len(graphs), 3))), params, prepared).data
@@ -462,7 +481,7 @@ class TestMemoryStep:
             for name in ("nbr.score", "nbr.bias", "mem.bias", "mem_gate.bias"):
                 if name in blocks:
                     blocks[name][...] = rng.normal(size=blocks[name].shape)
-            prepared = pack([prepare_graph(g, cfg) for g in graphs])
+            prepared = pack(graphs, cfg)
             cells = rng.normal(size=(prepared.n_nodes, 3))
             controllers = rng.normal(size=(len(graphs), 2))
             weights = rng.normal(size=cells.shape)
@@ -570,12 +589,11 @@ class TestForward:
                     params[name].data[...] = rng.normal(size=cfg.controller_size)
             graphs = [sample_graph(rng, n_relations=2) for _ in range(4)]
             graphs.insert(2, featurize(MolecularGraph.from_bonds(["A"], [], 2), SYNTHETIC_ALPHABET))
-            prepared = [prepare_graph(g, cfg) for g in graphs]
             queries = np.eye(2)[rng.integers(0, 2, size=len(graphs))]
-            alone = [forward(p, q, params, hops=3, dropout_rate=0.4, rng=np.random.default_rng(50 + k),
+            alone = [forward(g, q, params, hops=3, dropout_rate=0.4, rng=np.random.default_rng(50 + k),
                              training=True).probability.item()
-                     for k, (p, q) in enumerate(zip(prepared, queries))]
-            packed = forward(pack(prepared), queries, params, hops=3, dropout_rate=0.4,
+                     for k, (g, q) in enumerate(zip(graphs, queries))]
+            packed = forward(pack(graphs, cfg), queries, params, hops=3, dropout_rate=0.4,
                              rng=[np.random.default_rng(50 + k) for k in range(len(graphs))],
                              training=True).probability.data.ravel()
             np.testing.assert_allclose(packed, alone, rtol=0, atol=1e-12, err_msg=mode)
@@ -641,13 +659,13 @@ class TestInvariants:
                             s_other.attention.data[perm], s_base.attention.data, atol=1e-9, err_msg=mode
                         )
             # reordering the graphs of a pack reorders its outputs
-            graphs = [prepare_graph(sample_graph(rng, n_relations=2), cfg) for _ in range(5)]
+            graphs = [sample_graph(rng, n_relations=2) for _ in range(5)]
             order = rng.permutation(len(graphs))
-            base = forward(pack(graphs), np.ones(1), params, hops=3)
-            other = forward(pack([graphs[k] for k in order]), np.ones(1), params, hops=3)
+            base = forward(pack(graphs, cfg), np.ones(1), params, hops=3)
+            other = forward(pack([graphs[k] for k in order], cfg), np.ones(1), params, hops=3)
             np.testing.assert_allclose(other.probability.data, base.probability.data[order],
                                        atol=1e-9, err_msg=mode)
-            bounds = pack(graphs).bounds
+            bounds = pack(graphs, cfg).bounds
             rows = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in order])
             for s_base, s_other in zip(base.states, other.states):
                 if s_base.memory is not None:

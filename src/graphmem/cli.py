@@ -392,22 +392,13 @@ def _load_model(path: str) -> tuple[ModelParams, dict]:
     return params, meta
 
 
-def _eval_pool(resolved: dict, meta: dict):
+def _eval_pool(resolved: dict, meta: dict) -> tuple[list[LabeledExample], dict]:
+    """The examples of the checkpoint's roster, task after task, featurized
+    with its vocabulary and never rebalanced, and their checksums."""
     config = experiment_config({**resolved, "tasks": meta["tasks"], "mode": meta["mode"],
                                 "seed": resolved.get("seed", meta["seed"])})
-    data_dir = Path(resolved.get("data_dir", "."))
-    vocab = meta["vocab"]
-    checksums: dict = {}
-    libraries: dict[str, list[MolecularGraph]] = {}  # for this call only, see resolve_task
-    pool: list[LabeledExample] = []
-    for task_id, name in enumerate(meta["tasks"]):
-        examples, checks, _ = resolve_task(data_dir, name, config.seed, libraries)
-        checksums[name] = checks
-        for ex in examples:
-            ex.task_id = task_id
-        pool.extend(examples)
-    _featurize_once(pool, vocab)
-    return pool, checksums
+    datasets, checksums, _ = load_roster({**resolved, "vocab": meta["vocab"], "balance": False}, config)
+    return [ex for name in config.tasks for ex in datasets[name]], checksums
 
 
 def _checkpoint_inputs(args: argparse.Namespace) -> tuple[dict, Path, ModelParams, dict, dict,

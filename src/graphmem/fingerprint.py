@@ -27,6 +27,10 @@ DEFAULT_NBITS = 1024
 # a width past this bound is rejected as a configuration error instead of
 # ending in a failed allocation.
 MAX_NBITS = 2**16
+# Each round keeps one identifier per atom and costs 1-2 ms per
+# thousand atoms, and rounds past a molecule's diameter reach no new atoms,
+# so a radius past this bound is rejected instead of exhausting memory.
+MAX_RADIUS = 64
 
 
 def fnv1a64_rows(data: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -55,11 +59,11 @@ def fnv1a64_rows(data: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def check_options(radius: int, nbits: int) -> None:
     """Raise ValueError unless ``nbits`` is a power of two in [2, MAX_NBITS]
-    and ``radius`` >= 0."""
+    and ``radius`` lies in [0, MAX_RADIUS]."""
     if nbits < 2 or nbits & (nbits - 1) or nbits > MAX_NBITS:
         raise ValueError(f"nbits must be a power of two from 2 to {MAX_NBITS}, got {nbits}")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    if not 0 <= radius <= MAX_RADIUS:
+        raise ValueError(f"radius must be from 0 to {MAX_RADIUS}, got {radius}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .molgraph import MolecularGraph, link_feature_dim, link_features
+from .molgraph import MolecularGraph, link_feature_dim, link_rows
 from .numerics import Tensor
 
 NEIGHBOR_MODES = ("uniform", "learned")
@@ -203,9 +203,8 @@ class PreparedGraph:
     ``keys[e] = dst[e] * R + r`` names its (destination, relation) pair.
     The edges are sorted by destination, then relation, then source.
     ``uniform`` holds the weights 1/deg_r(dst) that average each node's
-    neighbours under one relation, and ``mean_links`` the (N, R * k_b)
-    link features averaged likewise, relation ``r`` in columns
-    ``r*k_b:(r+1)*k_b``; a node without edges under a relation gets zeros.
+    neighbours under one relation. The link features are summed per key
+    where they are used, by :func:`_link_sum`.
     """
 
     features: Tensor
@@ -217,7 +216,6 @@ class PreparedGraph:
     keys: np.ndarray
     links: Tensor
     uniform: Tensor
-    mean_links: Tensor
 
     @property
     def n_nodes(self) -> int:
@@ -260,11 +258,12 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     """The pack of featurized graphs, in order (see :class:`PreparedGraph`),
     built in one pass over all of them.
 
-    Every bond is numbered by its graph's first row. One sort orders all
-    directed edges: destinations grow with the graph, so each graph's edges
-    keep the order they have in a pack of one, and each key's edges are
-    summed in that order. A graph therefore gets the same constants, bit
-    for bit, alone or in any pack.
+    Every bond is numbered by its graph's first row, and the link rows of
+    all bonds are built at once. One sort orders all directed edges:
+    destinations grow with the graph, so each graph's edges keep the order
+    they have in a pack of one, and each key's edges are summed in that
+    order. A graph therefore gets the same constants, bit for bit, alone or
+    in any pack.
     """
     if not graphs:
         raise ValueError("pack of no graphs")
@@ -275,7 +274,7 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     n = int(bounds[-1])
     bonds = np.concatenate([graph.bonds for graph in graphs])
     ends = bonds[:, :2] + np.repeat(bounds[:-1], [len(graph.bonds) for graph in graphs])[:, None]
-    bond_links = np.concatenate([link_features(graph).reshape(-1, config.link_feat_dim) for graph in graphs])
+    bond_links = link_rows(bonds[:, 2], np.concatenate([graph.ring for graph in graphs]), config.link_feat_dim - 1)
     src = np.concatenate([ends[:, 1], ends[:, 0]])
     dst = np.concatenate([ends[:, 0], ends[:, 1]])
     relation = np.concatenate([bonds[:, 2], bonds[:, 2]]) - 1
@@ -284,11 +283,10 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     keys = dst * n_relations + relation[order]
     links = nm.constant(np.concatenate([bond_links, bond_links])[order])
     uniform = nm.constant(1.0 / np.bincount(keys, minlength=n * n_relations)[keys])
-    mean_links = nm.EdgeSum(links, uniform, np.arange(keys.size), keys, n, n_relations)
     return PreparedGraph(
         features=nm.constant(np.concatenate([graph.node_features for graph in graphs])), bounds=bounds,
         segments=np.repeat(np.arange(len(graphs)), np.diff(bounds)), n_relations=n_relations,
-        src=src, dst=dst, keys=keys, links=links, uniform=uniform, mean_links=nm.constant(mean_links.data),
+        src=src, dst=dst, keys=keys, links=links, uniform=uniform,
     )
 
 
@@ -400,13 +398,20 @@ def _neighbor_weights(prepared: PreparedGraph, memory: Tensor, params: ModelPara
     return nm.segment_softmax(scores, prepared.keys, prepared.n_nodes * prepared.n_relations)
 
 
+def _link_sum(prepared: PreparedGraph, weights: Tensor) -> nm.EdgeSum:
+    """The edges' link features weighted by ``weights`` and summed per key,
+    relation ``r`` in columns ``r*k_b:(r+1)*k_b`` of (N, R * k_b) rows."""
+    keys = prepared.keys
+    return nm.EdgeSum(prepared.links, weights, np.arange(keys.size), keys, prepared.n_nodes, prepared.n_relations)
+
+
 def _memory_bias(params: ModelParams, prepared: PreparedGraph) -> Tensor:
     """The memory update's bias. In uniform mode the averaged link features
-    are the same on every hop, and so is their term: it joins the bias as
-    one (N, 2 k_m) row per cell of ``prepared``."""
+    are the same on every hop, and so is their term, the EdgeSum of
+    :func:`_link_sum`: it joins the bias as one (N, 2 k_m) row per cell."""
     bias = params["mem.gated.bias"]
     if params.config.neighbor_mode == "uniform":
-        bias = nm.linear_sum([(prepared.mean_links, params["mem.gated.link"])], bias=bias)
+        bias = nm.linear_sum([(_link_sum(prepared, prepared.uniform), params["mem.gated.link"])], bias=bias)
     return bias
 
 
@@ -424,20 +429,20 @@ def memory_step(
 
     The neighbour cells of every relation are summed first, in one pass
     keyed by (destination, relation), into (N, R * k_m) rows, and then
-    projected once by all relations' weights side by side. ``bias`` is
-    :func:`_memory_bias` of ``params`` and ``prepared``, computed here when
-    not given.
+    projected once by all relations' weights side by side; so are the link
+    features, here in learned mode and in ``bias`` in uniform mode. ``bias``
+    is :func:`_memory_bias` of ``params`` and ``prepared``, computed here
+    when not given.
     """
-    n, n_relations, keys = prepared.n_nodes, prepared.n_relations, prepared.keys
     weights = _neighbor_weights(prepared, state.memory, params)
+    cells = nm.EdgeSum(state.memory, weights, prepared.src, prepared.keys, prepared.n_nodes, prepared.n_relations)
     terms: list[tuple] = [
         (state.memory, params["mem.gated.self"]),
         (controller, params["mem.gated.ctrl"], prepared.segments),
-        (nm.EdgeSum(state.memory, weights, prepared.src, keys, n, n_relations), params["mem.gated.nbr"]),
+        (cells, params["mem.gated.nbr"]),
     ]
     if params.config.neighbor_mode == "learned":
-        links = nm.EdgeSum(prepared.links, weights, np.arange(keys.size), keys, n, n_relations)
-        terms.append((links, params["mem.gated.link"]))
+        terms.append((_link_sum(prepared, weights), params["mem.gated.link"]))
     if bias is None:
         bias = _memory_bias(params, prepared)
     return nm.gated_update(terms, bias, state.memory)

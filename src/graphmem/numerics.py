@@ -9,11 +9,12 @@ costs nothing at backward time.
 The operations are the fused nodes the model runs: :func:`linear_sum`,
 :func:`gated_update`, :func:`segment_softmax`, :func:`binary_cross_entropy`
 and :func:`dropout`. Each records one tape node however many products,
-activations or gathers it computes. The one weighted gather-sum, an
-:class:`EdgeSum`, is no node of its own but a :func:`gated_update` input:
-it serves the attention read and the neighbour sums. The model stores
-each gated update's weights stacked the way :func:`gated_update` takes
-them, so parameters enter the tape as they are.
+activations or gathers it computes; :func:`linear_sum` and
+:func:`gated_update` check, sum and differentiate their terms with the
+same code. The one weighted gather-sum, an :class:`EdgeSum`, is no node
+of its own but any term's input: the attention read and the neighbour and
+link sums. The model stores each gated update's weights stacked the way
+:func:`gated_update` takes them, so parameters enter the tape as they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
@@ -159,90 +160,15 @@ def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.ravel(), minlength=n_out * k).reshape(n_out, k)
 
 
-def _edge_sum(x: Tensor, weights: Tensor, s: np.ndarray, d: np.ndarray, n_out: int) -> np.ndarray:
-    """The (n_out, k) weighted gather-sum of the rows of ``x`` over the edges ``s -> d``."""
-    return _sum_rows(weights.data[:, None] * x.data[s], d, n_out)
-
-
-# -- linear algebra ---------------------------------------------------------
-
-
-def linear_sum(
-    terms: Sequence[tuple[Tensor, Tensor] | tuple[Tensor, Tensor, np.ndarray]],
-    bias: Tensor | None = None,
-    activation: str | None = None,
-    project: Tensor | None = None,
-) -> Tensor:
-    """Fused, optionally activated, sum of right-transposed products:
-    ``activation(sum_k x_k @ W_k.T + bias)``, optionally ``@ project``.
-
-    A term is ``(x, W)`` or ``(x, W, rows)``, with ``x`` (n, in) and ``W``
-    (out, in). With ``rows``, an integer index, the term contributes
-    ``(x @ W.T)[rows]``: the product is taken once per row of ``x`` and then
-    gathered, so that per-graph rows reach per-node outputs (or per-node
-    rows reach per-edge outputs) without gathered copies of ``x``. Every
-    term contributes the same number of rows. ``activation`` is None,
-    "relu", "tanh" or "sigmoid"; it is applied inside this one tape node,
-    whose backward works from the output, so no pre-activation is kept.
-    With ``project``, an (out,) vector, the node returns one value per row
-    and recomputes the activated rows during backward instead of keeping
-    them.
-    """
-    parts: list[tuple[Tensor, Tensor, np.ndarray | None]] = []
-    for term in terms:
-        x, w = term[0], term[1]
-        rows = np.asarray(term[2], dtype=np.intp) if len(term) == 3 else None
-        if x.ndim != 2 or w.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
-            raise _shape_error("linear_sum", x.shape, w.shape)
-        parts.append((x, w, rows))
-    if not parts:
-        raise ValueError("linear_sum of no terms")
-    if len({x.data.shape[0] if rows is None else rows.size for x, _, rows in parts}) != 1:
-        raise _shape_error("linear_sum", *(x.shape if rows is None else rows.shape for x, _, rows in parts))
-    if project is not None and project.shape != (parts[0][1].data.shape[0],):
-        raise _shape_error("linear_sum", parts[0][1].shape, project.shape)
-
-    def evaluate() -> np.ndarray:
-        acc = None
-        for x, w, rows in parts:
-            piece = x.data @ w.data.T
-            if rows is not None:
-                piece = piece[rows]
-            acc = piece if acc is None else acc + piece
-        if bias is not None:
-            acc = acc + bias.data
-        return acc if activation is None else _ACTIVATIONS[activation][0](acc)
-
-    y = evaluate()
-    out = Tensor(y if project is None else y @ project.data)
-    flat_parents = (tuple(t for x, w, _ in parts for t in (x, w)) + ((bias,) if bias is not None else ())
-                    + ((project,) if project is not None else ()))
-    if not _tracked(*flat_parents):
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        y = out.data if project is None else evaluate()
-        if project is not None:
-            if _tracked(project):
-                _accumulate(project, np.tensordot(g, y, g.ndim))
-            g = np.multiply.outer(g, project.data)
-        if activation is not None:
-            g = g * _ACTIVATIONS[activation][1](y)
-        for x, w, rows in parts:
-            gx = g if rows is None else _sum_rows(g, rows, x.data.shape[0])
-            if _tracked(x):
-                _accumulate(x, gx @ w.data)
-            if _tracked(w):
-                _accumulate(w, gx.T @ x.data)
-        if bias is not None and _tracked(bias):
-            _accumulate(bias, g.sum(axis=0))
-
-    return _record(out, flat_parents, backward)
+def _edge_sum(x: Tensor, weights: Tensor, s: np.ndarray, keys: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The value, of shape ``shape``, of the :class:`EdgeSum` of these arguments."""
+    return _sum_rows(weights.data[:, None] * x.data[s], keys, shape[0] * shape[1] // x.data.shape[1]).reshape(shape)
 
 
 class EdgeSum:
-    """A :func:`gated_update` term input: a weighted gather-sum over an edge
-    list whose edges carry keys, with one column block per key group.
+    """A term input of :func:`linear_sum` and :func:`gated_update`: a
+    weighted gather-sum over an edge list whose edges carry keys, with one
+    column block per key group.
 
     The sum of ``weights[e] * x[src[e]]`` over the edges with ``keys[e] ==
     d * groups + r`` fills columns ``r*k:(r+1)*k`` of row ``d`` of the
@@ -251,10 +177,9 @@ class EdgeSum:
     or run from a cell to its graph's row, as in the attention read (one
     group, keyed by the cell's graph).
 
-    ``data`` holds the value, computed once here. The gated update that
-    consumes it keeps only the recipe (``x``, ``weights``, the edges and
-    keys): its backward gathers the sums again instead of keeping
-    ``data``.
+    ``data`` holds the value, computed once here. The node that consumes
+    it keeps only the recipe (``x``, ``weights``, the edges and keys): its
+    backward gathers the sums again instead of keeping ``data``.
     """
 
     __slots__ = ("x", "weights", "src", "keys", "data")
@@ -265,7 +190,121 @@ class EdgeSum:
         if x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape:
             raise _shape_error("EdgeSum", x.shape, weights.shape, s.shape, d.shape)
         self.x, self.weights, self.src, self.keys = x, weights, s, d
-        self.data = _edge_sum(x, weights, s, d, n_out * groups).reshape(n_out, groups * x.data.shape[1])
+        self.data = _edge_sum(x, weights, s, d, (n_out, groups * x.data.shape[1]))
+
+
+# -- terms, the one path of both fused nodes ----------------------------------
+
+
+def _term_sum(parts: list[tuple], inputs: list[np.ndarray] | None = None) -> np.ndarray:
+    """The sum of the parts' products, over ``inputs`` or over inputs
+    recomputed from the parts."""
+    z = None
+    for k, (x, w, rows, edges) in enumerate(parts):
+        xd = inputs[k] if inputs else x.data if edges is None else _edge_sum(x, *edges)
+        a = xd @ w.data.T if rows is None else (xd @ w.data.T)[rows]
+        z = a if z is None else np.add(z, a, out=z)
+    return z
+
+
+def _terms(op: str, terms: Sequence[tuple],
+           shape: tuple[int, int] | None = None) -> tuple[np.ndarray, list[tuple], tuple[Tensor, ...]]:
+    """Check ``terms`` and sum them: ``(z, parts, parents)``. No term may
+    put ``rows`` on an EdgeSum, and all give the same (n, out) rows,
+    ``shape`` when given. A part is what a node keeps of a term,
+    ``(x, W, rows, edges)``: ``edges`` is None or an EdgeSum's recipe
+    (weights, src, keys, shape), ``x`` then the tensor it sums."""
+    if not terms:
+        raise ValueError(f"{op} of no terms")
+    parts: list[tuple] = []
+    sizes = set() if shape is None else {shape}
+    for term in terms:
+        x, w = term[0], term[1]
+        rows = np.asarray(term[2], dtype=np.intp) if len(term) == 3 else None
+        xd, wd = x.data, w.data
+        fits = (xd.ndim == 2 and wd.ndim == 2 and xd.shape[1] == wd.shape[1]
+                and (rows is None or (rows.ndim == 1 and not isinstance(x, EdgeSum))))
+        sizes.add((xd.shape[0] if rows is None else rows.size, wd.shape[0]) if fits else None)
+        if not fits or len(sizes) != 1:
+            raise _shape_error(op, *(np.shape(p.data if k < 2 else p) for t in terms for k, p in enumerate(t)),
+                               *(() if shape is None else (shape,)))
+        parts.append((x.x, w, None, (x.weights, x.src, x.keys, xd.shape)) if isinstance(x, EdgeSum)
+                     else (x, w, rows, None))
+    parents = tuple(t for x, w, _, edges in parts for t in ((x, w) if edges is None else (x, w, edges[0])))
+    return _term_sum(parts, [term[0].data for term in terms]), parts, parents
+
+
+def _terms_backward(parts: list[tuple], dz: np.ndarray) -> None:
+    """Push ``dz``, the gradient of the terms' sum, into their tracked
+    tensors; an EdgeSum's sums are gathered again."""
+    for x, w, rows, edges in parts:
+        gz = dz if rows is None else _sum_rows(dz, rows, x.data.shape[0])
+        if _tracked(w):
+            _accumulate(w, gz.T @ (x.data if edges is None else _edge_sum(x, *edges)))
+        if edges is None:
+            if _tracked(x):
+                _accumulate(x, gz @ w.data)
+        elif _tracked(x, edges[0]):
+            weights, s, keys, _ = edges
+            at_key = (gz @ w.data).reshape(-1, x.data.shape[1])[keys]
+            if _tracked(x):
+                _accumulate(x, _sum_rows(weights.data[:, None] * at_key, s, x.data.shape[0]))
+            if _tracked(weights):
+                _accumulate(weights, np.einsum("ek,ek->e", at_key, x.data[s]))
+
+
+# -- the fused nodes ----------------------------------------------------------
+
+
+def linear_sum(
+    terms: Sequence[tuple],
+    bias: Tensor | None = None,
+    activation: str | None = None,
+    project: Tensor | None = None,
+) -> Tensor:
+    """Fused, optionally activated, sum of right-transposed products:
+    ``activation(sum_k X_k @ W_k.T + bias)``, optionally ``@ project``.
+
+    A term is ``(x, W)`` or ``(x, W, rows)``: ``X_k`` is the (n, in) tensor
+    ``x`` or the value of an :class:`EdgeSum` ``x``, and ``W`` is (out, in).
+    With ``rows``, an integer index, the term contributes ``(x @ W.T)[rows]``:
+    the product is taken once per row of ``x`` and then gathered, so that
+    per-graph rows reach per-node outputs (or per-node rows reach per-edge
+    outputs) without gathered copies of ``x``. Every term contributes the
+    same number of rows. ``activation`` is None, "relu", "tanh" or "sigmoid",
+    applied inside this one tape node, whose backward works from the output:
+    it keeps no pre-activation and no :class:`EdgeSum` value. With
+    ``project``, an (out,) vector, the node returns one value per row and
+    recomputes the activated rows during backward instead of keeping them.
+    """
+    z, parts, parents = _terms("linear_sum", terms)
+    if project is not None and project.shape != (z.shape[1],):
+        raise _shape_error("linear_sum", z.shape, project.shape)
+
+    def activate(z: np.ndarray) -> np.ndarray:
+        if bias is not None:
+            z += bias.data
+        return z if activation is None else _ACTIVATIONS[activation][0](z)
+
+    y = activate(z)
+    out = Tensor(y if project is None else y @ project.data)
+    parents += ((bias,) if bias is not None else ()) + ((project,) if project is not None else ())
+    if not _tracked(*parents):
+        return out
+
+    def backward(g: np.ndarray) -> None:
+        y = out.data if project is None else activate(_term_sum(parts))
+        if project is not None:
+            if _tracked(project):
+                _accumulate(project, np.tensordot(g, y, g.ndim))
+            g = np.multiply.outer(g, project.data)
+        if activation is not None:
+            g = g * _ACTIVATIONS[activation][1](y)
+        _terms_backward(parts, g)
+        if bias is not None and _tracked(bias):
+            _accumulate(bias, g.sum(axis=0))
+
+    return _record(out, parents, backward)
 
 
 def gated_update(
@@ -278,80 +317,35 @@ def gated_update(
     ``g = sigmoid(Z[:, out:])`` of the stacked pre-activations
     ``Z = sum_k X_k @ W_k.T + bias``.
 
-    ``old`` is (n, out) and a term is ``(x, W)`` or ``(x, W, rows)`` with a
-    (2 * out, in) weight ``W``: the proposal's rows over the gate's, so
-    one product serves both. ``X_k`` is ``x`` itself, an (n, in) tensor or
-    an :class:`EdgeSum`; with ``rows``, an integer index of length n, the
-    term contributes ``(x @ W.T)[rows]``, as in :func:`linear_sum`.
-    ``bias`` is one (2 * out,) row for every output row or an (n, 2 * out)
-    row each. The node keeps ``p`` and ``g`` but no :class:`EdgeSum` value:
-    backward gathers those again from their edges.
+    ``old`` is (n, out) and the terms are those of :func:`linear_sum`, each
+    giving n rows through a (2 * out, in) weight ``W``: the proposal's rows
+    over the gate's, so one product serves both. ``bias`` is one (2 * out,)
+    row for every output row or an (n, 2 * out) row each. The node keeps
+    ``p`` and ``g`` but no :class:`EdgeSum` value, as :func:`linear_sum`.
     """
     if old.ndim != 2:
         raise _shape_error("gated_update", old.shape)
     n, width = old.data.shape
     if bias.shape not in ((2 * width,), (n, 2 * width)):
         raise _shape_error("gated_update", bias.shape, old.shape)
-    if not terms:
-        raise ValueError("gated_update of no terms")
-    parts: list[tuple[Tensor, Tensor, np.ndarray | None, tuple | None]] = []
-    z = None
-    for term in terms:
-        x, w = term[0], term[1]
-        rows = np.asarray(term[2], dtype=np.intp) if len(term) == 3 else None
-        shape = x.data.shape
-        if (len(shape) != 2 or w.data.shape != (2 * width, shape[1])
-                or (rows is None and shape[0] != n)
-                or (rows is not None and (isinstance(x, EdgeSum) or rows.shape != (n,)))):
-            raise _shape_error("gated_update", shape, w.shape, old.shape)
-        a = x.data @ w.data.T
-        if rows is not None:
-            a = a[rows]
-        if z is None:
-            z = a
-        else:
-            z += a
-        if isinstance(x, EdgeSum):
-            parts.append((x.x, w, None, (x.weights, x.src, x.keys)))
-        else:
-            parts.append((x, w, rows, None))
+    z, parts, parents = _terms("gated_update", terms, (n, 2 * width))
     z += bias.data
     p = np.maximum(z[:, :width], 0.0)
     g = _stable_sigmoid(z[:, width:])
     out = Tensor(g * p + (1.0 - g) * old.data)
-    flat_parents: tuple[Tensor, ...] = (bias, old)
-    for x, w, _, edge in parts:
-        flat_parents += (x, w) if edge is None else (x, w, edge[0])
-    if not _tracked(*flat_parents):
+    parents = (bias, old) + parents
+    if not _tracked(*parents):
         return out
 
     def backward(gout: np.ndarray) -> None:
         dz = np.concatenate([gout * g * (p > 0.0), gout * (p - old.data) * g * (1.0 - g)], axis=1)
-        for x, w, rows, edge in parts:
-            if edge is None:
-                xd = x.data
-            else:
-                weights, s, keys = edge
-                k = x.data.shape[1]
-                xd = _edge_sum(x, weights, s, keys, n * (w.data.shape[1] // k)).reshape(n, -1)
-            gz = dz if rows is None else _sum_rows(dz, rows, xd.shape[0])
-            if _tracked(w):
-                _accumulate(w, gz.T @ xd)
-            if edge is None:
-                if _tracked(x):
-                    _accumulate(x, gz @ w.data)
-            elif _tracked(x, weights):
-                at_dst = (gz @ w.data).reshape(-1, k)[keys]
-                if _tracked(x):
-                    _accumulate(x, _sum_rows(weights.data[:, None] * at_dst, s, x.data.shape[0]))
-                if _tracked(weights):
-                    _accumulate(weights, np.einsum("ek,ek->e", at_dst, x.data[s]))
+        _terms_backward(parts, dz)
         if _tracked(bias):
             _accumulate(bias, dz.sum(axis=0) if bias.ndim == 1 else dz)
         if _tracked(old):
             _accumulate(old, gout * (1.0 - g))
 
-    return _record(out, flat_parents, backward)
+    return _record(out, parents, backward)
 
 
 def segment_softmax(scores: Tensor, segments, n_segments: int) -> Tensor:

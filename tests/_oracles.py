@@ -604,11 +604,10 @@ def prepare_graph_oracle(graph, config):
     packs were built in one pass: its own edge sort and keyed sums."""
     from graphmem import numerics as nm
     from graphmem.model import PreparedGraph
-    from graphmem.molgraph import link_features
 
     m, n_relations, k_b = graph.n_nodes, config.n_relations, config.link_feat_dim
     ends = graph.bonds
-    bond_links = link_features(graph).reshape(-1, k_b)
+    bond_links = link_features_oracle(graph).reshape(-1, k_b)
     src = np.concatenate([ends[:, 1], ends[:, 0]])
     dst = np.concatenate([ends[:, 0], ends[:, 1]])
     relation = np.concatenate([ends[:, 2], ends[:, 2]]) - 1
@@ -617,12 +616,34 @@ def prepare_graph_oracle(graph, config):
     keys = dst * n_relations + relation[order]
     links = nm.constant(np.concatenate([bond_links, bond_links])[order])
     uniform = nm.constant(1.0 / np.bincount(keys, minlength=m * n_relations)[keys])
-    mean_links = nm.EdgeSum(links, uniform, np.arange(keys.size), keys, m, n_relations)
     return PreparedGraph(
         features=nm.constant(graph.node_features), bounds=np.array([0, m]),
         segments=np.zeros(m, dtype=np.intp), n_relations=n_relations, src=src, dst=dst,
-        keys=keys, links=links, uniform=uniform, mean_links=nm.constant(mean_links.data),
+        keys=keys, links=links, uniform=uniform,
     )
+
+
+def link_features_oracle(graph) -> np.ndarray:
+    """A featurized graph's link rows bond by bond: the relation one-hot over
+    the graph's relations, then the bond's in-ring flag."""
+    links = np.zeros((len(graph.bonds), graph.n_relations + 1))
+    for k, (_, _, relation) in enumerate(graph.bonds.tolist()):
+        links[k, relation - 1] = 1.0
+        links[k, -1] = float(graph.ring[k])
+    return links
+
+
+def mean_links_bias_oracle(prepared, arrays) -> np.ndarray:
+    """The uniform-mode memory bias as packs computed it when they stored
+    their averaged link rows: each edge's link row times 1/deg_r(dst),
+    added into its key's row in edge order, then those (N, R * k_b) rows
+    projected by ``mem.gated.link`` plus ``mem.gated.bias``."""
+    links, keys = prepared.links.data, prepared.keys
+    mean = np.zeros((prepared.n_nodes * prepared.n_relations, links.shape[1]))
+    for e, key in enumerate(keys.tolist()):
+        mean[key] += prepared.uniform.data[e] * links[e]
+    mean = mean.reshape(prepared.n_nodes, -1)
+    return mean @ arrays["mem.gated.link"].T + arrays["mem.gated.bias"]
 
 
 def concatenated_pack(graphs):
@@ -648,5 +669,4 @@ def concatenated_pack(graphs):
         keys=np.concatenate([g.keys + row * g.n_relations for g, row in zip(graphs, rows)]),
         links=stack(g.links for g in graphs),
         uniform=stack(g.uniform for g in graphs),
-        mean_links=stack(g.mean_links for g in graphs),
     )

@@ -173,10 +173,12 @@ class TestConfigKeys:
                              field.name)
             assert parsed == value and type(parsed) is type(value), field.name
 
-    # Widths stay at most 8 and hops, max_epochs and radius at most 3: the
-    # code sets them no upper limit, and a width w costs about R * w^2
-    # floats per weight, so large values are not probed by allocating them.
-    SMALL = {"memory_size": 8, "controller_size": 8, "hops": 3, "max_epochs": 3, "radius": 3}
+    # Widths stay at most 8 and hops and max_epochs at most 3: the code sets
+    # them no upper limit, and a width w costs about R * w^2 floats per
+    # weight, so large values are not probed by allocating them. radius is
+    # probed in full: up to fingerprint.MAX_RADIUS it is cheap on the
+    # two-atom input, and past it it is refused before any work.
+    SMALL = {"memory_size": 8, "controller_size": 8, "hops": 3, "max_epochs": 3}
     EDGES = {
         int: [-(2 ** 63) - 1, -1, 0, 1, 2, 2 ** 63, 2 ** 64],
         float: ["-inf", -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0 - 2 ** -53, 1.0, 1e300, "inf", "nan"],
@@ -243,6 +245,15 @@ class TestBalanceFlag:
         config = ExperimentConfig(tasks=("assay",), seed=3, max_epochs=1)
         datasets, _, _ = load_roster({"data_dir": str(tmp_path)}, config)
         assert len(datasets["assay"]) == 4
+
+    def test_eval_pool_ignores_the_flag(self, tmp_path):
+        from graphmem.cli import _eval_pool
+
+        self.make_disk_task(tmp_path, [1, 1, 1, 1, 1, 0, 0])
+        meta = {"tasks": ["assay"], "mode": "single", "seed": 3, "vocab": ["C"]}
+        pool, _ = _eval_pool({"data_dir": str(tmp_path), "balance": True}, meta)
+        assert [ex.example_id for ex in pool] == [str(k) for k in range(7)]
+        assert all(ex.graph.node_features.shape[1] == node_feature_dim(["C"]) for ex in pool)
 
 
 class TestEvalAndDump:
@@ -609,7 +620,8 @@ class TestFingerprintCommand:
     @pytest.mark.parametrize("options", [("--nbits", "100"), ("--nbits", "1"), ("--radius", "-1"),
                                          ("--set", "nbits=100"), ("--set", "radius=-2"),
                                          ("--nbits", "131072"), ("--set", "nbits=4611686018427387904"),
-                                         ("--set", "vocab=C,N,C")])
+                                         ("--set", "vocab=C,N,C"), ("--radius", "65"),
+                                         ("--set", "radius=9223372036854775807")])
     def test_bad_options_are_config_errors(self, tmp_path, capsys, options):
         sdf = tmp_path / "one.sdf"
         sdf.write_text(molblock(["C"], [], title="m0") + "$$$$\n", encoding="utf-8")
@@ -619,7 +631,9 @@ class TestFingerprintCommand:
         for path in (sdf, empty, tmp_path / "nope.sdf"):
             out = tmp_path / "fp"
             assert run("fingerprint", "--input", path, *options, "--out-dir", out) == 2
-            assert "configuration error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "configuration error" in err
+            assert "radius" not in " ".join(options) or "radius must be from 0 to 64" in err
             assert not (out / "fingerprints.csv").exists()
 
     def test_rows_across_chunk_boundaries_equal_the_oracle(self, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphmem.fingerprint import (
+    MAX_RADIUS,
     Fingerprint,
     LogisticConfig,
     atom_identifiers,
@@ -110,6 +111,9 @@ class TestFingerprint:
             circular_fingerprint(graph, nbits=1)
         with pytest.raises(ValueError, match="radius"):
             circular_fingerprints([graph], radius=-1)
+        with pytest.raises(ValueError, match=f"radius must be from 0 to {MAX_RADIUS}"):
+            circular_fingerprints([graph], radius=MAX_RADIUS + 1)
+        assert circular_fingerprints([graph], radius=MAX_RADIUS)[0].radius == MAX_RADIUS
 
     def test_unfeaturized_graph_rejected(self):
         with pytest.raises(ValueError, match="featurized"):

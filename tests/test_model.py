@@ -12,6 +12,8 @@ from graphmem.model import (
     HopState,
     ModelConfig,
     ModelParams,
+    _link_sum,
+    _memory_bias,
     _neighbor_weights,
     attentive_read,
     controller_step,
@@ -36,6 +38,7 @@ from _oracles import (
     concatenated_pack,
     gather_sum,
     learned_memory_step_oracle,
+    mean_links_bias_oracle,
     mean_passing_oracle,
     neighbor_lists,
     neighbor_union,
@@ -343,7 +346,8 @@ class TestMemoryStep:
             assert prepared.src.size == 0
             context = EdgeSum(state.memory, prepared.uniform, prepared.src, prepared.keys, 1, 1)
             np.testing.assert_array_equal(context.data, np.zeros((1, 3)), err_msg=mode)
-            np.testing.assert_array_equal(prepared.mean_links.data, np.zeros((1, cfg.link_feat_dim)))
+            mean_links = _link_sum(prepared, prepared.uniform)
+            np.testing.assert_array_equal(mean_links.data, np.zeros((1, cfg.link_feat_dim)), err_msg=mode)
 
     def test_constrained_step_is_uniform_neighbor_mean(self):
         rng = np.random.default_rng(17)
@@ -415,7 +419,7 @@ class TestMemoryStep:
             packed = pack(members, cfg)
             expected = concatenated_pack([prepare_graph_oracle(g, cfg) for g in members])
             assert packed.n_relations == expected.n_relations == 3
-            for name in ("features", "bounds", "segments", "src", "dst", "keys", "links", "uniform", "mean_links"):
+            for name in ("features", "bounds", "segments", "src", "dst", "keys", "links", "uniform"):
                 actual, wanted = getattr(packed, name), getattr(expected, name)
                 if isinstance(wanted, Tensor):
                     actual, wanted = actual.data, wanted.data
@@ -435,7 +439,7 @@ class TestMemoryStep:
                     blocks[name][...] = rng.normal(size=blocks[name].shape)
             prepared = pack(graphs, cfg)
             assert prepared.n_relations == 3 and not np.any(prepared.keys % 3 == 2), mode
-            np.testing.assert_array_equal(prepared.mean_links.data[:, 6:], 0.0)
+            np.testing.assert_array_equal(_link_sum(prepared, prepared.uniform).data[:, 6:], 0.0)
             cells = rng.normal(size=(prepared.n_nodes, 4))
             controllers = rng.normal(size=(len(graphs), 3))
             state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
@@ -451,6 +455,19 @@ class TestMemoryStep:
                 if mode == "learned":
                     one, _ = learned_memory_step_oracle(graph, params.arrays(), cells[rows], controllers[b])
                     np.testing.assert_allclose(memory[rows], one, rtol=0, atol=1e-12)
+
+    def test_memory_bias_equals_the_mean_links_oracle(self):
+        # bit for bit: the uniform-mode bias from the link EdgeSum term, on the
+        # mixed pack, each graph alone and the graphs in reverse order
+        graphs = self.mixed_pack_graphs()
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+                          memory_size=4, controller_size=3)
+        params = make_params(cfg, seed=48)
+        params["mem.gated.bias"].data[...] = np.random.default_rng(49).normal(size=2 * 4)
+        for members in [graphs, graphs[::-1]] + [[g] for g in graphs]:
+            prepared = pack(members, cfg)
+            np.testing.assert_array_equal(_memory_bias(params, prepared).data,
+                                          mean_links_bias_oracle(prepared, params.arrays()))
 
     def test_keyed_pack_reduces_to_mean_passing(self):
         graphs = self.mixed_pack_graphs()

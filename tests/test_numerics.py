@@ -360,14 +360,54 @@ class TestGatedUpdate:
 
     def test_keeps_no_edge_sum_value(self):
         a = self.inputs(0)
-        w = [parameter(x) for x in a["weight"]]
-        context = nm.EdgeSum(parameter(a["cells"]), constant(a["weights"]), a["src"], a["keys"], 4, 2)
-        kept = weakref.ref(context.data)
-        out = nm.gated_update([(context, w[2])], parameter(a["bias"]), parameter(a["old"]))
-        del context
-        assert kept() is None
-        out.backward()
-        assert w[2].grad is not None and w[2].grad.any()
+        nodes = {"gated_update": lambda term: nm.gated_update([term], parameter(a["bias"]), parameter(a["old"])),
+                 "linear_sum": lambda term: linear_sum([term], activation="tanh", project=parameter(a["bias"]))}
+        for name, node in nodes.items():
+            w = parameter(a["weight"][2])
+            context = nm.EdgeSum(parameter(a["cells"]), constant(a["weights"]), a["src"], a["keys"], 4, 2)
+            kept = weakref.ref(context.data)
+            out = node((context, w))
+            del context
+            assert kept() is None, name
+            out.backward()
+            assert w.grad is not None and w.grad.any(), name
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_linear_sum_edge_sum_term_matches_finite_differences(self, seed):
+        # an EdgeSum term beside a plain one, its summed cells and edge
+        # weights tracked, in a projected and in an activated linear_sum
+        a = self.inputs(seed)
+        rng = np.random.default_rng(seed + 100)
+        arrays = {"x": a["x"], "cells": a["cells"], "weights": a["weights"], "w": rng.normal(size=(3, 5)),
+                  "e": rng.normal(size=(3, 4)), "b": rng.normal(size=3), "v": rng.normal(size=3)}
+        seeds = [rng.normal(size=4), rng.normal(size=(4, 3))]
+
+        def build(edge_sum_term=True):
+            leaves = {name: Tensor(arrays[name], True) for name in arrays}
+            x, cells, weights, w, e, b, v = leaves.values()
+            context = nm.EdgeSum(cells, weights, a["src"], a["keys"], 4, 2)  # (4, 4)
+            term = (context, e) if edge_sum_term else (constant(context.data), e)
+            outputs = [linear_sum([(x, w), term], bias=b, activation="tanh", project=v),
+                       linear_sum([term, (x, w)], bias=b, activation="sigmoid")]
+            return outputs, leaves
+
+        for got, wanted in zip(build()[0], build(edge_sum_term=False)[0]):
+            assert np.array_equal(got.data, wanted.data)
+        exact = {name: np.zeros_like(array) for name, array in arrays.items()}
+        for k, seed_k in enumerate(seeds):
+            outputs, leaves = build()
+            outputs[k].backward(seed=seed_k)
+            for name, leaf in leaves.items():
+                if leaf.grad is not None:
+                    exact[name] += leaf.grad
+        assert exact["cells"].any() and exact["weights"].any()
+
+        def value() -> float:
+            return float(sum((seed_k * out.data).sum() for seed_k, out in zip(seeds, build()[0])))
+
+        estimate = finite_difference_gradient(value, arrays, eps=1e-6)
+        worst, name = nm.max_relative_error(exact, estimate)
+        assert worst <= 1e-6, f"worst {worst} at {name}"
 
     def test_shape_errors(self):
         a = self.inputs(0)

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Commands: ``train``, ``eval``, ``fingerprint``, ``gradcheck``,
-``dump-attention``, ``synth``. Configuration is a flat ``key=value`` file;
-command-line flags win over file values. Every successful run writes a
-manifest with the resolved configuration, seeds, dataset checksums, and
-artifact paths, sufficient to reproduce the run bit-identically.
+``dump-attention``, ``synth``. Configuration is a flat ``key=value`` file,
+overridden by ``--set`` and then by the flags of ``_FLAG_KEYS``. Every
+successful run writes a manifest with the resolved configuration, seeds,
+dataset checksums, and artifact paths, sufficient to reproduce the run
+bit-identically.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 abort, 5 checkpoint/format mismatch.
@@ -39,6 +40,7 @@ from .molgraph import (
     SyntheticSpecError,
     featurize,
     generate_synthetic,
+    node_feature_dim,
     parse_sdf,
     parse_synthetic_spec,
     read_labels_csv,
@@ -79,6 +81,11 @@ _CONFIG_TYPES = {field.name: "list" if get_origin(kind) is tuple else kind
                  for kind in (get_type_hints(ExperimentConfig)[field.name],)}
 _CONFIG_TYPES.update(vocab="list", data_dir=str, nbits=int, radius=int, balance=bool)
 
+# The flags that set a config key, as (flag dest, key) rows. A flag given
+# on the command line wins over the config file and --set.
+_FLAG_KEYS = (("seed", "seed"), ("mode", "mode"), ("data_dir", "data_dir"), ("task", "tasks"),
+              ("balance", "balance"), ("nbits", "nbits"), ("radius", "radius"))
+
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -113,7 +120,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge the config file with command-line overrides (flags win)."""
+    """Merge the config file, then ``--set``, then the flags of
+    ``_FLAG_KEYS``: a later source wins."""
     raw = read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in raw:
         if key not in _CONFIG_TYPES:
@@ -142,16 +150,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if repeated:
         raise ConfigError(f"config key 'vocab' lists {', '.join(repeated)} more than once")
 
-    if getattr(args, "seed", None) is not None:
-        resolved["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        resolved["mode"] = args.mode
-    if getattr(args, "data_dir", None) is not None:
-        resolved["data_dir"] = args.data_dir
-    if getattr(args, "task", None):
-        resolved["tasks"] = list(args.task)
-    if getattr(args, "balance", False):
-        resolved["balance"] = True
+    for dest, key in _FLAG_KEYS:
+        if getattr(args, dest, None) is not None:
+            resolved[key] = getattr(args, dest)
     return resolved
 
 
@@ -376,6 +377,12 @@ def _load_model(path: str) -> tuple[ModelParams, dict]:
         raise CheckpointError(f"checkpoint metadata is unusable: {exc}") from None
     if repeated:
         raise CheckpointError(f"checkpoint vocabulary lists {', '.join(repeated)} more than once")
+    vocab = meta["vocab"]
+    if not isinstance(vocab, list) or not all(isinstance(symbol, str) for symbol in vocab):
+        raise CheckpointError(f"checkpoint metadata: vocab must be a list of element symbols, got {vocab!r}")
+    if node_feature_dim(vocab) != model_config.node_feat_dim:
+        raise CheckpointError(f"checkpoint vocabulary of {len(vocab)} symbols gives node features of width "
+                              f"{node_feature_dim(vocab)}, but the model expects {model_config.node_feat_dim}")
     _check_run_meta(meta, model_config)
     params = ModelParams.initialize(model_config, seed=0)
     for name, expected in params.tensors.items():
@@ -429,8 +436,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_fingerprint(args: argparse.Namespace) -> int:
     started = time.time()
     resolved = resolve_config(args)
-    nbits = args.nbits if args.nbits is not None else resolved.get("nbits", DEFAULT_NBITS)
-    radius = args.radius if args.radius is not None else resolved.get("radius", DEFAULT_RADIUS)
+    nbits = resolved.get("nbits", DEFAULT_NBITS)
+    radius = resolved.get("radius", DEFAULT_RADIUS)
     try:
         check_options(radius, nbits)
     except ValueError as exc:
@@ -536,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--mode", choices=("single", "multi"))
     p_train.add_argument("--task", action="append", help="task name (repeatable; overrides tasks=)")
     p_train.add_argument("--data-dir", help="directory holding task datasets")
-    p_train.add_argument("--balance", action="store_true",
+    p_train.add_argument("--balance", action="store_true", default=None,
                          help="subsample the majority class of disk datasets (seeded)")
     p_train.add_argument("--quiet", action="store_true", help="do not echo epoch lines")
     p_train.set_defaults(func=cmd_train)

@@ -196,25 +196,17 @@ class LogisticModel:
     bias: float
 
 
-def _design_matrix(fingerprints: Sequence[Fingerprint] | np.ndarray) -> np.ndarray:
-    if isinstance(fingerprints, np.ndarray):
-        return np.asarray(fingerprints, dtype=np.float64)
-    widths = {fp.nbits for fp in fingerprints}
-    if len(widths) > 1:
-        raise ValueError(f"fingerprints of mixed lengths {sorted(widths)}")
-    return np.stack([fp.bits for fp in fingerprints]).astype(np.float64)
-
-
 def logistic_baseline_train(
-    fingerprints: Sequence[Fingerprint] | np.ndarray,
+    bits: np.ndarray,
     labels: Sequence[int],
     config: LogisticConfig = LogisticConfig(),
 ) -> LogisticModel:
-    """L2-regularized logistic regression, fit full-batch with the same
-    adaptive optimizer as the main model. Deterministic (zero init)."""
+    """L2-regularized logistic regression on a (molecules, nbits) 0/1 bit
+    matrix, fit full-batch with the same adaptive optimizer as the main
+    model. Deterministic (zero init)."""
     from .training import AdamState, adam_step
 
-    x = _design_matrix(fingerprints)
+    x = np.asarray(bits, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("empty training set")
     y = np.asarray(labels, dtype=np.float64)
@@ -235,7 +227,7 @@ def logistic_baseline_train(
     return LogisticModel(weights=params["weights"], bias=float(params["bias"][0]))
 
 
-def logistic_baseline_predict(model: LogisticModel, fingerprint: Fingerprint | np.ndarray) -> float:
-    bits = fingerprint.bits if isinstance(fingerprint, Fingerprint) else fingerprint
+def logistic_baseline_predict(model: LogisticModel, bits: np.ndarray) -> float:
+    """The positive-class probability of one molecule's bit vector."""
     z = float(np.asarray(bits, dtype=np.float64) @ model.weights + model.bias)
     return 1.0 / (1.0 + np.exp(-z))

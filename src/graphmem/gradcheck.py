@@ -26,7 +26,16 @@ from .molgraph import (
 from .numerics import finite_difference_gradient, max_relative_error
 from .training import cross_entropy
 
-DEFAULT_THRESHOLD = 1e-4
+# The fixed shapes the check certifies: graphs of 3 to MAX_NODES atoms over
+# N_RELATIONS relations, a model of width HIDDEN run for HOPS hops, and
+# central differences of step EPS. It passes when the worst relative error
+# is at most THRESHOLD.
+MAX_NODES = 8
+N_RELATIONS = 3
+HOPS = 3
+HIDDEN = 8
+EPS = 1e-5
+THRESHOLD = 1e-4
 
 
 @dataclass
@@ -59,43 +68,36 @@ def _random_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams
     return params
 
 
-def _certify(prepared: PreparedGraph, queries: np.ndarray, labels: list[int], params: ModelParams,
-             hops: int, eps: float) -> tuple[float, str]:
+def _certify(prepared: PreparedGraph, queries: np.ndarray, labels: list[int],
+             params: ModelParams) -> tuple[float, str]:
     """Worst relative error of the batch-mean cross-entropy gradient."""
     scale = 1.0 / len(labels)
     frozen = params.frozen()
 
     def loss_value() -> float:
-        loss = cross_entropy(forward(prepared, queries, frozen, hops).probability, labels)
+        loss = cross_entropy(forward(prepared, queries, frozen, HOPS).probability, labels)
         return float(loss.data.sum()) * scale
 
     params.zero_grads()
-    cross_entropy(forward(prepared, queries, params, hops).probability, labels).backward(seed=scale)
+    cross_entropy(forward(prepared, queries, params, HOPS).probability, labels).backward(seed=scale)
     exact = params.grads()
-    estimate = finite_difference_gradient(loss_value, params.arrays(), eps=eps)
+    estimate = finite_difference_gradient(loss_value, params.arrays(), eps=EPS)
     return max_relative_error(exact, estimate)
 
 
-def run_gradient_check(
-    seed: int = 0,
-    graphs: int = 5,
-    max_nodes: int = 8,
-    n_relations: int = 3,
-    hops: int = 3,
-    hidden: int = 8,
-    eps: float = 1e-5,
-    threshold: float = DEFAULT_THRESHOLD,
-    neighbor_mode: str = "uniform",
-) -> GradcheckReport:
+def run_gradient_check(seed: int = 0, graphs: int = 5, neighbor_mode: str = "uniform") -> GradcheckReport:
+    """Certify ``graphs`` random graphs drawn from ``seed``, each alone and
+    then all in one pack, at the module's fixed shapes, under
+    ``neighbor_mode``."""
     rng = np.random.default_rng(seed)
     vocab = SYNTHETIC_ALPHABET
     config = ModelConfig(
         node_feat_dim=node_feature_dim(vocab),
-        link_feat_dim=link_feature_dim(n_relations),
-        n_relations=n_relations,
+        link_feat_dim=link_feature_dim(N_RELATIONS),
+        n_relations=N_RELATIONS,
         query_dim=2,
-        memory_size=hidden,
-        controller_size=hidden,
+        memory_size=HIDDEN,
+        controller_size=HIDDEN,
         neighbor_mode=neighbor_mode,
     )
 
@@ -109,35 +111,34 @@ def run_gradient_check(
     per_graph: list[float] = []
     drawn: list[MolecularGraph] = []
     for _ in range(graphs):
-        graph = random_graph(rng, 3, max_nodes, n_relations)
+        graph = random_graph(rng, 3, MAX_NODES, N_RELATIONS)
         drawn.append(graph)
         params = _random_params(config, rng)
         query = one_hot_query()
         label = int(rng.integers(0, 2))
-        err, name = _certify(prepare_graph(featurize(graph, vocab), config), query[None], [label],
-                             params, hops, eps)
+        err, name = _certify(prepare_graph(featurize(graph, vocab), config), query[None], [label], params)
         per_graph.append(err)
         if err >= worst:
             worst, worst_name = err, name
 
-    first = random_graph(rng, 3, max_nodes, n_relations) if not drawn else drawn[0]
+    first = random_graph(rng, 3, MAX_NODES, N_RELATIONS) if not drawn else drawn[0]
     edge_cases = [
-        MolecularGraph.from_bonds([vocab[0]], [], n_relations),
+        MolecularGraph.from_bonds([vocab[0]], [], N_RELATIONS),
         # the last node has no bond under any relation
-        MolecularGraph.from_bonds([*first.symbols, vocab[1]], first.bonds, n_relations),
+        MolecularGraph.from_bonds([*first.symbols, vocab[1]], first.bonds, N_RELATIONS),
     ]
     members = drawn + edge_cases
     params = _random_params(config, rng)
     queries = np.stack([one_hot_query() for _ in members])
     labels = [int(rng.integers(0, 2)) for _ in members]
     packed = pack([featurize(g, vocab) for g in members], config)
-    pack_error, name = _certify(packed, queries, labels, params, hops, eps)
+    pack_error, name = _certify(packed, queries, labels, params)
     if pack_error >= worst:
         worst, worst_name = pack_error, name
     return GradcheckReport(
         max_relative_error=worst,
         worst_parameter=worst_name,
-        threshold=threshold,
+        threshold=THRESHOLD,
         per_graph=per_graph,
         pack_error=pack_error,
     )

@@ -52,9 +52,11 @@ class ModelConfig:
     raw_embedding: bool = False
 
     def __post_init__(self):
-        for name in ("memory_size", "controller_size"):
+        for name in ("node_feat_dim", "link_feat_dim", "query_dim", "memory_size", "controller_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_relations < 0:
+            raise ValueError(f"n_relations must be >= 0, got {self.n_relations}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {self.neighbor_mode!r}")
         if self.raw_embedding and self.memory_size != self.node_feat_dim:
@@ -293,9 +295,9 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
 @dataclass(eq=False)
 class HopState:
     """Everything one hop produced, for every graph of a pack: controller
-    (B, k_h), memory (N, k_m), read, attention and scores (N,). The read
-    is an :class:`~graphmem.numerics.EdgeSum` whose ``.data`` is (B, k_m).
-    ``t=0`` is the freshly initialized state; read/attention/scores appear
+    (B, k_h), memory (N, k_m), read and attention (N,). The read is an
+    :class:`~graphmem.numerics.EdgeSum` whose ``.data`` is (B, k_m).
+    ``t=0`` is the freshly initialized state; read and attention appear
     from the first real hop on. The final hop of :func:`forward` has no
     memory (``None``): the output head reads only the controller, so that
     hop runs no memory update. The neighbor contexts are not kept: the
@@ -307,7 +309,6 @@ class HopState:
     memory: Tensor | None
     read: nm.EdgeSum | None = None
     attention: Tensor | None = None
-    scores: Tensor | None = None
 
 
 def _dropout(x: Tensor, bounds: np.ndarray, rate: float, rng, training: bool) -> Tensor:
@@ -486,15 +487,14 @@ def forward(
     state = init_state(prepared, query, params, dropout_rate=dropout_rate, rng=rng, training=training)
     states = [state]
     for t in range(1, hops + 1):
-        read, weights, scores = attentive_read(state, params, prepared)
+        read, weights, _ = attentive_read(state, params, prepared)
         controller = controller_step(state, read, params)
         if t < hops:
             memory = memory_step(state, controller, params, prepared, bias)
         else:  # the output head reads only the controller
             memory = None
             controller = _dropout(controller, np.arange(prepared.n_graphs + 1), dropout_rate, rng, training)
-        state = HopState(t=t, controller=controller, memory=memory, read=read,
-                         attention=weights, scores=scores)
+        state = HopState(t=t, controller=controller, memory=memory, read=read, attention=weights)
         states.append(state)
     probability = nm.linear_sum([(state.controller, params["out.weight"])],
                                 bias=params["out.bias"], activation="sigmoid")

@@ -308,15 +308,15 @@ def _parse_records(records: list[tuple[int, list[str]]]) -> list[MolecularGraph]
     ]
 
 
-def parse_molfile(text: str, line_offset: int = 0) -> MolecularGraph:
+def parse_molfile(text: str) -> MolecularGraph:
     """Parse one MOL V2000 connection table (or one SDF record) into a graph.
 
     Only the connection table is used: coordinates, charges and stereo
     flags are read past and discarded. Bond type codes become relation ids
-    1..4. ``line_offset`` shifts reported line numbers when the record sits
-    inside a larger SDF file.
+    1..4. Reported line numbers count from the first line of ``text``;
+    :func:`parse_sdf` numbers them within the whole file.
     """
-    return _parse_records([(line_offset, text.splitlines())])[0]
+    return _parse_records([(0, text.splitlines())])[0]
 
 
 def parse_sdf(text: str) -> list[MolecularGraph]:

@@ -406,15 +406,15 @@ def binary_cross_entropy(prob: Tensor, labels: np.ndarray) -> Tensor:
 def dropout(
     x: Tensor,
     rate: float,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None,
+    rngs: Sequence[np.random.Generator] | None,
     training: bool,
-    bounds: np.ndarray | None = None,
+    bounds: Sequence[int],
 ) -> Tensor:
     """Inverted dropout: zero with probability ``rate`` and rescale survivors.
 
-    Identity at inference or rate 0; requires a generator when active.
-    With ``bounds``, row offsets ``0 = b_0 < ... < b_n`` ending at the row
-    count, ``rng`` is a sequence of ``n`` generators and rows
+    Identity at inference or rate 0; requires generators when active.
+    ``bounds`` are row offsets ``0 = b_0 < ... < b_n`` ending at the row
+    count, ``rngs`` is a sequence of ``n`` generators, and rows
     ``b_k..b_{k+1}`` draw their mask from generator ``k`` alone, so a block
     gets the mask it would get without the other blocks.
     """
@@ -422,15 +422,12 @@ def dropout(
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs a random generator")
-    if bounds is None:
-        draw = rng.random(x.data.shape)
-    else:
-        if len(rng) != len(bounds) - 1:
-            raise ValueError(f"dropout over {len(bounds) - 1} row blocks needs as many generators, got {len(rng)}")
-        draw = np.concatenate([gen.random((hi - lo,) + x.data.shape[1:])
-                               for gen, lo, hi in zip(rng, bounds[:-1], bounds[1:])])
+    if rngs is None:
+        raise ValueError("dropout in training mode needs random generators")
+    if len(rngs) != len(bounds) - 1:
+        raise ValueError(f"dropout over {len(bounds) - 1} row blocks needs as many generators, got {len(rngs)}")
+    draw = np.concatenate([gen.random((hi - lo,) + x.data.shape[1:])
+                           for gen, lo, hi in zip(rngs, bounds[:-1], bounds[1:])])
     mask = (draw >= rate) / (1.0 - rate)
     out = Tensor(x.data * mask)
     if not _tracked(x):

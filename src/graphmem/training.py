@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -198,16 +198,10 @@ def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(n, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a tie group ending at 1-based sorted position ``last`` has mean rank
+    # last - (count - 1) / 2, a half-integer and so exact
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -307,29 +301,29 @@ class PreparedExample:
     example_id: str
 
 
-def derive_model_config(examples: Iterable[LabeledExample], config: ExperimentConfig,
+def derive_model_config(examples: Sequence[LabeledExample], config: ExperimentConfig,
                         n_tasks: int) -> ModelConfig:
-    """Infer tensor shapes from the featurized data plus the run settings."""
-    node_dims: set[int] = set()
+    """Infer tensor shapes from the featurized data plus the run settings.
+
+    The node width is the first example's; :func:`prepare_examples` refuses
+    any example whose width differs. The relations are the most any graph
+    uses, and every bonded graph must give the same link width."""
     link_dims: set[int] = set()
     n_relations = 0
     for ex in examples:
         g = ex.graph
         if g.node_features is None:
             raise DatasetError("examples must be featurized before training")
-        node_dims.add(g.node_features.shape[1])
         n_relations = max(n_relations, g.n_relations)
         if len(g.bonds):
             link_dims.add(link_feature_dim(g.n_relations))
-    if len(node_dims) != 1:
-        raise DatasetError(f"inconsistent node feature widths {sorted(node_dims)}")
     if not link_dims:
         link_dims = {n_relations + 1}
     if len(link_dims) != 1:
         raise DatasetError(f"inconsistent link feature widths {sorted(link_dims)}")
     try:
         return ModelConfig(
-            node_feat_dim=node_dims.pop(),
+            node_feat_dim=examples[0].graph.node_features.shape[1],
             link_feat_dim=link_dims.pop(),
             n_relations=n_relations,
             query_dim=1 if config.mode == "single" else n_tasks,
@@ -350,10 +344,13 @@ def prepare_examples(
     """Attach the task query to each example, after checking that the model
     can run its graph (see :func:`graphmem.model.check_graph`) and that the
     graph has atoms to attend over, so that a bad example is refused before
-    any forward."""
+    any forward. A refusal is a :class:`DatasetError` naming the example."""
     out = []
     for ex in examples:
-        check_graph(ex.graph, model_config)
+        try:
+            check_graph(ex.graph, model_config)
+        except ValueError as exc:
+            raise DatasetError(f"example {ex.example_id!r}: {exc}") from None
         if ex.graph.n_nodes == 0:
             raise DatasetError(f"example {ex.example_id!r} has no atoms")
         out.append(PreparedExample(ex.graph, queries[ex.task_id], ex.label, ex.task_id, ex.example_id))

@@ -63,8 +63,7 @@ def accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def test_gradient_certification():
     started = time.time()
-    result = run_gradient_check(seed=7, graphs=5, max_nodes=8, n_relations=3, hops=3,
-                                hidden=8, eps=1e-5, threshold=1e-4)
+    result = run_gradient_check(seed=7, graphs=5)
     elapsed = time.time() - started
     report(
         "gradient certification",
@@ -76,8 +75,7 @@ def test_gradient_certification():
 
 
 def test_gradient_certification_learned_neighbors():
-    result = run_gradient_check(seed=7, graphs=2, max_nodes=8, n_relations=3, hops=3,
-                                hidden=8, eps=1e-5, threshold=1e-4, neighbor_mode="learned")
+    result = run_gradient_check(seed=7, graphs=2, neighbor_mode="learned")
     report(
         "gradient certification, learned neighbors",
         result.passed,

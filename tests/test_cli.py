@@ -346,6 +346,10 @@ class TestEvalAndDump:
         ("tasks", ["tri", "tri"], "tasks must be a non-empty list of distinct names"),
         ("query_dim", 2, "query width 2 does not fit single mode over 1 task"),
         ("memory_size", 0, "memory_size must be >= 1"),
+        ("vocab", ["A", "B", "D"], "vocabulary of 3 symbols gives node features of width"),
+        ("vocab", "ABDE", "vocab must be a list of element symbols"),
+        ("vocab", [1, 2, 3, 4], "vocab must be a list of element symbols"),
+        ("node_feat_dim", -1, "node_feat_dim must be >= 1"),
     ])
     def test_eval_checkpoint_with_unusable_metadata_is_exit_5(self, workspace, trained, capsys,
                                                                field, value, message):
@@ -366,6 +370,21 @@ class TestEvalAndDump:
             err = capsys.readouterr().err
             assert "checkpoint" in err and message in err, err
         assert not (workspace / "e" / "metrics.json").exists()
+
+    def test_data_that_does_not_fit_the_model_is_exit_3(self, workspace, trained, capsys):
+        # the checkpoint was trained on tri.synth, whose graphs use 2 relations;
+        # the SDF that synth writes from the same spec parses to all 4 bond types
+        data = workspace / "disk"
+        assert run("synth", "--spec", workspace / "tri.synth", "--out-dir", data / "tri") == 0
+        for command in ("eval", "dump-attention"):
+            capsys.readouterr()
+            code = run(command, "--checkpoint", trained / "checkpoint.bin", "--set", f"data_dir={data}",
+                       "--out-dir", workspace / "e")
+            err = capsys.readouterr().err
+            assert code == 3, command
+            assert "relations" in err and "Traceback" not in err, err
+        assert not (workspace / "e" / "metrics.json").exists()
+        assert not (workspace / "e" / "manifest.json").exists()
 
     def test_eval_version_1_checkpoint_is_exit_5(self, workspace, trained, capsys):
         blob = bytearray((trained / "checkpoint.bin").read_bytes())
@@ -635,6 +654,20 @@ class TestFingerprintCommand:
             assert "configuration error" in err
             assert "radius" not in " ".join(options) or "radius must be from 0 to 64" in err
             assert not (out / "fingerprints.csv").exists()
+
+    def test_flags_win_over_set_and_the_config_file(self, tmp_path):
+        sdf = tmp_path / "one.sdf"
+        sdf.write_text(molblock(["C", "O"], [(1, 2, 1)], title="m0") + "$$$$\n", encoding="utf-8")
+        (tmp_path / "cfg").write_text("nbits=64\nradius=2\n", encoding="utf-8")
+        sources = ("--config", tmp_path / "cfg", "--set", "nbits=32", "--set", "radius=1")
+        # a flag of 0 wins too
+        for flags, nbits, radius in (((), 32, 1), (("--nbits", "16", "--radius", "0"), 16, 0)):
+            out = tmp_path / f"fp{nbits}"
+            assert run("fingerprint", "--input", sdf, *sources, *flags, "--out-dir", out) == 0
+            _, row = (out / "fingerprints.csv").read_text().strip().splitlines()
+            assert len(row.split(",")[1]) == nbits // 4
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert (config["nbits"], config["radius"]) == (nbits, radius)
 
     def test_rows_across_chunk_boundaries_equal_the_oracle(self, tmp_path, monkeypatch):
         import graphmem.cli as cli

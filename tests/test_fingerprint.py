@@ -217,9 +217,3 @@ class TestLogisticBaseline:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             logistic_baseline_train(np.zeros((0, 4)), [])
-
-    def test_mixed_widths_rejected(self):
-        a = fp_of(METHANE, nbits=64)
-        b = fp_of(ETHANE, nbits=128)
-        with pytest.raises(ValueError, match="mixed"):
-            logistic_baseline_train([a, b], [0, 1])

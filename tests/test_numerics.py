@@ -123,15 +123,15 @@ class TestSoftmax:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = constant([1.0, 2.0])
-        assert dropout(x, 0.0, np.random.default_rng(0), training=True) is x
+        assert dropout(x, 0.0, [np.random.default_rng(0)], training=True, bounds=[0, 2]) is x
 
     def test_inference_is_identity(self):
         x = constant([1.0, 2.0])
-        assert dropout(x, 0.5, np.random.default_rng(0), training=False) is x
+        assert dropout(x, 0.5, [np.random.default_rng(0)], training=False, bounds=[0, 2]) is x
 
     def test_zero_fraction_concentrates(self):
         x = constant(np.ones(10_000))
-        out = dropout(x, 0.5, np.random.default_rng(123), training=True)
+        out = dropout(x, 0.5, [np.random.default_rng(123)], training=True, bounds=[0, 10_000])
         zero_fraction = float((out.data == 0.0).mean())
         assert abs(zero_fraction - 0.5) < 0.02
         # survivors are rescaled by 1/(1-rate)
@@ -139,11 +139,11 @@ class TestDropout:
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            dropout(constant([1.0]), 1.0, np.random.default_rng(0), training=True)
+            dropout(constant([1.0]), 1.0, [np.random.default_rng(0)], training=True, bounds=[0, 1])
 
     def test_is_one_tape_node(self):
         x = parameter(np.ones((3, 2)))
-        out = dropout(x, 0.5, np.random.default_rng(0), training=True)
+        out = dropout(x, 0.5, [np.random.default_rng(0)], training=True, bounds=[0, 3])
         assert out._parents == (x,) and tape(out) == {id(out), id(x)}
 
     def test_backward_matches_finite_differences(self):
@@ -289,7 +289,7 @@ class TestTapeGradients:
                                       c, proposal)  # (3, 4)
             # one (8,) bias row for every output row
             again = nm.gated_update([(updated, h)], e, updated)
-            dropped = dropout(again, 0.5, np.random.default_rng(seed), training=True)  # (3, 4)
+            dropped = dropout(again, 0.5, [np.random.default_rng(seed)], training=True, bounds=[0, 3])  # (3, 4)
             # one score per row, the activated rows recomputed in backward
             scored = linear_sum([(m, w, [4, 0])], bias=b, activation="tanh", project=v)  # (2,)
             prob = linear_sum([(controlled, u)], activation="sigmoid")  # (2, 1)
@@ -456,6 +456,6 @@ class TestDeterminism:
 
     def test_dropout_is_seeded(self):
         x = constant(np.ones(100))
-        a = dropout(x, 0.3, np.random.default_rng(5), training=True).data
-        b = dropout(x, 0.3, np.random.default_rng(5), training=True).data
+        a = dropout(x, 0.3, [np.random.default_rng(5)], training=True, bounds=[0, 100]).data
+        b = dropout(x, 0.3, [np.random.default_rng(5)], training=True, bounds=[0, 100]).data
         np.testing.assert_array_equal(a, b)

@@ -376,6 +376,18 @@ class TestTrainingLoop:
         with pytest.raises(Exception, match="no atoms"):
             train({"t": split}, ExperimentConfig(max_epochs=1, hops=1))
 
+    def test_inconsistent_node_widths_rejected_naming_the_example(self):
+        from graphmem.molgraph import DatasetError
+
+        spec = SyntheticSpec(nodes_min=4, nodes_max=6, relations=1, motif="triangle:1",
+                             balance=0.5, count=10)
+        examples = generate_synthetic(spec, seed=0)
+        for k, ex in enumerate(examples):
+            ex.graph = featurize(ex.graph, SYNTHETIC_ALPHABET if k != 3 else SYNTHETIC_ALPHABET + ("X",))
+        split = TaskSplit(train=examples, val=examples, test=examples)
+        with pytest.raises(DatasetError, match=f"example {examples[3].example_id!r}: node features have width"):
+            train({"t": split}, ExperimentConfig(max_epochs=1))
+
     def test_unfeaturized_examples_rejected(self):
         spec = SyntheticSpec(nodes_min=4, nodes_max=6, relations=1, motif="triangle:1",
                              balance=0.5, count=10)

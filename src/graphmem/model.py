@@ -52,11 +52,16 @@ class ModelConfig:
     raw_embedding: bool = False
 
     def __post_init__(self):
-        for name in ("node_feat_dim", "link_feat_dim", "query_dim", "memory_size", "controller_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_relations < 0:
-            raise ValueError(f"n_relations must be >= 0, got {self.n_relations}")
+        floors = {"node_feat_dim": 1, "link_feat_dim": 1, "query_dim": 1, "memory_size": 1, "controller_size": 1,
+                  "n_relations": 0}
+        for name, floor in floors.items():
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
+        if not isinstance(self.raw_embedding, bool):
+            raise TypeError(f"raw_embedding must be true or false, got {self.raw_embedding!r}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {self.neighbor_mode!r}")
         if self.raw_embedding and self.memory_size != self.node_feat_dim:
@@ -206,7 +211,14 @@ class PreparedGraph:
     The edges are sorted by destination, then relation, then source.
     ``uniform`` holds the weights 1/deg_r(dst) that average each node's
     neighbours under one relation. The link features are summed per key
-    where they are used, by :func:`_link_sum`.
+    where they are used, by :func:`_link_sum`, the one keyed sum.
+
+    ``slots`` is the per-graph layout of :class:`~graphmem.numerics.Slots`:
+    the graphs' row runs for the per-graph sums (the attention read and the
+    controller rows' gradients), and padded slots in size groups for the
+    neighbour cells' block products. In uniform mode ``blocks`` holds the
+    uniform weights in those blocks, built once; in learned mode it is
+    None, and every hop scatters its learned weights into fresh blocks.
     """
 
     features: Tensor
@@ -218,6 +230,8 @@ class PreparedGraph:
     keys: np.ndarray
     links: Tensor
     uniform: Tensor
+    slots: nm.Slots
+    blocks: np.ndarray | None
 
     @property
     def n_nodes(self) -> int:
@@ -265,12 +279,20 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     destinations grow with the graph, so each graph's edges keep the order
     they have in a pack of one, and each key's edges are summed in that
     order. A graph therefore gets the same constants, bit for bit, alone or
-    in any pack.
+    in any pack. Every graph needs an atom: a memory without cells has
+    nothing to attend over.
+
+    The slot map (:class:`~graphmem.numerics.Slots`) is built here once per
+    pack, and in uniform mode so are its blocks of uniform weights, about
+    ``8 R sum_g B_g m_g**2`` bytes for size groups of ``B_g`` graphs of
+    width ``m_g``.
     """
     if not graphs:
         raise ValueError("pack of no graphs")
     for graph in graphs:
         check_graph(graph, config)
+        if graph.n_nodes == 0:
+            raise ValueError("pack of a graph without atoms: its empty memory has nothing to attend over")
     n_relations = config.n_relations
     bounds = np.cumsum([0] + [graph.n_nodes for graph in graphs])
     n = int(bounds[-1])
@@ -285,29 +307,32 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     keys = dst * n_relations + relation[order]
     links = nm.constant(np.concatenate([bond_links, bond_links])[order])
     uniform = nm.constant(1.0 / np.bincount(keys, minlength=n * n_relations)[keys])
+    slots = nm.Slots(bounds, src, keys, n_relations)
     return PreparedGraph(
         features=nm.constant(np.concatenate([graph.node_features for graph in graphs])), bounds=bounds,
         segments=np.repeat(np.arange(len(graphs)), np.diff(bounds)), n_relations=n_relations,
-        src=src, dst=dst, keys=keys, links=links, uniform=uniform,
+        src=src, dst=dst, keys=keys, links=links, uniform=uniform, slots=slots,
+        blocks=slots.blocks(uniform.data) if config.neighbor_mode == "uniform" else None,
     )
 
 
 @dataclass(eq=False)
 class HopState:
     """Everything one hop produced, for every graph of a pack: controller
-    (B, k_h), memory (N, k_m), read and attention (N,). The read is an
-    :class:`~graphmem.numerics.EdgeSum` whose ``.data`` is (B, k_m).
-    ``t=0`` is the freshly initialized state; read and attention appear
-    from the first real hop on. The final hop of :func:`forward` has no
-    memory (``None``): the output head reads only the controller, so that
-    hop runs no memory update. The neighbor contexts are not kept: the
-    memory update's tape node gathers them again from the edge list during
-    backward (see :func:`graphmem.numerics.gated_update`)."""
+    (B, k_h), memory (N, k_m), read and attention (N,). The read is a
+    :class:`~graphmem.numerics.GraphSum` whose ``.data`` computes its
+    (B, k_m) value. ``t=0`` is the freshly initialized state; read and
+    attention appear from the first real hop on. The final hop of
+    :func:`forward` has no memory (``None``): the output head reads only
+    the controller, so that hop runs no memory update. No sum is kept: the
+    update nodes compute the read and the neighbour contexts again from
+    their recipes during backward (see
+    :func:`graphmem.numerics.gated_update`)."""
 
     t: int
     controller: Tensor
     memory: Tensor | None
-    read: nm.EdgeSum | None = None
+    read: nm.GraphSum | None = None
     attention: Tensor | None = None
 
 
@@ -352,28 +377,27 @@ def init_state(
 
 
 def attentive_read(state: HopState, params: ModelParams,
-                   prepared: PreparedGraph) -> tuple[nm.EdgeSum, Tensor, Tensor]:
+                   prepared: PreparedGraph) -> tuple[nm.GraphSum, Tensor, Tensor]:
     """Soft attention over the memory of the previous hop, per graph.
 
     Every cell is scored by a shared vector against a tanh blend of the
     cell and its graph's controller row; a softmax over each graph's cells
     gives the weights and the read row is the weighted sum of those cells,
-    an :class:`~graphmem.numerics.EdgeSum` from every cell to its graph.
-    Returns (read, weights, pre-softmax scores).
+    a :class:`~graphmem.numerics.GraphSum` over each graph's run of rows.
+    The controller rows reach the cells through ``prepared.slots``, so
+    their gradient is a per-graph sum too. Returns (read, weights,
+    pre-softmax scores).
     """
-    if np.any(np.diff(prepared.bounds) == 0):
-        raise ValueError("attentive read over an empty memory (no nodes)")
-    segments, n_graphs = prepared.segments, prepared.n_graphs
+    slots = prepared.slots
     scores = nm.linear_sum(
-        [(state.memory, params["attn.cell"]), (state.controller, params["attn.ctrl"], segments)],
+        [(state.memory, params["attn.cell"]), (state.controller, params["attn.ctrl"], slots)],
         bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
     )
-    weights = nm.segment_softmax(scores, segments, n_graphs)
-    read = nm.EdgeSum(state.memory, weights, np.arange(prepared.n_nodes), segments, n_graphs, 1)
-    return read, weights, scores
+    weights = nm.segment_softmax(scores, prepared.segments, prepared.n_graphs)
+    return nm.GraphSum(state.memory, weights, slots), weights, scores
 
 
-def controller_step(state: HopState, read: nm.EdgeSum | Tensor, params: ModelParams) -> Tensor:
+def controller_step(state: HopState, read: nm.GraphSum | Tensor, params: ModelParams) -> Tensor:
     """Gated recurrent update of every controller row from its read row,
     the read term of one gated update."""
     return nm.gated_update(
@@ -428,19 +452,21 @@ def memory_step(
     cells, weighted link features], zero under a relation where the cell
     has no neighbours.
 
-    The neighbour cells of every relation are summed first, in one pass
-    keyed by (destination, relation), into (N, R * k_m) rows, and then
-    projected once by all relations' weights side by side; so are the link
-    features, here in learned mode and in ``bias`` in uniform mode. ``bias``
-    is :func:`_memory_bias` of ``params`` and ``prepared``, computed here
-    when not given.
+    The neighbour cells of every relation are summed first into (N, R * k_m)
+    rows, as per-graph block products (a :class:`~graphmem.numerics.BlockSum`
+    over ``prepared.slots``: the pack's uniform blocks, or blocks of the
+    learned weights scattered on this hop), and then projected once by all
+    relations' weights side by side. The link features are summed per key
+    and projected the same way, here in learned mode and in ``bias`` in
+    uniform mode. ``bias`` is :func:`_memory_bias` of ``params`` and
+    ``prepared``, computed here when not given.
     """
     weights = _neighbor_weights(prepared, state.memory, params)
-    cells = nm.EdgeSum(state.memory, weights, prepared.src, prepared.keys, prepared.n_nodes, prepared.n_relations)
+    blocks = prepared.blocks if weights is prepared.uniform else None
     terms: list[tuple] = [
         (state.memory, params["mem.gated.self"]),
-        (controller, params["mem.gated.ctrl"], prepared.segments),
-        (cells, params["mem.gated.nbr"]),
+        (controller, params["mem.gated.ctrl"], prepared.slots),
+        (nm.BlockSum(state.memory, weights, prepared.slots, blocks), params["mem.gated.nbr"]),
     ]
     if params.config.neighbor_mode == "learned":
         terms.append((_link_sum(prepared, weights), params["mem.gated.link"]))

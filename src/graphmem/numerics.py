@@ -11,10 +11,15 @@ The operations are the fused nodes the model runs: :func:`linear_sum`,
 and :func:`dropout`. Each records one tape node however many products,
 activations or gathers it computes; :func:`linear_sum` and
 :func:`gated_update` check, sum and differentiate their terms with the
-same code. The one weighted gather-sum, an :class:`EdgeSum`, is no node
-of its own but any term's input: the attention read and the neighbour and
-link sums. The model stores each gated update's weights stacked the way
-:func:`gated_update` takes them, so parameters enter the tape as they are.
+same code. Three weighted sums are no node of their own but any term's
+input, kept as their recipe and computed again during backward: the
+per-graph :class:`GraphSum` (the attention read), the per-graph block
+products of :class:`BlockSum` (the neighbour cells) and the keyed
+:class:`EdgeSum` (the link rows). The first two run on a pack's
+:class:`Slots`, which also carry each graph's controller row to its
+cells and sum their gradient back per graph. The model stores each gated
+update's weights stacked the way :func:`gated_update` takes them, so
+parameters enter the tape as they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
@@ -149,7 +154,7 @@ _ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.n
 }
 
 
-# -- gathers ----------------------------------------------------------------
+# -- term inputs: sums that a term recomputes from their recipe --------------
 
 
 def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
@@ -160,9 +165,111 @@ def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.ravel(), minlength=n_out * k).reshape(n_out, k)
 
 
-def _edge_sum(x: Tensor, weights: Tensor, s: np.ndarray, keys: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The value, of shape ``shape``, of the :class:`EdgeSum` of these arguments."""
-    return _sum_rows(weights.data[:, None] * x.data[s], keys, shape[0] * shape[1] // x.data.shape[1]).reshape(shape)
+def _edge_weight_grad(gx: np.ndarray, x: Tensor, src: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """d/d weights[e] of a sum of ``weights[e] * x[src[e]]`` into the row and
+    column block ``keys[e]`` names, given ``gx``, the gradient of that sum:
+    the block of ``gx`` the edge adds to, dotted with its source row."""
+    return np.einsum("ek,ek->e", gx.reshape(-1, x.data.shape[1])[keys], x.data[src])
+
+
+class Slots:
+    """The per-graph layout of a pack: graph ``b`` owns the contiguous rows
+    ``bounds[b]:bounds[b+1]``, none of them empty, and the edges
+    ``src[e] -> keys[e] // R`` under relation ``keys[e] % R`` join rows of
+    one graph.
+
+    Per-graph sums add each graph's run of rows (:meth:`sums`, the
+    ``reduceat`` of the runs); :meth:`spread` copies each graph's row to
+    its run.
+
+    Block products (:class:`BlockSum`) run on a padded layout. Sorted by
+    size, a graph more than twice the smallest graph of the current group
+    starts a new group; a group's width ``m`` is its largest graph, so no
+    graph is padded past twice its size. Each group holds its graphs in
+    pack order, ``m`` padded rows each: row ``i`` of a group's ``l``-th
+    graph is padded row ``first + l * m + i``, and ``slot`` holds that row
+    for every row. A group's (B_g, m R, m) block array has the weight of
+    the edge from row ``j`` to row ``i`` under relation ``r`` of its
+    ``l``-th graph at ``[l, i R + r, j]``, so that its product with the
+    graphs' (m, k) padded rows reads as (m, R k) rows, relation ``r`` in
+    columns ``r*k:(r+1)*k``. All groups' blocks lie flat one after the
+    other, ``n_entries`` in all, edge ``e``'s at ``positions[e]``.
+    """
+
+    __slots__ = ("bounds", "counts", "n_relations", "src", "keys", "slot", "groups", "n_padded", "n_entries",
+                 "positions", "_padded")
+
+    def __init__(self, bounds, src, keys, n_relations: int):
+        self.bounds = np.asarray(bounds, dtype=np.intp)
+        self.counts = np.diff(self.bounds)
+        if np.any(self.counts < 1):
+            raise ValueError(f"Slots: graph {int(np.argmin(self.counts))} has no rows")
+        self.n_relations, self.src, self.keys = n_relations, np.asarray(src, np.intp), np.asarray(keys, np.intp)
+        n_graphs, r = self.counts.size, n_relations
+        first_row = np.empty(n_graphs, dtype=np.intp)    # each graph's first padded row
+        first_entry = np.empty(n_graphs, dtype=np.intp)  # and its first block entry
+        width = np.empty(n_graphs, dtype=np.intp)
+        self.groups: list[tuple[int, int, int, int]] = []  # (first padded row, first entry, B_g, m)
+        order = np.argsort(self.counts, kind="stable")
+        by_size = self.counts[order]
+        rows = entries = start = 0
+        while start < n_graphs:
+            end = int(np.searchsorted(by_size, 2 * by_size[start], side="right"))
+            members, m = np.sort(order[start:end]), int(by_size[end - 1])
+            first_row[members] = rows + m * np.arange(members.size)
+            first_entry[members] = entries + m * r * m * np.arange(members.size)
+            width[members] = m
+            self.groups.append((rows, entries, members.size, m))
+            rows, entries, start = rows + members.size * m, entries + members.size * m * r * m, end
+        self.n_padded, self.n_entries = rows, entries
+        self._padded: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.slot = np.repeat(first_row - self.bounds[:-1], self.counts) + np.arange(self.bounds[-1])
+        dst, relation = (self.keys // r, self.keys % r) if r else (self.keys, self.keys)
+        graph = np.repeat(np.arange(n_graphs), self.counts)[dst]
+        local = self.bounds[graph]
+        self.positions = first_entry[graph] + ((dst - local) * r + relation) * width[graph] + self.src - local
+
+    @property
+    def n_graphs(self) -> int:
+        return self.counts.size
+
+    def sums(self, rows: np.ndarray) -> np.ndarray:
+        """(B, k) per-graph sums of (N, k) ``rows``."""
+        return np.add.reduceat(rows, self.bounds[:-1], axis=0)
+
+    def spread(self, rows: np.ndarray) -> np.ndarray:
+        """(N, k): each graph's row of (B, k) ``rows``, at every row it owns."""
+        return np.repeat(rows, self.counts, axis=0)
+
+    def blocks(self, weights: np.ndarray) -> np.ndarray:
+        """The flat block arrays holding the edges' ``weights``."""
+        flat = np.zeros(self.n_entries)
+        flat[self.positions] = weights
+        return flat
+
+    def product(self, blocks: np.ndarray, rows: np.ndarray, k: int, transpose: bool = False) -> np.ndarray:
+        """Every graph's block times its (m, k) padded ``rows``, as (N, R k)
+        rows; with ``transpose``, the transposed blocks times its (m R, k)
+        padded (N, R k) ``rows``, as (N, k) rows. One batched ``matmul``
+        per size group; padded rows are zero in and dropped out. The padded
+        arrays in and out are kept for the next product of the same widths:
+        a fresh pair per product cost more in page faults than the product
+        itself (2-vCPU VM, 250-row packs)."""
+        r = self.n_relations
+        widths = (rows.shape[1], k if transpose else r * k)
+        if widths not in self._padded:
+            # only slot rows are ever written into the input, so its padded rows stay zero
+            self._padded[widths] = (np.zeros((self.n_padded, widths[0])), np.empty((self.n_padded, widths[1])))
+        padded, out = self._padded[widths]
+        padded[self.slot] = rows
+        for first, entry, n, m in self.groups:
+            a = blocks[entry:entry + n * m * r * m].reshape(n, m * r, m)
+            span = slice(first, first + n * m)
+            if transpose:
+                np.matmul(a.transpose(0, 2, 1), padded[span].reshape(n, m * r, k), out=out[span].reshape(n, m, k))
+            else:
+                np.matmul(a, padded[span].reshape(n, m, k), out=out[span].reshape(n, m * r, k))
+        return out[self.slot]
 
 
 class EdgeSum:
@@ -172,17 +279,16 @@ class EdgeSum:
 
     The sum of ``weights[e] * x[src[e]]`` over the edges with ``keys[e] ==
     d * groups + r`` fills columns ``r*k:(r+1)*k`` of row ``d`` of the
-    (n_out, groups * k) value, so one pass sums every group; a row and
-    group without edges stays zero. An edge may join two cells of a graph
-    or run from a cell to its graph's row, as in the attention read (one
-    group, keyed by the cell's graph).
+    (n_out, groups * k) value, so one keyed ``bincount`` sums every group;
+    a row and group without edges stays zero. The model sums its link rows
+    so (:func:`graphmem.model._link_sum`).
 
-    ``data`` holds the value, computed once here. The node that consumes
-    it keeps only the recipe (``x``, ``weights``, the edges and keys): its
-    backward gathers the sums again instead of keeping ``data``.
+    Like every sum here it is only its recipe: ``data`` computes the value,
+    and the node that consumes it computes it again during backward
+    instead of keeping it.
     """
 
-    __slots__ = ("x", "weights", "src", "keys", "data")
+    __slots__ = ("x", "weights", "src", "keys", "shape")
 
     def __init__(self, x: Tensor, weights: Tensor, src, keys, n_out: int, groups: int):
         s = np.asarray(src, dtype=np.intp)
@@ -190,7 +296,87 @@ class EdgeSum:
         if x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape:
             raise _shape_error("EdgeSum", x.shape, weights.shape, s.shape, d.shape)
         self.x, self.weights, self.src, self.keys = x, weights, s, d
-        self.data = _edge_sum(x, weights, s, d, (n_out, groups * x.data.shape[1]))
+        self.shape = (n_out, groups * x.data.shape[1])
+
+    @property
+    def data(self) -> np.ndarray:
+        n_keys = self.shape[0] * self.shape[1] // self.x.data.shape[1]
+        return _sum_rows(self.weights.data[:, None] * self.x.data[self.src], self.keys, n_keys).reshape(self.shape)
+
+    def _push(self, gx: np.ndarray) -> None:
+        x, weights = self.x, self.weights
+        if _tracked(x):
+            at_key = gx.reshape(-1, x.data.shape[1])[self.keys]
+            _accumulate(x, _sum_rows(weights.data[:, None] * at_key, self.src, x.data.shape[0]))
+        if _tracked(weights):
+            _accumulate(weights, _edge_weight_grad(gx, x, self.src, self.keys))
+
+
+class BlockSum:
+    """A term input: the relation-typed neighbour sums of a pack's rows as
+    per-graph block products (see :class:`Slots`).
+
+    Row ``i`` of the (N, R * k) value holds, in columns ``r*k:(r+1)*k``,
+    the sum of ``weights[e] * x[src[e]]`` over the edges into row ``i``
+    under relation ``r``: the keyed sum of an :class:`EdgeSum` over
+    ``slots.src`` and ``slots.keys``, computed by one batched ``matmul``
+    per size group instead of a keyed ``bincount``. ``blocks`` is
+    ``slots.blocks(weights.data)`` when ``weights`` is a constant whose
+    blocks were built once; otherwise each use scatters ``weights`` into
+    zeroed blocks, so no block array outlives the product. Its backward
+    is the transposed product for ``x`` and, per edge, the gradient at the
+    destination's block dotted with the source row for ``weights``.
+    """
+
+    __slots__ = ("x", "weights", "slots", "given", "shape")
+
+    def __init__(self, x: Tensor, weights: Tensor, slots: Slots, blocks: np.ndarray | None = None):
+        if x.ndim != 2 or x.shape[0] != slots.bounds[-1] or weights.shape != slots.src.shape:
+            raise _shape_error("BlockSum", x.shape, weights.shape, (slots.bounds[-1],))
+        self.x, self.weights, self.slots, self.given = x, weights, slots, blocks
+        self.shape = (x.shape[0], slots.n_relations * x.shape[1])
+
+    def _blocks(self) -> np.ndarray:
+        return self.slots.blocks(self.weights.data) if self.given is None else self.given
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.slots.product(self._blocks(), self.x.data, self.x.shape[1])
+
+    def _push(self, gx: np.ndarray) -> None:
+        x, weights, slots = self.x, self.weights, self.slots
+        if _tracked(x):
+            _accumulate(x, slots.product(self._blocks(), gx, x.shape[1], transpose=True))
+        if _tracked(weights):
+            _accumulate(weights, _edge_weight_grad(gx, x, slots.src, slots.keys))
+
+
+class GraphSum:
+    """A term input: the weighted sum of every graph's rows of a pack,
+    ``sum_i weights[i] * x[i]`` over the rows graph ``b`` owns in row ``b``
+    of the (B, k) value, one ``reduceat`` over the graphs' runs (see
+    :class:`Slots`). The attention read is one. Its backward spreads each
+    graph's gradient row to the rows it owns, with no scatter."""
+
+    __slots__ = ("x", "weights", "slots", "shape")
+
+    def __init__(self, x: Tensor, weights: Tensor, slots: Slots):
+        if x.ndim != 2 or weights.shape != (x.shape[0],) or x.shape[0] != slots.bounds[-1]:
+            raise _shape_error("GraphSum", x.shape, weights.shape, (slots.bounds[-1],))
+        self.x, self.weights, self.slots = x, weights, slots
+        self.shape = (slots.n_graphs, x.shape[1])
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.slots.sums(self.weights.data[:, None] * self.x.data)
+
+    def _push(self, gx: np.ndarray) -> None:
+        x, weights = self.x, self.weights
+        at_row = self.slots.spread(gx)
+        if _tracked(x):
+            _accumulate(x, weights.data[:, None] * at_row)
+        if _tracked(weights):
+            _accumulate(weights, np.einsum("ik,ik->i", at_row, x.data))
 
 
 # -- terms, the one path of both fused nodes ----------------------------------
@@ -200,9 +386,10 @@ def _term_sum(parts: list[tuple], inputs: list[np.ndarray] | None = None) -> np.
     """The sum of the parts' products, over ``inputs`` or over inputs
     recomputed from the parts."""
     z = None
-    for k, (x, w, rows, edges) in enumerate(parts):
-        xd = inputs[k] if inputs else x.data if edges is None else _edge_sum(x, *edges)
-        a = xd @ w.data.T if rows is None else (xd @ w.data.T)[rows]
+    for k, (x, w, rows) in enumerate(parts):
+        a = (inputs[k] if inputs else x.data) @ w.data.T
+        if rows is not None:
+            a = rows.spread(a) if isinstance(rows, Slots) else a[rows]
         z = a if z is None else np.add(z, a, out=z)
     return z
 
@@ -210,47 +397,47 @@ def _term_sum(parts: list[tuple], inputs: list[np.ndarray] | None = None) -> np.
 def _terms(op: str, terms: Sequence[tuple],
            shape: tuple[int, int] | None = None) -> tuple[np.ndarray, list[tuple], tuple[Tensor, ...]]:
     """Check ``terms`` and sum them: ``(z, parts, parents)``. No term may
-    put ``rows`` on an EdgeSum, and all give the same (n, out) rows,
-    ``shape`` when given. A part is what a node keeps of a term,
-    ``(x, W, rows, edges)``: ``edges`` is None or an EdgeSum's recipe
-    (weights, src, keys, shape), ``x`` then the tensor it sums."""
+    put ``rows`` on a sum, and all give the same (n, out) rows, ``shape``
+    when given. A part is what a node keeps of a term, ``(x, W, rows)``:
+    ``x`` a tensor or a sum's recipe, ``rows`` None, Slots or an index."""
     if not terms:
         raise ValueError(f"{op} of no terms")
     parts: list[tuple] = []
+    inputs: list[np.ndarray] = []
     sizes = set() if shape is None else {shape}
     for term in terms:
         x, w = term[0], term[1]
-        rows = np.asarray(term[2], dtype=np.intp) if len(term) == 3 else None
-        xd, wd = x.data, w.data
-        fits = (xd.ndim == 2 and wd.ndim == 2 and xd.shape[1] == wd.shape[1]
-                and (rows is None or (rows.ndim == 1 and not isinstance(x, EdgeSum))))
-        sizes.add((xd.shape[0] if rows is None else rows.size, wd.shape[0]) if fits else None)
+        rows = term[2] if len(term) == 3 else None
+        if rows is not None and not isinstance(rows, Slots):
+            rows = np.asarray(rows, dtype=np.intp)
+        xs, wd = x.shape, w.data
+        fits = (len(xs) == 2 and wd.ndim == 2 and xs[1] == wd.shape[1]
+                and (rows is None or (isinstance(x, Tensor)
+                                      and (xs[0] == rows.n_graphs if isinstance(rows, Slots) else rows.ndim == 1))))
+        n = xs[0] if rows is None else rows.bounds[-1] if isinstance(rows, Slots) else rows.size
+        sizes.add((n, wd.shape[0]) if fits else None)
         if not fits or len(sizes) != 1:
-            raise _shape_error(op, *(np.shape(p.data if k < 2 else p) for t in terms for k, p in enumerate(t)),
+            raise _shape_error(op, *(p.shape if k < 2 else np.shape(p) for t in terms for k, p in enumerate(t)),
                                *(() if shape is None else (shape,)))
-        parts.append((x.x, w, None, (x.weights, x.src, x.keys, xd.shape)) if isinstance(x, EdgeSum)
-                     else (x, w, rows, None))
-    parents = tuple(t for x, w, _, edges in parts for t in ((x, w) if edges is None else (x, w, edges[0])))
-    return _term_sum(parts, [term[0].data for term in terms]), parts, parents
+        parts.append((x, w, rows))
+        inputs.append(x.data)
+    parents = tuple(t for x, w, _ in parts for t in ((x, w) if isinstance(x, Tensor) else (x.x, x.weights, w)))
+    return _term_sum(parts, inputs), parts, parents
 
 
 def _terms_backward(parts: list[tuple], dz: np.ndarray) -> None:
     """Push ``dz``, the gradient of the terms' sum, into their tracked
-    tensors; an EdgeSum's sums are gathered again."""
-    for x, w, rows, edges in parts:
-        gz = dz if rows is None else _sum_rows(dz, rows, x.data.shape[0])
+    tensors; a sum's value is computed again."""
+    for x, w, rows in parts:
+        gz = (dz if rows is None else rows.sums(dz) if isinstance(rows, Slots)
+              else _sum_rows(dz, rows, x.data.shape[0]))
         if _tracked(w):
-            _accumulate(w, gz.T @ (x.data if edges is None else _edge_sum(x, *edges)))
-        if edges is None:
+            _accumulate(w, gz.T @ x.data)
+        if isinstance(x, Tensor):
             if _tracked(x):
                 _accumulate(x, gz @ w.data)
-        elif _tracked(x, edges[0]):
-            weights, s, keys, _ = edges
-            at_key = (gz @ w.data).reshape(-1, x.data.shape[1])[keys]
-            if _tracked(x):
-                _accumulate(x, _sum_rows(weights.data[:, None] * at_key, s, x.data.shape[0]))
-            if _tracked(weights):
-                _accumulate(weights, np.einsum("ek,ek->e", at_key, x.data[s]))
+        elif _tracked(x.x, x.weights):
+            x._push(gz @ w.data)
 
 
 # -- the fused nodes ----------------------------------------------------------
@@ -266,14 +453,17 @@ def linear_sum(
     ``activation(sum_k X_k @ W_k.T + bias)``, optionally ``@ project``.
 
     A term is ``(x, W)`` or ``(x, W, rows)``: ``X_k`` is the (n, in) tensor
-    ``x`` or the value of an :class:`EdgeSum` ``x``, and ``W`` is (out, in).
-    With ``rows``, an integer index, the term contributes ``(x @ W.T)[rows]``:
-    the product is taken once per row of ``x`` and then gathered, so that
-    per-graph rows reach per-node outputs (or per-node rows reach per-edge
-    outputs) without gathered copies of ``x``. Every term contributes the
-    same number of rows. ``activation`` is None, "relu", "tanh" or "sigmoid",
-    applied inside this one tape node, whose backward works from the output:
-    it keeps no pre-activation and no :class:`EdgeSum` value. With
+    ``x`` or the value of a sum ``x`` (:class:`GraphSum`, :class:`BlockSum`
+    or :class:`EdgeSum`), and ``W`` is (out, in). With ``rows`` the term
+    contributes ``(x @ W.T)[rows]``: the product is taken once per row of
+    ``x`` and then gathered, so that per-node rows reach per-edge outputs
+    without gathered copies of ``x``. ``rows`` is an integer index, whose
+    gradient is a keyed scatter, or a pack's :class:`Slots`, which gives
+    each graph's row to the rows it owns, its gradient a per-graph sum.
+    Every term contributes the same number of rows. ``activation`` is None,
+    "relu", "tanh" or "sigmoid", applied inside this one tape node, whose
+    backward works from the output: it keeps no pre-activation and no
+    sum's value. With
     ``project``, an (out,) vector, the node returns one value per row and
     recomputes the activated rows during backward instead of keeping them.
     """
@@ -321,7 +511,7 @@ def gated_update(
     giving n rows through a (2 * out, in) weight ``W``: the proposal's rows
     over the gate's, so one product serves both. ``bias`` is one (2 * out,)
     row for every output row or an (n, 2 * out) row each. The node keeps
-    ``p`` and ``g`` but no :class:`EdgeSum` value, as :func:`linear_sum`.
+    ``p`` and ``g`` but no sum's value, as :func:`linear_sum`.
     """
     if old.ndim != 2:
         raise _shape_error("gated_update", old.shape)

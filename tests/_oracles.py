@@ -616,10 +616,12 @@ def prepare_graph_oracle(graph, config):
     keys = dst * n_relations + relation[order]
     links = nm.constant(np.concatenate([bond_links, bond_links])[order])
     uniform = nm.constant(1.0 / np.bincount(keys, minlength=m * n_relations)[keys])
+    # the slot layout and its blocks are checked against their own oracle,
+    # block_layout_oracle
     return PreparedGraph(
         features=nm.constant(graph.node_features), bounds=np.array([0, m]),
         segments=np.zeros(m, dtype=np.intp), n_relations=n_relations, src=src, dst=dst,
-        keys=keys, links=links, uniform=uniform,
+        keys=keys, links=links, uniform=uniform, slots=None, blocks=None,
     )
 
 
@@ -649,7 +651,8 @@ def mean_links_bias_oracle(prepared, arrays) -> np.ndarray:
 def concatenated_pack(graphs):
     """The disjoint union of prepared graphs (or packs), in order, by
     concatenation: node rows stacked, edges and their keys offset by their
-    graph's first row, segment ids offset by the graphs before."""
+    graph's first row, segment ids offset by the graphs before. It has no
+    slot layout."""
     from graphmem import numerics as nm
     from graphmem.model import PreparedGraph
 
@@ -669,4 +672,84 @@ def concatenated_pack(graphs):
         keys=np.concatenate([g.keys + row * g.n_relations for g, row in zip(graphs, rows)]),
         links=stack(g.links for g in graphs),
         uniform=stack(g.uniform for g in graphs),
+        slots=None, blocks=None,
     )
+
+
+# -- the keyed formulation the per-graph sums replaced ----------------------------
+
+
+def keyed_attentive_read(state, params, prepared):
+    """The attentive read as packs ran it on keyed sums: each graph's
+    controller row gathered to its cells by segment id (its gradient a
+    keyed scatter), and the read an ``EdgeSum`` from every cell to its
+    graph's row. Returns (read, weights, scores) as ``attentive_read``."""
+    from graphmem import numerics as nm
+
+    segments, n_graphs = prepared.segments, prepared.n_graphs
+    scores = nm.linear_sum(
+        [(state.memory, params["attn.cell"]), (state.controller, params["attn.ctrl"], segments)],
+        bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
+    )
+    weights = nm.segment_softmax(scores, segments, n_graphs)
+    return nm.EdgeSum(state.memory, weights, np.arange(prepared.n_nodes), segments, n_graphs, 1), weights, scores
+
+
+def keyed_memory_step(state, controller, params, prepared, bias=None):
+    """The memory update as packs ran it on keyed sums: the neighbour cells
+    one ``EdgeSum`` keyed by (destination, relation), each graph's
+    controller row gathered to its cells by segment id."""
+    from graphmem import numerics as nm
+    from graphmem.model import _link_sum, _memory_bias, _neighbor_weights
+
+    weights = _neighbor_weights(prepared, state.memory, params)
+    cells = nm.EdgeSum(state.memory, weights, prepared.src, prepared.keys, prepared.n_nodes, prepared.n_relations)
+    terms = [(state.memory, params["mem.gated.self"]), (controller, params["mem.gated.ctrl"], prepared.segments),
+             (cells, params["mem.gated.nbr"])]
+    if params.config.neighbor_mode == "learned":
+        terms.append((_link_sum(prepared, weights), params["mem.gated.link"]))
+    return nm.gated_update(terms, _memory_bias(params, prepared) if bias is None else bias, state.memory)
+
+
+def keyed_forward(prepared, query, params, hops, *, dropout_rate=0.0, rng=None, training=False):
+    """``model.forward`` on the keyed read and memory update above, hop for
+    hop; returns the (B, 1) probability tensor."""
+    from graphmem import numerics as nm
+    from graphmem.model import HopState, _dropout, _memory_bias, controller_step, init_state
+
+    bias = _memory_bias(params, prepared)
+    state = init_state(prepared, query, params, dropout_rate=dropout_rate, rng=rng, training=training)
+    for t in range(1, hops + 1):
+        read, weights, _ = keyed_attentive_read(state, params, prepared)
+        controller = controller_step(state, read, params)
+        memory = keyed_memory_step(state, controller, params, prepared, bias) if t < hops else None
+        if memory is None:
+            controller = _dropout(controller, np.arange(prepared.n_graphs + 1), dropout_rate, rng, training)
+        state = HopState(t=t, controller=controller, memory=memory, attention=weights)
+    return nm.linear_sum([(state.controller, params["out.weight"])], bias=params["out.bias"], activation="sigmoid")
+
+
+def block_layout_oracle(sizes, edges, n_relations):
+    """The slot layout of graphs of ``sizes`` from its definition, graph by
+    graph: groups of the size-sorted graphs, each starting at a graph more
+    than twice its group's first, each as wide as its largest graph and
+    holding its graphs in pack order; and each group's (B_g, m R, m) blocks
+    with ``weight`` at [l, i R + r, j] for every ``(graph, i, j, r, weight)``
+    in ``edges`` (local rows i <- j). Returns (groups, blocks): groups as
+    lists of graph indices, blocks as one array per group."""
+    order = sorted(range(len(sizes)), key=lambda b: (sizes[b], b))
+    groups = []
+    for b in order:
+        if not groups or sizes[b] > 2 * sizes[groups[-1][0]]:
+            groups.append([])
+        groups[-1].append(b)
+    groups = [sorted(group) for group in groups]
+    blocks = []
+    for group in groups:
+        m = max(sizes[b] for b in group)
+        block = np.zeros((len(group), m * n_relations, m))
+        for graph, i, j, r, weight in edges:
+            if graph in group:
+                block[group.index(graph), i * n_relations + r, j] = weight
+        blocks.append(block)
+    return groups, blocks

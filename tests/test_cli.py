@@ -350,6 +350,9 @@ class TestEvalAndDump:
         ("vocab", "ABDE", "vocab must be a list of element symbols"),
         ("vocab", [1, 2, 3, 4], "vocab must be a list of element symbols"),
         ("node_feat_dim", -1, "node_feat_dim must be >= 1"),
+        ("memory_size", 32.0, "memory_size must be an integer, got 32.0"),
+        ("n_relations", 3.0, "n_relations must be an integer, got 3.0"),
+        ("raw_embedding", "no", "raw_embedding must be true or false, got 'no'"),
     ])
     def test_eval_checkpoint_with_unusable_metadata_is_exit_5(self, workspace, trained, capsys,
                                                                field, value, message):

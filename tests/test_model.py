@@ -31,12 +31,17 @@ from graphmem.molgraph import (
     node_feature_dim,
     random_graph,
 )
-from graphmem.numerics import DimensionError, EdgeSum, Tensor, finite_difference_gradient, max_relative_error
+from graphmem.numerics import (BlockSum, DimensionError, EdgeSum, GraphSum, Tensor, finite_difference_gradient,
+                               linear_sum, max_relative_error)
 
 from _oracles import (
     bfs_distances,
+    block_layout_oracle,
     concatenated_pack,
     gather_sum,
+    keyed_attentive_read,
+    keyed_forward,
+    keyed_memory_step,
     learned_memory_step_oracle,
     mean_links_bias_oracle,
     mean_passing_oracle,
@@ -203,8 +208,9 @@ class TestAttentiveRead:
         np.testing.assert_allclose(scores.data, raw, atol=1e-14)
 
     def test_read_equals_the_gather_sum_reference(self):
-        # the read, an EdgeSum from every cell to its graph, against the
-        # edge-by-edge weighted sum, bit for bit: on the mixed pack of
+        # the read, a GraphSum over each graph's run of cells, against the
+        # edge-by-edge weighted sum from every cell to its graph, to 1e-12
+        # (reduceat adds in its own order): on the mixed pack of
         # TestMemoryStep and on a single atom
         cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3)
@@ -216,10 +222,10 @@ class TestAttentiveRead:
             cells = rng.normal(size=(prepared.n_nodes, 4))
             state = HopState(t=0, controller=Tensor(rng.normal(size=(prepared.n_graphs, 3))), memory=Tensor(cells))
             read, weights, _ = attentive_read(state, params, prepared)
-            assert isinstance(read, EdgeSum) and read.data.shape == (prepared.n_graphs, 4)
+            assert isinstance(read, GraphSum) and read.data.shape == (prepared.n_graphs, 4)
             expected = gather_sum(cells, weights.data, np.arange(prepared.n_nodes), prepared.segments,
                                   prepared.n_graphs)
-            np.testing.assert_array_equal(read.data, expected)
+            np.testing.assert_allclose(read.data, expected, rtol=0, atol=1e-12)
 
     def test_empty_memory_rejected(self):
         cfg = small_config(memory=2, controller=2)
@@ -344,7 +350,7 @@ class TestMemoryStep:
             np.testing.assert_array_equal(memory.data, [[0.5, 0.0, 0.0]], err_msg=mode)
             # no edge, so a zero neighbour sum and zero mean link rows
             assert prepared.src.size == 0
-            context = EdgeSum(state.memory, prepared.uniform, prepared.src, prepared.keys, 1, 1)
+            context = BlockSum(state.memory, prepared.uniform, prepared.slots, prepared.blocks)
             np.testing.assert_array_equal(context.data, np.zeros((1, 3)), err_msg=mode)
             mean_links = _link_sum(prepared, prepared.uniform)
             np.testing.assert_array_equal(mean_links.data, np.zeros((1, cfg.link_feat_dim)), err_msg=mode)
@@ -535,6 +541,187 @@ class TestMemoryStep:
         state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
         memory = memory_step(state, Tensor(np.ones((1, 3))), params, prepared)
         np.testing.assert_array_equal(memory.data, cells)
+
+
+def run_stage(stage: str, prepared, params: ModelParams, cells, controllers, seed, keyed: bool):
+    """One stage on tracked copies of ``cells`` and ``controllers``, through
+    the model or its keyed oracle, seeded backward from ``seed``: its
+    output arrays and every gradient, parameters and inputs."""
+    memory, controller = Tensor(cells.copy(), True), Tensor(controllers.copy(), True)
+    state = HopState(t=0, controller=controller, memory=memory)
+    params.zero_grads()
+    if stage == "read":  # the read reaches the parameters through the controller update
+        read, weights, scores = (keyed_attentive_read if keyed else attentive_read)(state, params, prepared)
+        out = controller_step(state, read, params)
+        outputs = [read.data, weights.data, scores.data, out.data]
+    else:
+        out = (keyed_memory_step if keyed else memory_step)(state, controller, params, prepared)
+        outputs = [out.data]
+    out.backward(seed=seed)
+    return outputs, {**params.grads(), "memory": memory.grad, "controller": controller.grad}
+
+
+def assert_matches_keyed(new, keyed, label):
+    (outputs, grads), (keyed_outputs, keyed_grads) = new, keyed
+    for k, (a, b) in enumerate(zip(outputs, keyed_outputs)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=f"{label} output {k}")
+    assert set(grads) == set(keyed_grads)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], keyed_grads[name], rtol=0, atol=1e-12, err_msg=f"{label} {name}")
+
+
+class TestPerGraphSums:
+    """The block products and per-graph sums against the keyed formulation
+    they replaced (the keyed_* oracles), and the slot layout against its
+    definition."""
+
+    @staticmethod
+    def two_group_graphs():
+        """The mixed pack of TestMemoryStep (1-7 atoms) plus two graphs of
+        16-20 atoms, so that its graphs fall into several size groups."""
+        rng = np.random.default_rng(51)
+        return TestMemoryStep.mixed_pack_graphs() + [
+            featurize(random_graph(rng, 16, 20, 2), SYNTHETIC_ALPHABET) for _ in range(2)]
+
+    @staticmethod
+    def config(mode):
+        return ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=2,
+                           memory_size=4, controller_size=3, neighbor_mode=mode)
+
+    @staticmethod
+    def random_params(cfg, seed):
+        params = make_params(cfg, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        for name in ("attn.score", "attn.bias", "nbr.score", "nbr.bias", "ctrl.gated.bias", "mem.gated.bias"):
+            if name in params.tensors:
+                params[name].data[...] = rng.normal(size=params[name].shape)
+        return params
+
+    @pytest.mark.parametrize("stage", ["read", "memory"])
+    @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
+    def test_stage_and_its_gradients_match_the_keyed_oracle(self, mode, stage):
+        # the mixed pack (a single atom, atoms without bonds, graphs with
+        # fewer relations than the model, no edge under the third relation),
+        # the same with two large graphs, and each graph alone
+        cfg = self.config(mode)
+        params = self.random_params(cfg, 60)
+        rng = np.random.default_rng(61)
+        graphs = self.two_group_graphs()
+        for members in [graphs[:5], graphs] + [[g] for g in graphs]:
+            prepared = pack(members, cfg)
+            if len(members) > 1:
+                assert len(prepared.slots.groups) >= 2
+            cells = rng.normal(size=(prepared.n_nodes, 4))
+            controllers = rng.normal(size=(prepared.n_graphs, 3))
+            seed = rng.normal(size=(prepared.n_graphs, 3) if stage == "read" else cells.shape)
+            new = run_stage(stage, prepared, params, cells, controllers, seed, keyed=False)
+            keyed = run_stage(stage, prepared, params, cells, controllers, seed, keyed=True)
+            assert_matches_keyed(new, keyed, f"{mode} {stage} {len(members)} graphs")
+
+    @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
+    def test_forward_and_its_gradients_match_the_keyed_oracle(self, mode):
+        cfg = self.config(mode)
+        params = self.random_params(cfg, 62)
+        rng = np.random.default_rng(63)
+        graphs = self.two_group_graphs()
+        queries = np.eye(2)[rng.integers(0, 2, size=len(graphs))]
+        seed = rng.normal(size=(len(graphs), 1))
+        results = []
+        for keyed in (False, True):
+            prepared = pack(graphs, cfg)
+            generators = [np.random.default_rng(70 + k) for k in range(len(graphs))]
+            params.zero_grads()
+            if keyed:
+                probability = keyed_forward(prepared, queries, params, 4, dropout_rate=0.3, rng=generators,
+                                            training=True)
+            else:
+                probability = forward(prepared, queries, params, 4, dropout_rate=0.3, rng=generators,
+                                      training=True).probability
+            probability.backward(seed=seed)
+            results.append(([probability.data], params.grads()))
+        assert_matches_keyed(*results, mode)
+
+    def test_forty_random_packs_match_the_keyed_oracle(self):
+        # 1-60 atoms per graph, 1-4 relations in the graphs and up to 4 in
+        # the model, both neighbour modes: probabilities and every parameter
+        # gradient after hops 2
+        rng = np.random.default_rng(64)
+        several_groups = 0
+        for trial in range(40):
+            graph_relations = int(rng.integers(1, 5))
+            mode = NEIGHBOR_MODES[trial % 2]
+            cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(graph_relations),
+                              n_relations=int(rng.integers(graph_relations, 5)), query_dim=1, memory_size=3,
+                              controller_size=2, neighbor_mode=mode)
+            params = self.random_params(cfg, 100 + trial)
+            graphs = [featurize(random_graph(rng, 1, 60, graph_relations), SYNTHETIC_ALPHABET)
+                      for _ in range(int(rng.integers(1, 7)))]
+            prepared = pack(graphs, cfg)
+            several_groups += len(prepared.slots.groups) > 1
+            seed = rng.normal(size=(len(graphs), 1))
+            results = []
+            for run in (lambda: forward(prepared, np.ones(1), params, 2).probability,
+                        lambda: keyed_forward(prepared, np.ones(1), params, 2)):
+                params.zero_grads()
+                probability = run()
+                probability.backward(seed=seed)
+                results.append(([probability.data], params.grads()))
+            assert_matches_keyed(*results, f"trial {trial} {mode}")
+        assert several_groups >= 1
+
+    def test_per_graph_terms_check_their_shapes(self):
+        prepared = pack(self.two_group_graphs()[:3], self.config("uniform"))
+        cells, w = Tensor(np.ones((prepared.n_nodes, 4))), Tensor(np.ones((2, 4)))
+        with pytest.raises(DimensionError):  # the slots give one row per graph, not one per cell
+            linear_sum([(cells, w, prepared.slots)])
+        read = GraphSum(cells, Tensor(np.ones(prepared.n_nodes)), prepared.slots)
+        assert linear_sum([(read, w)]).shape == (3, 2)
+        with pytest.raises(DimensionError):  # no rows on a sum
+            linear_sum([(read, w, [0, 1, 2])])
+        with pytest.raises(DimensionError):  # one weight per cell
+            GraphSum(cells, Tensor(np.ones(2)), prepared.slots)
+        with pytest.raises(DimensionError):  # one weight per edge
+            BlockSum(cells, Tensor(np.ones(prepared.src.size + 1)), prepared.slots)
+
+    def test_one_large_graph_among_single_atoms_forms_two_groups(self):
+        rng = np.random.default_rng(65)
+        single = featurize(MolecularGraph.from_bonds(["A"], [], 2), SYNTHETIC_ALPHABET)
+        large = featurize(random_graph(rng, 200, 200, 2), SYNTHETIC_ALPHABET)
+        graphs = [single] * 20 + [large] + [single] * 36
+        slots = pack(graphs, small_config(n_relations=2)).slots
+        assert [(n, m) for _, _, n, m in slots.groups] == [(56, 1), (1, 200)]
+        assert slots.n_padded == 256 and slots.n_entries == 56 * 1 * 2 * 1 + 200 * 2 * 200
+        # each graph's width is that of the group its first slot lies in
+        first = slots.slot[slots.bounds[:-1]]
+        width = np.zeros(len(graphs), dtype=int)
+        for start, _, n, m in slots.groups:
+            width[(first >= start) & (first < start + n * m)] = m
+        assert np.all(width >= slots.counts) and np.all(width <= 2 * slots.counts)
+
+    def test_slot_layout_and_uniform_blocks_match_their_definition(self):
+        # groups, the padded slot of every row and the uniform blocks, from
+        # the graphs' bonds one by one; the learned-mode pack keeps no blocks
+        rng = np.random.default_rng(66)
+        graphs = self.two_group_graphs() + [featurize(random_graph(rng, 3, 5, 2), SYNTHETIC_ALPHABET)]
+        for members in [graphs, graphs[::-1], graphs[:1]]:
+            prepared = pack(members, self.config("uniform"))
+            assert pack(members, self.config("learned")).blocks is None
+            sizes = [g.n_nodes for g in members]
+            edges = []
+            for b, graph in enumerate(members):
+                neighbors = neighbor_lists(graph)
+                for r, per_node in enumerate(neighbors):
+                    for i, nbrs in enumerate(per_node):
+                        edges += [(b, i, j, r, 1.0 / len(nbrs)) for j in nbrs]
+            groups, blocks = block_layout_oracle(sizes, edges, 3)
+            slots = prepared.slots
+            assert [(n, m) for _, _, n, m in slots.groups] == [(len(g), blk.shape[2]) for g, blk in zip(groups, blocks)]
+            for (first, entry, n, m), group, block in zip(slots.groups, groups, blocks):
+                np.testing.assert_array_equal(prepared.blocks[entry:entry + block.size].reshape(block.shape), block)
+                for l, b in enumerate(group):
+                    rows = np.arange(prepared.bounds[b], prepared.bounds[b + 1])
+                    np.testing.assert_array_equal(slots.slot[rows], first + l * m + np.arange(sizes[b]))
+            assert sum(block.size for block in blocks) == slots.n_entries
 
 
 class TestForward:

@@ -141,11 +141,6 @@ def _identifiers(graphs: Sequence[MolecularGraph], radius: int) -> list[np.ndarr
     return rounds
 
 
-def atom_identifiers(graph: MolecularGraph, radius: int) -> list[list[int]]:
-    """Per-round atom environment identifiers, rounds 0..radius."""
-    return [ids.tolist() for ids in _identifiers([graph], radius)]
-
-
 def circular_fingerprints(
     graphs: Sequence[MolecularGraph],
     radius: int = DEFAULT_RADIUS,

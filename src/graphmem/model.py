@@ -32,10 +32,24 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .molgraph import MolecularGraph, link_feature_dim, link_rows
+from .molgraph import MolecularGraph, link_feature_dim
 from .numerics import Tensor
 
 NEIGHBOR_MODES = ("uniform", "learned")
+# The widest memory_size and controller_size. With both at w, parameters,
+# gradients and Adam's two moments take about 32 * (2 R + 10) * w**2 bytes:
+# about 0.6 GiB at this bound with R = 4, and about 10 GB at 4096, where
+# the allocation would fail with a traceback instead of a refused setting.
+MAX_WIDTH = 1024
+
+
+def check_width(name: str, value: int) -> None:
+    """Refuse a ``memory_size`` or ``controller_size`` below 1 or above
+    :data:`MAX_WIDTH` with a ValueError naming it."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value > MAX_WIDTH:
+        raise ValueError(f"{name} must be <= {MAX_WIDTH}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -52,14 +66,15 @@ class ModelConfig:
     raw_embedding: bool = False
 
     def __post_init__(self):
-        floors = {"node_feat_dim": 1, "link_feat_dim": 1, "query_dim": 1, "memory_size": 1, "controller_size": 1,
-                  "n_relations": 0}
-        for name, floor in floors.items():
+        floors = {"node_feat_dim": 1, "link_feat_dim": 1, "query_dim": 1, "n_relations": 0}
+        for name in (*floors, "memory_size", "controller_size"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < floor:
-                raise ValueError(f"{name} must be >= {floor}, got {value}")
+            if name not in floors:
+                check_width(name, value)
+            elif value < floors[name]:
+                raise ValueError(f"{name} must be >= {floors[name]}, got {value}")
         if not isinstance(self.raw_embedding, bool):
             raise TypeError(f"raw_embedding must be true or false, got {self.raw_embedding!r}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
@@ -206,12 +221,19 @@ class PreparedGraph:
     The edges of every relation form one directed edge list in these row
     numbers, each bond in both directions, so no edge joins two graphs:
     edge ``e`` runs from ``src[e]`` to ``dst[e]`` under the 0-based
-    relation ``r`` and carries the link features ``links[e]``; its key
-    ``keys[e] = dst[e] * R + r`` names its (destination, relation) pair.
-    The edges are sorted by destination, then relation, then source.
-    ``uniform`` holds the weights 1/deg_r(dst) that average each node's
-    neighbours under one relation. The link features are summed per key
-    where they are used, by :func:`_link_sum`, the one keyed sum.
+    relation ``r``, and ``ring[e]`` is 1 when its bond lies in a ring and
+    0 otherwise; its key ``keys[e] = dst[e] * R + r`` names its
+    (destination, relation) pair. The edges are sorted by destination,
+    then relation, then source. ``uniform`` holds the weights 1/deg_r(dst)
+    that average each node's neighbours under one relation.
+
+    An edge's link features are its relation's one-hot and then its ring
+    flag, and each key's edge weights sum to one in both neighbour modes.
+    So the link features summed per key are the relation's one-hot, which
+    ``indicator`` holds as (N, R * k_b) rows, relation ``r`` in columns
+    ``r*k_b:(r+1)*k_b`` (zero under a relation where the node has no
+    neighbour), plus the weighted sum of the ring flags in the last column
+    of the relation's block (:func:`_ring_sum`).
 
     ``slots`` is the per-graph layout of :class:`~graphmem.numerics.Slots`:
     the graphs' row runs for the per-graph sums (the attention read and the
@@ -228,7 +250,8 @@ class PreparedGraph:
     src: np.ndarray
     dst: np.ndarray
     keys: np.ndarray
-    links: Tensor
+    ring: np.ndarray
+    indicator: Tensor
     uniform: Tensor
     slots: nm.Slots
     blocks: np.ndarray | None
@@ -274,13 +297,12 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     """The pack of featurized graphs, in order (see :class:`PreparedGraph`),
     built in one pass over all of them.
 
-    Every bond is numbered by its graph's first row, and the link rows of
-    all bonds are built at once. One sort orders all directed edges:
-    destinations grow with the graph, so each graph's edges keep the order
-    they have in a pack of one, and each key's edges are summed in that
-    order. A graph therefore gets the same constants, bit for bit, alone or
-    in any pack. Every graph needs an atom: a memory without cells has
-    nothing to attend over.
+    Every bond is numbered by its graph's first row. One sort orders all
+    directed edges: destinations grow with the graph, so each graph's edges
+    keep the order they have in a pack of one, and each key's edges are
+    summed in that order. A graph therefore gets the same constants, bit
+    for bit, alone or in any pack. Every graph needs an atom: a memory
+    without cells has nothing to attend over.
 
     The slot map (:class:`~graphmem.numerics.Slots`) is built here once per
     pack, and in uniform mode so are its blocks of uniform weights, about
@@ -298,21 +320,23 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     n = int(bounds[-1])
     bonds = np.concatenate([graph.bonds for graph in graphs])
     ends = bonds[:, :2] + np.repeat(bounds[:-1], [len(graph.bonds) for graph in graphs])[:, None]
-    bond_links = link_rows(bonds[:, 2], np.concatenate([graph.ring for graph in graphs]), config.link_feat_dim - 1)
+    ring = np.concatenate([graph.ring for graph in graphs])
     src = np.concatenate([ends[:, 1], ends[:, 0]])
     dst = np.concatenate([ends[:, 0], ends[:, 1]])
     relation = np.concatenate([bonds[:, 2], bonds[:, 2]]) - 1
     order = np.lexsort((src, relation, dst))
-    src, dst = src[order], dst[order]
-    keys = dst * n_relations + relation[order]
-    links = nm.constant(np.concatenate([bond_links, bond_links])[order])
+    src, dst, relation = src[order], dst[order], relation[order]
+    keys = dst * n_relations + relation
+    indicator = np.zeros((n, n_relations, config.link_feat_dim))
+    indicator[dst, relation, relation] = 1.0  # a key's summed link rows hold its relation's one-hot
     uniform = nm.constant(1.0 / np.bincount(keys, minlength=n * n_relations)[keys])
     slots = nm.Slots(bounds, src, keys, n_relations)
     return PreparedGraph(
         features=nm.constant(np.concatenate([graph.node_features for graph in graphs])), bounds=bounds,
         segments=np.repeat(np.arange(len(graphs)), np.diff(bounds)), n_relations=n_relations,
-        src=src, dst=dst, keys=keys, links=links, uniform=uniform, slots=slots,
-        blocks=slots.blocks(uniform.data) if config.neighbor_mode == "uniform" else None,
+        src=src, dst=dst, keys=keys, ring=np.concatenate([ring, ring])[order].astype(np.float64),
+        indicator=nm.constant(indicator.reshape(n, n_relations * config.link_feat_dim)), uniform=uniform,
+        slots=slots, blocks=slots.blocks(uniform.data) if config.neighbor_mode == "uniform" else None,
     )
 
 
@@ -423,21 +447,26 @@ def _neighbor_weights(prepared: PreparedGraph, memory: Tensor, params: ModelPara
     return nm.segment_softmax(scores, prepared.keys, prepared.n_nodes * prepared.n_relations)
 
 
-def _link_sum(prepared: PreparedGraph, weights: Tensor) -> nm.EdgeSum:
-    """The edges' link features weighted by ``weights`` and summed per key,
-    relation ``r`` in columns ``r*k_b:(r+1)*k_b`` of (N, R * k_b) rows."""
-    keys = prepared.keys
-    return nm.EdgeSum(prepared.links, weights, np.arange(keys.size), keys, prepared.n_nodes, prepared.n_relations)
+def _ring_sum(prepared: PreparedGraph, weights: Tensor, k_b: int) -> nm.BlockSum:
+    """Each key's edges' ring flags weighted by ``weights`` and summed, in
+    the last of relation ``r``'s columns ``r*k_b:(r+1)*k_b`` of (N, R * k_b)
+    rows: a block product of constant rows that are 1 in their last column,
+    its edge weights masked by ``prepared.ring``. With ``prepared.indicator``
+    it makes the link features summed per key."""
+    ones = np.zeros((prepared.n_nodes, k_b))
+    ones[:, -1] = 1.0
+    return nm.BlockSum(nm.constant(ones), weights, prepared.slots, mask=prepared.ring)
 
 
 def _memory_bias(params: ModelParams, prepared: PreparedGraph) -> Tensor:
-    """The memory update's bias. In uniform mode the averaged link features
-    are the same on every hop, and so is their term, the EdgeSum of
-    :func:`_link_sum`: it joins the bias as one (N, 2 k_m) row per cell."""
-    bias = params["mem.gated.bias"]
-    if params.config.neighbor_mode == "uniform":
-        bias = nm.linear_sum([(_link_sum(prepared, prepared.uniform), params["mem.gated.link"])], bias=bias)
-    return bias
+    """The memory update's bias with the part of the link term that is the
+    same on every hop, as one (N, 2 k_m) row per cell: the relation
+    one-hots of ``prepared.indicator`` in both modes, and in uniform mode
+    the averaged ring flags (:func:`_ring_sum` of the uniform weights)."""
+    links = prepared.indicator
+    if params.config.neighbor_mode == "uniform":  # a constant too: one term
+        links = nm.constant(links.data + _ring_sum(prepared, prepared.uniform, params.config.link_feat_dim).data)
+    return nm.linear_sum([(links, params["mem.gated.link"])], bias=params["mem.gated.bias"])
 
 
 def memory_step(
@@ -456,10 +485,11 @@ def memory_step(
     rows, as per-graph block products (a :class:`~graphmem.numerics.BlockSum`
     over ``prepared.slots``: the pack's uniform blocks, or blocks of the
     learned weights scattered on this hop), and then projected once by all
-    relations' weights side by side. The link features are summed per key
-    and projected the same way, here in learned mode and in ``bias`` in
-    uniform mode. ``bias`` is :func:`_memory_bias` of ``params`` and
-    ``prepared``, computed here when not given.
+    relations' weights side by side. The summed link features are
+    projected the same way: their relation one-hots in ``bias``, and their
+    ring flags (:func:`_ring_sum`, a second block product) here in learned
+    mode and in ``bias`` in uniform mode. ``bias`` is :func:`_memory_bias`
+    of ``params`` and ``prepared``, computed here when not given.
     """
     weights = _neighbor_weights(prepared, state.memory, params)
     blocks = prepared.blocks if weights is prepared.uniform else None
@@ -469,7 +499,7 @@ def memory_step(
         (nm.BlockSum(state.memory, weights, prepared.slots, blocks), params["mem.gated.nbr"]),
     ]
     if params.config.neighbor_mode == "learned":
-        terms.append((_link_sum(prepared, weights), params["mem.gated.link"]))
+        terms.append((_ring_sum(prepared, weights, params.config.link_feat_dim), params["mem.gated.link"]))
     if bias is None:
         bias = _memory_bias(params, prepared)
     return nm.gated_update(terms, bias, state.memory)

@@ -441,16 +441,6 @@ def featurize(graph: MolecularGraph, vocab: Sequence[str] = DEFAULT_VOCAB) -> Mo
                           title=graph.title)
 
 
-def link_rows(relation: np.ndarray, ring: np.ndarray, n_relations: int) -> np.ndarray:
-    """The (E, n_relations + 1) link rows of bonds with the 1-based
-    relations ``relation`` and the in-ring flags ``ring``: relation one-hot,
-    then the in-ring bit. The bonds may come from many graphs."""
-    links = np.zeros((len(relation), link_feature_dim(n_relations)), dtype=np.float64)
-    links[np.arange(len(relation)), relation - 1] = 1.0
-    links[:, -1] = ring
-    return links
-
-
 # -- labeled examples and label files ------------------------------------------
 
 

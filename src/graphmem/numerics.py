@@ -11,15 +11,14 @@ The operations are the fused nodes the model runs: :func:`linear_sum`,
 and :func:`dropout`. Each records one tape node however many products,
 activations or gathers it computes; :func:`linear_sum` and
 :func:`gated_update` check, sum and differentiate their terms with the
-same code. Three weighted sums are no node of their own but any term's
+same code. Two weighted sums are no node of their own but any term's
 input, kept as their recipe and computed again during backward: the
-per-graph :class:`GraphSum` (the attention read), the per-graph block
-products of :class:`BlockSum` (the neighbour cells) and the keyed
-:class:`EdgeSum` (the link rows). The first two run on a pack's
-:class:`Slots`, which also carry each graph's controller row to its
-cells and sum their gradient back per graph. The model stores each gated
-update's weights stacked the way :func:`gated_update` takes them, so
-parameters enter the tape as they are.
+per-graph :class:`GraphSum` (the attention read) and the per-graph block
+products of :class:`BlockSum` (the neighbour cells, and the ring flags of
+the link rows). Both run on a pack's :class:`Slots`, which also carry
+each graph's controller row to its cells and sum their gradient back per
+graph. The model stores each gated update's weights stacked the way
+:func:`gated_update` takes them, so parameters enter the tape as they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
@@ -165,13 +164,6 @@ def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.ravel(), minlength=n_out * k).reshape(n_out, k)
 
 
-def _edge_weight_grad(gx: np.ndarray, x: Tensor, src: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """d/d weights[e] of a sum of ``weights[e] * x[src[e]]`` into the row and
-    column block ``keys[e]`` names, given ``gx``, the gradient of that sum:
-    the block of ``gx`` the edge adds to, dotted with its source row."""
-    return np.einsum("ek,ek->e", gx.reshape(-1, x.data.shape[1])[keys], x.data[src])
-
-
 class Slots:
     """The per-graph layout of a pack: graph ``b`` owns the contiguous rows
     ``bounds[b]:bounds[b+1]``, none of them empty, and the edges
@@ -272,72 +264,37 @@ class Slots:
         return out[self.slot]
 
 
-class EdgeSum:
-    """A term input of :func:`linear_sum` and :func:`gated_update`: a
-    weighted gather-sum over an edge list whose edges carry keys, with one
-    column block per key group.
-
-    The sum of ``weights[e] * x[src[e]]`` over the edges with ``keys[e] ==
-    d * groups + r`` fills columns ``r*k:(r+1)*k`` of row ``d`` of the
-    (n_out, groups * k) value, so one keyed ``bincount`` sums every group;
-    a row and group without edges stays zero. The model sums its link rows
-    so (:func:`graphmem.model._link_sum`).
-
-    Like every sum here it is only its recipe: ``data`` computes the value,
-    and the node that consumes it computes it again during backward
-    instead of keeping it.
-    """
-
-    __slots__ = ("x", "weights", "src", "keys", "shape")
-
-    def __init__(self, x: Tensor, weights: Tensor, src, keys, n_out: int, groups: int):
-        s = np.asarray(src, dtype=np.intp)
-        d = np.asarray(keys, dtype=np.intp)
-        if x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape:
-            raise _shape_error("EdgeSum", x.shape, weights.shape, s.shape, d.shape)
-        self.x, self.weights, self.src, self.keys = x, weights, s, d
-        self.shape = (n_out, groups * x.data.shape[1])
-
-    @property
-    def data(self) -> np.ndarray:
-        n_keys = self.shape[0] * self.shape[1] // self.x.data.shape[1]
-        return _sum_rows(self.weights.data[:, None] * self.x.data[self.src], self.keys, n_keys).reshape(self.shape)
-
-    def _push(self, gx: np.ndarray) -> None:
-        x, weights = self.x, self.weights
-        if _tracked(x):
-            at_key = gx.reshape(-1, x.data.shape[1])[self.keys]
-            _accumulate(x, _sum_rows(weights.data[:, None] * at_key, self.src, x.data.shape[0]))
-        if _tracked(weights):
-            _accumulate(weights, _edge_weight_grad(gx, x, self.src, self.keys))
-
-
 class BlockSum:
     """A term input: the relation-typed neighbour sums of a pack's rows as
     per-graph block products (see :class:`Slots`).
 
     Row ``i`` of the (N, R * k) value holds, in columns ``r*k:(r+1)*k``,
-    the sum of ``weights[e] * x[src[e]]`` over the edges into row ``i``
-    under relation ``r``: the keyed sum of an :class:`EdgeSum` over
-    ``slots.src`` and ``slots.keys``, computed by one batched ``matmul``
-    per size group instead of a keyed ``bincount``. ``blocks`` is
-    ``slots.blocks(weights.data)`` when ``weights`` is a constant whose
-    blocks were built once; otherwise each use scatters ``weights`` into
-    zeroed blocks, so no block array outlives the product. Its backward
-    is the transposed product for ``x`` and, per edge, the gradient at the
-    destination's block dotted with the source row for ``weights``.
+    the sum of ``mask[e] * weights[e] * x[src[e]]`` over the edges
+    ``slots.src[e] -> i`` under relation ``r``, computed by one batched
+    ``matmul`` per size group. ``mask`` is a constant per-edge factor,
+    one for every edge when not given. ``blocks`` is ``slots.blocks``
+    of the masked weights when ``weights`` is a constant whose blocks were
+    built once; otherwise each use scatters the masked weights into zeroed
+    blocks, so no block array outlives the product. Its backward is the
+    transposed product for ``x`` and, per edge, the mask times the
+    gradient at the destination's block dotted with the source row for
+    ``weights``, so a masked edge's weight gets no gradient.
     """
 
-    __slots__ = ("x", "weights", "slots", "given", "shape")
+    __slots__ = ("x", "weights", "slots", "given", "mask", "shape")
 
-    def __init__(self, x: Tensor, weights: Tensor, slots: Slots, blocks: np.ndarray | None = None):
-        if x.ndim != 2 or x.shape[0] != slots.bounds[-1] or weights.shape != slots.src.shape:
-            raise _shape_error("BlockSum", x.shape, weights.shape, (slots.bounds[-1],))
-        self.x, self.weights, self.slots, self.given = x, weights, slots, blocks
+    def __init__(self, x: Tensor, weights: Tensor, slots: Slots, blocks: np.ndarray | None = None,
+                 mask: np.ndarray | None = None):
+        if (x.ndim != 2 or x.shape[0] != slots.bounds[-1] or weights.shape != slots.src.shape
+                or (mask is not None and np.shape(mask) != slots.src.shape)):
+            raise _shape_error("BlockSum", x.shape, weights.shape, (slots.bounds[-1],), np.shape(mask))
+        self.x, self.weights, self.slots, self.given, self.mask = x, weights, slots, blocks, mask
         self.shape = (x.shape[0], slots.n_relations * x.shape[1])
 
     def _blocks(self) -> np.ndarray:
-        return self.slots.blocks(self.weights.data) if self.given is None else self.given
+        if self.given is not None:
+            return self.given
+        return self.slots.blocks(self.weights.data if self.mask is None else self.mask * self.weights.data)
 
     @property
     def data(self) -> np.ndarray:
@@ -348,7 +305,9 @@ class BlockSum:
         if _tracked(x):
             _accumulate(x, slots.product(self._blocks(), gx, x.shape[1], transpose=True))
         if _tracked(weights):
-            _accumulate(weights, _edge_weight_grad(gx, x, slots.src, slots.keys))
+            # the gradient at the block each edge adds to, dotted with its source row
+            grad = np.einsum("ek,ek->e", gx.reshape(-1, x.shape[1])[slots.keys], x.data[slots.src])
+            _accumulate(weights, grad if self.mask is None else self.mask * grad)
 
 
 class GraphSum:
@@ -453,8 +412,8 @@ def linear_sum(
     ``activation(sum_k X_k @ W_k.T + bias)``, optionally ``@ project``.
 
     A term is ``(x, W)`` or ``(x, W, rows)``: ``X_k`` is the (n, in) tensor
-    ``x`` or the value of a sum ``x`` (:class:`GraphSum`, :class:`BlockSum`
-    or :class:`EdgeSum`), and ``W`` is (out, in). With ``rows`` the term
+    ``x`` or the value of a sum ``x`` (:class:`GraphSum` or
+    :class:`BlockSum`), and ``W`` is (out, in). With ``rows`` the term
     contributes ``(x @ W.T)[rows]``: the product is taken once per row of
     ``x`` and then gathered, so that per-node rows reach per-edge outputs
     without gathered copies of ``x``. ``rows`` is an integer index, whose

@@ -23,7 +23,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .model import NEIGHBOR_MODES, ForwardResult, ModelConfig, ModelParams, PreparedGraph, check_graph, forward, pack
+from .model import (NEIGHBOR_MODES, ForwardResult, ModelConfig, ModelParams, PreparedGraph, check_graph, check_width,
+                    forward, pack)
 from .molgraph import DatasetError, LabeledExample, MolecularGraph, link_feature_dim
 from .numerics import Tensor
 
@@ -69,8 +70,10 @@ class ExperimentConfig:
         if self.hops < 1:
             raise ConfigError(f"hops must be >= 1, got {self.hops}")
         for name in ("memory_size", "controller_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            try:
+                check_width(name, getattr(self, name))
+            except ValueError as error:
+                raise ConfigError(str(error)) from None
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         # optimiser settings under which Adam cannot descend: refused here, not

@@ -601,7 +601,9 @@ def featurize_oracle(record: dict, vocab) -> tuple[np.ndarray, list[bool]]:
 
 def prepare_graph_oracle(graph, config):
     """One graph's pack constants as they were built graph by graph, before
-    packs were built in one pass: its own edge sort and keyed sums."""
+    packs were built in one pass: its own edge sort and keyed sums. The
+    edges' link rows (:func:`link_features_oracle`) give each edge's ring
+    flag, and each key's relation one-hot in ``indicator``."""
     from graphmem import numerics as nm
     from graphmem.model import PreparedGraph
 
@@ -614,14 +616,18 @@ def prepare_graph_oracle(graph, config):
     order = np.lexsort((src, relation, dst))
     src, dst = src[order], dst[order]
     keys = dst * n_relations + relation[order]
-    links = nm.constant(np.concatenate([bond_links, bond_links])[order])
+    links = np.concatenate([bond_links, bond_links])[order]
+    indicator = np.zeros((m * n_relations, k_b))
+    for key, link in zip(keys.tolist(), links):
+        indicator[key, :-1] = link[:-1]
     uniform = nm.constant(1.0 / np.bincount(keys, minlength=m * n_relations)[keys])
     # the slot layout and its blocks are checked against their own oracle,
     # block_layout_oracle
     return PreparedGraph(
         features=nm.constant(graph.node_features), bounds=np.array([0, m]),
-        segments=np.zeros(m, dtype=np.intp), n_relations=n_relations, src=src, dst=dst,
-        keys=keys, links=links, uniform=uniform, slots=None, blocks=None,
+        segments=np.zeros(m, dtype=np.intp), n_relations=n_relations, src=src, dst=dst, keys=keys,
+        ring=links[:, -1], indicator=nm.constant(indicator.reshape(m, n_relations * k_b)), uniform=uniform,
+        slots=None, blocks=None,
     )
 
 
@@ -635,12 +641,25 @@ def link_features_oracle(graph) -> np.ndarray:
     return links
 
 
+def pack_links_oracle(prepared, k_b: int) -> np.ndarray:
+    """The (E, k_b) link rows of a pack's edges edge by edge, as packs
+    stored them before their link term became a relation indicator and a
+    ring sum: the one-hot of the edge's relation ``keys[e] % R``, then its
+    ring flag."""
+    links = np.zeros((prepared.keys.size, k_b))
+    for e, (key, ring) in enumerate(zip(prepared.keys.tolist(), prepared.ring.tolist())):
+        links[e, key % prepared.n_relations] = 1.0
+        links[e, -1] = ring
+    return links
+
+
 def mean_links_bias_oracle(prepared, arrays) -> np.ndarray:
     """The uniform-mode memory bias as packs computed it when they stored
     their averaged link rows: each edge's link row times 1/deg_r(dst),
     added into its key's row in edge order, then those (N, R * k_b) rows
     projected by ``mem.gated.link`` plus ``mem.gated.bias``."""
-    links, keys = prepared.links.data, prepared.keys
+    keys = prepared.keys
+    links = pack_links_oracle(prepared, arrays["mem.gated.link"].shape[1] // prepared.n_relations)
     mean = np.zeros((prepared.n_nodes * prepared.n_relations, links.shape[1]))
     for e, key in enumerate(keys.tolist()):
         mean[key] += prepared.uniform.data[e] * links[e]
@@ -670,13 +689,86 @@ def concatenated_pack(graphs):
         src=np.concatenate([g.src + row for g, row in zip(graphs, rows)]),
         dst=np.concatenate([g.dst + row for g, row in zip(graphs, rows)]),
         keys=np.concatenate([g.keys + row * g.n_relations for g, row in zip(graphs, rows)]),
-        links=stack(g.links for g in graphs),
+        ring=np.concatenate([g.ring for g in graphs]),
+        indicator=stack(g.indicator for g in graphs),
         uniform=stack(g.uniform for g in graphs),
         slots=None, blocks=None,
     )
 
 
 # -- the keyed formulation the per-graph sums replaced ----------------------------
+
+
+class EdgeSum:
+    """A term input of :func:`linear_sum` and :func:`gated_update`: a
+    weighted gather-sum over an edge list whose edges carry keys, with one
+    column block per key group.
+
+    The sum of ``weights[e] * x[src[e]]`` over the edges with ``keys[e] ==
+    d * groups + r`` fills columns ``r*k:(r+1)*k`` of row ``d`` of the
+    (n_out, groups * k) value, so one keyed ``bincount`` sums every group;
+    a row and group without edges stays zero. The keyed oracles below sum
+    the neighbour cells, the link rows and the attention read so
+    (:func:`keyed_link_sum`).
+
+    Like every sum of graphmem.numerics it is only its recipe: ``data``
+    computes the value, and the node that consumes it computes it again
+    during backward instead of keeping it.
+    """
+
+    __slots__ = ("x", "weights", "src", "keys", "shape")
+
+    def __init__(self, x, weights, src, keys, n_out: int, groups: int):
+        from graphmem import numerics as nm
+
+        s = np.asarray(src, dtype=np.intp)
+        d = np.asarray(keys, dtype=np.intp)
+        if x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape:
+            raise nm._shape_error("EdgeSum", x.shape, weights.shape, s.shape, d.shape)
+        self.x, self.weights, self.src, self.keys = x, weights, s, d
+        self.shape = (n_out, groups * x.data.shape[1])
+
+    @property
+    def data(self) -> np.ndarray:
+        from graphmem import numerics as nm
+
+        n_keys = self.shape[0] * self.shape[1] // self.x.data.shape[1]
+        return nm._sum_rows(self.weights.data[:, None] * self.x.data[self.src], self.keys, n_keys).reshape(self.shape)
+
+    def _push(self, gx: np.ndarray) -> None:
+        from graphmem import numerics as nm
+
+        x, weights = self.x, self.weights
+        at_key = gx.reshape(-1, x.data.shape[1])[self.keys]
+        if nm._tracked(x):
+            nm._accumulate(x, nm._sum_rows(weights.data[:, None] * at_key, self.src, x.data.shape[0]))
+        if nm._tracked(weights):
+            nm._accumulate(weights, np.einsum("ek,ek->e", at_key, x.data[self.src]))
+
+
+def keyed_link_sum(prepared, weights, k_b: int) -> EdgeSum:
+    """The edges' link rows (:func:`pack_links_oracle`) weighted by
+    ``weights`` and summed per key, relation ``r`` in columns
+    ``r*k_b:(r+1)*k_b`` of (N, R * k_b) rows."""
+    from graphmem import numerics as nm
+
+    keys = prepared.keys
+    return EdgeSum(nm.constant(pack_links_oracle(prepared, k_b)), weights, np.arange(keys.size), keys,
+                   prepared.n_nodes, prepared.n_relations)
+
+
+def keyed_memory_bias(params, prepared):
+    """The memory update's bias as packs ran it on keyed sums: in uniform
+    mode the link term of the uniform weights joins ``mem.gated.bias`` as
+    one row per cell; in learned mode the bias is ``mem.gated.bias`` alone,
+    since :func:`keyed_memory_step` adds the whole link term."""
+    from graphmem import numerics as nm
+
+    bias = params["mem.gated.bias"]
+    if params.config.neighbor_mode == "uniform":
+        link = keyed_link_sum(prepared, prepared.uniform, params.config.link_feat_dim)
+        bias = nm.linear_sum([(link, params["mem.gated.link"])], bias=bias)
+    return bias
 
 
 def keyed_attentive_read(state, params, prepared):
@@ -692,32 +784,34 @@ def keyed_attentive_read(state, params, prepared):
         bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
     )
     weights = nm.segment_softmax(scores, segments, n_graphs)
-    return nm.EdgeSum(state.memory, weights, np.arange(prepared.n_nodes), segments, n_graphs, 1), weights, scores
+    return EdgeSum(state.memory, weights, np.arange(prepared.n_nodes), segments, n_graphs, 1), weights, scores
 
 
 def keyed_memory_step(state, controller, params, prepared, bias=None):
     """The memory update as packs ran it on keyed sums: the neighbour cells
-    one ``EdgeSum`` keyed by (destination, relation), each graph's
-    controller row gathered to its cells by segment id."""
+    and the link rows each one ``EdgeSum`` keyed by (destination,
+    relation), each graph's controller row gathered to its cells by segment
+    id. ``bias`` is :func:`keyed_memory_bias`, computed here when not
+    given."""
     from graphmem import numerics as nm
-    from graphmem.model import _link_sum, _memory_bias, _neighbor_weights
+    from graphmem.model import _neighbor_weights
 
     weights = _neighbor_weights(prepared, state.memory, params)
-    cells = nm.EdgeSum(state.memory, weights, prepared.src, prepared.keys, prepared.n_nodes, prepared.n_relations)
+    cells = EdgeSum(state.memory, weights, prepared.src, prepared.keys, prepared.n_nodes, prepared.n_relations)
     terms = [(state.memory, params["mem.gated.self"]), (controller, params["mem.gated.ctrl"], prepared.segments),
              (cells, params["mem.gated.nbr"])]
     if params.config.neighbor_mode == "learned":
-        terms.append((_link_sum(prepared, weights), params["mem.gated.link"]))
-    return nm.gated_update(terms, _memory_bias(params, prepared) if bias is None else bias, state.memory)
+        terms.append((keyed_link_sum(prepared, weights, params.config.link_feat_dim), params["mem.gated.link"]))
+    return nm.gated_update(terms, keyed_memory_bias(params, prepared) if bias is None else bias, state.memory)
 
 
 def keyed_forward(prepared, query, params, hops, *, dropout_rate=0.0, rng=None, training=False):
     """``model.forward`` on the keyed read and memory update above, hop for
     hop; returns the (B, 1) probability tensor."""
     from graphmem import numerics as nm
-    from graphmem.model import HopState, _dropout, _memory_bias, controller_step, init_state
+    from graphmem.model import HopState, _dropout, controller_step, init_state
 
-    bias = _memory_bias(params, prepared)
+    bias = keyed_memory_bias(params, prepared)
     state = init_state(prepared, query, params, dropout_rate=dropout_rate, rng=rng, training=training)
     for t in range(1, hops + 1):
         read, weights, _ = keyed_attentive_read(state, params, prepared)

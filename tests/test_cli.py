@@ -7,7 +7,7 @@ import pytest
 
 from graphmem.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from graphmem.cli import main
-from graphmem.model import ModelConfig, ModelParams
+from graphmem.model import MAX_WIDTH, ModelConfig, ModelParams
 from graphmem.molgraph import (
     DEFAULT_VOCAB,
     N_BOND_TYPES,
@@ -117,6 +117,26 @@ class TestTrain:
         assert "configuration error" in err and message in err
         assert not (workspace / "x" / "checkpoint.bin").exists()
 
+    def test_widths_past_the_bound_are_refused_before_any_data_is_read(self, workspace, capsys):
+        # the widths at the bound are accepted without allocating anything;
+        # one past it is exit 2 even when the data directory does not exist
+        from graphmem.training import ExperimentConfig
+
+        at_bound = ExperimentConfig(memory_size=MAX_WIDTH, controller_size=MAX_WIDTH)
+        assert (at_bound.memory_size, at_bound.controller_size) == (MAX_WIDTH, MAX_WIDTH)
+        ModelConfig(node_feat_dim=1, link_feat_dim=1, n_relations=4, query_dim=1, memory_size=MAX_WIDTH,
+                    controller_size=MAX_WIDTH)
+        for key in ("memory_size", "controller_size"):
+            with pytest.raises(ValueError, match=f"{key} must be <= {MAX_WIDTH}"):
+                ModelConfig(**{"node_feat_dim": 1, "link_feat_dim": 1, "n_relations": 4, "query_dim": 1,
+                               "memory_size": 4, "controller_size": 4, key: MAX_WIDTH + 1})
+            for value in (MAX_WIDTH + 1, 4096):
+                capsys.readouterr()
+                code = run("train", "--config", workspace / "cfg", "--set", f"{key}={value}",
+                           "--set", f"data_dir={workspace / 'missing'}", "--out-dir", workspace / "out", "--quiet")
+                assert code == 2, (key, value)
+                assert f"{key} must be <= {MAX_WIDTH}, got {value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("setting, message", [
         ("beta1=1.0", "beta1 must be in [0, 1), got 1.0"),
         ("beta2=1.5", "beta2 must be in [0, 1), got 1.5"),
@@ -173,12 +193,11 @@ class TestConfigKeys:
                              field.name)
             assert parsed == value and type(parsed) is type(value), field.name
 
-    # Widths stay at most 8 and hops and max_epochs at most 3: the code sets
-    # them no upper limit, and a width w costs about R * w^2 floats per
-    # weight, so large values are not probed by allocating them. radius is
-    # probed in full: up to fingerprint.MAX_RADIUS it is cheap on the
-    # two-atom input, and past it it is refused before any work.
-    SMALL = {"memory_size": 8, "controller_size": 8, "hops": 3, "max_epochs": 3}
+    # hops and max_epochs stay at most 3: the code sets them no upper limit.
+    # The widths and radius are probed in full: the probes at most
+    # model.MAX_WIDTH and fingerprint.MAX_RADIUS are small, and larger ones
+    # are refused before any work.
+    SMALL = {"hops": 3, "max_epochs": 3}
     EDGES = {
         int: [-(2 ** 63) - 1, -1, 0, 1, 2, 2 ** 63, 2 ** 64],
         float: ["-inf", -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0 - 2 ** -53, 1.0, 1e300, "inf", "nan"],
@@ -353,6 +372,8 @@ class TestEvalAndDump:
         ("memory_size", 32.0, "memory_size must be an integer, got 32.0"),
         ("n_relations", 3.0, "n_relations must be an integer, got 3.0"),
         ("raw_embedding", "no", "raw_embedding must be true or false, got 'no'"),
+        ("memory_size", MAX_WIDTH + 1, f"memory_size must be <= {MAX_WIDTH}, got {MAX_WIDTH + 1}"),
+        ("controller_size", 2 ** 40, f"controller_size must be <= {MAX_WIDTH}"),
     ])
     def test_eval_checkpoint_with_unusable_metadata_is_exit_5(self, workspace, trained, capsys,
                                                                field, value, message):

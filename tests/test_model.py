@@ -12,9 +12,9 @@ from graphmem.model import (
     HopState,
     ModelConfig,
     ModelParams,
-    _link_sum,
     _memory_bias,
     _neighbor_weights,
+    _ring_sum,
     attentive_read,
     controller_step,
     forward,
@@ -31,10 +31,11 @@ from graphmem.molgraph import (
     node_feature_dim,
     random_graph,
 )
-from graphmem.numerics import (BlockSum, DimensionError, EdgeSum, GraphSum, Tensor, finite_difference_gradient,
-                               linear_sum, max_relative_error)
+from graphmem.numerics import (BlockSum, DimensionError, GraphSum, Tensor, finite_difference_gradient, linear_sum,
+                               max_relative_error)
 
 from _oracles import (
+    EdgeSum,
     bfs_distances,
     block_layout_oracle,
     concatenated_pack,
@@ -352,8 +353,9 @@ class TestMemoryStep:
             assert prepared.src.size == 0
             context = BlockSum(state.memory, prepared.uniform, prepared.slots, prepared.blocks)
             np.testing.assert_array_equal(context.data, np.zeros((1, 3)), err_msg=mode)
-            mean_links = _link_sum(prepared, prepared.uniform)
-            np.testing.assert_array_equal(mean_links.data, np.zeros((1, cfg.link_feat_dim)), err_msg=mode)
+            ring = _ring_sum(prepared, prepared.uniform, cfg.link_feat_dim)
+            for mean_links in (prepared.indicator.data, ring.data):
+                np.testing.assert_array_equal(mean_links, np.zeros((1, cfg.link_feat_dim)), err_msg=mode)
 
     def test_constrained_step_is_uniform_neighbor_mean(self):
         rng = np.random.default_rng(17)
@@ -389,11 +391,11 @@ class TestMemoryStep:
         np.testing.assert_allclose(memory.data, expected, rtol=0, atol=1e-12)
         # the contexts the update summed: the learned edge weights of every
         # relation, summing neighbour cells and link rows into one column
-        # block per relation, as the memory update's keyed EdgeSum terms
+        # block per relation, as the memory update's block products and the
+        # relation indicator
         weights = _neighbor_weights(prepared, state.memory, params)
-        keys, n = prepared.keys, graph.n_nodes
-        cells = EdgeSum(state.memory, weights, prepared.src, keys, n, 2).data
-        links = EdgeSum(prepared.links, weights, np.arange(keys.size), keys, n, 2).data
+        cells = BlockSum(state.memory, weights, prepared.slots).data
+        links = prepared.indicator.data + _ring_sum(prepared, weights, cfg.link_feat_dim).data
         for r in range(2):
             np.testing.assert_allclose(cells[:, 5 * r:5 * (r + 1)], expected_contexts[r][:, :5], rtol=0, atol=1e-12)
             np.testing.assert_allclose(links[:, 3 * r:3 * (r + 1)], expected_contexts[r][:, 5:], rtol=0, atol=1e-12)
@@ -425,7 +427,7 @@ class TestMemoryStep:
             packed = pack(members, cfg)
             expected = concatenated_pack([prepare_graph_oracle(g, cfg) for g in members])
             assert packed.n_relations == expected.n_relations == 3
-            for name in ("features", "bounds", "segments", "src", "dst", "keys", "links", "uniform"):
+            for name in ("features", "bounds", "segments", "src", "dst", "keys", "ring", "indicator", "uniform"):
                 actual, wanted = getattr(packed, name), getattr(expected, name)
                 if isinstance(wanted, Tensor):
                     actual, wanted = actual.data, wanted.data
@@ -445,7 +447,8 @@ class TestMemoryStep:
                     blocks[name][...] = rng.normal(size=blocks[name].shape)
             prepared = pack(graphs, cfg)
             assert prepared.n_relations == 3 and not np.any(prepared.keys % 3 == 2), mode
-            np.testing.assert_array_equal(_link_sum(prepared, prepared.uniform).data[:, 6:], 0.0)
+            np.testing.assert_array_equal(prepared.indicator.data[:, 6:], 0.0)
+            np.testing.assert_array_equal(_ring_sum(prepared, prepared.uniform, 3).data[:, 6:], 0.0)
             cells = rng.normal(size=(prepared.n_nodes, 4))
             controllers = rng.normal(size=(len(graphs), 3))
             state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
@@ -463,8 +466,9 @@ class TestMemoryStep:
                     np.testing.assert_allclose(memory[rows], one, rtol=0, atol=1e-12)
 
     def test_memory_bias_equals_the_mean_links_oracle(self):
-        # bit for bit: the uniform-mode bias from the link EdgeSum term, on the
-        # mixed pack, each graph alone and the graphs in reverse order
+        # bit for bit: the uniform-mode bias from the relation indicator and
+        # the ring sum, against the averaged link rows summed edge by edge,
+        # on the mixed pack, each graph alone and the graphs in reverse order
         graphs = self.mixed_pack_graphs()
         cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3)
@@ -682,6 +686,8 @@ class TestPerGraphSums:
             GraphSum(cells, Tensor(np.ones(2)), prepared.slots)
         with pytest.raises(DimensionError):  # one weight per edge
             BlockSum(cells, Tensor(np.ones(prepared.src.size + 1)), prepared.slots)
+        with pytest.raises(DimensionError):  # one mask entry per edge
+            BlockSum(cells, Tensor(np.ones(prepared.src.size)), prepared.slots, mask=np.ones(prepared.src.size + 1))
 
     def test_one_large_graph_among_single_atoms_forms_two_groups(self):
         rng = np.random.default_rng(65)

@@ -15,7 +15,6 @@ from graphmem.molgraph import (
     detect_ring_edges,
     featurize,
     generate_synthetic,
-    link_rows,
     parse_molfile,
     parse_sdf,
     parse_synthetic_spec,
@@ -31,6 +30,7 @@ from _oracles import (
     featurize_oracle,
     find_motif_oracle,
     fold_oracle,
+    link_features_oracle,
     neighbor_lists,
     neighbor_union,
     parse_sdf_oracle,
@@ -293,12 +293,12 @@ class TestFeaturize:
         g = featurize(parse_molfile(molblock(["C", "C"], [(1, 2, 1)])), vocab=("C", "N", "O"))
         for row in g.node_features:
             assert row[4:9].tolist() == [0, 1, 0, 0, 0]  # degree 1
-        assert link_rows(g.bonds[:, 2], g.ring, g.n_relations).tolist() == [[1, 0, 0, 0, 0]]
+        assert link_features_oracle(g).tolist() == [[1, 0, 0, 0, 0]]
 
     def test_benzene_edges_aromatic_and_in_ring(self):
         g = featurize(parse_molfile(BENZENE))
         assert g.ring.tolist() == [True] * 6
-        assert link_rows(g.bonds[:, 2], g.ring, g.n_relations).tolist() == [[0, 0, 0, 1, 1]] * 6
+        assert link_features_oracle(g).tolist() == [[0, 0, 0, 1, 1]] * 6
 
     def test_degree_clamp(self):
         star7 = molblock(["C"] * 8, [(1, k, 1) for k in range(2, 9)])

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from _oracles import gated_update_oracle, stable_sigmoid_oracle
+from _oracles import EdgeSum, gated_update_oracle, stable_sigmoid_oracle
 
 from graphmem import numerics as nm
 from graphmem.numerics import (
@@ -264,7 +264,7 @@ class TestTapeGradients:
             scores = linear_sum([(table, s), (hidden, q, cells)], activation="tanh", project=v)  # (5,)
             attn = segment_softmax(scores, cells, 2)  # (5,)
             # each cell's attention-weighted row summed into its graph's row
-            read = nm.EdgeSum(table, attn, np.arange(5), cells, 2, 1)  # (2, 4)
+            read = EdgeSum(table, attn, np.arange(5), cells, 2, 1)  # (2, 4)
             controlled = nm.gated_update([(hidden, k), (read, h)], e, hidden)  # (2, 4)
             # rows 0, 2, 2 of m @ w.T plus rows 4, 4, 1 of table @ s.T
             picked = linear_sum([(m, w, [0, 2, 2]), (table, s, [4, 4, 1])], bias=b,
@@ -273,14 +273,14 @@ class TestTapeGradients:
             segments = [0, 0, 2]
             weights = segment_softmax(linear_sum([(picked, s)], project=v), segments, 3)  # (3,)
             assert weights.data[2] == 1.0
-            gathered = nm.EdgeSum(table, weights, [1, 3, 1], segments, 3, 1)  # (3, 4), row 1 zero
+            gathered = EdgeSum(table, weights, [1, 3, 1], segments, 3, 1)  # (3, 4), row 1 zero
             assert not gathered.data[1].any()
             proposal = linear_sum([(picked, s)], activation="relu")  # (3, 4)
             opened = nm.gated_update([(gathered, h)], c, proposal)  # (3, 4)
             # (3, 8): the same weighted sums keyed into two column groups, edges
             # 0 and 2 into group 0 of rows 0 and 2, edge 1 into group 1 of row 0;
             # the weights are tracked, and row 1 has no in-edges
-            context = nm.EdgeSum(table, weights, [1, 3, 1], [0, 1, 4], 3, 2)
+            context = EdgeSum(table, weights, [1, 3, 1], [0, 1, 4], 3, 2)
             assert not context.data[1].any() and not context.data[2, 4:].any()
             # weights stacked [proposal; gate]: a plain term, rows 4, 0, 4 of
             # table @ k.T, the edge-summed context and one tracked bias row per
@@ -350,7 +350,7 @@ class TestGatedUpdate:
         params = [parameter(x) for x in w]
         for bias in (a["bias"], a["bias_rows"]):
             expected = gated_update_oracle(terms, bias, a["old"])
-            context = nm.EdgeSum(parameter(a["cells"]), parameter(a["weights"]), a["src"], a["keys"], 4, 2)
+            context = EdgeSum(parameter(a["cells"]), parameter(a["weights"]), a["src"], a["keys"], 4, 2)
             out = nm.gated_update(
                 [(parameter(a["x"]), params[0]), (parameter(a["groups"]), params[1], a["rows"]),
                  (context, params[2])],
@@ -364,7 +364,7 @@ class TestGatedUpdate:
                  "linear_sum": lambda term: linear_sum([term], activation="tanh", project=parameter(a["bias"]))}
         for name, node in nodes.items():
             w = parameter(a["weight"][2])
-            context = nm.EdgeSum(parameter(a["cells"]), constant(a["weights"]), a["src"], a["keys"], 4, 2)
+            context = EdgeSum(parameter(a["cells"]), constant(a["weights"]), a["src"], a["keys"], 4, 2)
             kept = weakref.ref(context.data)
             out = node((context, w))
             del context
@@ -385,7 +385,7 @@ class TestGatedUpdate:
         def build(edge_sum_term=True):
             leaves = {name: Tensor(arrays[name], True) for name in arrays}
             x, cells, weights, w, e, b, v = leaves.values()
-            context = nm.EdgeSum(cells, weights, a["src"], a["keys"], 4, 2)  # (4, 4)
+            context = EdgeSum(cells, weights, a["src"], a["keys"], 4, 2)  # (4, 4)
             term = (context, e) if edge_sum_term else (constant(context.data), e)
             outputs = [linear_sum([(x, w), term], bias=b, activation="tanh", project=v),
                        linear_sum([term, (x, w)], bias=b, activation="sigmoid")]
@@ -423,6 +423,65 @@ class TestGatedUpdate:
             nm.gated_update([(constant(a["x"]), parameter(a["weight"][0][:3]))], bias, constant(a["old"]))
         with pytest.raises(DimensionError):  # bias rows for another row count
             nm.gated_update([(constant(a["x"]), w[0])], parameter(a["bias_rows"][:2]), constant(a["old"]))
+
+
+class TestMaskedBlockSum:
+    # two graphs, rows 0-2 and 3-4, two relations; edge e runs src[e] -> dst[e]
+    # under relation rel[e], and the mask drops edges 1, 4 and 6
+    SRC = np.array([1, 2, 0, 2, 0, 4, 3, 3])
+    DST = np.array([0, 0, 1, 1, 2, 3, 4, 4])
+    REL = np.array([0, 0, 1, 0, 0, 1, 1, 0])
+    MASK = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+
+    def arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        return {"x": rng.normal(size=(5, 3)), "weights": rng.uniform(0.1, 1.0, size=8),
+                "w": rng.normal(size=(4, 6)), "b": rng.normal(size=4), "v": rng.normal(size=4)}
+
+    def block_sum(self, x, weights, mask):
+        slots = nm.Slots([0, 3, 5], self.SRC, self.DST * 2 + self.REL, 2)
+        return nm.BlockSum(x, weights, slots, mask=mask)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_masked_edges_get_no_weight_gradient(self, seed):
+        # the value is the keyed sum of the masked weights; with a linear
+        # term the masked edges' weights get zero gradient and the others
+        # exactly the unmasked sum's, and x its transposed product
+        a = self.arrays(seed)
+        grad_seed = np.random.default_rng(seed + 50).normal(size=(5, 4))
+        grads = []
+        for mask in (self.MASK, None):
+            x, weights, w = Tensor(a["x"], True), Tensor(a["weights"], True), Tensor(a["w"], True)
+            summed = self.block_sum(x, weights, mask)
+            if mask is not None:
+                keyed = EdgeSum(constant(a["x"]), constant(mask * a["weights"]), self.SRC, self.DST * 2 + self.REL,
+                                5, 2)
+                np.testing.assert_allclose(summed.data, keyed.data, rtol=0, atol=1e-15)
+            linear_sum([(summed, w)]).backward(seed=grad_seed)
+            grads.append(weights.grad)
+        masked, unmasked = grads
+        assert unmasked[self.MASK == 0.0].all()
+        np.testing.assert_array_equal(masked[self.MASK == 0.0], 0.0)
+        np.testing.assert_array_equal(masked[self.MASK == 1.0], unmasked[self.MASK == 1.0])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_masked_block_sum_matches_finite_differences(self, seed):
+        a = self.arrays(seed)
+        grad_seed = np.random.default_rng(seed + 60).normal(size=5)
+
+        def build():
+            leaves = {name: Tensor(array, True) for name, array in a.items()}
+            summed = self.block_sum(leaves["x"], leaves["weights"], self.MASK)
+            out = linear_sum([(summed, leaves["w"])], bias=leaves["b"], activation="tanh", project=leaves["v"])
+            return out, leaves
+
+        out, leaves = build()
+        out.backward(seed=grad_seed)
+        exact = {name: leaf.grad for name, leaf in leaves.items()}
+        np.testing.assert_array_equal(exact["weights"][self.MASK == 0.0], 0.0)
+        estimate = finite_difference_gradient(lambda: float(grad_seed @ build()[0].data), a, eps=1e-6)
+        worst, name = nm.max_relative_error(exact, estimate)
+        assert worst <= 1e-6, f"worst {worst} at {name}"
 
 
 class TestFiniteDifferenceOracle:

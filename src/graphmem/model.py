@@ -302,7 +302,8 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     keep the order they have in a pack of one, and each key's edges are
     summed in that order. A graph therefore gets the same constants, bit
     for bit, alone or in any pack. Every graph needs an atom: a memory
-    without cells has nothing to attend over.
+    without cells has nothing to attend over. A graph's ring flags are
+    searched when its first pack reads them and kept on the graph.
 
     The slot map (:class:`~graphmem.numerics.Slots`) is built here once per
     pack, and in uniform mode so are its blocks of uniform weights, about
@@ -324,9 +325,9 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     src = np.concatenate([ends[:, 1], ends[:, 0]])
     dst = np.concatenate([ends[:, 0], ends[:, 1]])
     relation = np.concatenate([bonds[:, 2], bonds[:, 2]]) - 1
-    order = np.lexsort((src, relation, dst))
-    src, dst, relation = src[order], dst[order], relation[order]
     keys = dst * n_relations + relation
+    order = np.argsort(keys * n + src)  # by (dst, relation, src): unique, as no bond repeats
+    src, dst, relation, keys = src[order], dst[order], relation[order], keys[order]
     indicator = np.zeros((n, n_relations, config.link_feat_dim))
     indicator[dst, relation, relation] = 1.0  # a key's summed link rows hold its relation's one-hot
     uniform = nm.constant(1.0 / np.bincount(keys, minlength=n * n_relations)[keys])

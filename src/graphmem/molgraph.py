@@ -7,9 +7,11 @@ desk-scale experiments.
 
 A graph is columnar: its element symbols, one (E, 3) integer ``bonds``
 array and the per-atom degree and explicit-H counts derived from it.
-:func:`featurize` adds the node-feature matrix, the element slots and the
-per-bond ring flags. Nothing is kept per atom or per bond object; the
-``nodes`` and ``edges`` views are built on access.
+:func:`featurize` adds the node-feature matrix and the element slots. The
+per-bond ring flags are derived from ``bonds`` on first read and kept, so
+only a caller that reads them (``model.pack``) pays for the search.
+Nothing is kept per atom or per bond object; the ``nodes`` and ``edges``
+views are built on access.
 
 Everything here is a pure function of its inputs; a built graph is never
 mutated, so one graph object can back many examples and tasks.
@@ -18,6 +20,7 @@ mutated, so one graph object can back many examples and tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -98,8 +101,9 @@ class MolecularGraph:
 
     ``bonds`` holds one row (i, j, relation) per bond with i < j and a
     1-based relation; ``degree`` and ``h_count`` (explicit H neighbors) are
-    derived from it. :func:`featurize` fills ``node_features``,
-    ``element_slots`` and ``ring`` (one in-ring flag per bond).
+    derived from it, and so is ``ring`` (one in-ring flag per bond), on
+    first read. :func:`featurize` fills ``node_features`` and
+    ``element_slots``.
     """
 
     symbols: tuple[str, ...]
@@ -109,12 +113,17 @@ class MolecularGraph:
     h_count: np.ndarray
     node_features: np.ndarray | None = None
     element_slots: np.ndarray | None = None
-    ring: np.ndarray | None = None
     title: str = ""
 
     @property
     def n_nodes(self) -> int:
         return len(self.symbols)
+
+    @cached_property
+    def ring(self) -> np.ndarray:
+        """One in-ring flag per bond, from :func:`detect_ring_edges` on
+        first read and kept: a graph is never mutated."""
+        return detect_ring_edges(self)
 
     @property
     def nodes(self) -> list[AtomNode]:
@@ -419,12 +428,13 @@ def link_feature_dim(n_relations: int) -> int:
 
 
 def featurize(graph: MolecularGraph, vocab: Sequence[str] = DEFAULT_VOCAB) -> MolecularGraph:
-    """Attach one-hot node features, element slots and ring flags to a graph.
+    """Attach one-hot node features and element slots to a graph.
 
     Node rows are element one-hot (vocabulary order, unknowns in a trailing
     OTHER slot), then degree one-hot over slots 0..4 (clamped), then
     explicit-H-count one-hot likewise. The output is deterministic for
-    identical inputs; the input graph is left untouched.
+    identical inputs; the input graph is left untouched. No ring search
+    runs here: the new graph derives its ``ring`` flags on first read.
     """
     slot_of = {symbol: k for k, symbol in enumerate(vocab)}
     other = len(vocab)
@@ -437,8 +447,7 @@ def featurize(graph: MolecularGraph, vocab: Sequence[str] = DEFAULT_VOCAB) -> Mo
     x = np.zeros((graph.n_nodes, node_feature_dim(vocab)), dtype=np.float64)
     x[np.arange(graph.n_nodes)[:, None], hot] = 1.0
     return MolecularGraph(graph.symbols, graph.bonds, graph.n_relations, graph.degree, graph.h_count,
-                          node_features=x, element_slots=slots, ring=detect_ring_edges(graph),
-                          title=graph.title)
+                          node_features=x, element_slots=slots, title=graph.title)
 
 
 # -- labeled examples and label files ------------------------------------------

@@ -660,6 +660,25 @@ class TestFingerprintCommand:
     def test_missing_input_is_data_error(self, tmp_path):
         assert run("fingerprint", "--input", tmp_path / "nope.sdf", "--out-dir", tmp_path) == 3
 
+    def test_no_ring_flags_are_computed(self, tmp_path, monkeypatch):
+        import graphmem.molgraph as molgraph_module
+
+        rng = np.random.default_rng(8)
+        graphs = [random_graph(rng, 3, 12, 4, alphabet=("C", "N", "O")) for _ in range(12)]
+        assert any(featurize(g, DEFAULT_VOCAB).ring.any() for g in graphs)
+        sdf = tmp_path / "lib.sdf"
+        sdf.write_text("".join(write_molfile(g, title=f"m{k}") + "$$$$\n" for k, g in enumerate(graphs)),
+                       encoding="utf-8")
+        assert run("fingerprint", "--input", sdf, "--radius", "3", "--out-dir", tmp_path / "a") == 0
+
+        def no_search(graph):
+            raise AssertionError("fingerprinting searched for ring bonds")
+
+        monkeypatch.setattr(molgraph_module, "detect_ring_edges", no_search)
+        assert run("fingerprint", "--input", sdf, "--radius", "3", "--out-dir", tmp_path / "b") == 0
+        csv_a, csv_b = (tmp_path / out / "fingerprints.csv" for out in ("a", "b"))
+        assert csv_b.read_bytes() == csv_a.read_bytes()
+
     @pytest.mark.parametrize("options", [("--nbits", "100"), ("--nbits", "1"), ("--radius", "-1"),
                                          ("--set", "nbits=100"), ("--set", "radius=-2"),
                                          ("--nbits", "131072"), ("--set", "nbits=4611686018427387904"),

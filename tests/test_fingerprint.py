@@ -1,5 +1,8 @@
 """Circular fingerprints and the logistic baseline."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -11,13 +14,13 @@ from graphmem.fingerprint import (
     circular_fingerprint,
     circular_fingerprints,
     fingerprint_csv,
-    fnv1a64_rows,
+    fnv1a64_words,
     logistic_baseline_predict,
     logistic_baseline_train,
 )
 from graphmem.molgraph import DEFAULT_VOCAB, MolecularGraph, featurize, parse_molfile, random_graph
 
-from _oracles import atom_identifiers_oracle, fnv1a64, fold_oracle, hex_oracle
+from _oracles import atom_identifiers_oracle, fnv1a64, fold_oracle, hash_ints, hex_oracle
 from test_molgraph import BENZENE, molblock
 
 METHANE = molblock(["C"], [], title="methane")  # heavy-atom record: lone carbon
@@ -30,15 +33,33 @@ def fp_of(text, radius=2, nbits=1024, vocab=DEFAULT_VOCAB):
 
 class TestHashing:
     def test_fnv1a_reference_vectors(self):
-        # published FNV-1a 64 test vectors, through the loop oracle and the
-        # batched hash (rows of different lengths in one call)
+        # published FNV-1a 64 test vectors through the loop oracle; the word
+        # hash of a row without words is the offset basis, the hash of b""
         vectors = {b"": 0xCBF29CE484222325, b"a": 0xAF63DC4C8601EC8C, b"foobar": 0x85944171F73967E8}
-        data = np.zeros((len(vectors), 6), dtype=np.uint8)
-        for row, text in enumerate(vectors):
-            data[row, : len(text)] = list(text)
-            assert fnv1a64(text) == vectors[text]
-        hashes = fnv1a64_rows(data, np.array([len(text) for text in vectors]))
-        assert hashes.tolist() == list(vectors.values())
+        for text, value in vectors.items():
+            assert fnv1a64(text) == value
+        empty = fnv1a64_words(np.zeros(0, dtype=np.uint64), np.zeros(2, dtype=np.int64))
+        assert empty.tolist() == [vectors[b""]] * 2
+
+    def test_word_rows_equal_the_oracle(self):
+        # rows of different lengths in one call, longest first, stored word
+        # column by word column; the columns mix words below 256, words at
+        # the byte boundary and full 64-bit words
+        rows = [
+            [255, 256, 2**64 - 1, 7, 0],
+            [0, 1, 2**63, 255],
+            [1, 2**40 + 3, 255],
+            [256],
+            [],
+        ]
+        lengths = np.array([len(row) for row in rows])
+        words = np.array([row[c] for c in range(len(rows[0])) for row in rows if len(row) > c],
+                         dtype=np.uint64)
+        assert fnv1a64_words(words, lengths).tolist() == [hash_ints(row) for row in rows]
+        # a column of words below 256 is hashed like any other
+        small = [[3, 200], [255, 0], [0, 9]]
+        words = np.array([row[c] for c in range(2) for row in small], dtype=np.uint64)
+        assert fnv1a64_words(words, np.full(3, 2)).tolist() == [hash_ints(row) for row in small]
 
     def test_frozen_methane_and_ethane_bits(self):
         # frozen from an independent implementation of the same procedure
@@ -119,6 +140,13 @@ class TestFingerprint:
         with pytest.raises(ValueError, match="featurized"):
             circular_fingerprint(parse_molfile(METHANE))
 
+    def test_csv_titles_with_commas_and_quotes_read_back(self):
+        fp = fp_of(METHANE, nbits=16)
+        text = fingerprint_csv([('aspirin, form "II"', fp), ("plain", fp)])
+        assert text.splitlines()[2] == f"plain,{fp.to_hex()}"
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["id", "fingerprint"], ['aspirin, form "II"', fp.to_hex()], ["plain", fp.to_hex()]]
+
     def test_csv_export_shape(self):
         fp = fp_of(METHANE, nbits=64)
         text = fingerprint_csv([("m0", fp)])
@@ -165,6 +193,26 @@ class TestBatchMatchesLoop:
                 for fp, rounds in zip(batch, oracle_rounds):
                     assert (fp.radius, fp.nbits) == (radius, nbits)
                     np.testing.assert_array_equal(fp.bits, fold_oracle(rounds[: radius + 1], nbits))
+
+    def test_words_past_one_byte_equal_the_oracle(self):
+        # a 300-symbol vocabulary puts element slots past 255; a star atom of
+        # degree 300 puts its degree word past 255 and its rows past 600 words
+        vocab = [f"X{k}" for k in range(300)]
+        rng = np.random.default_rng(5)
+        chain = MolecularGraph.from_bonds([f"X{k}" for k in (0, 255, 256, 299, 17)] + ["Q"],
+                                          [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 1), (4, 0, 2), (4, 5, 3)], 3)
+        star = MolecularGraph.from_bonds(["X280"] + [vocab[k] for k in rng.integers(0, 300, 300)],
+                                         [(0, j, 1 + j % 3) for j in range(1, 301)], 3)
+        graphs = [featurize(g, vocab) for g in (chain, star)] + varied_graphs(rng, 5)
+        assert max(g.element_slots.max(initial=0) for g in graphs) > 255
+        assert graphs[1].degree.max() == 300
+        for radius in (0, 1, 2, MAX_RADIUS):
+            oracle_rounds = [atom_identifiers_oracle(g, radius) for g in graphs]
+            batch_rounds = _identifiers(graphs, radius)
+            for k, rounds in enumerate(zip(*oracle_rounds)):
+                assert batch_rounds[k].tolist() == [i for ids in rounds for i in ids]
+            for fp, rounds in zip(circular_fingerprints(graphs, radius=radius, nbits=1024), oracle_rounds):
+                np.testing.assert_array_equal(fp.bits, fold_oracle(rounds, 1024))
 
     def test_position_in_a_batch_does_not_matter(self):
         rng = np.random.default_rng(7)

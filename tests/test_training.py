@@ -353,6 +353,28 @@ class TestTrainingLoop:
                                               if t is not None]
             assert all(t._parents == () and t._backward is None for t in tensors)
 
+    def test_ring_flags_are_searched_once_per_graph(self, monkeypatch):
+        import graphmem.molgraph as molgraph_module
+
+        examples = synthetic_examples(count=24, seed=9)
+        searched = []
+        real_search = molgraph_module.detect_ring_edges
+
+        def counting_search(graph):
+            searched.append(graph)
+            return real_search(graph)
+
+        monkeypatch.setattr(molgraph_module, "detect_ring_edges", counting_search)
+        config = ExperimentConfig(hops=2, memory_size=8, controller_size=8, dropout=0.0,
+                                  batch_size=8, max_epochs=2, patience=5, seed=0, mode="single")
+        result = train({"t": split_dataset(examples, seed=2)}, config)
+        assert len(result.history) == 2
+        pool = prepare_examples(examples, result.model_config, build_queries("single", 1))
+        predict_scores(result.params, pool, config.hops)
+        distinct = {id(ex.graph) for ex in examples}
+        assert len(distinct) == len(examples)
+        assert sorted(map(id, searched)) == sorted(distinct)
+
     def test_empty_split_rejected(self):
         examples = synthetic_examples(count=10, seed=1)
         split = TaskSplit(train=examples, val=[], test=examples)

@@ -8,7 +8,6 @@ finite differences, and single-/multi-task training with a CLI.
 """
 
 from .fingerprint import (
-    Fingerprint,
     LogisticConfig,
     LogisticModel,
     circular_fingerprint,
@@ -66,7 +65,6 @@ __all__ = [
     "AtomNode",
     "Edge",
     "ExperimentConfig",
-    "Fingerprint",
     "ForwardResult",
     "GradcheckReport",
     "HopState",

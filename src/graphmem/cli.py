@@ -19,7 +19,7 @@ import json
 import sys
 import time
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_origin, get_type_hints
 
@@ -38,6 +38,7 @@ from .molgraph import (
     MolecularGraph,
     MolfileError,
     SyntheticSpecError,
+    element_slots,
     featurize,
     generate_synthetic,
     node_feature_dim,
@@ -68,12 +69,12 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_CHECKPOINT = 5
 
-# graphmem fingerprint featurizes and hashes runs of consecutive molecules
-# with at most this many atoms in all. A hashing round costs a few numpy
-# calls per word column whatever the run's size, so short runs pay that
-# overhead often: on a 6,300-atom library, runs of 4,096 atoms hash in
-# about four fifths of the time runs of 1,024 take. Larger runs gain little,
-# while the run's featurized graphs, about 1 KB per atom, are alive together.
+# graphmem fingerprint hashes runs of consecutive molecules with at most
+# this many atoms in all. A hashing round costs a few numpy calls per word
+# column whatever the run's size, so short runs pay that overhead often: on
+# a 6,300-atom library, runs of 4,096 atoms hash in about four fifths of
+# the time runs of 1,024 take. Larger runs gain little, while the run's
+# element slots and hashing arrays (word rows, identifiers) live together.
 FINGERPRINT_CHUNK_ATOMS = 4096
 
 # How each config key parses: every ExperimentConfig field by its type (a
@@ -99,8 +100,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def _repeated_symbols(vocab) -> list[str]:
-    """The symbols a vocabulary lists more than once. featurize gives such a
-    symbol its last slot, and its earlier slots stay always zero."""
+    """The symbols a vocabulary lists more than once. element_slots gives
+    such a symbol its last slot, and its earlier slots stay always zero."""
     return sorted({symbol for k, symbol in enumerate(vocab) if symbol in vocab[:k]})
 
 
@@ -209,13 +210,15 @@ def resolve_task(data_dir: Path, name: str, seed: int,
         if graphs is None:
             graphs = libraries[sdf_sha256] = parse_sdf(_text(sdf_path, sdf_bytes))
         rows = read_labels_csv(_text(labels_path, labels_bytes))
+        if not rows:
+            raise DatasetError(f"task {name!r}: {labels_path} has no labelled rows")
         by_title = {}
         for g in graphs:
             by_title.setdefault(g.title, g)
         examples = []
         for row_id, _task, label in rows:
             graph = None
-            if row_id.lstrip("-").isdigit():
+            if row_id.removeprefix("-").isdecimal():  # digits int() reads: a record index
                 index = int(row_id)
                 if not (0 <= index < len(graphs)):
                     raise DatasetError(f"task {name!r}: label id {row_id} outside 0..{len(graphs) - 1}")
@@ -453,11 +456,10 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     vocab = resolved.get("vocab", list(DEFAULT_VOCAB))
     rows = []
     for chunk in budget_runs([graph.n_nodes for graph in graphs], FINGERPRINT_CHUNK_ATOMS):
-        featurized = [featurize(graph, vocab) for graph in graphs[chunk]]
-        fingerprints = circular_fingerprints(featurized, radius=radius, nbits=nbits)
-        for index, graph, fp in zip(range(chunk.start, chunk.stop), featurized, fingerprints):
-            rows.append((graph.title if graph.title else str(index), fp))
-        del featurized  # free this chunk's graphs before the next chunk is featurized
+        slotted = [replace(graph, element_slots=element_slots(graph.symbols, vocab)) for graph in graphs[chunk]]
+        bits = circular_fingerprints(slotted, radius=radius, nbits=nbits)
+        rows.extend((graph.title or str(index), row)
+                    for index, graph, row in zip(range(chunk.start, chunk.stop), slotted, bits))
     csv_path = out_dir / "fingerprints.csv"
     csv_path.write_text(fingerprint_csv(rows), encoding="utf-8")
     _write_manifest(out_dir, "fingerprint", {**resolved, "nbits": nbits, "radius": radius},
@@ -486,6 +488,7 @@ def cmd_dump_attention(args: argparse.Namespace) -> int:
     with open(dump_path, "w", encoding="utf-8") as fh:
         for part, packed, result in inference_packs(params, prepared, meta["hops"]):
             trace = result.attention_trace()
+            lines = []
             for ex, lo, hi, probability in zip(prepared[part], packed.bounds[:-1], packed.bounds[1:],
                                                result.probability.data[:, 0].tolist()):
                 record = {
@@ -493,7 +496,11 @@ def cmd_dump_attention(args: argparse.Namespace) -> int:
                     "attention": [weights[lo:hi] for weights in trace],
                     "probability": probability,
                 }
-                fh.write(json.dumps(record) + "\n")
+                try:  # a NaN or infinity is no JSON: refuse the pack before any of its lines
+                    lines.append(json.dumps(record, allow_nan=False) + "\n")
+                except ValueError:
+                    raise NumericError(f"example {ex.example_id!r}: probability or attention is not finite") from None
+            fh.writelines(lines)
     _write_manifest(out_dir, "dump-attention", resolved, checksums, {"attention": str(dump_path)}, started)
     print(f"attention for {len(prepared)} examples written to {dump_path}")
     return EXIT_OK

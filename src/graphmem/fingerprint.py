@@ -86,32 +86,6 @@ def check_options(radius: int, nbits: int) -> None:
         raise ValueError(f"radius must be from 0 to {MAX_RADIUS}, got {radius}")
 
 
-@dataclass(frozen=True, eq=False)
-class Fingerprint:
-    bits: np.ndarray  # uint8 0/1, length nbits
-    radius: int
-    nbits: int
-
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    def to_hex(self) -> str:
-        """nbits/4 hex characters (one below 4 bits), bit 0 is the most
-        significant bit."""
-        text = np.packbits(self.bits).tobytes().hex()
-        # below 8 bits the packed byte is zero-padded on the right
-        return text if self.nbits >= 8 else f"{int(text, 16) >> (8 - self.nbits):x}"
-
-    @classmethod
-    def from_hex(cls, text: str, radius: int = DEFAULT_RADIUS) -> "Fingerprint":
-        if not text:
-            raise ValueError("empty fingerprint hex string")
-        nbits = 4 * len(text)
-        packed = bytes.fromhex(text if len(text) % 2 == 0 else "0" + text)
-        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[-nbits:]
-        return cls(bits=bits, radius=radius, nbits=nbits)
-
-
 def _identifiers(graphs: Sequence[MolecularGraph], radius: int) -> list[np.ndarray]:
     """Per-round identifiers, rounds 0..radius, of the atoms of ``graphs``
     stacked in order.
@@ -123,7 +97,7 @@ def _identifiers(graphs: Sequence[MolecularGraph], radius: int) -> list[np.ndarr
     longer word rows first, as :func:`fnv1a64_words` takes them.
     """
     if any(g.element_slots is None for g in graphs):
-        raise ValueError("graph is not featurized; element slots are part of the atom invariant")
+        raise ValueError("graph has no element slots; they are part of the atom invariant")
     sizes = np.array([g.n_nodes for g in graphs], dtype=np.int64)
     n = int(sizes.sum())
 
@@ -181,36 +155,50 @@ def circular_fingerprints(
     graphs: Sequence[MolecularGraph],
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
-) -> list[Fingerprint]:
-    """One fingerprint per featurized graph: every identifier of every
-    round, of all graphs' atoms at once, folded into nbits bits."""
+) -> np.ndarray:
+    """The (graphs, nbits) uint8 0/1 bit matrix of graphs with element
+    slots: every identifier of every round, of all graphs' atoms at once,
+    folded into nbits bits."""
     check_options(radius, nbits)
     owner = np.repeat(np.arange(len(graphs)), [g.n_nodes for g in graphs])
     identifiers = np.concatenate(_identifiers(graphs, radius))
     bits = np.zeros((len(graphs), nbits), dtype=np.uint8)
     bits[np.tile(owner, radius + 1), identifiers % np.uint64(nbits)] = 1
-    return [Fingerprint(bits=row, radius=radius, nbits=nbits) for row in bits]
+    return bits
 
 
 def circular_fingerprint(
     graph: MolecularGraph,
     radius: int = DEFAULT_RADIUS,
     nbits: int = DEFAULT_NBITS,
-) -> Fingerprint:
-    """The fingerprint of one featurized graph."""
+) -> np.ndarray:
+    """The bit row of one graph with element slots."""
     return circular_fingerprints([graph], radius, nbits)[0]
 
 
-def fingerprint_csv(rows: Sequence[tuple[str, Fingerprint]]) -> str:
-    """Export as ``id,hexstring`` lines with a header. An id that holds a
-    comma or a quote is quoted, so every row reads back as two fields."""
+def fingerprint_csv(rows: Sequence[tuple[str, np.ndarray]]) -> str:
+    """Export (id, bit row) pairs as ``id,hexstring`` lines with a header.
+
+    A row is nbits/4 hex digits, bit 0 most significant, and one digit
+    below 8 bits; all rows are packed and hex-encoded in one pass. An id
+    that holds a comma or a quote is quoted, so every row reads back as
+    two fields."""
     import csv
     import io
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("id", "fingerprint"))
-    writer.writerows((example_id, fp.to_hex()) for example_id, fp in rows)
+    if rows:
+        nbits = len(rows[0][1])
+        packed = np.packbits(np.array([row for _, row in rows], dtype=np.uint8), axis=1)
+        # below 8 bits a row is the high bits of its one byte: shift them
+        # down and keep the byte's second hex digit
+        packed >>= max(0, 8 - nbits)
+        text = packed.tobytes().hex()
+        width, skip = 2 * packed.shape[1], int(nbits < 8)
+        writer.writerows((example_id, text[k + skip:k + width])
+                         for (example_id, _), k in zip(rows, range(0, len(text), width)))
     return out.getvalue()
 
 

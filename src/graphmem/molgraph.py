@@ -103,7 +103,7 @@ class MolecularGraph:
     1-based relation; ``degree`` and ``h_count`` (explicit H neighbors) are
     derived from it, and so is ``ring`` (one in-ring flag per bond), on
     first read. :func:`featurize` fills ``node_features`` and
-    ``element_slots``.
+    ``element_slots``; fingerprints need only the slots.
     """
 
     symbols: tuple[str, ...]
@@ -427,6 +427,13 @@ def link_feature_dim(n_relations: int) -> int:
     return n_relations + 1
 
 
+def element_slots(symbols: Sequence[str], vocab: Sequence[str] = DEFAULT_VOCAB) -> np.ndarray:
+    """Each symbol's slot in ``vocab``; a symbol ``vocab`` lacks takes the
+    trailing OTHER slot, ``len(vocab)``."""
+    slot_of = {symbol: k for k, symbol in enumerate(vocab)}
+    return np.array([slot_of.get(symbol, len(vocab)) for symbol in symbols], dtype=np.intp)
+
+
 def featurize(graph: MolecularGraph, vocab: Sequence[str] = DEFAULT_VOCAB) -> MolecularGraph:
     """Attach one-hot node features and element slots to a graph.
 
@@ -436,9 +443,8 @@ def featurize(graph: MolecularGraph, vocab: Sequence[str] = DEFAULT_VOCAB) -> Mo
     identical inputs; the input graph is left untouched. No ring search
     runs here: the new graph derives its ``ring`` flags on first read.
     """
-    slot_of = {symbol: k for k, symbol in enumerate(vocab)}
+    slots = element_slots(graph.symbols, vocab)
     other = len(vocab)
-    slots = np.array([slot_of.get(symbol, other) for symbol in graph.symbols], dtype=np.intp)
     hot = np.stack([
         slots,
         other + 1 + np.minimum(graph.degree, DEGREE_SLOTS - 1),

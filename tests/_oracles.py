@@ -474,7 +474,7 @@ def fold_oracle(rounds: list[list[int]], nbits: int) -> np.ndarray:
 
 def hex_oracle(bits) -> str:
     """The bits as one binary number, bit 0 most significant, in nbits/4
-    hex digits (at least one)."""
+    hex digits, and in one digit below 8 bits."""
     value = 0
     for bit in bits:
         value = (value << 1) | int(bit)

@@ -52,6 +52,17 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def save_assay_checkpoint(path):
+    """A freshly initialised single-task checkpoint for task ``assay`` with
+    the default vocabulary."""
+    config = ModelConfig(node_feat_dim=node_feature_dim(DEFAULT_VOCAB),
+                         link_feat_dim=link_feature_dim(N_BOND_TYPES), n_relations=N_BOND_TYPES,
+                         query_dim=1, memory_size=4, controller_size=4)
+    save_checkpoint(path, ModelParams.initialize(config, 0).arrays(),
+                    {"model": config.to_dict(), "tasks": ["assay"], "mode": "single", "hops": 2,
+                     "vocab": list(DEFAULT_VOCAB), "seed": 0})
+
+
 class TestTrain:
     def test_train_writes_artifacts(self, workspace, capsys):
         out = workspace / "run"
@@ -320,6 +331,19 @@ class TestEvalAndDump:
         assert "not finite" in capsys.readouterr().err
         assert not (workspace / "e" / "metrics.json").exists()
 
+    def test_dump_attention_nan_checkpoint_is_exit_4(self, workspace, trained, capsys):
+        def poison(arrays):
+            arrays["out.bias"] = np.full_like(arrays["out.bias"], np.nan)
+
+        path = self.rewritten_checkpoint(trained, poison)
+        out = workspace / "d"
+        code = run("dump-attention", "--checkpoint", path, "--set", f"data_dir={workspace}", "--out-dir", out)
+        assert code == 4
+        assert "example '0': probability or attention is not finite" in capsys.readouterr().err
+        # refused before the first pack's lines are written
+        assert (out / "attention.jsonl").read_text() == ""
+        assert not (out / "manifest.json").exists()
+
     def test_eval_checkpoint_parameter_mismatch_is_exit_5(self, workspace, trained, capsys):
         def drop_bias(arrays):
             del arrays["out.bias"]
@@ -489,12 +513,7 @@ class TestRepeatedRecords:
         # record a by title, by index and by title again
         (task_dir / "labels.csv").write_text("id,task,label\na,assay,1\n0,assay,0\nb,assay,0\na,assay,1\n",
                                              encoding="utf-8")
-        config = ModelConfig(node_feat_dim=node_feature_dim(DEFAULT_VOCAB),
-                             link_feat_dim=link_feature_dim(N_BOND_TYPES), n_relations=N_BOND_TYPES,
-                             query_dim=1, memory_size=4, controller_size=4)
-        save_checkpoint(tmp_path / "checkpoint.bin", ModelParams.initialize(config, 0).arrays(),
-                        {"model": config.to_dict(), "tasks": ["assay"], "mode": "single", "hops": 2,
-                         "vocab": list(DEFAULT_VOCAB), "seed": 0})
+        save_assay_checkpoint(tmp_path / "checkpoint.bin")
         featurized, packed = [], []
         real_featurize, real_pack = cli.featurize, training.pack
 
@@ -583,6 +602,52 @@ class TestSharedLibrary:
         assert outputs[0] == outputs[1]
 
 
+class TestLabelFile:
+    """Label ids and label files that name no usable rows end in exit 3
+    with a message, in every command that reads them."""
+
+    @staticmethod
+    def disk_task(root, labels, titles=("a", "b")):
+        """Task ``assay`` under ``root``: one record per title and a label
+        file of ``labels``, (id, label) rows."""
+        task_dir = root / "assay"
+        task_dir.mkdir()
+        (task_dir / "molecules.sdf").write_text(
+            "".join(molblock(["C", "O"], [(1, 2, 1)], title=title) + "$$$$\n" for title in titles), encoding="utf-8")
+        rows = "".join(f"{row_id},assay,{label}\n" for row_id, label in labels)
+        (task_dir / "labels.csv").write_text("id,task,label\n" + rows, encoding="utf-8")
+
+    @pytest.mark.parametrize("row_id", ["--1", "\u00b2"])
+    def test_id_that_is_no_index_and_no_title_is_data_error(self, tmp_path, capsys, row_id):
+        # "\u00b2" (superscript two) is a digit to str.isdigit but no integer to int
+        self.disk_task(tmp_path, [("0", 1), (row_id, 0)])
+        code = run("train", "--set", "tasks=assay", "--set", f"data_dir={tmp_path}", "--set", "max_epochs=1",
+                   "--quiet", "--out-dir", tmp_path / "out")
+        assert code == 3
+        assert f"label id {row_id!r} matches no record title" in capsys.readouterr().err
+
+    def test_ids_resolve_by_index_and_by_title(self, tmp_path):
+        from graphmem.cli import load_roster
+        from graphmem.training import ExperimentConfig
+
+        self.disk_task(tmp_path, [("\u00b2", 1), ("1", 0), ("-0", 1), ("a", 0)], titles=("a", "\u00b2"))
+        datasets, _, _ = load_roster({"data_dir": str(tmp_path)}, ExperimentConfig(tasks=("assay",)))
+        assert [ex.graph.title for ex in datasets["assay"]] == ["\u00b2", "\u00b2", "a", "a"]
+
+    def test_header_only_label_file_is_data_error(self, tmp_path, capsys):
+        self.disk_task(tmp_path, [])
+        save_assay_checkpoint(tmp_path / "checkpoint.bin")
+        commands = [("train", "--set", "tasks=assay", "--set", "max_epochs=1", "--quiet")]
+        commands += [(command, "--checkpoint", tmp_path / "checkpoint.bin") for command in ("eval", "dump-attention")]
+        for argv in commands:
+            capsys.readouterr()
+            out = tmp_path / f"out-{argv[0]}"
+            assert run(*argv, "--set", f"data_dir={tmp_path}", "--out-dir", out) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert "task 'assay'" in err and "has no labelled rows" in err, argv[0]
+            assert not (out / "manifest.json").exists()
+
+
 class TestUnreadableText:
     """A data file or config file that is not UTF-8 text ends in its exit
     code with a message naming the file."""
@@ -629,12 +694,7 @@ class TestAtomlessRecord:
         (task_dir / "molecules.sdf").write_text("".join(r + "$$$$\n" for r in records), encoding="utf-8")
         (task_dir / "labels.csv").write_text(
             "id,task,label\n" + "".join(f"{k},assay,{k % 2}\n" for k in range(len(records))), encoding="utf-8")
-        config = ModelConfig(node_feat_dim=node_feature_dim(DEFAULT_VOCAB),
-                             link_feat_dim=link_feature_dim(N_BOND_TYPES), n_relations=N_BOND_TYPES,
-                             query_dim=1, memory_size=4, controller_size=4)
-        save_checkpoint(tmp_path / "checkpoint.bin", ModelParams.initialize(config, 0).arrays(),
-                        {"model": config.to_dict(), "tasks": ["assay"], "mode": "single", "hops": 2,
-                         "vocab": list(DEFAULT_VOCAB), "seed": 0})
+        save_assay_checkpoint(tmp_path / "checkpoint.bin")
         commands = [("train", "--set", "tasks=assay", "--set", "hops=1", "--set", "max_epochs=1", "--quiet")]
         commands += [(command, "--checkpoint", tmp_path / "checkpoint.bin") for command in ("eval", "dump-attention")]
         for argv in commands:
@@ -678,6 +738,28 @@ class TestFingerprintCommand:
         assert run("fingerprint", "--input", sdf, "--radius", "3", "--out-dir", tmp_path / "b") == 0
         csv_a, csv_b = (tmp_path / out / "fingerprints.csv" for out in ("a", "b"))
         assert csv_b.read_bytes() == csv_a.read_bytes()
+
+    def test_no_node_features_are_built(self, tmp_path, monkeypatch):
+        import graphmem.cli as cli
+        import graphmem.molgraph as molgraph_module
+
+        from graphmem.fingerprint import circular_fingerprint, fingerprint_csv
+
+        # an unknown element (the OTHER slot), a quoted title and a blank one
+        text = (molblock(["C", "Xx", "N"], [(1, 2, 1), (2, 3, 2)], title='a, "b"') + "$$$$\n"
+                + molblock(["O"], [], title="") + "$$$$\n")
+        sdf = tmp_path / "lib.sdf"
+        sdf.write_text(text, encoding="utf-8")
+        expected = fingerprint_csv([(g.title or str(k), circular_fingerprint(featurize(g, DEFAULT_VOCAB)))
+                                    for k, g in enumerate(parse_sdf(text))])
+
+        def no_features(graph, vocab=DEFAULT_VOCAB):
+            raise AssertionError("fingerprinting built node features")
+
+        monkeypatch.setattr(molgraph_module, "featurize", no_features)
+        monkeypatch.setattr(cli, "featurize", no_features)
+        assert run("fingerprint", "--input", sdf, "--out-dir", tmp_path) == 0
+        assert (tmp_path / "fingerprints.csv").read_text(encoding="utf-8") == expected
 
     @pytest.mark.parametrize("options", [("--nbits", "100"), ("--nbits", "1"), ("--radius", "-1"),
                                          ("--set", "nbits=100"), ("--set", "radius=-2"),

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from graphmem.fingerprint import (
+    DEFAULT_NBITS,
     MAX_RADIUS,
-    Fingerprint,
     LogisticConfig,
     _identifiers,
     circular_fingerprint,
@@ -29,6 +29,12 @@ ETHANE = molblock(["C", "C"], [(1, 2, 1)], title="ethane")
 
 def fp_of(text, radius=2, nbits=1024, vocab=DEFAULT_VOCAB):
     return circular_fingerprint(featurize(parse_molfile(text), vocab), radius=radius, nbits=nbits)
+
+
+def csv_hex(*rows):
+    """The hex field of each bit row in fingerprint_csv's output."""
+    text = fingerprint_csv([(f"m{k}", row) for k, row in enumerate(rows)])
+    return [line.split(",")[1] for line in text.splitlines()[1:]]
 
 
 class TestHashing:
@@ -66,26 +72,24 @@ class TestHashing:
         # (tuple ints as 8-byte little-endian words through FNV-1a 64)
         methane = fp_of(METHANE, radius=1, nbits=64)
         ethane = fp_of(ETHANE, radius=1, nbits=64)
-        assert sorted(np.flatnonzero(methane.bits).tolist()) == [5, 27]
-        assert sorted(np.flatnonzero(ethane.bits).tolist()) == [4, 21]
-        assert methane.to_hex() == "0400001000000000"
-        assert ethane.to_hex() == "0800040000000000"
-        assert not np.array_equal(methane.bits, ethane.bits)
+        assert sorted(np.flatnonzero(methane).tolist()) == [5, 27]
+        assert sorted(np.flatnonzero(ethane).tolist()) == [4, 21]
+        assert not np.array_equal(methane, ethane)
         benzene = fp_of(BENZENE, radius=2, nbits=64)
-        assert np.flatnonzero(benzene.bits).tolist() == [7, 19, 33]
-        assert benzene.to_hex() == "0100100040000000"
+        assert np.flatnonzero(benzene).tolist() == [7, 19, 33]
+        assert csv_hex(methane, ethane, benzene) == ["0400001000000000", "0800040000000000", "0100100040000000"]
 
 
 class TestFingerprint:
     def test_same_molecule_parsed_twice_is_identical(self):
         a = fp_of(BENZENE)
         b = fp_of(BENZENE)
-        assert a.bits.tobytes() == b.bits.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_single_atom_radius_zero_sets_one_bit(self):
         fp = fp_of(METHANE, radius=0, nbits=16)
-        assert fp.popcount() == 1
-        assert np.flatnonzero(fp.bits).tolist() == [5]  # frozen from the independent run
+        assert fp.dtype == np.uint8 and fp.sum() == 1
+        assert np.flatnonzero(fp).tolist() == [5]  # frozen from the independent run
 
     def test_isomorphism_invariance_under_relabeling(self):
         rng = np.random.default_rng(50)
@@ -99,7 +103,7 @@ class TestFingerprint:
             relabeled = MolecularGraph.from_bonds(symbols, bonds, graph.n_relations)
             a = circular_fingerprint(featurize(graph, DEFAULT_VOCAB), radius=2, nbits=256)
             b = circular_fingerprint(featurize(relabeled, DEFAULT_VOCAB), radius=2, nbits=256)
-            assert a.bits.tobytes() == b.bits.tobytes()
+            assert a.tobytes() == b.tobytes()
 
     def test_popcount_monotone_in_radius(self):
         for text in (BENZENE, ETHANE, METHANE):
@@ -107,8 +111,8 @@ class TestFingerprint:
             for radius in range(0, 4):
                 fp = fp_of(text, radius=radius, nbits=512)
                 if previous_bits is not None:
-                    assert np.all(previous_bits <= fp.bits)  # old bits stay set
-                previous_bits = fp.bits
+                    assert np.all(previous_bits <= fp)  # old bits stay set
+                previous_bits = fp
 
     def test_fold_collisions_at_tiny_width(self):
         rng = np.random.default_rng(1)
@@ -117,12 +121,14 @@ class TestFingerprint:
         assert len(identifiers) >= 20
         fp = circular_fingerprint(big, radius=3, nbits=4)
         # pigeonhole: more identifiers than bits forces shared slots
-        assert fp.popcount() <= 4 < len(identifiers)
+        assert fp.sum() <= 4 < len(identifiers)
 
     def test_hex_roundtrip(self):
+        # the CSV's hex read back as one binary number gives the bits again
         fp = fp_of(BENZENE, radius=2, nbits=128)
-        again = Fingerprint.from_hex(fp.to_hex(), radius=2)
-        assert np.array_equal(fp.bits, again.bits)
+        (text,) = csv_hex(fp)
+        again = [int(bit) for bit in format(int(text, 16), "0128b")]
+        assert again == fp.tolist()
 
     def test_nbits_validation(self):
         graph = featurize(parse_molfile(METHANE), DEFAULT_VOCAB)
@@ -134,18 +140,18 @@ class TestFingerprint:
             circular_fingerprints([graph], radius=-1)
         with pytest.raises(ValueError, match=f"radius must be from 0 to {MAX_RADIUS}"):
             circular_fingerprints([graph], radius=MAX_RADIUS + 1)
-        assert circular_fingerprints([graph], radius=MAX_RADIUS)[0].radius == MAX_RADIUS
+        assert circular_fingerprints([graph], radius=MAX_RADIUS).shape == (1, DEFAULT_NBITS)
 
     def test_unfeaturized_graph_rejected(self):
-        with pytest.raises(ValueError, match="featurized"):
+        with pytest.raises(ValueError, match="no element slots"):
             circular_fingerprint(parse_molfile(METHANE))
 
     def test_csv_titles_with_commas_and_quotes_read_back(self):
         fp = fp_of(METHANE, nbits=16)
         text = fingerprint_csv([('aspirin, form "II"', fp), ("plain", fp)])
-        assert text.splitlines()[2] == f"plain,{fp.to_hex()}"
+        assert text.splitlines()[2] == f"plain,{hex_oracle(fp)}"
         assert list(csv.reader(io.StringIO(text))) == [
-            ["id", "fingerprint"], ['aspirin, form "II"', fp.to_hex()], ["plain", fp.to_hex()]]
+            ["id", "fingerprint"], ['aspirin, form "II"', hex_oracle(fp)], ["plain", hex_oracle(fp)]]
 
     def test_csv_export_shape(self):
         fp = fp_of(METHANE, nbits=64)
@@ -155,6 +161,9 @@ class TestFingerprint:
         name, hexstring = row.split(",")
         assert name == "m0"
         assert len(hexstring) == 16
+
+    def test_csv_of_no_rows_is_the_header(self):
+        assert fingerprint_csv([]) == "id,fingerprint\n"
 
 
 def varied_graphs(rng, count):
@@ -189,10 +198,9 @@ class TestBatchMatchesLoop:
         for radius in range(4):
             for nbits in (2, 4, 8, 64, 1024):
                 batch = circular_fingerprints(graphs, radius=radius, nbits=nbits)
-                assert len(batch) == len(graphs)
+                assert batch.shape == (len(graphs), nbits) and batch.dtype == np.uint8
                 for fp, rounds in zip(batch, oracle_rounds):
-                    assert (fp.radius, fp.nbits) == (radius, nbits)
-                    np.testing.assert_array_equal(fp.bits, fold_oracle(rounds[: radius + 1], nbits))
+                    np.testing.assert_array_equal(fp, fold_oracle(rounds[: radius + 1], nbits))
 
     def test_words_past_one_byte_equal_the_oracle(self):
         # a 300-symbol vocabulary puts element slots past 255; a star atom of
@@ -212,31 +220,30 @@ class TestBatchMatchesLoop:
             for k, rounds in enumerate(zip(*oracle_rounds)):
                 assert batch_rounds[k].tolist() == [i for ids in rounds for i in ids]
             for fp, rounds in zip(circular_fingerprints(graphs, radius=radius, nbits=1024), oracle_rounds):
-                np.testing.assert_array_equal(fp.bits, fold_oracle(rounds, 1024))
+                np.testing.assert_array_equal(fp, fold_oracle(rounds, 1024))
 
     def test_position_in_a_batch_does_not_matter(self):
         rng = np.random.default_rng(7)
         graphs = varied_graphs(rng, 20)
-        alone = [circular_fingerprint(g, radius=2, nbits=256).bits for g in graphs]
+        alone = [circular_fingerprint(g, radius=2, nbits=256) for g in graphs]
         for _ in range(5):
             order = rng.permutation(len(graphs))
             order = np.concatenate([order, order[:3]])  # some molecules twice
             batch = circular_fingerprints([graphs[k] for k in order], radius=2, nbits=256)
             for k, fp in zip(order, batch):
-                np.testing.assert_array_equal(fp.bits, alone[k])
+                np.testing.assert_array_equal(fp, alone[k])
 
     def test_empty_batch(self):
-        assert circular_fingerprints([]) == []
+        assert circular_fingerprints([]).shape == (0, DEFAULT_NBITS)
 
     def test_hex_equals_the_bit_loop_at_every_width(self):
+        # one CSV of 20 random rows per width, with all-zero and all-one rows
         rng = np.random.default_rng(11)
         for nbits in (2, 4, 8, 16, 64, 1024):
-            for _ in range(20):
-                bits = (rng.random(nbits) < 0.5).astype(np.uint8)
-                text = Fingerprint(bits=bits, radius=2, nbits=nbits).to_hex()
-                assert text == hex_oracle(bits)
-                if nbits >= 4:
-                    np.testing.assert_array_equal(Fingerprint.from_hex(text).bits, bits)
+            rows = (rng.random((20, nbits)) < 0.5).astype(np.uint8)
+            rows[0], rows[1] = 0, 1
+            assert csv_hex(*rows) == [hex_oracle(row) for row in rows]
+            assert {len(text) for text in csv_hex(*rows)} == {max(1, nbits // 4)}
 
 
 class TestLogisticBaseline:

@@ -467,4 +467,4 @@ class TestBenchmarkContract:
             assert back.nodes == g.nodes and back.edges == g.edges
         featurized = featurize(parsed[0])
         fp = circular_fingerprint(featurized)
-        np.testing.assert_array_equal(fp.bits, fold_oracle(atom_identifiers_oracle(featurized, 2), 1024))
+        np.testing.assert_array_equal(fp, fold_oracle(atom_identifiers_oracle(featurized, 2), 1024))

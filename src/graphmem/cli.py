@@ -107,7 +107,7 @@ def _repeated_symbols(vocab) -> list[str]:
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
@@ -176,9 +176,10 @@ def _sha256(data: bytes) -> str:
 
 
 def _text(path: Path, data: bytes) -> str:
-    """``data``, the bytes of the data file ``path``, as text."""
+    """``data``, the bytes of the data file ``path``, as text, without a
+    leading byte-order mark (as the config file is read)."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path} is not UTF-8 text: {exc}") from None
 
@@ -209,7 +210,11 @@ def resolve_task(data_dir: Path, name: str, seed: int,
         graphs = libraries.get(sdf_sha256)
         if graphs is None:
             graphs = libraries[sdf_sha256] = parse_sdf(_text(sdf_path, sdf_bytes))
-        rows = read_labels_csv(_text(labels_path, labels_bytes))
+        labels_text = _text(labels_path, labels_bytes)
+        try:
+            rows = read_labels_csv(labels_text)
+        except DatasetError as exc:
+            raise DatasetError(f"task {name!r}: {labels_path}: {exc}") from None
         if not rows:
             raise DatasetError(f"task {name!r}: {labels_path} has no labelled rows")
         by_title = {}

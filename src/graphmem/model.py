@@ -240,7 +240,8 @@ class PreparedGraph:
     controller rows' gradients), and padded slots in size groups for the
     neighbour cells' block products. In uniform mode ``blocks`` holds the
     uniform weights in those blocks, built once; in learned mode it is
-    None, and every hop scatters its learned weights into fresh blocks.
+    None, and every product (forward, and the transposed one of backward)
+    scatters its hop's learned weights into fresh blocks.
     """
 
     features: Tensor
@@ -344,20 +345,19 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
 @dataclass(eq=False)
 class HopState:
     """Everything one hop produced, for every graph of a pack: controller
-    (B, k_h), memory (N, k_m), read and attention (N,). The read is a
-    :class:`~graphmem.numerics.GraphSum` whose ``.data`` computes its
-    (B, k_m) value. ``t=0`` is the freshly initialized state; read and
-    attention appear from the first real hop on. The final hop of
-    :func:`forward` has no memory (``None``): the output head reads only
-    the controller, so that hop runs no memory update. No sum is kept: the
-    update nodes compute the read and the neighbour contexts again from
-    their recipes during backward (see
-    :func:`graphmem.numerics.gated_update`)."""
+    (B, k_h), memory (N, k_m), read (B, k_m) and attention (N,). ``t=0``
+    is the freshly initialized state; read and attention appear from the
+    first real hop on. The final hop of :func:`forward` has no memory
+    (``None``): the output head reads only the controller, so that hop
+    runs no memory update. The read and the neighbour sums are tape nodes
+    that keep their values (:func:`graphmem.numerics.graph_sum` and
+    :func:`graphmem.numerics.block_sum`), so backward computes neither
+    again."""
 
     t: int
     controller: Tensor
     memory: Tensor | None
-    read: nm.GraphSum | None = None
+    read: Tensor | None = None
     attention: Tensor | None = None
 
 
@@ -402,13 +402,14 @@ def init_state(
 
 
 def attentive_read(state: HopState, params: ModelParams,
-                   prepared: PreparedGraph) -> tuple[nm.GraphSum, Tensor, Tensor]:
+                   prepared: PreparedGraph) -> tuple[Tensor, Tensor, Tensor]:
     """Soft attention over the memory of the previous hop, per graph.
 
     Every cell is scored by a shared vector against a tanh blend of the
     cell and its graph's controller row; a softmax over each graph's cells
     gives the weights and the read row is the weighted sum of those cells,
-    a :class:`~graphmem.numerics.GraphSum` over each graph's run of rows.
+    a :func:`~graphmem.numerics.graph_sum` node over each graph's run of
+    rows.
     The controller rows reach the cells through ``prepared.slots``, so
     their gradient is a per-graph sum too. Returns (read, weights,
     pre-softmax scores).
@@ -419,10 +420,10 @@ def attentive_read(state: HopState, params: ModelParams,
         bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
     )
     weights = nm.segment_softmax(scores, prepared.segments, prepared.n_graphs)
-    return nm.GraphSum(state.memory, weights, slots), weights, scores
+    return nm.graph_sum(state.memory, weights, slots), weights, scores
 
 
-def controller_step(state: HopState, read: nm.GraphSum | Tensor, params: ModelParams) -> Tensor:
+def controller_step(state: HopState, read: Tensor, params: ModelParams) -> Tensor:
     """Gated recurrent update of every controller row from its read row,
     the read term of one gated update."""
     return nm.gated_update(
@@ -448,7 +449,7 @@ def _neighbor_weights(prepared: PreparedGraph, memory: Tensor, params: ModelPara
     return nm.segment_softmax(scores, prepared.keys, prepared.n_nodes * prepared.n_relations)
 
 
-def _ring_sum(prepared: PreparedGraph, weights: Tensor, k_b: int) -> nm.BlockSum:
+def _ring_sum(prepared: PreparedGraph, weights: Tensor, k_b: int) -> Tensor:
     """Each key's edges' ring flags weighted by ``weights`` and summed, in
     the last of relation ``r``'s columns ``r*k_b:(r+1)*k_b`` of (N, R * k_b)
     rows: a block product of constant rows that are 1 in their last column,
@@ -456,7 +457,7 @@ def _ring_sum(prepared: PreparedGraph, weights: Tensor, k_b: int) -> nm.BlockSum
     it makes the link features summed per key."""
     ones = np.zeros((prepared.n_nodes, k_b))
     ones[:, -1] = 1.0
-    return nm.BlockSum(nm.constant(ones), weights, prepared.slots, mask=prepared.ring)
+    return nm.block_sum(nm.constant(ones), weights, prepared.slots, mask=prepared.ring)
 
 
 def _memory_bias(params: ModelParams, prepared: PreparedGraph) -> Tensor:
@@ -483,21 +484,23 @@ def memory_step(
     has no neighbours.
 
     The neighbour cells of every relation are summed first into (N, R * k_m)
-    rows, as per-graph block products (a :class:`~graphmem.numerics.BlockSum`
-    over ``prepared.slots``: the pack's uniform blocks, or blocks of the
-    learned weights scattered on this hop), and then projected once by all
-    relations' weights side by side. The summed link features are
+    rows, as per-graph block products (a :func:`~graphmem.numerics.block_sum`
+    node over ``prepared.slots``: the pack's uniform blocks, or blocks of
+    the learned weights scattered on this hop), and then projected once by
+    all relations' weights side by side. The summed link features are
     projected the same way: their relation one-hots in ``bias``, and their
     ring flags (:func:`_ring_sum`, a second block product) here in learned
-    mode and in ``bias`` in uniform mode. ``bias`` is :func:`_memory_bias`
-    of ``params`` and ``prepared``, computed here when not given.
+    mode and in ``bias`` in uniform mode. Each sum keeps its (N, R k) rows
+    on the tape; learned-mode block arrays live only for their product.
+    ``bias`` is :func:`_memory_bias` of ``params`` and ``prepared``,
+    computed here when not given.
     """
     weights = _neighbor_weights(prepared, state.memory, params)
     blocks = prepared.blocks if weights is prepared.uniform else None
     terms: list[tuple] = [
         (state.memory, params["mem.gated.self"]),
         (controller, params["mem.gated.ctrl"], prepared.slots),
-        (nm.BlockSum(state.memory, weights, prepared.slots, blocks), params["mem.gated.nbr"]),
+        (nm.block_sum(state.memory, weights, prepared.slots, blocks), params["mem.gated.nbr"]),
     ]
     if params.config.neighbor_mode == "learned":
         terms.append((_ring_sum(prepared, weights, params.config.link_feat_dim), params["mem.gated.link"]))

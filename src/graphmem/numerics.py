@@ -7,15 +7,16 @@ constants produce constants, so per-graph fixed data (adjacency, features)
 costs nothing at backward time.
 
 The operations are the fused nodes the model runs: :func:`linear_sum`,
-:func:`gated_update`, :func:`segment_softmax`, :func:`binary_cross_entropy`
-and :func:`dropout`. Each records one tape node however many products,
-activations or gathers it computes; :func:`linear_sum` and
-:func:`gated_update` check, sum and differentiate their terms with the
-same code. Two weighted sums are no node of their own but any term's
-input, kept as their recipe and computed again during backward: the
-per-graph :class:`GraphSum` (the attention read) and the per-graph block
-products of :class:`BlockSum` (the neighbour cells, and the ring flags of
-the link rows). Both run on a pack's :class:`Slots`, which also carry
+:func:`gated_update`, :func:`block_sum`, :func:`graph_sum`,
+:func:`segment_softmax`, :func:`binary_cross_entropy` and :func:`dropout`.
+Each records one tape node however many products, activations or gathers
+it computes; :func:`linear_sum` and :func:`gated_update` check, sum and
+differentiate their terms, each a tensor through a weight, with the same
+code. The two weighted sums run on a pack's :class:`Slots`: the per-graph
+:func:`graph_sum` (the attention read) and the per-graph block products of
+:func:`block_sum` (the neighbour cells, and the ring flags of the link
+rows). Each keeps its value, which is linear in the pack, for the nodes
+that consume it; no block array stays on the tape. The slots also carry
 each graph's controller row to its cells and sum their gradient back per
 graph. The model stores each gated update's weights stacked the way
 :func:`gated_update` takes them, so parameters enter the tape as they are.
@@ -153,7 +154,7 @@ _ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.n
 }
 
 
-# -- term inputs: sums that a term recomputes from their recipe --------------
+# -- per-graph sums: the pack layout and its two sum nodes ---------------------
 
 
 def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
@@ -174,7 +175,7 @@ class Slots:
     ``reduceat`` of the runs); :meth:`spread` copies each graph's row to
     its run.
 
-    Block products (:class:`BlockSum`) run on a padded layout. Sorted by
+    Block products (:func:`block_sum`) run on a padded layout. Sorted by
     size, a graph more than twice the smallest graph of the current group
     starts a new group; a group's width ``m`` is its largest graph, so no
     graph is padded past twice its size. Each group holds its graphs in
@@ -264,9 +265,10 @@ class Slots:
         return out[self.slot]
 
 
-class BlockSum:
-    """A term input: the relation-typed neighbour sums of a pack's rows as
-    per-graph block products (see :class:`Slots`).
+def block_sum(x: Tensor, weights: Tensor, slots: Slots, blocks: np.ndarray | None = None,
+              mask: np.ndarray | None = None) -> Tensor:
+    """The relation-typed neighbour sums of a pack's rows as per-graph
+    block products (see :class:`Slots`), as one tape node.
 
     Row ``i`` of the (N, R * k) value holds, in columns ``r*k:(r+1)*k``,
     the sum of ``mask[e] * weights[e] * x[src[e]]`` over the edges
@@ -274,79 +276,68 @@ class BlockSum:
     ``matmul`` per size group. ``mask`` is a constant per-edge factor,
     one for every edge when not given. ``blocks`` is ``slots.blocks``
     of the masked weights when ``weights`` is a constant whose blocks were
-    built once; otherwise each use scatters the masked weights into zeroed
-    blocks, so no block array outlives the product. Its backward is the
-    transposed product for ``x`` and, per edge, the mask times the
-    gradient at the destination's block dotted with the source row for
-    ``weights``, so a masked edge's weight gets no gradient.
+    built once; otherwise the masked weights are scattered into zeroed
+    blocks for each product, so no block array outlives its product. The
+    node keeps its value. Its backward is the transposed product for ``x``
+    and, per edge, the mask times the gradient at the destination's block
+    dotted with the source row for ``weights``, so a masked edge's weight
+    gets no gradient.
     """
+    if (x.ndim != 2 or x.shape[0] != slots.bounds[-1] or weights.shape != slots.src.shape
+            or (mask is not None and np.shape(mask) != slots.src.shape)):
+        raise _shape_error("block_sum", x.shape, weights.shape, (slots.bounds[-1],), np.shape(mask))
+    k = x.shape[1]
 
-    __slots__ = ("x", "weights", "slots", "given", "mask", "shape")
+    def product(rows: np.ndarray, transpose: bool = False) -> np.ndarray:
+        given = blocks if blocks is not None else slots.blocks(
+            weights.data if mask is None else mask * weights.data)
+        return slots.product(given, rows, k, transpose)
 
-    def __init__(self, x: Tensor, weights: Tensor, slots: Slots, blocks: np.ndarray | None = None,
-                 mask: np.ndarray | None = None):
-        if (x.ndim != 2 or x.shape[0] != slots.bounds[-1] or weights.shape != slots.src.shape
-                or (mask is not None and np.shape(mask) != slots.src.shape)):
-            raise _shape_error("BlockSum", x.shape, weights.shape, (slots.bounds[-1],), np.shape(mask))
-        self.x, self.weights, self.slots, self.given, self.mask = x, weights, slots, blocks, mask
-        self.shape = (x.shape[0], slots.n_relations * x.shape[1])
+    out = Tensor(product(x.data))
+    if not _tracked(x, weights):
+        return out
 
-    def _blocks(self) -> np.ndarray:
-        if self.given is not None:
-            return self.given
-        return self.slots.blocks(self.weights.data if self.mask is None else self.mask * self.weights.data)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.slots.product(self._blocks(), self.x.data, self.x.shape[1])
-
-    def _push(self, gx: np.ndarray) -> None:
-        x, weights, slots = self.x, self.weights, self.slots
+    def backward(g: np.ndarray) -> None:
         if _tracked(x):
-            _accumulate(x, slots.product(self._blocks(), gx, x.shape[1], transpose=True))
+            _accumulate(x, product(g, transpose=True))
         if _tracked(weights):
             # the gradient at the block each edge adds to, dotted with its source row
-            grad = np.einsum("ek,ek->e", gx.reshape(-1, x.shape[1])[slots.keys], x.data[slots.src])
-            _accumulate(weights, grad if self.mask is None else self.mask * grad)
+            grad = np.einsum("ek,ek->e", g.reshape(-1, k)[slots.keys], x.data[slots.src])
+            _accumulate(weights, grad if mask is None else mask * grad)
+
+    return _record(out, (x, weights), backward)
 
 
-class GraphSum:
-    """A term input: the weighted sum of every graph's rows of a pack,
+def graph_sum(x: Tensor, weights: Tensor, slots: Slots) -> Tensor:
+    """The weighted sum of every graph's rows of a pack as one tape node:
     ``sum_i weights[i] * x[i]`` over the rows graph ``b`` owns in row ``b``
     of the (B, k) value, one ``reduceat`` over the graphs' runs (see
     :class:`Slots`). The attention read is one. Its backward spreads each
     graph's gradient row to the rows it owns, with no scatter."""
+    if x.ndim != 2 or weights.shape != (x.shape[0],) or x.shape[0] != slots.bounds[-1]:
+        raise _shape_error("graph_sum", x.shape, weights.shape, (slots.bounds[-1],))
+    out = Tensor(slots.sums(weights.data[:, None] * x.data))
+    if not _tracked(x, weights):
+        return out
 
-    __slots__ = ("x", "weights", "slots", "shape")
-
-    def __init__(self, x: Tensor, weights: Tensor, slots: Slots):
-        if x.ndim != 2 or weights.shape != (x.shape[0],) or x.shape[0] != slots.bounds[-1]:
-            raise _shape_error("GraphSum", x.shape, weights.shape, (slots.bounds[-1],))
-        self.x, self.weights, self.slots = x, weights, slots
-        self.shape = (slots.n_graphs, x.shape[1])
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.slots.sums(self.weights.data[:, None] * self.x.data)
-
-    def _push(self, gx: np.ndarray) -> None:
-        x, weights = self.x, self.weights
-        at_row = self.slots.spread(gx)
+    def backward(g: np.ndarray) -> None:
+        at_row = slots.spread(g)
         if _tracked(x):
             _accumulate(x, weights.data[:, None] * at_row)
         if _tracked(weights):
             _accumulate(weights, np.einsum("ik,ik->i", at_row, x.data))
 
+    return _record(out, (x, weights), backward)
+
 
 # -- terms, the one path of both fused nodes ----------------------------------
 
 
-def _term_sum(parts: list[tuple], inputs: list[np.ndarray] | None = None) -> np.ndarray:
-    """The sum of the parts' products, over ``inputs`` or over inputs
-    recomputed from the parts."""
+def _term_sum(parts: list[tuple]) -> np.ndarray:
+    """The sum of the parts' products."""
     z = None
-    for k, (x, w, rows) in enumerate(parts):
-        a = (inputs[k] if inputs else x.data) @ w.data.T
+    for x, w, rows in parts:
+        a = x.data @ w.data.T
         if rows is not None:
             a = rows.spread(a) if isinstance(rows, Slots) else a[rows]
         z = a if z is None else np.add(z, a, out=z)
@@ -355,14 +346,13 @@ def _term_sum(parts: list[tuple], inputs: list[np.ndarray] | None = None) -> np.
 
 def _terms(op: str, terms: Sequence[tuple],
            shape: tuple[int, int] | None = None) -> tuple[np.ndarray, list[tuple], tuple[Tensor, ...]]:
-    """Check ``terms`` and sum them: ``(z, parts, parents)``. No term may
-    put ``rows`` on a sum, and all give the same (n, out) rows, ``shape``
-    when given. A part is what a node keeps of a term, ``(x, W, rows)``:
-    ``x`` a tensor or a sum's recipe, ``rows`` None, Slots or an index."""
+    """Check ``terms`` and sum them: ``(z, parts, parents)``. All terms
+    give the same (n, out) rows, ``shape`` when given. A part is what a
+    node keeps of a term, ``(x, W, rows)``: ``rows`` None, Slots or an
+    index."""
     if not terms:
         raise ValueError(f"{op} of no terms")
     parts: list[tuple] = []
-    inputs: list[np.ndarray] = []
     sizes = set() if shape is None else {shape}
     for term in terms:
         x, w = term[0], term[1]
@@ -371,32 +361,26 @@ def _terms(op: str, terms: Sequence[tuple],
             rows = np.asarray(rows, dtype=np.intp)
         xs, wd = x.shape, w.data
         fits = (len(xs) == 2 and wd.ndim == 2 and xs[1] == wd.shape[1]
-                and (rows is None or (isinstance(x, Tensor)
-                                      and (xs[0] == rows.n_graphs if isinstance(rows, Slots) else rows.ndim == 1))))
+                and (rows is None or (xs[0] == rows.n_graphs if isinstance(rows, Slots) else rows.ndim == 1)))
         n = xs[0] if rows is None else rows.bounds[-1] if isinstance(rows, Slots) else rows.size
         sizes.add((n, wd.shape[0]) if fits else None)
         if not fits or len(sizes) != 1:
             raise _shape_error(op, *(p.shape if k < 2 else np.shape(p) for t in terms for k, p in enumerate(t)),
                                *(() if shape is None else (shape,)))
         parts.append((x, w, rows))
-        inputs.append(x.data)
-    parents = tuple(t for x, w, _ in parts for t in ((x, w) if isinstance(x, Tensor) else (x.x, x.weights, w)))
-    return _term_sum(parts, inputs), parts, parents
+    return _term_sum(parts), parts, tuple(t for x, w, _ in parts for t in (x, w))
 
 
 def _terms_backward(parts: list[tuple], dz: np.ndarray) -> None:
     """Push ``dz``, the gradient of the terms' sum, into their tracked
-    tensors; a sum's value is computed again."""
+    tensors."""
     for x, w, rows in parts:
         gz = (dz if rows is None else rows.sums(dz) if isinstance(rows, Slots)
               else _sum_rows(dz, rows, x.data.shape[0]))
         if _tracked(w):
             _accumulate(w, gz.T @ x.data)
-        if isinstance(x, Tensor):
-            if _tracked(x):
-                _accumulate(x, gz @ w.data)
-        elif _tracked(x.x, x.weights):
-            x._push(gz @ w.data)
+        if _tracked(x):
+            _accumulate(x, gz @ w.data)
 
 
 # -- the fused nodes ----------------------------------------------------------
@@ -412,8 +396,8 @@ def linear_sum(
     ``activation(sum_k X_k @ W_k.T + bias)``, optionally ``@ project``.
 
     A term is ``(x, W)`` or ``(x, W, rows)``: ``X_k`` is the (n, in) tensor
-    ``x`` or the value of a sum ``x`` (:class:`GraphSum` or
-    :class:`BlockSum`), and ``W`` is (out, in). With ``rows`` the term
+    ``x``, a sum node's output among them (:func:`graph_sum`,
+    :func:`block_sum`), and ``W`` is (out, in). With ``rows`` the term
     contributes ``(x @ W.T)[rows]``: the product is taken once per row of
     ``x`` and then gathered, so that per-node rows reach per-edge outputs
     without gathered copies of ``x``. ``rows`` is an integer index, whose
@@ -421,10 +405,10 @@ def linear_sum(
     each graph's row to the rows it owns, its gradient a per-graph sum.
     Every term contributes the same number of rows. ``activation`` is None,
     "relu", "tanh" or "sigmoid", applied inside this one tape node, whose
-    backward works from the output: it keeps no pre-activation and no
-    sum's value. With
-    ``project``, an (out,) vector, the node returns one value per row and
-    recomputes the activated rows during backward instead of keeping them.
+    backward works from the output and the terms' tensors: it keeps no
+    pre-activation. With ``project``, an (out,) vector, the node returns
+    one value per row and recomputes the activated rows during backward
+    instead of keeping them.
     """
     z, parts, parents = _terms("linear_sum", terms)
     if project is not None and project.shape != (z.shape[1],):
@@ -470,7 +454,7 @@ def gated_update(
     giving n rows through a (2 * out, in) weight ``W``: the proposal's rows
     over the gate's, so one product serves both. ``bias`` is one (2 * out,)
     row for every output row or an (n, 2 * out) row each. The node keeps
-    ``p`` and ``g`` but no sum's value, as :func:`linear_sum`.
+    ``p`` and ``g`` and, as :func:`linear_sum`, no pre-activation.
     """
     if old.ndim != 2:
         raise _shape_error("gated_update", old.shape)

@@ -32,8 +32,10 @@ MODES = ("single", "multi")
 
 # Memory cells per pack. Larger packs record fewer tape nodes per example,
 # but a pack's tape grows with its cells, and peak memory binds first. A
-# hop's tape keeps about 3 * memory_size floats per cell: the memory
-# update's output, proposal and gate (see numerics.gated_update).
+# memory hop's tape keeps about (3 + R) * memory_size floats per cell for R
+# relations: the memory update's output, proposal and gate (see
+# numerics.gated_update) and the neighbour sums (numerics.block_sum), plus
+# R * link_feat_dim for the ring-flag sums in learned mode.
 PACK_CELLS = 256
 
 

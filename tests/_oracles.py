@@ -699,61 +699,48 @@ def concatenated_pack(graphs):
 # -- the keyed formulation the per-graph sums replaced ----------------------------
 
 
-class EdgeSum:
-    """A term input of :func:`linear_sum` and :func:`gated_update`: a
-    weighted gather-sum over an edge list whose edges carry keys, with one
-    column block per key group.
+def edge_sum(x, weights, src, keys, n_out: int, groups: int):
+    """A weighted gather-sum over an edge list whose edges carry keys, with
+    one column block per key group, as one tape node.
 
     The sum of ``weights[e] * x[src[e]]`` over the edges with ``keys[e] ==
     d * groups + r`` fills columns ``r*k:(r+1)*k`` of row ``d`` of the
     (n_out, groups * k) value, so one keyed ``bincount`` sums every group;
     a row and group without edges stays zero. The keyed oracles below sum
     the neighbour cells, the link rows and the attention read so
-    (:func:`keyed_link_sum`).
-
-    Like every sum of graphmem.numerics it is only its recipe: ``data``
-    computes the value, and the node that consumes it computes it again
-    during backward instead of keeping it.
+    (:func:`keyed_link_sum`). Its backward scatters the gradient at each
+    edge's key back to its source row for ``x``, and dots it with the
+    source row for ``weights``.
     """
+    from graphmem import numerics as nm
 
-    __slots__ = ("x", "weights", "src", "keys", "shape")
+    s = np.asarray(src, dtype=np.intp)
+    d = np.asarray(keys, dtype=np.intp)
+    if x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape:
+        raise nm._shape_error("edge_sum", x.shape, weights.shape, s.shape, d.shape)
+    k = x.data.shape[1]
+    out = nm.Tensor(nm._sum_rows(weights.data[:, None] * x.data[s], d, n_out * groups).reshape(n_out, groups * k))
+    if not nm._tracked(x, weights):
+        return out
 
-    def __init__(self, x, weights, src, keys, n_out: int, groups: int):
-        from graphmem import numerics as nm
-
-        s = np.asarray(src, dtype=np.intp)
-        d = np.asarray(keys, dtype=np.intp)
-        if x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape:
-            raise nm._shape_error("EdgeSum", x.shape, weights.shape, s.shape, d.shape)
-        self.x, self.weights, self.src, self.keys = x, weights, s, d
-        self.shape = (n_out, groups * x.data.shape[1])
-
-    @property
-    def data(self) -> np.ndarray:
-        from graphmem import numerics as nm
-
-        n_keys = self.shape[0] * self.shape[1] // self.x.data.shape[1]
-        return nm._sum_rows(self.weights.data[:, None] * self.x.data[self.src], self.keys, n_keys).reshape(self.shape)
-
-    def _push(self, gx: np.ndarray) -> None:
-        from graphmem import numerics as nm
-
-        x, weights = self.x, self.weights
-        at_key = gx.reshape(-1, x.data.shape[1])[self.keys]
+    def backward(g):
+        at_key = g.reshape(-1, k)[d]
         if nm._tracked(x):
-            nm._accumulate(x, nm._sum_rows(weights.data[:, None] * at_key, self.src, x.data.shape[0]))
+            nm._accumulate(x, nm._sum_rows(weights.data[:, None] * at_key, s, x.data.shape[0]))
         if nm._tracked(weights):
-            nm._accumulate(weights, np.einsum("ek,ek->e", at_key, x.data[self.src]))
+            nm._accumulate(weights, np.einsum("ek,ek->e", at_key, x.data[s]))
+
+    return nm._record(out, (x, weights), backward)
 
 
-def keyed_link_sum(prepared, weights, k_b: int) -> EdgeSum:
+def keyed_link_sum(prepared, weights, k_b: int):
     """The edges' link rows (:func:`pack_links_oracle`) weighted by
     ``weights`` and summed per key, relation ``r`` in columns
     ``r*k_b:(r+1)*k_b`` of (N, R * k_b) rows."""
     from graphmem import numerics as nm
 
     keys = prepared.keys
-    return EdgeSum(nm.constant(pack_links_oracle(prepared, k_b)), weights, np.arange(keys.size), keys,
+    return edge_sum(nm.constant(pack_links_oracle(prepared, k_b)), weights, np.arange(keys.size), keys,
                    prepared.n_nodes, prepared.n_relations)
 
 
@@ -774,7 +761,7 @@ def keyed_memory_bias(params, prepared):
 def keyed_attentive_read(state, params, prepared):
     """The attentive read as packs ran it on keyed sums: each graph's
     controller row gathered to its cells by segment id (its gradient a
-    keyed scatter), and the read an ``EdgeSum`` from every cell to its
+    keyed scatter), and the read an :func:`edge_sum` from every cell to its
     graph's row. Returns (read, weights, scores) as ``attentive_read``."""
     from graphmem import numerics as nm
 
@@ -784,12 +771,12 @@ def keyed_attentive_read(state, params, prepared):
         bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
     )
     weights = nm.segment_softmax(scores, segments, n_graphs)
-    return EdgeSum(state.memory, weights, np.arange(prepared.n_nodes), segments, n_graphs, 1), weights, scores
+    return edge_sum(state.memory, weights, np.arange(prepared.n_nodes), segments, n_graphs, 1), weights, scores
 
 
 def keyed_memory_step(state, controller, params, prepared, bias=None):
     """The memory update as packs ran it on keyed sums: the neighbour cells
-    and the link rows each one ``EdgeSum`` keyed by (destination,
+    and the link rows each one :func:`edge_sum` keyed by (destination,
     relation), each graph's controller row gathered to its cells by segment
     id. ``bias`` is :func:`keyed_memory_bias`, computed here when not
     given."""
@@ -797,7 +784,7 @@ def keyed_memory_step(state, controller, params, prepared, bias=None):
     from graphmem.model import _neighbor_weights
 
     weights = _neighbor_weights(prepared, state.memory, params)
-    cells = EdgeSum(state.memory, weights, prepared.src, prepared.keys, prepared.n_nodes, prepared.n_relations)
+    cells = edge_sum(state.memory, weights, prepared.src, prepared.keys, prepared.n_nodes, prepared.n_relations)
     terms = [(state.memory, params["mem.gated.self"]), (controller, params["mem.gated.ctrl"], prepared.segments),
              (cells, params["mem.gated.nbr"])]
     if params.config.neighbor_mode == "learned":

@@ -1,5 +1,6 @@
 """End-to-end command behavior, exit codes, and manifest reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -648,6 +649,25 @@ class TestLabelFile:
             assert not (out / "manifest.json").exists()
 
 
+    @pytest.mark.parametrize("labels,message", [
+        ("", "label file is empty"),
+        ("id,name,label\n0,assay,1\n", "header must be 'id,task,label'"),
+        ("id,task,label\n0,assay,2\n", "row 2: label must be 0 or 1"),
+        ("id,task,label\n0,assay\n", "row 2 has 2 fields, expected 3"),
+    ])
+    def test_label_file_error_names_the_task_and_the_file(self, tmp_path, capsys, labels, message):
+        self.disk_task(tmp_path, [])
+        labels_path = tmp_path / "assay" / "labels.csv"
+        labels_path.write_text(labels, encoding="utf-8")
+        save_assay_checkpoint(tmp_path / "checkpoint.bin")
+        for argv in [("train", "--set", "tasks=assay", "--set", "max_epochs=1", "--quiet"),
+                     ("eval", "--checkpoint", tmp_path / "checkpoint.bin")]:
+            capsys.readouterr()
+            assert run(*argv, "--set", f"data_dir={tmp_path}", "--out-dir", tmp_path / "out") == 3, argv[0]
+            err = capsys.readouterr().err
+            assert f"task 'assay': {labels_path}: " in err and message in err, (argv[0], err)
+
+
 class TestUnreadableText:
     """A data file or config file that is not UTF-8 text ends in its exit
     code with a message naming the file."""
@@ -680,6 +700,56 @@ class TestUnreadableText:
         capsys.readouterr()
         assert run(*argv, "--out-dir", workspace / "out") == code
         assert str(target) in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a text file the CLI reads is
+    dropped: each file gives the same outputs with and without it, and the
+    manifest's checksums stay those of the bytes on disk."""
+
+    # per kind: the file that gets the mark, the task train reads (None for
+    # the fingerprint command) and the manifest entry holding its checksum
+    KINDS = {
+        "molecules.sdf": ("disk/molecules.sdf", "disk", ("disk", "molecules.sdf")),
+        "labels.csv": ("disk/labels.csv", "disk", ("disk", "labels.csv")),
+        "synth spec": ("tri.synth", "tri", ("tri", "tri.synth")),
+        "config": ("cfg", "tri", None),
+        "fingerprint input": ("disk/molecules.sdf", None, ("input", "molecules.sdf")),
+    }
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_marked_file_gives_the_same_outputs(self, workspace, kind):
+        name, task, checksum = self.KINDS[kind]
+        disk = workspace / "disk"
+        disk.mkdir()
+        # labelled by title, so that a mark left in the first title finds no record
+        (disk / "molecules.sdf").write_text(
+            "".join(molblock(["C", "O", "N"], [(1, 2, 1), (2, 3, 1 + k % 2)], title=f"m{k}") + "$$$$\n"
+                    for k in range(40)), encoding="utf-8")
+        (disk / "labels.csv").write_text("id,task,label\n" + "".join(f"m{k},disk,{k % 2}\n" for k in range(40)),
+                                         encoding="utf-8")
+        target = workspace / name
+        if task is None:
+            argv, outputs = ["fingerprint", "--input", target], ["fingerprints.csv"]
+        else:
+            argv = ["train", "--config", workspace / "cfg", "--set", f"tasks={task}", "--set", "max_epochs=1",
+                    "--quiet"]
+            outputs = ["metrics.json", "checkpoint.bin"]
+        manifests = []
+        for out in (workspace / "plain", workspace / "marked"):
+            if out.name == "marked":
+                target.write_bytes(b"\xef\xbb\xbf" + target.read_bytes())
+            assert run(*argv, "--out-dir", out) == 0, kind
+            manifests.append(json.loads((out / "manifest.json").read_text(encoding="utf-8")))
+        for output in outputs:
+            assert (workspace / "plain" / output).read_bytes() == (workspace / "marked" / output).read_bytes(), output
+        assert manifests[0]["config"] == manifests[1]["config"]
+        if checksum is not None:
+            group, entry = checksum
+            assert manifests[1]["datasets"][group][entry] == hashlib.sha256(target.read_bytes()).hexdigest()
+            assert manifests[1]["datasets"][group][entry] != manifests[0]["datasets"][group][entry]
+        if task is None:
+            assert (workspace / "marked" / "fingerprints.csv").read_text(encoding="utf-8").splitlines()[1][:3] == "m0,"
 
 
 class TestAtomlessRecord:

@@ -3,6 +3,7 @@ whole-forward invariants (equivariance, locality, reduction to mean passing)."""
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -31,14 +32,14 @@ from graphmem.molgraph import (
     node_feature_dim,
     random_graph,
 )
-from graphmem.numerics import (BlockSum, DimensionError, GraphSum, Tensor, finite_difference_gradient, linear_sum,
-                               max_relative_error)
+from graphmem.numerics import (DimensionError, Slots, Tensor, block_sum, finite_difference_gradient, graph_sum,
+                               linear_sum, max_relative_error)
 
 from _oracles import (
-    EdgeSum,
     bfs_distances,
     block_layout_oracle,
     concatenated_pack,
+    edge_sum,
     gather_sum,
     keyed_attentive_read,
     keyed_forward,
@@ -209,7 +210,7 @@ class TestAttentiveRead:
         np.testing.assert_allclose(scores.data, raw, atol=1e-14)
 
     def test_read_equals_the_gather_sum_reference(self):
-        # the read, a GraphSum over each graph's run of cells, against the
+        # the read, a graph_sum over each graph's run of cells, against the
         # edge-by-edge weighted sum from every cell to its graph, to 1e-12
         # (reduceat adds in its own order): on the mixed pack of
         # TestMemoryStep and on a single atom
@@ -223,7 +224,7 @@ class TestAttentiveRead:
             cells = rng.normal(size=(prepared.n_nodes, 4))
             state = HopState(t=0, controller=Tensor(rng.normal(size=(prepared.n_graphs, 3))), memory=Tensor(cells))
             read, weights, _ = attentive_read(state, params, prepared)
-            assert isinstance(read, GraphSum) and read.data.shape == (prepared.n_graphs, 4)
+            assert isinstance(read, Tensor) and read.data.shape == (prepared.n_graphs, 4)
             expected = gather_sum(cells, weights.data, np.arange(prepared.n_nodes), prepared.segments,
                                   prepared.n_graphs)
             np.testing.assert_allclose(read.data, expected, rtol=0, atol=1e-12)
@@ -282,9 +283,9 @@ class TestControllerStep:
         np.testing.assert_allclose(out.data, [expected], atol=1e-15)
 
     def test_edge_sum_read_matches_a_tensor_read(self):
-        # the same update whether the read is the attention's EdgeSum or a
+        # the same update whether the read is the attention's edge_sum or a
         # tracked tensor holding its values: the same output and parameter
-        # gradients, and the EdgeSum passes the tensor's gradient on to the
+        # gradients, and the edge_sum passes the tensor's gradient on to the
         # cells and the attention weights by the chain rule
         cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3)
@@ -300,7 +301,7 @@ class TestControllerStep:
             params = make_params(cfg, seed=48, ctrl__bias=bias[:3], ctrl_gate__bias=bias[3:])
             memory, weights = Tensor(cells, True), Tensor(attention, True)
             state = HopState(t=0, controller=Tensor(controllers, True), memory=memory)
-            read = EdgeSum(memory, weights, np.arange(prepared.n_nodes), prepared.segments, prepared.n_graphs, 1)
+            read = edge_sum(memory, weights, np.arange(prepared.n_nodes), prepared.segments, prepared.n_graphs, 1)
             if as_tensor:
                 read = Tensor(read.data, True)
             out = controller_step(state, read, params)
@@ -351,7 +352,7 @@ class TestMemoryStep:
             np.testing.assert_array_equal(memory.data, [[0.5, 0.0, 0.0]], err_msg=mode)
             # no edge, so a zero neighbour sum and zero mean link rows
             assert prepared.src.size == 0
-            context = BlockSum(state.memory, prepared.uniform, prepared.slots, prepared.blocks)
+            context = block_sum(state.memory, prepared.uniform, prepared.slots, prepared.blocks)
             np.testing.assert_array_equal(context.data, np.zeros((1, 3)), err_msg=mode)
             ring = _ring_sum(prepared, prepared.uniform, cfg.link_feat_dim)
             for mean_links in (prepared.indicator.data, ring.data):
@@ -394,7 +395,7 @@ class TestMemoryStep:
         # block per relation, as the memory update's block products and the
         # relation indicator
         weights = _neighbor_weights(prepared, state.memory, params)
-        cells = BlockSum(state.memory, weights, prepared.slots).data
+        cells = block_sum(state.memory, weights, prepared.slots).data
         links = prepared.indicator.data + _ring_sum(prepared, weights, cfg.link_feat_dim).data
         for r in range(2):
             np.testing.assert_allclose(cells[:, 5 * r:5 * (r + 1)], expected_contexts[r][:, :5], rtol=0, atol=1e-12)
@@ -678,16 +679,89 @@ class TestPerGraphSums:
         cells, w = Tensor(np.ones((prepared.n_nodes, 4))), Tensor(np.ones((2, 4)))
         with pytest.raises(DimensionError):  # the slots give one row per graph, not one per cell
             linear_sum([(cells, w, prepared.slots)])
-        read = GraphSum(cells, Tensor(np.ones(prepared.n_nodes)), prepared.slots)
+        read = graph_sum(cells, Tensor(np.ones(prepared.n_nodes)), prepared.slots)
         assert linear_sum([(read, w)]).shape == (3, 2)
-        with pytest.raises(DimensionError):  # no rows on a sum
-            linear_sum([(read, w, [0, 1, 2])])
         with pytest.raises(DimensionError):  # one weight per cell
-            GraphSum(cells, Tensor(np.ones(2)), prepared.slots)
+            graph_sum(cells, Tensor(np.ones(2)), prepared.slots)
         with pytest.raises(DimensionError):  # one weight per edge
-            BlockSum(cells, Tensor(np.ones(prepared.src.size + 1)), prepared.slots)
+            block_sum(cells, Tensor(np.ones(prepared.src.size + 1)), prepared.slots)
         with pytest.raises(DimensionError):  # one mask entry per edge
-            BlockSum(cells, Tensor(np.ones(prepared.src.size)), prepared.slots, mask=np.ones(prepared.src.size + 1))
+            block_sum(cells, Tensor(np.ones(prepared.src.size)), prepared.slots, mask=np.ones(prepared.src.size + 1))
+
+    @staticmethod
+    def training_step(params, prepared, hops):
+        """A pack's training forward (dropout on) and the probability it
+        ends in, to run backward from."""
+        generators = [np.random.default_rng(80 + k) for k in range(prepared.n_graphs)]
+        queries = np.eye(2)[np.arange(prepared.n_graphs) % 2]
+        return forward(prepared, queries, params, hops, dropout_rate=0.1, rng=generators, training=True).probability
+
+    @pytest.mark.parametrize("hops", [2, 10])
+    @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
+    def test_block_products_per_training_step(self, mode, hops, monkeypatch):
+        # every sum runs once in forward and keeps its value. Uniform mode
+        # multiplies once per memory hop and once for the memory bias's ring
+        # flags (scattered once per step), and backward once per memory hop
+        # (the transposed product); learned mode scatters and multiplies the
+        # neighbour cells and the ring flags on every memory hop, and
+        # backward scatters the cells' weights again for their transposed
+        # product. The pack, with its uniform blocks, is built before
+        # counting starts.
+        params = self.random_params(self.config(mode), 67)
+        prepared = pack(self.two_group_graphs(), params.config)
+        calls = {"product": 0, "blocks": 0}
+        for name in calls:
+            def counting(slots, *args, real=getattr(Slots, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(slots, *args, **kwargs)
+            monkeypatch.setattr(Slots, name, counting)
+        probability = self.training_step(params, prepared, hops)
+        forward_calls = dict(calls)
+        probability.backward()
+        backward_calls = {name: calls[name] - forward_calls[name] for name in calls}
+        memory_hops = hops - 1
+        if mode == "uniform":
+            assert forward_calls == {"product": hops, "blocks": 1}
+            assert backward_calls == {"product": memory_hops, "blocks": 0}
+        else:
+            assert forward_calls == {"product": 2 * memory_hops, "blocks": 2 * memory_hops}
+            assert backward_calls == {"product": memory_hops, "blocks": memory_hops}
+
+    def test_no_block_array_outlives_the_call_that_made_it(self, monkeypatch):
+        # learned mode scatters fresh block arrays for every product, in
+        # forward and in backward; each must be dead once the block_sum
+        # call or the backward step that made it returns, so none is alive
+        # when the next is made, after a block_sum returns, or after
+        # forward and backward
+        import graphmem.numerics as numerics_module
+
+        params = self.random_params(self.config("learned"), 68)
+        prepared = pack(self.two_group_graphs(), params.config)
+        assert len(prepared.slots.groups) >= 2
+        made = []
+
+        def all_dead() -> bool:
+            return all(ref() is None for ref in made)
+
+        def tracked_blocks(slots, weights, real=Slots.blocks):
+            assert all_dead(), "a block array outlived the call that made it"
+            blocks = real(slots, weights)
+            made.append(weakref.ref(blocks))
+            return blocks
+
+        def checked_block_sum(*args, real=numerics_module.block_sum, **kwargs):
+            out = real(*args, **kwargs)
+            assert all_dead(), "block_sum returned with its block array alive"
+            return out
+
+        monkeypatch.setattr(Slots, "blocks", tracked_blocks)
+        monkeypatch.setattr(numerics_module, "block_sum", checked_block_sum)
+        probability = self.training_step(params, prepared, 4)
+        n_forward = len(made)
+        assert n_forward == 6 and all_dead()
+        probability.backward()
+        assert len(made) == n_forward + 3 and all_dead()
+        assert params["nbr.score"].grad.any()
 
     def test_one_large_graph_among_single_atoms_forms_two_groups(self):
         rng = np.random.default_rng(65)

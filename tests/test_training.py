@@ -348,8 +348,7 @@ class TestTrainingLoop:
         assert all(t.grad is None for t in params.tensors.values())
         for result in results:
             tensors = [result.probability] + [t for s in result.states
-                                              for t in (s.controller, s.memory, s.attention)
-                                              + ((s.read.x, s.read.weights) if s.read is not None else ())
+                                              for t in (s.controller, s.memory, s.read, s.attention)
                                               if t is not None]
             assert all(t._parents == () and t._backward is None for t in tensors)
 

@@ -29,7 +29,7 @@ from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, check_options, circular_fingerprints, fingerprint_csv
 from .gradcheck import run_gradient_check
-from .model import ModelConfig, ModelParams
+from .model import MAX_HOPS, ModelConfig, ModelParams
 from .molgraph import (
     DEFAULT_VOCAB,
     SYNTHETIC_ALPHABET,
@@ -366,8 +366,8 @@ def _check_run_meta(meta: dict, model_config: ModelConfig) -> None:
     if mode not in MODES:
         raise CheckpointError(f"checkpoint metadata: mode must be one of {MODES}, got {mode!r}")
     hops, seed = meta.get("hops"), meta.get("seed")
-    if type(hops) is not int or hops < 1:  # type(), not isinstance: True is no hop count
-        raise CheckpointError(f"checkpoint metadata: hops must be an integer >= 1, got {hops!r}")
+    if type(hops) is not int or not 1 <= hops <= MAX_HOPS:  # type(), not isinstance: True is no hop count
+        raise CheckpointError(f"checkpoint metadata: hops must be an integer >= 1 and <= {MAX_HOPS}, got {hops!r}")
     if type(seed) is not int or seed < 0:
         raise CheckpointError(f"checkpoint metadata: seed must be an integer >= 0, got {seed!r}")
     query_dim = 1 if mode == "single" else len(tasks)
@@ -494,7 +494,7 @@ def cmd_dump_attention(args: argparse.Namespace) -> int:
         for part, packed, result in inference_packs(params, prepared, meta["hops"]):
             trace = result.attention_trace()
             lines = []
-            for ex, lo, hi, probability in zip(prepared[part], packed.bounds[:-1], packed.bounds[1:],
+            for ex, lo, hi, probability in zip(prepared[part], packed.slots.bounds[:-1], packed.slots.bounds[1:],
                                                result.probability.data[:, 0].tolist()):
                 record = {
                     "id": ex.example_id,

@@ -41,6 +41,11 @@ NEIGHBOR_MODES = ("uniform", "learned")
 # about 0.6 GiB at this bound with R = 4, and about 10 GB at 4096, where
 # the allocation would fail with a traceback instead of a refused setting.
 MAX_WIDTH = 1024
+# The most hops. A memory hop's tape keeps about (3 + R) * memory_size floats
+# per cell (training.PACK_CELLS): about 0.46 MB a hop for 256 cells at R = 4
+# and width 32, 46 MB at this bound, and 92 GB at 200000 hops, where the
+# tape would fail with a traceback instead of a refused setting.
+MAX_HOPS = 100
 
 
 def check_width(name: str, value: int) -> None:
@@ -145,10 +150,6 @@ class ModelParams:
         }
 
     @classmethod
-    def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        return cls(config, {name: nm.parameter(array) for name, array in arrays.items()})
-
-    @classmethod
     def initialize(cls, config: ModelConfig, seed: int) -> "ModelParams":
         """Seeded init: uniform +-sqrt(6/(fan_in+fan_out)) matrices, zero
         biases, zero attention score vectors.
@@ -214,16 +215,18 @@ class PreparedGraph:
     """A pack: the disjoint union of one or more graphs, with the constants
     every hop reuses, built by :func:`pack`.
 
-    The node rows of all graphs are stacked in order: graph ``b`` owns rows
-    ``bounds[b]:bounds[b+1]`` of ``features`` and of the memory, and
-    ``segments`` holds each row's graph. A single graph is a pack of one.
+    The node rows of all graphs are stacked in order into ``features`` and
+    the memory. A single graph is a pack of one. ``slots`` is the pack's
+    one layout (:class:`~graphmem.numerics.Slots`): graph ``b`` owns rows
+    ``slots.bounds[b]:slots.bounds[b+1]``, and ``slots.segments`` holds
+    each row's graph.
 
     The edges of every relation form one directed edge list in these row
     numbers, each bond in both directions, so no edge joins two graphs:
-    edge ``e`` runs from ``src[e]`` to ``dst[e]`` under the 0-based
-    relation ``r``, and ``ring[e]`` is 1 when its bond lies in a ring and
-    0 otherwise; its key ``keys[e] = dst[e] * R + r`` names its
-    (destination, relation) pair. The edges are sorted by destination,
+    edge ``e`` runs from ``slots.src[e]`` to ``slots.dst[e]`` under the
+    0-based relation ``r``, and ``ring[e]`` is 1 when its bond lies in a
+    ring and 0 otherwise; its key ``slots.keys[e] = dst[e] * R + r`` names
+    its (destination, relation) pair. The edges are sorted by destination,
     then relation, then source. ``uniform`` holds the weights 1/deg_r(dst)
     that average each node's neighbours under one relation.
 
@@ -235,27 +238,18 @@ class PreparedGraph:
     neighbour), plus the weighted sum of the ring flags in the last column
     of the relation's block (:func:`_ring_sum`).
 
-    ``slots`` is the per-graph layout of :class:`~graphmem.numerics.Slots`:
-    the graphs' row runs for the per-graph sums (the attention read and the
-    controller rows' gradients), and padded slots in size groups for the
-    neighbour cells' block products. In uniform mode ``blocks`` holds the
-    uniform weights in those blocks, built once; in learned mode it is
-    None, and every product (forward, and the transposed one of backward)
-    scatters its hop's learned weights into fresh blocks.
+    The slots also give the graphs' row runs for the per-graph sums (the
+    attention read and the controller rows' gradients), and padded slots in
+    size groups, with one kept block array, for the block products. Both
+    neighbour modes run every product the same way: it writes its edge
+    weights into that array and multiplies.
     """
 
     features: Tensor
-    bounds: np.ndarray
-    segments: np.ndarray
-    n_relations: int
-    src: np.ndarray
-    dst: np.ndarray
-    keys: np.ndarray
     ring: np.ndarray
     indicator: Tensor
     uniform: Tensor
     slots: nm.Slots
-    blocks: np.ndarray | None
 
     @property
     def n_nodes(self) -> int:
@@ -263,7 +257,7 @@ class PreparedGraph:
 
     @property
     def n_graphs(self) -> int:
-        return self.bounds.size - 1
+        return self.slots.n_graphs
 
 
 def check_graph(graph: MolecularGraph, config: ModelConfig) -> None:
@@ -307,9 +301,9 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     searched when its first pack reads them and kept on the graph.
 
     The slot map (:class:`~graphmem.numerics.Slots`) is built here once per
-    pack, and in uniform mode so are its blocks of uniform weights, about
-    ``8 R sum_g B_g m_g**2`` bytes for size groups of ``B_g`` graphs of
-    width ``m_g``.
+    pack; its block array, about ``8 R sum_g B_g m_g**2`` bytes for size
+    groups of ``B_g`` graphs of width ``m_g``, is made by the pack's first
+    block product and kept for the rest.
     """
     if not graphs:
         raise ValueError("pack of no graphs")
@@ -331,14 +325,12 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     src, dst, relation, keys = src[order], dst[order], relation[order], keys[order]
     indicator = np.zeros((n, n_relations, config.link_feat_dim))
     indicator[dst, relation, relation] = 1.0  # a key's summed link rows hold its relation's one-hot
-    uniform = nm.constant(1.0 / np.bincount(keys, minlength=n * n_relations)[keys])
-    slots = nm.Slots(bounds, src, keys, n_relations)
     return PreparedGraph(
-        features=nm.constant(np.concatenate([graph.node_features for graph in graphs])), bounds=bounds,
-        segments=np.repeat(np.arange(len(graphs)), np.diff(bounds)), n_relations=n_relations,
-        src=src, dst=dst, keys=keys, ring=np.concatenate([ring, ring])[order].astype(np.float64),
-        indicator=nm.constant(indicator.reshape(n, n_relations * config.link_feat_dim)), uniform=uniform,
-        slots=slots, blocks=slots.blocks(uniform.data) if config.neighbor_mode == "uniform" else None,
+        features=nm.constant(np.concatenate([graph.node_features for graph in graphs])),
+        ring=np.concatenate([ring, ring])[order].astype(np.float64),
+        indicator=nm.constant(indicator.reshape(n, n_relations * config.link_feat_dim)),
+        uniform=nm.constant(1.0 / np.bincount(keys, minlength=n * n_relations)[keys]),
+        slots=nm.Slots(bounds, src, keys, n_relations),
     )
 
 
@@ -397,7 +389,7 @@ def init_state(
         memory = nm.linear_sum([(prepared.features, params["embed.weight"])],
                                bias=params["embed.bias"], activation="relu")
     controller = _dropout(controller, np.arange(n_graphs + 1), dropout_rate, rng, training)
-    memory = _dropout(memory, prepared.bounds, dropout_rate, rng, training)
+    memory = _dropout(memory, prepared.slots.bounds, dropout_rate, rng, training)
     return HopState(t=0, controller=controller, memory=memory)
 
 
@@ -419,7 +411,7 @@ def attentive_read(state: HopState, params: ModelParams,
         [(state.memory, params["attn.cell"]), (state.controller, params["attn.ctrl"], slots)],
         bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
     )
-    weights = nm.segment_softmax(scores, prepared.segments, prepared.n_graphs)
+    weights = nm.segment_softmax(scores, slots.segments, slots.n_graphs)
     return nm.graph_sum(state.memory, weights, slots), weights, scores
 
 
@@ -440,13 +432,14 @@ def _neighbor_weights(prepared: PreparedGraph, memory: Tensor, params: ModelPara
     the node's in-edges under the relation, of edge scores from a small
     attention head on [neighbour cell, own cell].
     """
-    if params.config.neighbor_mode == "uniform" or not prepared.src.size:
+    slots = prepared.slots
+    if params.config.neighbor_mode == "uniform" or not slots.src.size:
         return prepared.uniform
     scores = nm.linear_sum(
-        [(memory, params["nbr.cell"], prepared.src), (memory, params["nbr.self"], prepared.dst)],
+        [(memory, params["nbr.cell"], slots.src), (memory, params["nbr.self"], slots.dst)],
         bias=params["nbr.bias"], activation="tanh", project=params["nbr.score"],
     )
-    return nm.segment_softmax(scores, prepared.keys, prepared.n_nodes * prepared.n_relations)
+    return nm.segment_softmax(scores, slots.keys, prepared.n_nodes * slots.n_relations)
 
 
 def _ring_sum(prepared: PreparedGraph, weights: Tensor, k_b: int) -> Tensor:
@@ -485,22 +478,20 @@ def memory_step(
 
     The neighbour cells of every relation are summed first into (N, R * k_m)
     rows, as per-graph block products (a :func:`~graphmem.numerics.block_sum`
-    node over ``prepared.slots``: the pack's uniform blocks, or blocks of
-    the learned weights scattered on this hop), and then projected once by
-    all relations' weights side by side. The summed link features are
-    projected the same way: their relation one-hots in ``bias``, and their
-    ring flags (:func:`_ring_sum`, a second block product) here in learned
-    mode and in ``bias`` in uniform mode. Each sum keeps its (N, R k) rows
-    on the tape; learned-mode block arrays live only for their product.
-    ``bias`` is :func:`_memory_bias` of ``params`` and ``prepared``,
-    computed here when not given.
+    node over ``prepared.slots``, which writes this hop's edge weights,
+    uniform or learned, into the pack's one block array), and then
+    projected once by all relations' weights side by side. The summed link
+    features are projected the same way: their relation one-hots in
+    ``bias``, and their ring flags (:func:`_ring_sum`, a second block
+    product) here in learned mode and in ``bias`` in uniform mode. Each sum
+    keeps its (N, R k) rows on the tape. ``bias`` is :func:`_memory_bias`
+    of ``params`` and ``prepared``, computed here when not given.
     """
     weights = _neighbor_weights(prepared, state.memory, params)
-    blocks = prepared.blocks if weights is prepared.uniform else None
     terms: list[tuple] = [
         (state.memory, params["mem.gated.self"]),
         (controller, params["mem.gated.ctrl"], prepared.slots),
-        (nm.block_sum(state.memory, weights, prepared.slots, blocks), params["mem.gated.nbr"]),
+        (nm.block_sum(state.memory, weights, prepared.slots), params["mem.gated.nbr"]),
     ]
     if params.config.neighbor_mode == "learned":
         terms.append((_ring_sum(prepared, weights, params.config.link_feat_dim), params["mem.gated.link"]))

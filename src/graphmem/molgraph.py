@@ -31,6 +31,7 @@ DEFAULT_VOCAB: tuple[str, ...] = ("C", "N", "O", "S", "F", "Cl", "Br", "I", "P",
 SYNTHETIC_ALPHABET: tuple[str, ...] = ("A", "B", "D", "E")
 
 N_BOND_TYPES = 4  # MOL V2000 codes: 1 single, 2 double, 3 triple, 4 aromatic
+V2000_MAX_COUNT = 999  # atoms or bonds in one record: the counts line gives each 3 characters
 DEGREE_SLOTS = 5  # one-hot slots 0..4, larger values clamp into the last slot
 HCOUNT_SLOTS = 5
 
@@ -347,7 +348,12 @@ def parse_sdf(text: str) -> list[MolecularGraph]:
 
 
 def write_molfile(graph: MolecularGraph, title: str = "") -> str:
-    """Render a graph back to a V2000 connection table (zeroed coordinates)."""
+    """Render a graph back to a V2000 connection table (zeroed coordinates);
+    a DatasetError for more atoms or bonds than its counts line holds."""
+    for what, count in (("atoms", graph.n_nodes), ("bonds", len(graph.bonds))):
+        if count > V2000_MAX_COUNT:
+            raise DatasetError(f"molecule {title!r} has {count} {what}, but a V2000 record holds at most "
+                               f"{V2000_MAX_COUNT}")
     lines = [title, "  graphmem", ""]
     lines.append(f"{graph.n_nodes:3d}{len(graph.bonds):3d}  0  0  0  0  0  0  0  0999 V2000")
     for symbol in graph.symbols:

@@ -16,10 +16,11 @@ code. The two weighted sums run on a pack's :class:`Slots`: the per-graph
 :func:`graph_sum` (the attention read) and the per-graph block products of
 :func:`block_sum` (the neighbour cells, and the ring flags of the link
 rows). Each keeps its value, which is linear in the pack, for the nodes
-that consume it; no block array stays on the tape. The slots also carry
-each graph's controller row to its cells and sum their gradient back per
-graph. The model stores each gated update's weights stacked the way
-:func:`gated_update` takes them, so parameters enter the tape as they are.
+that consume it; the pack's one block array is the slots', not the tape's.
+The slots also carry each graph's controller row to its cells and sum
+their gradient back per graph. The model stores each gated update's
+weights stacked the way :func:`gated_update` takes them, so parameters
+enter the tape as they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
@@ -167,15 +168,15 @@ def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
 
 class Slots:
     """The per-graph layout of a pack: graph ``b`` owns the contiguous rows
-    ``bounds[b]:bounds[b+1]``, none of them empty, and the edges
-    ``src[e] -> keys[e] // R`` under relation ``keys[e] % R`` join rows of
-    one graph.
+    ``bounds[b]:bounds[b+1]``, none of them empty, ``segments`` holds each
+    row's graph, and the edges ``src[e] -> dst[e]`` under relation
+    ``keys[e] % R`` (keyed ``dst[e] * R + r``) join rows of one graph.
 
     Per-graph sums add each graph's run of rows (:meth:`sums`, the
     ``reduceat`` of the runs); :meth:`spread` copies each graph's row to
     its run.
 
-    Block products (:func:`block_sum`) run on a padded layout. Sorted by
+    Block products (:meth:`product`) run on a padded layout. Sorted by
     size, a graph more than twice the smallest graph of the current group
     starts a new group; a group's width ``m`` is its largest graph, so no
     graph is padded past twice its size. Each group holds its graphs in
@@ -186,11 +187,14 @@ class Slots:
     ``l``-th graph at ``[l, i R + r, j]``, so that its product with the
     graphs' (m, k) padded rows reads as (m, R k) rows, relation ``r`` in
     columns ``r*k:(r+1)*k``. All groups' blocks lie flat one after the
-    other, ``n_entries`` in all, edge ``e``'s at ``positions[e]``.
+    other in one kept array of ``n_entries``, zeroed when first used, edge
+    ``e``'s at ``positions[e]``. Every product writes its edge weights there
+    and no other entry, so a pack's products run one at a time, as its kept
+    padded rows already require.
     """
 
-    __slots__ = ("bounds", "counts", "n_relations", "src", "keys", "slot", "groups", "n_padded", "n_entries",
-                 "positions", "_padded")
+    __slots__ = ("bounds", "counts", "segments", "n_relations", "src", "dst", "keys", "slot", "groups",
+                 "n_padded", "n_entries", "positions", "_blocks", "_padded")
 
     def __init__(self, bounds, src, keys, n_relations: int):
         self.bounds = np.asarray(bounds, dtype=np.intp)
@@ -215,12 +219,14 @@ class Slots:
             self.groups.append((rows, entries, members.size, m))
             rows, entries, start = rows + members.size * m, entries + members.size * m * r * m, end
         self.n_padded, self.n_entries = rows, entries
+        self._blocks: np.ndarray | None = None
         self._padded: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.segments = np.repeat(np.arange(n_graphs), self.counts)
         self.slot = np.repeat(first_row - self.bounds[:-1], self.counts) + np.arange(self.bounds[-1])
-        dst, relation = (self.keys // r, self.keys % r) if r else (self.keys, self.keys)
-        graph = np.repeat(np.arange(n_graphs), self.counts)[dst]
+        self.dst, relation = (self.keys // r, self.keys % r) if r else (self.keys, self.keys)
+        graph = self.segments[self.dst]
         local = self.bounds[graph]
-        self.positions = first_entry[graph] + ((dst - local) * r + relation) * width[graph] + self.src - local
+        self.positions = first_entry[graph] + ((self.dst - local) * r + relation) * width[graph] + self.src - local
 
     @property
     def n_graphs(self) -> int:
@@ -234,21 +240,20 @@ class Slots:
         """(N, k): each graph's row of (B, k) ``rows``, at every row it owns."""
         return np.repeat(rows, self.counts, axis=0)
 
-    def blocks(self, weights: np.ndarray) -> np.ndarray:
-        """The flat block arrays holding the edges' ``weights``."""
-        flat = np.zeros(self.n_entries)
-        flat[self.positions] = weights
-        return flat
-
-    def product(self, blocks: np.ndarray, rows: np.ndarray, k: int, transpose: bool = False) -> np.ndarray:
-        """Every graph's block times its (m, k) padded ``rows``, as (N, R k)
-        rows; with ``transpose``, the transposed blocks times its (m R, k)
-        padded (N, R k) ``rows``, as (N, k) rows. One batched ``matmul``
-        per size group; padded rows are zero in and dropped out. The padded
-        arrays in and out are kept for the next product of the same widths:
-        a fresh pair per product cost more in page faults than the product
-        itself (2-vCPU VM, 250-row packs)."""
+    def product(self, weights: np.ndarray, rows: np.ndarray, k: int, transpose: bool = False) -> np.ndarray:
+        """Every graph's block of the edges' ``weights`` times its (m, k)
+        padded ``rows``, as (N, R k) rows; with ``transpose``, the
+        transposed blocks times its (m R, k) padded (N, R k) ``rows``, as
+        (N, k) rows. One batched ``matmul`` per size group; padded rows are
+        zero in and dropped out. The block array and the padded arrays in
+        and out are kept for the next product: a fresh set per product cost
+        more in page faults than the product itself (2-vCPU VM, 250-row
+        packs)."""
         r = self.n_relations
+        if self._blocks is None:
+            self._blocks = np.zeros(self.n_entries)
+        blocks = self._blocks
+        blocks[self.positions] = weights  # only edge entries are ever written, so the rest stay zero
         widths = (rows.shape[1], k if transpose else r * k)
         if widths not in self._padded:
             # only slot rows are ever written into the input, so its padded rows stay zero
@@ -265,8 +270,7 @@ class Slots:
         return out[self.slot]
 
 
-def block_sum(x: Tensor, weights: Tensor, slots: Slots, blocks: np.ndarray | None = None,
-              mask: np.ndarray | None = None) -> Tensor:
+def block_sum(x: Tensor, weights: Tensor, slots: Slots, mask: np.ndarray | None = None) -> Tensor:
     """The relation-typed neighbour sums of a pack's rows as per-graph
     block products (see :class:`Slots`), as one tape node.
 
@@ -274,14 +278,12 @@ def block_sum(x: Tensor, weights: Tensor, slots: Slots, blocks: np.ndarray | Non
     the sum of ``mask[e] * weights[e] * x[src[e]]`` over the edges
     ``slots.src[e] -> i`` under relation ``r``, computed by one batched
     ``matmul`` per size group. ``mask`` is a constant per-edge factor,
-    one for every edge when not given. ``blocks`` is ``slots.blocks``
-    of the masked weights when ``weights`` is a constant whose blocks were
-    built once; otherwise the masked weights are scattered into zeroed
-    blocks for each product, so no block array outlives its product. The
-    node keeps its value. Its backward is the transposed product for ``x``
-    and, per edge, the mask times the gradient at the destination's block
-    dotted with the source row for ``weights``, so a masked edge's weight
-    gets no gradient.
+    one for every edge when not given. Each product, the forward one and
+    the transposed one of backward, writes the masked weights into the
+    slots' block array. The node keeps its value. Its backward is the
+    transposed product for ``x`` and, per edge, the mask times the
+    gradient at the destination's block dotted with the source row for
+    ``weights``, so a masked edge's weight gets no gradient.
     """
     if (x.ndim != 2 or x.shape[0] != slots.bounds[-1] or weights.shape != slots.src.shape
             or (mask is not None and np.shape(mask) != slots.src.shape)):
@@ -289,9 +291,7 @@ def block_sum(x: Tensor, weights: Tensor, slots: Slots, blocks: np.ndarray | Non
     k = x.shape[1]
 
     def product(rows: np.ndarray, transpose: bool = False) -> np.ndarray:
-        given = blocks if blocks is not None else slots.blocks(
-            weights.data if mask is None else mask * weights.data)
-        return slots.product(given, rows, k, transpose)
+        return slots.product(weights.data if mask is None else mask * weights.data, rows, k, transpose)
 
     out = Tensor(product(x.data))
     if not _tracked(x, weights):

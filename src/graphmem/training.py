@@ -23,8 +23,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .model import (NEIGHBOR_MODES, ForwardResult, ModelConfig, ModelParams, PreparedGraph, check_graph, check_width,
-                    forward, pack)
+from .model import (MAX_HOPS, NEIGHBOR_MODES, ForwardResult, ModelConfig, ModelParams, PreparedGraph, check_graph,
+                    check_width, forward, pack)
 from .molgraph import DatasetError, LabeledExample, MolecularGraph, link_feature_dim
 from .numerics import Tensor
 
@@ -33,9 +33,9 @@ MODES = ("single", "multi")
 # Memory cells per pack. Larger packs record fewer tape nodes per example,
 # but a pack's tape grows with its cells, and peak memory binds first. A
 # memory hop's tape keeps about (3 + R) * memory_size floats per cell for R
-# relations: the memory update's output, proposal and gate (see
-# numerics.gated_update) and the neighbour sums (numerics.block_sum), plus
-# R * link_feat_dim for the ring-flag sums in learned mode.
+# relations: the gated update's output, proposal and gate and the neighbour
+# sums (numerics.block_sum), plus R * link_feat_dim for the ring sums in
+# learned mode. Off the tape, a pack keeps one block array in both modes.
 PACK_CELLS = 256
 
 
@@ -69,8 +69,8 @@ class ExperimentConfig:
     raw_embedding: bool = False
 
     def __post_init__(self):
-        if self.hops < 1:
-            raise ConfigError(f"hops must be >= 1, got {self.hops}")
+        if not 1 <= self.hops <= MAX_HOPS:
+            raise ConfigError(f"hops must be >= 1 and <= {MAX_HOPS}, got {self.hops}")
         for name in ("memory_size", "controller_size"):
             try:
                 check_width(name, getattr(self, name))

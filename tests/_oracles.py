@@ -621,13 +621,12 @@ def prepare_graph_oracle(graph, config):
     for key, link in zip(keys.tolist(), links):
         indicator[key, :-1] = link[:-1]
     uniform = nm.constant(1.0 / np.bincount(keys, minlength=m * n_relations)[keys])
-    # the slot layout and its blocks are checked against their own oracle,
+    # the padded slot layout is checked against its own oracle,
     # block_layout_oracle
     return PreparedGraph(
-        features=nm.constant(graph.node_features), bounds=np.array([0, m]),
-        segments=np.zeros(m, dtype=np.intp), n_relations=n_relations, src=src, dst=dst, keys=keys,
-        ring=links[:, -1], indicator=nm.constant(indicator.reshape(m, n_relations * k_b)), uniform=uniform,
-        slots=None, blocks=None,
+        features=nm.constant(graph.node_features), ring=links[:, -1],
+        indicator=nm.constant(indicator.reshape(m, n_relations * k_b)), uniform=uniform,
+        slots=nm.Slots([0, m], src, keys, n_relations),
     )
 
 
@@ -646,9 +645,10 @@ def pack_links_oracle(prepared, k_b: int) -> np.ndarray:
     stored them before their link term became a relation indicator and a
     ring sum: the one-hot of the edge's relation ``keys[e] % R``, then its
     ring flag."""
-    links = np.zeros((prepared.keys.size, k_b))
-    for e, (key, ring) in enumerate(zip(prepared.keys.tolist(), prepared.ring.tolist())):
-        links[e, key % prepared.n_relations] = 1.0
+    slots = prepared.slots
+    links = np.zeros((slots.keys.size, k_b))
+    for e, (key, ring) in enumerate(zip(slots.keys.tolist(), prepared.ring.tolist())):
+        links[e, key % slots.n_relations] = 1.0
         links[e, -1] = ring
     return links
 
@@ -658,9 +658,9 @@ def mean_links_bias_oracle(prepared, arrays) -> np.ndarray:
     their averaged link rows: each edge's link row times 1/deg_r(dst),
     added into its key's row in edge order, then those (N, R * k_b) rows
     projected by ``mem.gated.link`` plus ``mem.gated.bias``."""
-    keys = prepared.keys
-    links = pack_links_oracle(prepared, arrays["mem.gated.link"].shape[1] // prepared.n_relations)
-    mean = np.zeros((prepared.n_nodes * prepared.n_relations, links.shape[1]))
+    keys, n_relations = prepared.slots.keys, prepared.slots.n_relations
+    links = pack_links_oracle(prepared, arrays["mem.gated.link"].shape[1] // n_relations)
+    mean = np.zeros((prepared.n_nodes * n_relations, links.shape[1]))
     for e, key in enumerate(keys.tolist()):
         mean[key] += prepared.uniform.data[e] * links[e]
     mean = mean.reshape(prepared.n_nodes, -1)
@@ -670,29 +670,26 @@ def mean_links_bias_oracle(prepared, arrays) -> np.ndarray:
 def concatenated_pack(graphs):
     """The disjoint union of prepared graphs (or packs), in order, by
     concatenation: node rows stacked, edges and their keys offset by their
-    graph's first row, segment ids offset by the graphs before. It has no
-    slot layout."""
+    graph's first row, row bounds offset by the rows before, and the slot
+    layout built from those."""
     from graphmem import numerics as nm
     from graphmem.model import PreparedGraph
 
     rows = np.cumsum([0] + [g.n_nodes for g in graphs])
-    firsts = np.cumsum([0] + [g.n_graphs for g in graphs])
+    n_relations = graphs[0].slots.n_relations
 
     def stack(tensors):
         return nm.constant(np.concatenate([t.data for t in tensors]))
 
     return PreparedGraph(
         features=stack(g.features for g in graphs),
-        bounds=np.concatenate([[0]] + [g.bounds[1:] + row for g, row in zip(graphs, rows)]),
-        segments=np.concatenate([g.segments + first for g, first in zip(graphs, firsts)]),
-        n_relations=graphs[0].n_relations,
-        src=np.concatenate([g.src + row for g, row in zip(graphs, rows)]),
-        dst=np.concatenate([g.dst + row for g, row in zip(graphs, rows)]),
-        keys=np.concatenate([g.keys + row * g.n_relations for g, row in zip(graphs, rows)]),
         ring=np.concatenate([g.ring for g in graphs]),
         indicator=stack(g.indicator for g in graphs),
         uniform=stack(g.uniform for g in graphs),
-        slots=None, blocks=None,
+        slots=nm.Slots(np.concatenate([[0]] + [g.slots.bounds[1:] + row for g, row in zip(graphs, rows)]),
+                       np.concatenate([g.slots.src + row for g, row in zip(graphs, rows)]),
+                       np.concatenate([g.slots.keys + row * n_relations for g, row in zip(graphs, rows)]),
+                       n_relations),
     )
 
 
@@ -739,9 +736,9 @@ def keyed_link_sum(prepared, weights, k_b: int):
     ``r*k_b:(r+1)*k_b`` of (N, R * k_b) rows."""
     from graphmem import numerics as nm
 
-    keys = prepared.keys
+    keys = prepared.slots.keys
     return edge_sum(nm.constant(pack_links_oracle(prepared, k_b)), weights, np.arange(keys.size), keys,
-                   prepared.n_nodes, prepared.n_relations)
+                   prepared.n_nodes, prepared.slots.n_relations)
 
 
 def keyed_memory_bias(params, prepared):
@@ -765,7 +762,7 @@ def keyed_attentive_read(state, params, prepared):
     graph's row. Returns (read, weights, scores) as ``attentive_read``."""
     from graphmem import numerics as nm
 
-    segments, n_graphs = prepared.segments, prepared.n_graphs
+    segments, n_graphs = prepared.slots.segments, prepared.n_graphs
     scores = nm.linear_sum(
         [(state.memory, params["attn.cell"]), (state.controller, params["attn.ctrl"], segments)],
         bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
@@ -784,8 +781,9 @@ def keyed_memory_step(state, controller, params, prepared, bias=None):
     from graphmem.model import _neighbor_weights
 
     weights = _neighbor_weights(prepared, state.memory, params)
-    cells = edge_sum(state.memory, weights, prepared.src, prepared.keys, prepared.n_nodes, prepared.n_relations)
-    terms = [(state.memory, params["mem.gated.self"]), (controller, params["mem.gated.ctrl"], prepared.segments),
+    slots = prepared.slots
+    cells = edge_sum(state.memory, weights, slots.src, slots.keys, prepared.n_nodes, slots.n_relations)
+    terms = [(state.memory, params["mem.gated.self"]), (controller, params["mem.gated.ctrl"], slots.segments),
              (cells, params["mem.gated.nbr"])]
     if params.config.neighbor_mode == "learned":
         terms.append((keyed_link_sum(prepared, weights, params.config.link_feat_dim), params["mem.gated.link"]))

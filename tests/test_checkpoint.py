@@ -142,6 +142,7 @@ def test_restored_model_predicts_bitwise_identically(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, params.arrays(), {"model": config.to_dict()})
     arrays, meta = load_checkpoint(path)
-    restored = ModelParams.from_arrays(ModelConfig.from_dict(meta["model"]), arrays)
+    restored = ModelParams.initialize(ModelConfig.from_dict(meta["model"]), 0)
+    restored.load_arrays(arrays)
     after = forward(graph, np.ones(1), restored, hops=3).probability.item()
     assert before == after

@@ -8,7 +8,7 @@ import pytest
 
 from graphmem.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from graphmem.cli import main
-from graphmem.model import MAX_WIDTH, ModelConfig, ModelParams
+from graphmem.model import MAX_HOPS, MAX_WIDTH, ModelConfig, ModelParams
 from graphmem.molgraph import (
     DEFAULT_VOCAB,
     N_BOND_TYPES,
@@ -149,6 +149,30 @@ class TestTrain:
                 assert code == 2, (key, value)
                 assert f"{key} must be <= {MAX_WIDTH}, got {value}" in capsys.readouterr().err
 
+    def test_hops_past_the_bound_are_refused_before_any_data_is_read(self, workspace, capsys):
+        # the bound itself is accepted, in a config and in checkpoint
+        # metadata, and a billion hops refused, without running a forward;
+        # a config one past the bound is exit 2 even when the data
+        # directory does not exist
+        from graphmem.checkpoint import CheckpointError
+        from graphmem.cli import _check_run_meta
+        from graphmem.training import ExperimentConfig
+
+        assert ExperimentConfig(hops=MAX_HOPS).hops == MAX_HOPS
+        config = ModelConfig(node_feat_dim=1, link_feat_dim=1, n_relations=1, query_dim=1, memory_size=1,
+                             controller_size=1)
+        meta = {"tasks": ["tri"], "mode": "single", "hops": MAX_HOPS, "seed": 0}
+        _check_run_meta(meta, config)
+        with pytest.raises(CheckpointError, match=f"hops must be an integer >= 1 and <= {MAX_HOPS}, got 1000000000"):
+            _check_run_meta({**meta, "hops": 10 ** 9}, config)
+        for value in (MAX_HOPS + 1, 200000):
+            capsys.readouterr()
+            code = run("train", "--config", workspace / "cfg", "--set", f"hops={value}",
+                       "--set", f"data_dir={workspace / 'missing'}", "--out-dir", workspace / "out", "--quiet")
+            assert code == 2, value
+            assert f"hops must be >= 1 and <= {MAX_HOPS}, got {value}" in capsys.readouterr().err
+            assert not (workspace / "out").exists()
+
     @pytest.mark.parametrize("setting, message", [
         ("beta1=1.0", "beta1 must be in [0, 1), got 1.0"),
         ("beta2=1.5", "beta2 must be in [0, 1), got 1.5"),
@@ -205,10 +229,11 @@ class TestConfigKeys:
                              field.name)
             assert parsed == value and type(parsed) is type(value), field.name
 
-    # hops and max_epochs stay at most 3: the code sets them no upper limit.
-    # The widths and radius are probed in full: the probes at most
-    # model.MAX_WIDTH and fingerprint.MAX_RADIUS are small, and larger ones
-    # are refused before any work.
+    # hops and max_epochs stay at most 3: max_epochs has no upper limit, and
+    # hops up to model.MAX_HOPS cost a hop each (those past it are probed in
+    # TestTrain, with no data to train on). The widths and radius are probed
+    # in full: the probes at most model.MAX_WIDTH and fingerprint.MAX_RADIUS
+    # are small, and larger ones are refused before any work.
     SMALL = {"hops": 3, "max_epochs": 3}
     EDGES = {
         int: [-(2 ** 63) - 1, -1, 0, 1, 2, 2 ** 63, 2 ** 64],
@@ -399,6 +424,7 @@ class TestEvalAndDump:
         ("raw_embedding", "no", "raw_embedding must be true or false, got 'no'"),
         ("memory_size", MAX_WIDTH + 1, f"memory_size must be <= {MAX_WIDTH}, got {MAX_WIDTH + 1}"),
         ("controller_size", 2 ** 40, f"controller_size must be <= {MAX_WIDTH}"),
+        ("hops", MAX_HOPS + 1, f"hops must be an integer >= 1 and <= {MAX_HOPS}, got {MAX_HOPS + 1}"),
     ])
     def test_eval_checkpoint_with_unusable_metadata_is_exit_5(self, workspace, trained, capsys,
                                                                field, value, message):
@@ -926,6 +952,16 @@ class TestSynthCommand:
         spec.write_text("nodes_min=2\nnodes_max=2\nrelations=1\nmotif=triangle:1\nbalance=0.5\ncount=4\n",
                         encoding="utf-8")
         assert run("synth", "--spec", spec, "--out-dir", tmp_path / "o") == 3
+
+    def test_molecules_past_the_v2000_counts_are_data_error(self, tmp_path, capsys):
+        # a 1000-atom molecule would be written with a counts line that does
+        # not read back; synth refuses it and writes no file
+        spec = tmp_path / "big.synth"
+        spec.write_text("nodes_min=1000\nnodes_max=1000\nrelations=2\nmotif=triangle:1\nbalance=0.5\ncount=2\n",
+                        encoding="utf-8")
+        assert run("synth", "--spec", spec, "--out-dir", tmp_path / "o") == 3
+        assert "has 1000 atoms, but a V2000 record holds at most 999" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 class TestShippedQuickstart:

@@ -3,7 +3,6 @@ whole-forward invariants (equivariance, locality, reduction to mean passing)."""
 
 import dataclasses
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -225,7 +224,7 @@ class TestAttentiveRead:
             state = HopState(t=0, controller=Tensor(rng.normal(size=(prepared.n_graphs, 3))), memory=Tensor(cells))
             read, weights, _ = attentive_read(state, params, prepared)
             assert isinstance(read, Tensor) and read.data.shape == (prepared.n_graphs, 4)
-            expected = gather_sum(cells, weights.data, np.arange(prepared.n_nodes), prepared.segments,
+            expected = gather_sum(cells, weights.data, np.arange(prepared.n_nodes), prepared.slots.segments,
                                   prepared.n_graphs)
             np.testing.assert_allclose(read.data, expected, rtol=0, atol=1e-12)
 
@@ -301,7 +300,7 @@ class TestControllerStep:
             params = make_params(cfg, seed=48, ctrl__bias=bias[:3], ctrl_gate__bias=bias[3:])
             memory, weights = Tensor(cells, True), Tensor(attention, True)
             state = HopState(t=0, controller=Tensor(controllers, True), memory=memory)
-            read = edge_sum(memory, weights, np.arange(prepared.n_nodes), prepared.segments, prepared.n_graphs, 1)
+            read = edge_sum(memory, weights, np.arange(prepared.n_nodes), prepared.slots.segments, prepared.n_graphs, 1)
             if as_tensor:
                 read = Tensor(read.data, True)
             out = controller_step(state, read, params)
@@ -314,7 +313,7 @@ class TestControllerStep:
         for name in grads:
             np.testing.assert_array_equal(grads[name], grads_t[name], err_msg=name)
         np.testing.assert_array_equal(ctrl_grad, ctrl_grad_t)
-        at_graph = read_t.grad[prepared.segments]
+        at_graph = read_t.grad[prepared.slots.segments]
         np.testing.assert_array_equal(memory_grad, attention[:, None] * at_graph)
         np.testing.assert_allclose(weights_grad, (at_graph * cells).sum(axis=1), rtol=1e-14, atol=0)
 
@@ -351,8 +350,8 @@ class TestMemoryStep:
             memory = memory_step(state, Tensor(np.zeros((1, 2))), params, prepared)
             np.testing.assert_array_equal(memory.data, [[0.5, 0.0, 0.0]], err_msg=mode)
             # no edge, so a zero neighbour sum and zero mean link rows
-            assert prepared.src.size == 0
-            context = block_sum(state.memory, prepared.uniform, prepared.slots, prepared.blocks)
+            assert prepared.slots.src.size == 0
+            context = block_sum(state.memory, prepared.uniform, prepared.slots)
             np.testing.assert_array_equal(context.data, np.zeros((1, 3)), err_msg=mode)
             ring = _ring_sum(prepared, prepared.uniform, cfg.link_feat_dim)
             for mean_links in (prepared.indicator.data, ring.data):
@@ -427,9 +426,11 @@ class TestMemoryStep:
         for members in [graphs, graphs[::-1]] + [[g] for g in graphs]:
             packed = pack(members, cfg)
             expected = concatenated_pack([prepare_graph_oracle(g, cfg) for g in members])
-            assert packed.n_relations == expected.n_relations == 3
-            for name in ("features", "bounds", "segments", "src", "dst", "keys", "ring", "indicator", "uniform"):
-                actual, wanted = getattr(packed, name), getattr(expected, name)
+            assert packed.slots.n_relations == expected.slots.n_relations == 3
+            fields = [(packed, expected, name) for name in ("features", "ring", "indicator", "uniform")]
+            fields += [(packed.slots, expected.slots, name) for name in ("bounds", "segments", "src", "dst", "keys")]
+            for ours, theirs, name in fields:
+                actual, wanted = getattr(ours, name), getattr(theirs, name)
                 if isinstance(wanted, Tensor):
                     actual, wanted = actual.data, wanted.data
                 assert actual.dtype == wanted.dtype, name
@@ -447,7 +448,7 @@ class TestMemoryStep:
                 if name in blocks:
                     blocks[name][...] = rng.normal(size=blocks[name].shape)
             prepared = pack(graphs, cfg)
-            assert prepared.n_relations == 3 and not np.any(prepared.keys % 3 == 2), mode
+            assert prepared.slots.n_relations == 3 and not np.any(prepared.slots.keys % 3 == 2), mode
             np.testing.assert_array_equal(prepared.indicator.data[:, 6:], 0.0)
             np.testing.assert_array_equal(_ring_sum(prepared, prepared.uniform, 3).data[:, 6:], 0.0)
             cells = rng.normal(size=(prepared.n_nodes, 4))
@@ -458,7 +459,7 @@ class TestMemoryStep:
             np.testing.assert_allclose(memory, expected, rtol=0, atol=1e-12, err_msg=mode)
             # each graph alone, and in learned mode from the node-by-node definition
             for b, graph in enumerate(graphs):
-                rows = slice(prepared.bounds[b], prepared.bounds[b + 1])
+                rows = slice(prepared.slots.bounds[b], prepared.slots.bounds[b + 1])
                 alone = memory_step(HopState(t=0, controller=Tensor(controllers[b:b + 1]), memory=Tensor(cells[rows])),
                                     Tensor(controllers[b:b + 1]), params, prepare_graph(graph, cfg)).data
                 np.testing.assert_allclose(alone, memory[rows], rtol=0, atol=1e-12, err_msg=mode)
@@ -494,7 +495,7 @@ class TestMemoryStep:
         state = HopState(t=0, controller=Tensor(np.zeros((len(graphs), 3))), memory=Tensor(cells))
         memory = memory_step(state, Tensor(np.zeros((len(graphs), 3))), params, prepared).data
         for b, graph in enumerate(graphs):
-            rows = slice(prepared.bounds[b], prepared.bounds[b + 1])
+            rows = slice(prepared.slots.bounds[b], prepared.slots.bounds[b + 1])
             expected = mean_passing_oracle(neighbor_lists(graph)[0], cells[rows], hops=1)
             np.testing.assert_allclose(memory[rows], expected, atol=1e-12)
 
@@ -683,10 +684,11 @@ class TestPerGraphSums:
         assert linear_sum([(read, w)]).shape == (3, 2)
         with pytest.raises(DimensionError):  # one weight per cell
             graph_sum(cells, Tensor(np.ones(2)), prepared.slots)
+        n_edges = prepared.slots.src.size
         with pytest.raises(DimensionError):  # one weight per edge
-            block_sum(cells, Tensor(np.ones(prepared.src.size + 1)), prepared.slots)
+            block_sum(cells, Tensor(np.ones(n_edges + 1)), prepared.slots)
         with pytest.raises(DimensionError):  # one mask entry per edge
-            block_sum(cells, Tensor(np.ones(prepared.src.size)), prepared.slots, mask=np.ones(prepared.src.size + 1))
+            block_sum(cells, Tensor(np.ones(n_edges)), prepared.slots, mask=np.ones(n_edges + 1))
 
     @staticmethod
     def training_step(params, prepared, hops):
@@ -696,72 +698,73 @@ class TestPerGraphSums:
         queries = np.eye(2)[np.arange(prepared.n_graphs) % 2]
         return forward(prepared, queries, params, hops, dropout_rate=0.1, rng=generators, training=True).probability
 
+    @staticmethod
+    def blocks_seen(monkeypatch) -> list[np.ndarray]:
+        """The block array each batched ``matmul`` of a block product reads,
+        as the flat array its block operand views, one entry per call."""
+        seen = []
+
+        def recording(a, *args, real=np.matmul, **kwargs):
+            root = a
+            while root.base is not None:
+                root = root.base
+            seen.append(root)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        return seen
+
     @pytest.mark.parametrize("hops", [2, 10])
     @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
     def test_block_products_per_training_step(self, mode, hops, monkeypatch):
         # every sum runs once in forward and keeps its value. Uniform mode
         # multiplies once per memory hop and once for the memory bias's ring
-        # flags (scattered once per step), and backward once per memory hop
-        # (the transposed product); learned mode scatters and multiplies the
-        # neighbour cells and the ring flags on every memory hop, and
-        # backward scatters the cells' weights again for their transposed
-        # product. The pack, with its uniform blocks, is built before
-        # counting starts.
+        # flags, and backward once per memory hop (the transposed product);
+        # learned mode multiplies the neighbour cells and the ring flags on
+        # every memory hop, and backward the cells once more for their
+        # transposed product. Each product writes its weights into the
+        # pack's block array; the pack is built before counting starts.
         params = self.random_params(self.config(mode), 67)
         prepared = pack(self.two_group_graphs(), params.config)
-        calls = {"product": 0, "blocks": 0}
-        for name in calls:
-            def counting(slots, *args, real=getattr(Slots, name), name=name, **kwargs):
-                calls[name] += 1
-                return real(slots, *args, **kwargs)
-            monkeypatch.setattr(Slots, name, counting)
+        calls = []
+
+        def counting(slots, *args, real=Slots.product, **kwargs):
+            calls.append(1)
+            return real(slots, *args, **kwargs)
+
+        monkeypatch.setattr(Slots, "product", counting)
         probability = self.training_step(params, prepared, hops)
-        forward_calls = dict(calls)
+        n_forward = len(calls)
         probability.backward()
-        backward_calls = {name: calls[name] - forward_calls[name] for name in calls}
         memory_hops = hops - 1
-        if mode == "uniform":
-            assert forward_calls == {"product": hops, "blocks": 1}
-            assert backward_calls == {"product": memory_hops, "blocks": 0}
-        else:
-            assert forward_calls == {"product": 2 * memory_hops, "blocks": 2 * memory_hops}
-            assert backward_calls == {"product": memory_hops, "blocks": memory_hops}
+        assert n_forward == (hops if mode == "uniform" else 2 * memory_hops)
+        assert len(calls) - n_forward == memory_hops
 
-    def test_no_block_array_outlives_the_call_that_made_it(self, monkeypatch):
-        # learned mode scatters fresh block arrays for every product, in
-        # forward and in backward; each must be dead once the block_sum
-        # call or the backward step that made it returns, so none is alive
-        # when the next is made, after a block_sum returns, or after
-        # forward and backward
-        import graphmem.numerics as numerics_module
-
-        params = self.random_params(self.config("learned"), 68)
+    @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
+    def test_every_product_of_a_pack_uses_its_one_block_array(self, mode, monkeypatch):
+        # forward neighbour sums, learned ring sums and backward transposed
+        # products all read the same flat array, one matmul per size group;
+        # after the training step every entry off the edges' positions is
+        # still zero
+        params = self.random_params(self.config(mode), 68)
         prepared = pack(self.two_group_graphs(), params.config)
-        assert len(prepared.slots.groups) >= 2
-        made = []
-
-        def all_dead() -> bool:
-            return all(ref() is None for ref in made)
-
-        def tracked_blocks(slots, weights, real=Slots.blocks):
-            assert all_dead(), "a block array outlived the call that made it"
-            blocks = real(slots, weights)
-            made.append(weakref.ref(blocks))
-            return blocks
-
-        def checked_block_sum(*args, real=numerics_module.block_sum, **kwargs):
-            out = real(*args, **kwargs)
-            assert all_dead(), "block_sum returned with its block array alive"
-            return out
-
-        monkeypatch.setattr(Slots, "blocks", tracked_blocks)
-        monkeypatch.setattr(numerics_module, "block_sum", checked_block_sum)
+        slots = prepared.slots
+        assert len(slots.groups) >= 2
+        seen = self.blocks_seen(monkeypatch)
         probability = self.training_step(params, prepared, 4)
-        n_forward = len(made)
-        assert n_forward == 6 and all_dead()
+        n_forward = len(seen)
         probability.backward()
-        assert len(made) == n_forward + 3 and all_dead()
-        assert params["nbr.score"].grad.any()
+        products = 4 if mode == "uniform" else 6
+        assert (n_forward, len(seen) - n_forward) == (products * len(slots.groups), 3 * len(slots.groups))
+        assert all(blocks is seen[0] for blocks in seen)
+        assert seen[0].shape == (slots.n_entries,)
+        off = np.ones(slots.n_entries, dtype=bool)
+        off[slots.positions] = False
+        assert off.any()
+        np.testing.assert_array_equal(seen[0][off], 0.0)
+        # a second pack has an array of its own
+        forward(pack(self.two_group_graphs()[:3], params.config), np.ones(2), params, 2)
+        assert seen[-1] is not seen[0]
 
     def test_one_large_graph_among_single_atoms_forms_two_groups(self):
         rng = np.random.default_rng(65)
@@ -778,14 +781,15 @@ class TestPerGraphSums:
             width[(first >= start) & (first < start + n * m)] = m
         assert np.all(width >= slots.counts) and np.all(width <= 2 * slots.counts)
 
-    def test_slot_layout_and_uniform_blocks_match_their_definition(self):
-        # groups, the padded slot of every row and the uniform blocks, from
-        # the graphs' bonds one by one; the learned-mode pack keeps no blocks
+    def test_slot_layout_and_uniform_blocks_match_their_definition(self, monkeypatch):
+        # groups, the padded slot of every row and the block array after a
+        # product of the uniform weights, from the graphs' bonds one by one
         rng = np.random.default_rng(66)
         graphs = self.two_group_graphs() + [featurize(random_graph(rng, 3, 5, 2), SYNTHETIC_ALPHABET)]
+        seen = self.blocks_seen(monkeypatch)
         for members in [graphs, graphs[::-1], graphs[:1]]:
             prepared = pack(members, self.config("uniform"))
-            assert pack(members, self.config("learned")).blocks is None
+            block_sum(Tensor(np.ones((prepared.n_nodes, 2))), prepared.uniform, prepared.slots)
             sizes = [g.n_nodes for g in members]
             edges = []
             for b, graph in enumerate(members):
@@ -797,9 +801,9 @@ class TestPerGraphSums:
             slots = prepared.slots
             assert [(n, m) for _, _, n, m in slots.groups] == [(len(g), blk.shape[2]) for g, blk in zip(groups, blocks)]
             for (first, entry, n, m), group, block in zip(slots.groups, groups, blocks):
-                np.testing.assert_array_equal(prepared.blocks[entry:entry + block.size].reshape(block.shape), block)
+                np.testing.assert_array_equal(seen[-1][entry:entry + block.size].reshape(block.shape), block)
                 for l, b in enumerate(group):
-                    rows = np.arange(prepared.bounds[b], prepared.bounds[b + 1])
+                    rows = np.arange(prepared.slots.bounds[b], prepared.slots.bounds[b + 1])
                     np.testing.assert_array_equal(slots.slot[rows], first + l * m + np.arange(sizes[b]))
             assert sum(block.size for block in blocks) == slots.n_entries
 
@@ -949,7 +953,7 @@ class TestInvariants:
             other = forward(pack([graphs[k] for k in order], cfg), np.ones(1), params, hops=3)
             np.testing.assert_allclose(other.probability.data, base.probability.data[order],
                                        atol=1e-9, err_msg=mode)
-            bounds = pack(graphs, cfg).bounds
+            bounds = pack(graphs, cfg).slots.bounds
             rows = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in order])
             for s_base, s_other in zip(base.states, other.states):
                 if s_base.memory is not None:

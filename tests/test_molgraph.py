@@ -145,6 +145,25 @@ class TestParseSdf:
         graphs = parse_sdf(write_sdf([parse_molfile(BENZENE), parse_molfile(molblock(["N"], []))]))
         assert [g.n_nodes for g in graphs] == [6, 1]
 
+    def test_write_refuses_counts_past_the_v2000_field(self):
+        # the counts line gives atoms and bonds 3 characters each
+        chain = MolecularGraph.from_bonds(["C"] * 1000, [(i, i + 1, 1) for i in range(999)], 1)
+        with pytest.raises(DatasetError, match="'big' has 1000 atoms, but a V2000 record holds at most 999"):
+            write_molfile(chain, "big")
+        with pytest.raises(DatasetError, match="1000 atoms"):
+            write_sdf([parse_molfile(BENZENE), chain])
+        # 46 atoms, every pair bonded: 1035 bonds
+        dense = MolecularGraph.from_bonds(["C"] * 46, [(i, j, 1) for i in range(46) for j in range(i + 1, 46)], 1)
+        with pytest.raises(DatasetError, match="has 1035 bonds, but a V2000 record holds at most 999"):
+            write_molfile(dense, "dense")
+
+    def test_largest_writable_chain_round_trips(self):
+        chain = MolecularGraph.from_bonds(["C", "N"] * 499 + ["O"], [(i, i + 1, 1 + i % 2) for i in range(998)], 2)
+        again = parse_sdf(write_sdf([chain], ["c999"]))
+        assert len(again) == 1 and again[0].title == "c999"
+        assert again[0].symbols == chain.symbols
+        np.testing.assert_array_equal(again[0].bonds, chain.bonds)
+
 
 def mutated_files(count=3000, seed=0):
     """Seeded random edits of a two-record SDF file: characters replaced,

@@ -42,9 +42,11 @@ NEIGHBOR_MODES = ("uniform", "learned")
 # the allocation would fail with a traceback instead of a refused setting.
 MAX_WIDTH = 1024
 # The most hops. A memory hop's tape keeps about (3 + R) * memory_size floats
-# per cell (training.PACK_CELLS): about 0.46 MB a hop for 256 cells at R = 4
-# and width 32, 46 MB at this bound, and 92 GB at 200000 hops, where the
-# tape would fail with a traceback instead of a refused setting.
+# per cell (training.PACK_CELLS), a learned hop also its R ring sums per cell
+# (numerics.key_sum, placed in R * link_feat_dim columns): about 0.46 MB a hop
+# for 256 cells at R = 4 and width 32, 46 MB at this bound, and 92 GB at
+# 200000 hops, where the tape would fail with a traceback instead of a
+# refused setting.
 MAX_HOPS = 100
 
 
@@ -236,13 +238,15 @@ class PreparedGraph:
     ``indicator`` holds as (N, R * k_b) rows, relation ``r`` in columns
     ``r*k_b:(r+1)*k_b`` (zero under a relation where the node has no
     neighbour), plus the weighted sum of the ring flags in the last column
-    of the relation's block (:func:`_ring_sum`).
+    of the relation's block (:func:`_ring_sum`): one float per key, summed
+    over the keyed edges with no block product.
 
     The slots also give the graphs' row runs for the per-graph sums (the
-    attention read and the controller rows' gradients), and padded slots in
-    size groups, with one kept block array, for the block products. Both
-    neighbour modes run every product the same way: it writes its edge
-    weights into that array and multiplies.
+    attention read and the controller rows' gradients), padded slots in
+    size groups, with one kept block array, for the block products, and
+    the gathers of the edges' ends, with their kept scatter indices, for
+    the learned edge scorer. Both neighbour modes run every product the
+    same way: it writes its edge weights into that array and multiplies.
     """
 
     features: Tensor
@@ -303,7 +307,9 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     The slot map (:class:`~graphmem.numerics.Slots`) is built here once per
     pack; its block array, about ``8 R sum_g B_g m_g**2`` bytes for size
     groups of ``B_g`` graphs of width ``m_g``, is made by the pack's first
-    block product and kept for the rest.
+    block product and kept for the rest; the learned scorer's scatter
+    index, ``8 E k_h`` bytes at each end of E edges, is likewise made by
+    the pack's first backward and kept.
     """
     if not graphs:
         raise ValueError("pack of no graphs")
@@ -430,13 +436,16 @@ def _neighbor_weights(prepared: PreparedGraph, memory: Tensor, params: ModelPara
     Each node mixes its neighbours under each relation with weights that
     sum to one: 1/deg in uniform mode, and in learned mode a softmax, over
     the node's in-edges under the relation, of edge scores from a small
-    attention head on [neighbour cell, own cell].
+    attention head on [neighbour cell, own cell]. The head reaches the
+    edges' ends through the pack's kept gathers (``slots.at_src`` and
+    ``slots.at_dst``), so its backward's scatter index is built once per
+    pack.
     """
     slots = prepared.slots
     if params.config.neighbor_mode == "uniform" or not slots.src.size:
         return prepared.uniform
     scores = nm.linear_sum(
-        [(memory, params["nbr.cell"], slots.src), (memory, params["nbr.self"], slots.dst)],
+        [(memory, params["nbr.cell"], slots.at_src), (memory, params["nbr.self"], slots.at_dst)],
         bias=params["nbr.bias"], activation="tanh", project=params["nbr.score"],
     )
     return nm.segment_softmax(scores, slots.keys, prepared.n_nodes * slots.n_relations)
@@ -445,19 +454,19 @@ def _neighbor_weights(prepared: PreparedGraph, memory: Tensor, params: ModelPara
 def _ring_sum(prepared: PreparedGraph, weights: Tensor, k_b: int) -> Tensor:
     """Each key's edges' ring flags weighted by ``weights`` and summed, in
     the last of relation ``r``'s columns ``r*k_b:(r+1)*k_b`` of (N, R * k_b)
-    rows: a block product of constant rows that are 1 in their last column,
-    its edge weights masked by ``prepared.ring``. With ``prepared.indicator``
-    it makes the link features summed per key."""
-    ones = np.zeros((prepared.n_nodes, k_b))
-    ones[:, -1] = 1.0
-    return nm.block_sum(nm.constant(ones), weights, prepared.slots, mask=prepared.ring)
+    rows: a keyed vector sum of R floats per cell, one tape node
+    (:func:`~graphmem.numerics.key_sum` of ``prepared.ring``), whose edges
+    off every ring get no weight gradient. With ``prepared.indicator`` it
+    makes the link features summed per key."""
+    return nm.key_sum(weights, prepared.ring, prepared.slots, k_b)
 
 
 def _memory_bias(params: ModelParams, prepared: PreparedGraph) -> Tensor:
     """The memory update's bias with the part of the link term that is the
     same on every hop, as one (N, 2 k_m) row per cell: the relation
     one-hots of ``prepared.indicator`` in both modes, and in uniform mode
-    the averaged ring flags (:func:`_ring_sum` of the uniform weights)."""
+    the averaged ring flags (:func:`_ring_sum` of the uniform weights, a
+    keyed sum with no block product)."""
     links = prepared.indicator
     if params.config.neighbor_mode == "uniform":  # a constant too: one term
         links = nm.constant(links.data + _ring_sum(prepared, prepared.uniform, params.config.link_feat_dim).data)
@@ -482,10 +491,11 @@ def memory_step(
     uniform or learned, into the pack's one block array), and then
     projected once by all relations' weights side by side. The summed link
     features are projected the same way: their relation one-hots in
-    ``bias``, and their ring flags (:func:`_ring_sum`, a second block
-    product) here in learned mode and in ``bias`` in uniform mode. Each sum
-    keeps its (N, R k) rows on the tape. ``bias`` is :func:`_memory_bias`
-    of ``params`` and ``prepared``, computed here when not given.
+    ``bias``, and their ring flags (:func:`_ring_sum`, a keyed vector sum
+    of R floats per cell, so a hop runs one block product) here in learned
+    mode and in ``bias`` in uniform mode. Each sum keeps its (N, R k) rows
+    on the tape. ``bias`` is :func:`_memory_bias` of ``params`` and
+    ``prepared``, computed here when not given.
     """
     weights = _neighbor_weights(prepared, state.memory, params)
     terms: list[tuple] = [

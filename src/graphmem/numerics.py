@@ -8,19 +8,22 @@ costs nothing at backward time.
 
 The operations are the fused nodes the model runs: :func:`linear_sum`,
 :func:`gated_update`, :func:`block_sum`, :func:`graph_sum`,
-:func:`segment_softmax`, :func:`binary_cross_entropy` and :func:`dropout`.
-Each records one tape node however many products, activations or gathers
-it computes; :func:`linear_sum` and :func:`gated_update` check, sum and
-differentiate their terms, each a tensor through a weight, with the same
-code. The two weighted sums run on a pack's :class:`Slots`: the per-graph
-:func:`graph_sum` (the attention read) and the per-graph block products of
-:func:`block_sum` (the neighbour cells, and the ring flags of the link
-rows). Each keeps its value, which is linear in the pack, for the nodes
-that consume it; the pack's one block array is the slots', not the tape's.
-The slots also carry each graph's controller row to its cells and sum
-their gradient back per graph. The model stores each gated update's
-weights stacked the way :func:`gated_update` takes them, so parameters
-enter the tape as they are.
+:func:`key_sum`, :func:`segment_softmax`, :func:`binary_cross_entropy` and
+:func:`dropout`. Each records one tape node however many products,
+activations or gathers it computes; :func:`linear_sum` and
+:func:`gated_update` check, sum and differentiate their terms, each a
+tensor through a weight, with the same code. The weighted sums run on a
+pack's :class:`Slots`: the per-graph :func:`graph_sum` (the attention
+read), the per-graph block products of :func:`block_sum` (the neighbour
+cells) and the keyed vector sum of :func:`key_sum` (the ring flags of the
+link rows, one float per key). Each keeps its value, which is linear in
+the pack, for the nodes that consume it; the pack's one block array is the
+slots', not the tape's. The slots also carry each graph's controller row
+to its cells and sum their gradient back per graph, and gather the rows at
+the edges' ends for the edge scorer, keeping the scatter index of that
+gather's gradient. The model stores each gated update's weights stacked
+the way :func:`gated_update` takes them, so parameters enter the tape as
+they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
@@ -80,6 +83,8 @@ class Tensor:
         are dropped as they are consumed, so each intermediate is collected
         as soon as the pass is done with it, and a tape runs backward once.
         """
+        # leaves (parameters and constants, parents of almost every node)
+        # have nothing to replay, so the walk never pushes them
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -93,7 +98,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent._backward is not None and id(parent) not in seen:
                     stack.append((parent, False))
 
         if seed is None:
@@ -155,15 +160,34 @@ _ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.n
 }
 
 
-# -- per-graph sums: the pack layout and its two sum nodes ---------------------
+# -- per-graph sums: the pack layout and its sum nodes -------------------------
 
 
-def _sum_rows(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
-    """(n_out, k) sums of the rows of ``rows`` grouped by ``index``; ids
-    that no row carries give zero rows."""
-    k = rows.shape[1]
-    flat = (index[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=n_out * k).reshape(n_out, k)
+class Gather:
+    """Rows picked by an integer index, as a term's ``rows`` (see
+    :func:`linear_sum`): :meth:`spread` takes row ``index[i]`` of (n, k)
+    rows for every ``i``, and :meth:`sums`, its transpose, adds the rows
+    that share an index into (n, k) rows, zero for an index no row carries.
+    The sums are one keyed ``bincount`` over the flat index
+    ``index * k + arange(k)``, which is kept per width ``k``, so a gather
+    kept with its pack builds it once per width and frees it with the
+    pack."""
+
+    __slots__ = ("index", "n", "_flat")
+
+    def __init__(self, index, n: int):
+        self.index, self.n = np.asarray(index, dtype=np.intp), n
+        self._flat: dict[int, np.ndarray] = {}
+
+    def spread(self, rows: np.ndarray) -> np.ndarray:
+        return rows[self.index]
+
+    def sums(self, rows: np.ndarray) -> np.ndarray:
+        k = rows.shape[1]
+        flat = self._flat.get(k)
+        if flat is None:
+            flat = self._flat[k] = (self.index[:, None] * k + np.arange(k)).ravel()
+        return np.bincount(flat, weights=rows.ravel(), minlength=self.n * k).reshape(self.n, k)
 
 
 class Slots:
@@ -174,7 +198,8 @@ class Slots:
 
     Per-graph sums add each graph's run of rows (:meth:`sums`, the
     ``reduceat`` of the runs); :meth:`spread` copies each graph's row to
-    its run.
+    its run. ``at_src`` and ``at_dst`` are the :class:`Gather` of the rows
+    at every edge's source and destination, kept with the slots.
 
     Block products (:meth:`product`) run on a padded layout. Sorted by
     size, a graph more than twice the smallest graph of the current group
@@ -194,7 +219,7 @@ class Slots:
     """
 
     __slots__ = ("bounds", "counts", "segments", "n_relations", "src", "dst", "keys", "slot", "groups",
-                 "n_padded", "n_entries", "positions", "_blocks", "_padded")
+                 "n_padded", "n_entries", "positions", "at_src", "at_dst", "_blocks", "_padded")
 
     def __init__(self, bounds, src, keys, n_relations: int):
         self.bounds = np.asarray(bounds, dtype=np.intp)
@@ -227,6 +252,7 @@ class Slots:
         graph = self.segments[self.dst]
         local = self.bounds[graph]
         self.positions = first_entry[graph] + ((self.dst - local) * r + relation) * width[graph] + self.src - local
+        self.at_src, self.at_dst = Gather(self.src, self.bounds[-1]), Gather(self.dst, self.bounds[-1])
 
     @property
     def n_graphs(self) -> int:
@@ -270,42 +296,59 @@ class Slots:
         return out[self.slot]
 
 
-def block_sum(x: Tensor, weights: Tensor, slots: Slots, mask: np.ndarray | None = None) -> Tensor:
+def block_sum(x: Tensor, weights: Tensor, slots: Slots) -> Tensor:
     """The relation-typed neighbour sums of a pack's rows as per-graph
     block products (see :class:`Slots`), as one tape node.
 
     Row ``i`` of the (N, R * k) value holds, in columns ``r*k:(r+1)*k``,
-    the sum of ``mask[e] * weights[e] * x[src[e]]`` over the edges
-    ``slots.src[e] -> i`` under relation ``r``, computed by one batched
-    ``matmul`` per size group. ``mask`` is a constant per-edge factor,
-    one for every edge when not given. Each product, the forward one and
-    the transposed one of backward, writes the masked weights into the
-    slots' block array. The node keeps its value. Its backward is the
-    transposed product for ``x`` and, per edge, the mask times the
-    gradient at the destination's block dotted with the source row for
-    ``weights``, so a masked edge's weight gets no gradient.
+    the sum of ``weights[e] * x[src[e]]`` over the edges ``slots.src[e] ->
+    i`` under relation ``r``, computed by one batched ``matmul`` per size
+    group. Each product, the forward one and the transposed one of
+    backward, writes the weights into the slots' block array. The node
+    keeps its value. Its backward is the transposed product for ``x`` and,
+    per edge, the gradient at the destination's block dotted with the
+    source row for ``weights``.
     """
-    if (x.ndim != 2 or x.shape[0] != slots.bounds[-1] or weights.shape != slots.src.shape
-            or (mask is not None and np.shape(mask) != slots.src.shape)):
-        raise _shape_error("block_sum", x.shape, weights.shape, (slots.bounds[-1],), np.shape(mask))
+    if x.ndim != 2 or x.shape[0] != slots.bounds[-1] or weights.shape != slots.src.shape:
+        raise _shape_error("block_sum", x.shape, weights.shape, (slots.bounds[-1],))
     k = x.shape[1]
-
-    def product(rows: np.ndarray, transpose: bool = False) -> np.ndarray:
-        return slots.product(weights.data if mask is None else mask * weights.data, rows, k, transpose)
-
-    out = Tensor(product(x.data))
+    out = Tensor(slots.product(weights.data, x.data, k))
     if not _tracked(x, weights):
         return out
 
     def backward(g: np.ndarray) -> None:
         if _tracked(x):
-            _accumulate(x, product(g, transpose=True))
+            _accumulate(x, slots.product(weights.data, g, k, transpose=True))
         if _tracked(weights):
             # the gradient at the block each edge adds to, dotted with its source row
-            grad = np.einsum("ek,ek->e", g.reshape(-1, k)[slots.keys], x.data[slots.src])
-            _accumulate(weights, grad if mask is None else mask * grad)
+            _accumulate(weights, np.einsum("ek,ek->e", g.reshape(-1, k)[slots.keys], x.data[slots.src]))
 
     return _record(out, (x, weights), backward)
+
+
+def key_sum(weights: Tensor, factor: np.ndarray, slots: Slots, k: int) -> Tensor:
+    """Each key's edge weights times a constant per-edge ``factor``, summed,
+    as one tape node: the sum of ``factor[e] * weights[e]`` over the edges
+    keyed ``d * R + r`` sits in column ``r*k + k - 1`` of row ``d`` of the
+    (N, R * k) value, the last column of relation ``r``'s block, and every
+    other entry is zero. The R sums of a row are one keyed ``bincount``
+    over the edges; the node keeps its value. Its backward gives each
+    edge's weight ``factor[e]`` times the gradient at its key's column, so
+    an edge whose factor is zero gets no weight gradient.
+    """
+    if weights.shape != slots.src.shape or np.shape(factor) != slots.src.shape or k < 1:
+        raise _shape_error("key_sum", weights.shape, np.shape(factor), (k,))
+    n, r = int(slots.bounds[-1]), slots.n_relations
+    sums = np.zeros((n * r, k))
+    sums[:, -1] = np.bincount(slots.keys, weights=factor * weights.data, minlength=n * r)
+    out = Tensor(sums.reshape(n, r * k))
+    if not _tracked(weights):
+        return out
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(weights, factor * g.reshape(n * r, k)[slots.keys, -1])
+
+    return _record(out, (weights,), backward)
 
 
 def graph_sum(x: Tensor, weights: Tensor, slots: Slots) -> Tensor:
@@ -339,7 +382,7 @@ def _term_sum(parts: list[tuple]) -> np.ndarray:
     for x, w, rows in parts:
         a = x.data @ w.data.T
         if rows is not None:
-            a = rows.spread(a) if isinstance(rows, Slots) else a[rows]
+            a = rows.spread(a)
         z = a if z is None else np.add(z, a, out=z)
     return z
 
@@ -348,8 +391,8 @@ def _terms(op: str, terms: Sequence[tuple],
            shape: tuple[int, int] | None = None) -> tuple[np.ndarray, list[tuple], tuple[Tensor, ...]]:
     """Check ``terms`` and sum them: ``(z, parts, parents)``. All terms
     give the same (n, out) rows, ``shape`` when given. A part is what a
-    node keeps of a term, ``(x, W, rows)``: ``rows`` None, Slots or an
-    index."""
+    node keeps of a term, ``(x, W, rows)``: ``rows`` None, Slots or a
+    Gather, which an integer index becomes."""
     if not terms:
         raise ValueError(f"{op} of no terms")
     parts: list[tuple] = []
@@ -357,12 +400,13 @@ def _terms(op: str, terms: Sequence[tuple],
     for term in terms:
         x, w = term[0], term[1]
         rows = term[2] if len(term) == 3 else None
-        if rows is not None and not isinstance(rows, Slots):
-            rows = np.asarray(rows, dtype=np.intp)
         xs, wd = x.shape, w.data
+        if rows is not None and not isinstance(rows, (Slots, Gather)):
+            rows = Gather(rows, xs[0] if len(xs) == 2 else 0)
         fits = (len(xs) == 2 and wd.ndim == 2 and xs[1] == wd.shape[1]
-                and (rows is None or (xs[0] == rows.n_graphs if isinstance(rows, Slots) else rows.ndim == 1)))
-        n = xs[0] if rows is None else rows.bounds[-1] if isinstance(rows, Slots) else rows.size
+                and (rows is None or (xs[0] == rows.n_graphs if isinstance(rows, Slots)
+                                      else rows.index.ndim == 1 and xs[0] == rows.n)))
+        n = xs[0] if rows is None else rows.bounds[-1] if isinstance(rows, Slots) else rows.index.size
         sizes.add((n, wd.shape[0]) if fits else None)
         if not fits or len(sizes) != 1:
             raise _shape_error(op, *(p.shape if k < 2 else np.shape(p) for t in terms for k, p in enumerate(t)),
@@ -375,8 +419,7 @@ def _terms_backward(parts: list[tuple], dz: np.ndarray) -> None:
     """Push ``dz``, the gradient of the terms' sum, into their tracked
     tensors."""
     for x, w, rows in parts:
-        gz = (dz if rows is None else rows.sums(dz) if isinstance(rows, Slots)
-              else _sum_rows(dz, rows, x.data.shape[0]))
+        gz = dz if rows is None else rows.sums(dz)
         if _tracked(w):
             _accumulate(w, gz.T @ x.data)
         if _tracked(x):
@@ -400,9 +443,10 @@ def linear_sum(
     :func:`block_sum`), and ``W`` is (out, in). With ``rows`` the term
     contributes ``(x @ W.T)[rows]``: the product is taken once per row of
     ``x`` and then gathered, so that per-node rows reach per-edge outputs
-    without gathered copies of ``x``. ``rows`` is an integer index, whose
-    gradient is a keyed scatter, or a pack's :class:`Slots`, which gives
-    each graph's row to the rows it owns, its gradient a per-graph sum.
+    without gathered copies of ``x``. ``rows`` is an integer index or a
+    :class:`Gather` of one, whose gradient is a keyed scatter, or a pack's
+    :class:`Slots`, which gives each graph's row to the rows it owns, its
+    gradient a per-graph sum.
     Every term contributes the same number of rows. ``activation`` is None,
     "relu", "tanh" or "sigmoid", applied inside this one tape node, whose
     backward works from the output and the terms' tensors: it keeps no
@@ -429,7 +473,7 @@ def linear_sum(
         y = out.data if project is None else activate(_term_sum(parts))
         if project is not None:
             if _tracked(project):
-                _accumulate(project, np.tensordot(g, y, g.ndim))
+                _accumulate(project, g @ y)
             g = np.multiply.outer(g, project.data)
         if activation is not None:
             g = g * _ACTIVATIONS[activation][1](y)

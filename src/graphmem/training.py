@@ -34,8 +34,10 @@ MODES = ("single", "multi")
 # but a pack's tape grows with its cells, and peak memory binds first. A
 # memory hop's tape keeps about (3 + R) * memory_size floats per cell for R
 # relations: the gated update's output, proposal and gate and the neighbour
-# sums (numerics.block_sum), plus R * link_feat_dim for the ring sums in
-# learned mode. Off the tape, a pack keeps one block array in both modes.
+# sums (numerics.block_sum). In learned mode the ring sums add R floats per
+# cell (numerics.key_sum), kept placed in R * link_feat_dim columns. Off the
+# tape, a pack keeps one block array in both modes, and in learned mode the
+# edge scorer's scatter index, E * controller_size integers at each end.
 PACK_CELLS = 256
 
 
@@ -486,8 +488,10 @@ def train(
             examples = [train_pool[idx] for idx in batch]
             params.zero_grads()
             for part in budget_runs([ex.prepared.n_nodes for ex in examples], PACK_CELLS):
-                # each example draws its dropout masks from its own generator
-                rngs = [np.random.default_rng((config.seed, epoch, int(idx))) for idx in batch[part]]
+                # each example draws its dropout masks from its own generator;
+                # without dropout nothing draws, so none is made
+                rngs = ([np.random.default_rng((config.seed, epoch, int(idx))) for idx in batch[part]]
+                        if config.dropout > 0.0 else None)
                 _, forwarded = _run_pack(examples[part], params, config.hops,
                                          dropout_rate=config.dropout, rng=rngs, training=True)
                 loss = cross_entropy(forwarded.probability, [ex.label for ex in examples[part]])

@@ -696,6 +696,15 @@ def concatenated_pack(graphs):
 # -- the keyed formulation the per-graph sums replaced ----------------------------
 
 
+def _sum_rows(rows, index, n_out: int):
+    """(n_out, k) sums of the rows of ``rows`` grouped by ``index``, one
+    keyed ``bincount`` over the flat index ``index * k + arange(k)``; ids
+    that no row carries give zero rows."""
+    k = rows.shape[1]
+    flat = (index[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=n_out * k).reshape(n_out, k)
+
+
 def edge_sum(x, weights, src, keys, n_out: int, groups: int):
     """A weighted gather-sum over an edge list whose edges carry keys, with
     one column block per key group, as one tape node.
@@ -716,14 +725,14 @@ def edge_sum(x, weights, src, keys, n_out: int, groups: int):
     if x.ndim != 2 or weights.ndim != 1 or s.shape != weights.shape or d.shape != weights.shape:
         raise nm._shape_error("edge_sum", x.shape, weights.shape, s.shape, d.shape)
     k = x.data.shape[1]
-    out = nm.Tensor(nm._sum_rows(weights.data[:, None] * x.data[s], d, n_out * groups).reshape(n_out, groups * k))
+    out = nm.Tensor(_sum_rows(weights.data[:, None] * x.data[s], d, n_out * groups).reshape(n_out, groups * k))
     if not nm._tracked(x, weights):
         return out
 
     def backward(g):
         at_key = g.reshape(-1, k)[d]
         if nm._tracked(x):
-            nm._accumulate(x, nm._sum_rows(weights.data[:, None] * at_key, s, x.data.shape[0]))
+            nm._accumulate(x, _sum_rows(weights.data[:, None] * at_key, s, x.data.shape[0]))
         if nm._tracked(weights):
             nm._accumulate(weights, np.einsum("ek,ek->e", at_key, x.data[s]))
 
@@ -739,6 +748,28 @@ def keyed_link_sum(prepared, weights, k_b: int):
     keys = prepared.slots.keys
     return edge_sum(nm.constant(pack_links_oracle(prepared, k_b)), weights, np.arange(keys.size), keys,
                    prepared.n_nodes, prepared.slots.n_relations)
+
+
+def masked_block_ring_sum(prepared, weights, k_b: int):
+    """The ring sum as packs ran it before it became a keyed vector sum: a
+    block product of constant (N, k_b) rows that are 1 in their last
+    column, its edge weights masked by ``prepared.ring``, as one tape node.
+    Its backward gives each edge's weight its ring flag times the gradient
+    at its destination's block dotted with the source row."""
+    from graphmem import numerics as nm
+
+    slots = prepared.slots
+    ones = np.zeros((prepared.n_nodes, k_b))
+    ones[:, -1] = 1.0
+    out = nm.Tensor(slots.product(prepared.ring * weights.data, ones, k_b))
+    if not nm._tracked(weights):
+        return out
+
+    def backward(g):
+        at_key = g.reshape(-1, k_b)[slots.keys]
+        nm._accumulate(weights, prepared.ring * np.einsum("ek,ek->e", at_key, ones[slots.src]))
+
+    return nm._record(out, (weights,), backward)
 
 
 def keyed_memory_bias(params, prepared):

@@ -2,7 +2,9 @@
 whole-forward invariants (equivariance, locality, reduction to mean passing)."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from _oracles import (
     keyed_forward,
     keyed_memory_step,
     learned_memory_step_oracle,
+    masked_block_ring_sum,
     mean_links_bias_oracle,
     mean_passing_oracle,
     neighbor_lists,
@@ -687,8 +690,69 @@ class TestPerGraphSums:
         n_edges = prepared.slots.src.size
         with pytest.raises(DimensionError):  # one weight per edge
             block_sum(cells, Tensor(np.ones(n_edges + 1)), prepared.slots)
-        with pytest.raises(DimensionError):  # one mask entry per edge
-            block_sum(cells, Tensor(np.ones(n_edges)), prepared.slots, mask=np.ones(n_edges + 1))
+
+    @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
+    def test_ring_sum_matches_the_masked_block_oracle(self, mode, monkeypatch):
+        # the keyed ring sum against the masked block product it replaced:
+        # values and every gradient through the edge weights (a leaf in
+        # uniform mode, the learned scorer's in learned mode) on the mixed
+        # pack (a single atom, atoms without bonds, a relation no graph
+        # uses), the same with two large graphs, and each graph alone. The
+        # keyed sum runs no block product, forward or backward.
+        products = []
+
+        def counting(slots, *args, real=Slots.product, **kwargs):
+            products.append(ring_sum)
+            return real(slots, *args, **kwargs)
+
+        monkeypatch.setattr(Slots, "product", counting)
+        cfg = self.config(mode)
+        params = self.random_params(cfg, 69)
+        rng = np.random.default_rng(70)
+        graphs = self.two_group_graphs()
+        k_b = cfg.link_feat_dim
+        for members in [graphs[:5], graphs] + [[g] for g in graphs]:
+            prepared = pack(members, cfg)
+            cells = rng.normal(size=(prepared.n_nodes, 4))
+            seed = rng.normal(size=(prepared.n_nodes, cfg.n_relations * k_b))
+            results = []
+            for ring_sum in (_ring_sum, masked_block_ring_sum):
+                params.zero_grads()
+                memory = Tensor(cells.copy(), True)
+                weights = _neighbor_weights(prepared, memory, params)
+                leaf = None
+                if not weights.requires_grad and weights._backward is None:
+                    weights = leaf = Tensor(weights.data.copy(), True)
+                summed = ring_sum(prepared, weights, k_b)
+                summed.backward(seed=seed)
+                grads = {**params.grads(), "memory": np.zeros_like(cells) if memory.grad is None else memory.grad}
+                if leaf is not None:
+                    grads["weights"] = leaf.grad
+                    np.testing.assert_array_equal(leaf.grad[prepared.ring == 0.0], 0.0)
+                results.append(([summed.data], grads))
+            assert_matches_keyed(*results, f"{mode} {len(members)} graphs")
+            np.testing.assert_array_equal(results[0][0][0][:, 2 * k_b:], 0.0)  # no edge under relation 3
+        assert _ring_sum not in products and masked_block_ring_sum in products
+
+    def test_scorer_index_is_built_once_per_pack_and_width_and_freed_with_it(self):
+        # the learned edge scorer reaches its edges' ends through the pack's
+        # kept gathers: the first backward builds each end's flat scatter
+        # index at the scorer's width, every later hop and step on the pack
+        # reuses it, and it goes when the pack goes
+        params = self.random_params(self.config("learned"), 71)
+        prepared = pack(self.two_group_graphs(), params.config)
+        width = params.config.controller_size
+        kept = []
+        for _ in range(2):
+            self.training_step(params, prepared, 4).backward()
+            ends = (prepared.slots.at_src, prepared.slots.at_dst)
+            assert [sorted(end._flat) for end in ends] == [[width], [width]]
+            kept.append([end._flat[width] for end in ends])
+        assert all(a is b for a, b in zip(*kept))
+        refs = [weakref.ref(prepared)] + [weakref.ref(index) for index in kept[0]]
+        del prepared, ends, kept
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     @staticmethod
     def training_step(params, prepared, hops):
@@ -717,13 +781,11 @@ class TestPerGraphSums:
     @pytest.mark.parametrize("hops", [2, 10])
     @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
     def test_block_products_per_training_step(self, mode, hops, monkeypatch):
-        # every sum runs once in forward and keeps its value. Uniform mode
-        # multiplies once per memory hop and once for the memory bias's ring
-        # flags, and backward once per memory hop (the transposed product);
-        # learned mode multiplies the neighbour cells and the ring flags on
-        # every memory hop, and backward the cells once more for their
-        # transposed product. Each product writes its weights into the
-        # pack's block array; the pack is built before counting starts.
+        # every sum runs once in forward and keeps its value. Both modes
+        # multiply the neighbour cells once per memory hop, and backward
+        # once more for their transposed product; the ring flags are a
+        # keyed sum, with no product. Each product writes its weights into
+        # the pack's block array; the pack is built before counting starts.
         params = self.random_params(self.config(mode), 67)
         prepared = pack(self.two_group_graphs(), params.config)
         calls = []
@@ -737,15 +799,14 @@ class TestPerGraphSums:
         n_forward = len(calls)
         probability.backward()
         memory_hops = hops - 1
-        assert n_forward == (hops if mode == "uniform" else 2 * memory_hops)
+        assert n_forward == memory_hops
         assert len(calls) - n_forward == memory_hops
 
     @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
     def test_every_product_of_a_pack_uses_its_one_block_array(self, mode, monkeypatch):
-        # forward neighbour sums, learned ring sums and backward transposed
-        # products all read the same flat array, one matmul per size group;
-        # after the training step every entry off the edges' positions is
-        # still zero
+        # forward neighbour sums and backward transposed products all read
+        # the same flat array, one matmul per size group; after the training
+        # step every entry off the edges' positions is still zero
         params = self.random_params(self.config(mode), 68)
         prepared = pack(self.two_group_graphs(), params.config)
         slots = prepared.slots
@@ -754,8 +815,7 @@ class TestPerGraphSums:
         probability = self.training_step(params, prepared, 4)
         n_forward = len(seen)
         probability.backward()
-        products = 4 if mode == "uniform" else 6
-        assert (n_forward, len(seen) - n_forward) == (products * len(slots.groups), 3 * len(slots.groups))
+        assert (n_forward, len(seen) - n_forward) == (3 * len(slots.groups), 3 * len(slots.groups))
         assert all(blocks is seen[0] for blocks in seen)
         assert seen[0].shape == (slots.n_entries,)
         off = np.ones(slots.n_entries, dtype=bool)

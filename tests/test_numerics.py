@@ -410,63 +410,73 @@ class TestGatedUpdate:
             nm.gated_update([(constant(a["x"]), w[0])], parameter(a["bias_rows"][:2]), constant(a["old"]))
 
 
-class TestMaskedBlockSum:
+class TestKeySum:
     # two graphs, rows 0-2 and 3-4, two relations; edge e runs src[e] -> dst[e]
-    # under relation rel[e], and the mask drops edges 1, 4 and 6
+    # under relation rel[e], and edges 1, 4 and 6 carry a zero factor
     SRC = np.array([1, 2, 0, 2, 0, 4, 3, 3])
     DST = np.array([0, 0, 1, 1, 2, 3, 4, 4])
     REL = np.array([0, 0, 1, 0, 0, 1, 1, 0])
-    MASK = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    FACTOR = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
     def arrays(self, seed):
         rng = np.random.default_rng(seed)
-        return {"x": rng.normal(size=(5, 3)), "weights": rng.uniform(0.1, 1.0, size=8),
-                "w": rng.normal(size=(4, 6)), "b": rng.normal(size=4), "v": rng.normal(size=4)}
+        return {"weights": rng.uniform(0.1, 1.0, size=8), "w": rng.normal(size=(4, 6)), "b": rng.normal(size=4),
+                "v": rng.normal(size=4)}
 
-    def block_sum(self, x, weights, mask):
+    def key_sum(self, weights, factor):
         slots = nm.Slots([0, 3, 5], self.SRC, self.DST * 2 + self.REL, 2)
-        return nm.block_sum(x, weights, slots, mask=mask)
+        return nm.key_sum(weights, factor, slots, 3)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_masked_edges_get_no_weight_gradient(self, seed):
-        # the value is the keyed sum of the masked weights; with a linear
-        # term the masked edges' weights get zero gradient and the others
-        # exactly the unmasked sum's, and x its transposed product
+    def test_unflagged_edges_get_no_weight_gradient(self, seed):
+        # the value is the keyed sum of the factored weights in the last
+        # column of each relation's block; with a linear term the edges of
+        # factor zero get zero weight gradient and the others exactly that
+        # of the sum with every factor one
         a = self.arrays(seed)
         grad_seed = np.random.default_rng(seed + 50).normal(size=(5, 4))
+        ones_last = np.zeros((5, 3))
+        ones_last[:, -1] = 1.0
         grads = []
-        for mask in (self.MASK, None):
-            x, weights, w = Tensor(a["x"], True), Tensor(a["weights"], True), Tensor(a["w"], True)
-            summed = self.block_sum(x, weights, mask)
-            if mask is not None:
-                keyed = edge_sum(constant(a["x"]), constant(mask * a["weights"]), self.SRC, self.DST * 2 + self.REL,
-                                5, 2)
-                np.testing.assert_allclose(summed.data, keyed.data, rtol=0, atol=1e-15)
+        for factor in (self.FACTOR, np.ones(8)):
+            weights, w = Tensor(a["weights"], True), Tensor(a["w"], True)
+            summed = self.key_sum(weights, factor)
+            keyed = edge_sum(constant(ones_last), constant(factor * a["weights"]), self.SRC, self.DST * 2 + self.REL,
+                             5, 2)
+            np.testing.assert_allclose(summed.data, keyed.data, rtol=0, atol=1e-15)
             linear_sum([(summed, w)]).backward(seed=grad_seed)
             grads.append(weights.grad)
-        masked, unmasked = grads
-        assert unmasked[self.MASK == 0.0].all()
-        np.testing.assert_array_equal(masked[self.MASK == 0.0], 0.0)
-        np.testing.assert_array_equal(masked[self.MASK == 1.0], unmasked[self.MASK == 1.0])
+        factored, unfactored = grads
+        assert unfactored[self.FACTOR == 0.0].all()
+        np.testing.assert_array_equal(factored[self.FACTOR == 0.0], 0.0)
+        np.testing.assert_array_equal(factored[self.FACTOR == 1.0], unfactored[self.FACTOR == 1.0])
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_masked_block_sum_matches_finite_differences(self, seed):
+    def test_key_sum_matches_finite_differences(self, seed):
         a = self.arrays(seed)
         grad_seed = np.random.default_rng(seed + 60).normal(size=5)
 
         def build():
             leaves = {name: Tensor(array, True) for name, array in a.items()}
-            summed = self.block_sum(leaves["x"], leaves["weights"], self.MASK)
+            summed = self.key_sum(leaves["weights"], self.FACTOR)
             out = linear_sum([(summed, leaves["w"])], bias=leaves["b"], activation="tanh", project=leaves["v"])
             return out, leaves
 
         out, leaves = build()
         out.backward(seed=grad_seed)
         exact = {name: leaf.grad for name, leaf in leaves.items()}
-        np.testing.assert_array_equal(exact["weights"][self.MASK == 0.0], 0.0)
+        np.testing.assert_array_equal(exact["weights"][self.FACTOR == 0.0], 0.0)
         estimate = finite_difference_gradient(lambda: float(grad_seed @ build()[0].data), a, eps=1e-6)
         worst, name = nm.max_relative_error(exact, estimate)
         assert worst <= 1e-6, f"worst {worst} at {name}"
+
+    def test_key_sum_checks_its_shapes(self):
+        weights = Tensor(np.ones(8))
+        with pytest.raises(DimensionError):  # one weight per edge
+            self.key_sum(Tensor(np.ones(9)), self.FACTOR)
+        with pytest.raises(DimensionError):  # one factor per edge
+            self.key_sum(weights, np.ones(9))
+        assert self.key_sum(weights, self.FACTOR).shape == (5, 6)
 
 
 class TestFiniteDifferenceOracle:

@@ -304,6 +304,29 @@ class TestTrainingLoop:
         assert "nbr.score" in result.params.names()
         assert len(result.history) == 2
 
+    def test_without_dropout_no_example_generator_is_made(self, monkeypatch):
+        # every training example draws its dropout masks from a generator of
+        # its own; at rate 0 nothing draws, so train makes only the
+        # initializer's generator and one per epoch for the example order
+        examples = synthetic_examples(count=24, seed=10)
+        split = split_dataset(examples, seed=2)
+        made = []
+        real_default_rng = np.random.default_rng
+
+        def counting_default_rng(*args, **kwargs):
+            made.append(args)
+            return real_default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        counts = {}
+        for dropout in (0.0, 0.1):
+            made.clear()
+            config = ExperimentConfig(hops=2, memory_size=8, controller_size=8, dropout=dropout, batch_size=8,
+                                      max_epochs=2, patience=5, seed=3, mode="single")
+            assert len(train({"t": split}, config).history) == 2
+            counts[dropout] = len(made)
+        assert counts == {0.0: 1 + 2, 0.1: 1 + 2 + 2 * len(split.train)}
+
     def test_multi_with_one_task_equals_single(self):
         examples = synthetic_examples(count=30, seed=12)
         split = split_dataset(examples, seed=1)

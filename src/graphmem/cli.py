@@ -19,7 +19,7 @@ import json
 import sys
 import time
 import zlib
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import get_origin, get_type_hints
 
@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, check_options, circular_fingerprints, fingerprint_csv
+from .fingerprint import (DEFAULT_NBITS, DEFAULT_RADIUS, check_options, circular_fingerprints, fingerprint_csv,
+                          fingerprint_lines)
 from .gradcheck import run_gradient_check
 from .model import MAX_HOPS, ModelConfig, ModelParams
 from .molgraph import (
@@ -38,7 +39,6 @@ from .molgraph import (
     MolecularGraph,
     MolfileError,
     SyntheticSpecError,
-    element_slots,
     featurize,
     generate_synthetic,
     node_feature_dim,
@@ -100,8 +100,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def _repeated_symbols(vocab) -> list[str]:
-    """The symbols a vocabulary lists more than once. element_slots gives
-    such a symbol its last slot, and its earlier slots stay always zero."""
+    """The symbols a vocabulary lists more than once. featurize gives such
+    a symbol its last slot, and its earlier slots stay always zero."""
     return sorted({symbol for k, symbol in enumerate(vocab) if symbol in vocab[:k]})
 
 
@@ -459,17 +459,17 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     sdf_bytes = sdf_path.read_bytes()
     graphs = parse_sdf(_text(sdf_path, sdf_bytes))
     vocab = resolved.get("vocab", list(DEFAULT_VOCAB))
-    rows = []
-    for chunk in budget_runs([graph.n_nodes for graph in graphs], FINGERPRINT_CHUNK_ATOMS):
-        slotted = [replace(graph, element_slots=element_slots(graph.symbols, vocab)) for graph in graphs[chunk]]
-        bits = circular_fingerprints(slotted, radius=radius, nbits=nbits)
-        rows.extend((graph.title or str(index), row)
-                    for index, graph, row in zip(range(chunk.start, chunk.stop), slotted, bits))
     csv_path = out_dir / "fingerprints.csv"
-    csv_path.write_text(fingerprint_csv(rows), encoding="utf-8")
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write(fingerprint_csv([]))  # the header line
+        # each run's bit matrix is written as soon as it is hashed, then dropped
+        for chunk in budget_runs([graph.n_nodes for graph in graphs], FINGERPRINT_CHUNK_ATOMS):
+            slotted = [featurize(graph, vocab) for graph in graphs[chunk]]
+            ids = [graph.title or str(index) for index, graph in zip(range(chunk.start, chunk.stop), slotted)]
+            fh.write(fingerprint_lines(ids, circular_fingerprints(slotted, radius=radius, nbits=nbits)))
     _write_manifest(out_dir, "fingerprint", {**resolved, "nbits": nbits, "radius": radius},
                     {"input": {sdf_path.name: _sha256(sdf_bytes)}}, {"fingerprints": str(csv_path)}, started)
-    print(f"{len(rows)} fingerprints written to {csv_path}")
+    print(f"{len(graphs)} fingerprints written to {csv_path}")
     return EXIT_OK
 
 

@@ -10,6 +10,8 @@ serialization, so fingerprints are bit-identical across platforms.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -176,30 +178,30 @@ def circular_fingerprint(
     return circular_fingerprints([graph], radius, nbits)[0]
 
 
-def fingerprint_csv(rows: Sequence[tuple[str, np.ndarray]]) -> str:
-    """Export (id, bit row) pairs as ``id,hexstring`` lines with a header.
+def fingerprint_lines(ids: Sequence[str], bits: Sequence[np.ndarray]) -> str:
+    """The ``id,hexstring`` CSV lines of (molecules, nbits) 0/1 bit rows.
 
     A row is nbits/4 hex digits, bit 0 most significant, and one digit
     below 8 bits; all rows are packed and hex-encoded in one pass. An id
     that holds a comma or a quote is quoted, so every row reads back as
     two fields."""
-    import csv
-    import io
-
+    bits = np.asarray(bits, dtype=np.uint8)
+    packed = np.packbits(bits, axis=1)
+    # below 8 bits a row is the high bits of its one byte: shift them down
+    # and keep the byte's second hex digit
+    packed >>= max(0, 8 - bits.shape[1])
+    text = packed.tobytes().hex()
+    width, skip = 2 * packed.shape[1], int(bits.shape[1] < 8)
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("id", "fingerprint"))
-    if rows:
-        nbits = len(rows[0][1])
-        packed = np.packbits(np.array([row for _, row in rows], dtype=np.uint8), axis=1)
-        # below 8 bits a row is the high bits of its one byte: shift them
-        # down and keep the byte's second hex digit
-        packed >>= max(0, 8 - nbits)
-        text = packed.tobytes().hex()
-        width, skip = 2 * packed.shape[1], int(nbits < 8)
-        writer.writerows((example_id, text[k + skip:k + width])
-                         for (example_id, _), k in zip(rows, range(0, len(text), width)))
+    csv.writer(out, lineterminator="\n").writerows(
+        zip(ids, (text[k + skip:k + width] for k in range(0, len(text), width))))
     return out.getvalue()
+
+
+def fingerprint_csv(rows: Sequence[tuple[str, np.ndarray]]) -> str:
+    """(id, bit row) pairs as :func:`fingerprint_lines` under the header line,
+    which is all a library without records gives."""
+    return "id,fingerprint\n" + (fingerprint_lines(*zip(*rows)) if rows else "")
 
 
 # -- logistic-regression baseline ---------------------------------------------

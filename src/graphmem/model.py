@@ -26,13 +26,13 @@ controller row per graph, so one tape node serves the whole pack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import numerics as nm
-from .molgraph import MolecularGraph, link_feature_dim
+from .molgraph import MolecularGraph, atom_one_hot, link_feature_dim
 from .numerics import Tensor
 
 NEIGHBOR_MODES = ("uniform", "learned")
@@ -92,16 +92,7 @@ class ModelConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "node_feat_dim": self.node_feat_dim,
-            "link_feat_dim": self.link_feat_dim,
-            "n_relations": self.n_relations,
-            "query_dim": self.query_dim,
-            "memory_size": self.memory_size,
-            "controller_size": self.controller_size,
-            "neighbor_mode": self.neighbor_mode,
-            "raw_embedding": self.raw_embedding,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
@@ -217,11 +208,11 @@ class PreparedGraph:
     """A pack: the disjoint union of one or more graphs, with the constants
     every hop reuses, built by :func:`pack`.
 
-    The node rows of all graphs are stacked in order into ``features`` and
-    the memory. A single graph is a pack of one. ``slots`` is the pack's
-    one layout (:class:`~graphmem.numerics.Slots`): graph ``b`` owns rows
-    ``slots.bounds[b]:slots.bounds[b+1]``, and ``slots.segments`` holds
-    each row's graph.
+    The one-hot node rows of all graphs are stacked in order into
+    ``features`` (see :func:`pack`) and the memory; a single graph is a
+    pack of one. ``slots`` is the pack's one layout (:class:`~graphmem.numerics.Slots`):
+    graph ``b`` owns rows ``slots.bounds[b]:slots.bounds[b+1]``, and
+    ``slots.segments`` holds each row's graph.
 
     The edges of every relation form one directed edge list in these row
     numbers, each bond in both directions, so no edge joins two graphs:
@@ -266,15 +257,18 @@ class PreparedGraph:
 
 def check_graph(graph: MolecularGraph, config: ModelConfig) -> None:
     """Refuse a graph the model of ``config`` cannot run: one that is not
-    featurized, or whose node features, relations or link features do not
-    fit the model."""
-    if graph.node_features is None:
+    featurized, whose slot width or relations or link features do not fit
+    the model, or with an element slot outside its width (which would set
+    a degree column of its one-hot row)."""
+    slots, width, k_x = graph.element_slots, graph.slot_width, graph.feature_width
+    if k_x is None:
         raise ValueError("graph is not featurized; call molgraph.featurize first")
-    k_x = graph.node_features.shape[1]
     if k_x != config.node_feat_dim:
-        raise nm.DimensionError(
-            f"node features have width {k_x} but the model embedding expects {config.node_feat_dim}"
-        )
+        raise nm.DimensionError(f"node features have width {k_x} but the model embedding expects "
+                                f"{config.node_feat_dim}")
+    if slots.astype(np.uintp).max(initial=0) >= width:  # a slot below 0 wraps past the width
+        atom = np.flatnonzero((slots < 0) | (slots >= width))[0]
+        raise ValueError(f"atom {atom} has element slot {slots[atom]}, outside the slot width {width}")
     if graph.n_relations > config.n_relations:
         raise nm.DimensionError(
             f"graph uses {graph.n_relations} relations but the model has {config.n_relations}"
@@ -302,7 +296,8 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     summed in that order. A graph therefore gets the same constants, bit
     for bit, alone or in any pack. Every graph needs an atom: a memory
     without cells has nothing to attend over. A graph's ring flags are
-    searched when its first pack reads them and kept on the graph.
+    searched when its first pack reads them and kept on the graph; its
+    one-hot node rows (:func:`~graphmem.molgraph.atom_one_hot`) live with the pack.
 
     The slot map (:class:`~graphmem.numerics.Slots`) is built here once per
     pack; its block array, about ``8 R sum_g B_g m_g**2`` bytes for size
@@ -332,7 +327,7 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     indicator = np.zeros((n, n_relations, config.link_feat_dim))
     indicator[dst, relation, relation] = 1.0  # a key's summed link rows hold its relation's one-hot
     return PreparedGraph(
-        features=nm.constant(np.concatenate([graph.node_features for graph in graphs])),
+        features=nm.constant(atom_one_hot(graphs)),
         ring=np.concatenate([ring, ring])[order].astype(np.float64),
         indicator=nm.constant(indicator.reshape(n, n_relations * config.link_feat_dim)),
         uniform=nm.constant(1.0 / np.bincount(keys, minlength=n * n_relations)[keys]),

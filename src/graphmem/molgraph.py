@@ -1,17 +1,19 @@
 """Multi-relational molecular graphs.
 
 Covers the data model, a self-contained MOL/SDF V2000 subset parser,
-ring-edge detection by bridge finding, one-hot atom/bond featurization,
-and a deterministic synthetic motif-dataset generator used for
-desk-scale experiments.
+ring-edge detection by bridge finding, atom featurization, and a
+deterministic synthetic motif-dataset generator used for desk-scale
+experiments.
 
 A graph is columnar: its element symbols, one (E, 3) integer ``bonds``
 array and the per-atom degree and explicit-H counts derived from it.
-:func:`featurize` adds the node-feature matrix and the element slots. The
-per-bond ring flags are derived from ``bonds`` on first read and kept, so
-only a caller that reads them (``model.pack``) pays for the search.
-Nothing is kept per atom or per bond object; the ``nodes`` and ``edges``
-views are built on access.
+:func:`featurize` adds each atom's element slot and the vocabulary's
+slot width, so an atom is three integers; :func:`atom_one_hot` builds the
+one-hot node rows of a pack from them. The per-bond ring flags are
+derived from ``bonds`` on first read and kept, so only a caller that
+reads them (``model.pack``) pays for the search. Nothing is kept per
+atom or per bond object; the ``nodes`` and ``edges`` views are built on
+access.
 
 Everything here is a pure function of its inputs; a built graph is never
 mutated, so one graph object can back many examples and tasks.
@@ -19,7 +21,7 @@ mutated, so one graph object can back many examples and tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -103,8 +105,8 @@ class MolecularGraph:
     ``bonds`` holds one row (i, j, relation) per bond with i < j and a
     1-based relation; ``degree`` and ``h_count`` (explicit H neighbors) are
     derived from it, and so is ``ring`` (one in-ring flag per bond), on
-    first read. :func:`featurize` fills ``node_features`` and
-    ``element_slots``; fingerprints need only the slots.
+    first read. :func:`featurize` fills ``element_slots`` and
+    ``slot_width``, which fingerprints and :func:`atom_one_hot` read.
     """
 
     symbols: tuple[str, ...]
@@ -112,13 +114,18 @@ class MolecularGraph:
     n_relations: int
     degree: np.ndarray
     h_count: np.ndarray
-    node_features: np.ndarray | None = None
     element_slots: np.ndarray | None = None
+    slot_width: int | None = None
     title: str = ""
 
     @property
     def n_nodes(self) -> int:
         return len(self.symbols)
+
+    @property
+    def feature_width(self) -> int | None:
+        """The width of the graph's :func:`atom_one_hot` rows, None before :func:`featurize`."""
+        return None if self.slot_width is None else self.slot_width + DEGREE_SLOTS + HCOUNT_SLOTS
 
     @cached_property
     def ring(self) -> np.ndarray:
@@ -433,33 +440,29 @@ def link_feature_dim(n_relations: int) -> int:
     return n_relations + 1
 
 
-def element_slots(symbols: Sequence[str], vocab: Sequence[str] = DEFAULT_VOCAB) -> np.ndarray:
-    """Each symbol's slot in ``vocab``; a symbol ``vocab`` lacks takes the
-    trailing OTHER slot, ``len(vocab)``."""
-    slot_of = {symbol: k for k, symbol in enumerate(vocab)}
-    return np.array([slot_of.get(symbol, len(vocab)) for symbol in symbols], dtype=np.intp)
-
-
 def featurize(graph: MolecularGraph, vocab: Sequence[str] = DEFAULT_VOCAB) -> MolecularGraph:
-    """Attach one-hot node features and element slots to a graph.
+    """A copy of the graph with each atom's slot in ``vocab`` (a symbol
+    ``vocab`` lacks takes the trailing OTHER slot, ``len(vocab)``) and the
+    slot width ``len(vocab) + 1``. No ring search runs here: the new graph
+    derives its ``ring`` flags on first read."""
+    slot_of = {symbol: k for k, symbol in enumerate(vocab)}
+    slots = np.array([slot_of.get(symbol, len(vocab)) for symbol in graph.symbols], dtype=np.intp)
+    return replace(graph, element_slots=slots, slot_width=len(vocab) + 1)
 
-    Node rows are element one-hot (vocabulary order, unknowns in a trailing
-    OTHER slot), then degree one-hot over slots 0..4 (clamped), then
-    explicit-H-count one-hot likewise. The output is deterministic for
-    identical inputs; the input graph is left untouched. No ring search
-    runs here: the new graph derives its ``ring`` flags on first read.
-    """
-    slots = element_slots(graph.symbols, vocab)
-    other = len(vocab)
-    hot = np.stack([
-        slots,
-        other + 1 + np.minimum(graph.degree, DEGREE_SLOTS - 1),
-        other + 1 + DEGREE_SLOTS + np.minimum(graph.h_count, HCOUNT_SLOTS - 1),
-    ], axis=1)
-    x = np.zeros((graph.n_nodes, node_feature_dim(vocab)), dtype=np.float64)
-    x[np.arange(graph.n_nodes)[:, None], hot] = 1.0
-    return MolecularGraph(graph.symbols, graph.bonds, graph.n_relations, graph.degree, graph.h_count,
-                          node_features=x, element_slots=slots, title=graph.title)
+
+def atom_one_hot(graphs: Sequence[MolecularGraph]) -> np.ndarray:
+    """The (N, k_x) one-hot node rows of featurized graphs of one slot width,
+    atoms stacked in order, set by one scatter: the element slot's one-hot
+    (vocabulary order, then OTHER), then the degree's over slots 0..4 and
+    the explicit-H count's likewise, each clamped into its last slot."""
+    width = graphs[0].slot_width
+    degree = np.minimum(np.concatenate([graph.degree for graph in graphs]), DEGREE_SLOTS - 1)
+    h_count = np.minimum(np.concatenate([graph.h_count for graph in graphs]), HCOUNT_SLOTS - 1)
+    hot = np.stack([np.concatenate([graph.element_slots for graph in graphs]),
+                    width + degree, width + DEGREE_SLOTS + h_count], axis=1)
+    x = np.zeros((len(hot), graphs[0].feature_width))
+    x[np.arange(len(hot))[:, None], hot] = 1.0
+    return x
 
 
 # -- labeled examples and label files ------------------------------------------

@@ -319,7 +319,7 @@ def derive_model_config(examples: Sequence[LabeledExample], config: ExperimentCo
     n_relations = 0
     for ex in examples:
         g = ex.graph
-        if g.node_features is None:
+        if g.slot_width is None:
             raise DatasetError("examples must be featurized before training")
         n_relations = max(n_relations, g.n_relations)
         if len(g.bonds):
@@ -330,7 +330,7 @@ def derive_model_config(examples: Sequence[LabeledExample], config: ExperimentCo
         raise DatasetError(f"inconsistent link feature widths {sorted(link_dims)}")
     try:
         return ModelConfig(
-            node_feat_dim=examples[0].graph.node_features.shape[1],
+            node_feat_dim=examples[0].graph.feature_width,
             link_feat_dim=link_dims.pop(),
             n_relations=n_relations,
             query_dim=1 if config.mode == "single" else n_tasks,

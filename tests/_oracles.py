@@ -599,11 +599,24 @@ def featurize_oracle(record: dict, vocab) -> tuple[np.ndarray, list[bool]]:
     return rows, ring
 
 
-def prepare_graph_oracle(graph, config):
+def graph_record(graph) -> dict:
+    """A graph as the record :func:`featurize_oracle` reads, its degrees and
+    explicit-H counts recounted bond by bond."""
+    bonds = [tuple(bond) for bond in graph.bonds.tolist()]
+    degree, h_count = [0] * graph.n_nodes, [0] * graph.n_nodes
+    for i, j, _ in bonds:
+        for atom, other in ((i, j), (j, i)):
+            degree[atom] += 1
+            h_count[atom] += graph.symbols[other] == "H"
+    return {"symbols": list(graph.symbols), "bonds": bonds, "degree": degree, "h_count": h_count}
+
+
+def prepare_graph_oracle(graph, config, vocab):
     """One graph's pack constants as they were built graph by graph, before
-    packs were built in one pass: its own edge sort and keyed sums. The
-    edges' link rows (:func:`link_features_oracle`) give each edge's ring
-    flag, and each key's relation one-hot in ``indicator``."""
+    packs were built in one pass: its own edge sort and keyed sums. Its
+    node rows are :func:`featurize_oracle`'s under ``vocab``; the edges'
+    link rows (:func:`link_features_oracle`) give each edge's ring flag,
+    and each key's relation one-hot in ``indicator``."""
     from graphmem import numerics as nm
     from graphmem.model import PreparedGraph
 
@@ -624,7 +637,7 @@ def prepare_graph_oracle(graph, config):
     # the padded slot layout is checked against its own oracle,
     # block_layout_oracle
     return PreparedGraph(
-        features=nm.constant(graph.node_features), ring=links[:, -1],
+        features=nm.constant(featurize_oracle(graph_record(graph), vocab)[0]), ring=links[:, -1],
         indicator=nm.constant(indicator.reshape(m, n_relations * k_b)), uniform=uniform,
         slots=nm.Slots([0, m], src, keys, n_relations),
     )

@@ -22,6 +22,7 @@ from graphmem.molgraph import (
 
 from _oracles import atom_identifiers_oracle, fold_oracle, hex_oracle
 from test_molgraph import molblock
+from test_training import misslotted
 
 SPEC_TEXT = (
     "nodes_min=6\nnodes_max=9\nrelations=2\nmotif=triangle:1\nbalance=0.5\ncount=40\n"
@@ -309,7 +310,7 @@ class TestBalanceFlag:
         meta = {"tasks": ["assay"], "mode": "single", "seed": 3, "vocab": ["C"]}
         pool, _ = _eval_pool({"data_dir": str(tmp_path), "balance": True}, meta)
         assert [ex.example_id for ex in pool] == [str(k) for k in range(7)]
-        assert all(ex.graph.node_features.shape[1] == node_feature_dim(["C"]) for ex in pool)
+        assert all(ex.graph.feature_width == node_feature_dim(["C"]) for ex in pool)
 
 
 class TestEvalAndDump:
@@ -799,6 +800,39 @@ class TestAtomlessRecord:
             assert "example '5' has no atoms" in capsys.readouterr().err, argv[0]
 
 
+class TestSlotRange:
+    """eval and dump-attention refuse a graph whose element slots do not fit
+    the checkpoint's vocabulary with exit 3 naming the example, before any
+    output is written."""
+
+    @pytest.mark.parametrize("case", ["other vocabulary", "slot at the width"])
+    def test_misslotted_graph_is_data_error(self, tmp_path, capsys, monkeypatch, case):
+        import graphmem.cli as cli
+
+        task_dir = tmp_path / "assay"
+        task_dir.mkdir()
+        records = [molblock(["C", "O", "N"], [(1, 2, 1), (2, 3, 2)], title=f"m{k}") for k in range(12)]
+        (task_dir / "molecules.sdf").write_text("".join(r + "$$$$\n" for r in records), encoding="utf-8")
+        (task_dir / "labels.csv").write_text(
+            "id,task,label\n" + "".join(f"{k},assay,{k % 2}\n" for k in range(len(records))), encoding="utf-8")
+        save_assay_checkpoint(tmp_path / "checkpoint.bin")
+        real_featurize = cli.featurize
+
+        def featurize_m5_wrongly(graph, vocab):
+            featurized = real_featurize(graph, vocab)
+            return misslotted(featurized, vocab, case) if graph.title == "m5" else featurized
+
+        monkeypatch.setattr(cli, "featurize", featurize_m5_wrongly)
+        for command in ("eval", "dump-attention"):
+            capsys.readouterr()
+            code = run(command, "--checkpoint", tmp_path / "checkpoint.bin", "--set", f"data_dir={tmp_path}",
+                       "--out-dir", tmp_path / "out")
+            err = capsys.readouterr().err
+            assert code == 3, command
+            assert "example '5'" in err and "Traceback" not in err, err
+        assert not any((tmp_path / "out" / name).exists() for name in ("metrics.json", "attention.jsonl"))
+
+
 class TestFingerprintCommand:
     def test_one_atom_popcount_one(self, tmp_path):
         sdf = tmp_path / "one.sdf"
@@ -836,7 +870,7 @@ class TestFingerprintCommand:
         assert csv_b.read_bytes() == csv_a.read_bytes()
 
     def test_no_node_features_are_built(self, tmp_path, monkeypatch):
-        import graphmem.cli as cli
+        import graphmem.model as model_module
         import graphmem.molgraph as molgraph_module
 
         from graphmem.fingerprint import circular_fingerprint, fingerprint_csv
@@ -849,11 +883,13 @@ class TestFingerprintCommand:
         expected = fingerprint_csv([(g.title or str(k), circular_fingerprint(featurize(g, DEFAULT_VOCAB)))
                                     for k, g in enumerate(parse_sdf(text))])
 
-        def no_features(graph, vocab=DEFAULT_VOCAB):
-            raise AssertionError("fingerprinting built node features")
+        def no_features(graphs):
+            raise AssertionError("fingerprinting built one-hot node rows")
 
-        monkeypatch.setattr(molgraph_module, "featurize", no_features)
-        monkeypatch.setattr(cli, "featurize", no_features)
+        # a featurized graph holds integer columns only; the one-hot rows are
+        # built by packs alone, which fingerprinting never makes
+        monkeypatch.setattr(molgraph_module, "atom_one_hot", no_features)
+        monkeypatch.setattr(model_module, "atom_one_hot", no_features)
         assert run("fingerprint", "--input", sdf, "--out-dir", tmp_path) == 0
         assert (tmp_path / "fingerprints.csv").read_text(encoding="utf-8") == expected
 

@@ -41,7 +41,9 @@ from _oracles import (
     block_layout_oracle,
     concatenated_pack,
     edge_sum,
+    featurize_oracle,
     gather_sum,
+    graph_record,
     keyed_attentive_read,
     keyed_forward,
     keyed_memory_step,
@@ -98,6 +100,13 @@ def sample_graph(rng, n_relations=2, n_max=8) -> MolecularGraph:
     return featurize(random_graph(rng, 3, n_max, n_relations), SYNTHETIC_ALPHABET)
 
 
+def with_slot(graph: MolecularGraph, atom: int, slot: int) -> MolecularGraph:
+    """The featurized graph with one atom's element slot changed."""
+    slots = graph.element_slots.copy()
+    slots[atom] = slot
+    return dataclasses.replace(graph, element_slots=slots)
+
+
 class TestInitialize:
     @pytest.mark.parametrize("raw_embedding", [False, True])
     @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
@@ -133,12 +142,21 @@ class TestInitState:
         assert state.t == 0
 
     def test_zero_features_zero_bias_gives_zero_cells(self):
+        # an atom reaches its cell only through its one-hot columns: with
+        # those columns of the embedding zero and no bias, every cell is zero
+        # until one atom's element slot moves onto the one live column, the
+        # slot of E, which no atom of the graph holds
         cfg = small_config()
-        params = make_params(cfg, embed__bias=np.zeros(cfg.memory_size))
+        live = np.zeros((cfg.memory_size, K_X))
+        live[:, SYNTHETIC_ALPHABET.index("E")] = 1.0
+        params = make_params(cfg, embed__weight=live, embed__bias=np.zeros(cfg.memory_size))
         graph = line_graph(3)
-        zeroed = dataclasses.replace(graph, node_features=np.zeros_like(graph.node_features))
-        state = init_state(prepare_graph(zeroed, cfg), np.ones(1), params)
+        assert "E" not in graph.symbols
+        state = init_state(prepare_graph(graph, cfg), np.ones(1), params)
         np.testing.assert_array_equal(state.memory.data, np.zeros((3, cfg.memory_size)))
+        moved = with_slot(graph, 1, SYNTHETIC_ALPHABET.index("E"))
+        state = init_state(prepare_graph(moved, cfg), np.ones(1), params)
+        np.testing.assert_array_equal(state.memory.data, [[0.0] * 4, [1.0] * 4, [0.0] * 4])
 
     def test_cell_depends_only_on_its_own_features(self):
         rng = np.random.default_rng(5)
@@ -146,9 +164,7 @@ class TestInitState:
         params = make_params(cfg, seed=3)
         graph = sample_graph(rng, n_relations=2, n_max=4)
         base = init_state(prepare_graph(graph, cfg), np.ones(1), params).memory.data
-        perturbed_features = graph.node_features.copy()
-        perturbed_features[1] += 0.7
-        poked = dataclasses.replace(graph, node_features=perturbed_features)
+        poked = with_slot(graph, 1, (graph.element_slots[1] + 1) % graph.slot_width)
         after = init_state(prepare_graph(poked, cfg), np.ones(1), params).memory.data
         for i in range(graph.n_nodes):
             if i == 1:
@@ -428,7 +444,7 @@ class TestMemoryStep:
                           memory_size=4, controller_size=3)
         for members in [graphs, graphs[::-1]] + [[g] for g in graphs]:
             packed = pack(members, cfg)
-            expected = concatenated_pack([prepare_graph_oracle(g, cfg) for g in members])
+            expected = concatenated_pack([prepare_graph_oracle(g, cfg, SYNTHETIC_ALPHABET) for g in members])
             assert packed.slots.n_relations == expected.slots.n_relations == 3
             fields = [(packed, expected, name) for name in ("features", "ring", "indicator", "uniform")]
             fields += [(packed.slots, expected.slots, name) for name in ("bounds", "segments", "src", "dst", "keys")]
@@ -438,6 +454,23 @@ class TestMemoryStep:
                     actual, wanted = actual.data, wanted.data
                 assert actual.dtype == wanted.dtype, name
                 np.testing.assert_array_equal(actual, wanted, err_msg=name)
+
+    def test_pack_one_hot_equals_the_featurize_oracle(self):
+        # an unknown element (the OTHER slot), an atom of degree 7 and one
+        # with 5 explicit H, so both clamps run, and a lone atom, all in one
+        # pack: its node rows are the oracle's rows, graph after graph
+        vocab = ("C", "N", "O", "H")
+        graphs = [featurize(MolecularGraph.from_bonds(symbols, bonds, 2), vocab) for symbols, bonds in [
+            (["C", "N", "O", "C", "N", "O", "C", "C"], [(0, k, 1 + k % 2) for k in range(1, 8)]),
+            (["O"], []),
+            (["N", "Xx"], [(0, 1, 2)]),
+            (["C", "H", "H", "H", "H", "H"], [(0, k, 1) for k in range(1, 6)]),
+        ]]
+        assert graphs[0].degree[0] == 7 and graphs[3].h_count[0] == 5 and graphs[2].element_slots[1] == len(vocab)
+        cfg = ModelConfig(node_feat_dim=node_feature_dim(vocab), link_feat_dim=link_feature_dim(2), n_relations=2,
+                          query_dim=1, memory_size=4, controller_size=3)
+        expected = np.concatenate([featurize_oracle(graph_record(g), vocab)[0] for g in graphs])
+        np.testing.assert_array_equal(pack(graphs, cfg).features.data, expected, strict=True)
 
     def test_keyed_pack_matches_the_per_relation_oracles(self):
         graphs = self.mixed_pack_graphs()
@@ -1062,9 +1095,8 @@ class TestInvariants:
         )
         params = make_params(cfg, seed=5, **cut)
         graph = line_graph(5)
-        poked_features = graph.node_features.copy()
-        poked_features[4] += 0.9
-        poked = dataclasses.replace(graph, node_features=poked_features)
+        poked = with_slot(graph, 4, SYNTHETIC_ALPHABET.index("E"))
+        assert graph.symbols[4] != "E"
         distance = bfs_distances(neighbor_union(graph), source=4)
         # hops 4, so that hops 0..3 each keep their memory
         base = forward(graph, np.ones(1), params, hops=4)

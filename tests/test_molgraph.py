@@ -11,6 +11,7 @@ from graphmem.molgraph import (
     DatasetError,
     SyntheticSpec,
     SyntheticSpecError,
+    atom_one_hot,
     contains_motif,
     detect_ring_edges,
     featurize,
@@ -215,7 +216,7 @@ def assert_matches_oracle(graphs, records, vocab=DEFAULT_VOCAB):
         assert g.h_count.tolist() == record["h_count"]
         features, ring = featurize_oracle(record, vocab)
         featurized = featurize(g, vocab)
-        np.testing.assert_array_equal(featurized.node_features, features)
+        np.testing.assert_array_equal(atom_one_hot([featurized]), features)
         assert featurized.ring.tolist() == ring
 
 
@@ -306,11 +307,11 @@ class TestFeaturize:
     def test_lone_carbon_row(self):
         g = featurize(parse_molfile(molblock(["C"], [])), vocab=("C", "N", "O"))
         expected = [1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
-        assert g.node_features.tolist() == [expected]
+        assert atom_one_hot([g]).tolist() == [expected]
 
     def test_ethane_degree_slot_and_edge_features(self):
         g = featurize(parse_molfile(molblock(["C", "C"], [(1, 2, 1)])), vocab=("C", "N", "O"))
-        for row in g.node_features:
+        for row in atom_one_hot([g]):
             assert row[4:9].tolist() == [0, 1, 0, 0, 0]  # degree 1
         assert link_features_oracle(g).tolist() == [[1, 0, 0, 0, 0]]
 
@@ -322,20 +323,21 @@ class TestFeaturize:
     def test_degree_clamp(self):
         star7 = molblock(["C"] * 8, [(1, k, 1) for k in range(2, 9)])
         star4 = molblock(["C"] * 5, [(1, k, 1) for k in range(2, 6)])
-        row7 = featurize(parse_molfile(star7)).node_features[0]
-        row4 = featurize(parse_molfile(star4)).node_features[0]
+        row7 = atom_one_hot([featurize(parse_molfile(star7))])[0]
+        row4 = atom_one_hot([featurize(parse_molfile(star4))])[0]
         vocab_width = 11  # 10 defaults + OTHER
         assert row7[vocab_width : vocab_width + 5].tolist() == row4[vocab_width : vocab_width + 5].tolist()
 
     def test_unknown_element_goes_to_other_slot(self):
         g = featurize(parse_molfile(molblock(["Zz"], [])), vocab=("C", "N"))
-        assert g.node_features[0][:3].tolist() == [0, 0, 1]
+        assert atom_one_hot([g])[0][:3].tolist() == [0, 0, 1]
         assert g.element_slots.tolist() == [2]
 
     def test_parse_featurize_deterministic_bytes(self):
         a = featurize(parse_molfile(BENZENE))
         b = featurize(parse_molfile(BENZENE))
-        assert a.node_features.tobytes() == b.node_features.tobytes()
+        assert a.element_slots.tobytes() == b.element_slots.tobytes() and a.slot_width == b.slot_width
+        assert atom_one_hot([a]).tobytes() == atom_one_hot([b]).tobytes()
 
     def test_neighbor_degree_bookkeeping(self):
         rng = np.random.default_rng(7)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from graphmem.molgraph import SYNTHETIC_ALPHABET, SyntheticSpec, featurize, generate_synthetic
+from graphmem.molgraph import SYNTHETIC_ALPHABET, DatasetError, SyntheticSpec, featurize, generate_synthetic
 from graphmem.numerics import constant, parameter
 from graphmem.training import (
     AdamState,
@@ -250,6 +250,37 @@ def overfit_run():
     return result, scores, labels
 
 
+def misslotted(graph, vocab, case):
+    """A featurized graph whose integer columns do not fit its vocabulary:
+    its slots and slot width from another vocabulary, or one slot at the
+    width or below zero, as no run of ``featurize`` makes them."""
+    if case == "other vocabulary":
+        other = featurize(graph, vocab[:2])
+        return dataclasses.replace(graph, element_slots=other.element_slots, slot_width=other.slot_width)
+    slots = graph.element_slots.copy()
+    slots[-1] = len(vocab) + 1 if case == "slot at the width" else -1
+    return dataclasses.replace(graph, element_slots=slots)
+
+
+class TestSlotRange:
+    """A graph whose element slots do not fit the model is refused by name
+    before any forward: a stray slot would set a degree column of its
+    one-hot row and score without complaint."""
+
+    @pytest.mark.parametrize("case, message", [
+        ("other vocabulary", "node features have width 13 but the model embedding expects 15"),
+        ("slot at the width", "has element slot 5, outside the slot width 5"),
+        ("negative slot", "has element slot -1, outside the slot width 5"),
+    ])
+    def test_prepare_examples_refuses_naming_the_example(self, case, message):
+        examples = synthetic_examples(count=12, seed=4)
+        config = ExperimentConfig(hops=2, memory_size=8, controller_size=8)
+        model_config = derive_model_config(examples, config, 1)
+        examples[5].graph = misslotted(examples[5].graph, SYNTHETIC_ALPHABET, case)
+        with pytest.raises(DatasetError, match=f"example {examples[5].example_id!r}: .*{message}"):
+            prepare_examples(examples, model_config, build_queries("single", 1))
+
+
 class TestTrainingLoop:
     def test_overfits_small_set(self, overfit_run):
         result, scores, labels = overfit_run
@@ -336,12 +367,23 @@ class TestTrainingLoop:
         multi = train({"t": split}, ExperimentConfig(mode="multi", **base))
         assert single.metrics.to_dict() == multi.metrics.to_dict()
 
-    def test_non_finite_validation_score_aborts(self):
+    def test_non_finite_validation_score_aborts(self, monkeypatch):
+        import graphmem.training as training_module
         from graphmem.molgraph import LabeledExample
 
         examples = synthetic_examples(count=20, seed=15)
-        g = examples[0].graph
-        poisoned = dataclasses.replace(g, node_features=np.full_like(g.node_features, np.nan))
+        poisoned = dataclasses.replace(examples[0].graph)  # its own object, in the validation split only
+        real_pack = training_module.pack
+
+        def poisoning_pack(graphs, config):
+            # the poisoned graph's node rows are NaN in every pack that holds it
+            packed = real_pack(graphs, config)
+            for k, graph in enumerate(graphs):
+                if graph is poisoned:
+                    packed.features.data[packed.slots.bounds[k]:packed.slots.bounds[k + 1]] = np.nan
+            return packed
+
+        monkeypatch.setattr(training_module, "pack", poisoning_pack)
         val = examples[10:] + [LabeledExample(graph=poisoned, task_id=0, label=1, example_id="nan")]
         split = TaskSplit(train=examples[:10], val=val, test=examples[10:])
         config = ExperimentConfig(hops=2, memory_size=8, controller_size=8, dropout=0.0,

@@ -42,8 +42,8 @@ NEIGHBOR_MODES = ("uniform", "learned")
 # the allocation would fail with a traceback instead of a refused setting.
 MAX_WIDTH = 1024
 # The most hops. A memory hop's tape keeps about (3 + R) * memory_size floats
-# per cell (training.PACK_CELLS), a learned hop also its R ring sums per cell
-# (numerics.key_sum, placed in R * link_feat_dim columns): about 0.46 MB a hop
+# per cell (training.PACK_CELLS), a learned hop also its summed link features,
+# R * link_feat_dim floats per cell (numerics.link_sum): about 0.46 MB a hop
 # for 256 cells at R = 4 and width 32, 46 MB at this bound, and 92 GB at
 # 200000 hops, where the tape would fail with a traceback instead of a
 # refused setting.
@@ -225,12 +225,11 @@ class PreparedGraph:
 
     An edge's link features are its relation's one-hot and then its ring
     flag, and each key's edge weights sum to one in both neighbour modes.
-    So the link features summed per key are the relation's one-hot, which
-    ``indicator`` holds as (N, R * k_b) rows, relation ``r`` in columns
-    ``r*k_b:(r+1)*k_b`` (zero under a relation where the node has no
-    neighbour), plus the weighted sum of the ring flags in the last column
-    of the relation's block (:func:`_ring_sum`): one float per key, summed
-    over the keyed edges with no block product.
+    So the link features summed per key are the relation's one-hot and the
+    weighted sum of the keyed edges' ring flags, as (N, R * k_b) rows,
+    relation ``r`` in columns ``r*k_b:(r+1)*k_b`` (zero under a relation
+    where the node has no neighbour): one :func:`~graphmem.numerics.link_sum`
+    node of ``ring``, with no block product.
 
     The slots also give the graphs' row runs for the per-graph sums (the
     attention read and the controller rows' gradients), padded slots in
@@ -242,7 +241,6 @@ class PreparedGraph:
 
     features: Tensor
     ring: np.ndarray
-    indicator: Tensor
     uniform: Tensor
     slots: nm.Slots
 
@@ -282,22 +280,26 @@ def check_graph(graph: MolecularGraph, config: ModelConfig) -> None:
 
 def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
     """The constant tensors one graph contributes to every hop, as a pack
-    of one."""
+    of one, after :func:`check_graph` refuses a graph the model cannot
+    run."""
+    check_graph(graph, config)
     return pack([graph], config)
 
 
 def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph:
     """The pack of featurized graphs, in order (see :class:`PreparedGraph`),
-    built in one pass over all of them.
+    built in one pass over all of them. The graphs must fit ``config``, as
+    :func:`check_graph` checks: a pack checks only that it has graphs, and
+    its slots refuse a graph without atoms, whose empty memory has nothing
+    to attend over.
 
     Every bond is numbered by its graph's first row. One sort orders all
     directed edges: destinations grow with the graph, so each graph's edges
     keep the order they have in a pack of one, and each key's edges are
     summed in that order. A graph therefore gets the same constants, bit
-    for bit, alone or in any pack. Every graph needs an atom: a memory
-    without cells has nothing to attend over. A graph's ring flags are
-    searched when its first pack reads them and kept on the graph; its
-    one-hot node rows (:func:`~graphmem.molgraph.atom_one_hot`) live with the pack.
+    for bit, alone or in any pack. A graph's ring flags are searched when
+    its first pack reads them and kept on the graph; its one-hot node rows
+    (:func:`~graphmem.molgraph.atom_one_hot`) live with the pack.
 
     The slot map (:class:`~graphmem.numerics.Slots`) is built here once per
     pack; its block array, about ``8 R sum_g B_g m_g**2`` bytes for size
@@ -308,10 +310,6 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     """
     if not graphs:
         raise ValueError("pack of no graphs")
-    for graph in graphs:
-        check_graph(graph, config)
-        if graph.n_nodes == 0:
-            raise ValueError("pack of a graph without atoms: its empty memory has nothing to attend over")
     n_relations = config.n_relations
     bounds = np.cumsum([0] + [graph.n_nodes for graph in graphs])
     n = int(bounds[-1])
@@ -323,13 +321,10 @@ def pack(graphs: Sequence[MolecularGraph], config: ModelConfig) -> PreparedGraph
     relation = np.concatenate([bonds[:, 2], bonds[:, 2]]) - 1
     keys = dst * n_relations + relation
     order = np.argsort(keys * n + src)  # by (dst, relation, src): unique, as no bond repeats
-    src, dst, relation, keys = src[order], dst[order], relation[order], keys[order]
-    indicator = np.zeros((n, n_relations, config.link_feat_dim))
-    indicator[dst, relation, relation] = 1.0  # a key's summed link rows hold its relation's one-hot
+    src, keys = src[order], keys[order]
     return PreparedGraph(
         features=nm.constant(atom_one_hot(graphs)),
         ring=np.concatenate([ring, ring])[order].astype(np.float64),
-        indicator=nm.constant(indicator.reshape(n, n_relations * config.link_feat_dim)),
         uniform=nm.constant(1.0 / np.bincount(keys, minlength=n * n_relations)[keys]),
         slots=nm.Slots(bounds, src, keys, n_relations),
     )
@@ -446,25 +441,15 @@ def _neighbor_weights(prepared: PreparedGraph, memory: Tensor, params: ModelPara
     return nm.segment_softmax(scores, slots.keys, prepared.n_nodes * slots.n_relations)
 
 
-def _ring_sum(prepared: PreparedGraph, weights: Tensor, k_b: int) -> Tensor:
-    """Each key's edges' ring flags weighted by ``weights`` and summed, in
-    the last of relation ``r``'s columns ``r*k_b:(r+1)*k_b`` of (N, R * k_b)
-    rows: a keyed vector sum of R floats per cell, one tape node
-    (:func:`~graphmem.numerics.key_sum` of ``prepared.ring``), whose edges
-    off every ring get no weight gradient. With ``prepared.indicator`` it
-    makes the link features summed per key."""
-    return nm.key_sum(weights, prepared.ring, prepared.slots, k_b)
-
-
 def _memory_bias(params: ModelParams, prepared: PreparedGraph) -> Tensor:
-    """The memory update's bias with the part of the link term that is the
-    same on every hop, as one (N, 2 k_m) row per cell: the relation
-    one-hots of ``prepared.indicator`` in both modes, and in uniform mode
-    the averaged ring flags (:func:`_ring_sum` of the uniform weights, a
-    keyed sum with no block product)."""
-    links = prepared.indicator
-    if params.config.neighbor_mode == "uniform":  # a constant too: one term
-        links = nm.constant(links.data + _ring_sum(prepared, prepared.uniform, params.config.link_feat_dim).data)
+    """The memory update's bias. In learned mode it is ``mem.gated.bias``
+    itself. In uniform mode the link term is the same on every hop, so it
+    joins the bias as one (N, 2 k_m) row per cell: the link features summed
+    under the uniform weights (:func:`~graphmem.numerics.link_sum`, a
+    constant) projected by ``mem.gated.link``."""
+    if params.config.neighbor_mode == "learned":
+        return params["mem.gated.bias"]
+    links = nm.link_sum(prepared.uniform, prepared.ring, prepared.slots, params.config.link_feat_dim)
     return nm.linear_sum([(links, params["mem.gated.link"])], bias=params["mem.gated.bias"])
 
 
@@ -485,12 +470,12 @@ def memory_step(
     node over ``prepared.slots``, which writes this hop's edge weights,
     uniform or learned, into the pack's one block array), and then
     projected once by all relations' weights side by side. The summed link
-    features are projected the same way: their relation one-hots in
-    ``bias``, and their ring flags (:func:`_ring_sum`, a keyed vector sum
-    of R floats per cell, so a hop runs one block product) here in learned
-    mode and in ``bias`` in uniform mode. Each sum keeps its (N, R k) rows
-    on the tape. ``bias`` is :func:`_memory_bias` of ``params`` and
-    ``prepared``, computed here when not given.
+    features (:func:`~graphmem.numerics.link_sum`, a keyed sum with no
+    block product, so a hop runs one) are projected the same way: here in
+    learned mode, and in ``bias`` in uniform mode, where they do not change
+    from hop to hop. Each sum keeps its (N, R k) rows on the tape. ``bias``
+    is :func:`_memory_bias` of ``params`` and ``prepared``, computed here
+    when not given.
     """
     weights = _neighbor_weights(prepared, state.memory, params)
     terms: list[tuple] = [
@@ -499,7 +484,8 @@ def memory_step(
         (nm.block_sum(state.memory, weights, prepared.slots), params["mem.gated.nbr"]),
     ]
     if params.config.neighbor_mode == "learned":
-        terms.append((_ring_sum(prepared, weights, params.config.link_feat_dim), params["mem.gated.link"]))
+        links = nm.link_sum(weights, prepared.ring, prepared.slots, params.config.link_feat_dim)
+        terms.append((links, params["mem.gated.link"]))
     if bias is None:
         bias = _memory_bias(params, prepared)
     return nm.gated_update(terms, bias, state.memory)

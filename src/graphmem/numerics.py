@@ -8,22 +8,22 @@ costs nothing at backward time.
 
 The operations are the fused nodes the model runs: :func:`linear_sum`,
 :func:`gated_update`, :func:`block_sum`, :func:`graph_sum`,
-:func:`key_sum`, :func:`segment_softmax`, :func:`binary_cross_entropy` and
+:func:`link_sum`, :func:`segment_softmax`, :func:`binary_cross_entropy` and
 :func:`dropout`. Each records one tape node however many products,
 activations or gathers it computes; :func:`linear_sum` and
 :func:`gated_update` check, sum and differentiate their terms, each a
 tensor through a weight, with the same code. The weighted sums run on a
 pack's :class:`Slots`: the per-graph :func:`graph_sum` (the attention
 read), the per-graph block products of :func:`block_sum` (the neighbour
-cells) and the keyed vector sum of :func:`key_sum` (the ring flags of the
-link rows, one float per key). Each keeps its value, which is linear in
-the pack, for the nodes that consume it; the pack's one block array is the
-slots', not the tape's. The slots also carry each graph's controller row
-to its cells and sum their gradient back per graph, and gather the rows at
-the edges' ends for the edge scorer, keeping the scatter index of that
-gather's gradient. The model stores each gated update's weights stacked
-the way :func:`gated_update` takes them, so parameters enter the tape as
-they are.
+cells) and the keyed :func:`link_sum` (the link features: a placed
+relation one-hot and one ring sum per key). Each keeps its value, which is
+linear in the pack, for the nodes that consume it; the pack's one block
+array is the slots', not the tape's. The slots also carry each graph's
+controller row to its cells and sum their gradient back per graph, and
+gather the rows at the edges' ends for the edge scorer, keeping the
+scatter index of that gather's gradient. The model stores each gated
+update's weights stacked the way :func:`gated_update` takes them, so
+parameters enter the tape as they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
@@ -225,7 +225,8 @@ class Slots:
         self.bounds = np.asarray(bounds, dtype=np.intp)
         self.counts = np.diff(self.bounds)
         if np.any(self.counts < 1):
-            raise ValueError(f"Slots: graph {int(np.argmin(self.counts))} has no rows")
+            raise ValueError(f"Slots: graph {int(np.argmin(self.counts))} has no rows, "
+                             "an empty memory with nothing to attend over")
         self.n_relations, self.src, self.keys = n_relations, np.asarray(src, np.intp), np.asarray(keys, np.intp)
         n_graphs, r = self.counts.size, n_relations
         first_row = np.empty(n_graphs, dtype=np.intp)    # each graph's first padded row
@@ -326,27 +327,33 @@ def block_sum(x: Tensor, weights: Tensor, slots: Slots) -> Tensor:
     return _record(out, (x, weights), backward)
 
 
-def key_sum(weights: Tensor, factor: np.ndarray, slots: Slots, k: int) -> Tensor:
-    """Each key's edge weights times a constant per-edge ``factor``, summed,
-    as one tape node: the sum of ``factor[e] * weights[e]`` over the edges
-    keyed ``d * R + r`` sits in column ``r*k + k - 1`` of row ``d`` of the
-    (N, R * k) value, the last column of relation ``r``'s block, and every
-    other entry is zero. The R sums of a row are one keyed ``bincount``
-    over the edges; the node keeps its value. Its backward gives each
-    edge's weight ``factor[e]`` times the gradient at its key's column, so
-    an edge whose factor is zero gets no weight gradient.
+def link_sum(weights: Tensor, ring: np.ndarray, slots: Slots, k: int) -> Tensor:
+    """The link features of every key's edges, weighted by ``weights`` and
+    summed, as one tape node. An edge's k link features are its relation's
+    one-hot and then its ``ring`` flag, and a key's weights sum to one; so
+    for every key ``d * R + r`` that has an edge, row ``d`` of the (N, R * k)
+    value holds an exact 1.0 in column ``r*k + r``, placed rather than
+    summed, and the sum of ``ring[e] * weights[e]`` over the key's edges in
+    the last column of relation ``r``'s block, ``r*k + k - 1``. Every other
+    entry is zero. The ring sums are one keyed ``bincount`` over the edges;
+    the node keeps its value. Its backward gives each edge's weight its ring
+    flag times the gradient at its key's last column, so an edge off every
+    ring gets no weight gradient.
     """
-    if weights.shape != slots.src.shape or np.shape(factor) != slots.src.shape or k < 1:
-        raise _shape_error("key_sum", weights.shape, np.shape(factor), (k,))
     n, r = int(slots.bounds[-1]), slots.n_relations
+    relation = slots.keys - slots.dst * r
+    if (weights.shape != slots.src.shape or np.shape(ring) != slots.src.shape
+            or relation.max(initial=-1) >= k - 1):  # a one-hot column must lie before the ring column
+        raise _shape_error("link_sum", weights.shape, np.shape(ring), (k,))
     sums = np.zeros((n * r, k))
-    sums[:, -1] = np.bincount(slots.keys, weights=factor * weights.data, minlength=n * r)
+    sums[slots.keys, relation] = 1.0
+    sums[:, -1] = np.bincount(slots.keys, weights=ring * weights.data, minlength=n * r)
     out = Tensor(sums.reshape(n, r * k))
     if not _tracked(weights):
         return out
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(weights, factor * g.reshape(n * r, k)[slots.keys, -1])
+        _accumulate(weights, ring * g.reshape(n * r, k)[slots.keys, -1])
 
     return _record(out, (weights,), backward)
 
@@ -392,7 +399,7 @@ def _terms(op: str, terms: Sequence[tuple],
     """Check ``terms`` and sum them: ``(z, parts, parents)``. All terms
     give the same (n, out) rows, ``shape`` when given. A part is what a
     node keeps of a term, ``(x, W, rows)``: ``rows`` None, Slots or a
-    Gather, which an integer index becomes."""
+    Gather."""
     if not terms:
         raise ValueError(f"{op} of no terms")
     parts: list[tuple] = []
@@ -402,14 +409,15 @@ def _terms(op: str, terms: Sequence[tuple],
         rows = term[2] if len(term) == 3 else None
         xs, wd = x.shape, w.data
         if rows is not None and not isinstance(rows, (Slots, Gather)):
-            rows = Gather(rows, xs[0] if len(xs) == 2 else 0)
+            raise TypeError(f"{op}: a term's rows are Slots or a Gather, not {type(rows).__name__}")
         fits = (len(xs) == 2 and wd.ndim == 2 and xs[1] == wd.shape[1]
                 and (rows is None or (xs[0] == rows.n_graphs if isinstance(rows, Slots)
                                       else rows.index.ndim == 1 and xs[0] == rows.n)))
         n = xs[0] if rows is None else rows.bounds[-1] if isinstance(rows, Slots) else rows.index.size
         sizes.add((n, wd.shape[0]) if fits else None)
         if not fits or len(sizes) != 1:
-            raise _shape_error(op, *(p.shape if k < 2 else np.shape(p) for t in terms for k, p in enumerate(t)),
+            raise _shape_error(op, *(p.shape if k < 2 else np.shape(getattr(p, "index", None))
+                                     for t in terms for k, p in enumerate(t)),
                                *(() if shape is None else (shape,)))
         parts.append((x, w, rows))
     return _term_sum(parts), parts, tuple(t for x, w, _ in parts for t in (x, w))
@@ -443,8 +451,8 @@ def linear_sum(
     :func:`block_sum`), and ``W`` is (out, in). With ``rows`` the term
     contributes ``(x @ W.T)[rows]``: the product is taken once per row of
     ``x`` and then gathered, so that per-node rows reach per-edge outputs
-    without gathered copies of ``x``. ``rows`` is an integer index or a
-    :class:`Gather` of one, whose gradient is a keyed scatter, or a pack's
+    without gathered copies of ``x``. ``rows`` is a :class:`Gather` of an
+    integer index, whose gradient is a keyed scatter, or a pack's
     :class:`Slots`, which gives each graph's row to the rows it owns, its
     gradient a per-graph sum.
     Every term contributes the same number of rows. ``activation`` is None,

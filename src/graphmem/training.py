@@ -2,7 +2,7 @@
 multi-task loops with early stopping, and from-scratch evaluation metrics.
 
 Single-task runs feed the controller a constant query; multi-task runs use
-a one-hot task indicator, so one parameter set serves every task and the
+a one-hot task vector, so one parameter set serves every task and the
 query alone routes the prediction.
 
 Graphs are small and variable-sized, so they are never padded: each batch
@@ -34,10 +34,10 @@ MODES = ("single", "multi")
 # but a pack's tape grows with its cells, and peak memory binds first. A
 # memory hop's tape keeps about (3 + R) * memory_size floats per cell for R
 # relations: the gated update's output, proposal and gate and the neighbour
-# sums (numerics.block_sum). In learned mode the ring sums add R floats per
-# cell (numerics.key_sum), kept placed in R * link_feat_dim columns. Off the
-# tape, a pack keeps one block array in both modes, and in learned mode the
-# edge scorer's scatter index, E * controller_size integers at each end.
+# sums (numerics.block_sum). In learned mode the summed link features add
+# R * link_feat_dim floats per cell (numerics.link_sum). Off the tape, a
+# pack keeps one block array in both modes, and in learned mode the edge
+# scorer's scatter index, E * controller_size integers at each end.
 PACK_CELLS = 256
 
 
@@ -285,7 +285,7 @@ def split_dataset(examples: Sequence[LabeledExample], seed: int) -> TaskSplit:
 
 def build_queries(mode: str, n_tasks: int) -> list[np.ndarray]:
     """Per-task query vectors: a constant scalar query in single mode, a
-    one-hot task indicator in multi mode."""
+    one-hot task vector in multi mode."""
     if mode == "single":
         return [np.ones(1) for _ in range(n_tasks)]
     queries = []
@@ -351,7 +351,8 @@ def prepare_examples(
     """Attach the task query to each example, after checking that the model
     can run its graph (see :func:`graphmem.model.check_graph`) and that the
     graph has atoms to attend over, so that a bad example is refused before
-    any forward. A refusal is a :class:`DatasetError` naming the example."""
+    any forward; the packs built from the examples do not check them again.
+    A refusal is a :class:`DatasetError` naming the example."""
     out = []
     for ex in examples:
         try:

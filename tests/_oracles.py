@@ -615,8 +615,7 @@ def prepare_graph_oracle(graph, config, vocab):
     """One graph's pack constants as they were built graph by graph, before
     packs were built in one pass: its own edge sort and keyed sums. Its
     node rows are :func:`featurize_oracle`'s under ``vocab``; the edges'
-    link rows (:func:`link_features_oracle`) give each edge's ring flag,
-    and each key's relation one-hot in ``indicator``."""
+    link rows (:func:`link_features_oracle`) give each edge's ring flag."""
     from graphmem import numerics as nm
     from graphmem.model import PreparedGraph
 
@@ -630,15 +629,11 @@ def prepare_graph_oracle(graph, config, vocab):
     src, dst = src[order], dst[order]
     keys = dst * n_relations + relation[order]
     links = np.concatenate([bond_links, bond_links])[order]
-    indicator = np.zeros((m * n_relations, k_b))
-    for key, link in zip(keys.tolist(), links):
-        indicator[key, :-1] = link[:-1]
     uniform = nm.constant(1.0 / np.bincount(keys, minlength=m * n_relations)[keys])
     # the padded slot layout is checked against its own oracle,
     # block_layout_oracle
     return PreparedGraph(
-        features=nm.constant(featurize_oracle(graph_record(graph), vocab)[0]), ring=links[:, -1],
-        indicator=nm.constant(indicator.reshape(m, n_relations * k_b)), uniform=uniform,
+        features=nm.constant(featurize_oracle(graph_record(graph), vocab)[0]), ring=links[:, -1], uniform=uniform,
         slots=nm.Slots([0, m], src, keys, n_relations),
     )
 
@@ -655,9 +650,8 @@ def link_features_oracle(graph) -> np.ndarray:
 
 def pack_links_oracle(prepared, k_b: int) -> np.ndarray:
     """The (E, k_b) link rows of a pack's edges edge by edge, as packs
-    stored them before their link term became a relation indicator and a
-    ring sum: the one-hot of the edge's relation ``keys[e] % R``, then its
-    ring flag."""
+    stored them before their summed link rows became one keyed sum: the
+    one-hot of the edge's relation ``keys[e] % R``, then its ring flag."""
     slots = prepared.slots
     links = np.zeros((slots.keys.size, k_b))
     for e, (key, ring) in enumerate(zip(slots.keys.tolist(), prepared.ring.tolist())):
@@ -697,7 +691,6 @@ def concatenated_pack(graphs):
     return PreparedGraph(
         features=stack(g.features for g in graphs),
         ring=np.concatenate([g.ring for g in graphs]),
-        indicator=stack(g.indicator for g in graphs),
         uniform=stack(g.uniform for g in graphs),
         slots=nm.Slots(np.concatenate([[0]] + [g.slots.bounds[1:] + row for g, row in zip(graphs, rows)]),
                        np.concatenate([g.slots.src + row for g, row in zip(graphs, rows)]),
@@ -808,7 +801,7 @@ def keyed_attentive_read(state, params, prepared):
 
     segments, n_graphs = prepared.slots.segments, prepared.n_graphs
     scores = nm.linear_sum(
-        [(state.memory, params["attn.cell"]), (state.controller, params["attn.ctrl"], segments)],
+        [(state.memory, params["attn.cell"]), (state.controller, params["attn.ctrl"], nm.Gather(segments, n_graphs))],
         bias=params["attn.bias"], activation="tanh", project=params["attn.score"],
     )
     weights = nm.segment_softmax(scores, segments, n_graphs)
@@ -827,7 +820,8 @@ def keyed_memory_step(state, controller, params, prepared, bias=None):
     weights = _neighbor_weights(prepared, state.memory, params)
     slots = prepared.slots
     cells = edge_sum(state.memory, weights, slots.src, slots.keys, prepared.n_nodes, slots.n_relations)
-    terms = [(state.memory, params["mem.gated.self"]), (controller, params["mem.gated.ctrl"], slots.segments),
+    terms = [(state.memory, params["mem.gated.self"]),
+             (controller, params["mem.gated.ctrl"], nm.Gather(slots.segments, prepared.n_graphs)),
              (cells, params["mem.gated.nbr"])]
     if params.config.neighbor_mode == "learned":
         terms.append((keyed_link_sum(prepared, weights, params.config.link_feat_dim), params["mem.gated.link"]))

@@ -16,7 +16,6 @@ from graphmem.model import (
     ModelParams,
     _memory_bias,
     _neighbor_weights,
-    _ring_sum,
     attentive_read,
     controller_step,
     forward,
@@ -34,7 +33,7 @@ from graphmem.molgraph import (
     random_graph,
 )
 from graphmem.numerics import (DimensionError, Slots, Tensor, block_sum, finite_difference_gradient, graph_sum,
-                               linear_sum, max_relative_error)
+                               linear_sum, link_sum, max_relative_error)
 
 from _oracles import (
     bfs_distances,
@@ -46,6 +45,7 @@ from _oracles import (
     graph_record,
     keyed_attentive_read,
     keyed_forward,
+    keyed_link_sum,
     keyed_memory_step,
     learned_memory_step_oracle,
     masked_block_ring_sum,
@@ -183,6 +183,18 @@ class TestInitState:
         bad = featurize(random_graph(np.random.default_rng(0), 3, 5, 1), ("C", "N"))
         with pytest.raises(DimensionError, match="embedding expects"):
             prepare_graph(bad, cfg)
+
+    def test_forward_refuses_an_unfeaturized_or_misfit_graph(self):
+        # a pack trusts its graphs to fit, so forward checks a graph it packs
+        params = make_params(small_config())
+        graph = random_graph(np.random.default_rng(0), 3, 5, 1)
+        with pytest.raises(ValueError, match="not featurized"):
+            forward(graph, np.ones(1), params, 2)
+        with pytest.raises(DimensionError, match="embedding expects"):
+            forward(featurize(graph, ("C", "N")), np.ones(1), params, 2)
+        two_relations = featurize(random_graph(np.random.default_rng(1), 3, 5, 2), SYNTHETIC_ALPHABET)
+        with pytest.raises(DimensionError, match="relations"):
+            forward(two_relations, np.ones(1), params, 2)
 
 
 class TestAttentiveRead:
@@ -372,9 +384,8 @@ class TestMemoryStep:
             assert prepared.slots.src.size == 0
             context = block_sum(state.memory, prepared.uniform, prepared.slots)
             np.testing.assert_array_equal(context.data, np.zeros((1, 3)), err_msg=mode)
-            ring = _ring_sum(prepared, prepared.uniform, cfg.link_feat_dim)
-            for mean_links in (prepared.indicator.data, ring.data):
-                np.testing.assert_array_equal(mean_links, np.zeros((1, cfg.link_feat_dim)), err_msg=mode)
+            links = link_sum(prepared.uniform, prepared.ring, prepared.slots, cfg.link_feat_dim)
+            np.testing.assert_array_equal(links.data, np.zeros((1, cfg.link_feat_dim)), err_msg=mode)
 
     def test_constrained_step_is_uniform_neighbor_mean(self):
         rng = np.random.default_rng(17)
@@ -410,11 +421,11 @@ class TestMemoryStep:
         np.testing.assert_allclose(memory.data, expected, rtol=0, atol=1e-12)
         # the contexts the update summed: the learned edge weights of every
         # relation, summing neighbour cells and link rows into one column
-        # block per relation, as the memory update's block products and the
-        # relation indicator
+        # block per relation, as the memory update's block products and link
+        # sums
         weights = _neighbor_weights(prepared, state.memory, params)
         cells = block_sum(state.memory, weights, prepared.slots).data
-        links = prepared.indicator.data + _ring_sum(prepared, weights, cfg.link_feat_dim).data
+        links = link_sum(weights, prepared.ring, prepared.slots, cfg.link_feat_dim).data
         for r in range(2):
             np.testing.assert_allclose(cells[:, 5 * r:5 * (r + 1)], expected_contexts[r][:, :5], rtol=0, atol=1e-12)
             np.testing.assert_allclose(links[:, 3 * r:3 * (r + 1)], expected_contexts[r][:, 5:], rtol=0, atol=1e-12)
@@ -446,7 +457,7 @@ class TestMemoryStep:
             packed = pack(members, cfg)
             expected = concatenated_pack([prepare_graph_oracle(g, cfg, SYNTHETIC_ALPHABET) for g in members])
             assert packed.slots.n_relations == expected.slots.n_relations == 3
-            fields = [(packed, expected, name) for name in ("features", "ring", "indicator", "uniform")]
+            fields = [(packed, expected, name) for name in ("features", "ring", "uniform")]
             fields += [(packed.slots, expected.slots, name) for name in ("bounds", "segments", "src", "dst", "keys")]
             for ours, theirs, name in fields:
                 actual, wanted = getattr(ours, name), getattr(theirs, name)
@@ -485,8 +496,7 @@ class TestMemoryStep:
                     blocks[name][...] = rng.normal(size=blocks[name].shape)
             prepared = pack(graphs, cfg)
             assert prepared.slots.n_relations == 3 and not np.any(prepared.slots.keys % 3 == 2), mode
-            np.testing.assert_array_equal(prepared.indicator.data[:, 6:], 0.0)
-            np.testing.assert_array_equal(_ring_sum(prepared, prepared.uniform, 3).data[:, 6:], 0.0)
+            np.testing.assert_array_equal(link_sum(prepared.uniform, prepared.ring, prepared.slots, 3).data[:, 6:], 0.0)
             cells = rng.normal(size=(prepared.n_nodes, 4))
             controllers = rng.normal(size=(len(graphs), 3))
             state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
@@ -504,8 +514,8 @@ class TestMemoryStep:
                     np.testing.assert_allclose(memory[rows], one, rtol=0, atol=1e-12)
 
     def test_memory_bias_equals_the_mean_links_oracle(self):
-        # bit for bit: the uniform-mode bias from the relation indicator and
-        # the ring sum, against the averaged link rows summed edge by edge,
+        # bit for bit: the uniform-mode bias from the link sum of the
+        # uniform weights, against the averaged link rows summed edge by edge,
         # on the mixed pack, each graph alone and the graphs in reverse order
         graphs = self.mixed_pack_graphs()
         cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
@@ -516,6 +526,16 @@ class TestMemoryStep:
             prepared = pack(members, cfg)
             np.testing.assert_array_equal(_memory_bias(params, prepared).data,
                                           mean_links_bias_oracle(prepared, params.arrays()))
+
+    def test_learned_memory_bias_is_the_bias_parameter(self):
+        # each learned hop adds its own link sum, so the bias is the
+        # mem.gated.bias vector itself: no projection and no per-row node
+        graphs = self.mixed_pack_graphs()
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+                          memory_size=4, controller_size=3, neighbor_mode="learned")
+        params = make_params(cfg, seed=50)
+        for members in [graphs] + [[g] for g in graphs]:
+            assert _memory_bias(params, pack(members, cfg)) is params["mem.gated.bias"]
 
     def test_keyed_pack_reduces_to_mean_passing(self):
         graphs = self.mixed_pack_graphs()
@@ -726,17 +746,22 @@ class TestPerGraphSums:
 
     @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
     def test_ring_sum_matches_the_masked_block_oracle(self, mode, monkeypatch):
-        # the keyed ring sum against the masked block product it replaced:
-        # values and every gradient through the edge weights (a leaf in
-        # uniform mode, the learned scorer's in learned mode) on the mixed
-        # pack (a single atom, atoms without bonds, a relation no graph
-        # uses), the same with two large graphs, and each graph alone. The
-        # keyed sum runs no block product, forward or backward.
+        # the link sum against the keyed sum of every edge's link row (its
+        # values) and against the masked block product its ring sums
+        # replaced (its ring columns and every gradient through the edge
+        # weights: a leaf in uniform mode, the learned scorer's in learned
+        # mode), on the mixed pack (a single atom, atoms without bonds, a
+        # relation no graph uses), the same with two large graphs, and each
+        # graph alone. The link sum runs no block product, forward or
+        # backward.
         products = []
 
         def counting(slots, *args, real=Slots.product, **kwargs):
             products.append(ring_sum)
             return real(slots, *args, **kwargs)
+
+        def linked(prepared, weights, k_b):
+            return link_sum(weights, prepared.ring, prepared.slots, k_b)
 
         monkeypatch.setattr(Slots, "product", counting)
         cfg = self.config(mode)
@@ -749,7 +774,7 @@ class TestPerGraphSums:
             cells = rng.normal(size=(prepared.n_nodes, 4))
             seed = rng.normal(size=(prepared.n_nodes, cfg.n_relations * k_b))
             results = []
-            for ring_sum in (_ring_sum, masked_block_ring_sum):
+            for ring_sum in (linked, masked_block_ring_sum):
                 params.zero_grads()
                 memory = Tensor(cells.copy(), True)
                 weights = _neighbor_weights(prepared, memory, params)
@@ -757,15 +782,18 @@ class TestPerGraphSums:
                 if not weights.requires_grad and weights._backward is None:
                     weights = leaf = Tensor(weights.data.copy(), True)
                 summed = ring_sum(prepared, weights, k_b)
+                if ring_sum is linked:
+                    np.testing.assert_allclose(summed.data, keyed_link_sum(prepared, weights, k_b).data,
+                                               rtol=0, atol=1e-12)
+                    np.testing.assert_array_equal(summed.data[:, 2 * k_b:], 0.0)  # no edge under relation 3
                 summed.backward(seed=seed)
                 grads = {**params.grads(), "memory": np.zeros_like(cells) if memory.grad is None else memory.grad}
                 if leaf is not None:
                     grads["weights"] = leaf.grad
                     np.testing.assert_array_equal(leaf.grad[prepared.ring == 0.0], 0.0)
-                results.append(([summed.data], grads))
+                results.append(([summed.data.reshape(-1, k_b)[:, -1]], grads))
             assert_matches_keyed(*results, f"{mode} {len(members)} graphs")
-            np.testing.assert_array_equal(results[0][0][0][:, 2 * k_b:], 0.0)  # no edge under relation 3
-        assert _ring_sum not in products and masked_block_ring_sum in products
+        assert linked not in products and masked_block_ring_sum in products
 
     def test_scorer_index_is_built_once_per_pack_and_width_and_freed_with_it(self):
         # the learned edge scorer reaches its edges' ends through the pack's

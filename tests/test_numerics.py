@@ -1,10 +1,12 @@
 """Tensor ops, the tape, and the finite-difference oracle."""
 
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from _oracles import edge_sum, gated_update_oracle, stable_sigmoid_oracle
+from _oracles import edge_sum, gated_update_oracle, keyed_link_sum, stable_sigmoid_oracle
 
 from graphmem import numerics as nm
 from graphmem.numerics import (
@@ -79,7 +81,7 @@ class TestActivations:
             linear_sum([(constant([[1.0, 2.0, 3.0]]), constant(np.eye(2)))])
         with pytest.raises(DimensionError, match=r"\(3, 2\).*\(2,\)"):  # terms of 3 and 2 rows
             linear_sum([(constant(np.ones((3, 2))), constant(np.eye(2))),
-                        (constant(np.ones((1, 2))), constant(np.eye(2)), [0, 0])])
+                        (constant(np.ones((1, 2))), constant(np.eye(2)), nm.Gather([0, 0], 1))])
 
 
 class TestSoftmax:
@@ -260,13 +262,13 @@ class TestTapeGradients:
             table = linear_sum([(m, w)], bias=b)  # (5, 4)
             # cells 0-2 belong to graph 0 and cells 3-4 to graph 1
             cells = [0, 0, 0, 1, 1]
-            scores = linear_sum([(table, s), (hidden, q, cells)], activation="tanh", project=v)  # (5,)
+            scores = linear_sum([(table, s), (hidden, q, nm.Gather(cells, 2))], activation="tanh", project=v)  # (5,)
             attn = segment_softmax(scores, cells, 2)  # (5,)
             # each cell's attention-weighted row summed into its graph's row
             read = edge_sum(table, attn, np.arange(5), cells, 2, 1)  # (2, 4)
             controlled = nm.gated_update([(hidden, k), (read, h)], e, hidden)  # (2, 4)
             # rows 0, 2, 2 of m @ w.T plus rows 4, 4, 1 of table @ s.T
-            picked = linear_sum([(m, w, [0, 2, 2]), (table, s, [4, 4, 1])], bias=b,
+            picked = linear_sum([(m, w, nm.Gather([0, 2, 2], 5)), (table, s, nm.Gather([4, 4, 1], 5))], bias=b,
                                 activation="tanh")  # (3, 4)
             # segment 0 has two members, segment 1 none, segment 2 one (weight 1)
             segments = [0, 0, 2]
@@ -284,13 +286,13 @@ class TestTapeGradients:
             # weights stacked [proposal; gate]: a plain term, rows 4, 0, 4 of
             # table @ k.T, the edge-summed context and one tracked bias row per
             # output row
-            updated = nm.gated_update([(opened, h), (table, k, [4, 0, 4]), (context, t)],
+            updated = nm.gated_update([(opened, h), (table, k, nm.Gather([4, 0, 4], 5)), (context, t)],
                                       c, proposal)  # (3, 4)
             # one (8,) bias row for every output row
             again = nm.gated_update([(updated, h)], e, updated)
             dropped = dropout(again, 0.5, [np.random.default_rng(seed)], training=True, bounds=[0, 3])  # (3, 4)
             # one score per row, the activated rows recomputed in backward
-            scored = linear_sum([(m, w, [4, 0])], bias=b, activation="tanh", project=v)  # (2,)
+            scored = linear_sum([(m, w, nm.Gather([4, 0], 5))], bias=b, activation="tanh", project=v)  # (2,)
             prob = linear_sum([(controlled, u)], activation="sigmoid")  # (2, 1)
             loss = binary_cross_entropy(prob, np.array([[1.0], [0.0]]))  # (2, 1)
             return [attn, controlled, proposal, opened, dropped, scored, loss], leaves
@@ -351,7 +353,7 @@ class TestGatedUpdate:
             expected = gated_update_oracle(terms, bias, a["old"])
             context = edge_sum(parameter(a["cells"]), parameter(a["weights"]), a["src"], a["keys"], 4, 2)
             out = nm.gated_update(
-                [(parameter(a["x"]), params[0]), (parameter(a["groups"]), params[1], a["rows"]),
+                [(parameter(a["x"]), params[0]), (parameter(a["groups"]), params[1], nm.Gather(a["rows"], 2)),
                  (context, params[2])],
                 parameter(bias), parameter(a["old"]))
             assert not context.data[2].any()  # no in-edges: zero sums
@@ -401,7 +403,7 @@ class TestGatedUpdate:
         with pytest.raises(DimensionError):  # weights do not match the input width
             nm.gated_update([(constant(a["x"]), w[1])], bias, constant(a["old"]))
         with pytest.raises(DimensionError):  # rows do not cover the output rows
-            nm.gated_update([(constant(a["groups"]), w[1], [0, 1])], bias, constant(a["old"]))
+            nm.gated_update([(constant(a["groups"]), w[1], nm.Gather([0, 1], 2))], bias, constant(a["old"]))
         with pytest.raises(DimensionError):  # a term with fewer rows than the output
             nm.gated_update([(constant(a["groups"]), w[1])], bias, constant(a["old"]))
         with pytest.raises(DimensionError):  # weights not stacked [proposal; gate]
@@ -410,73 +412,116 @@ class TestGatedUpdate:
             nm.gated_update([(constant(a["x"]), w[0])], parameter(a["bias_rows"][:2]), constant(a["old"]))
 
 
-class TestKeySum:
-    # two graphs, rows 0-2 and 3-4, two relations; edge e runs src[e] -> dst[e]
-    # under relation rel[e], and edges 1, 4 and 6 carry a zero factor
+class TestLinkSum:
+    # two graphs, rows 0-2 and 3-4, two relations and links of width 3; edge e
+    # runs src[e] -> dst[e] under relation rel[e], key 0 holds two edges, and
+    # edges 1, 4 and 6 lie on no ring
     SRC = np.array([1, 2, 0, 2, 0, 4, 3, 3])
     DST = np.array([0, 0, 1, 1, 2, 3, 4, 4])
     REL = np.array([0, 0, 1, 0, 0, 1, 1, 0])
-    FACTOR = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    RING = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+
+    def slots(self, n_relations=2):
+        return nm.Slots([0, 3, 5], self.SRC, self.DST * n_relations + self.REL, n_relations)
 
     def arrays(self, seed):
         rng = np.random.default_rng(seed)
         return {"weights": rng.uniform(0.1, 1.0, size=8), "w": rng.normal(size=(4, 6)), "b": rng.normal(size=4),
                 "v": rng.normal(size=4)}
 
-    def key_sum(self, weights, factor):
-        slots = nm.Slots([0, 3, 5], self.SRC, self.DST * 2 + self.REL, 2)
-        return nm.key_sum(weights, factor, slots, 3)
+    def link_sum(self, weights, ring):
+        return nm.link_sum(weights, ring, self.slots(), 3)
+
+    def test_values_equal_the_keyed_link_rows_oracle(self):
+        # every edge's link row weighted and summed key by key, under the
+        # uniform weights and under softmax weights; the sums of the softmax
+        # weights per key are not all exactly one, but the placed one-hot
+        # columns are exactly 1.0 and 0.0
+        slots = self.slots()
+        keys = slots.keys
+        pack = SimpleNamespace(slots=slots, ring=self.RING, n_nodes=5)
+        one_hot = np.zeros((10, 2))
+        one_hot[keys, self.REL] = 1.0
+        uniform = 1.0 / np.bincount(keys, minlength=10)[keys]
+        learned = [segment_softmax(Tensor(np.random.default_rng(seed).normal(size=8)), keys, 10).data
+                   for seed in range(4)]
+        assert any(np.bincount(keys, weights=w, minlength=10)[0] != 1.0 for w in learned)
+        for weights in [uniform] + learned:
+            summed = self.link_sum(Tensor(weights), self.RING).data
+            np.testing.assert_allclose(summed, keyed_link_sum(pack, Tensor(weights), 3).data, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(summed.reshape(10, 3)[:, :2], one_hot)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_unflagged_edges_get_no_weight_gradient(self, seed):
-        # the value is the keyed sum of the factored weights in the last
-        # column of each relation's block; with a linear term the edges of
-        # factor zero get zero weight gradient and the others exactly that
-        # of the sum with every factor one
+        # the last column of each relation's block is the keyed sum of the
+        # ring-flagged weights; with a linear term the edges off every ring
+        # get zero weight gradient and the others exactly that of the sum
+        # with every flag one
         a = self.arrays(seed)
         grad_seed = np.random.default_rng(seed + 50).normal(size=(5, 4))
         ones_last = np.zeros((5, 3))
         ones_last[:, -1] = 1.0
         grads = []
-        for factor in (self.FACTOR, np.ones(8)):
+        for ring in (self.RING, np.ones(8)):
             weights, w = Tensor(a["weights"], True), Tensor(a["w"], True)
-            summed = self.key_sum(weights, factor)
-            keyed = edge_sum(constant(ones_last), constant(factor * a["weights"]), self.SRC, self.DST * 2 + self.REL,
+            summed = self.link_sum(weights, ring)
+            keyed = edge_sum(constant(ones_last), constant(ring * a["weights"]), self.SRC, self.DST * 2 + self.REL,
                              5, 2)
-            np.testing.assert_allclose(summed.data, keyed.data, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(summed.data[:, 2::3], keyed.data[:, 2::3], rtol=0, atol=1e-15)
             linear_sum([(summed, w)]).backward(seed=grad_seed)
             grads.append(weights.grad)
-        factored, unfactored = grads
-        assert unfactored[self.FACTOR == 0.0].all()
-        np.testing.assert_array_equal(factored[self.FACTOR == 0.0], 0.0)
-        np.testing.assert_array_equal(factored[self.FACTOR == 1.0], unfactored[self.FACTOR == 1.0])
+        flagged, all_flagged = grads
+        assert all_flagged[self.RING == 0.0].all()
+        np.testing.assert_array_equal(flagged[self.RING == 0.0], 0.0)
+        np.testing.assert_array_equal(flagged[self.RING == 1.0], all_flagged[self.RING == 1.0])
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_key_sum_matches_finite_differences(self, seed):
+    def test_link_sum_matches_finite_differences(self, seed):
         a = self.arrays(seed)
         grad_seed = np.random.default_rng(seed + 60).normal(size=5)
 
         def build():
             leaves = {name: Tensor(array, True) for name, array in a.items()}
-            summed = self.key_sum(leaves["weights"], self.FACTOR)
+            summed = self.link_sum(leaves["weights"], self.RING)
             out = linear_sum([(summed, leaves["w"])], bias=leaves["b"], activation="tanh", project=leaves["v"])
             return out, leaves
 
         out, leaves = build()
         out.backward(seed=grad_seed)
         exact = {name: leaf.grad for name, leaf in leaves.items()}
-        np.testing.assert_array_equal(exact["weights"][self.FACTOR == 0.0], 0.0)
+        np.testing.assert_array_equal(exact["weights"][self.RING == 0.0], 0.0)
         estimate = finite_difference_gradient(lambda: float(grad_seed @ build()[0].data), a, eps=1e-6)
         worst, name = nm.max_relative_error(exact, estimate)
         assert worst <= 1e-6, f"worst {worst} at {name}"
 
-    def test_key_sum_checks_its_shapes(self):
+    def test_link_sum_checks_its_shapes(self):
         weights = Tensor(np.ones(8))
         with pytest.raises(DimensionError):  # one weight per edge
-            self.key_sum(Tensor(np.ones(9)), self.FACTOR)
-        with pytest.raises(DimensionError):  # one factor per edge
-            self.key_sum(weights, np.ones(9))
-        assert self.key_sum(weights, self.FACTOR).shape == (5, 6)
+            self.link_sum(Tensor(np.ones(9)), self.RING)
+        with pytest.raises(DimensionError):  # one ring flag per edge
+            self.link_sum(weights, np.ones(9))
+        with pytest.raises(DimensionError):  # relation 1's one-hot column would be the ring column
+            nm.link_sum(weights, self.RING, self.slots(), 2)
+        assert self.link_sum(weights, self.RING).shape == (5, 6)
+
+    def test_more_relations_than_one_hot_columns(self):
+        # a model of three relations on graphs of two, as links of width 3:
+        # each used relation's block is that of the two-relation sum, and the
+        # third relation's block, which no edge uses, is zero
+        weights = Tensor(np.random.default_rng(3).uniform(0.1, 1.0, size=8))
+        two = self.link_sum(weights, self.RING).data.reshape(5, 2, 3)
+        three = nm.link_sum(weights, self.RING, self.slots(3), 3).data.reshape(5, 3, 3)
+        np.testing.assert_array_equal(three[:, :2], two)
+        np.testing.assert_array_equal(three[:, 2], 0.0)
+
+    def test_no_relations_no_keys(self):
+        # a model without relations has no edges and no keys: an empty
+        # (N, 0) sum, computed without a warning
+        slots = nm.Slots([0, 3, 5], [], [], 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summed = nm.link_sum(parameter(np.zeros(0)), np.zeros(0), slots, 1)
+        assert summed.shape == (5, 0)
 
 
 class TestFiniteDifferenceOracle:

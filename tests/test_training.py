@@ -417,6 +417,35 @@ class TestTrainingLoop:
                                               if t is not None]
             assert all(t._parents == () and t._backward is None for t in tensors)
 
+    def test_each_example_is_checked_once_and_no_pack_checks_again(self, monkeypatch):
+        # prepare_examples checks every example's graph against the model;
+        # the training steps and the scoring packs built from the prepared
+        # examples check none of them again
+        import graphmem.model as model_module
+        import graphmem.training as training_module
+
+        examples = synthetic_examples(count=24, seed=9)
+        checked = []
+        real_check = model_module.check_graph
+
+        def counting_check(graph, config):
+            checked.append(graph)
+            return real_check(graph, config)
+
+        monkeypatch.setattr(model_module, "check_graph", counting_check)
+        monkeypatch.setattr(training_module, "check_graph", counting_check)
+        config = ExperimentConfig(hops=2, memory_size=8, controller_size=8, dropout=0.1,
+                                  batch_size=8, max_epochs=2, patience=5, seed=0, mode="single")
+        split = split_dataset(examples, seed=2)
+        result = train({"t": split}, config)
+        assert len(result.history) == 2
+        pooled = split.train + split.val + split.test
+        assert sorted(map(id, checked)) == sorted(id(ex.graph) for ex in pooled)
+        pool = prepare_examples(examples, result.model_config, build_queries("single", 1))
+        checked.clear()
+        predict_scores(result.params, pool, config.hops)
+        assert checked == []
+
     def test_ring_flags_are_searched_once_per_graph(self, monkeypatch):
         import graphmem.molgraph as molgraph_module
 

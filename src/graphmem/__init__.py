@@ -3,18 +3,11 @@
 A query-conditioned controller attends over a graph-structured,
 multi-relational external memory (one cell per atom) for a configurable
 number of reasoning hops. Includes a self-contained MOL/SDF parser and
-featurizer, a circular-fingerprint baseline, exact gradients certified by
+featurizer, circular fingerprints, exact gradients certified by
 finite differences, and single-/multi-task training with a CLI.
 """
 
-from .fingerprint import (
-    LogisticConfig,
-    LogisticModel,
-    circular_fingerprint,
-    circular_fingerprints,
-    logistic_baseline_predict,
-    logistic_baseline_train,
-)
+from .fingerprint import circular_fingerprint, circular_fingerprints
 from .gradcheck import GradcheckReport, run_gradient_check
 from .model import (
     ForwardResult,
@@ -69,8 +62,6 @@ __all__ = [
     "GradcheckReport",
     "HopState",
     "LabeledExample",
-    "LogisticConfig",
-    "LogisticModel",
     "MetricsReport",
     "ModelConfig",
     "ModelParams",
@@ -94,8 +85,6 @@ __all__ = [
     "forward",
     "generate_synthetic",
     "init_state",
-    "logistic_baseline_predict",
-    "logistic_baseline_train",
     "memory_step",
     "pack",
     "parse_molfile",

@@ -42,6 +42,7 @@ from .molgraph import (
     featurize,
     generate_synthetic,
     node_feature_dim,
+    parse_key_values,
     parse_sdf,
     parse_synthetic_spec,
     read_labels_csv,
@@ -110,16 +111,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    values: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+    return parse_key_values(text, str(path), ConfigError)
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -236,7 +228,7 @@ def resolve_task(data_dir: Path, name: str, seed: int,
         return examples, {"molecules.sdf": sdf_sha256, "labels.csv": _sha256(labels_bytes)}, False
     if spec_path.is_file():
         spec_bytes = spec_path.read_bytes()
-        spec = parse_synthetic_spec(_text(spec_path, spec_bytes))
+        spec = parse_synthetic_spec(_text(spec_path, spec_bytes), str(spec_path))
         examples = generate_synthetic(spec, _task_seed(seed, name))
         return examples, {f"{name}.synth": _sha256(spec_bytes)}, True
     raise DatasetError(f"cannot resolve task {name!r}: no directory {task_dir} or spec file {spec_path}")
@@ -349,10 +341,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     metrics_path.write_text(json.dumps(result.metrics.to_dict(), indent=2, sort_keys=True) + "\n",
                             encoding="utf-8")
     _write_manifest(out_dir, "train", resolved, checksums,
-                    {"checkpoint": str(checkpoint_path), "metrics": str(metrics_path),
+                    {**_checkpoint_record(checkpoint_path), "metrics": str(metrics_path),
                      "epochs_log": str(log_path)}, started)
     print(f"best epoch {result.best_epoch}; test metrics written to {metrics_path}")
     return EXIT_OK
+
+
+def _checkpoint_record(path: str | Path) -> dict[str, str]:
+    """The manifest's record of a checkpoint: its path and the sha256 of its
+    bytes, which ties a run's outputs to the file they came from."""
+    return {"checkpoint": str(path), "checkpoint_sha256": _sha256(Path(path).read_bytes())}
 
 
 def _check_run_meta(meta: dict, model_config: ModelConfig) -> None:
@@ -418,27 +416,29 @@ def _eval_pool(resolved: dict, meta: dict) -> tuple[list[LabeledExample], dict]:
     return [ex for name in config.tasks for ex in datasets[name]], checksums
 
 
-def _checkpoint_inputs(args: argparse.Namespace) -> tuple[dict, Path, ModelParams, dict, dict,
+def _checkpoint_inputs(args: argparse.Namespace) -> tuple[dict, Path, ModelParams, dict, dict, dict,
                                                           list[PreparedExample]]:
     """What eval and dump-attention read: the resolved config, the out dir,
-    the checkpoint's parameters and metadata, the dataset checksums, and
-    the prepared examples of every task in the checkpoint's roster."""
+    the checkpoint's parameters, metadata and manifest record (see
+    :func:`_checkpoint_record`), the dataset checksums, and the prepared
+    examples of every task in the checkpoint's roster."""
     resolved = resolve_config(args)
     out_dir = _out_dir(args)
     params, meta = _load_model(args.checkpoint)
+    checkpoint = _checkpoint_record(args.checkpoint)
     pool, checksums = _eval_pool(resolved, meta)
     queries = build_queries(meta["mode"], len(meta["tasks"]))
-    return resolved, out_dir, params, meta, checksums, prepare_examples(pool, params.config, queries)
+    return resolved, out_dir, params, meta, checkpoint, checksums, prepare_examples(pool, params.config, queries)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.time()
-    resolved, out_dir, params, meta, checksums, prepared = _checkpoint_inputs(args)
+    resolved, out_dir, params, meta, checkpoint, checksums, prepared = _checkpoint_inputs(args)
     scores = predict_scores(params, prepared, meta["hops"])
     report = compute_metrics(scores, [ex.label for ex in prepared], [ex.task_id for ex in prepared])
     metrics_path = out_dir / "metrics.json"
     metrics_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_manifest(out_dir, "eval", resolved, checksums, {"metrics": str(metrics_path)}, started)
+    _write_manifest(out_dir, "eval", resolved, checksums, {**checkpoint, "metrics": str(metrics_path)}, started)
     print(f"metrics written to {metrics_path}")
     return EXIT_OK
 
@@ -488,7 +488,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_dump_attention(args: argparse.Namespace) -> int:
     started = time.time()
-    resolved, out_dir, params, meta, checksums, prepared = _checkpoint_inputs(args)
+    resolved, out_dir, params, meta, checkpoint, checksums, prepared = _checkpoint_inputs(args)
     dump_path = out_dir / "attention.jsonl"
     with open(dump_path, "w", encoding="utf-8") as fh:
         for part, packed, result in inference_packs(params, prepared, meta["hops"]):
@@ -506,7 +506,8 @@ def cmd_dump_attention(args: argparse.Namespace) -> int:
                 except ValueError:
                     raise NumericError(f"example {ex.example_id!r}: probability or attention is not finite") from None
             fh.writelines(lines)
-    _write_manifest(out_dir, "dump-attention", resolved, checksums, {"attention": str(dump_path)}, started)
+    _write_manifest(out_dir, "dump-attention", resolved, checksums, {**checkpoint, "attention": str(dump_path)},
+                    started)
     print(f"attention for {len(prepared)} examples written to {dump_path}")
     return EXIT_OK
 
@@ -519,7 +520,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if not spec_path.is_file():
         raise DatasetError(f"no such spec file: {spec_path}")
     spec_bytes = spec_path.read_bytes()
-    spec = parse_synthetic_spec(_text(spec_path, spec_bytes))
+    spec = parse_synthetic_spec(_text(spec_path, spec_bytes), str(spec_path))
     seed = experiment_config(resolved).seed
     examples = generate_synthetic(spec, seed)
     task_name = spec_path.stem

@@ -1,4 +1,4 @@
-"""Circular substructure fingerprints and a logistic-regression baseline.
+"""Circular substructure fingerprints.
 
 The fingerprint is an iterative-hash scheme over atom environments: round 0
 hashes each atom's invariant tuple, every later round hashes the atom's
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -203,58 +202,3 @@ def fingerprint_csv(rows: Sequence[tuple[str, np.ndarray]]) -> str:
     which is all a library without records gives."""
     return "id,fingerprint\n" + (fingerprint_lines(*zip(*rows)) if rows else "")
 
-
-# -- logistic-regression baseline ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogisticConfig:
-    steps: int = 400
-    learning_rate: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    l2: float = 1e-4
-
-
-@dataclass(eq=False)
-class LogisticModel:
-    weights: np.ndarray
-    bias: float
-
-
-def logistic_baseline_train(
-    bits: np.ndarray,
-    labels: Sequence[int],
-    config: LogisticConfig = LogisticConfig(),
-) -> LogisticModel:
-    """L2-regularized logistic regression on a (molecules, nbits) 0/1 bit
-    matrix, fit full-batch with the same adaptive optimizer as the main
-    model. Deterministic (zero init)."""
-    from .training import AdamState, adam_step
-
-    x = np.asarray(bits, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise ValueError("empty training set")
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"{x.shape[0]} fingerprints but {y.shape} labels")
-    params = {"weights": np.zeros(x.shape[1]), "bias": np.zeros(1)}
-    state = AdamState.for_params(params)
-    n = x.shape[0]
-    for _ in range(config.steps):
-        z = x @ params["weights"] + params["bias"][0]
-        p = 1.0 / (1.0 + np.exp(-z))
-        residual = (p - y) / n
-        grads = {
-            "weights": x.T @ residual + 2.0 * config.l2 * params["weights"],
-            "bias": np.asarray([residual.sum()]),
-        }
-        adam_step(params, grads, state, config)
-    return LogisticModel(weights=params["weights"], bias=float(params["bias"][0]))
-
-
-def logistic_baseline_predict(model: LogisticModel, bits: np.ndarray) -> float:
-    """The positive-class probability of one molecule's bit vector."""
-    z = float(np.asarray(bits, dtype=np.float64) @ model.weights + model.bias)
-    return 1.0 / (1.0 + np.exp(-z))

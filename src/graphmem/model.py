@@ -70,7 +70,6 @@ class ModelConfig:
     memory_size: int
     controller_size: int
     neighbor_mode: str = "uniform"
-    raw_embedding: bool = False
 
     def __post_init__(self):
         floors = {"node_feat_dim": 1, "link_feat_dim": 1, "query_dim": 1, "n_relations": 0}
@@ -82,14 +81,8 @@ class ModelConfig:
                 check_width(name, value)
             elif value < floors[name]:
                 raise ValueError(f"{name} must be >= {floors[name]}, got {value}")
-        if not isinstance(self.raw_embedding, bool):
-            raise TypeError(f"raw_embedding must be true or false, got {self.raw_embedding!r}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {self.neighbor_mode!r}")
-        if self.raw_embedding and self.memory_size != self.node_feat_dim:
-            raise nm.DimensionError(
-                f"raw embedding needs memory_size == node_feat_dim, got {self.memory_size} != {self.node_feat_dim}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -108,9 +101,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The live parameter arrays; mutating them updates the model."""
@@ -171,9 +161,8 @@ class ModelParams:
         t: dict[str, Tensor] = {}
         t["query_in.weight"] = mat(k_h, config.query_dim)
         t["query_in.bias"] = zeros(k_h)
-        if not config.raw_embedding:
-            t["embed.weight"] = mat(k_m, k_x)
-            t["embed.bias"] = zeros(k_m)
+        t["embed.weight"] = mat(k_m, k_x)
+        t["embed.bias"] = zeros(k_m)
         t["attn.cell"] = mat(k_h, k_m)
         t["attn.ctrl"] = mat(k_h, k_h)
         t["attn.bias"] = zeros(k_h)
@@ -379,11 +368,8 @@ def init_state(
     q = np.broadcast_to(q, (n_graphs, cfg.query_dim))
     controller = nm.linear_sum([(nm.constant(q), params["query_in.weight"])],
                                bias=params["query_in.bias"], activation="relu")
-    if cfg.raw_embedding:
-        memory = nm.constant(np.maximum(prepared.features.data, 0.0))
-    else:
-        memory = nm.linear_sum([(prepared.features, params["embed.weight"])],
-                               bias=params["embed.bias"], activation="relu")
+    memory = nm.linear_sum([(prepared.features, params["embed.weight"])],
+                           bias=params["embed.bias"], activation="relu")
     controller = _dropout(controller, np.arange(n_graphs + 1), dropout_rate, rng, training)
     memory = _dropout(memory, prepared.slots.bounds, dropout_rate, rng, training)
     return HopState(t=0, controller=controller, memory=memory)

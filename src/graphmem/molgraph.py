@@ -524,17 +524,27 @@ class SyntheticSpec:
         return int(self.motif.split(":", 1)[1])
 
 
-def parse_synthetic_spec(text: str) -> SyntheticSpec:
-    """Parse the flat ``key=value`` spec format (blank lines and # comments ok)."""
+def parse_key_values(text: str, source: str, error: type[ValueError]) -> dict[str, str]:
+    """The flat ``key=value`` format of config files and synthetic specs:
+    each line stripped, blank and ``#`` lines skipped, every other line
+    split at its first ``=``, a later key winning. A line without ``=``
+    raises ``error`` naming ``source`` and the line."""
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SyntheticSpecError(f"line {line_no}: expected key=value, got {raw!r}")
+            raise error(f"{source}:{line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
+    return values
+
+
+def parse_synthetic_spec(text: str, source: str = "spec") -> SyntheticSpec:
+    """Parse the flat ``key=value`` spec format (see :func:`parse_key_values`)
+    of the file ``source``."""
+    values = parse_key_values(text, source, SyntheticSpecError)
     required = ("nodes_min", "nodes_max", "relations", "motif", "balance", "count")
     missing = [k for k in required if k not in values]
     if missing:

@@ -40,6 +40,11 @@ MODES = ("single", "multi")
 # scorer's scatter index, E * controller_size integers at each end.
 PACK_CELLS = 256
 
+# Adam's first- and second-moment decays and the floor added to the root of
+# the second moment, the values of Kingma and Ba (2015)
+ADAM_DECAYS = (0.9, 0.999)
+ADAM_FLOOR = 1e-8
+
 
 class ConfigError(ValueError):
     """An experiment configuration value is missing, unknown, or invalid."""
@@ -58,9 +63,6 @@ class ExperimentConfig:
     controller_size: int = 32
     dropout: float = 0.1
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 200
     patience: int = 10
@@ -68,7 +70,6 @@ class ExperimentConfig:
     tasks: tuple[str, ...] = ()
     mode: str = "single"
     neighbor_mode: str = "uniform"
-    raw_embedding: bool = False
 
     def __post_init__(self):
         if not 1 <= self.hops <= MAX_HOPS:
@@ -80,16 +81,10 @@ class ExperimentConfig:
                 raise ConfigError(str(error)) from None
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        # optimiser settings under which Adam cannot descend: refused here, not
-        # found later as a NaN loss or as metrics of a run that ascended
-        for name in ("learning_rate", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not (0.0 <= value < 1.0):  # false for NaN too
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+        # a rate under which Adam cannot descend: refused here, not found
+        # later as a NaN loss or as metrics of a run that ascended
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:
@@ -136,14 +131,16 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, config) -> None:
-    """One bias-corrected adaptive update, in place.
+              state: AdamState, learning_rate: float) -> None:
+    """One bias-corrected adaptive update at ``learning_rate``, in place,
+    with the moment decays ``ADAM_DECAYS`` and the denominator floor
+    ``ADAM_FLOOR``.
 
     A parameter missing from ``grads`` is treated as having zero gradient.
     Any non-finite gradient aborts with the parameter's name.
     """
     state.step += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_DECAYS
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
     for name, value in params.items():
@@ -158,7 +155,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        value -= config.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + config.epsilon)
+        value -= learning_rate * (m / correct1) / (np.sqrt(v / correct2) + ADAM_FLOOR)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -328,19 +325,15 @@ def derive_model_config(examples: Sequence[LabeledExample], config: ExperimentCo
         link_dims = {n_relations + 1}
     if len(link_dims) != 1:
         raise DatasetError(f"inconsistent link feature widths {sorted(link_dims)}")
-    try:
-        return ModelConfig(
-            node_feat_dim=examples[0].graph.feature_width,
-            link_feat_dim=link_dims.pop(),
-            n_relations=n_relations,
-            query_dim=1 if config.mode == "single" else n_tasks,
-            memory_size=config.memory_size,
-            controller_size=config.controller_size,
-            neighbor_mode=config.neighbor_mode,
-            raw_embedding=config.raw_embedding,
-        )
-    except ValueError as exc:  # the settings do not fit the data, e.g. a raw embedding's width
-        raise ConfigError(str(exc)) from None
+    return ModelConfig(
+        node_feat_dim=examples[0].graph.feature_width,
+        link_feat_dim=link_dims.pop(),
+        n_relations=n_relations,
+        query_dim=1 if config.mode == "single" else n_tasks,
+        memory_size=config.memory_size,
+        controller_size=config.controller_size,
+        neighbor_mode=config.neighbor_mode,
+    )
 
 
 def prepare_examples(
@@ -501,7 +494,7 @@ def train(
                         raise NumericError(f"non-finite training loss {value!r}")
                     loss_sum += value
                 loss.backward(seed=1.0 / len(batch))
-            adam_step(params.arrays(), params.grads(), adam, config)
+            adam_step(params.arrays(), params.grads(), adam, config.learning_rate)
 
         val_scores = predict_scores(params, val_pool, config.hops)
         val_report = compute_metrics(val_scores, [ex.label for ex in val_pool],

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -177,10 +179,8 @@ def per_block_initialize_oracle(config, seed: int) -> dict[str, np.ndarray]:
         limit = math.sqrt(6.0 / (rows + cols))
         return rng.uniform(-limit, limit, size=(rows, cols))
 
-    t = {"query_in.weight": mat(k_h, config.query_dim), "query_in.bias": np.zeros(k_h)}
-    if not config.raw_embedding:
-        t["embed.weight"] = mat(k_m, k_x)
-        t["embed.bias"] = np.zeros(k_m)
+    t = {"query_in.weight": mat(k_h, config.query_dim), "query_in.bias": np.zeros(k_h),
+         "embed.weight": mat(k_m, k_x), "embed.bias": np.zeros(k_m)}
     t["attn.cell"] = mat(k_h, k_m)
     t["attn.ctrl"] = mat(k_h, k_h)
     t["attn.bias"] = np.zeros(k_h)
@@ -870,3 +870,55 @@ def block_layout_oracle(sizes, edges, n_relations):
                 block[group.index(graph), i * n_relations + r, j] = weight
         blocks.append(block)
     return groups, blocks
+
+
+# -- a fingerprint baseline -----------------------------------------------------
+# Not an oracle: a comparison model that the acceptance run prints next to
+# the memory network's score. It uses the library's optimizer.
+
+
+@dataclass(frozen=True)
+class LogisticConfig:
+    steps: int = 400
+    learning_rate: float = 0.05
+    l2: float = 1e-4
+
+
+@dataclass(eq=False)
+class LogisticModel:
+    weights: np.ndarray
+    bias: float
+
+
+def logistic_baseline_train(bits: np.ndarray, labels: Sequence[int],
+                            config: LogisticConfig = LogisticConfig()) -> LogisticModel:
+    """L2-regularized logistic regression on a (molecules, nbits) 0/1 bit
+    matrix, fit full-batch with the main model's optimizer
+    (:func:`graphmem.training.adam_step`). Deterministic (zero init)."""
+    from graphmem.training import AdamState, adam_step
+
+    x = np.asarray(bits, dtype=np.float64)
+    if x.shape[0] == 0:
+        raise ValueError("empty training set")
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"{x.shape[0]} fingerprints but {y.shape} labels")
+    params = {"weights": np.zeros(x.shape[1]), "bias": np.zeros(1)}
+    state = AdamState.for_params(params)
+    n = x.shape[0]
+    for _ in range(config.steps):
+        z = x @ params["weights"] + params["bias"][0]
+        p = 1.0 / (1.0 + np.exp(-z))
+        residual = (p - y) / n
+        grads = {
+            "weights": x.T @ residual + 2.0 * config.l2 * params["weights"],
+            "bias": np.asarray([residual.sum()]),
+        }
+        adam_step(params, grads, state, config.learning_rate)
+    return LogisticModel(weights=params["weights"], bias=float(params["bias"][0]))
+
+
+def logistic_baseline_predict(model: LogisticModel, bits: np.ndarray) -> float:
+    """The positive-class probability of one molecule's bit vector."""
+    z = float(np.asarray(bits, dtype=np.float64) @ model.weights + model.bias)
+    return 1.0 / (1.0 + np.exp(-z))

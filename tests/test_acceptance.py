@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphmem.fingerprint import LogisticConfig, circular_fingerprint, logistic_baseline_train
+from graphmem.fingerprint import circular_fingerprint
 from graphmem.gradcheck import run_gradient_check
 from graphmem.model import HopState, forward, memory_step, prepare_graph
 from graphmem.molgraph import (
@@ -35,8 +35,10 @@ from graphmem.training import (
 )
 
 from _oracles import (
+    LogisticConfig,
     edge_in_ring_oracle,
     f1_counts_oracle,
+    logistic_baseline_train,
     mean_passing_oracle,
     micro_f1_oracle,
     neighbor_lists,

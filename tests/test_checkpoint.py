@@ -1,9 +1,19 @@
 """Binary parameter container format."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
-from graphmem.checkpoint import FORMAT_VERSION, CheckpointError, load_checkpoint, save_checkpoint
+from graphmem.checkpoint import DIGEST_SIZE, FORMAT_VERSION, CheckpointError, load_checkpoint, save_checkpoint
+
+
+def resigned(body: bytes) -> bytes:
+    """``body``, a checkpoint without its digest, with a digest that fits it:
+    doctored bytes that still pass the digest check, so that a test reaches
+    the check it names."""
+    return body + hashlib.sha256(body).digest()
 
 
 def test_roundtrip(tmp_path):
@@ -27,7 +37,14 @@ def test_payload_is_little_endian_float64(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, {"w": np.array([1.0])}, {})
     blob = path.read_bytes()
-    assert np.frombuffer(blob[-8:], dtype="<f8")[0] == 1.0
+    assert np.frombuffer(blob[-DIGEST_SIZE - 8:-DIGEST_SIZE], dtype="<f8")[0] == 1.0
+
+
+def test_trailer_is_the_sha256_of_every_preceding_byte(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, {"w": np.arange(3.0)}, {"k": 1})
+    blob = path.read_bytes()
+    assert blob[-DIGEST_SIZE:] == hashlib.sha256(blob[:-DIGEST_SIZE]).digest()
 
 
 def test_version_mismatch_rejected(tmp_path):
@@ -37,6 +54,19 @@ def test_version_mismatch_rejected(tmp_path):
     blob[4] = FORMAT_VERSION + 1
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_earlier_versions_refused_naming_the_version(tmp_path, version):
+    # the bytes after the version are a well-formed file of this format,
+    # digest included: the version alone refuses it
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, {"w": np.array([1.0])}, {"k": 1})
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = version.to_bytes(4, "little")
+    path.write_bytes(resigned(bytes(blob[:-DIGEST_SIZE])))
+    with pytest.raises(CheckpointError, match=f"format version {version} != supported {FORMAT_VERSION}"):
         load_checkpoint(path)
 
 
@@ -50,15 +80,15 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncation_rejected(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, {"w": np.arange(6.0)}, {"k": 1})
-    path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(CheckpointError, match="truncated"):
+    path.write_bytes(resigned(path.read_bytes()[:-DIGEST_SIZE - 5]))
+    with pytest.raises(CheckpointError, match="truncated checkpoint while reading payload of w"):
         load_checkpoint(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, {"w": np.arange(6.0)}, {"k": 1})
-    path.write_bytes(path.read_bytes() + b"garbage")
+    path.write_bytes(resigned(path.read_bytes()[:-DIGEST_SIZE] + b"garbage"))
     with pytest.raises(CheckpointError, match="7 unexpected bytes after the last parameter"):
         load_checkpoint(path)
 
@@ -68,10 +98,10 @@ def test_oversized_dimensions_rejected_before_reading(tmp_path):
     # holds 8, so the read is refused rather than attempted
     path = tmp_path / "model.bin"
     save_checkpoint(path, {"w": np.zeros((1, 1, 1))}, {"k": 1})
-    blob = path.read_bytes()
-    dims = len(blob) - 8 - 12
-    path.write_bytes(blob[:dims] + b"\xff" * 12 + blob[dims + 12:])
-    with pytest.raises(CheckpointError, match="truncated"):
+    body = path.read_bytes()[:-DIGEST_SIZE]
+    dims = len(body) - 8 - 12
+    path.write_bytes(resigned(body[:dims] + b"\xff" * 12 + body[dims + 12:]))
+    with pytest.raises(CheckpointError, match="truncated checkpoint while reading payload of w"):
         load_checkpoint(path)
 
 
@@ -92,8 +122,8 @@ def test_fuzz_truncation_at_every_byte_rejected(tmp_path):
 
 
 def test_fuzz_single_byte_flips_raise_only_checkpoint_errors(tmp_path):
-    # a flip may leave a loadable file (say, inside a payload); any failure
-    # must be a CheckpointError, never another exception
+    # every flip, in a payload or in the digest too, is refused: the magic
+    # and the version by their own checks, every other byte by the digest
     blob = small_checkpoint(tmp_path)
     path = tmp_path / "flipped.bin"
     rng = np.random.default_rng(0)
@@ -102,22 +132,21 @@ def test_fuzz_single_byte_flips_raise_only_checkpoint_errors(tmp_path):
             flipped = bytearray(blob)
             flipped[position] ^= mask
             path.write_bytes(bytes(flipped))
-            try:
+            with pytest.raises(CheckpointError, match="magic" if position < 4 else
+                               "version" if position < 8 else re.escape(f"{path} is corrupt")):
                 load_checkpoint(path)
-            except CheckpointError:
-                pass
 
 
 def test_unreadable_metadata_rejected(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, {"w": np.array([1.0])}, {"k": 1})
-    blob = path.read_bytes()
+    body = path.read_bytes()[:-DIGEST_SIZE]
     meta_start = 12  # magic, version, metadata length
     meta_len = len(b'{"k": 1}')
     for bad_meta in (b"\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8", b'{"k": 1 '):
         assert len(bad_meta) == meta_len
-        path.write_bytes(blob[:meta_start] + bad_meta + blob[meta_start + meta_len:])
-        with pytest.raises(CheckpointError, match="metadata"):
+        path.write_bytes(resigned(body[:meta_start] + bad_meta + body[meta_start + meta_len:]))
+        with pytest.raises(CheckpointError, match="checkpoint metadata is not UTF-8 JSON"):
             load_checkpoint(path)
 
 

@@ -1,4 +1,4 @@
-"""Circular fingerprints and the logistic baseline."""
+"""Circular fingerprints, and the logistic baseline of tests/_oracles.py."""
 
 import csv
 import io
@@ -9,18 +9,24 @@ import pytest
 from graphmem.fingerprint import (
     DEFAULT_NBITS,
     MAX_RADIUS,
-    LogisticConfig,
     _identifiers,
     circular_fingerprint,
     circular_fingerprints,
     fingerprint_csv,
     fnv1a64_words,
-    logistic_baseline_predict,
-    logistic_baseline_train,
 )
 from graphmem.molgraph import DEFAULT_VOCAB, MolecularGraph, featurize, parse_molfile, random_graph
 
-from _oracles import atom_identifiers_oracle, fnv1a64, fold_oracle, hash_ints, hex_oracle
+from _oracles import (
+    LogisticConfig,
+    atom_identifiers_oracle,
+    fnv1a64,
+    fold_oracle,
+    hash_ints,
+    hex_oracle,
+    logistic_baseline_predict,
+    logistic_baseline_train,
+)
 from test_molgraph import BENZENE, molblock
 
 METHANE = molblock(["C"], [], title="methane")  # heavy-atom record: lone carbon

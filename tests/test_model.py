@@ -108,15 +108,15 @@ def with_slot(graph: MolecularGraph, atom: int, slot: int) -> MolecularGraph:
 
 
 class TestInitialize:
-    @pytest.mark.parametrize("raw_embedding", [False, True])
+    @pytest.mark.parametrize("memory_as_wide_as_features", [False, True])
     @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
     @pytest.mark.parametrize("n_relations", [1, 3, 4])
-    def test_stacked_blocks_equal_the_per_block_oracle(self, n_relations, mode, raw_embedding):
+    def test_stacked_blocks_equal_the_per_block_oracle(self, n_relations, mode, memory_as_wide_as_features):
         # k_m, k_h and k_b differ, so that a swapped block or a limit taken
-        # over the stacked shape changes some value
-        k_m = K_X if raw_embedding else 6
-        cfg = small_config(n_relations=n_relations, memory=k_m, controller=3, query=2,
-                           neighbor_mode=mode, raw_embedding=raw_embedding)
+        # over the stacked shape changes some value; at k_m = k_x the
+        # embedding is square, so a transposed draw keeps its shape
+        k_m = K_X if memory_as_wide_as_features else 6
+        cfg = small_config(n_relations=n_relations, memory=k_m, controller=3, query=2, neighbor_mode=mode)
         assert len({cfg.memory_size, cfg.controller_size, cfg.link_feat_dim}) == 3
         for seed in (0, 7):
             arrays = ModelParams.initialize(cfg, seed).arrays()
@@ -127,7 +127,7 @@ class TestInitialize:
                 np.testing.assert_array_equal(np.asarray(blocks[name]), value, err_msg=name, strict=True)
             # the blocks tile the stacked arrays: no entry is left over
             assert sum(a.size for a in arrays.values()) == sum(v.size for v in expected.values())
-        assert "ctrl.gated.self" in arrays and "mem.gated.nbr" in arrays
+        assert {"embed.weight", "ctrl.gated.self", "mem.gated.nbr"} <= set(arrays)
         assert arrays["mem.gated.nbr"].shape == (2 * k_m, n_relations * k_m)
         assert arrays["mem.gated.link"].shape == (2 * k_m, n_relations * cfg.link_feat_dim)
 
@@ -579,7 +579,7 @@ class TestMemoryStep:
             params.zero_grads()
             state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
             memory_step(state, Tensor(controllers), params, prepared).backward(seed=weights)
-            names = [n for n in params.names() if n.startswith(("mem", "nbr"))]
+            names = [n for n in params.tensors if n.startswith(("mem", "nbr"))]
             exact = {n: g for n, g in params.grads().items() if n in names}
             estimate = finite_difference_gradient(value, {n: params.arrays()[n] for n in names})
             worst, name = max_relative_error(exact, estimate)

@@ -86,37 +86,37 @@ class TestBudgetRuns:
 
 
 class TestAdam:
-    CFG = ExperimentConfig(learning_rate=1e-3, hops=1, max_epochs=1)
+    RATE = 1e-3
 
     def test_zero_gradient_keeps_parameters(self):
         params = {"w": np.array([1.0, -2.0])}
         state = AdamState.for_params(params)
-        adam_step(params, {"w": np.zeros(2)}, state, self.CFG)
+        adam_step(params, {"w": np.zeros(2)}, state, self.RATE)
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
     def test_missing_gradient_means_zero(self):
         params = {"w": np.array([1.0]), "untouched": np.array([4.0])}
         state = AdamState.for_params(params)
-        adam_step(params, {"w": np.array([1.0])}, state, self.CFG)
+        adam_step(params, {"w": np.array([1.0])}, state, self.RATE)
         np.testing.assert_array_equal(params["untouched"], [4.0])
 
     def test_first_step_is_signed_stepsize(self):
         params = {"w": np.array([0.0, 0.0])}
         state = AdamState.for_params(params)
-        adam_step(params, {"w": np.array([3.0, -0.25])}, state, self.CFG)
+        adam_step(params, {"w": np.array([3.0, -0.25])}, state, self.RATE)
         np.testing.assert_allclose(params["w"], [-1e-3, 1e-3], rtol=1e-6)
 
     def test_equal_gradients_get_equal_updates(self):
         params = {"a": np.array([1.0]), "b": np.array([1.0])}
         state = AdamState.for_params(params)
-        adam_step(params, {"a": np.array([0.7]), "b": np.array([0.7])}, state, self.CFG)
+        adam_step(params, {"a": np.array([0.7]), "b": np.array([0.7])}, state, self.RATE)
         assert params["a"][0] == params["b"][0]
 
     def test_non_finite_gradient_aborts_with_name(self):
         params = {"w": np.array([1.0]), "bad": np.array([1.0])}
         state = AdamState.for_params(params)
         with pytest.raises(NumericError, match="bad"):
-            adam_step(params, {"w": np.array([0.0]), "bad": np.array([np.nan])}, state, self.CFG)
+            adam_step(params, {"w": np.array([0.0]), "bad": np.array([np.nan])}, state, self.RATE)
 
 
 class TestMetrics:
@@ -332,7 +332,7 @@ class TestTrainingLoop:
                                   seed=1, mode="single", neighbor_mode="learned")
         result = train({"t": split}, config)
         assert result.model_config.neighbor_mode == "learned"
-        assert "nbr.score" in result.params.names()
+        assert "nbr.score" in result.params.tensors
         assert len(result.history) == 2
 
     def test_without_dropout_no_example_generator_is_made(self, monkeypatch):

@@ -2,7 +2,8 @@
 
 Commands: ``train``, ``eval``, ``fingerprint``, ``gradcheck``,
 ``dump-attention``, ``synth``. Configuration is a flat ``key=value`` file,
-overridden by ``--set`` and then by the flags of ``_FLAG_KEYS``. Every
+overridden by ``--set`` and then by the flags of ``_FLAG_KEYS``; a command
+takes only the keys ``_COMMAND_KEYS`` lists for it. Every
 successful run writes a manifest with the resolved configuration, seeds,
 dataset checksums, and artifact paths, sufficient to reproduce the run
 bit-identically.
@@ -85,6 +86,15 @@ _CONFIG_TYPES = {field.name: "list" if get_origin(kind) is tuple else kind
                  for kind in (get_type_hints(ExperimentConfig)[field.name],)}
 _CONFIG_TYPES.update(vocab="list", data_dir=str, nbits=int, radius=int, balance=bool)
 
+# The config keys each command reads. resolve_config refuses any other key,
+# from every source, so a manifest records only settings that took effect.
+_COMMAND_KEYS = {"train": (*(field.name for field in fields(ExperimentConfig)), "vocab", "data_dir", "balance"),
+                 "eval": ("data_dir", "seed"),  # the seed regenerates .synth tasks
+                 "dump-attention": ("data_dir", "seed"),
+                 "fingerprint": ("vocab", "nbits", "radius"),
+                 "gradcheck": ("seed", "neighbor_mode"),
+                 "synth": ("seed",)}
+
 # The flags that set a config key, as (flag dest, key) rows. A flag given
 # on the command line wins over the config file and --set.
 _FLAG_KEYS = (("seed", "seed"), ("mode", "mode"), ("data_dir", "data_dir"), ("task", "tasks"),
@@ -116,18 +126,19 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge the config file, then ``--set``, then the flags of
-    ``_FLAG_KEYS``: a later source wins."""
+    ``_FLAG_KEYS``: a later source wins. A key that ``args.command`` does
+    not read (see ``_COMMAND_KEYS``) is refused, whatever its source."""
     raw = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in raw:
-        if key not in _CONFIG_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        if key not in _CONFIG_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
         raw[key] = value
+    flags = {key: getattr(args, dest) for dest, key in _FLAG_KEYS if getattr(args, dest, None) is not None}
+    readable = _COMMAND_KEYS[args.command]
+    for key in [*raw, *flags]:
+        if key not in readable:
+            raise ConfigError(f"unknown config key {key!r} for {args.command}, which reads {', '.join(readable)}")
 
     resolved: dict = {}
     for key, value in raw.items():
@@ -145,10 +156,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if repeated:
         raise ConfigError(f"config key 'vocab' lists {', '.join(repeated)} more than once")
 
-    for dest, key in _FLAG_KEYS:
-        if getattr(args, dest, None) is not None:
-            resolved[key] = getattr(args, dest)
-    return resolved
+    return {**resolved, **flags}
 
 
 def experiment_config(resolved: dict) -> ExperimentConfig:
@@ -310,8 +318,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.time()
     resolved = resolve_config(args)
     config = experiment_config(resolved)
-    out_dir = _out_dir(args)
     datasets, checksums, vocab = load_roster(resolved, config)
+    out_dir = _out_dir(args)
     splits = {name: split_dataset(examples, config.seed) for name, examples in datasets.items()}
 
     log_path = out_dir / "epochs.log"
@@ -393,26 +401,20 @@ def _load_model(path: str) -> tuple[ModelParams, dict]:
                               f"{node_feature_dim(vocab)}, but the model expects {model_config.node_feat_dim}")
     _check_run_meta(meta, model_config)
     params = ModelParams.initialize(model_config, seed=0)
-    for name, expected in params.tensors.items():
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
-        if arrays[name].shape != expected.shape:
-            raise CheckpointError(
-                f"checkpoint parameter {name!r} has shape {arrays[name].shape}, the model needs {expected.shape}"
-            )
-    for name in arrays:
-        if name not in params.tensors:
-            raise CheckpointError(f"checkpoint holds parameter {name!r}, which the model does not have")
-    params.load_arrays(arrays)
+    try:
+        params.load_arrays(arrays)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path} {exc}") from None
     return params, meta
 
 
 def _eval_pool(resolved: dict, meta: dict) -> tuple[list[LabeledExample], dict]:
     """The examples of the checkpoint's roster, task after task, featurized
-    with its vocabulary and never rebalanced, and their checksums."""
-    config = experiment_config({**resolved, "tasks": meta["tasks"], "mode": meta["mode"],
-                                "seed": resolved.get("seed", meta["seed"])})
-    datasets, checksums, _ = load_roster({**resolved, "vocab": meta["vocab"], "balance": False}, config)
+    with its vocabulary and never rebalanced, and their checksums. A
+    ``.synth`` task is regenerated from the resolved seed, or else from the
+    checkpoint's."""
+    config = experiment_config({"tasks": meta["tasks"], "seed": resolved.get("seed", meta["seed"])})
+    datasets, checksums, _ = load_roster({**resolved, "vocab": meta["vocab"]}, config)
     return [ex for name in config.tasks for ex in datasets[name]], checksums
 
 
@@ -423,12 +425,11 @@ def _checkpoint_inputs(args: argparse.Namespace) -> tuple[dict, Path, ModelParam
     :func:`_checkpoint_record`), the dataset checksums, and the prepared
     examples of every task in the checkpoint's roster."""
     resolved = resolve_config(args)
-    out_dir = _out_dir(args)
     params, meta = _load_model(args.checkpoint)
     checkpoint = _checkpoint_record(args.checkpoint)
     pool, checksums = _eval_pool(resolved, meta)
-    queries = build_queries(meta["mode"], len(meta["tasks"]))
-    return resolved, out_dir, params, meta, checkpoint, checksums, prepare_examples(pool, params.config, queries)
+    prepared = prepare_examples(pool, params.config, build_queries(meta["mode"], len(meta["tasks"])))
+    return resolved, _out_dir(args), params, meta, checkpoint, checksums, prepared
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -452,13 +453,13 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
         check_options(radius, nbits)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    out_dir = _out_dir(args)
     sdf_path = Path(args.input)
     if not sdf_path.is_file():
         raise DatasetError(f"no such SDF file: {sdf_path}")
     sdf_bytes = sdf_path.read_bytes()
     graphs = parse_sdf(_text(sdf_path, sdf_bytes))
     vocab = resolved.get("vocab", list(DEFAULT_VOCAB))
+    out_dir = _out_dir(args)
     csv_path = out_dir / "fingerprints.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(fingerprint_csv([]))  # the header line
@@ -476,12 +477,11 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     started = time.time()
     resolved = resolve_config(args)
-    out_dir = _out_dir(args)
     seed = resolved.get("seed", 0)
     neighbor_mode = experiment_config(resolved).neighbor_mode
     report = run_gradient_check(seed=seed, graphs=args.graphs, neighbor_mode=neighbor_mode)
     print(report.summary())
-    _write_manifest(out_dir, "gradcheck", {**resolved, "graphs": args.graphs}, {},
+    _write_manifest(_out_dir(args), "gradcheck", {**resolved, "graphs": args.graphs}, {},
                     {"max_relative_error": f"{report.max_relative_error:.6e}"}, started)
     return EXIT_OK if report.passed else 1
 
@@ -515,7 +515,6 @@ def cmd_dump_attention(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     started = time.time()
     resolved = resolve_config(args)
-    out_dir = _out_dir(args)
     spec_path = Path(args.spec)
     if not spec_path.is_file():
         raise DatasetError(f"no such spec file: {spec_path}")
@@ -523,10 +522,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec = parse_synthetic_spec(_text(spec_path, spec_bytes), str(spec_path))
     seed = experiment_config(resolved).seed
     examples = generate_synthetic(spec, seed)
+    sdf_text = write_sdf([ex.graph for ex in examples], [ex.example_id for ex in examples])
     task_name = spec_path.stem
+    out_dir = _out_dir(args)
     sdf_path = out_dir / "molecules.sdf"
-    sdf_path.write_text(write_sdf([ex.graph for ex in examples],
-                                  [ex.example_id for ex in examples]), encoding="utf-8")
+    sdf_path.write_text(sdf_text, encoding="utf-8")
     labels_path = out_dir / "labels.csv"
     lines = ["id,task,label"]
     lines.extend(f"{ex.example_id},{task_name},{ex.label}" for ex in examples)
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, help="run seed (overrides the config file)")
     shared.add_argument("--out-dir", default="graphmem_out", help="directory for artifacts")
     shared.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override any config key (repeatable)")
+                        help="set a config key the command reads (repeatable)")
 
     parser = argparse.ArgumentParser(prog="graphmem",
                                      description="graph memory networks for molecular activity")

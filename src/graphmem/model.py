@@ -110,11 +110,20 @@ class ModelParams:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy ``arrays`` into the parameters, after refusing (ValueError,
+        a message that reads after the arrays' source) a missing, extra or
+        misshapen parameter; nothing is copied then."""
         for name, t in self.tensors.items():
-            source = arrays[name]
-            if source.shape != t.data.shape:
-                raise nm.DimensionError(f"parameter {name}: shape {source.shape} != expected {t.data.shape}")
-            t.data[...] = source
+            if name not in arrays:
+                raise ValueError(f"lacks parameter {name!r}")
+            if arrays[name].shape != t.data.shape:
+                raise ValueError(f"holds parameter {name!r} of shape {arrays[name].shape}, "
+                                 f"but the model needs {t.data.shape}")
+        for name in arrays:
+            if name not in self.tensors:
+                raise ValueError(f"holds parameter {name!r}, which the model does not have")
+        for name, t in self.tensors.items():
+            t.data[...] = arrays[name]
 
     def frozen(self) -> "ModelParams":
         """The same parameters as constants sharing these arrays: a forward
@@ -260,11 +269,9 @@ def check_graph(graph: MolecularGraph, config: ModelConfig) -> None:
         raise nm.DimensionError(
             f"graph uses {graph.n_relations} relations but the model has {config.n_relations}"
         )
-    if len(graph.bonds) and link_feature_dim(graph.n_relations) != config.link_feat_dim:
-        raise nm.DimensionError(
-            f"link features have width {link_feature_dim(graph.n_relations)} "
-            f"but the model expects {config.link_feat_dim}"
-        )
+    if len(graph.bonds) and link_feature_dim(graph.n_relations) > config.link_feat_dim:
+        raise nm.DimensionError(f"graph uses {graph.n_relations} relations but the model's link features "
+                                f"have width {config.link_feat_dim}")
 
 
 def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:

@@ -311,23 +311,13 @@ def derive_model_config(examples: Sequence[LabeledExample], config: ExperimentCo
 
     The node width is the first example's; :func:`prepare_examples` refuses
     any example whose width differs. The relations are the most any graph
-    uses, and every bonded graph must give the same link width."""
-    link_dims: set[int] = set()
-    n_relations = 0
-    for ex in examples:
-        g = ex.graph
-        if g.slot_width is None:
-            raise DatasetError("examples must be featurized before training")
-        n_relations = max(n_relations, g.n_relations)
-        if len(g.bonds):
-            link_dims.add(link_feature_dim(g.n_relations))
-    if not link_dims:
-        link_dims = {n_relations + 1}
-    if len(link_dims) != 1:
-        raise DatasetError(f"inconsistent link feature widths {sorted(link_dims)}")
+    uses, and the link width is theirs."""
+    if any(ex.graph.slot_width is None for ex in examples):
+        raise DatasetError("examples must be featurized before training")
+    n_relations = max(ex.graph.n_relations for ex in examples)
     return ModelConfig(
         node_feat_dim=examples[0].graph.feature_width,
-        link_feat_dim=link_dims.pop(),
+        link_feat_dim=link_feature_dim(n_relations),
         n_relations=n_relations,
         query_dim=1 if config.mode == "single" else n_tasks,
         memory_size=config.memory_size,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from graphmem.checkpoint import DIGEST_SIZE, FORMAT_VERSION, load_checkpoint, save_checkpoint
-from graphmem.cli import main
+from graphmem.cli import _COMMAND_KEYS, _CONFIG_TYPES, main
 from graphmem.model import MAX_HOPS, MAX_WIDTH, ModelConfig, ModelParams
 from graphmem.molgraph import (
     DEFAULT_VOCAB,
@@ -205,6 +205,18 @@ class TestTrain:
                    "--out-dir", out, "--quiet") == 0
         assert (out / "metrics.json").is_file()
 
+    def test_tasks_of_different_relation_counts_train_and_eval(self, workspace):
+        # a multi-mode roster of .synth tasks with 2 and 3 relations: the
+        # model takes the most relations, and its link width is theirs
+        (workspace / "tri3.synth").write_text(SPEC_TEXT.replace("relations=2", "relations=3"), encoding="utf-8")
+        out = workspace / "mixed"
+        assert run("train", "--config", workspace / "cfg", "--mode", "multi", "--set", "tasks=tri,tri3",
+                   "--out-dir", out / "train", "--quiet") == 0
+        _, meta = load_checkpoint(out / "train" / "checkpoint.bin")
+        assert (meta["model"]["n_relations"], meta["model"]["link_feat_dim"]) == (3, link_feature_dim(3))
+        assert run("eval", "--checkpoint", out / "train" / "checkpoint.bin", "--set", f"data_dir={workspace}",
+                   "--out-dir", out / "eval") == 0
+
     def test_seed_flag_overrides_config(self, workspace):
         out = workspace / "seeded"
         assert run("train", "--config", workspace / "cfg", "--seed", "42",
@@ -238,7 +250,7 @@ class TestConfigKeys:
         from graphmem.cli import resolve_config
         from graphmem.training import ConfigError
 
-        args = argparse.Namespace(set=[f"balance={text}"])
+        args = argparse.Namespace(command="train", set=[f"balance={text}"])
         if value is None:
             with pytest.raises(ConfigError, match="config key 'balance': cannot parse"):
                 resolve_config(args)
@@ -257,8 +269,8 @@ class TestConfigKeys:
         for field in dataclasses.fields(ExperimentConfig):
             value = getattr(example, field.name)
             text = ",".join(value) if isinstance(value, tuple) else str(value)
-            parsed = getattr(experiment_config(resolve_config(argparse.Namespace(set=[f"{field.name}={text}"]))),
-                             field.name)
+            args = argparse.Namespace(command="train", set=[f"{field.name}={text}"])
+            parsed = getattr(experiment_config(resolve_config(args)), field.name)
             assert parsed == value and type(parsed) is type(value), field.name
 
     # hops and max_epochs stay at most 3: max_epochs has no upper limit, and
@@ -302,6 +314,49 @@ class TestConfigKeys:
                 assert code == 0 or err.strip(), (key, value)
 
 
+class TestCommandKeys:
+    """Each command takes the config keys it reads and refuses every other,
+    from any source, before it reads an input or makes its out dir."""
+
+    # a value of each kind that parses, so that only the command refuses it
+    VALUES = {int: "3", float: "0.5", bool: "true", str: "multi", "list": "tri"}
+    # each command's required arguments, naming inputs that do not exist:
+    # a command that read one would exit 3 or 5, not 2
+    INPUTS = {"train": (), "eval": ("--checkpoint", "absent.bin"), "dump-attention": ("--checkpoint", "absent.bin"),
+              "fingerprint": ("--input", "absent.sdf"), "gradcheck": (), "synth": ("--spec", "absent.synth")}
+
+    def test_the_table(self):
+        assert set(_COMMAND_KEYS) == set(self.INPUTS)
+        assert all(set(keys) <= set(_CONFIG_TYPES) for keys in _COMMAND_KEYS.values())
+        assert sum(len(keys) for keys in _COMMAND_KEYS.values()) == 25
+
+    @pytest.mark.parametrize("command, key", [(command, key) for command in INPUTS for key in _CONFIG_TYPES])
+    def test_every_command_and_key(self, tmp_path, capsys, command, key):
+        import argparse
+
+        from graphmem.cli import resolve_config
+
+        setting = f"{key}={self.VALUES[_CONFIG_TYPES[key]]}"
+        if key in _COMMAND_KEYS[command]:
+            assert list(resolve_config(argparse.Namespace(command=command, set=[setting]))) == [key]
+            return
+        inputs = [tmp_path / part if part.startswith("absent") else part for part in self.INPUTS[command]]
+        assert run(command, *inputs, "--set", setting, "--out-dir", tmp_path / "out") == 2
+        assert f"unknown config key {key!r} for {command}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_source_is_refused(self, tmp_path, capsys):
+        # the config file, --set and a flag that sets a key
+        (tmp_path / "cfg").write_text("data_dir=.\nhops=3\n", encoding="utf-8")
+        for argv, key in ((("eval", "--checkpoint", tmp_path / "absent.bin", "--config", tmp_path / "cfg"), "hops"),
+                          (("gradcheck", "--set", "memory_size=8"), "memory_size"),
+                          (("fingerprint", "--input", tmp_path / "absent.sdf", "--seed", "1"), "seed")):
+            assert run(*argv, "--out-dir", tmp_path / "out") == 2, argv
+            err = capsys.readouterr().err
+            assert f"unknown config key {key!r} for {argv[0]}, which reads" in err, err
+            assert not (tmp_path / "out").exists()
+
+
 class TestBalanceFlag:
     def make_disk_task(self, root, labels):
         task_dir = root / "assay"
@@ -334,12 +389,17 @@ class TestBalanceFlag:
         datasets, _, _ = load_roster({"data_dir": str(tmp_path)}, config)
         assert len(datasets["assay"]) == 4
 
-    def test_eval_pool_ignores_the_flag(self, tmp_path):
+    def test_eval_pool_ignores_the_flag(self, tmp_path, capsys):
+        # eval refuses the key, and its pool is never rebalanced
         from graphmem.cli import _eval_pool
 
         self.make_disk_task(tmp_path, [1, 1, 1, 1, 1, 0, 0])
+        save_assay_checkpoint(tmp_path / "checkpoint.bin")
+        assert run("eval", "--checkpoint", tmp_path / "checkpoint.bin", "--set", f"data_dir={tmp_path}",
+                   "--set", "balance=1", "--out-dir", tmp_path / "e") == 2
+        assert "unknown config key 'balance' for eval" in capsys.readouterr().err
         meta = {"tasks": ["assay"], "mode": "single", "seed": 3, "vocab": ["C"]}
-        pool, _ = _eval_pool({"data_dir": str(tmp_path), "balance": True}, meta)
+        pool, _ = _eval_pool({"data_dir": str(tmp_path)}, meta)
         assert [ex.example_id for ex in pool] == [str(k) for k in range(7)]
         assert all(ex.graph.feature_width == node_feature_dim(["C"]) for ex in pool)
 
@@ -362,6 +422,7 @@ class TestEvalAndDump:
         bad = workspace / "bad.bin"
         bad.write_bytes(b"not a checkpoint at all")
         assert run("eval", "--checkpoint", bad, "--out-dir", workspace / "e") == 5
+        assert not (workspace / "e").exists()
         # dimensions of 0xFFFFFFFF: a read that large is refused, not attempted
         save_checkpoint(bad, {"w": np.zeros((1, 1, 1))}, {})
         body = bad.read_bytes()[:-DIGEST_SIZE]
@@ -520,6 +581,15 @@ class TestEvalAndDump:
         for command, out in outputs.items():
             artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
             assert (artifacts["checkpoint"], artifacts["checkpoint_sha256"]) == (str(checkpoint), digest), command
+
+    def test_manifests_record_only_the_keys_read(self, workspace, trained):
+        # eval and dump-attention read data_dir and the seed of .synth tasks
+        for command in ("eval", "dump-attention"):
+            out = workspace / command
+            assert run(command, "--checkpoint", trained / "checkpoint.bin", "--set", f"data_dir={workspace}",
+                       "--seed", "3", "--out-dir", out) == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config == {"data_dir": str(workspace), "seed": 3}, command
 
     def test_dump_attention_packs_match_one_at_a_time(self, workspace, trained, monkeypatch):
         import graphmem.cli as cli
@@ -1066,7 +1136,7 @@ class TestSynthCommand:
                         encoding="utf-8")
         assert run("synth", "--spec", spec, "--out-dir", tmp_path / "o") == 3
         assert "has 1000 atoms, but a V2000 record holds at most 999" in capsys.readouterr().err
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
 
 
 class TestShippedQuickstart:

@@ -4,6 +4,7 @@ whole-forward invariants (equivariance, locality, reduction to mean passing)."""
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -131,6 +132,25 @@ class TestInitialize:
         assert arrays["mem.gated.nbr"].shape == (2 * k_m, n_relations * k_m)
         assert arrays["mem.gated.link"].shape == (2 * k_m, n_relations * cfg.link_feat_dim)
 
+    def test_load_arrays_refuses_a_missing_extra_or_misshapen_parameter(self):
+        # and copies nothing then
+        params = ModelParams.initialize(small_config(), 0)
+        before = params.copy_arrays()
+        other = ModelParams.initialize(small_config(), 1).copy_arrays()
+        weight = other.pop("out.weight")
+        for arrays, message in ((other, "lacks parameter 'out.weight'"),
+                                ({**other, "out.weight": weight, "extra": weight},
+                                 "holds parameter 'extra', which the model does not have"),
+                                ({**other, "out.weight": weight[:, :-1]},
+                                 re.escape(f"holds parameter 'out.weight' of shape {weight[:, :-1].shape}, "
+                                           f"but the model needs {weight.shape}"))):
+            with pytest.raises(ValueError, match=message):
+                params.load_arrays(arrays)
+            for name, value in before.items():
+                np.testing.assert_array_equal(params[name].data, value, strict=True)
+        params.load_arrays({**other, "out.weight": weight})
+        np.testing.assert_array_equal(params["out.weight"].data, weight, strict=True)
+
 
 class TestInitState:
     def test_identity_readin_recovers_one_hot_query(self):
@@ -195,6 +215,16 @@ class TestInitState:
         two_relations = featurize(random_graph(np.random.default_rng(1), 3, 5, 2), SYNTHETIC_ALPHABET)
         with pytest.raises(DimensionError, match="relations"):
             forward(two_relations, np.ones(1), params, 2)
+
+    def test_a_graph_of_fewer_relations_fits_the_link_width(self):
+        # the link width follows the model's relations, so a graph that uses
+        # fewer runs; only a width too narrow for its relations is refused
+        two_relations = featurize(random_graph(np.random.default_rng(1), 3, 5, 2), SYNTHETIC_ALPHABET)
+        assert len(two_relations.bonds)
+        prepare_graph(two_relations, small_config(n_relations=3))
+        narrow = dataclasses.replace(small_config(n_relations=3), link_feat_dim=link_feature_dim(1))
+        with pytest.raises(DimensionError, match="graph uses 2 relations but the model's link features have width 2"):
+            prepare_graph(two_relations, narrow)
 
 
 class TestAttentiveRead:

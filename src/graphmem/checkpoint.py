@@ -5,11 +5,11 @@ A flat binary container: magic + format version, a JSON metadata blob
 and a little-endian float64 payload, then a SHA-256 digest of every
 preceding byte, checked before anything after the version is parsed.
 
-Format version 3 is version 2's layout, each gated update's weights
-stacked proposal over gate (``ctrl.gated.*`` and ``mem.gated.*``, see
-:meth:`graphmem.model.ModelParams.initialize`), plus the digest. Files of
-version 2, and of version 1, which stored separate proposal and gate
-blocks per relation, are refused.
+Format version 4 stores each gated update's weights stacked proposal over
+gate (``ctrl.gated.*``, ``mem.gated.*``; see :mod:`graphmem.model`), of
+``mem.gated.link`` only the 2R columns that train, and the digest. Earlier
+versions are refused: 3 kept R(R + 1) link columns, 2 had no digest, and 1
+stored separate proposal and gate blocks per relation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"GMNC"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DIGEST_SIZE = 32  # the SHA-256 trailer
 MAX_RANK = 32  # the most dimensions every supported numpy version can reshape to
 

@@ -323,16 +323,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     splits = {name: split_dataset(examples, config.seed) for name, examples in datasets.items()}
 
     log_path = out_dir / "epochs.log"
-    with open(log_path, "w", encoding="utf-8") as log_file:
 
-        def log_fn(record):
-            line = record.format_line()
+    def log_fn(record):  # the first record makes the log, so a run that train refuses leaves none
+        line = record.format_line()
+        with open(log_path, "w" if record.epoch == 1 else "a", encoding="utf-8") as log_file:
             log_file.write(line + "\n")
-            log_file.flush()
-            if not args.quiet:
-                print(line)
+        if not args.quiet:
+            print(line)
 
-        result = train(splits, config, log_fn=log_fn)
+    result = train(splits, config, log_fn=log_fn)
 
     meta = {
         "model": result.model_config.to_dict(),

@@ -42,11 +42,10 @@ NEIGHBOR_MODES = ("uniform", "learned")
 # the allocation would fail with a traceback instead of a refused setting.
 MAX_WIDTH = 1024
 # The most hops. A memory hop's tape keeps about (3 + R) * memory_size floats
-# per cell (training.PACK_CELLS), a learned hop also its summed link features,
-# R * link_feat_dim floats per cell (numerics.link_sum): about 0.46 MB a hop
-# for 256 cells at R = 4 and width 32, 46 MB at this bound, and 92 GB at
-# 200000 hops, where the tape would fail with a traceback instead of a
-# refused setting.
+# per cell (training.PACK_CELLS), a learned hop also its 2 R summed link
+# features (numerics.link_sum): about 0.46 MB a hop for 256 cells at R = 4
+# and width 32, 46 MB at this bound, and 92 GB at 200000 hops, where the
+# tape would fail with a traceback instead of a refused setting.
 MAX_HOPS = 100
 
 
@@ -72,15 +71,19 @@ class ModelConfig:
     neighbor_mode: str = "uniform"
 
     def __post_init__(self):
-        floors = {"node_feat_dim": 1, "link_feat_dim": 1, "query_dim": 1, "n_relations": 0}
-        for name in (*floors, "memory_size", "controller_size"):
+        floors = {"node_feat_dim": 1, "query_dim": 1, "n_relations": 0}
+        for name in (*floors, "link_feat_dim", "memory_size", "controller_size"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-            if name not in floors:
-                check_width(name, value)
-            elif value < floors[name]:
+            if name in floors and value < floors[name]:
                 raise ValueError(f"{name} must be >= {floors[name]}, got {value}")
+            if name.endswith("_size"):
+                check_width(name, value)
+        # the relation count fixes link_feat_dim; it and molgraph.link_feature_dim
+        # go once perfbench stops setting it (ROADMAP item 1)
+        if self.link_feat_dim != link_feature_dim(self.n_relations):
+            raise ValueError(f"link_feat_dim must be {self.n_relations + 1} (n_relations + 1), got {self.link_feat_dim}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {self.neighbor_mode!r}")
 
@@ -149,11 +152,12 @@ class ModelParams:
         The gated updates' weights are stored as :func:`numerics.gated_update
         <graphmem.numerics.gated_update>` takes them: proposal rows over gate
         rows, relation ``r`` in column block ``r`` of ``mem.gated.nbr`` and
-        ``mem.gated.link``. Each proposal, gate and relation block is drawn
-        at its own limit."""
+        in columns ``r`` and ``R + r`` of ``mem.gated.link``, as
+        :func:`~graphmem.numerics.link_sum` lays out its rows. Each proposal,
+        gate and relation block is drawn at its own limit."""
         rng = np.random.default_rng(seed)
         k_m, k_h = config.memory_size, config.controller_size
-        k_x, k_b = config.node_feat_dim, config.link_feat_dim
+        k_x, k_b = config.node_feat_dim, config.n_relations + 1
 
         def draw(rows: int, cols: int) -> np.ndarray:
             return nm.glorot_uniform(rng, rows, cols)
@@ -190,7 +194,10 @@ class ModelParams:
         blocks = np.array([draw(k_m, k_m + k_b) for _ in range(2 * config.n_relations)])
         rows = blocks.reshape(config.n_relations, 2 * k_m, k_m + k_b).transpose(1, 0, 2)
         t["mem.gated.nbr"] = nm.parameter(rows[:, :, :k_m].reshape(2 * k_m, -1))
-        t["mem.gated.link"] = nm.parameter(rows[:, :, k_m:].reshape(2 * k_m, -1))
+        # only the link columns link_sum fills, one-hot r and the ring, are kept; whole
+        # blocks are drawn, so the RNG stream and every kept value match the full blocks'
+        ones = rows[:, :, k_m:-1].diagonal(axis1=1, axis2=2)  # [i, r] is rows[i, r, k_m + r]
+        t["mem.gated.link"] = nm.parameter(np.concatenate([ones, rows[:, :, -1]], axis=1))
         if config.neighbor_mode == "learned":
             t["nbr.cell"] = mat(k_h, k_m)
             t["nbr.self"] = mat(k_h, k_m)
@@ -223,9 +230,9 @@ class PreparedGraph:
 
     An edge's link features are its relation's one-hot and then its ring
     flag, and each key's edge weights sum to one in both neighbour modes.
-    So the link features summed per key are the relation's one-hot and the
-    weighted sum of the keyed edges' ring flags, as (N, R * k_b) rows,
-    relation ``r`` in columns ``r*k_b:(r+1)*k_b`` (zero under a relation
+    So the link features summed per key are two numbers, 1 (a neighbour
+    under the relation) and the weighted sum of the keyed edges' ring flags,
+    as (N, 2R) rows, relation ``r`` in columns ``r`` and ``R + r`` (zero
     where the node has no neighbour): one :func:`~graphmem.numerics.link_sum`
     node of ``ring``, with no block product.
 
@@ -253,9 +260,9 @@ class PreparedGraph:
 
 def check_graph(graph: MolecularGraph, config: ModelConfig) -> None:
     """Refuse a graph the model of ``config`` cannot run: one that is not
-    featurized, whose slot width or relations or link features do not fit
-    the model, or with an element slot outside its width (which would set
-    a degree column of its one-hot row)."""
+    featurized, whose slot width or relations do not fit the model, or
+    with an element slot outside its width (which would set a degree
+    column of its one-hot row)."""
     slots, width, k_x = graph.element_slots, graph.slot_width, graph.feature_width
     if k_x is None:
         raise ValueError("graph is not featurized; call molgraph.featurize first")
@@ -269,9 +276,6 @@ def check_graph(graph: MolecularGraph, config: ModelConfig) -> None:
         raise nm.DimensionError(
             f"graph uses {graph.n_relations} relations but the model has {config.n_relations}"
         )
-    if len(graph.bonds) and link_feature_dim(graph.n_relations) > config.link_feat_dim:
-        raise nm.DimensionError(f"graph uses {graph.n_relations} relations but the model's link features "
-                                f"have width {config.link_feat_dim}")
 
 
 def prepare_graph(graph: MolecularGraph, config: ModelConfig) -> PreparedGraph:
@@ -442,7 +446,7 @@ def _memory_bias(params: ModelParams, prepared: PreparedGraph) -> Tensor:
     constant) projected by ``mem.gated.link``."""
     if params.config.neighbor_mode == "learned":
         return params["mem.gated.bias"]
-    links = nm.link_sum(prepared.uniform, prepared.ring, prepared.slots, params.config.link_feat_dim)
+    links = nm.link_sum(prepared.uniform, prepared.ring, prepared.slots)
     return nm.linear_sum([(links, params["mem.gated.link"])], bias=params["mem.gated.bias"])
 
 
@@ -466,9 +470,9 @@ def memory_step(
     features (:func:`~graphmem.numerics.link_sum`, a keyed sum with no
     block product, so a hop runs one) are projected the same way: here in
     learned mode, and in ``bias`` in uniform mode, where they do not change
-    from hop to hop. Each sum keeps its (N, R k) rows on the tape. ``bias``
-    is :func:`_memory_bias` of ``params`` and ``prepared``, computed here
-    when not given.
+    from hop to hop. Each sum keeps its rows, (N, R k_m) and (N, 2R), on
+    the tape. ``bias`` is :func:`_memory_bias` of ``params`` and
+    ``prepared``, computed here when not given.
     """
     weights = _neighbor_weights(prepared, state.memory, params)
     terms: list[tuple] = [
@@ -477,7 +481,7 @@ def memory_step(
         (nm.block_sum(state.memory, weights, prepared.slots), params["mem.gated.nbr"]),
     ]
     if params.config.neighbor_mode == "learned":
-        links = nm.link_sum(weights, prepared.ring, prepared.slots, params.config.link_feat_dim)
+        links = nm.link_sum(weights, prepared.ring, prepared.slots)
         terms.append((links, params["mem.gated.link"]))
     if bias is None:
         bias = _memory_bias(params, prepared)

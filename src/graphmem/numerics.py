@@ -15,15 +15,15 @@ activations or gathers it computes; :func:`linear_sum` and
 tensor through a weight, with the same code. The weighted sums run on a
 pack's :class:`Slots`: the per-graph :func:`graph_sum` (the attention
 read), the per-graph block products of :func:`block_sum` (the neighbour
-cells) and the keyed :func:`link_sum` (the link features: a placed
-relation one-hot and one ring sum per key). Each keeps its value, which is
-linear in the pack, for the nodes that consume it; the pack's one block
-array is the slots', not the tape's. The slots also carry each graph's
-controller row to its cells and sum their gradient back per graph, and
-gather the rows at the edges' ends for the edge scorer, keeping the
-scatter index of that gather's gradient. The model stores each gated
-update's weights stacked the way :func:`gated_update` takes them, so
-parameters enter the tape as they are.
+cells) and the keyed :func:`link_sum` (the link features, two numbers
+per key: a placed has-neighbour indicator and a ring sum). Each keeps its
+value, which is linear in the pack, for the nodes that consume it; the
+pack's one block array is the slots', not the tape's. The slots also
+carry each graph's controller row to its cells and sum their gradient
+back per graph, and gather the rows at the edges' ends for the edge
+scorer, keeping the scatter index of that gather's gradient. The model
+stores each gated update's weights stacked the way :func:`gated_update`
+takes them, so parameters enter the tape as they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
@@ -124,7 +124,7 @@ def constant(data) -> Tensor:
 
 
 def parameter(data) -> Tensor:
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+    return Tensor(np.array(data, dtype=np.float64, order="C"), requires_grad=True)
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -327,33 +327,30 @@ def block_sum(x: Tensor, weights: Tensor, slots: Slots) -> Tensor:
     return _record(out, (x, weights), backward)
 
 
-def link_sum(weights: Tensor, ring: np.ndarray, slots: Slots, k: int) -> Tensor:
+def link_sum(weights: Tensor, ring: np.ndarray, slots: Slots) -> Tensor:
     """The link features of every key's edges, weighted by ``weights`` and
-    summed, as one tape node. An edge's k link features are its relation's
-    one-hot and then its ``ring`` flag, and a key's weights sum to one; so
-    for every key ``d * R + r`` that has an edge, row ``d`` of the (N, R * k)
-    value holds an exact 1.0 in column ``r*k + r``, placed rather than
-    summed, and the sum of ``ring[e] * weights[e]`` over the key's edges in
-    the last column of relation ``r``'s block, ``r*k + k - 1``. Every other
-    entry is zero. The ring sums are one keyed ``bincount`` over the edges;
-    the node keeps its value. Its backward gives each edge's weight its ring
-    flag times the gradient at its key's last column, so an edge off every
+    summed, as one tape node: two numbers per key ``d * R + r``, since an
+    edge's link features are its relation's one-hot and its ``ring`` flag
+    and a key's weights sum to one. Row ``d`` of the (N, 2R) value holds in
+    column ``r`` an exact 1.0 when the key has an edge, placed rather than
+    summed, and in column ``R + r`` the sum of ``ring[e] * weights[e]`` over
+    its edges, one keyed ``bincount``; both are 0 for a key without edges.
+    The node keeps its value. Its backward gives each edge's weight its ring
+    flag times the gradient at its key's ring column, so an edge off every
     ring gets no weight gradient.
     """
     n, r = int(slots.bounds[-1]), slots.n_relations
-    relation = slots.keys - slots.dst * r
-    if (weights.shape != slots.src.shape or np.shape(ring) != slots.src.shape
-            or relation.max(initial=-1) >= k - 1):  # a one-hot column must lie before the ring column
-        raise _shape_error("link_sum", weights.shape, np.shape(ring), (k,))
-    sums = np.zeros((n * r, k))
-    sums[slots.keys, relation] = 1.0
-    sums[:, -1] = np.bincount(slots.keys, weights=ring * weights.data, minlength=n * r)
-    out = Tensor(sums.reshape(n, r * k))
+    if weights.shape != slots.src.shape or np.shape(ring) != slots.src.shape:
+        raise _shape_error("link_sum", weights.shape, np.shape(ring), slots.src.shape)
+    has = np.zeros(n * r)
+    has[slots.keys] = 1.0
+    rings = np.bincount(slots.keys, weights=ring * weights.data, minlength=n * r)
+    out = Tensor(np.concatenate([has.reshape(n, r), rings.reshape(n, r)], axis=1))
     if not _tracked(weights):
         return out
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(weights, ring * g.reshape(n * r, k)[slots.keys, -1])
+        _accumulate(weights, ring * g[:, r:].reshape(-1)[slots.keys])
 
     return _record(out, (weights,), backward)
 

@@ -35,9 +35,9 @@ MODES = ("single", "multi")
 # memory hop's tape keeps about (3 + R) * memory_size floats per cell for R
 # relations: the gated update's output, proposal and gate and the neighbour
 # sums (numerics.block_sum). In learned mode the summed link features add
-# R * link_feat_dim floats per cell (numerics.link_sum). Off the tape, a
-# pack keeps one block array in both modes, and in learned mode the edge
-# scorer's scatter index, E * controller_size integers at each end.
+# 2 R floats per cell (numerics.link_sum). Off the tape, a pack keeps one
+# block array in both modes, and in learned mode the edge scorer's scatter
+# index, E * controller_size integers at each end.
 PACK_CELLS = 256
 
 # Adam's first- and second-moment decays and the floor added to the root of

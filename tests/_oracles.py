@@ -173,7 +173,7 @@ def per_block_initialize_oracle(config, seed: int) -> dict[str, np.ndarray]:
     drawn in this order, each uniform within its own +-sqrt(6/(rows+cols))."""
     rng = np.random.default_rng(seed)
     k_m, k_h = config.memory_size, config.controller_size
-    k_x, k_b = config.node_feat_dim, config.link_feat_dim
+    k_x, k_b = config.node_feat_dim, config.n_relations + 1
 
     def mat(rows: int, cols: int) -> np.ndarray:
         limit = math.sqrt(6.0 / (rows + cols))
@@ -204,25 +204,62 @@ def per_block_initialize_oracle(config, seed: int) -> dict[str, np.ndarray]:
     return t
 
 
+def live_link_columns(n_relations: int) -> np.ndarray:
+    """Where the columns of ``numerics.link_sum``'s (N, 2R) rows sit in the
+    wide layout of R blocks of k_b = R + 1 link columns, a relation one-hot
+    and a ring flag each: relation r's one-hot column ``r*k_b + r``, then
+    its ring column ``r*k_b + R``. The other R(R - 1) columns are dead:
+    every summed link row is zero there."""
+    k_b, r = n_relations + 1, np.arange(n_relations)
+    return np.concatenate([r * k_b + r, r * k_b + n_relations])
+
+
+def wide_link(link: np.ndarray, n_relations: int) -> np.ndarray:
+    """(rows, 2R) link sums or link weights in the wide (rows, R (R + 1))
+    layout (:func:`live_link_columns`), zero in the dead columns."""
+    wide = np.zeros((link.shape[0], n_relations * (n_relations + 1)))
+    wide[:, live_link_columns(n_relations)] = link
+    return wide
+
+
+def wide_link_params(params):
+    """The model's parameters with ``mem.gated.link`` widened (:func:`wide_link`)
+    into a parameter of its own: the (2 k_m, R (R + 1)) weight the model
+    stored before its dead columns went, holding the same live values and
+    zeros in the dead columns. The other tensors are shared."""
+    from graphmem import numerics as nm
+    from graphmem.model import ModelParams
+
+    link = wide_link(params["mem.gated.link"].data, params.config.n_relations)
+    return ModelParams(params.config, {**params.tensors, "mem.gated.link": nm.parameter(link)})
+
+
 class JoinedColumns:
     """Two arrays of one row count read as the matrix [left | right]
-    (``np.asarray``); an assignment to it writes through to both."""
+    (``np.asarray``), ``right`` spread over ``width`` columns at ``at`` and
+    zero elsewhere; an assignment to it writes through to both, and refuses
+    a nonzero value in a column ``right`` does not hold."""
 
-    def __init__(self, left: np.ndarray, right: np.ndarray):
-        self.left, self.right = left, right
+    def __init__(self, left: np.ndarray, right: np.ndarray, width: int, at: list[int]):
+        self.left, self.right, self.width, self.at = left, right, width, at
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.left.shape[0], self.left.shape[1] + self.right.shape[1]
+        return self.left.shape[0], self.left.shape[1] + self.width
 
     def __array__(self, dtype=None, copy=None):
-        return np.concatenate([self.left, self.right], axis=1).astype(dtype or np.float64)
+        spread = np.zeros((self.left.shape[0], self.width))
+        spread[:, self.at] = self.right
+        return np.concatenate([self.left, spread], axis=1).astype(dtype or np.float64)
 
     def __setitem__(self, key, value) -> None:
         joined = np.asarray(self)
         joined[key] = value
+        spread = joined[:, self.left.shape[1]:]
+        if np.delete(spread, self.at, axis=1).any():
+            raise ValueError("a nonzero value in a column the joined arrays do not hold")
         self.left[...] = joined[:, :self.left.shape[1]]
-        self.right[...] = joined[:, self.left.shape[1]:]
+        self.right[...] = spread[:, self.at]
 
 
 def param_blocks(arrays: dict) -> dict:
@@ -231,12 +268,14 @@ def param_blocks(arrays: dict) -> dict:
     stacked arrays: ``ctrl.self`` and ``ctrl_gate.self`` are the proposal
     and gate rows of ``ctrl.gated.self``, and so on, and ``mem.rel{r}`` and
     ``mem_gate.rel{r}`` join relation r's column blocks of ``mem.gated.nbr``
-    and ``mem.gated.link`` (a :class:`JoinedColumns`). Other names pass
-    through. Works on gradients as well as on values."""
+    and ``mem.gated.link`` (a :class:`JoinedColumns`): the link part of
+    relation r's block is its k_b = R + 1 columns of the wide layout (see
+    :func:`live_link_columns`), columns ``r`` and ``R + r`` of
+    ``mem.gated.link`` at its one-hot and ring columns, zero elsewhere.
+    Other names pass through. Works on gradients as well as on values."""
     k_h = arrays["ctrl.gated.self"].shape[1]
     k_m = arrays["mem.gated.self"].shape[1]
     n_relations = arrays["mem.gated.nbr"].shape[1] // k_m
-    k_b = arrays["mem.gated.link"].shape[1] // n_relations if n_relations else 0
     blocks = {name: array for name, array in arrays.items() if ".gated." not in name}
     for update, width, parts in (("ctrl", k_h, ("self", "read", "bias")), ("mem", k_m, ("self", "ctrl", "bias"))):
         for part in parts:
@@ -246,7 +285,8 @@ def param_blocks(arrays: dict) -> dict:
     for r in range(n_relations):
         for block, rows in (("mem", slice(None, k_m)), ("mem_gate", slice(k_m, None))):
             blocks[f"{block}.rel{r}"] = JoinedColumns(arrays["mem.gated.nbr"][rows, r * k_m:(r + 1) * k_m],
-                                                      arrays["mem.gated.link"][rows, r * k_b:(r + 1) * k_b])
+                                                      arrays["mem.gated.link"][rows, r::n_relations],
+                                                      n_relations + 1, [r, n_relations])
     return blocks
 
 
@@ -619,9 +659,9 @@ def prepare_graph_oracle(graph, config, vocab):
     from graphmem import numerics as nm
     from graphmem.model import PreparedGraph
 
-    m, n_relations, k_b = graph.n_nodes, config.n_relations, config.link_feat_dim
+    m, n_relations = graph.n_nodes, config.n_relations
     ends = graph.bonds
-    bond_links = link_features_oracle(graph).reshape(-1, k_b)
+    bond_links = link_features_oracle(graph)
     src = np.concatenate([ends[:, 1], ends[:, 0]])
     dst = np.concatenate([ends[:, 0], ends[:, 1]])
     relation = np.concatenate([ends[:, 2], ends[:, 2]]) - 1
@@ -663,15 +703,18 @@ def pack_links_oracle(prepared, k_b: int) -> np.ndarray:
 def mean_links_bias_oracle(prepared, arrays) -> np.ndarray:
     """The uniform-mode memory bias as packs computed it when they stored
     their averaged link rows: each edge's link row times 1/deg_r(dst),
-    added into its key's row in edge order, then those (N, R * k_b) rows
-    projected by ``mem.gated.link`` plus ``mem.gated.bias``."""
+    added into its key's row in edge order, then those (N, R * k_b) rows,
+    at their live columns (:func:`live_link_columns`; the dead ones must
+    be zero), projected by ``mem.gated.link`` plus ``mem.gated.bias``."""
     keys, n_relations = prepared.slots.keys, prepared.slots.n_relations
-    links = pack_links_oracle(prepared, arrays["mem.gated.link"].shape[1] // n_relations)
+    links = pack_links_oracle(prepared, n_relations + 1)
     mean = np.zeros((prepared.n_nodes * n_relations, links.shape[1]))
     for e, key in enumerate(keys.tolist()):
         mean[key] += prepared.uniform.data[e] * links[e]
     mean = mean.reshape(prepared.n_nodes, -1)
-    return mean @ arrays["mem.gated.link"].T + arrays["mem.gated.bias"]
+    live = live_link_columns(n_relations)
+    assert not np.delete(mean, live, axis=1).any()
+    return mean[:, live] @ arrays["mem.gated.link"].T + arrays["mem.gated.bias"]
 
 
 def concatenated_pack(graphs):
@@ -782,12 +825,14 @@ def keyed_memory_bias(params, prepared):
     """The memory update's bias as packs ran it on keyed sums: in uniform
     mode the link term of the uniform weights joins ``mem.gated.bias`` as
     one row per cell; in learned mode the bias is ``mem.gated.bias`` alone,
-    since :func:`keyed_memory_step` adds the whole link term."""
+    since :func:`keyed_memory_step` adds the whole link term. The link rows
+    are wide, so ``params`` holds the wide link weight
+    (:func:`wide_link_params`)."""
     from graphmem import numerics as nm
 
     bias = params["mem.gated.bias"]
     if params.config.neighbor_mode == "uniform":
-        link = keyed_link_sum(prepared, prepared.uniform, params.config.link_feat_dim)
+        link = keyed_link_sum(prepared, prepared.uniform, params.config.n_relations + 1)
         bias = nm.linear_sum([(link, params["mem.gated.link"])], bias=bias)
     return bias
 
@@ -812,8 +857,9 @@ def keyed_memory_step(state, controller, params, prepared, bias=None):
     """The memory update as packs ran it on keyed sums: the neighbour cells
     and the link rows each one :func:`edge_sum` keyed by (destination,
     relation), each graph's controller row gathered to its cells by segment
-    id. ``bias`` is :func:`keyed_memory_bias`, computed here when not
-    given."""
+    id, and the link rows projected by the wide link weight of ``params``
+    (:func:`wide_link_params`). ``bias`` is :func:`keyed_memory_bias`,
+    computed here when not given."""
     from graphmem import numerics as nm
     from graphmem.model import _neighbor_weights
 
@@ -824,13 +870,14 @@ def keyed_memory_step(state, controller, params, prepared, bias=None):
              (controller, params["mem.gated.ctrl"], nm.Gather(slots.segments, prepared.n_graphs)),
              (cells, params["mem.gated.nbr"])]
     if params.config.neighbor_mode == "learned":
-        terms.append((keyed_link_sum(prepared, weights, params.config.link_feat_dim), params["mem.gated.link"]))
+        terms.append((keyed_link_sum(prepared, weights, params.config.n_relations + 1), params["mem.gated.link"]))
     return nm.gated_update(terms, keyed_memory_bias(params, prepared) if bias is None else bias, state.memory)
 
 
 def keyed_forward(prepared, query, params, hops, *, dropout_rate=0.0, rng=None, training=False):
     """``model.forward`` on the keyed read and memory update above, hop for
-    hop; returns the (B, 1) probability tensor."""
+    hop, with ``params`` holding the wide link weight
+    (:func:`wide_link_params`); returns the (B, 1) probability tensor."""
     from graphmem import numerics as nm
     from graphmem.model import HopState, _dropout, controller_step, init_state
 

@@ -57,7 +57,7 @@ def test_version_mismatch_rejected(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_earlier_versions_refused_naming_the_version(tmp_path, version):
     # the bytes after the version are a well-formed file of this format,
     # digest included: the version alone refuses it

@@ -96,6 +96,16 @@ class TestTrain:
         assert code == 3
         assert "absent" in capsys.readouterr().err
 
+    def test_a_run_train_refuses_leaves_no_epochs_log(self, tmp_path, capsys):
+        # 7 records split 5/0/2: train itself refuses the empty val split,
+        # after the out dir is made but before the first epoch is logged
+        TestBalanceFlag().make_disk_task(tmp_path, [1, 1, 1, 1, 1, 0, 0])
+        code = run("train", "--set", f"data_dir={tmp_path}", "--set", "tasks=assay", "--set", "max_epochs=1",
+                   "--out-dir", tmp_path / "out", "--quiet")
+        assert code == 3
+        assert "task 'assay' has an empty val split" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "epochs.log").exists()
+
     def test_missing_labels_file_is_data_error(self, workspace, capsys):
         task_dir = workspace / "realmol"
         task_dir.mkdir()
@@ -138,11 +148,11 @@ class TestTrain:
 
         at_bound = ExperimentConfig(memory_size=MAX_WIDTH, controller_size=MAX_WIDTH)
         assert (at_bound.memory_size, at_bound.controller_size) == (MAX_WIDTH, MAX_WIDTH)
-        ModelConfig(node_feat_dim=1, link_feat_dim=1, n_relations=4, query_dim=1, memory_size=MAX_WIDTH,
-                    controller_size=MAX_WIDTH)
+        ModelConfig(node_feat_dim=1, link_feat_dim=link_feature_dim(4), n_relations=4, query_dim=1,
+                    memory_size=MAX_WIDTH, controller_size=MAX_WIDTH)
         for key in ("memory_size", "controller_size"):
             with pytest.raises(ValueError, match=f"{key} must be <= {MAX_WIDTH}"):
-                ModelConfig(**{"node_feat_dim": 1, "link_feat_dim": 1, "n_relations": 4, "query_dim": 1,
+                ModelConfig(**{"node_feat_dim": 1, "link_feat_dim": link_feature_dim(4), "n_relations": 4, "query_dim": 1,
                                "memory_size": 4, "controller_size": 4, key: MAX_WIDTH + 1})
             for value in (MAX_WIDTH + 1, 4096):
                 capsys.readouterr()
@@ -161,8 +171,8 @@ class TestTrain:
         from graphmem.training import ExperimentConfig
 
         assert ExperimentConfig(hops=MAX_HOPS).hops == MAX_HOPS
-        config = ModelConfig(node_feat_dim=1, link_feat_dim=1, n_relations=1, query_dim=1, memory_size=1,
-                             controller_size=1)
+        config = ModelConfig(node_feat_dim=1, link_feat_dim=link_feature_dim(1), n_relations=1, query_dim=1,
+                             memory_size=1, controller_size=1)
         meta = {"tasks": ["tri"], "mode": "single", "hops": MAX_HOPS, "seed": 0}
         _check_run_meta(meta, config)
         with pytest.raises(CheckpointError, match=f"hops must be an integer >= 1 and <= {MAX_HOPS}, got 1000000000"):
@@ -515,6 +525,9 @@ class TestEvalAndDump:
         ("memory_size", 32.0, "memory_size must be an integer, got 32.0"),
         ("n_relations", 3.0, "n_relations must be an integer, got 3.0"),
         ("raw_embedding", False, "unexpected keyword argument 'raw_embedding'"),
+        # the relation count fixes the link width: a wider or narrower one is refused
+        ("link_feat_dim", 6, "checkpoint metadata is unusable: link_feat_dim must be 3 (n_relations + 1), got 6"),
+        ("link_feat_dim", 2, "checkpoint metadata is unusable: link_feat_dim must be 3 (n_relations + 1), got 2"),
         ("memory_size", MAX_WIDTH + 1, f"memory_size must be <= {MAX_WIDTH}, got {MAX_WIDTH + 1}"),
         ("controller_size", 2 ** 40, f"controller_size must be <= {MAX_WIDTH}"),
         ("hops", MAX_HOPS + 1, f"hops must be an integer >= 1 and <= {MAX_HOPS}, got {MAX_HOPS + 1}"),
@@ -538,7 +551,7 @@ class TestEvalAndDump:
             assert code == 5, command
             err = capsys.readouterr().err
             assert "checkpoint" in err and message in err, err
-        assert not (workspace / "e" / "metrics.json").exists()
+        assert not (workspace / "e").exists()
 
     def test_data_that_does_not_fit_the_model_is_exit_3(self, workspace, trained, capsys):
         # the checkpoint was trained on tri.synth, whose graphs use 2 relations;
@@ -556,16 +569,18 @@ class TestEvalAndDump:
         assert not (workspace / "e" / "manifest.json").exists()
 
     def test_eval_version_1_checkpoint_is_exit_5(self, workspace, trained, capsys):
-        # and version 2, whose layout version 3 keeps, but without the digest
+        # and version 2, without the digest, and version 3, with a valid
+        # digest and the R(R + 1) link columns version 4 narrowed to 2R
         blob = bytearray((trained / "checkpoint.bin").read_bytes())
-        assert blob[4:8] == FORMAT_VERSION.to_bytes(4, "little") and FORMAT_VERSION == 3
-        for version in (1, 2):
+        assert blob[4:8] == FORMAT_VERSION.to_bytes(4, "little") and FORMAT_VERSION == 4
+        for version in (1, 2, 3):
             blob[4:8] = version.to_bytes(4, "little")
             path = trained / f"version{version}.bin"
-            path.write_bytes(bytes(blob[:-DIGEST_SIZE]))
+            body = bytes(blob[:-DIGEST_SIZE])
+            path.write_bytes(resigned(body) if version == 3 else body)
             code = run("eval", "--checkpoint", path, "--set", f"data_dir={workspace}", "--out-dir", workspace / "e")
             assert code == 5
-            assert f"format version {version} != supported 3" in capsys.readouterr().err
+            assert f"format version {version} != supported 4" in capsys.readouterr().err
         assert not (workspace / "e" / "metrics.json").exists()
 
     def test_manifests_name_the_checkpoint(self, workspace, trained):

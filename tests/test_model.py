@@ -54,10 +54,13 @@ from _oracles import (
     mean_passing_oracle,
     neighbor_lists,
     neighbor_union,
+    live_link_columns,
     param_blocks,
     per_block_initialize_oracle,
     per_relation_memory_step_oracle,
     prepare_graph_oracle,
+    wide_link,
+    wide_link_params,
 )
 
 K_X = node_feature_dim(SYNTHETIC_ALPHABET)
@@ -119,18 +122,28 @@ class TestInitialize:
         k_m = K_X if memory_as_wide_as_features else 6
         cfg = small_config(n_relations=n_relations, memory=k_m, controller=3, query=2, neighbor_mode=mode)
         assert len({cfg.memory_size, cfg.controller_size, cfg.link_feat_dim}) == 3
+        # relation r's block keeps, of its link columns, the one-hot column
+        # r and the ring column: the others are drawn, and then dropped
         for seed in (0, 7):
             arrays = ModelParams.initialize(cfg, seed).arrays()
             blocks = param_blocks(arrays)
             expected = per_block_initialize_oracle(cfg, seed)
             assert set(blocks) == set(expected)
             for name, value in expected.items():
+                if ".rel" in name:
+                    r = int(name[-1])
+                    dead = [k_m + c for c in range(n_relations) if c != r]
+                    assert value[:, dead].all(), name
+                    value = value.copy()
+                    value[:, dead] = 0.0
                 np.testing.assert_array_equal(np.asarray(blocks[name]), value, err_msg=name, strict=True)
-            # the blocks tile the stacked arrays: no entry is left over
-            assert sum(a.size for a in arrays.values()) == sum(v.size for v in expected.values())
+            # the blocks tile the stacked arrays: no entry is left over but
+            # the R - 1 dead link columns of each of the 2R blocks
+            dropped = 2 * n_relations * k_m * (n_relations - 1)
+            assert sum(a.size for a in arrays.values()) == sum(v.size for v in expected.values()) - dropped
         assert {"embed.weight", "ctrl.gated.self", "mem.gated.nbr"} <= set(arrays)
         assert arrays["mem.gated.nbr"].shape == (2 * k_m, n_relations * k_m)
-        assert arrays["mem.gated.link"].shape == (2 * k_m, n_relations * cfg.link_feat_dim)
+        assert arrays["mem.gated.link"].shape == (2 * k_m, 2 * n_relations)
 
     def test_load_arrays_refuses_a_missing_extra_or_misshapen_parameter(self):
         # and copies nothing then
@@ -218,13 +231,19 @@ class TestInitState:
 
     def test_a_graph_of_fewer_relations_fits_the_link_width(self):
         # the link width follows the model's relations, so a graph that uses
-        # fewer runs; only a width too narrow for its relations is refused
+        # fewer runs
         two_relations = featurize(random_graph(np.random.default_rng(1), 3, 5, 2), SYNTHETIC_ALPHABET)
         assert len(two_relations.bonds)
         prepare_graph(two_relations, small_config(n_relations=3))
-        narrow = dataclasses.replace(small_config(n_relations=3), link_feat_dim=link_feature_dim(1))
-        with pytest.raises(DimensionError, match="graph uses 2 relations but the model's link features have width 2"):
-            prepare_graph(two_relations, narrow)
+
+    def test_a_link_width_the_relations_do_not_fix_is_refused(self):
+        # the relation count fixes link_feat_dim: a config naming another
+        # width, narrower or wider, is refused as it is built
+        for width in (link_feature_dim(1), link_feature_dim(2), link_feature_dim(4), 0):
+            with pytest.raises(ValueError, match=rf"link_feat_dim must be 4 \(n_relations \+ 1\), got {width}$"):
+                dataclasses.replace(small_config(n_relations=3), link_feat_dim=width)
+        with pytest.raises(TypeError, match="link_feat_dim must be an integer"):
+            dataclasses.replace(small_config(n_relations=3), link_feat_dim=4.0)
 
 
 class TestAttentiveRead:
@@ -274,7 +293,7 @@ class TestAttentiveRead:
         # edge-by-edge weighted sum from every cell to its graph, to 1e-12
         # (reduceat adds in its own order): on the mixed pack of
         # TestMemoryStep and on a single atom
-        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(3), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3)
         params = make_params(cfg, seed=45)
         rng = np.random.default_rng(46)
@@ -347,7 +366,7 @@ class TestControllerStep:
         # tracked tensor holding its values: the same output and parameter
         # gradients, and the edge_sum passes the tensor's gradient on to the
         # cells and the attention weights by the chain rule
-        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(3), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3)
         prepared = pack(TestMemoryStep.mixed_pack_graphs(), cfg)
         rng = np.random.default_rng(47)
@@ -414,8 +433,8 @@ class TestMemoryStep:
             assert prepared.slots.src.size == 0
             context = block_sum(state.memory, prepared.uniform, prepared.slots)
             np.testing.assert_array_equal(context.data, np.zeros((1, 3)), err_msg=mode)
-            links = link_sum(prepared.uniform, prepared.ring, prepared.slots, cfg.link_feat_dim)
-            np.testing.assert_array_equal(links.data, np.zeros((1, cfg.link_feat_dim)), err_msg=mode)
+            links = link_sum(prepared.uniform, prepared.ring, prepared.slots)
+            np.testing.assert_array_equal(links.data, np.zeros((1, 2 * cfg.n_relations)), err_msg=mode)
 
     def test_constrained_step_is_uniform_neighbor_mean(self):
         rng = np.random.default_rng(17)
@@ -455,7 +474,7 @@ class TestMemoryStep:
         # sums
         weights = _neighbor_weights(prepared, state.memory, params)
         cells = block_sum(state.memory, weights, prepared.slots).data
-        links = link_sum(weights, prepared.ring, prepared.slots, cfg.link_feat_dim).data
+        links = wide_link(link_sum(weights, prepared.ring, prepared.slots).data, 2)
         for r in range(2):
             np.testing.assert_allclose(cells[:, 5 * r:5 * (r + 1)], expected_contexts[r][:, :5], rtol=0, atol=1e-12)
             np.testing.assert_allclose(links[:, 3 * r:3 * (r + 1)], expected_contexts[r][:, 5:], rtol=0, atol=1e-12)
@@ -464,7 +483,7 @@ class TestMemoryStep:
     @staticmethod
     def mixed_pack_graphs():
         """Graphs whose pack covers the edge cases of the keyed edge list, for
-        a model of three relations with links of width 3: a single atom,
+        a model of three relations: a single atom,
         atoms without bonds, graphs that use two relations (fewer than the
         model), and no edge under the third relation anywhere."""
         rng = np.random.default_rng(41)
@@ -481,7 +500,7 @@ class TestMemoryStep:
         # field by field and bit for bit: the pack of the mixed graphs, each
         # graph alone, and the graphs in reverse order
         graphs = self.mixed_pack_graphs()
-        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(3), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3)
         for members in [graphs, graphs[::-1]] + [[g] for g in graphs]:
             packed = pack(members, cfg)
@@ -516,7 +535,7 @@ class TestMemoryStep:
     def test_keyed_pack_matches_the_per_relation_oracles(self):
         graphs = self.mixed_pack_graphs()
         for mode in NEIGHBOR_MODES:
-            cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+            cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(3), n_relations=3, query_dim=1,
                               memory_size=4, controller_size=3, neighbor_mode=mode)
             params = make_params(cfg, seed=43)
             blocks = param_blocks(params.arrays())
@@ -526,7 +545,7 @@ class TestMemoryStep:
                     blocks[name][...] = rng.normal(size=blocks[name].shape)
             prepared = pack(graphs, cfg)
             assert prepared.slots.n_relations == 3 and not np.any(prepared.slots.keys % 3 == 2), mode
-            np.testing.assert_array_equal(link_sum(prepared.uniform, prepared.ring, prepared.slots, 3).data[:, 6:], 0.0)
+            np.testing.assert_array_equal(link_sum(prepared.uniform, prepared.ring, prepared.slots).data[:, 2::3], 0.0)
             cells = rng.normal(size=(prepared.n_nodes, 4))
             controllers = rng.normal(size=(len(graphs), 3))
             state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
@@ -548,7 +567,7 @@ class TestMemoryStep:
         # uniform weights, against the averaged link rows summed edge by edge,
         # on the mixed pack, each graph alone and the graphs in reverse order
         graphs = self.mixed_pack_graphs()
-        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(3), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3)
         params = make_params(cfg, seed=48)
         params["mem.gated.bias"].data[...] = np.random.default_rng(49).normal(size=2 * 4)
@@ -561,7 +580,7 @@ class TestMemoryStep:
         # each learned hop adds its own link sum, so the bias is the
         # mem.gated.bias vector itself: no projection and no per-row node
         graphs = self.mixed_pack_graphs()
-        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(3), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3, neighbor_mode="learned")
         params = make_params(cfg, seed=50)
         for members in [graphs] + [[g] for g in graphs]:
@@ -569,7 +588,7 @@ class TestMemoryStep:
 
     def test_keyed_pack_reduces_to_mean_passing(self):
         graphs = self.mixed_pack_graphs()
-        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+        cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(3), n_relations=3, query_dim=1,
                           memory_size=4, controller_size=3)
         params = mean_passing_params(cfg)
         blocks = param_blocks(params.arrays())
@@ -588,7 +607,7 @@ class TestMemoryStep:
     def test_keyed_pack_gradients_match_finite_differences(self):
         graphs = self.mixed_pack_graphs()
         for mode in NEIGHBOR_MODES:
-            cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=1,
+            cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(3), n_relations=3, query_dim=1,
                               memory_size=3, controller_size=2, neighbor_mode=mode)
             params = make_params(cfg, seed=46)
             blocks = param_blocks(params.arrays())
@@ -617,6 +636,29 @@ class TestMemoryStep:
             # no edge under the third relation: its neighbour weights get no gradient
             np.testing.assert_array_equal(np.asarray(param_blocks(params.grads())["mem.rel2"]), 0.0)
 
+    @pytest.mark.parametrize("n_relations", [3, 4])
+    @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
+    def test_every_link_column_trains(self, mode, n_relations):
+        # under each relation a triangle, whose bonds lie in a ring, and a
+        # pendant bond, which does not: every column of the link weight, each
+        # relation's indicator and ring sum, gets a gradient
+        symbols, bonds = [], []
+        for r in range(1, n_relations + 1):
+            first = len(symbols)
+            symbols += ["A", "B", "D", "E"]
+            bonds += [(first, first + 1, r), (first + 1, first + 2, r), (first, first + 2, r), (first, first + 3, r)]
+        graph = featurize(MolecularGraph.from_bonds(symbols, bonds, n_relations), SYNTHETIC_ALPHABET)
+        cfg = small_config(n_relations=n_relations, memory=4, controller=3, neighbor_mode=mode)
+        prepared = pack([graph, sample_graph(np.random.default_rng(5), n_relations=n_relations)], cfg)
+        relation = prepared.slots.keys % n_relations
+        for r in range(n_relations):
+            assert set(prepared.ring[relation == r].tolist()) == {0.0, 1.0}, r
+        params = TestPerGraphSums.random_params(cfg, 52)
+        forward(prepared, np.ones(1), params, 3).probability.backward()
+        grad = params.grads()["mem.gated.link"]
+        assert np.all(np.any(grad != 0.0, axis=0)), np.flatnonzero(~np.any(grad != 0.0, axis=0))
+        assert grad.shape == (2 * 4, 2 * n_relations)
+
     def test_closed_gate_keeps_memory_for_the_hop(self):
         cfg = small_config(memory=4, controller=3, n_relations=2)
         params = make_params(
@@ -635,22 +677,35 @@ class TestMemoryStep:
         np.testing.assert_array_equal(memory.data, cells)
 
 
+def narrowed_grads(wide: ModelParams) -> dict[str, np.ndarray]:
+    """The gradients of parameters that hold the wide link weight
+    (:func:`wide_link_params`), with that weight's gradient taken at its
+    live columns, after checking that its dead columns got exactly zero."""
+    grads = wide.grads()
+    live = live_link_columns(wide.config.n_relations)
+    np.testing.assert_array_equal(np.delete(grads["mem.gated.link"], live, axis=1), 0.0)
+    return {**grads, "mem.gated.link": grads["mem.gated.link"][:, live]}
+
+
 def run_stage(stage: str, prepared, params: ModelParams, cells, controllers, seed, keyed: bool):
     """One stage on tracked copies of ``cells`` and ``controllers``, through
-    the model or its keyed oracle, seeded backward from ``seed``: its
-    output arrays and every gradient, parameters and inputs."""
+    the model or its keyed oracle (on the wide link weight), seeded
+    backward from ``seed``: its output arrays and every gradient,
+    parameters and inputs."""
     memory, controller = Tensor(cells.copy(), True), Tensor(controllers.copy(), True)
     state = HopState(t=0, controller=controller, memory=memory)
     params.zero_grads()
+    run_params = wide_link_params(params) if keyed else params
     if stage == "read":  # the read reaches the parameters through the controller update
-        read, weights, scores = (keyed_attentive_read if keyed else attentive_read)(state, params, prepared)
-        out = controller_step(state, read, params)
+        read, weights, scores = (keyed_attentive_read if keyed else attentive_read)(state, run_params, prepared)
+        out = controller_step(state, read, run_params)
         outputs = [read.data, weights.data, scores.data, out.data]
     else:
-        out = (keyed_memory_step if keyed else memory_step)(state, controller, params, prepared)
+        out = (keyed_memory_step if keyed else memory_step)(state, controller, run_params, prepared)
         outputs = [out.data]
     out.backward(seed=seed)
-    return outputs, {**params.grads(), "memory": memory.grad, "controller": controller.grad}
+    grads = narrowed_grads(run_params) if keyed else params.grads()
+    return outputs, {**grads, "memory": memory.grad, "controller": controller.grad}
 
 
 def assert_matches_keyed(new, keyed, label):
@@ -664,8 +719,9 @@ def assert_matches_keyed(new, keyed, label):
 
 class TestPerGraphSums:
     """The block products and per-graph sums against the keyed formulation
-    they replaced (the keyed_* oracles), and the slot layout against its
-    definition."""
+    they replaced (the keyed_* oracles, which also run the wide link weight
+    and link rows that the (2 k_m, 2R) weight and link sums replaced), and
+    the slot layout against its definition."""
 
     @staticmethod
     def two_group_graphs():
@@ -677,7 +733,7 @@ class TestPerGraphSums:
 
     @staticmethod
     def config(mode):
-        return ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(2), n_relations=3, query_dim=2,
+        return ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(3), n_relations=3, query_dim=2,
                            memory_size=4, controller_size=3, neighbor_mode=mode)
 
     @staticmethod
@@ -724,13 +780,14 @@ class TestPerGraphSums:
             generators = [np.random.default_rng(70 + k) for k in range(len(graphs))]
             params.zero_grads()
             if keyed:
-                probability = keyed_forward(prepared, queries, params, 4, dropout_rate=0.3, rng=generators,
+                wide = wide_link_params(params)
+                probability = keyed_forward(prepared, queries, wide, 4, dropout_rate=0.3, rng=generators,
                                             training=True)
             else:
                 probability = forward(prepared, queries, params, 4, dropout_rate=0.3, rng=generators,
                                       training=True).probability
             probability.backward(seed=seed)
-            results.append(([probability.data], params.grads()))
+            results.append(([probability.data], narrowed_grads(wide) if keyed else params.grads()))
         assert_matches_keyed(*results, mode)
 
     def test_forty_random_packs_match_the_keyed_oracle(self):
@@ -742,22 +799,24 @@ class TestPerGraphSums:
         for trial in range(40):
             graph_relations = int(rng.integers(1, 5))
             mode = NEIGHBOR_MODES[trial % 2]
-            cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(graph_relations),
-                              n_relations=int(rng.integers(graph_relations, 5)), query_dim=1, memory_size=3,
-                              controller_size=2, neighbor_mode=mode)
+            n_relations = int(rng.integers(graph_relations, 5))
+            cfg = ModelConfig(node_feat_dim=K_X, link_feat_dim=link_feature_dim(n_relations), n_relations=n_relations,
+                              query_dim=1, memory_size=3, controller_size=2, neighbor_mode=mode)
             params = self.random_params(cfg, 100 + trial)
             graphs = [featurize(random_graph(rng, 1, 60, graph_relations), SYNTHETIC_ALPHABET)
                       for _ in range(int(rng.integers(1, 7)))]
             prepared = pack(graphs, cfg)
             several_groups += len(prepared.slots.groups) > 1
             seed = rng.normal(size=(len(graphs), 1))
-            results = []
-            for run in (lambda: forward(prepared, np.ones(1), params, 2).probability,
-                        lambda: keyed_forward(prepared, np.ones(1), params, 2)):
-                params.zero_grads()
-                probability = run()
-                probability.backward(seed=seed)
-                results.append(([probability.data], params.grads()))
+            params.zero_grads()
+            probability = forward(prepared, np.ones(1), params, 2).probability
+            probability.backward(seed=seed)
+            results = [([probability.data], params.grads())]
+            params.zero_grads()
+            wide = wide_link_params(params)
+            probability = keyed_forward(prepared, np.ones(1), wide, 2)
+            probability.backward(seed=seed)
+            results.append(([probability.data], narrowed_grads(wide)))
             assert_matches_keyed(*results, f"trial {trial} {mode}")
         assert several_groups >= 1
 
@@ -791,18 +850,19 @@ class TestPerGraphSums:
             return real(slots, *args, **kwargs)
 
         def linked(prepared, weights, k_b):
-            return link_sum(weights, prepared.ring, prepared.slots, k_b)
+            return link_sum(weights, prepared.ring, prepared.slots)
 
         monkeypatch.setattr(Slots, "product", counting)
         cfg = self.config(mode)
         params = self.random_params(cfg, 69)
         rng = np.random.default_rng(70)
         graphs = self.two_group_graphs()
-        k_b = cfg.link_feat_dim
+        n_relations, k_b = cfg.n_relations, cfg.n_relations + 1
+        live = live_link_columns(n_relations)
         for members in [graphs[:5], graphs] + [[g] for g in graphs]:
             prepared = pack(members, cfg)
             cells = rng.normal(size=(prepared.n_nodes, 4))
-            seed = rng.normal(size=(prepared.n_nodes, cfg.n_relations * k_b))
+            seed = rng.normal(size=(prepared.n_nodes, n_relations * k_b))  # at the wide rows
             results = []
             for ring_sum in (linked, masked_block_ring_sum):
                 params.zero_grads()
@@ -813,15 +873,19 @@ class TestPerGraphSums:
                     weights = leaf = Tensor(weights.data.copy(), True)
                 summed = ring_sum(prepared, weights, k_b)
                 if ring_sum is linked:
-                    np.testing.assert_allclose(summed.data, keyed_link_sum(prepared, weights, k_b).data,
-                                               rtol=0, atol=1e-12)
-                    np.testing.assert_array_equal(summed.data[:, 2 * k_b:], 0.0)  # no edge under relation 3
-                summed.backward(seed=seed)
+                    np.testing.assert_allclose(wide_link(summed.data, n_relations),
+                                               keyed_link_sum(prepared, weights, k_b).data, rtol=0, atol=1e-12)
+                    np.testing.assert_array_equal(summed.data[:, 2::3], 0.0)  # no edge under relation 3
+                    rings = summed.data[:, n_relations:]
+                    summed.backward(seed=seed[:, live])
+                else:
+                    rings = summed.data.reshape(-1, n_relations, k_b)[:, :, -1]
+                    summed.backward(seed=seed)
                 grads = {**params.grads(), "memory": np.zeros_like(cells) if memory.grad is None else memory.grad}
                 if leaf is not None:
                     grads["weights"] = leaf.grad
                     np.testing.assert_array_equal(leaf.grad[prepared.ring == 0.0], 0.0)
-                results.append(([summed.data.reshape(-1, k_b)[:, -1]], grads))
+                results.append(([rings], grads))
             assert_matches_keyed(*results, f"{mode} {len(members)} graphs")
         assert linked not in products and masked_block_ring_sum in products
 

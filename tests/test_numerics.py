@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from _oracles import edge_sum, gated_update_oracle, keyed_link_sum, stable_sigmoid_oracle
+from _oracles import edge_sum, gated_update_oracle, keyed_link_sum, stable_sigmoid_oracle, wide_link
 
 from graphmem import numerics as nm
 from graphmem.numerics import (
@@ -426,34 +426,35 @@ class TestLinkSum:
 
     def arrays(self, seed):
         rng = np.random.default_rng(seed)
-        return {"weights": rng.uniform(0.1, 1.0, size=8), "w": rng.normal(size=(4, 6)), "b": rng.normal(size=4),
+        return {"weights": rng.uniform(0.1, 1.0, size=8), "w": rng.normal(size=(4, 4)), "b": rng.normal(size=4),
                 "v": rng.normal(size=4)}
 
     def link_sum(self, weights, ring):
-        return nm.link_sum(weights, ring, self.slots(), 3)
+        return nm.link_sum(weights, ring, self.slots())
 
     def test_values_equal_the_keyed_link_rows_oracle(self):
         # every edge's link row weighted and summed key by key, under the
-        # uniform weights and under softmax weights; the sums of the softmax
-        # weights per key are not all exactly one, but the placed one-hot
-        # columns are exactly 1.0 and 0.0
+        # uniform weights and under softmax weights, at the live columns of
+        # the wide rows; the sums of the softmax weights per key are not all
+        # exactly one, but the placed indicator columns are exactly 1.0 and 0.0
         slots = self.slots()
         keys = slots.keys
         pack = SimpleNamespace(slots=slots, ring=self.RING, n_nodes=5)
-        one_hot = np.zeros((10, 2))
-        one_hot[keys, self.REL] = 1.0
+        has = np.zeros(10)
+        has[keys] = 1.0
         uniform = 1.0 / np.bincount(keys, minlength=10)[keys]
         learned = [segment_softmax(Tensor(np.random.default_rng(seed).normal(size=8)), keys, 10).data
                    for seed in range(4)]
         assert any(np.bincount(keys, weights=w, minlength=10)[0] != 1.0 for w in learned)
         for weights in [uniform] + learned:
             summed = self.link_sum(Tensor(weights), self.RING).data
-            np.testing.assert_allclose(summed, keyed_link_sum(pack, Tensor(weights), 3).data, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(summed.reshape(10, 3)[:, :2], one_hot)
+            np.testing.assert_allclose(wide_link(summed, 2), keyed_link_sum(pack, Tensor(weights), 3).data,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(summed[:, :2].ravel(), has)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_unflagged_edges_get_no_weight_gradient(self, seed):
-        # the last column of each relation's block is the keyed sum of the
+        # the ring column of each relation is the keyed sum of the
         # ring-flagged weights; with a linear term the edges off every ring
         # get zero weight gradient and the others exactly that of the sum
         # with every flag one
@@ -467,7 +468,7 @@ class TestLinkSum:
             summed = self.link_sum(weights, ring)
             keyed = edge_sum(constant(ones_last), constant(ring * a["weights"]), self.SRC, self.DST * 2 + self.REL,
                              5, 2)
-            np.testing.assert_allclose(summed.data[:, 2::3], keyed.data[:, 2::3], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(summed.data[:, 2:], keyed.data[:, 2::3], rtol=0, atol=1e-15)
             linear_sum([(summed, w)]).backward(seed=grad_seed)
             grads.append(weights.grad)
         flagged, all_flagged = grads
@@ -500,19 +501,17 @@ class TestLinkSum:
             self.link_sum(Tensor(np.ones(9)), self.RING)
         with pytest.raises(DimensionError):  # one ring flag per edge
             self.link_sum(weights, np.ones(9))
-        with pytest.raises(DimensionError):  # relation 1's one-hot column would be the ring column
-            nm.link_sum(weights, self.RING, self.slots(), 2)
-        assert self.link_sum(weights, self.RING).shape == (5, 6)
+        assert self.link_sum(weights, self.RING).shape == (5, 4)
 
     def test_more_relations_than_one_hot_columns(self):
-        # a model of three relations on graphs of two, as links of width 3:
-        # each used relation's block is that of the two-relation sum, and the
-        # third relation's block, which no edge uses, is zero
+        # a model of three relations on graphs of two: each used relation's
+        # indicator and ring columns are those of the two-relation sum, and
+        # the third relation's, which no edge uses, are zero
         weights = Tensor(np.random.default_rng(3).uniform(0.1, 1.0, size=8))
-        two = self.link_sum(weights, self.RING).data.reshape(5, 2, 3)
-        three = nm.link_sum(weights, self.RING, self.slots(3), 3).data.reshape(5, 3, 3)
-        np.testing.assert_array_equal(three[:, :2], two)
-        np.testing.assert_array_equal(three[:, 2], 0.0)
+        two = self.link_sum(weights, self.RING).data.reshape(5, 2, 2)
+        three = nm.link_sum(weights, self.RING, self.slots(3)).data.reshape(5, 2, 3)
+        np.testing.assert_array_equal(three[:, :, :2], two)
+        np.testing.assert_array_equal(three[:, :, 2], 0.0)
 
     def test_no_relations_no_keys(self):
         # a model without relations has no edges and no keys: an empty
@@ -520,7 +519,7 @@ class TestLinkSum:
         slots = nm.Slots([0, 3, 5], [], [], 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            summed = nm.link_sum(parameter(np.zeros(0)), np.zeros(0), slots, 1)
+            summed = nm.link_sum(parameter(np.zeros(0)), np.zeros(0), slots)
         assert summed.shape == (5, 0)
 
 

@@ -34,6 +34,7 @@ from .molgraph import (
     contains_motif,
     detect_ring_edges,
     featurize,
+    featurize_all,
     generate_synthetic,
     parse_molfile,
     parse_sdf,
@@ -82,6 +83,7 @@ __all__ = [
     "cross_entropy",
     "detect_ring_edges",
     "featurize",
+    "featurize_all",
     "forward",
     "generate_synthetic",
     "init_state",

@@ -40,7 +40,7 @@ from .molgraph import (
     MolecularGraph,
     MolfileError,
     SyntheticSpecError,
-    featurize,
+    featurize_all,
     generate_synthetic,
     node_feature_dim,
     parse_key_values,
@@ -281,15 +281,13 @@ def load_roster(resolved: dict, config: ExperimentConfig) -> tuple[dict[str, lis
 
 
 def _featurize_once(examples: list[LabeledExample], vocab: list[str]) -> None:
-    """Featurize the examples' graphs, once per source graph object: label
-    rows naming the same record, in one task or in tasks that share a
-    library, then share one featurized graph."""
-    done: dict[int, tuple[MolecularGraph, MolecularGraph]] = {}
+    """Featurize the examples' graphs in one pass, once per source graph
+    object: label rows naming the same record, in one task or in tasks that
+    share a library, then share one featurized graph."""
+    sources = list({id(ex.graph): ex.graph for ex in examples}.values())  # holding them keeps each id unique
+    featurized = dict(zip(map(id, sources), featurize_all(sources, vocab)))
     for ex in examples:
-        key = id(ex.graph)
-        if key not in done:
-            done[key] = (ex.graph, featurize(ex.graph, vocab))  # holding the source keeps its id unique
-        ex.graph = done[key][1]
+        ex.graph = featurized[id(ex.graph)]
 
 
 def _write_manifest(out_dir: Path, command: str, resolved: dict, checksums: dict,
@@ -464,7 +462,7 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
         fh.write(fingerprint_csv([]))  # the header line
         # each run's bit matrix is written as soon as it is hashed, then dropped
         for chunk in budget_runs([graph.n_nodes for graph in graphs], FINGERPRINT_CHUNK_ATOMS):
-            slotted = [featurize(graph, vocab) for graph in graphs[chunk]]
+            slotted = featurize_all(graphs[chunk], vocab)
             ids = [graph.title or str(index) for index, graph in zip(range(chunk.start, chunk.stop), slotted)]
             fh.write(fingerprint_lines(ids, circular_fingerprints(slotted, radius=radius, nbits=nbits)))
     _write_manifest(out_dir, "fingerprint", {**resolved, "nbits": nbits, "radius": radius},

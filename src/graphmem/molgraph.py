@@ -15,17 +15,25 @@ reads them (``model.pack``) pays for the search. Nothing is kept per
 atom or per bond object; the ``nodes`` and ``edges`` views are built on
 access.
 
+The SDF reader works in array passes over the whole text. It keeps the
+lines, split where ``str.splitlines`` splits, as offsets into one integer
+array of the characters, and reads the counts, symbol and bond columns of
+all records by gathering from that array; a line becomes a string only
+where its text is needed (a title, a field ``int`` must read, a distinct
+symbol, an error). Its errors are those of a line-by-line reading: the
+earliest offending line's. :func:`featurize_all` slots the atoms of a run
+of graphs in one lookup pass.
+
 Everything here is a pure function of its inputs; a built graph is never
 mutated, so one graph object can back many examples and tasks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,19 +91,40 @@ def _first_failure(checks: Sequence[np.ndarray]) -> tuple[int, int] | None:
 
 
 def _repeats(*columns: np.ndarray) -> np.ndarray:
-    """Whether each row's values in ``columns`` already occur at an earlier row."""
-    order = np.lexsort(columns[::-1])  # stable, so equal rows keep their order
-    ordered = np.stack(columns)[:, order]
-    repeat = np.zeros(order.size, dtype=bool)
-    repeat[order[1:]] = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
+    """Whether each row's values in ``columns`` already occur at an earlier row.
+
+    The columns become one exact int64 key per row, mixed-radix over each
+    column's range of values. A range that would carry the key past int64
+    first renumbers the key so far and the column by rank, so the key stays
+    exact for any integers. A stable sort of the keys keeps equal rows in
+    row order.
+    """
+    n = len(columns[0])
+    if not n:
+        return np.zeros(0, dtype=bool)
+    key = np.zeros(n, dtype=np.int64)
+    size = 1  # the key's values lie in 0..size-1
+    for column in columns:
+        low = int(column.min())
+        width = int(column.max()) - low + 1
+        if size * width >= 2**63:
+            key = np.unique(key, return_inverse=True)[1]
+            column = np.unique(column, return_inverse=True)[1]
+            size, low, width = int(key.max()) + 1, 0, int(column.max()) + 1
+        key = key * width + (column - low)
+        size *= width
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    repeat = np.zeros(n, dtype=bool)
+    repeat[order[1:]] = ordered[1:] == ordered[:-1]
     return repeat
 
 
-def _explicit_h(symbols: Sequence[str], ends: np.ndarray, n: int) -> np.ndarray:
-    """Per atom, how many of the bonds ``ends`` (rows i, j) join it to an H atom."""
-    is_h = np.array([symbol == "H" for symbol in symbols], dtype=bool)
+def _explicit_h(is_h: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per atom, how many of the bonds ``ends`` (rows i, j) join it to an
+    atom that ``is_h`` flags."""
     i, j = ends[:, 0], ends[:, 1]
-    return np.bincount(np.concatenate([i[is_h[j]], j[is_h[i]]]), minlength=n)
+    return np.bincount(np.concatenate([i[is_h[j]], j[is_h[i]]]), minlength=len(is_h))
 
 
 @dataclass(eq=False)
@@ -147,9 +176,9 @@ class MolecularGraph:
     def _derive(cls, symbols: Sequence[str], bonds: np.ndarray, n_relations: int,
                 title: str = "") -> "MolecularGraph":
         """A graph from valid (i < j, relation) bond rows; derives the counts."""
-        n = len(symbols)
-        degree = np.bincount(bonds[:, :2].ravel(), minlength=n)
-        return cls(tuple(symbols), bonds, n_relations, degree, _explicit_h(symbols, bonds, n), title=title)
+        is_h = np.array([symbol == "H" for symbol in symbols], dtype=bool)
+        degree = np.bincount(bonds[:, :2].ravel(), minlength=len(symbols))
+        return cls(tuple(symbols), bonds, n_relations, degree, _explicit_h(is_h, bonds), title=title)
 
     @classmethod
     def from_bonds(
@@ -186,108 +215,170 @@ class MolecularGraph:
 
 # -- MOL / SDF parsing -------------------------------------------------------
 
-
-def _counts_field(line: str, start: int, stop: int, line_no: int) -> int:
-    text = line[start:stop].strip()
-    try:
-        return int(text)
-    except ValueError:
-        raise MolfileError(f"malformed counts line {line!r}", line_no) from None
+# The characters below 0x1F at which str.splitlines breaks a line; past
+# ASCII it also breaks at U+0085, U+2028 and U+2029.
+_ASCII_BREAKS = np.zeros(0x1F, dtype=bool)
+_ASCII_BREAKS[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = True
+_CODE_POINTS = 0x110000  # three code points and a count below 4 make an exact int64 key
 
 
-def _record_counts(lines: list[str], line_offset: int) -> tuple[int, int]:
-    """The (atoms, bonds) a record's counts line promises, checked against
-    the record's length."""
-    if len(lines) < 4:
-        raise MolfileError("record shorter than header + counts line", line_offset + len(lines))
-    counts_no = line_offset + 4
-    counts = lines[3]
-    n_atoms = _counts_field(counts, 0, 3, counts_no)
-    n_bonds = _counts_field(counts, 3, 6, counts_no)
-    if n_atoms < 0 or n_bonds < 0:
-        raise MolfileError(f"malformed counts line {counts!r}", counts_no)
-    if len(lines) < 4 + n_atoms + n_bonds:
-        raise MolfileError(
-            f"counts line promises {n_atoms} atoms and {n_bonds} bonds but the record is shorter",
-            counts_no,
-        )
-    return n_atoms, n_bonds
+class _Lines:
+    """A text's lines, split where ``str.splitlines`` splits, as offsets.
 
-
-def _bond_fields(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The three 3-character integer fields of each bond line, as an (n, 3)
-    array, and whether each line is malformed (a field ``int`` rejects).
-
-    Fields of blanks then digits are read from the bytes of all lines at
-    once; any other field (a sign, an inner blank, a short line, a
-    non-ASCII digit) sends its line through ``int``, so every line reads as
-    ``int`` reads it.
+    ``codes`` holds the text's characters as integers: its bytes for ASCII
+    text, its code points otherwise. Line k is ``text[starts[k]:ends[k]]``.
+    :meth:`columns` reads the same columns of many lines in one gather, so
+    a line is cut out as a string only where its text is needed.
     """
-    heads = "".join(map(itemgetter(slice(0, 9)), lines))
-    if len(heads) != 9 * len(lines):  # a short line: pad every line with a byte no field accepts
-        heads = "".join([line[0:9].ljust(9, "\0") for line in lines])
-    values = np.zeros((len(lines), 3), dtype=np.intp)
-    if heads.isascii():
-        codes = np.frombuffer(heads.encode("ascii"), dtype=np.uint8).reshape(-1, 3, 3)
-        digits = codes.astype(np.intp) - ord("0")
-        is_digit = (digits >= 0) & (digits <= 9)
-        blank = codes == ord(" ")
-        plain = (is_digit[..., 2] & (is_digit[..., 0] | blank[..., 0])
-                 & (is_digit[..., 1] | blank[..., 1] & blank[..., 0]))
-        values[...] = (np.where(is_digit, digits, 0) * (100, 10, 1)).sum(axis=2)
-        others = np.flatnonzero(~plain.all(axis=1)).tolist()
-    else:
-        others = range(len(lines))
-    malformed = np.zeros(len(lines), dtype=bool)
-    for k in others:
-        line = lines[k]
+
+    def __init__(self, text: str):
+        self.text = text
+        if text.isascii():
+            codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        else:
+            codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        near = codes <= 0x1E
+        if codes.dtype != np.uint8:
+            near |= (codes == 0x85) | ((codes | 1) == 0x2029)
+        at = np.flatnonzero(near)
+        kind = codes[at]
+        at = at[(kind > 0x1E) | _ASCII_BREAKS[np.minimum(kind, 0x1E)]]
+        kind = codes[at]
+        crlf = (kind[:-1] == 0x0D) & (kind[1:] == 0x0A) & (np.diff(at) == 1)
+        keep = np.ones(len(at), dtype=bool)
+        keep[1:] = ~crlf  # the \n of \r\n breaks no line of its own
+        step = np.ones(len(at), dtype=np.intp)
+        step[:-1] += crlf
+        self.codes = codes
+        self.ends = at[keep]
+        self.starts = np.concatenate([[0], (at + step)[keep]])
+        if self.starts[-1] == len(codes):  # no empty line after a final break
+            self.starts = self.starts[:-1]
+        else:
+            self.ends = np.append(self.ends, len(codes))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def line(self, k: int) -> str:
+        return self.text[self.starts[k]:self.ends[k]]
+
+    def columns(self, lines: np.ndarray, first: int, width: int) -> np.ndarray:
+        """Characters ``first`` to ``first + width - 1`` of each of ``lines``,
+        as a (width, len(lines)) array of ``codes``, 0 past a line's end."""
+        at = self.starts[lines] + np.arange(first, first + width)[:, None]
+        return self.codes.take(at, mode="clip") * (at < self.ends[lines])
+
+
+def _int_fields(lines: _Lines, rows: np.ndarray, n_fields: int,
+                read: Callable[[str], tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n_fields`` 3-character integer fields that open each of the
+    lines ``rows``, as an (n, n_fields) array, and which lines are
+    malformed.
+
+    A line whose every field is blanks then ASCII digits is read from the
+    gathered characters. Any other line (a sign, an inner blank, a short
+    line, another digit) is cut out and read by ``read``, and is malformed
+    where ``read`` raises ValueError; the gathered values equal ``read``'s
+    wherever both read a line.
+    """
+    chars = lines.columns(rows, 0, 3 * n_fields)
+    digits = chars - chars.dtype.type(ord("0"))  # wraps past 9 below "0"
+    is_digit = digits <= 9
+    blank = chars == ord(" ")
+    plain = is_digit[2::3] & (is_digit[0::3] | blank[0::3]) & (is_digit[1::3] | blank[1::3] & blank[0::3])
+    digits *= is_digit
+    values = (digits[0::3] * np.intp(100) + digits[1::3] * np.intp(10) + digits[2::3]).T
+    malformed = np.zeros(len(rows), dtype=bool)
+    for k in np.flatnonzero(~plain.all(axis=0)).tolist():
         try:
-            values[k] = int(line[0:3]), int(line[3:6]), int(line[6:9])
+            values[k] = read(lines.line(rows[k]))
         except ValueError:
             malformed[k] = True
     return values, malformed
 
 
-def _parse_records(records: list[tuple[int, list[str]]]) -> list[MolecularGraph]:
-    """Parse (line offset, lines) records into graphs.
+def _record_counts(lines: _Lines, first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, MolfileError | None]:
+    """The (atoms, bonds) each record's counts line promises, for the
+    records before the first whose header fails, and that failure: a
+    record shorter than header + counts line, a counts field ``int``
+    rejects or that is negative, or counts past the record's end."""
+    size = stop - first
+    counted = np.flatnonzero(size >= 4)
+    counts, malformed = _int_fields(lines, first[counted] + 3, 2,
+                                    lambda line: (int(line[0:3].strip()), int(line[3:6].strip())))
+    malformed |= (counts < 0).any(axis=1)
+    promised = np.zeros((len(first), 2), dtype=np.intp)
+    promised[counted] = counts
+    failed = np.ones(len(first), dtype=bool)
+    failed[counted] = malformed
+    failed |= size < 4 + promised.sum(axis=1)
+    if not failed.any():
+        return promised, None
+    r = int(failed.argmax())
+    line_no = int(first[r]) + 4
+    if size[r] < 4:
+        error = MolfileError("record shorter than header + counts line", int(first[r] + size[r]))
+    elif malformed[np.searchsorted(counted, r)]:
+        error = MolfileError(f"malformed counts line {lines.line(first[r] + 3)!r}", line_no)
+    else:
+        n_atoms, n_bonds = promised[r].tolist()
+        error = MolfileError(f"counts line promises {n_atoms} atoms and {n_bonds} bonds but the record is shorter",
+                             line_no)
+    return promised[:r], error
 
-    The atom and bond blocks of all records are converted together, by
-    column slices, and validated by array comparisons. The error raised is
-    the one a record-by-record, line-by-line reading meets first: the
-    earliest offending line, and on that line the first failed check.
+
+def _atom_symbols(lines: _Lines, atom_lines: np.ndarray) -> tuple[list[str], np.ndarray, tuple[int, str] | None]:
+    """Each atom line's element symbol, whether it is H, and the (line,
+    message) of the first malformed atom line, if any.
+
+    A symbol is columns 32-34 stripped, or where they are blank the line's
+    fourth field. Equal columns read as one key, so each distinct column
+    text is cut out and stripped once.
     """
-    counts: list[tuple[int, int]] = []
-    pending: MolfileError | None = None
-    for offset, lines in records:
-        try:
-            counts.append(_record_counts(lines, offset))
-        except MolfileError as exc:
-            pending = exc  # raised unless an earlier record fails first
-            break
-    records = records[: len(counts)]
-    n_atoms, n_bonds = np.array(counts, dtype=np.intp).reshape(-1, 2).T
+    c0, c1, c2 = lines.columns(atom_lines, 31, 3).astype(np.int64)
+    # how many of the three columns a line reaches: tells a NUL from a short line's padding
+    present = np.clip(lines.ends[atom_lines] - lines.starts[atom_lines] - 31, 0, 3)
+    key = ((c0 * _CODE_POINTS + c1) * _CODE_POINTS + c2) * 4 + present
+    distinct, kind = np.unique(key, return_inverse=True)
+    seen = np.empty(len(distinct), dtype=np.intp)
+    seen[kind] = atom_lines  # a line of each key: all of them hold the same column text
+    names = np.array([lines.line(k)[31:34].strip() for k in seen.tolist()], dtype=object)
+    symbols = names[kind].tolist()
+    is_h = (names == "H")[kind]
+    for k in np.flatnonzero((names == "")[kind]).tolist():
+        line = lines.line(atom_lines[k])
+        parts = line.split()
+        if len(parts) < 4:
+            return symbols, is_h, (int(atom_lines[k]) + 1, f"malformed atom line {line!r}")
+        symbols[k] = parts[3]
+        is_h[k] = parts[3] == "H"
+    return symbols, is_h, None
+
+
+def _read_records(lines: _Lines, first: np.ndarray, stop: np.ndarray) -> list[MolecularGraph]:
+    """Parse the records made of lines ``first[r]`` to ``stop[r] - 1`` into
+    graphs.
+
+    The counts, atom and bond lines of all records are read together, by
+    gathering their characters at fixed columns, and validated by array
+    comparisons. The error raised is the one a record-by-record,
+    line-by-line reading meets first: the earliest offending line, and on
+    that line the first failed check.
+    """
+    counts, pending = _record_counts(lines, first, stop)
+    first = first[: len(counts)]
+    n_atoms, n_bonds = counts.T
     atom_bounds = np.concatenate([[0], np.cumsum(n_atoms)])
     bond_bounds = np.concatenate([[0], np.cumsum(n_bonds)])
-    # file line number of each record's first atom line
-    first_line = np.array([offset + 5 for offset, _ in records], dtype=np.intp)
-    atom_lines = list(chain.from_iterable(lines[4:4 + a] for (_, lines), (a, _) in zip(records, counts)))
-    bond_lines = list(chain.from_iterable(lines[4 + a:4 + a + b]
-                                          for (_, lines), (a, b) in zip(records, counts)))
-    errors: list[tuple[int, str]] = []  # (line, message) of the first failure of each block kind
+    atom_lines = np.repeat(first + 4 - atom_bounds[:-1], n_atoms) + np.arange(atom_bounds[-1])
+    bond_lines = np.repeat(first + 4 + n_atoms - bond_bounds[:-1], n_bonds) + np.arange(bond_bounds[-1])
+    symbols, is_h, atom_error = _atom_symbols(lines, atom_lines)
+    errors = [] if atom_error is None else [atom_error]  # (line, message) of the first failure of each kind
 
-    symbols = list(map(str.strip, map(itemgetter(slice(31, 34)), atom_lines)))
-    if not all(symbols):
-        for k in (k for k, symbol in enumerate(symbols) if not symbol):
-            parts = atom_lines[k].split()
-            if len(parts) < 4:
-                record = int(np.searchsorted(atom_bounds, k, side="right")) - 1
-                errors.append((int(first_line[record] + k - atom_bounds[record]),
-                               f"malformed atom line {atom_lines[k]!r}"))
-                break
-            symbols[k] = parts[3]
-
-    fields, malformed = _bond_fields(bond_lines)
-    owner = np.repeat(np.arange(len(records)), n_bonds)
+    fields, malformed = _int_fields(lines, bond_lines, 3,
+                                    lambda line: (int(line[0:3]), int(line[3:6]), int(line[6:9])))
+    owner = np.repeat(np.arange(len(first)), n_bonds)
     limit = n_atoms[owner]
     a, b, bond_type = fields.T
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -295,16 +386,14 @@ def _parse_records(records: list[tuple[int, list[str]]]) -> list[MolecularGraph]
                               (bond_type < 1) | (bond_type > N_BOND_TYPES), _repeats(owner, lo, hi)])
     if failure is not None:
         row, check = failure
-        record = owner[row]
         messages = (
-            f"malformed bond line {bond_lines[row]!r}",
+            f"malformed bond line {lines.line(bond_lines[row])!r}",
             f"atom index out of range in bond {a[row]}-{b[row]}",
             f"self-bond on atom {a[row]}",
             f"bond type {bond_type[row]} outside {{1,2,3,4}}",
             f"duplicate bond between atoms {lo[row]} and {hi[row]}",
         )
-        errors.append((int(first_line[record] + n_atoms[record] + row - bond_bounds[record]),
-                       messages[check]))
+        errors.append((int(bond_lines[row]) + 1, messages[check]))
     if errors:
         line, message = min(errors)
         raise MolfileError(message, line)
@@ -313,15 +402,15 @@ def _parse_records(records: list[tuple[int, list[str]]]) -> list[MolecularGraph]
 
     bonds = np.stack([lo - 1, hi - 1, bond_type], axis=1)
     ends = bonds[:, :2] + atom_bounds[owner][:, None]  # atoms numbered across records
-    total = len(symbols)
-    degree = np.bincount(ends.ravel(), minlength=total)
-    h_count = _explicit_h(symbols, ends, total)
+    degree = np.bincount(ends.ravel(), minlength=len(symbols))
+    h_count = _explicit_h(is_h, ends)
+    text = lines.text
+    titles = [text[s:e].strip() for s, e in zip(lines.starts[first].tolist(), lines.ends[first].tolist())]
     atom_bounds, bond_bounds = atom_bounds.tolist(), bond_bounds.tolist()
     return [
         MolecularGraph(tuple(symbols[a0:a1]), bonds[b0:b1], N_BOND_TYPES, degree[a0:a1], h_count[a0:a1],
-                       title=lines[0].strip())
-        for (_, lines), a0, a1, b0, b1 in zip(records, atom_bounds, atom_bounds[1:],
-                                              bond_bounds, bond_bounds[1:])
+                       title=title)
+        for title, a0, a1, b0, b1 in zip(titles, atom_bounds, atom_bounds[1:], bond_bounds, bond_bounds[1:])
     ]
 
 
@@ -333,25 +422,33 @@ def parse_molfile(text: str) -> MolecularGraph:
     1..4. Reported line numbers count from the first line of ``text``;
     :func:`parse_sdf` numbers them within the whole file.
     """
-    return _parse_records([(0, text.splitlines())])[0]
+    lines = _Lines(text)
+    return _read_records(lines, np.array([0]), np.array([len(lines)]))[0]
 
 
 def parse_sdf(text: str) -> list[MolecularGraph]:
     """Split an SDF file on ``$$$$`` separators and parse every record
-    that has a non-blank line."""
-    lines = text.splitlines()
-    candidates = compress(range(len(lines)), map(str.__contains__, lines, repeat(SDF_RECORD_SEPARATOR)))
-    separators = [k for k in candidates if lines[k].strip() == SDF_RECORD_SEPARATOR]
-    records: list[tuple[int, list[str]]] = []
-    start = 0
-    for stop in separators + [len(lines)]:
-        record = lines[start:stop]
-        if any(line.strip() for line in record):
-            if not record[-1]:
-                record.pop()  # a record ends at its last line break, as in parse_molfile
-            records.append((start, record))
-        start = stop + 1
-    return _parse_records(records)
+    that has a non-blank line.
+
+    A separator is a line that strips to ``$$$$``; only the lines holding
+    four ``$`` in a row are cut out to be tested. A record ends at its last
+    line break, as in :func:`parse_molfile`: one empty line before a
+    separator belongs to no record.
+    """
+    lines = _Lines(text)
+    dollars = np.flatnonzero(lines.codes == ord("$"))
+    runs = dollars[:-3][dollars[3:] - dollars[:-3] == 3]  # the first of four in a row
+    candidates = np.unique(np.searchsorted(lines.starts, runs, side="right") - 1).tolist()
+    separators = [k for k in candidates if lines.line(k).strip() == SDF_RECORD_SEPARATOR]
+    first = np.array([0, *(k + 1 for k in separators)], dtype=np.intp)
+    stop = np.array([*separators, len(lines)], dtype=np.intp)
+    nonempty = first < stop
+    first, stop = first[nonempty], stop[nonempty]
+    spans = zip(lines.starts[first].tolist(), lines.ends[stop - 1].tolist())
+    filled = np.array([s < e and not text[s:e].isspace() for s, e in spans], dtype=bool)
+    first, stop = first[filled], stop[filled]
+    stop -= lines.starts[stop - 1] == lines.ends[stop - 1]
+    return _read_records(lines, first, stop)
 
 
 def write_molfile(graph: MolecularGraph, title: str = "") -> str:
@@ -442,12 +539,24 @@ def link_feature_dim(n_relations: int) -> int:
 
 def featurize(graph: MolecularGraph, vocab: Sequence[str] = DEFAULT_VOCAB) -> MolecularGraph:
     """A copy of the graph with each atom's slot in ``vocab`` (a symbol
-    ``vocab`` lacks takes the trailing OTHER slot, ``len(vocab)``) and the
-    slot width ``len(vocab) + 1``. No ring search runs here: the new graph
-    derives its ``ring`` flags on first read."""
+    ``vocab`` lacks takes the trailing OTHER slot, ``len(vocab)``; one it
+    lists twice, its last slot) and the slot width ``len(vocab) + 1``. No
+    ring search runs here: the new graph derives its ``ring`` flags on
+    first read."""
+    return featurize_all([graph], vocab)[0]
+
+
+def featurize_all(graphs: Sequence[MolecularGraph], vocab: Sequence[str] = DEFAULT_VOCAB) -> list[MolecularGraph]:
+    """:func:`featurize` for each of ``graphs``: the atoms of all of them
+    get their slots in one lookup pass, and each graph's slots are a view
+    of one array."""
     slot_of = {symbol: k for k, symbol in enumerate(vocab)}
-    slots = np.array([slot_of.get(symbol, len(vocab)) for symbol in graph.symbols], dtype=np.intp)
-    return replace(graph, element_slots=slots, slot_width=len(vocab) + 1)
+    bounds = list(accumulate((graph.n_nodes for graph in graphs), initial=0))
+    symbols = chain.from_iterable(graph.symbols for graph in graphs)
+    slots = np.fromiter(map(slot_of.get, symbols, repeat(len(vocab))), dtype=np.intp, count=bounds[-1])
+    return [MolecularGraph(graph.symbols, graph.bonds, graph.n_relations, graph.degree, graph.h_count,
+                           element_slots=slots[a0:a1], slot_width=len(vocab) + 1, title=graph.title)
+            for graph, a0, a1 in zip(graphs, bounds, bounds[1:])]
 
 
 def atom_one_hot(graphs: Sequence[MolecularGraph]) -> np.ndarray:

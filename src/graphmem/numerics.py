@@ -641,22 +641,22 @@ def finite_difference_gradient(
 
     ``f`` must be a deterministic closure over the arrays in ``params``
     (dropout off, inputs fixed); each coordinate is wiggled in place and
-    restored. This is the oracle exact gradients are certified against --
-    it must stay independent of the tape.
+    restored, by its own index, so an array in any memory order (Fortran,
+    a transposed view) is wiggled itself and never a copy. This is the
+    oracle exact gradients are certified against -- it must stay
+    independent of the tape.
     """
     grads: dict[str, np.ndarray] = {}
     for name, array in params.items():
         grad = np.zeros_like(array)
-        flat = array.reshape(-1)
-        flat_grad = grad.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
+        for index in np.ndindex(array.shape):
+            saved = array[index]
+            array[index] = saved + eps
             f_plus = f()
-            flat[i] = saved - eps
+            array[index] = saved - eps
             f_minus = f()
-            flat[i] = saved
-            flat_grad[i] = (f_plus - f_minus) / (2.0 * eps)
+            array[index] = saved
+            grad[index] = (f_plus - f_minus) / (2.0 * eps)
         grads[name] = grad
     return grads
 

@@ -623,6 +623,13 @@ def parse_sdf_oracle(text: str) -> list[dict]:
     return records
 
 
+def repeats_oracle(*columns) -> list[bool]:
+    """Per row of ``columns``, whether the same values occur at an earlier
+    row, by comparing the row with every earlier one."""
+    rows = list(zip(*(column.tolist() for column in columns)))
+    return [any(rows[j] == row for j in range(k)) for k, row in enumerate(rows)]
+
+
 def featurize_oracle(record: dict, vocab) -> tuple[np.ndarray, list[bool]]:
     """Node feature rows atom by atom (element one-hot with a trailing
     OTHER slot, then degree and explicit-H one-hots over slots 0..4,

@@ -676,30 +676,32 @@ class TestRepeatedRecords:
         (task_dir / "labels.csv").write_text("id,task,label\na,assay,1\n0,assay,0\nb,assay,0\na,assay,1\n",
                                              encoding="utf-8")
         save_assay_checkpoint(tmp_path / "checkpoint.bin")
-        featurized, packed = [], []
-        real_featurize, real_pack = cli.featurize, training.pack
+        featurized, passes, packed = [], [], []
+        real_featurize_all, real_pack = cli.featurize_all, training.pack
 
-        def counting_featurize(graph, vocab):
-            featurized.append(real_featurize(graph, vocab))
-            return featurized[-1]
+        def counting_featurize_all(graphs, vocab):
+            passes.append(len(graphs))
+            featurized.extend(real_featurize_all(graphs, vocab))
+            return featurized[len(featurized) - len(graphs):]
 
         def recording_pack(graphs, model_config):
             packed.extend(graphs)
             return real_pack(graphs, model_config)
 
-        monkeypatch.setattr(cli, "featurize", counting_featurize)
+        monkeypatch.setattr(cli, "featurize_all", counting_featurize_all)
         monkeypatch.setattr(training, "pack", recording_pack)
         assert run("eval", "--checkpoint", tmp_path / "checkpoint.bin", "--set", f"data_dir={tmp_path}",
                    "--out-dir", tmp_path / "eval") == 0
-        assert [g.title for g in featurized] == ["a", "b"]
+        assert [g.title for g in featurized] == ["a", "b"] and passes == [2]  # one pass over both records
         # the packs hold the featurized graphs themselves, one per label row
         assert [id(g) for g in packed] == [id(featurized[k]) for k in (0, 0, 1, 0)]
 
         featurized.clear()
+        passes.clear()
         datasets, _, _ = cli.load_roster({"data_dir": str(tmp_path), "vocab": list(DEFAULT_VOCAB)},
                                          cli.experiment_config({"tasks": ["assay"]}))
         graphs = [ex.graph for ex in datasets["assay"]]
-        assert len(featurized) == 2
+        assert len(featurized) == 2 and passes == [2]
         assert graphs[0] is graphs[1] is graphs[3] is featurized[0] and graphs[2] is featurized[1]
 
 
@@ -740,12 +742,12 @@ class TestSharedLibrary:
     def test_shared_library_parsed_and_featurized_once(self, workspace, monkeypatch):
         data = self.two_tasks(workspace, workspace / "tri.synth")
         parsed = self.counting(monkeypatch, "parse_sdf")
-        featurized = self.counting(monkeypatch, "featurize")
+        featurized = self.counting(monkeypatch, "featurize_all")
         self.run_all(data, workspace / "out")
-        # once per command: train, eval, dump-attention
+        # once per command: train, eval, dump-attention; one pass over the 40 records
         assert len(parsed) == 3
-        assert len(featurized) == 3 * 40
-        assert all(len({id(g) for g in featurized[k * 40:(k + 1) * 40]}) == 40 for k in range(3))
+        assert len(featurized) == 3
+        assert all(len(graphs) == len({id(g) for g in graphs}) == 40 for graphs in featurized)
 
     def test_sharing_changes_no_output(self, tmp_path, monkeypatch):
         spec = tmp_path / "tri.synth"
@@ -970,13 +972,13 @@ class TestSlotRange:
         (task_dir / "labels.csv").write_text(
             "id,task,label\n" + "".join(f"{k},assay,{k % 2}\n" for k in range(len(records))), encoding="utf-8")
         save_assay_checkpoint(tmp_path / "checkpoint.bin")
-        real_featurize = cli.featurize
+        real_featurize_all = cli.featurize_all
 
-        def featurize_m5_wrongly(graph, vocab):
-            featurized = real_featurize(graph, vocab)
-            return misslotted(featurized, vocab, case) if graph.title == "m5" else featurized
+        def featurize_m5_wrongly(graphs, vocab):
+            return [misslotted(graph, vocab, case) if graph.title == "m5" else graph
+                    for graph in real_featurize_all(graphs, vocab)]
 
-        monkeypatch.setattr(cli, "featurize", featurize_m5_wrongly)
+        monkeypatch.setattr(cli, "featurize_all", featurize_m5_wrongly)
         for command in ("eval", "dump-attention"):
             capsys.readouterr()
             code = run(command, "--checkpoint", tmp_path / "checkpoint.bin", "--set", f"data_dir={tmp_path}",

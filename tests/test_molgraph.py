@@ -1,8 +1,11 @@
 """Parsing, ring detection, featurization, and the synthetic generator."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from graphmem import molgraph
 from graphmem.fingerprint import circular_fingerprint
 from graphmem.molgraph import (
     DEFAULT_VOCAB,
@@ -15,6 +18,7 @@ from graphmem.molgraph import (
     contains_motif,
     detect_ring_edges,
     featurize,
+    featurize_all,
     generate_synthetic,
     parse_molfile,
     parse_sdf,
@@ -35,6 +39,7 @@ from _oracles import (
     neighbor_lists,
     neighbor_union,
     parse_sdf_oracle,
+    repeats_oracle,
 )
 
 
@@ -166,15 +171,17 @@ class TestParseSdf:
         np.testing.assert_array_equal(again[0].bonds, chain.bonds)
 
 
-def mutated_files(count=3000, seed=0):
-    """Seeded random edits of a two-record SDF file: characters replaced,
-    inserted or deleted, lines deleted or repeated."""
+def mutated_files(count=3000, seed=0, alphabet="0123456789 -+.$CNOx\n", crlf=0.0):
+    """Seeded random edits of a two-record SDF file: characters of
+    ``alphabet`` replaced, inserted or deleted, lines deleted or repeated,
+    and with probability ``crlf`` every line break turned into CRLF."""
     base = (BENZENE + "$$$$\n" + molblock(["C", "N", "O"], [(1, 2, 1), (2, 3, 2)], title="b")
             + "$$$$\n")
-    alphabet = "0123456789 -+.$CNOx\n"
     rng = np.random.default_rng(seed)
     for _ in range(count):
         text = base
+        if crlf and rng.random() < crlf:
+            text = text.replace("\n", "\r\n")
         for _ in range(int(rng.integers(1, 4))):
             lines = text.split("\n")
             op = int(rng.integers(5))
@@ -234,6 +241,21 @@ class TestSdfFuzz:
                 assert_matches_oracle(got, expected)
         assert 1000 < failures < 2000  # both outcomes are well represented
 
+    def test_mutants_with_carriage_returns_tabs_and_other_characters(self):
+        # what the first alphabet cannot reach: bare and CRLF line breaks,
+        # tabs, a Latin letter, an Arabic-Indic digit that int() reads and
+        # more $, in files whose line breaks are sometimes all CRLF
+        failures = 0
+        for text in mutated_files(count=1500, seed=27, alphabet="0123456789 -+.$CNOx\n\r\t\u00e9\u0664$$",
+                                  crlf=0.3):
+            got, expected = outcome(parse_sdf, text), outcome(parse_sdf_oracle, text)
+            if isinstance(expected, tuple):
+                failures += 1
+                assert got == expected, text
+            else:
+                assert_matches_oracle(got, expected)
+        assert 700 < failures < 1050  # both outcomes are well represented
+
 
 class TestParseMatchesOracle:
     def test_generated_libraries(self):
@@ -258,6 +280,35 @@ class TestParseMatchesOracle:
                                     [2, 5, 4], [3, 6, 1], [4, 7, 2]]
         assert [tuple(bond) for bond in g.bonds.tolist()] == parse_sdf_oracle(text)[0]["bonds"]
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                         "\u2028", "\u2029"])
+    def test_every_line_break_splitlines_knows(self, newline):
+        rng = np.random.default_rng(6)
+        graphs = [random_graph(rng, 1, 12, 4, alphabet=("C", "H", "N")) for _ in range(5)]
+        text = write_sdf(graphs, [f"m{k}" for k in range(5)])
+        every = text.replace("\n", newline)
+        mixed = "".join(line + (newline if k % 3 else "\n") for k, line in enumerate(text.splitlines()))
+        broken = every.replace(f"m2{newline}", f"m2{newline}{newline}", 1)  # shifts record m2's counts line
+        for variant in (every, mixed, broken):
+            got, expected = outcome(parse_sdf, variant), outcome(parse_sdf_oracle, variant)
+            if isinstance(expected, tuple):
+                assert got == expected
+            else:
+                assert_matches_oracle(got, expected)
+        assert len(parse_sdf(every)) == 5 and isinstance(outcome(parse_sdf, broken), tuple)
+
+    def test_symbol_columns_read_as_the_line_reads_them(self):
+        # a NUL in column 32 is a symbol; a line that ends before column 32
+        # takes its fourth field, and one without a fourth field is malformed
+        atoms = [" " * 31 + "\x00", "0.0 0.0 0.0 N 0", " " * 31 + "\x00\x00", " " * 31 + " O ", "1 2 3 Cl"]
+        head = molblock(["C"] * len(atoms), [(1, 2, 1)]).splitlines()
+        text = "\n".join(head[:4] + atoms + head[4 + len(atoms):]) + "\n"
+        assert parse_sdf(text)[0].symbols == ("\x00", "N", "\x00\x00", "O", "Cl")
+        assert_matches_oracle(parse_sdf(text), parse_sdf_oracle(text))
+        short = text.replace("1 2 3 Cl", "1 2 3")
+        assert outcome(parse_sdf, short) == outcome(parse_sdf_oracle, short)
+        assert outcome(parse_sdf, short)[1:] == ("line 9: malformed atom line '1 2 3'", 9)
+
     def test_error_in_an_earlier_record_wins(self):
         # a bad bond in record one comes before a bad counts line in record two
         text = (molblock(["C", "C"], [(1, 2, 7)], title="a") + "$$$$\n"
@@ -270,6 +321,46 @@ class TestParseMatchesOracle:
         text = "title\n\n\n\n$$$$\n"
         assert outcome(parse_sdf, text) == outcome(parse_sdf_oracle, text)
         assert outcome(parse_sdf, text)[1:] == ("line 3: record shorter than header + counts line", 3)
+
+
+class TestRepeats:
+    """The duplicate check of parse_sdf and from_bonds against a row-by-row
+    comparison with every earlier row."""
+
+    def test_random_columns_match_the_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(0, 60))
+            columns = []
+            for _ in range(int(rng.integers(1, 4))):
+                values = rng.integers(-3, 4, size=n) * int(rng.choice([1, 7, 2**40 + 3, 2**61]))
+                columns.append(values + int(rng.choice([0, -(2**40), 2**41])))
+            assert molgraph._repeats(*columns).tolist() == repeats_oracle(*columns)
+
+    def test_empty_single_and_extreme_rows(self):
+        empty = np.zeros(0, dtype=np.intp)
+        assert molgraph._repeats(empty, empty).tolist() == []
+        assert molgraph._repeats(np.array([-(2**62)]), np.array([2**62])).tolist() == [False]
+        low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        columns = [np.array([low, high, low, high, low]), np.array([high, low, high, high, low])]
+        assert molgraph._repeats(*columns).tolist() == repeats_oracle(*columns) == [False, False, True, False, False]
+        span = np.array([-(2**62), 2**62 - 1, -(2**62)])  # 2**63 values: one more than int64 holds
+        assert molgraph._repeats(span).tolist() == [False, False, True]
+
+    def test_a_key_past_int64_is_exact(self):
+        # column ranges 2, 2**32 and 2**32: a mixed-radix key of (1, 0, 0)
+        # would be 2**64, which wraps to the key of (0, 0, 0)
+        columns = [np.array([0, 1, 0]), np.array([0, 0, 2**32 - 1]), np.array([0, 0, 2**32 - 1])]
+        assert molgraph._repeats(*columns).tolist() == [False, False, False]
+
+    def test_from_bonds_reports_the_first_failure_of_the_first_row(self):
+        # both rows are out of range, and the second also repeats the first
+        with pytest.raises(ValueError, match=r"^bond \(0, 5\) references a missing node$"):
+            MolecularGraph.from_bonds(["C"] * 3, [(0, 5, 1), (5, 0, 1)], 2)
+        with pytest.raises(ValueError, match=r"^bond \(4611686018427387904, -4611686018427387904\) references"):
+            MolecularGraph.from_bonds(["C"] * 3, [(2**62, -(2**62), 1)] * 2, 2)
+        with pytest.raises(ValueError, match=r"^duplicate bond between nodes 0 and 2$"):
+            MolecularGraph.from_bonds(["C"] * 3, [(0, 2, 1), (0, 1, 1), (2, 0, 2)], 2)
 
 
 class TestRingDetection:
@@ -351,6 +442,50 @@ class TestFeaturize:
                 union = set().union(*per_relation) if per_relation else set()
                 assert sum(len(s) for s in per_relation) == len(union)  # disjoint across relations
                 assert len(union) == g.nodes[i].degree
+
+
+class TestFeaturizeAll:
+    """One lookup pass over a run of graphs equals featurize graph by graph,
+    bit for bit."""
+
+    @staticmethod
+    def expected_slots(graph, vocab):
+        # a symbol's last slot in vocab, else the OTHER slot
+        return [max((k for k, symbol in enumerate(vocab) if symbol == atom), default=len(vocab))
+                for atom in graph.symbols]
+
+    @pytest.mark.parametrize("vocab", [DEFAULT_VOCAB, ("C", "N", "C", "H"), ("Zz",), ()])
+    def test_equals_featurize_graph_by_graph(self, vocab):
+        rng = np.random.default_rng(13)
+        graphs = [random_graph(rng, 1, 12, 4, alphabet=("C", "H", "N", "Zz", "Cl")) for _ in range(30)]
+        graphs.insert(7, MolecularGraph.from_bonds([], [], 4, title="empty"))
+        graphs.append(MolecularGraph.from_bonds([], [], 4))
+        together = featurize_all(graphs, vocab)
+        assert len(together) == len(graphs)
+        for graph, one_pass in zip(graphs, together):
+            alone = featurize(graph, vocab)
+            for g in (alone, one_pass):
+                assert g.element_slots.dtype == np.intp and g.slot_width == len(vocab) + 1
+                assert g.element_slots.tolist() == self.expected_slots(graph, vocab)
+                assert g.symbols == graph.symbols and g.title == graph.title and g.n_relations == 4
+                for name in ("bonds", "degree", "h_count"):
+                    assert getattr(g, name) is getattr(graph, name)
+            assert one_pass.element_slots.tobytes() == alone.element_slots.tobytes()
+            np.testing.assert_array_equal(atom_one_hot([one_pass]), atom_one_hot([alone]))
+            assert one_pass.ring.tolist() == alone.ring.tolist()
+
+    def test_unknown_symbols_and_an_empty_run(self):
+        graph = MolecularGraph.from_bonds(["Zz", "C", "Qq"], [(0, 1, 1)], 4)
+        assert featurize_all([graph], ("C", "N"))[0].element_slots.tolist() == [2, 0, 2]
+        assert featurize_all([], ("C", "N")) == []
+
+    def test_the_parsed_library_matches_the_oracle(self):
+        rng = np.random.default_rng(17)
+        graphs = [random_graph(rng, 1, 30, 4, alphabet=("C", "H", "N", "Zz", "Cl")) for _ in range(40)]
+        text = write_sdf(graphs, [f"m{k}" for k in range(len(graphs))])
+        vocab = ("C", "N", "O", "H")
+        for record, g in zip(parse_sdf_oracle(text), featurize_all(parse_sdf(text), vocab)):
+            np.testing.assert_array_equal(atom_one_hot([g]), featurize_oracle(record, vocab)[0])
 
 
 class TestLabelsCsv:
@@ -474,6 +609,15 @@ class TestBenchmarkContract:
                                ([(0, 1, 1), (1, 0, 2)], "duplicate bond between nodes 0 and 1")):
             with pytest.raises(ValueError, match=message):
                 MolecularGraph.from_bonds(["C", "C", "C"], bonds, 2)
+
+    def test_traced_functions_keep_their_names_and_signatures(self):
+        # the harness calls featurize once per graph, and its tracer wraps
+        # parse_sdf and featurize by name
+        assert molgraph.featurize.__name__ == "featurize" and molgraph.parse_sdf.__name__ == "parse_sdf"
+        featurize_params = inspect.signature(molgraph.featurize).parameters
+        assert list(featurize_params) == ["graph", "vocab"]
+        assert featurize_params["vocab"].default == DEFAULT_VOCAB
+        assert list(inspect.signature(molgraph.parse_sdf).parameters) == ["text"]
 
     def test_sdf_round_trip_and_fingerprint(self):
         spec = SyntheticSpec(nodes_min=20, nodes_max=40, relations=4, motif="triangle:2", balance=0.5, count=6)

@@ -545,6 +545,19 @@ class TestFiniteDifferenceOracle:
         finite_difference_gradient(lambda: float((arrays["w"] ** 2).sum()), arrays)
         np.testing.assert_array_equal(arrays["w"], before)
 
+    @pytest.mark.parametrize("layout", ["fortran", "transposed view"])
+    def test_wiggles_an_array_in_any_memory_order(self, layout):
+        # reshape(-1) of such an array is a copy: wiggling it read 0 everywhere
+        base = np.arange(6.0).reshape(2, 3)
+        w = np.asfortranarray(base) if layout == "fortran" else base.T
+        assert not w.flags.c_contiguous
+        arrays = {"w": w}
+        before = w.copy()
+        grads = finite_difference_gradient(lambda: float((arrays["w"] ** 2).sum()), arrays)
+        np.testing.assert_allclose(grads["w"], 2.0 * before, atol=1e-8)
+        np.testing.assert_array_equal(arrays["w"], before)
+        assert arrays["w"] is w
+
 
 class TestDeterminism:
     def test_glorot_is_seeded(self):

@@ -15,6 +15,7 @@ abort, 5 checkpoint/format mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -538,7 +539,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # -- wiring -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="flat key=value configuration file")
     shared.add_argument("--seed", type=int, help="run seed (overrides the config file)")

@@ -41,10 +41,11 @@ NEIGHBOR_MODES = ("uniform", "learned")
 # about 0.6 GiB at this bound with R = 4, and about 10 GB at 4096, where
 # the allocation would fail with a traceback instead of a refused setting.
 MAX_WIDTH = 1024
-# The most hops. A memory hop's tape keeps about (3 + R) * memory_size floats
-# per cell (training.PACK_CELLS), a learned hop also its 2 R summed link
-# features (numerics.link_sum): about 0.46 MB a hop for 256 cells at R = 4
-# and width 32, 46 MB at this bound, and 92 GB at 200000 hops, where the
+# The most hops. A hop's tape keeps about (3 + R) * memory_size +
+# controller_size floats per cell, a learned hop also 2 R per cell and
+# controller_size per directed edge (training.PACK_CELLS): at R = 4, width 32
+# and 256 cells of two directed edges each, 0.52 MB a uniform hop and 0.67 MB
+# a learned one, 67 MB at this bound, and 134 GB at 200000 hops, where the
 # tape would fail with a traceback instead of a refused setting.
 MAX_HOPS = 100
 
@@ -429,7 +430,7 @@ def _neighbor_weights(prepared: PreparedGraph, memory: Tensor, params: ModelPara
     pack.
     """
     slots = prepared.slots
-    if params.config.neighbor_mode == "uniform" or not slots.src.size:
+    if params.config.neighbor_mode == "uniform":
         return prepared.uniform
     scores = nm.linear_sum(
         [(memory, params["nbr.cell"], slots.at_src), (memory, params["nbr.self"], slots.at_dst)],

@@ -586,27 +586,30 @@ class LabeledExample:
 
 
 def read_labels_csv(text: str) -> list[tuple[str, str, int]]:
-    """Parse an ``id,task,label`` CSV into (id, task, label) rows."""
+    """Parse an ``id,task,label`` CSV into (id, task, label) rows; malformed
+    text, whatever the csv module refuses included, is a DatasetError."""
     import csv
     import io
 
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetError("label file is empty") from None
-    if [h.strip() for h in header] != ["id", "task", "label"]:
-        raise DatasetError(f"label file header must be 'id,task,label', got {','.join(header)!r}")
     rows: list[tuple[str, str, int]] = []
-    for k, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise DatasetError(f"label file row {k} has {len(row)} fields, expected 3")
-        label_text = row[2].strip()
-        if label_text not in ("0", "1"):
-            raise DatasetError(f"label file row {k}: label must be 0 or 1, got {label_text!r}")
-        rows.append((row[0].strip(), row[1].strip(), int(label_text)))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError("label file is empty")
+        if [h.strip() for h in header] != ["id", "task", "label"]:
+            raise DatasetError(f"label file header must be 'id,task,label', got {','.join(header)!r}")
+        for k, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise DatasetError(f"label file row {k} has {len(row)} fields, expected 3")
+            label_text = row[2].strip()
+            if label_text not in ("0", "1"):
+                raise DatasetError(f"label file row {k}: label must be 0 or 1, got {label_text!r}")
+            rows.append((row[0].strip(), row[1].strip(), int(label_text)))
+    except csv.Error as exc:
+        raise DatasetError(f"label file line {reader.line_num}: {exc}") from None
     return rows
 
 

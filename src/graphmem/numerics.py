@@ -10,7 +10,8 @@ The operations are the fused nodes the model runs: :func:`linear_sum`,
 :func:`gated_update`, :func:`block_sum`, :func:`graph_sum`,
 :func:`link_sum`, :func:`segment_softmax`, :func:`binary_cross_entropy` and
 :func:`dropout`. Each records one tape node however many products,
-activations or gathers it computes; :func:`linear_sum` and
+activations or gathers it computes, and keeps what its backward reads, so
+no backward computes a forward value again; :func:`linear_sum` and
 :func:`gated_update` check, sum and differentiate their terms, each a
 tensor through a weight, with the same code. The weighted sums run on a
 pack's :class:`Slots`: the per-graph :func:`graph_sum` (the attention
@@ -380,17 +381,6 @@ def graph_sum(x: Tensor, weights: Tensor, slots: Slots) -> Tensor:
 # -- terms, the one path of both fused nodes ----------------------------------
 
 
-def _term_sum(parts: list[tuple]) -> np.ndarray:
-    """The sum of the parts' products."""
-    z = None
-    for x, w, rows in parts:
-        a = x.data @ w.data.T
-        if rows is not None:
-            a = rows.spread(a)
-        z = a if z is None else np.add(z, a, out=z)
-    return z
-
-
 def _terms(op: str, terms: Sequence[tuple],
            shape: tuple[int, int] | None = None) -> tuple[np.ndarray, list[tuple], tuple[Tensor, ...]]:
     """Check ``terms`` and sum them: ``(z, parts, parents)``. All terms
@@ -400,6 +390,7 @@ def _terms(op: str, terms: Sequence[tuple],
     if not terms:
         raise ValueError(f"{op} of no terms")
     parts: list[tuple] = []
+    z = None
     sizes = set() if shape is None else {shape}
     for term in terms:
         x, w = term[0], term[1]
@@ -417,7 +408,11 @@ def _terms(op: str, terms: Sequence[tuple],
                                      for t in terms for k, p in enumerate(t)),
                                *(() if shape is None else (shape,)))
         parts.append((x, w, rows))
-    return _term_sum(parts), parts, tuple(t for x, w, _ in parts for t in (x, w))
+        a = x.data @ wd.T
+        if rows is not None:
+            a = rows.spread(a)
+        z = a if z is None else np.add(z, a, out=z)
+    return z, parts, tuple(t for x, w, _ in parts for t in (x, w))
 
 
 def _terms_backward(parts: list[tuple], dz: np.ndarray) -> None:
@@ -454,28 +449,24 @@ def linear_sum(
     gradient a per-graph sum.
     Every term contributes the same number of rows. ``activation`` is None,
     "relu", "tanh" or "sigmoid", applied inside this one tape node, whose
-    backward works from the output and the terms' tensors: it keeps no
-    pre-activation. With ``project``, an (out,) vector, the node returns
-    one value per row and recomputes the activated rows during backward
-    instead of keeping them.
+    backward works from the activated rows ``y`` and the terms' tensors: it
+    keeps ``y`` and no pre-activation. With ``project``, an (out,) vector,
+    the node returns ``y @ project``, one value per row, and still keeps
+    ``y``, (n, out) floats beside its (n,) value.
     """
-    z, parts, parents = _terms("linear_sum", terms)
-    if project is not None and project.shape != (z.shape[1],):
-        raise _shape_error("linear_sum", z.shape, project.shape)
-
-    def activate(z: np.ndarray) -> np.ndarray:
-        if bias is not None:
-            z += bias.data
-        return z if activation is None else _ACTIVATIONS[activation][0](z)
-
-    y = activate(z)
+    y, parts, parents = _terms("linear_sum", terms)
+    if project is not None and project.shape != (y.shape[1],):
+        raise _shape_error("linear_sum", y.shape, project.shape)
+    if bias is not None:
+        y += bias.data
+    if activation is not None:
+        y = _ACTIVATIONS[activation][0](y)
     out = Tensor(y if project is None else y @ project.data)
     parents += ((bias,) if bias is not None else ()) + ((project,) if project is not None else ())
     if not _tracked(*parents):
         return out
 
     def backward(g: np.ndarray) -> None:
-        y = out.data if project is None else activate(_term_sum(parts))
         if project is not None:
             if _tracked(project):
                 _accumulate(project, g @ y)

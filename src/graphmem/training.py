@@ -32,10 +32,12 @@ MODES = ("single", "multi")
 
 # Memory cells per pack. Larger packs record fewer tape nodes per example,
 # but a pack's tape grows with its cells, and peak memory binds first. A
-# memory hop's tape keeps about (3 + R) * memory_size floats per cell for R
-# relations: the gated update's output, proposal and gate and the neighbour
-# sums (numerics.block_sum). In learned mode the summed link features add
-# 2 R floats per cell (numerics.link_sum). Off the tape, a pack keeps one
+# hop's tape keeps about (3 + R) * memory_size + controller_size floats per
+# cell for R relations: the gated update's output, proposal and gate, the
+# neighbour sums (numerics.block_sum) and the attention's activated rows
+# (numerics.linear_sum). In learned mode a hop adds 2 R floats per cell, the
+# summed link features (numerics.link_sum), and controller_size per directed
+# edge, the edge scorer's activated rows. Off the tape, a pack keeps one
 # block array in both modes, and in learned mode the edge scorer's scatter
 # index, E * controller_size integers at each end.
 PACK_CELLS = 256
@@ -331,13 +333,16 @@ def prepare_examples(
     model_config: ModelConfig,
     queries: Sequence[np.ndarray],
 ) -> list[PreparedExample]:
-    """Attach the task query to each example, after checking that the model
-    can run its graph (see :func:`graphmem.model.check_graph`) and that the
-    graph has atoms to attend over, so that a bad example is refused before
-    any forward; the packs built from the examples do not check them again.
-    A refusal is a :class:`DatasetError` naming the example."""
+    """Attach the task query to each example, after checking that its task
+    id picks one of ``queries``, that the model can run its graph (see
+    :func:`graphmem.model.check_graph`) and that the graph has atoms to
+    attend over, so that a bad example is refused before any forward; the
+    packs built from the examples do not check them again. A refusal is a
+    :class:`DatasetError` naming the example."""
     out = []
     for ex in examples:
+        if not 0 <= ex.task_id < len(queries):
+            raise DatasetError(f"example {ex.example_id!r} has task id {ex.task_id} outside the roster")
         try:
             check_graph(ex.graph, model_config)
         except ValueError as exc:
@@ -448,11 +453,6 @@ def train(
     all_examples = [ex for s in tasks.values() for part in (s.train, s.val, s.test) for ex in part]
     model_config = derive_model_config(all_examples, config, len(task_names))
     queries = build_queries(config.mode, len(task_names))
-    for name, split in tasks.items():
-        for ex in split.train + split.val + split.test:
-            if not (0 <= ex.task_id < len(task_names)):
-                raise DatasetError(f"example {ex.example_id!r} has task id {ex.task_id} outside the roster")
-
     train_pool = prepare_examples([ex for s in tasks.values() for ex in s.train], model_config, queries)
     val_pool = prepare_examples([ex for s in tasks.values() for ex in s.val], model_config, queries)
     test_pool = prepare_examples([ex for s in tasks.values() for ex in s.test], model_config, queries)

@@ -817,6 +817,13 @@ class TestLabelFile:
         ("id,name,label\n0,assay,1\n", "header must be 'id,task,label'"),
         ("id,task,label\n0,assay,2\n", "row 2: label must be 0 or 1"),
         ("id,task,label\n0,assay\n", "row 2 has 2 fields, expected 3"),
+        # text the csv module refuses: a field over its limit, bare-CR line ends, and a NUL,
+        # which Python 3.10 refuses itself and later versions read into a header that does not match
+        pytest.param("id,task,label\n" + "m" * 200_000 + ",assay,1\n",
+                     "label file line 2: field larger than field limit", id="oversized field"),
+        pytest.param("id,task,label\r0,assay,1\r1,assay,0\r",
+                     "label file line 1: new-line character seen in unquoted field", id="bare-CR line ends"),
+        pytest.param("id\0,task,label\n0,assay,1\n", "label file ", id="NUL in the header"),
     ])
     def test_label_file_error_names_the_task_and_the_file(self, tmp_path, capsys, labels, message):
         self.disk_task(tmp_path, [])
@@ -829,6 +836,7 @@ class TestLabelFile:
             assert run(*argv, "--set", f"data_dir={tmp_path}", "--out-dir", tmp_path / "out") == 3, argv[0]
             err = capsys.readouterr().err
             assert f"task 'assay': {labels_path}: " in err and message in err, (argv[0], err)
+            assert not (tmp_path / "out").exists()
 
 
 class TestUnreadableText:
@@ -1212,3 +1220,30 @@ class TestGradcheckCommand:
             assert received[-1]["neighbor_mode"] == manifest["config"]["neighbor_mode"] == mode
         assert run("gradcheck", "--graphs", "1", "--out-dir", tmp_path / "default") == 0
         assert received[-1]["neighbor_mode"] == "uniform"
+
+
+class TestParser:
+    def test_two_calls_parse_with_one_parser(self, tmp_path, monkeypatch):
+        import argparse
+
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda self, *args: parsers.append(self) or parse_args(self, *args))
+        for name in ("a", "b"):
+            assert run("synth", "--spec", tmp_path / f"{name}.synth", "--out-dir", tmp_path / name) == 3
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_a_parse_leaves_no_value_for_the_next(self, tmp_path, monkeypatch):
+        import graphmem.cli as cli_module
+
+        seen = []
+        monkeypatch.setattr(cli_module, "cmd_synth", lambda args: seen.append(vars(args)) or 0)
+        cli_module.build_parser.cache_clear()
+        try:
+            assert run("synth", "--spec", "a", "--set", "seed=1", "--out-dir", tmp_path) == 0
+            assert run("synth", "--spec", "b") == 0
+        finally:
+            cli_module.build_parser.cache_clear()
+        assert seen[0]["set"] == ["seed=1"] and seen[1]["set"] is None
+        assert seen[1]["out_dir"] == "graphmem_out" and seen[1]["spec"] == "b"

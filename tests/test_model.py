@@ -33,8 +33,8 @@ from graphmem.molgraph import (
     node_feature_dim,
     random_graph,
 )
-from graphmem.numerics import (DimensionError, Slots, Tensor, block_sum, finite_difference_gradient, graph_sum,
-                               linear_sum, link_sum, max_relative_error)
+from graphmem.numerics import (DimensionError, Slots, Tensor, binary_cross_entropy, block_sum,
+                               finite_difference_gradient, graph_sum, linear_sum, link_sum, max_relative_error)
 
 from _oracles import (
     bfs_distances,
@@ -1114,6 +1114,29 @@ class TestForward:
         graph = sample_graph(np.random.default_rng(9), n_relations=2)
         result = forward(graph, np.ones(1), params, hops=2)
         assert 0.0 < result.probability.item() < 1.0
+
+    def test_learned_pack_without_bonds_scores_no_edges(self):
+        # a pack with no edge runs the edge scorer on zero edges, as any pack
+        # does: each graph scores as alone, and the scorer gets zero gradients
+        cfg = small_config(n_relations=2, neighbor_mode="learned")
+        params = make_params(cfg, seed=5)
+        rng = np.random.default_rng(0)
+        for name in ("nbr.score", "nbr.bias"):
+            params[name].data[...] = rng.normal(size=cfg.controller_size)
+        graphs = [featurize(MolecularGraph.from_bonds(list(symbols), [], 2), SYNTHETIC_ALPHABET)
+                  for symbols in ("A", "BD", "ABEA")]
+        prepared = pack(graphs, cfg)
+        assert prepared.slots.src.size == 0
+        probability = forward(prepared, np.ones(1), params, hops=4).probability
+        alone = [forward(g, np.ones(1), params, hops=4).probability.item() for g in graphs]
+        np.testing.assert_allclose(probability.data[:, 0], alone, rtol=0, atol=1e-12)
+        loss = binary_cross_entropy(probability, np.array([[1.0], [0.0], [1.0]]))
+        assert np.all(np.isfinite(loss.data))
+        params.zero_grads()
+        loss.backward()
+        for name in ("nbr.cell", "nbr.self", "nbr.bias", "nbr.score"):
+            assert params[name].grad is not None, name  # the scorer is on the tape
+            np.testing.assert_array_equal(params[name].grad, 0.0, err_msg=name)
 
 
 def permute_graph(graph: MolecularGraph, perm: np.ndarray) -> MolecularGraph:

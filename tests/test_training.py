@@ -281,6 +281,35 @@ class TestSlotRange:
             prepare_examples(examples, model_config, build_queries("single", 1))
 
 
+class TestTaskIdRange:
+    """An example whose task id picks no query is refused by name where
+    queries are attached: id -1 would take the last task's query, and id
+    ``len(queries)`` would end in an IndexError."""
+
+    @pytest.mark.parametrize("task_id", [-1, 2])
+    def test_prepare_examples_refuses_naming_the_example(self, task_id):
+        examples = synthetic_examples(count=12, seed=4)
+        config = ExperimentConfig(hops=2, memory_size=8, controller_size=8, mode="multi")
+        model_config = derive_model_config(examples, config, 2)
+        examples[5].task_id = task_id
+        with pytest.raises(DatasetError, match=f"example {examples[5].example_id!r} has task id {task_id} "
+                                               "outside the roster"):
+            prepare_examples(examples, model_config, build_queries("multi", 2))
+
+    @pytest.mark.parametrize("task_id", [-1, 2])
+    def test_train_refuses_naming_the_example(self, task_id):
+        examples = synthetic_examples(count=20, seed=4)
+        config = ExperimentConfig(hops=2, memory_size=8, controller_size=8, mode="multi", max_epochs=1)
+        for ex in examples[10:]:
+            ex.task_id = 1
+        bad = examples[17]
+        bad.task_id = task_id
+        tasks = {"a": split_dataset(examples[:10], seed=1), "b": split_dataset(examples[10:], seed=1)}
+        with pytest.raises(DatasetError, match=f"example {bad.example_id!r} has task id {task_id} "
+                                               "outside the roster"):
+            train(tasks, config)
+
+
 class TestTrainingLoop:
     def test_overfits_small_set(self, overfit_run):
         result, scores, labels = overfit_run

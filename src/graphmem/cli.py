@@ -477,6 +477,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     resolved = resolve_config(args)
     seed = resolved.get("seed", 0)
     neighbor_mode = experiment_config(resolved).neighbor_mode
+    if args.graphs < 0:
+        raise ConfigError(f"--graphs must be >= 0, got {args.graphs}")
     report = run_gradient_check(seed=seed, graphs=args.graphs, neighbor_mode=neighbor_mode)
     print(report.summary())
     _write_manifest(_out_dir(args), "gradcheck", {**resolved, "graphs": args.graphs}, {},

@@ -88,7 +88,10 @@ def _certify(prepared: PreparedGraph, queries: np.ndarray, labels: list[int],
 def run_gradient_check(seed: int = 0, graphs: int = 5, neighbor_mode: str = "uniform") -> GradcheckReport:
     """Certify ``graphs`` random graphs drawn from ``seed``, each alone and
     then all in one pack, at the module's fixed shapes, under
-    ``neighbor_mode``."""
+    ``neighbor_mode``. With no graphs the pack holds only the edge cases; a
+    negative count is a ValueError."""
+    if graphs < 0:
+        raise ValueError(f"graphs must be >= 0, got {graphs}")
     rng = np.random.default_rng(seed)
     vocab = SYNTHETIC_ALPHABET
     config = ModelConfig(

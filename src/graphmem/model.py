@@ -350,26 +350,10 @@ class HopState:
     attention: Tensor | None = None
 
 
-def _dropout(x: Tensor, bounds: np.ndarray, rate: float, rng, training: bool) -> Tensor:
-    """Dropout with each graph's rows masked from that graph's own generator;
-    one generator serves a pack of one."""
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    return nm.dropout(x, rate, rngs, training, bounds)
-
-
-def init_state(
-    prepared: PreparedGraph,
-    query: np.ndarray,
-    params: ModelParams,
-    *,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
-    training: bool = False,
-) -> HopState:
+def init_state(prepared: PreparedGraph, query: np.ndarray, params: ModelParams) -> HopState:
     """Read the query into one controller row per graph and load atom
     features into the memory, one node per cell. ``query`` is one (q,)
-    vector for every graph or one (B, q) row per graph. Dropout, when
-    training, hits this first step; ``rng`` is one generator per graph."""
+    vector for every graph or one (B, q) row per graph."""
     cfg = params.config
     n_graphs = prepared.n_graphs
     q = np.asarray(query, dtype=np.float64)
@@ -382,8 +366,6 @@ def init_state(
                                bias=params["query_in.bias"], activation="relu")
     memory = nm.linear_sum([(prepared.features, params["embed.weight"])],
                            bias=params["embed.bias"], activation="relu")
-    controller = _dropout(controller, np.arange(n_graphs + 1), dropout_rate, rng, training)
-    memory = _dropout(memory, prepared.slots.bounds, dropout_rate, rng, training)
     return HopState(t=0, controller=controller, memory=memory)
 
 
@@ -451,13 +433,8 @@ def _memory_bias(params: ModelParams, prepared: PreparedGraph) -> Tensor:
     return nm.linear_sum([(links, params["mem.gated.link"])], bias=params["mem.gated.bias"])
 
 
-def memory_step(
-    state: HopState,
-    controller: Tensor,
-    params: ModelParams,
-    prepared: PreparedGraph,
-    bias: Tensor | None = None,
-) -> Tensor:
+def memory_step(state: HopState, controller: Tensor, params: ModelParams, prepared: PreparedGraph,
+                bias: Tensor) -> Tensor:
     """Gated update of every cell from its past value, its graph's controller
     row, and the relation-typed neighbour contexts [weighted neighbour
     cells, weighted link features], zero under a relation where the cell
@@ -473,7 +450,7 @@ def memory_step(
     learned mode, and in ``bias`` in uniform mode, where they do not change
     from hop to hop. Each sum keeps its rows, (N, R k_m) and (N, 2R), on
     the tape. ``bias`` is :func:`_memory_bias` of ``params`` and
-    ``prepared``, computed here when not given.
+    ``prepared``, which :func:`forward` makes once per pass.
     """
     weights = _neighbor_weights(prepared, state.memory, params)
     terms: list[tuple] = [
@@ -484,8 +461,6 @@ def memory_step(
     if params.config.neighbor_mode == "learned":
         links = nm.link_sum(weights, prepared.ring, prepared.slots)
         terms.append((links, params["mem.gated.link"]))
-    if bias is None:
-        bias = _memory_bias(params, prepared)
     return nm.gated_update(terms, bias, state.memory)
 
 
@@ -501,6 +476,23 @@ class ForwardResult:
         return [s.attention.data.tolist() for s in self.states if s.attention is not None]
 
 
+def _dropout_masks(prepared: PreparedGraph, config: ModelConfig, rate: float,
+                   rng: np.random.Generator | Sequence[np.random.Generator] | None) -> tuple[np.ndarray, ...]:
+    """The inverted-dropout masks of one training pass (see :func:`forward`):
+    (B, k_h) for the first controller, (N, k_m) for the cells and (B, k_h)
+    for the final controller, each entry 0 or ``1 / (1 - rate)``."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    if rngs is None:
+        raise ValueError("dropout in training mode needs random generators")
+    if len(rngs) != prepared.n_graphs:
+        raise ValueError(f"dropout over {prepared.n_graphs} graphs needs as many generators, got {len(rngs)}")
+    k_h, k_m = config.controller_size, config.memory_size
+    keep = [(gen.random(2 * k_h + m * k_m) >= rate) / (1.0 - rate)
+            for gen, m in zip(rngs, prepared.slots.counts.tolist())]
+    return (np.stack([row[:k_h] for row in keep]), np.concatenate([row[k_h:-k_h] for row in keep]).reshape(-1, k_m),
+            np.stack([row[-k_h:] for row in keep]))
+
+
 def forward(
     graph: MolecularGraph | PreparedGraph,
     query: np.ndarray,
@@ -514,17 +506,27 @@ def forward(
     """Run init, ``hops`` reasoning steps, and the output head on a graph
     or a pack.
 
-    Deterministic for fixed inputs and generator states. When training,
-    dropout is applied at the first step (after initialization) and to the
-    final controller, never inside the attention; each graph draws its
-    masks from its own generator in ``rng``, so a graph gets the same masks
-    alone or in a pack.
+    Deterministic for fixed inputs and generator states. ``dropout_rate``
+    must lie in [0, 1), at inference too. When training at a rate above 0,
+    dropout hits the first step (after initialization) and the final
+    controller, never the attention. ``rng`` is one generator per graph,
+    or one ``Generator`` for a pack of one. Before the first hop each graph
+    draws all its masks in one call, ``2 k_h + m k_m`` doubles for its ``m``
+    cells, in the order they are applied: its first controller row, its
+    cells, its final controller row. So a graph gets the same masks alone
+    or in a pack. The memory bias (:func:`_memory_bias`) is made once, for
+    every hop.
     """
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     prepared = graph if isinstance(graph, PreparedGraph) else prepare_graph(graph, params.config)
-    bias = _memory_bias(params, prepared)  # the same on every hop
-    state = init_state(prepared, query, params, dropout_rate=dropout_rate, rng=rng, training=training)
+    masks = _dropout_masks(prepared, params.config, dropout_rate, rng) if training and dropout_rate > 0.0 else None
+    bias = _memory_bias(params, prepared)
+    state = init_state(prepared, query, params)
+    if masks is not None:
+        state.controller, state.memory = nm.dropout(state.controller, masks[0]), nm.dropout(state.memory, masks[1])
     states = [state]
     for t in range(1, hops + 1):
         read, weights, _ = attentive_read(state, params, prepared)
@@ -533,7 +535,8 @@ def forward(
             memory = memory_step(state, controller, params, prepared, bias)
         else:  # the output head reads only the controller
             memory = None
-            controller = _dropout(controller, np.arange(prepared.n_graphs + 1), dropout_rate, rng, training)
+            if masks is not None:
+                controller = nm.dropout(controller, masks[2])
         state = HopState(t=t, controller=controller, memory=memory, read=read, attention=weights)
         states.append(state)
     probability = nm.linear_sum([(state.controller, params["out.weight"])],

@@ -586,12 +586,13 @@ class LabeledExample:
 
 
 def read_labels_csv(text: str) -> list[tuple[str, str, int]]:
-    """Parse an ``id,task,label`` CSV into (id, task, label) rows; malformed
-    text, whatever the csv module refuses included, is a DatasetError."""
+    """Parse an ``id,task,label`` CSV into (id, task, label) rows, LF, CRLF
+    and bare-CR line ends alike; malformed text, whatever the csv module
+    refuses included, is a DatasetError."""
     import csv
     import io
 
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))
     rows: list[tuple[str, str, int]] = []
     try:
         header = next(reader, None)

@@ -8,23 +8,24 @@ costs nothing at backward time.
 
 The operations are the fused nodes the model runs: :func:`linear_sum`,
 :func:`gated_update`, :func:`block_sum`, :func:`graph_sum`,
-:func:`link_sum`, :func:`segment_softmax`, :func:`binary_cross_entropy` and
-:func:`dropout`. Each records one tape node however many products,
+:func:`link_sum`, :func:`segment_softmax`, :func:`binary_cross_entropy`
+and :func:`dropout`. Each records one tape node however many products,
 activations or gathers it computes, and keeps what its backward reads, so
-no backward computes a forward value again; :func:`linear_sum` and
-:func:`gated_update` check, sum and differentiate their terms, each a
-tensor through a weight, with the same code. The weighted sums run on a
-pack's :class:`Slots`: the per-graph :func:`graph_sum` (the attention
-read), the per-graph block products of :func:`block_sum` (the neighbour
-cells) and the keyed :func:`link_sum` (the link features, two numbers
-per key: a placed has-neighbour indicator and a ring sum). Each keeps its
-value, which is linear in the pack, for the nodes that consume it; the
-pack's one block array is the slots', not the tape's. The slots also
-carry each graph's controller row to its cells and sum their gradient
-back per graph, and gather the rows at the edges' ends for the edge
-scorer, keeping the scatter index of that gather's gradient. The model
-stores each gated update's weights stacked the way :func:`gated_update`
-takes them, so parameters enter the tape as they are.
+no backward computes a forward value again, and none draws random numbers
+(:func:`dropout` multiplies by a mask its caller draws).
+:func:`linear_sum` and :func:`gated_update` check, sum and differentiate
+their terms, each a tensor through a weight, with the same code. The
+weighted sums run on a pack's :class:`Slots`: the per-graph
+:func:`graph_sum` (the attention read), the per-graph block products of
+:func:`block_sum` (the neighbour cells) and the keyed :func:`link_sum`
+(the link features, two numbers per key: a placed has-neighbour indicator
+and a ring sum). Each keeps its value, which is linear in the pack, for
+the nodes that consume it; the pack's one block array is the slots', not
+the tape's. The slots also carry each graph's controller row to its cells
+and sum their gradient back per graph, and gather the rows at the edges'
+ends for the edge scorer, keeping the scatter index of that gather's
+gradient. The model stores each gated update's weights stacked the way
+:func:`gated_update` takes them, so parameters enter the tape as they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
 against :func:`finite_difference_gradient`; that check is the contract for
@@ -576,32 +577,13 @@ def binary_cross_entropy(prob: Tensor, labels: np.ndarray) -> Tensor:
     return _record(out, (prob,), backward)
 
 
-def dropout(
-    x: Tensor,
-    rate: float,
-    rngs: Sequence[np.random.Generator] | None,
-    training: bool,
-    bounds: Sequence[int],
-) -> Tensor:
-    """Inverted dropout: zero with probability ``rate`` and rescale survivors.
-
-    Identity at inference or rate 0; requires generators when active.
-    ``bounds`` are row offsets ``0 = b_0 < ... < b_n`` ending at the row
-    count, ``rngs`` is a sequence of ``n`` generators, and rows
-    ``b_k..b_{k+1}`` draw their mask from generator ``k`` alone, so a block
-    gets the mask it would get without the other blocks.
-    """
-    if rate < 0.0 or rate >= 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rngs is None:
-        raise ValueError("dropout in training mode needs random generators")
-    if len(rngs) != len(bounds) - 1:
-        raise ValueError(f"dropout over {len(bounds) - 1} row blocks needs as many generators, got {len(rngs)}")
-    draw = np.concatenate([gen.random((hi - lo,) + x.data.shape[1:])
-                           for gen, lo, hi in zip(rngs, bounds[:-1], bounds[1:])])
-    mask = (draw >= rate) / (1.0 - rate)
+def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Inverted dropout as one tape node: ``x * mask``, for a ``mask`` of
+    ``x``'s shape that the caller draws, each entry 0 (dropped) or
+    ``1 / (1 - rate)`` (kept and rescaled). The node keeps the mask for
+    its backward."""
+    if np.shape(mask) != x.shape:
+        raise _shape_error("dropout", x.shape, np.shape(mask))
     out = Tensor(x.data * mask)
     if not _tracked(x):
         return out

@@ -881,21 +881,41 @@ def keyed_memory_step(state, controller, params, prepared, bias=None):
     return nm.gated_update(terms, keyed_memory_bias(params, prepared) if bias is None else bias, state.memory)
 
 
+def dropout_oracle(x, bounds, rate, rng, training):
+    """Inverted dropout drawn where it is applied, as ``model.forward`` drew
+    it one site at a time: identity at inference or rate 0; otherwise rows
+    ``bounds[b]:bounds[b + 1]`` draw their mask from generator ``b`` of
+    ``rng`` (one ``Generator`` serves a pack of one), zero with probability
+    ``rate`` and rescaled by 1/(1 - rate)."""
+    from graphmem import numerics as nm
+
+    if not training or rate == 0.0:
+        return x
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    draw = np.concatenate([gen.random((hi - lo,) + x.data.shape[1:])
+                           for gen, lo, hi in zip(rngs, bounds[:-1], bounds[1:])])
+    return nm.dropout(x, (draw >= rate) / (1.0 - rate))
+
+
 def keyed_forward(prepared, query, params, hops, *, dropout_rate=0.0, rng=None, training=False):
     """``model.forward`` on the keyed read and memory update above, hop for
     hop, with ``params`` holding the wide link weight
-    (:func:`wide_link_params`); returns the (B, 1) probability tensor."""
+    (:func:`wide_link_params`) and dropout drawn site by site
+    (:func:`dropout_oracle`); returns the (B, 1) probability tensor."""
     from graphmem import numerics as nm
-    from graphmem.model import HopState, _dropout, controller_step, init_state
+    from graphmem.model import HopState, controller_step, init_state
 
     bias = keyed_memory_bias(params, prepared)
-    state = init_state(prepared, query, params, dropout_rate=dropout_rate, rng=rng, training=training)
+    state = init_state(prepared, query, params)
+    per_graph = np.arange(prepared.n_graphs + 1)
+    state.controller = dropout_oracle(state.controller, per_graph, dropout_rate, rng, training)
+    state.memory = dropout_oracle(state.memory, prepared.slots.bounds, dropout_rate, rng, training)
     for t in range(1, hops + 1):
         read, weights, _ = keyed_attentive_read(state, params, prepared)
         controller = controller_step(state, read, params)
         memory = keyed_memory_step(state, controller, params, prepared, bias) if t < hops else None
         if memory is None:
-            controller = _dropout(controller, np.arange(prepared.n_graphs + 1), dropout_rate, rng, training)
+            controller = dropout_oracle(controller, per_graph, dropout_rate, rng, training)
         state = HopState(t=t, controller=controller, memory=memory, attention=weights)
     return nm.linear_sum([(state.controller, params["out.weight"])], bias=params["out.bias"], activation="sigmoid")
 

@@ -13,7 +13,7 @@ import pytest
 
 from graphmem.fingerprint import circular_fingerprint
 from graphmem.gradcheck import run_gradient_check
-from graphmem.model import HopState, forward, memory_step, prepare_graph
+from graphmem.model import HopState, _memory_bias, forward, memory_step, prepare_graph
 from graphmem.molgraph import (
     SYNTHETIC_ALPHABET,
     LabeledExample,
@@ -125,11 +125,12 @@ def test_message_passing_reduction():
     for _ in range(20):
         graph = featurize(random_graph(rng, 3, 6, 1), SYNTHETIC_ALPHABET)
         prepared = prepare_graph(graph, cfg)
+        bias = _memory_bias(params, prepared)
         cells = rng.uniform(0.0, 1.0, size=(graph.n_nodes, 4))
         for hops in (1, 2, 3):
             state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
             for _hop in range(hops):
-                memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
+                memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared, bias)
                 state = HopState(t=state.t + 1, controller=state.controller, memory=memory)
             expected = mean_passing_oracle(neighbor_lists(graph)[0], cells, hops=hops)
             worst = max(worst, float(np.abs(state.memory.data - expected).max()))

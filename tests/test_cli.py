@@ -817,12 +817,10 @@ class TestLabelFile:
         ("id,name,label\n0,assay,1\n", "header must be 'id,task,label'"),
         ("id,task,label\n0,assay,2\n", "row 2: label must be 0 or 1"),
         ("id,task,label\n0,assay\n", "row 2 has 2 fields, expected 3"),
-        # text the csv module refuses: a field over its limit, bare-CR line ends, and a NUL,
+        # text the csv module refuses: a field over its limit and a NUL,
         # which Python 3.10 refuses itself and later versions read into a header that does not match
         pytest.param("id,task,label\n" + "m" * 200_000 + ",assay,1\n",
                      "label file line 2: field larger than field limit", id="oversized field"),
-        pytest.param("id,task,label\r0,assay,1\r1,assay,0\r",
-                     "label file line 1: new-line character seen in unquoted field", id="bare-CR line ends"),
         pytest.param("id\0,task,label\n0,assay,1\n", "label file ", id="NUL in the header"),
     ])
     def test_label_file_error_names_the_task_and_the_file(self, tmp_path, capsys, labels, message):
@@ -837,6 +835,27 @@ class TestLabelFile:
             err = capsys.readouterr().err
             assert f"task 'assay': {labels_path}: " in err and message in err, (argv[0], err)
             assert not (tmp_path / "out").exists()
+
+    def test_bare_cr_label_file_reads_as_lf(self, workspace):
+        # a bare-CR copy of a synth task's labels.csv gives the same examples,
+        # in order, and training on it the same metrics.json byte for byte
+        from graphmem.cli import load_roster
+        from graphmem.training import ExperimentConfig
+
+        examples, metrics = [], []
+        for name, line_end in (("lf", b"\n"), ("cr", b"\r")):
+            data = workspace / name
+            assert run("synth", "--spec", workspace / "tri.synth", "--out-dir", data / "tri") == 0
+            labels = data / "tri" / "labels.csv"
+            labels.write_bytes(labels.read_bytes().replace(b"\n", line_end))
+            datasets, _, _ = load_roster({"data_dir": str(data)}, ExperimentConfig(tasks=("tri",)))
+            examples.append([(ex.example_id, ex.label, ex.graph.title) for ex in datasets["tri"]])
+            assert run("train", "--config", workspace / "cfg", "--set", f"data_dir={data}",
+                       "--out-dir", data / "out", "--quiet") == 0
+            metrics.append((data / "out" / "metrics.json").read_bytes())
+        assert b"\n" not in (workspace / "cr" / "tri" / "labels.csv").read_bytes()
+        assert len(examples[0]) == 40 and examples[0] == examples[1]
+        assert metrics[0] == metrics[1]
 
 
 class TestUnreadableText:
@@ -1220,6 +1239,15 @@ class TestGradcheckCommand:
             assert received[-1]["neighbor_mode"] == manifest["config"]["neighbor_mode"] == mode
         assert run("gradcheck", "--graphs", "1", "--out-dir", tmp_path / "default") == 0
         assert received[-1]["neighbor_mode"] == "uniform"
+
+    def test_negative_graphs_is_config_error(self, tmp_path, capsys):
+        assert run("gradcheck", "--graphs", "-3", "--out-dir", tmp_path / "out") == 2
+        assert "--graphs must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        from graphmem.gradcheck import run_gradient_check
+
+        with pytest.raises(ValueError, match="graphs must be >= 0, got -1"):
+            run_gradient_check(graphs=-1)
 
 
 class TestParser:

@@ -47,6 +47,7 @@ from _oracles import (
     keyed_attentive_read,
     keyed_forward,
     keyed_link_sum,
+    keyed_memory_bias,
     keyed_memory_step,
     learned_memory_step_oracle,
     masked_block_ring_sum,
@@ -427,7 +428,7 @@ class TestMemoryStep:
             graph = featurize(MolecularGraph.from_bonds(["A"], [], 1), SYNTHETIC_ALPHABET)
             prepared = prepare_graph(graph, cfg)
             state = HopState(t=0, controller=Tensor(np.zeros((1, 2))), memory=Tensor(np.array([[9.0, 9.0, 9.0]])))
-            memory = memory_step(state, Tensor(np.zeros((1, 2))), params, prepared)
+            memory = memory_step(state, Tensor(np.zeros((1, 2))), params, prepared, _memory_bias(params, prepared))
             np.testing.assert_array_equal(memory.data, [[0.5, 0.0, 0.0]], err_msg=mode)
             # no edge, so a zero neighbour sum and zero mean link rows
             assert prepared.slots.src.size == 0
@@ -445,7 +446,7 @@ class TestMemoryStep:
         prepared = prepare_graph(graph, cfg)
         cells = rng.uniform(0.0, 1.0, size=(5, 4))
         state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
-        memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
+        memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared, _memory_bias(params, prepared))
         expected = mean_passing_oracle(neighbor_lists(graph)[0], cells, hops=1)
         np.testing.assert_allclose(memory.data, expected, atol=1e-12)
 
@@ -465,7 +466,7 @@ class TestMemoryStep:
         ctrl = rng.normal(size=3)
         state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
         prepared = prepare_graph(graph, cfg)
-        memory = memory_step(state, Tensor(ctrl[None]), params, prepared)
+        memory = memory_step(state, Tensor(ctrl[None]), params, prepared, _memory_bias(params, prepared))
         expected, expected_contexts = learned_memory_step_oracle(graph, params.arrays(), cells, ctrl)
         np.testing.assert_allclose(memory.data, expected, rtol=0, atol=1e-12)
         # the contexts the update summed: the learned edge weights of every
@@ -549,14 +550,16 @@ class TestMemoryStep:
             cells = rng.normal(size=(prepared.n_nodes, 4))
             controllers = rng.normal(size=(len(graphs), 3))
             state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
-            memory = memory_step(state, Tensor(controllers), params, prepared).data
+            memory = memory_step(state, Tensor(controllers), params, prepared, _memory_bias(params, prepared)).data
             expected, _ = per_relation_memory_step_oracle(graphs, params.arrays(), cells, controllers, mode)
             np.testing.assert_allclose(memory, expected, rtol=0, atol=1e-12, err_msg=mode)
             # each graph alone, and in learned mode from the node-by-node definition
             for b, graph in enumerate(graphs):
                 rows = slice(prepared.slots.bounds[b], prepared.slots.bounds[b + 1])
+                one_graph = prepare_graph(graph, cfg)
                 alone = memory_step(HopState(t=0, controller=Tensor(controllers[b:b + 1]), memory=Tensor(cells[rows])),
-                                    Tensor(controllers[b:b + 1]), params, prepare_graph(graph, cfg)).data
+                                    Tensor(controllers[b:b + 1]), params, one_graph,
+                                    _memory_bias(params, one_graph)).data
                 np.testing.assert_allclose(alone, memory[rows], rtol=0, atol=1e-12, err_msg=mode)
                 if mode == "learned":
                     one, _ = learned_memory_step_oracle(graph, params.arrays(), cells[rows], controllers[b])
@@ -598,7 +601,8 @@ class TestMemoryStep:
         prepared = pack(graphs, cfg)
         cells = np.random.default_rng(45).uniform(0.0, 1.0, size=(prepared.n_nodes, 4))
         state = HopState(t=0, controller=Tensor(np.zeros((len(graphs), 3))), memory=Tensor(cells))
-        memory = memory_step(state, Tensor(np.zeros((len(graphs), 3))), params, prepared).data
+        bias = _memory_bias(params, prepared)
+        memory = memory_step(state, Tensor(np.zeros((len(graphs), 3))), params, prepared, bias).data
         for b, graph in enumerate(graphs):
             rows = slice(prepared.slots.bounds[b], prepared.slots.bounds[b + 1])
             expected = mean_passing_oracle(neighbor_lists(graph)[0], cells[rows], hops=1)
@@ -623,11 +627,13 @@ class TestMemoryStep:
 
             def value() -> float:
                 state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
-                return float((weights * memory_step(state, Tensor(controllers), frozen, prepared).data).sum())
+                bias = _memory_bias(frozen, prepared)
+                return float((weights * memory_step(state, Tensor(controllers), frozen, prepared, bias).data).sum())
 
             params.zero_grads()
             state = HopState(t=0, controller=Tensor(controllers), memory=Tensor(cells))
-            memory_step(state, Tensor(controllers), params, prepared).backward(seed=weights)
+            bias = _memory_bias(params, prepared)
+            memory_step(state, Tensor(controllers), params, prepared, bias).backward(seed=weights)
             names = [n for n in params.tensors if n.startswith(("mem", "nbr"))]
             exact = {n: g for n, g in params.grads().items() if n in names}
             estimate = finite_difference_gradient(value, {n: params.arrays()[n] for n in names})
@@ -673,7 +679,7 @@ class TestMemoryStep:
         prepared = prepare_graph(graph, cfg)
         cells = np.random.default_rng(4).normal(size=(graph.n_nodes, 4))
         state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
-        memory = memory_step(state, Tensor(np.ones((1, 3))), params, prepared)
+        memory = memory_step(state, Tensor(np.ones((1, 3))), params, prepared, _memory_bias(params, prepared))
         np.testing.assert_array_equal(memory.data, cells)
 
 
@@ -701,7 +707,8 @@ def run_stage(stage: str, prepared, params: ModelParams, cells, controllers, see
         out = controller_step(state, read, run_params)
         outputs = [read.data, weights.data, scores.data, out.data]
     else:
-        out = (keyed_memory_step if keyed else memory_step)(state, controller, run_params, prepared)
+        bias = (keyed_memory_bias if keyed else _memory_bias)(run_params, prepared)
+        out = (keyed_memory_step if keyed else memory_step)(state, controller, run_params, prepared, bias)
         outputs = [out.data]
     out.backward(seed=seed)
     grads = narrowed_grads(run_params) if keyed else params.grads()
@@ -1101,6 +1108,65 @@ class TestForward:
                              training=True).probability.data.ravel()
             np.testing.assert_allclose(packed, alone, rtol=0, atol=1e-12, err_msg=mode)
 
+    def test_each_graph_draws_as_many_doubles_as_its_masks(self):
+        # 2 k_h + m k_m doubles from each graph's generator, however many hops
+        cfg = small_config(n_relations=2, memory=5, controller=3)
+        params = make_params(cfg, seed=24)
+        graphs = [sample_graph(np.random.default_rng(25 + k), n_relations=2) for k in range(3)]
+        for hops in (1, 4):
+            generators = [np.random.default_rng(90 + k) for k in range(3)]
+            forward(pack(graphs, cfg), np.ones(1), params, hops=hops, dropout_rate=0.3, rng=generators,
+                    training=True)
+            for k, (graph, generator) in enumerate(zip(graphs, generators)):
+                reference = np.random.default_rng(90 + k)
+                reference.random(2 * 3 + graph.n_nodes * 5)
+                assert generator.bit_generator.state == reference.bit_generator.state, (hops, k)
+
+    def test_inference_is_identity(self):
+        # at inference or rate 0 forward draws no mask: nothing moves the
+        # generator, and the probability is that of a forward without dropout
+        cfg = small_config(n_relations=2)
+        params = make_params(cfg, seed=21)
+        graph = sample_graph(np.random.default_rng(8), n_relations=2)
+        plain = forward(graph, np.ones(1), params, hops=3).probability.item()
+        for rate, training in [(0.5, False), (0.0, True)]:
+            generator = np.random.default_rng(77)
+            before = generator.bit_generator.state
+            probability = forward(graph, np.ones(1), params, hops=3, dropout_rate=rate, rng=generator,
+                                  training=training).probability.item()
+            assert probability == plain and generator.bit_generator.state == before, (rate, training)
+
+    def test_rate_one_rejected(self):
+        # a rate outside [0, 1) is refused at inference too, where nothing draws
+        cfg = small_config(n_relations=2)
+        params = make_params(cfg)
+        graph = sample_graph(np.random.default_rng(8), n_relations=2)
+        for rate in (1.0, -0.1, float("nan")):
+            for training in (False, True):
+                with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+                    forward(graph, np.ones(1), params, hops=2, dropout_rate=rate, rng=np.random.default_rng(0),
+                            training=training)
+
+    def test_training_dropout_needs_one_generator_per_graph(self):
+        cfg = small_config(n_relations=2)
+        params = make_params(cfg)
+        graphs = [sample_graph(np.random.default_rng(k), n_relations=2) for k in range(3)]
+        prepared = pack(graphs, cfg)
+        with pytest.raises(ValueError, match="needs random generators"):
+            forward(prepared, np.ones(1), params, hops=2, dropout_rate=0.2, training=True)
+        for count in (1, 2, 4):
+            with pytest.raises(ValueError, match=f"dropout over 3 graphs needs as many generators, got {count}"):
+                forward(prepared, np.ones(1), params, hops=2, dropout_rate=0.2,
+                        rng=[np.random.default_rng(k) for k in range(count)], training=True)
+        with pytest.raises(ValueError, match="got 1"):  # one Generator is a pack of one's
+            forward(prepared, np.ones(1), params, hops=2, dropout_rate=0.2, rng=np.random.default_rng(0),
+                    training=True)
+        one = forward(graphs[0], np.ones(1), params, hops=2, dropout_rate=0.2, rng=np.random.default_rng(5),
+                      training=True).probability.item()
+        listed = forward(graphs[0], np.ones(1), params, hops=2, dropout_rate=0.2, rng=[np.random.default_rng(5)],
+                         training=True).probability.item()
+        assert one == listed
+
     def test_hops_must_be_positive(self):
         cfg = small_config()
         params = make_params(cfg)
@@ -1223,11 +1289,12 @@ class TestInvariants:
         for _ in range(10):
             graph = sample_graph(rng, n_relations=1, n_max=6)
             prepared = prepare_graph(graph, cfg)
+            bias = _memory_bias(params, prepared)
             cells = rng.uniform(0.0, 1.0, size=(graph.n_nodes, 4))
             for hops in (1, 2, 3):
                 state = HopState(t=0, controller=Tensor(np.zeros((1, 3))), memory=Tensor(cells))
                 for _hop in range(hops):
-                    memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared)
+                    memory = memory_step(state, Tensor(np.zeros((1, 3))), params, prepared, bias)
                     state = HopState(t=state.t + 1, controller=state.controller, memory=memory)
                 expected = mean_passing_oracle(neighbor_lists(graph)[0], cells, hops=hops)
                 np.testing.assert_allclose(state.memory.data, expected, atol=1e-12)

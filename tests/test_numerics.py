@@ -123,47 +123,44 @@ class TestSoftmax:
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
-        x = constant([1.0, 2.0])
-        assert dropout(x, 0.0, [np.random.default_rng(0)], training=True, bounds=[0, 2]) is x
-
-    def test_inference_is_identity(self):
-        x = constant([1.0, 2.0])
-        assert dropout(x, 0.5, [np.random.default_rng(0)], training=False, bounds=[0, 2]) is x
+        # the mask of rate 0 is all ones
+        x = constant([[1.0, -2.0], [0.5, 3.0]])
+        np.testing.assert_array_equal(dropout(x, np.ones((2, 2))).data, x.data)
 
     def test_zero_fraction_concentrates(self):
-        x = constant(np.ones(10_000))
-        out = dropout(x, 0.5, [np.random.default_rng(123)], training=True, bounds=[0, 10_000])
-        zero_fraction = float((out.data == 0.0).mean())
-        assert abs(zero_fraction - 0.5) < 0.02
-        # survivors are rescaled by 1/(1-rate)
-        assert np.all(out.data[out.data != 0.0] == 2.0)
+        # a mask drawn as model.forward draws it, at rate 0.5
+        mask = (np.random.default_rng(123).random(10_000) >= 0.5) / 0.5
+        x = constant(np.full(10_000, 1.5))
+        out = dropout(x, mask)
+        assert abs(float((out.data == 0.0).mean()) - 0.5) < 0.02
+        # survivors are rescaled by 1/(1-rate), and nothing else moves
+        assert np.all(out.data[mask == 0.0] == 0.0) and np.all(out.data[mask != 0.0] == 3.0)
 
-    def test_rate_one_rejected(self):
-        with pytest.raises(ValueError):
-            dropout(constant([1.0]), 1.0, [np.random.default_rng(0)], training=True, bounds=[0, 1])
+    def test_mask_of_another_shape_is_refused(self):
+        x = parameter(np.ones((3, 2)))
+        for shape in [(3,), (2, 3), (3, 2, 1)]:
+            with pytest.raises(nm.DimensionError, match="dropout"):
+                dropout(x, np.ones(shape))
 
     def test_is_one_tape_node(self):
         x = parameter(np.ones((3, 2)))
-        out = dropout(x, 0.5, [np.random.default_rng(0)], training=True, bounds=[0, 3])
+        out = dropout(x, np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]))
         assert out._parents == (x,) and tape(out) == {id(out), id(x)}
+        # a constant in, a constant out
+        assert dropout(constant(np.ones(2)), np.array([2.0, 0.0]))._backward is None
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         arrays = {"x": rng.normal(size=(4, 3))}
         weight = rng.normal(size=(4, 3))
-
-        def dropped(x: Tensor) -> Tensor:
-            # rows 0 and 1-3 draw their masks from two fresh generators
-            rngs = [np.random.default_rng(k) for k in (1, 2)]
-            return dropout(x, 0.4, rngs, training=True, bounds=np.array([0, 1, 4]))
-
+        mask = (rng.random((4, 3)) >= 0.4) / 0.6
         x = parameter(arrays["x"])
-        out = dropped(x)
+        out = dropout(x, mask)
         assert (out.data == 0.0).any()
         out.backward(seed=weight)
 
         def value() -> float:
-            return float((weight * dropped(constant(arrays["x"])).data).sum())
+            return float((weight * dropout(constant(arrays["x"]), mask).data).sum())
 
         estimate = finite_difference_gradient(value, arrays, eps=1e-6)
         worst, name = nm.max_relative_error({"x": x.grad}, estimate)
@@ -254,6 +251,7 @@ class TestTapeGradients:
             "e": rng.normal(size=8),
         }
         x = rng.normal(size=(2, 3))
+        mask = (np.random.default_rng(seed).random((3, 4)) >= 0.5) / 0.5
 
         def build():
             leaves = {name: Tensor(arrays[name], True) for name in arrays}
@@ -290,7 +288,7 @@ class TestTapeGradients:
                                       c, proposal)  # (3, 4)
             # one (8,) bias row for every output row
             again = nm.gated_update([(updated, h)], e, updated)
-            dropped = dropout(again, 0.5, [np.random.default_rng(seed)], training=True, bounds=[0, 3])  # (3, 4)
+            dropped = dropout(again, mask)  # (3, 4)
             # one score per row, the activated rows recomputed in backward
             scored = linear_sum([(m, w, nm.Gather([4, 0], 5))], bias=b, activation="tanh", project=v)  # (2,)
             prob = linear_sum([(controlled, u)], activation="sigmoid")  # (2, 1)
@@ -563,10 +561,4 @@ class TestDeterminism:
     def test_glorot_is_seeded(self):
         a = nm.glorot_uniform(np.random.default_rng(9), 4, 5)
         b = nm.glorot_uniform(np.random.default_rng(9), 4, 5)
-        np.testing.assert_array_equal(a, b)
-
-    def test_dropout_is_seeded(self):
-        x = constant(np.ones(100))
-        a = dropout(x, 0.3, [np.random.default_rng(5)], training=True, bounds=[0, 100]).data
-        b = dropout(x, 0.3, [np.random.default_rng(5)], training=True, bounds=[0, 100]).data
         np.testing.assert_array_equal(a, b)

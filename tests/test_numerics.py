@@ -9,6 +9,8 @@ import pytest
 from _oracles import edge_sum, gated_update_oracle, keyed_link_sum, stable_sigmoid_oracle, wide_link
 
 from graphmem import numerics as nm
+from graphmem.model import ModelConfig, _dropout_masks, prepare_graph
+from graphmem.molgraph import SYNTHETIC_ALPHABET, featurize, link_feature_dim, node_feature_dim, random_graph
 from graphmem.numerics import (
     DimensionError,
     Tensor,
@@ -562,3 +564,15 @@ class TestDeterminism:
         a = nm.glorot_uniform(np.random.default_rng(9), 4, 5)
         b = nm.glorot_uniform(np.random.default_rng(9), 4, 5)
         np.testing.assert_array_equal(a, b)
+
+    def test_dropout_is_seeded(self):
+        # a training pass draws its masks from each graph's generator, so the
+        # same seed drops the same entries and another seed drops others
+        config = ModelConfig(node_feat_dim=node_feature_dim(SYNTHETIC_ALPHABET), link_feat_dim=link_feature_dim(2),
+                             n_relations=2, query_dim=1, memory_size=10, controller_size=10)
+        graph = prepare_graph(featurize(random_graph(np.random.default_rng(1), 10, 10, 2), SYNTHETIC_ALPHABET), config)
+        x = constant(np.ones((10, 10)))
+        a, b, c = (dropout(x, _dropout_masks(graph, config, 0.3, np.random.default_rng(seed))[1]).data
+                   for seed in (5, 5, 6))
+        np.testing.assert_array_equal(a, b)
+        assert (a == 0.0).any() and not np.array_equal(a, c)

@@ -100,6 +100,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             name = bytes(cursor.take(name_len, "name")).decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError("checkpoint parameter name is not UTF-8") from None
+        if name in arrays:
+            raise CheckpointError(f"checkpoint lists parameter {name} twice")
         (ndim,) = cursor.unpack("<B", "rank")
         if ndim > MAX_RANK:
             raise CheckpointError(f"parameter {name} has rank {ndim} > {MAX_RANK}")

@@ -9,8 +9,9 @@ Graphs are small and variable-sized, so they are never padded: each batch
 runs as consecutive packs, disjoint unions of at most ``PACK_CELLS`` memory
 cells (see :func:`graphmem.model.pack`). A pack is one forward, one loss
 and one backward, and gradients accumulate over the packs of a batch
-before one optimizer step. Inference scores the same packs without
-recording a tape.
+before one optimizer step. Inference records no tape, so it packs up to
+``INFERENCE_CELLS``, and :func:`predict_scores` packs its examples in
+order of size, so that a pack holds molecules of one size.
 """
 
 from __future__ import annotations
@@ -39,8 +40,17 @@ MODES = ("single", "multi")
 # summed link features (numerics.link_sum), and controller_size per directed
 # edge, the edge scorer's activated rows. Off the tape, a pack keeps one
 # block array in both modes, and in learned mode the edge scorer's scatter
-# index, E * controller_size integers at each end.
+# index, E * controller_size integers at each end. At 512 cells a training
+# step ran 6-12% faster, but the screen-sdf benchmark's peak RSS rose from
+# 54.2 to 62.3 MiB (2-vCPU VM), so training stays at 256.
 PACK_CELLS = 256
+
+# Memory cells per inference pack. Inference keeps no tape, so its packs
+# can be larger than training's: a pack's fixed cost per hop is paid half
+# as often. At 1024 cells the screen-sdf benchmark's peak RSS rose to
+# 60.1-60.8 MiB, past its bound (same VM), so inference stops at twice
+# PACK_CELLS.
+INFERENCE_CELLS = 2 * PACK_CELLS
 
 # Adam's first- and second-moment decays and the floor added to the root of
 # the second moment, the values of Kingma and Ba (2015)
@@ -375,21 +385,30 @@ def _run_pack(examples: Sequence[PreparedExample], params: ModelParams, hops: in
 
 def inference_packs(params: ModelParams, examples: Sequence[PreparedExample],
                     hops: int) -> Iterator[tuple[slice, PreparedGraph, ForwardResult]]:
-    """Each ``PACK_CELLS`` run of ``examples`` in order, as its slice, its
-    pack and its forward result (dropout off).
+    """Each ``INFERENCE_CELLS`` run of ``examples`` in order, as its slice,
+    its pack and its forward result (dropout off).
 
     Runs on :meth:`ModelParams.frozen`, so no tape is recorded and no
     parameter gains a gradient."""
     frozen = params.frozen()
-    for part in budget_runs([ex.prepared.n_nodes for ex in examples], PACK_CELLS):
+    for part in budget_runs([ex.prepared.n_nodes for ex in examples], INFERENCE_CELLS):
         yield (part, *_run_pack(examples[part], frozen, hops))
 
 
 def predict_scores(params: ModelParams, examples: Sequence[PreparedExample], hops: int) -> np.ndarray:
     """Inference probabilities for a prepared example list, one per example
-    in order (see :func:`inference_packs`)."""
-    scores = [result.probability.data.ravel() for _, _, result in inference_packs(params, examples, hops)]
-    return np.concatenate(scores) if scores else np.zeros(0)
+    in order.
+
+    The examples are packed in order of atom count (a stable sort), so each
+    pack holds like-sized graphs and pads its blocks little; each pack's
+    probabilities are written back to its examples' positions (see
+    :func:`inference_packs`)."""
+    order = np.argsort([ex.prepared.n_nodes for ex in examples], kind="stable")
+    ranked = [examples[k] for k in order]
+    scores = np.zeros(len(examples))
+    for part, _, result in inference_packs(params, ranked, hops):
+        scores[order[part]] = result.probability.data.ravel()
+    return scores
 
 
 # -- the training loop ---------------------------------------------------------

@@ -1,12 +1,15 @@
 """Binary parameter container format."""
 
 import hashlib
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from graphmem.checkpoint import DIGEST_SIZE, FORMAT_VERSION, CheckpointError, load_checkpoint, save_checkpoint
+from graphmem.checkpoint import (DIGEST_SIZE, FORMAT_VERSION, MAGIC, CheckpointError, load_checkpoint,
+                                 save_checkpoint)
 
 
 def resigned(body: bytes) -> bytes:
@@ -14,6 +17,18 @@ def resigned(body: bytes) -> bytes:
     doctored bytes that still pass the digest check, so that a test reaches
     the check it names."""
     return body + hashlib.sha256(body).digest()
+
+
+def checkpoint_bytes(entries, meta: dict) -> bytes:
+    """A checkpoint written field by field, digest included, that lists the
+    (name, array) ``entries`` in order, repeated names and all."""
+    meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = MAGIC + struct.pack("<II", FORMAT_VERSION, len(meta_blob)) + meta_blob + struct.pack("<I", len(entries))
+    for name, array in entries:
+        encoded = name.encode("utf-8")
+        body += struct.pack("<H", len(encoded)) + encoded + struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape)
+        body += np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return resigned(body)
 
 
 def test_roundtrip(tmp_path):
@@ -67,6 +82,17 @@ def test_earlier_versions_refused_naming_the_version(tmp_path, version):
     blob[4:8] = version.to_bytes(4, "little")
     path.write_bytes(resigned(bytes(blob[:-DIGEST_SIZE])))
     with pytest.raises(CheckpointError, match=f"format version {version} != supported {FORMAT_VERSION}"):
+        load_checkpoint(path)
+
+
+def test_parameter_listed_twice_rejected(tmp_path):
+    entries = [("out.weight", np.arange(4.0).reshape(2, 2)), ("out.bias", np.array([0.5]))]
+    meta = {"k": 1}
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, dict(entries), meta)
+    assert checkpoint_bytes(entries, meta) == path.read_bytes()  # the hand-written file is a real one
+    path.write_bytes(checkpoint_bytes([*entries, ("out.bias", np.array([123.0]))], meta))
+    with pytest.raises(CheckpointError, match="checkpoint lists parameter out.bias twice"):
         load_checkpoint(path)
 
 

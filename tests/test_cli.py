@@ -22,7 +22,7 @@ from graphmem.molgraph import (
 )
 
 from _oracles import atom_identifiers_oracle, fold_oracle, hex_oracle
-from test_checkpoint import resigned
+from test_checkpoint import checkpoint_bytes, resigned
 from test_molgraph import molblock
 from test_training import misslotted
 
@@ -487,6 +487,17 @@ class TestEvalAndDump:
             assert code == 5, name
             assert name in capsys.readouterr().err
 
+    def test_checkpoint_listing_a_parameter_twice_is_exit_5(self, workspace, trained, capsys):
+        arrays, meta = load_checkpoint(trained / "checkpoint.bin")
+        path = trained / "twice.bin"
+        path.write_bytes(checkpoint_bytes([*arrays.items(), ("out.bias", np.full_like(arrays["out.bias"], 123.0))],
+                                          meta))
+        for command in ("eval", "dump-attention"):
+            code = run(command, "--checkpoint", path, "--set", f"data_dir={workspace}", "--out-dir", workspace / "e")
+            assert code == 5, command
+            assert "lists parameter out.bias twice" in capsys.readouterr().err
+        assert not (workspace / "e").exists()
+
     def test_eval_checkpoint_with_trailing_bytes_is_exit_5(self, workspace, trained, capsys):
         path = trained / "padded.bin"
         path.write_bytes(resigned((trained / "checkpoint.bin").read_bytes()[:-DIGEST_SIZE] + b"garbage"))
@@ -607,10 +618,12 @@ class TestEvalAndDump:
             assert config == {"data_dir": str(workspace), "seed": 3}, command
 
     def test_dump_attention_packs_match_one_at_a_time(self, workspace, trained, monkeypatch):
+        # dump-attention packs in label-file order, eval in order of size:
+        # the lines keep file order, and their probabilities are eval's scores
         import graphmem.cli as cli
         import graphmem.training as training
         from graphmem.model import forward
-        from graphmem.training import build_queries, prepare_examples
+        from graphmem.training import build_queries, predict_scores, prepare_examples
 
         calls = []
         original = training.forward
@@ -627,7 +640,11 @@ class TestEvalAndDump:
         examples = prepare_examples(pool, params.config, build_queries(meta["mode"], len(meta["tasks"])))
         assert len(calls) < len(examples) == len(records) == 40  # packed: fewer forwards than examples
         assert [r["id"] for r in records] == [ex.example_id for ex in examples]
-        for record, ex in zip(records, examples):
+        ranked = sorted(range(len(examples)), key=lambda k: examples[k].prepared.n_nodes)
+        assert ranked != list(range(len(examples)))  # the two commands pack differently
+        scores = predict_scores(params, examples, meta["hops"])
+        for record, ex, score in zip(records, examples, scores):
+            assert abs(record["probability"] - score) <= 1e-12
             alone = forward(ex.prepared, ex.query, params.frozen(), meta["hops"])
             assert abs(record["probability"] - alone.probability.item()) <= 1e-12
             expected = alone.attention_trace()
@@ -693,8 +710,9 @@ class TestRepeatedRecords:
         assert run("eval", "--checkpoint", tmp_path / "checkpoint.bin", "--set", f"data_dir={tmp_path}",
                    "--out-dir", tmp_path / "eval") == 0
         assert [g.title for g in featurized] == ["a", "b"] and passes == [2]  # one pass over both records
-        # the packs hold the featurized graphs themselves, one per label row
-        assert [id(g) for g in packed] == [id(featurized[k]) for k in (0, 0, 1, 0)]
+        # the packs hold the featurized graphs themselves, one per label row,
+        # smallest first: eval packs its examples in order of atom count
+        assert [id(g) for g in packed] == [id(featurized[k]) for k in (1, 0, 0, 0)]
 
         featurized.clear()
         passes.clear()

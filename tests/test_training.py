@@ -85,6 +85,52 @@ class TestBudgetRuns:
         assert self.runs([3, 4, 12], 10) == [(0, 2), (2, 3)]  # last
 
 
+class TestPredictScores:
+    @pytest.fixture(params=["uniform", "learned"])
+    def scored(self, request):
+        """A shuffled multi-task pool of 1-60-atom graphs and one graph of 520
+        atoms, over 512 cells in all, with a model in the requested mode."""
+        from graphmem.model import ModelParams
+        from graphmem.molgraph import LabeledExample, random_graph
+
+        rng = np.random.default_rng(31)
+        graphs = [random_graph(rng, 1, 60, 3) for _ in range(30)] + [random_graph(rng, 520, 520, 3)]
+        examples = [LabeledExample(featurize(graphs[k], SYNTHETIC_ALPHABET), task_id=int(rng.integers(3)),
+                                   label=int(rng.integers(2)), example_id=str(k))
+                    for k in rng.permutation(len(graphs))]
+        config = ExperimentConfig(hops=2, memory_size=6, controller_size=6, mode="multi",
+                                  neighbor_mode=request.param)
+        model_config = derive_model_config(examples, config, 3)
+        pool = prepare_examples(examples, model_config, build_queries("multi", 3))
+        return ModelParams.initialize(model_config, seed=4), pool
+
+    def test_scores_match_packs_of_one_in_input_order(self, scored, monkeypatch):
+        import graphmem.training as training_module
+        from graphmem.model import forward
+
+        params, pool = scored
+        sizes = [ex.prepared.n_nodes for ex in pool]
+        assert sum(sizes) > training_module.INFERENCE_CELLS and max(sizes) > training_module.INFERENCE_CELLS
+        packs = []
+        real_pack = training_module.pack
+        monkeypatch.setattr(training_module, "pack",
+                            lambda graphs, config: packs.append(graphs) or real_pack(graphs, config))
+        scores = predict_scores(params, pool, 2)
+        assert scores.shape == (len(pool),)
+        # packed smallest first, the large graph alone, every other pack within the budget
+        packed = [graph.n_nodes for graphs in packs for graph in graphs]
+        assert len(packs) > 2 and packed == sorted(sizes) and len(packs[-1]) == 1
+        assert all(sum(g.n_nodes for g in graphs) <= training_module.INFERENCE_CELLS for graphs in packs[:-1])
+        for score, ex in zip(scores, pool):
+            alone = forward(ex.prepared, ex.query, params.frozen(), 2).probability.item()
+            assert abs(score - alone) <= 1e-12
+        assert np.array_equal(predict_scores(params, pool, 2), scores)
+
+    def test_empty_pool_scores_nothing(self, scored):
+        params, _ = scored
+        assert predict_scores(params, [], 2).shape == (0,)
+
+
 class TestAdam:
     RATE = 1e-3
 

@@ -41,12 +41,12 @@ NEIGHBOR_MODES = ("uniform", "learned")
 # about 0.6 GiB at this bound with R = 4, and about 10 GB at 4096, where
 # the allocation would fail with a traceback instead of a refused setting.
 MAX_WIDTH = 1024
-# The most hops. A hop's tape keeps about (3 + R) * memory_size +
-# controller_size floats per cell, a learned hop also 2 R per cell and
-# controller_size per directed edge (training.PACK_CELLS): at R = 4, width 32
-# and 256 cells of two directed edges each, 0.52 MB a uniform hop and 0.67 MB
-# a learned one, 67 MB at this bound, and 134 GB at 200000 hops, where the
-# tape would fail with a traceback instead of a refused setting.
+# The most hops. A hop's tape keeps about 3 * memory_size + controller_size
+# floats per cell, a learned hop also 2 R per cell and controller_size per
+# directed edge (training.PACK_CELLS): at R = 4, width 32 and 512 cells of
+# two directed edges each, 0.52 MB a uniform hop and 0.82 MB a learned one,
+# 82 MB at this bound, and 164 GB at 200000 hops, where the tape would fail
+# with a traceback instead of a refused setting.
 MAX_HOPS = 100
 
 
@@ -338,10 +338,9 @@ class HopState:
     is the freshly initialized state; read and attention appear from the
     first real hop on. The final hop of :func:`forward` has no memory
     (``None``): the output head reads only the controller, so that hop
-    runs no memory update. The read and the neighbour sums are tape nodes
-    that keep their values (:func:`graphmem.numerics.graph_sum` and
-    :func:`graphmem.numerics.block_sum`), so backward computes neither
-    again."""
+    runs no memory update. The read keeps its value
+    (:func:`graphmem.numerics.graph_sum`); the neighbour sums are not kept
+    but made again in backward (:class:`graphmem.numerics.Neighbours`)."""
 
     t: int
     controller: Tensor
@@ -440,23 +439,23 @@ def memory_step(state: HopState, controller: Tensor, params: ModelParams, prepar
     cells, weighted link features], zero under a relation where the cell
     has no neighbours.
 
-    The neighbour cells of every relation are summed first into (N, R * k_m)
-    rows, as per-graph block products (a :func:`~graphmem.numerics.block_sum`
-    node over ``prepared.slots``, which writes this hop's edge weights,
-    uniform or learned, into the pack's one block array), and then
-    projected once by all relations' weights side by side. The summed link
-    features (:func:`~graphmem.numerics.link_sum`, a keyed sum with no
-    block product, so a hop runs one) are projected the same way: here in
-    learned mode, and in ``bias`` in uniform mode, where they do not change
-    from hop to hop. Each sum keeps its rows, (N, R k_m) and (N, 2R), on
-    the tape. ``bias`` is :func:`_memory_bias` of ``params`` and
-    ``prepared``, which :func:`forward` makes once per pass.
+    The neighbour cells of every relation are summed into (N, R * k_m)
+    rows, as per-graph block products over ``prepared.slots`` that write
+    this hop's edge weights, uniform or learned, into the pack's one block
+    array, and projected at once by all relations' weights side by side: a
+    :class:`~graphmem.numerics.Neighbours` term, which keeps no sums and
+    makes them again in backward. The summed link features
+    (:func:`~graphmem.numerics.link_sum`, a keyed sum with no block
+    product) keep their (N, 2R) rows and are projected the same way: here
+    in learned mode, and in ``bias`` in uniform mode, where they do not
+    change from hop to hop. ``bias`` is :func:`_memory_bias` of ``params``
+    and ``prepared``, which :func:`forward` makes once per pass.
     """
     weights = _neighbor_weights(prepared, state.memory, params)
     terms: list[tuple] = [
         (state.memory, params["mem.gated.self"]),
         (controller, params["mem.gated.ctrl"], prepared.slots),
-        (nm.block_sum(state.memory, weights, prepared.slots), params["mem.gated.nbr"]),
+        (state.memory, params["mem.gated.nbr"], nm.Neighbours(weights, prepared.slots)),
     ]
     if params.config.neighbor_mode == "learned":
         links = nm.link_sum(weights, prepared.ring, prepared.slots)

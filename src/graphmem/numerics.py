@@ -7,24 +7,25 @@ constants produce constants, so per-graph fixed data (adjacency, features)
 costs nothing at backward time.
 
 The operations are the fused nodes the model runs: :func:`linear_sum`,
-:func:`gated_update`, :func:`block_sum`, :func:`graph_sum`,
-:func:`link_sum`, :func:`segment_softmax`, :func:`binary_cross_entropy`
-and :func:`dropout`. Each records one tape node however many products,
-activations or gathers it computes, and keeps what its backward reads, so
-no backward computes a forward value again, and none draws random numbers
+:func:`gated_update`, :func:`graph_sum`, :func:`link_sum`,
+:func:`segment_softmax`, :func:`binary_cross_entropy` and :func:`dropout`.
+Each records one tape node however many products, activations or gathers
+it computes, keeps what its backward reads, and draws no random numbers
 (:func:`dropout` multiplies by a mask its caller draws).
 :func:`linear_sum` and :func:`gated_update` check, sum and differentiate
 their terms, each a tensor through a weight, with the same code. The
 weighted sums run on a pack's :class:`Slots`: the per-graph
-:func:`graph_sum` (the attention read), the per-graph block products of
-:func:`block_sum` (the neighbour cells) and the keyed :func:`link_sum`
+:func:`graph_sum` (the attention read) and the keyed :func:`link_sum`
 (the link features, two numbers per key: a placed has-neighbour indicator
-and a ring sum). Each keeps its value, which is linear in the pack, for
-the nodes that consume it; the pack's one block array is the slots', not
-the tape's. The slots also carry each graph's controller row to its cells
-and sum their gradient back per graph, and gather the rows at the edges'
-ends for the edge scorer, keeping the scatter index of that gather's
-gradient. The model stores each gated update's weights stacked the way
+and a ring sum) keep their values, which are linear in the pack. The
+per-graph block products of the neighbour cells are the one forward value
+a backward computes again: a :class:`Neighbours` term projects them as
+they are made, and its backward makes them again, one block product
+against R k floats per row on the tape. The pack's one block array is the
+slots'. The slots also carry each graph's controller row to its cells and
+sum their gradient back per graph, and gather the rows at the edges' ends
+for the edge scorer, keeping the scatter index of that gather's gradient.
+The model stores each gated update's weights stacked the way
 :func:`gated_update` takes them, so parameters enter the tape as they are.
 
 All arrays are float64 and row-major. Gradient correctness is certified
@@ -299,34 +300,28 @@ class Slots:
         return out[self.slot]
 
 
-def block_sum(x: Tensor, weights: Tensor, slots: Slots) -> Tensor:
-    """The relation-typed neighbour sums of a pack's rows as per-graph
-    block products (see :class:`Slots`), as one tape node.
+class Neighbours:
+    """A pack's relation-typed neighbour sums as a term's ``rows`` (see
+    :func:`linear_sum`): ``(x, W, Neighbours(weights, slots))``, one weight
+    per edge, adds ``slots.product(weights, x) @ W.T`` for an (out, R k)
+    ``W``. It keeps no sums: backward makes them again for ``W``'s
+    gradient, runs the transposed product for ``x`` and dots, per edge, the
+    gradient at the destination's block with the source row."""
 
-    Row ``i`` of the (N, R * k) value holds, in columns ``r*k:(r+1)*k``,
-    the sum of ``weights[e] * x[src[e]]`` over the edges ``slots.src[e] ->
-    i`` under relation ``r``, computed by one batched ``matmul`` per size
-    group. Each product, the forward one and the transposed one of
-    backward, writes the weights into the slots' block array. The node
-    keeps its value. Its backward is the transposed product for ``x`` and,
-    per edge, the gradient at the destination's block dotted with the
-    source row for ``weights``.
-    """
-    if x.ndim != 2 or x.shape[0] != slots.bounds[-1] or weights.shape != slots.src.shape:
-        raise _shape_error("block_sum", x.shape, weights.shape, (slots.bounds[-1],))
-    k = x.shape[1]
-    out = Tensor(slots.product(weights.data, x.data, k))
-    if not _tracked(x, weights):
-        return out
+    __slots__ = ("weights", "slots")
 
-    def backward(g: np.ndarray) -> None:
+    def __init__(self, weights: Tensor, slots: Slots):
+        self.weights, self.slots = weights, slots
+
+    def backward(self, x: Tensor, w: Tensor, dz: np.ndarray) -> None:
+        slots, weights, k = self.slots, self.weights, x.shape[1]
+        if _tracked(w):
+            _accumulate(w, dz.T @ slots.product(weights.data, x.data, k))
+        g = dz @ w.data  # the gradient at the sums
         if _tracked(x):
             _accumulate(x, slots.product(weights.data, g, k, transpose=True))
         if _tracked(weights):
-            # the gradient at the block each edge adds to, dotted with its source row
             _accumulate(weights, np.einsum("ek,ek->e", g.reshape(-1, k)[slots.keys], x.data[slots.src]))
-
-    return _record(out, (x, weights), backward)
 
 
 def link_sum(weights: Tensor, ring: np.ndarray, slots: Slots) -> Tensor:
@@ -386,40 +381,47 @@ def _terms(op: str, terms: Sequence[tuple],
            shape: tuple[int, int] | None = None) -> tuple[np.ndarray, list[tuple], tuple[Tensor, ...]]:
     """Check ``terms`` and sum them: ``(z, parts, parents)``. All terms
     give the same (n, out) rows, ``shape`` when given. A part is what a
-    node keeps of a term, ``(x, W, rows)``: ``rows`` None, Slots or a
-    Gather."""
+    node keeps of a term, ``(x, W, rows)``: ``rows`` None, Slots, a Gather
+    or Neighbours."""
     if not terms:
         raise ValueError(f"{op} of no terms")
     parts: list[tuple] = []
-    z = None
+    z, parents = None, ()
     sizes = set() if shape is None else {shape}
     for term in terms:
         x, w = term[0], term[1]
         rows = term[2] if len(term) == 3 else None
         xs, wd = x.shape, w.data
-        if rows is not None and not isinstance(rows, (Slots, Gather)):
-            raise TypeError(f"{op}: a term's rows are Slots or a Gather, not {type(rows).__name__}")
-        fits = (len(xs) == 2 and wd.ndim == 2 and xs[1] == wd.shape[1]
+        if rows is not None and not isinstance(rows, (Slots, Gather, Neighbours)):
+            raise TypeError(f"{op}: a term's rows are Slots, a Gather or Neighbours, not {type(rows).__name__}")
+        nbr = isinstance(rows, Neighbours)
+        fits = (len(xs) == 2 and wd.ndim == 2 and wd.shape[1] == xs[1] * (rows.slots.n_relations if nbr else 1)
                 and (rows is None or (xs[0] == rows.n_graphs if isinstance(rows, Slots)
-                                      else rows.index.ndim == 1 and xs[0] == rows.n)))
-        n = xs[0] if rows is None else rows.bounds[-1] if isinstance(rows, Slots) else rows.index.size
+                                      else rows.weights.shape == rows.slots.src.shape and xs[0] == rows.slots.bounds[-1]
+                                      if nbr else rows.index.ndim == 1 and xs[0] == rows.n)))
+        n = xs[0] if rows is None or nbr else rows.bounds[-1] if isinstance(rows, Slots) else rows.index.size
         sizes.add((n, wd.shape[0]) if fits else None)
         if not fits or len(sizes) != 1:
-            raise _shape_error(op, *(p.shape if k < 2 else np.shape(getattr(p, "index", None))
+            raise _shape_error(op, *(p.shape if k < 2 else p.weights.shape if isinstance(p, Neighbours)
+                                     else np.shape(getattr(p, "index", None))
                                      for t in terms for k, p in enumerate(t)),
                                *(() if shape is None else (shape,)))
         parts.append((x, w, rows))
-        a = x.data @ wd.T
-        if rows is not None:
+        parents += (x, w, rows.weights) if nbr else (x, w)
+        a = rows.slots.product(rows.weights.data, x.data, xs[1]) @ wd.T if nbr else x.data @ wd.T
+        if rows is not None and not nbr:
             a = rows.spread(a)
         z = a if z is None else np.add(z, a, out=z)
-    return z, parts, tuple(t for x, w, _ in parts for t in (x, w))
+    return z, parts, parents
 
 
 def _terms_backward(parts: list[tuple], dz: np.ndarray) -> None:
     """Push ``dz``, the gradient of the terms' sum, into their tracked
     tensors."""
     for x, w, rows in parts:
+        if isinstance(rows, Neighbours):
+            rows.backward(x, w, dz)
+            continue
         gz = dz if rows is None else rows.sums(dz)
         if _tracked(w):
             _accumulate(w, gz.T @ x.data)
@@ -440,14 +442,15 @@ def linear_sum(
     ``activation(sum_k X_k @ W_k.T + bias)``, optionally ``@ project``.
 
     A term is ``(x, W)`` or ``(x, W, rows)``: ``X_k`` is the (n, in) tensor
-    ``x``, a sum node's output among them (:func:`graph_sum`,
-    :func:`block_sum`), and ``W`` is (out, in). With ``rows`` the term
-    contributes ``(x @ W.T)[rows]``: the product is taken once per row of
-    ``x`` and then gathered, so that per-node rows reach per-edge outputs
-    without gathered copies of ``x``. ``rows`` is a :class:`Gather` of an
-    integer index, whose gradient is a keyed scatter, or a pack's
-    :class:`Slots`, which gives each graph's row to the rows it owns, its
-    gradient a per-graph sum.
+    ``x``, a sum node's output among them (:func:`graph_sum`), and ``W``
+    is (out, in). With ``rows`` the term contributes ``(x @ W.T)[rows]``:
+    the product is taken once per row of ``x`` and then gathered, so that
+    per-node rows reach per-edge outputs without gathered copies of ``x``.
+    ``rows`` is a :class:`Gather` of an integer index, whose gradient is a
+    keyed scatter, or a pack's :class:`Slots`, which gives each graph's row
+    to the rows it owns, its gradient a per-graph sum. ``rows`` may also be
+    :class:`Neighbours`, whose term projects the pack's neighbour sums of
+    ``x`` by an (out, R in) ``W`` and recomputes them in backward.
     Every term contributes the same number of rows. ``activation`` is None,
     "relu", "tanh" or "sigmoid", applied inside this one tape node, whose
     backward works from the activated rows ``y`` and the terms' tensors: it

@@ -9,9 +9,9 @@ Graphs are small and variable-sized, so they are never padded: each batch
 runs as consecutive packs, disjoint unions of at most ``PACK_CELLS`` memory
 cells (see :func:`graphmem.model.pack`). A pack is one forward, one loss
 and one backward, and gradients accumulate over the packs of a batch
-before one optimizer step. Inference records no tape, so it packs up to
-``INFERENCE_CELLS``, and :func:`predict_scores` packs its examples in
-order of size, so that a pack holds molecules of one size.
+before one optimizer step. Inference packs to the same budget, and
+:func:`predict_scores` packs its examples in order of size, so that a pack
+holds molecules of one size.
 """
 
 from __future__ import annotations
@@ -31,26 +31,19 @@ from .numerics import Tensor
 
 MODES = ("single", "multi")
 
-# Memory cells per pack. Larger packs record fewer tape nodes per example,
-# but a pack's tape grows with its cells, and peak memory binds first. A
-# hop's tape keeps about (3 + R) * memory_size + controller_size floats per
-# cell for R relations: the gated update's output, proposal and gate, the
-# neighbour sums (numerics.block_sum) and the attention's activated rows
-# (numerics.linear_sum). In learned mode a hop adds 2 R floats per cell, the
-# summed link features (numerics.link_sum), and controller_size per directed
-# edge, the edge scorer's activated rows. Off the tape, a pack keeps one
-# block array in both modes, and in learned mode the edge scorer's scatter
-# index, E * controller_size integers at each end. At 512 cells a training
-# step ran 6-12% faster, but the screen-sdf benchmark's peak RSS rose from
-# 54.2 to 62.3 MiB (2-vCPU VM), so training stays at 256.
-PACK_CELLS = 256
-
-# Memory cells per inference pack. Inference keeps no tape, so its packs
-# can be larger than training's: a pack's fixed cost per hop is paid half
-# as often. At 1024 cells the screen-sdf benchmark's peak RSS rose to
-# 60.1-60.8 MiB, past its bound (same VM), so inference stops at twice
-# PACK_CELLS.
-INFERENCE_CELLS = 2 * PACK_CELLS
+# Memory cells per pack, in training and inference alike. Larger packs
+# record fewer tape nodes per example and pay a hop's fixed cost less often,
+# but a training pack's tape grows with its cells: per hop about 3 *
+# memory_size + controller_size floats per cell, the gated update's output,
+# proposal and gate and the attention's activated rows (numerics.linear_sum),
+# and in learned mode 2 R more per cell, the summed link features
+# (numerics.link_sum), and controller_size per directed edge, the edge
+# scorer's activated rows. The neighbour sums, R * memory_size floats per
+# cell, are made again in backward instead (numerics.Neighbours): the traced
+# peak of one screen-sdf benchmark train call was 8.7 MiB at 256 cells
+# keeping them, 16.3 at 512 keeping them and 10.0 at 512 making them again.
+# Inference packs of 1024 cells raised its peak RSS past the bound.
+PACK_CELLS = 512
 
 # Adam's first- and second-moment decays and the floor added to the root of
 # the second moment, the values of Kingma and Ba (2015)
@@ -385,13 +378,13 @@ def _run_pack(examples: Sequence[PreparedExample], params: ModelParams, hops: in
 
 def inference_packs(params: ModelParams, examples: Sequence[PreparedExample],
                     hops: int) -> Iterator[tuple[slice, PreparedGraph, ForwardResult]]:
-    """Each ``INFERENCE_CELLS`` run of ``examples`` in order, as its slice,
+    """Each ``PACK_CELLS`` run of ``examples`` in order, as its slice,
     its pack and its forward result (dropout off).
 
     Runs on :meth:`ModelParams.frozen`, so no tape is recorded and no
     parameter gains a gradient."""
     frozen = params.frozen()
-    for part in budget_runs([ex.prepared.n_nodes for ex in examples], INFERENCE_CELLS):
+    for part in budget_runs([ex.prepared.n_nodes for ex in examples], PACK_CELLS):
         yield (part, *_run_pack(examples[part], frozen, hops))
 
 
@@ -495,8 +488,11 @@ def train(
                 # without dropout nothing draws, so none is made
                 rngs = ([np.random.default_rng((config.seed, epoch, int(idx))) for idx in batch[part]]
                         if config.dropout > 0.0 else None)
-                _, forwarded = _run_pack(examples[part], params, config.hops,
-                                         dropout_rate=config.dropout, rng=rngs, training=True)
+                # the pack goes with its tape; its hop states stay until the next result replaces
+                # them, since freeing them as well gave the freed heap top back to the system after
+                # every pack, and the next pack faulted it in again
+                forwarded = _run_pack(examples[part], params, config.hops,
+                                      dropout_rate=config.dropout, rng=rngs, training=True)[1]
                 loss = cross_entropy(forwarded.probability, [ex.label for ex in examples[part]])
                 for value in loss.data.ravel().tolist():
                     if not np.isfinite(value):

@@ -828,6 +828,57 @@ def masked_block_ring_sum(prepared, weights, k_b: int):
     return nm._record(out, (weights,), backward)
 
 
+# -- the kept neighbour sums the Neighbours term replaced ---------------------
+
+
+def block_sum(x, weights, slots):
+    """The relation-typed neighbour sums of a pack's rows as per-graph
+    block products (see ``numerics.Slots``), as one tape node.
+
+    Row ``i`` of the (N, R * k) value holds, in columns ``r*k:(r+1)*k``,
+    the sum of ``weights[e] * x[src[e]]`` over the edges ``slots.src[e] ->
+    i`` under relation ``r``, computed by one batched ``matmul`` per size
+    group. Each product, the forward one and the transposed one of
+    backward, writes the weights into the slots' block array. The node
+    keeps its value. Its backward is the transposed product for ``x`` and,
+    per edge, the gradient at the destination's block dotted with the
+    source row for ``weights``.
+    """
+    from graphmem import numerics as nm
+
+    if x.ndim != 2 or x.shape[0] != slots.bounds[-1] or weights.shape != slots.src.shape:
+        raise nm._shape_error("block_sum", x.shape, weights.shape, (slots.bounds[-1],))
+    k = x.shape[1]
+    out = nm.Tensor(slots.product(weights.data, x.data, k))
+    if not nm._tracked(x, weights):
+        return out
+
+    def backward(g):
+        if nm._tracked(x):
+            nm._accumulate(x, slots.product(weights.data, g, k, transpose=True))
+        if nm._tracked(weights):
+            # the gradient at the block each edge adds to, dotted with its source row
+            nm._accumulate(weights, np.einsum("ek,ek->e", g.reshape(-1, k)[slots.keys], x.data[slots.src]))
+
+    return nm._record(out, (x, weights), backward)
+
+
+def kept_sums_memory_step(state, controller, params, prepared, bias):
+    """``model.memory_step`` as packs ran it when the neighbour sums were a
+    tape node of their own (:func:`block_sum`), kept on the tape and
+    projected as a plain term of the gated update."""
+    from graphmem import numerics as nm
+    from graphmem.model import _neighbor_weights
+
+    weights = _neighbor_weights(prepared, state.memory, params)
+    terms = [(state.memory, params["mem.gated.self"]),
+             (controller, params["mem.gated.ctrl"], prepared.slots),
+             (block_sum(state.memory, weights, prepared.slots), params["mem.gated.nbr"])]
+    if params.config.neighbor_mode == "learned":
+        terms.append((nm.link_sum(weights, prepared.ring, prepared.slots), params["mem.gated.link"]))
+    return nm.gated_update(terms, bias, state.memory)
+
+
 def keyed_memory_bias(params, prepared):
     """The memory update's bias as packs ran it on keyed sums: in uniform
     mode the link term of the uniform weights joins ``mem.gated.bias`` as

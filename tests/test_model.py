@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -33,7 +34,7 @@ from graphmem.molgraph import (
     node_feature_dim,
     random_graph,
 )
-from graphmem.numerics import (DimensionError, Slots, Tensor, binary_cross_entropy, block_sum,
+from graphmem.numerics import (DimensionError, Neighbours, Slots, Tensor, binary_cross_entropy,
                                finite_difference_gradient, graph_sum, linear_sum, link_sum, max_relative_error)
 
 from _oracles import (
@@ -49,6 +50,7 @@ from _oracles import (
     keyed_link_sum,
     keyed_memory_bias,
     keyed_memory_step,
+    kept_sums_memory_step,
     learned_memory_step_oracle,
     masked_block_ring_sum,
     mean_links_bias_oracle,
@@ -432,8 +434,8 @@ class TestMemoryStep:
             np.testing.assert_array_equal(memory.data, [[0.5, 0.0, 0.0]], err_msg=mode)
             # no edge, so a zero neighbour sum and zero mean link rows
             assert prepared.slots.src.size == 0
-            context = block_sum(state.memory, prepared.uniform, prepared.slots)
-            np.testing.assert_array_equal(context.data, np.zeros((1, 3)), err_msg=mode)
+            context = prepared.slots.product(prepared.uniform.data, state.memory.data, 3)
+            np.testing.assert_array_equal(context, np.zeros((1, 3)), err_msg=mode)
             links = link_sum(prepared.uniform, prepared.ring, prepared.slots)
             np.testing.assert_array_equal(links.data, np.zeros((1, 2 * cfg.n_relations)), err_msg=mode)
 
@@ -474,7 +476,7 @@ class TestMemoryStep:
         # block per relation, as the memory update's block products and link
         # sums
         weights = _neighbor_weights(prepared, state.memory, params)
-        cells = block_sum(state.memory, weights, prepared.slots).data
+        cells = prepared.slots.product(weights.data, state.memory.data, 5)
         links = wide_link(link_sum(weights, prepared.ring, prepared.slots).data, 2)
         for r in range(2):
             np.testing.assert_allclose(cells[:, 5 * r:5 * (r + 1)], expected_contexts[r][:, :5], rtol=0, atol=1e-12)
@@ -827,6 +829,37 @@ class TestPerGraphSums:
             assert_matches_keyed(*results, f"trial {trial} {mode}")
         assert several_groups >= 1
 
+    @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
+    def test_memory_update_matches_the_kept_sums_oracle(self, mode):
+        # the Neighbours term, which makes the neighbour sums again in
+        # backward, against the block_sum node it replaced, which kept them:
+        # the value and every gradient (the cells, the controller rows and
+        # every parameter, mem.gated.nbr and the learned edge scorer's among
+        # them) on packs of several size groups and on each graph alone
+        cfg = self.config(mode)
+        params = self.random_params(cfg, 72)
+        rng = np.random.default_rng(73)
+        graphs = self.two_group_graphs()
+        for members in [graphs[:5], graphs] + [[g] for g in graphs]:
+            prepared = pack(members, cfg)
+            cells = rng.normal(size=(prepared.n_nodes, 4))
+            controllers = rng.normal(size=(prepared.n_graphs, 3))
+            seed = rng.normal(size=cells.shape)
+            results = []
+            for step in (memory_step, kept_sums_memory_step):
+                params.zero_grads()
+                memory, controller = Tensor(cells.copy(), True), Tensor(controllers.copy(), True)
+                state = HopState(t=0, controller=controller, memory=memory)
+                out = step(state, controller, params, prepared, _memory_bias(params, prepared))
+                out.backward(seed=seed)
+                results.append(([out.data], {**params.grads(), "memory": memory.grad, "controller": controller.grad}))
+            assert_matches_keyed(*results, f"{mode} {len(members)} graphs")
+            if len(members) > 1:
+                assert len(prepared.slots.groups) >= 2
+                grads = results[0][1]
+                assert np.any(grads["mem.gated.nbr"])
+                assert mode == "uniform" or np.any(grads["nbr.cell"]) and np.any(grads["nbr.self"])
+
     def test_per_graph_terms_check_their_shapes(self):
         prepared = pack(self.two_group_graphs()[:3], self.config("uniform"))
         cells, w = Tensor(np.ones((prepared.n_nodes, 4))), Tensor(np.ones((2, 4)))
@@ -836,9 +869,13 @@ class TestPerGraphSums:
         assert linear_sum([(read, w)]).shape == (3, 2)
         with pytest.raises(DimensionError):  # one weight per cell
             graph_sum(cells, Tensor(np.ones(2)), prepared.slots)
-        n_edges = prepared.slots.src.size
+        n_edges, nbr = prepared.slots.src.size, Tensor(np.ones((2, 12)))  # R = 3 relations of 4 columns
+        summed = linear_sum([(cells, nbr, Neighbours(Tensor(np.ones(n_edges)), prepared.slots))])
+        assert summed.shape == (prepared.n_nodes, 2)
         with pytest.raises(DimensionError):  # one weight per edge
-            block_sum(cells, Tensor(np.ones(n_edges + 1)), prepared.slots)
+            linear_sum([(cells, nbr, Neighbours(Tensor(np.ones(n_edges + 1)), prepared.slots))])
+        with pytest.raises(DimensionError):  # the weight needs R column blocks of the cells' width
+            linear_sum([(cells, w, Neighbours(Tensor(np.ones(n_edges)), prepared.slots))])
 
     @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
     def test_ring_sum_matches_the_masked_block_oracle(self, mode, monkeypatch):
@@ -943,11 +980,12 @@ class TestPerGraphSums:
     @pytest.mark.parametrize("hops", [2, 10])
     @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
     def test_block_products_per_training_step(self, mode, hops, monkeypatch):
-        # every sum runs once in forward and keeps its value. Both modes
-        # multiply the neighbour cells once per memory hop, and backward
-        # once more for their transposed product; the ring flags are a
-        # keyed sum, with no product. Each product writes its weights into
-        # the pack's block array; the pack is built before counting starts.
+        # both modes multiply the neighbour cells once per memory hop and
+        # keep no sums, so backward multiplies twice: once to make the sums
+        # again for the weight's gradient, once for their transposed
+        # product. The ring flags are a keyed sum, with no product. Each
+        # product writes its weights into the pack's block array; the pack
+        # is built before counting starts.
         params = self.random_params(self.config(mode), 67)
         prepared = pack(self.two_group_graphs(), params.config)
         calls = []
@@ -962,13 +1000,14 @@ class TestPerGraphSums:
         probability.backward()
         memory_hops = hops - 1
         assert n_forward == memory_hops
-        assert len(calls) - n_forward == memory_hops
+        assert len(calls) - n_forward == 2 * memory_hops
 
     @pytest.mark.parametrize("mode", NEIGHBOR_MODES)
     def test_every_product_of_a_pack_uses_its_one_block_array(self, mode, monkeypatch):
-        # forward neighbour sums and backward transposed products all read
-        # the same flat array, one matmul per size group; after the training
-        # step every entry off the edges' positions is still zero
+        # forward neighbour sums, and backward's sums and transposed
+        # products, all read the same flat array, one matmul per size group;
+        # after the training step every entry off the edges' positions is
+        # still zero
         params = self.random_params(self.config(mode), 68)
         prepared = pack(self.two_group_graphs(), params.config)
         slots = prepared.slots
@@ -977,7 +1016,7 @@ class TestPerGraphSums:
         probability = self.training_step(params, prepared, 4)
         n_forward = len(seen)
         probability.backward()
-        assert (n_forward, len(seen) - n_forward) == (3 * len(slots.groups), 3 * len(slots.groups))
+        assert (n_forward, len(seen) - n_forward) == (3 * len(slots.groups), 6 * len(slots.groups))
         assert all(blocks is seen[0] for blocks in seen)
         assert seen[0].shape == (slots.n_entries,)
         off = np.ones(slots.n_entries, dtype=bool)
@@ -987,6 +1026,39 @@ class TestPerGraphSums:
         # a second pack has an array of its own
         forward(pack(self.two_group_graphs()[:3], params.config), np.ones(2), params, 2)
         assert seen[-1] is not seen[0]
+
+    def test_tape_keeps_no_neighbour_sums(self):
+        # the memory a training forward holds, traced, per cell per added
+        # hop: the gated update's output, proposal and gate (3 k_m floats),
+        # the attention's activated rows (k_h) and a few floats more (the
+        # attention scores and weights, and the controller rows and read of
+        # the pack's two graphs, 4 k_h + k_m floats per graph); the
+        # neighbour sums, R k_m floats, are made again in backward and not
+        # kept
+        rng = np.random.default_rng(74)
+        cfg = small_config(n_relations=4, memory=32, controller=32)
+        params = make_params(cfg, seed=75)
+        prepared = pack([featurize(random_graph(rng, 90, 110, 4), SYNTHETIC_ALPHABET) for _ in range(2)], cfg)
+        assert 180 <= prepared.n_nodes <= 220
+
+        def held(hops):
+            def run():
+                generators = [np.random.default_rng(76 + k) for k in range(prepared.n_graphs)]
+                return forward(prepared, np.ones(1), params, hops, dropout_rate=0.1, rng=generators, training=True)
+
+            run()  # the pack's block array and padded rows are made by its first product
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = run()
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                del result
+                tracemalloc.stop()
+
+        low, high = 2, 8
+        per_cell_hop = (held(high) - held(low)) / ((high - low) * prepared.n_nodes * 8)
+        assert per_cell_hop < 3 * 32 + 32 + 8
 
     def test_one_large_graph_among_single_atoms_forms_two_groups(self):
         rng = np.random.default_rng(65)
@@ -1011,7 +1083,7 @@ class TestPerGraphSums:
         seen = self.blocks_seen(monkeypatch)
         for members in [graphs, graphs[::-1], graphs[:1]]:
             prepared = pack(members, self.config("uniform"))
-            block_sum(Tensor(np.ones((prepared.n_nodes, 2))), prepared.uniform, prepared.slots)
+            prepared.slots.product(prepared.uniform.data, np.ones((prepared.n_nodes, 2)), 2)
             sizes = [g.n_nodes for g in members]
             edges = []
             for b, graph in enumerate(members):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ class TestPredictScores:
 
         params, pool = scored
         sizes = [ex.prepared.n_nodes for ex in pool]
-        assert sum(sizes) > training_module.INFERENCE_CELLS and max(sizes) > training_module.INFERENCE_CELLS
+        assert sum(sizes) > training_module.PACK_CELLS and max(sizes) > training_module.PACK_CELLS
         packs = []
         real_pack = training_module.pack
         monkeypatch.setattr(training_module, "pack",
@@ -120,7 +121,7 @@ class TestPredictScores:
         # packed smallest first, the large graph alone, every other pack within the budget
         packed = [graph.n_nodes for graphs in packs for graph in graphs]
         assert len(packs) > 2 and packed == sorted(sizes) and len(packs[-1]) == 1
-        assert all(sum(g.n_nodes for g in graphs) <= training_module.INFERENCE_CELLS for graphs in packs[:-1])
+        assert all(sum(g.n_nodes for g in graphs) <= training_module.PACK_CELLS for graphs in packs[:-1])
         for score, ex in zip(scores, pool):
             alone = forward(ex.prepared, ex.query, params.frozen(), 2).probability.item()
             assert abs(score - alone) <= 1e-12
@@ -432,6 +433,30 @@ class TestTrainingLoop:
             assert len(train({"t": split}, config).history) == 2
             counts[dropout] = len(made)
         assert counts == {0.0: 1 + 2, 0.1: 1 + 2 + 2 * len(split.train)}
+
+    def test_each_training_pack_is_released_before_the_next_forward(self, monkeypatch):
+        # a batch runs as several packs; when a training pack's forward
+        # starts, the previous pack and its block array are unreachable
+        import graphmem.training as training_module
+
+        monkeypatch.setattr(training_module, "PACK_CELLS", 24)
+        real_forward = training_module.forward
+        previous, released = [], []
+
+        def watching_forward(prepared, *args, **kwargs):
+            if not kwargs.get("training"):
+                return real_forward(prepared, *args, **kwargs)
+            released.append(all(ref() is None for ref in previous))
+            result = real_forward(prepared, *args, **kwargs)
+            previous[:] = [weakref.ref(prepared), weakref.ref(prepared.slots._blocks)]
+            return result
+
+        monkeypatch.setattr(training_module, "forward", watching_forward)
+        examples = synthetic_examples(count=20, seed=16)
+        config = ExperimentConfig(hops=3, memory_size=8, controller_size=8, dropout=0.1, batch_size=8,
+                                  max_epochs=1, patience=5, seed=2)
+        train({"t": split_dataset(examples, seed=3)}, config)
+        assert len(released) > 2 and all(released)  # more packs than the two batches
 
     def test_multi_with_one_task_equals_single(self):
         examples = synthetic_examples(count=30, seed=12)
